@@ -35,7 +35,7 @@ from .diagnostics import (
 from .errors import ConfigError, JFlowError
 from .flow import FlowConfig, epsilon_family, evolve, max_principle_monitor
 from .functionals import evaluate_suite
-from .ma import MASolverConfig, build_alpha, solve_ma, solve_ma_continuation, solve_ma_split
+from .ma import MASolverConfig, solve_ma_continuation
 from .presets import (
     FAMILY_BUDGETS,
     PRESET_DEFAULTS,
@@ -491,20 +491,9 @@ def _cmd_family(cfg, record, out):
 def _cmd_solve_ma(cfg, record, out):
     problem = build_problem(cfg)
     macfg = _ma_config(cfg)
-    eps_list = cfg.eps
-    if len(eps_list) > 1:
-        sols = solve_ma_continuation(
-            problem.chi0, problem.omega0, problem.omega_hat, eps_list, macfg
-        )
-    else:
-        eps = eps_list[0]
-        w = problem.omega_eps(eps)
-        c = c_constant(problem.chi0_class(), problem.omega_eps_class(eps))
-        alpha = build_alpha(problem.chi0, w, c)
-        if problem.backend == "split":
-            sols = [(eps, solve_ma_split(alpha, c, w, macfg))]
-        else:
-            sols = [(eps, solve_ma(alpha, c, w, macfg))]
+    sols = solve_ma_continuation(
+        problem.chi0, problem.omega0, problem.omega_hat, cfg.eps, macfg
+    )
     table = []
     converged = True
     for eps, sol in sols:

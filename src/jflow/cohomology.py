@@ -107,6 +107,8 @@ class ClosedForm:
     cls: CohomologyClass
     potential: ScalarField
 
+    backend = "full"
+
     @cached_property
     def realized(self):
         return self.cls.realize(self.grid).add(complex_hessian(self.potential))

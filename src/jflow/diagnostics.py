@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .torus import ScalarField
+from .flow import MonitorVerdict, _trace_bound_excess
+from .split import factor_hessian
+from .torus import ScalarField, complex_hessian
 
 OFF_DIVISOR_THRESHOLD = 0.1
 FIT_BAND = (1e-3, 0.5)
@@ -112,16 +114,9 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None, trend_ratio=1
 def trace_bound_check(traj, tol=1e-8):
     """sup tr_{chi} omega_eps <= c_eps + sup|phi_dot(0)| + tol at every
     snapshot (the flow identity tr = c - phi_dot turns the lower metric
-    bound into this trace form)."""
-    failures = []
-    bound = traj.c_eps + traj.sup_phidot0 + tol
-    for row in traj.rows:
-        trace_sup = traj.c_eps - row.min_phidot
-        if trace_sup > bound:
-            failures.append((row.t, trace_sup, bound))
-    from .flow import MonitorVerdict
-
-    return MonitorVerdict(not failures, tuple(failures))
+    bound into this trace form); failures are (t, trace_sup, bound)."""
+    failures = tuple(_trace_bound_excess(traj, tol))
+    return MonitorVerdict(not failures, failures)
 
 
 def singular_profile_fit(u, s2, band=FIT_BAND, min_points=8):
@@ -184,8 +179,6 @@ def q_monitor(traj, div, cfg, slack=1.0):
     """
     if div is not None:
         cfg.validate_against(div)
-    from .flow import MonitorVerdict
-
     series = []
     c0_used = cfg.c0_shift
     for t, snap in traj.snapshots:
@@ -210,8 +203,6 @@ def q_monitor(traj, div, cfg, slack=1.0):
 def _trace_field(traj, snap, grid):
     """u = tr_Id chi_phi on the snapshot, per backend."""
     if traj.backend == "split":
-        from .split import factor_hessian
-
         fgrid = snap.grid
         a0, b0 = traj.chi0_form.profiles()
         a = a0 + factor_hessian(fgrid, snap.phi1)
@@ -219,8 +210,6 @@ def _trace_field(traj, snap, grid):
         return np.broadcast_to(
             a[:, :, None, None] + b[None, None, :, :], grid.shape
         )
-    from .torus import complex_hessian
-
     chi = traj.chi0_form.realized.add(complex_hessian(snap))
     return chi.h11 + chi.h22
 

@@ -28,7 +28,17 @@ class ConeConditionError(JFlowError):
 
 
 class DegenerateStiffnessError(JFlowError):
-    """Time stepping rejected too many consecutive steps."""
+    """Time stepping rejected too many consecutive steps.
+
+    Carries the flow time ``t`` of the step, the last step size ``dt`` tried
+    and the positivity ``margin`` its endpoint reached.
+    """
+
+    def __init__(self, message, t=None, dt=None, margin=None):
+        super().__init__(message)
+        self.t = t
+        self.dt = dt
+        self.margin = margin
 
 
 class MAConvergenceError(JFlowError):

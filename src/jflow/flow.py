@@ -5,15 +5,21 @@
 its epsilon-regularised family driver, and the maximum-principle monitors.
 
 Time stepping is classical explicit RK4 with an eigenvalue-based step-size
-rule; a step whose endpoint loses positivity (off the divisor locus) is
-rejected and retried at half the step, up to twenty times.  A single run
-is sequential with data-parallel pointwise kernels; family members are
+rule.  One loop, ``_advance``, takes every step: it works on the kernel's
+raw arrays, and a step whose endpoint is not finite or loses positivity
+(off the divisor locus) is rejected and retried at half the step, up to
+twenty times before it raises DegenerateStiffnessError.  ``step`` wraps one
+such step as a FlowState; ``evolve`` calls it in a loop on the raw arrays
+and wraps the potential only where it records a snapshot.  A single run is
+sequential with data-parallel pointwise kernels; family members are
 independent and may be dispatched to worker processes.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
 potentials for product data (see `split`), for which every history
-quantity reduces to factor means.
+quantity reduces to factor means.  Both take their transforms from
+``torus.SpectralOps`` and their J and I from the formulas in
+``functionals``.
 """
 
 import math
@@ -22,16 +28,17 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft
+import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
 
-from .cohomology import CohomologyClass, cone_condition, epsilon_form
+from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (
     ConeConditionError,
     DegenerateStiffnessError,
     PositivityError,
 )
+from .functionals import _energies_full, _energies_split
 from .split import SplitForm, SplitPotential, split_sup_abs
-from .torus import ScalarField, complex_hessian, trace_with
+from .torus import ScalarField, SpectralOps, _wedge, complex_hessian, trace_with
 
 _MAX_REJECTIONS = 20
 
@@ -73,8 +80,6 @@ class HistoryRow:
     max_phidot: float
     min_phidot: float
     j_rate: float
-
-    CSV_COLUMNS = ("t", "sup_phi", "sup_phidot", "J", "I", "margin", "residual")
 
     def csv_values(self):
         return (self.t, self.sup_phi, self.sup_phidot, self.j, self.i,
@@ -128,18 +133,12 @@ class _FullKernel:
         self.grid = grid
         self.c = float(c_eps)
         self.cfg = cfg
-        ncut = grid.n // 2 + 1
-        crop = (slice(None),) * 3 + (slice(0, ncut),)
-        s11, s22, s12e, s12o = grid.hessian_symbols()
-        self._sym = (s11[crop], s22[crop], s12e[crop], s12o[crop])
-        b = chi0.realized
-        self._bg = (b.h11, b.h22, b.h12_re, b.h12_im)
+        self._ops = SpectralOps.of(grid)
+        self._bg = chi0.realized.components()
         w = omega_eps.realized
-        self._w = (w.h11, w.h22, w.h12_re, w.h12_im)
+        self._w = w.components()
         self._w_det = w.h11 * w.h22 - w.h12_re ** 2 - w.h12_im ** 2
         self._kmax2 = (np.pi * grid.n) ** 2
-        self._chi0_form = chi0
-        self._omega_form = omega_eps
         self._off = None
         if divisor is not None:
             mask = ~divisor.locus_mask(grid)
@@ -154,21 +153,13 @@ class _FullKernel:
         return ScalarField(self.grid, v)
 
     def chi(self, v):
-        f = sfft.rfftn(v, axes=(0, 1, 2, 3))
-        s11, s22, s12e, s12o = self._sym
-        sh = self.grid.shape
-        b11, b22, b12r, b12i = self._bg
-        h11 = b11 + sfft.irfftn(s11 * f, s=sh, axes=(0, 1, 2, 3))
-        h22 = b22 + sfft.irfftn(s22 * f, s=sh, axes=(0, 1, 2, 3))
-        h12r = b12r + sfft.irfftn(s12e * f, s=sh, axes=(0, 1, 2, 3))
-        h12i = b12i + sfft.irfftn(s12o * f, s=sh, axes=(0, 1, 2, 3))
-        return h11, h22, h12r, h12i
+        return self._ops.hessian(v, base=self._bg)
 
     def rhs_only(self, v):
         chi = self.chi(v)
         with np.errstate(all="ignore"):
-            daa = self._wedge(chi, chi)
-            dab = self._wedge(chi, self._w)
+            daa = _wedge(chi, chi)
+            dab = _wedge(chi, self._w)
             return self.c - 2.0 * dab / daa
 
     def metrics(self, v):
@@ -177,7 +168,7 @@ class _FullKernel:
         h11, h22, h12r, h12i = chi
         with np.errstate(all="ignore"):
             daa = h11 * h22 - h12r ** 2 - h12i ** 2  # det = D(chi,chi)/2
-            dab = self._wedge(chi, self._w)
+            dab = _wedge(chi, self._w)
             rhs = self.c - dab / daa
         lam_lo = 0.5 * (h11 + h22) - np.sqrt(
             (0.5 * (h11 - h22)) ** 2 + h12r ** 2 + h12i ** 2
@@ -188,10 +179,6 @@ class _FullKernel:
             margin = float(lam_lo.min())
         finite = bool(np.isfinite(rhs).all())
         return rhs, chi, margin, finite
-
-    @staticmethod
-    def _wedge(a, b):
-        return a[0] * b[1] + a[1] * b[0] - 2.0 * (a[2] * b[2] + a[3] * b[3])
 
     def residual_sup(self, rhs):
         return float(np.abs(rhs).max())
@@ -233,17 +220,10 @@ class _FullKernel:
 
     def row_functionals(self, v, rhs, chi):
         """(J, I, dJ/dt, critical residual) from the cached chi arrays."""
-        bg, w, c = self._bg, self._w, self.c
-        d_cw = self._wedge(chi, w)
+        w, c = self._w, self.c
+        j, i = _energies_full(v, chi, self._bg, w, c)
+        d_cw = _wedge(chi, w)
         d_cc = 2.0 * (chi[0] * chi[1] - chi[2] ** 2 - chi[3] ** 2)
-        d_c0 = self._wedge(chi, bg)
-        d_00 = self._wedge(bg, bg)
-        d_0w = self._wedge(bg, w)
-        t2 = d_cc + d_c0 + d_00
-        j = 4.0 * float(np.mean(v * (d_cw + d_0w))) - (c / 3.0) * 4.0 * float(
-            np.mean(v * t2)
-        )
-        i = (4.0 / 3.0) * float(np.mean(v * t2))
         j_rate = -4.0 * float(np.mean(rhs * rhs * d_cc))
         # density form of the critical residual: finite even where chi degenerates
         crit = float(np.abs(2.0 * d_cw - c * d_cc).max())
@@ -266,11 +246,8 @@ class _SplitKernel:
         # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
         self.c1 = float(np.mean(self.w1)) / chi0.a1
         self.c2 = float(np.mean(self.w2)) / chi0.a2
-        sym = fgrid.laplace_symbol()
-        self._sym = sym[:, : fgrid.n // 2 + 1]
+        self._lap = SpectralOps.of(fgrid).laplacian
         self._kmax2 = (np.pi * fgrid.n) ** 2
-        self._chi0_form = chi0
-        self._omega_form = omega_eps
         self._off1 = None
         if divisor is not None:
             s2 = divisor.s2_proxy_factor(fgrid)
@@ -284,12 +261,8 @@ class _SplitKernel:
     def wrap(self, pair):
         return SplitPotential(self.grid, pair[0], pair[1])
 
-    def _hess(self, v):
-        f = sfft.rfftn(v, axes=(0, 1))
-        return sfft.irfftn(self._sym * f, s=self.grid.shape, axes=(0, 1))
-
     def chi(self, pair):
-        return self.p0 + self._hess(pair[0]), self.q0 + self._hess(pair[1])
+        return self.p0 + self._lap(pair[0]), self.q0 + self._lap(pair[1])
 
     def rhs_only(self, pair):
         a, b = self.chi(pair)
@@ -334,21 +307,10 @@ class _SplitKernel:
 
     def row_functionals(self, pair, rhs, chi):
         """(J, I, dJ/dt, critical residual) via separable factor means."""
-        from .split import split_wedge_mean
-
         a, b = chi
         r1, r2 = rhs
-        p0, q0, w1, w2, c = self.p0, self.q0, self.w1, self.w2, self.c
-        t1 = split_wedge_mean(pair, (a, b), (w1, w2)) + split_wedge_mean(
-            pair, (p0, q0), (w1, w2)
-        )
-        t2 = (
-            split_wedge_mean(pair, (a, b), (a, b))
-            + split_wedge_mean(pair, (a, b), (p0, q0))
-            + split_wedge_mean(pair, (p0, q0), (p0, q0))
-        )
-        j = 4.0 * t1 - (c / 3.0) * 4.0 * t2
-        i = (4.0 / 3.0) * t2
+        c = self.c
+        j, i = _energies_split(pair, chi, (self.p0, self.q0), (self.w1, self.w2), c)
         # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
         m = (
             float(np.mean(r1 * r1 * a)) * float(np.mean(b))
@@ -357,7 +319,7 @@ class _SplitKernel:
         )
         j_rate = -8.0 * m
         # critical residual |2 chi^omega - c chi^2| = 2|A(g - cB) + fB|
-        crit = 2.0 * _split_pairwise_abs_max(a, w1, self.w2 - c * b, b)
+        crit = 2.0 * _split_pairwise_abs_max(a, self.w1, self.w2 - c * b, b)
         return j, i, j_rate, crit
 
     def copy_potential(self, pair):
@@ -374,11 +336,13 @@ def _support_candidates(p, q):
     if w[0] <= 1e-24 * max(w[1], 1e-300):
         t = d @ v[:, 1]
         return pts[[int(t.argmin()), int(t.argmax())]]
-    try:
-        from scipy.spatial import ConvexHull
+    # imported here: scipy.spatial costs megabytes and set-up time, and
+    # product presets never reach this line
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         return pts[ConvexHull(pts).vertices]
-    except Exception:
+    except QhullError:
         return pts
 
 
@@ -437,15 +401,13 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
             "to acknowledge"
         )
     omega_eps = epsilon_form(omega0, cfg.eps, omega_hat)
-    x_cls, w_cls = _classes(chi0, omega_eps)
+    x_cls, w_cls = chi0.cls, omega_eps.cls
     margin = cone_condition(x_cls, w_cls)
     if margin <= 0.0:
         raise ConeConditionError(
             f"cone condition fails for eps={cfg.eps}: margin {margin:.6e} <= 0",
             margin=margin,
         )
-    from .cohomology import c_constant
-
     c_eps = c_constant(x_cls, w_cls)
     kernel = _make_kernel(chi0, omega_eps, c_eps, cfg, divisor)
     if phi0 is None:
@@ -468,19 +430,33 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     return state
 
 
-def _classes(chi0, omega_eps):
-    if isinstance(chi0, SplitForm):
-        return (
-            CohomologyClass.diag(chi0.a1, chi0.a2),
-            CohomologyClass.diag(omega_eps.a1, omega_eps.a2),
-        )
-    return chi0.cls, omega_eps.cls
-
-
 def adaptive_dt(state):
     """Explicit-stability step size from the current metric:
     dt = dt_safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2)."""
     return state.kernel.adaptive_dt(state._chi)
+
+
+def _advance(kernel, raw, rhs, dt, t):
+    """One RK4 step of the raw potential ``raw`` with velocity ``rhs`` at time t.
+
+    A step whose endpoint is not finite or not positive is retried at half
+    the step, up to _MAX_REJECTIONS times.  Returns (new, new_rhs, new_chi,
+    new_margin, accepted_dt, rejections).
+    """
+    rejections = 0
+    while True:
+        new = kernel.rk4(raw, rhs, dt)
+        new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
+        if finite and new_margin > 0.0:
+            return new, new_rhs, new_chi, new_margin, dt, rejections
+        rejections += 1
+        if rejections > _MAX_REJECTIONS:
+            raise DegenerateStiffnessError(
+                f"step rejected {rejections} times at t={t:.6g}; "
+                f"margin {new_margin:.3e}",
+                t=t, dt=dt, margin=new_margin,
+            )
+        dt *= 0.5
 
 
 def step(state, dt):
@@ -495,20 +471,10 @@ def step(state, dt):
     raw = kernel.unwrap(state.phi)
     rhs = getattr(state, "_raw_rhs", None)
     if rhs is None:
-        rhs, chi, _, _ = kernel.metrics(raw)
-    rejections = 0
-    while True:
-        new = kernel.rk4(raw, rhs, dt)
-        new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
-        if finite and new_margin > 0.0:
-            break
-        rejections += 1
-        if rejections > _MAX_REJECTIONS:
-            raise DegenerateStiffnessError(
-                f"step rejected {rejections} times at t={state.t:.6g}; "
-                f"margin {new_margin:.3e}"
-            )
-        dt *= 0.5
+        rhs = kernel.metrics(raw)[0]
+    new, new_rhs, new_chi, new_margin, dt, rejections = _advance(
+        kernel, raw, rhs, dt, state.t
+    )
     out = FlowState(
         kernel,
         kernel.wrap(new),
@@ -581,21 +547,8 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
             if t >= cfg.max_time:
                 break
             dt = min(kernel.adaptive_dt(chi), cfg.max_time - t)
-        halvings = 0
-        while True:
-            new = kernel.rk4(raw, rhs, dt)
-            new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
-            if finite and new_margin > 0.0:
-                break
-            halvings += 1
-            rejections += 1
-            if halvings > _MAX_REJECTIONS:
-                raise DegenerateStiffnessError(
-                    f"step rejected {halvings} times at t={t:.6g}; "
-                    f"margin {new_margin:.3e}"
-                )
-            dt *= 0.5
-        raw, rhs, chi, margin = new, new_rhs, new_chi, new_margin
+        raw, rhs, chi, margin, dt, halvings = _advance(kernel, raw, rhs, dt, t)
+        rejections += halvings
         t += dt
         steps += 1
         if steps % cfg.snapshot_stride == 0:
@@ -757,9 +710,24 @@ def max_principle_monitor(traj, tol=1e-8):
             failures.append(
                 (cur.t, "inf phi_dot decreased", prev.min_phidot - cur.min_phidot)
             )
-    bound = traj.c_eps + traj.sup_phidot0 + tol
-    for row in rows:
-        trace_sup = traj.c_eps - row.min_phidot  # tr = c - phi_dot pointwise
-        if trace_sup > bound:
-            failures.append((row.t, "trace bound exceeded", trace_sup - bound))
+    failures += [
+        (t, "trace bound exceeded", trace_sup - bound)
+        for t, trace_sup, bound in _trace_bound_excess(traj, tol)
+    ]
     return MonitorVerdict(not failures, tuple(failures))
+
+
+def _trace_bound_excess(traj, tol=1e-8):
+    """Rows where sup tr_{chi} omega_eps exceeds c_eps + sup|phi_dot(0)| + tol,
+    as (t, trace_sup, bound) triples.
+
+    The flow identity tr = c_eps - phi_dot pointwise makes the sup of the
+    trace c_eps - inf phi_dot, which turns the lower metric bound into this
+    trace form.
+    """
+    bound = traj.c_eps + traj.sup_phidot0 + tol
+    return [
+        (row.t, traj.c_eps - row.min_phidot, bound)
+        for row in traj.rows
+        if traj.c_eps - row.min_phidot > bound
+    ]

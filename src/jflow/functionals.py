@@ -19,6 +19,7 @@ from .torus import (
     complex_hessian,
     holomorphic_gradient,
     integrate,
+    _wedge,
     positivity_margin,
     trace_with,
     wedge_density,
@@ -50,26 +51,56 @@ def _chi(phi, chi0):
     return chi0.realized.add(complex_hessian(phi))
 
 
+def _gradient_terms(phi, chi0, omega0):
+    """D(chi_phi, omega0) and D(chi_phi, chi_phi): the two terms of the
+    J-gradient density."""
+    chi = _chi(phi, chi0)
+    return wedge_density(chi, omega0.realized).values, wedge_density(chi, chi).values
+
+
 def j_gradient_density(phi, chi0, omega0, c0):
     """The density of the J-gradient: 2 chi_phi ^ omega0 - c0 chi_phi^2."""
-    chi = _chi(phi, chi0)
-    d = 2.0 * wedge_density(chi, omega0.realized).values - c0 * wedge_density(chi, chi).values
-    return ScalarField(phi.grid, d)
+    d_cw, d_cc = _gradient_terms(phi, chi0, omega0)
+    return ScalarField(phi.grid, 2.0 * d_cw - c0 * d_cc)
+
+
+def _energies_full(v, chi, bg, w, c):
+    """(J, I) from raw potential values v and the raw component tuples of
+    chi_phi, chi0 and omega (J is None when omega is): the one full-backend
+    formula, shared by the flow's history rows and ``J_closed`` /
+    ``I_functional``."""
+    d_cc = 2.0 * (chi[0] * chi[1] - chi[2] ** 2 - chi[3] ** 2)
+    t2 = d_cc + _wedge(chi, bg) + _wedge(bg, bg)
+    i = (4.0 / 3.0) * float(np.mean(v * t2))
+    if w is None:
+        return None, i
+    t1 = _wedge(chi, w) + _wedge(bg, w)
+    j = 4.0 * float(np.mean(v * t1)) - (c / 3.0) * 4.0 * float(np.mean(v * t2))
+    return j, i
+
+
+def _energies_split(pair, chi, bg, w, c):
+    """Split-backend counterpart of ``_energies_full`` on factor pairs, via
+    separable factor means (no 4-D assembly)."""
+    t2 = (
+        sp.split_wedge_mean(pair, chi, chi)
+        + sp.split_wedge_mean(pair, chi, bg)
+        + sp.split_wedge_mean(pair, bg, bg)
+    )
+    i = (4.0 / 3.0) * t2
+    if w is None:
+        return None, i
+    t1 = sp.split_wedge_mean(pair, chi, w) + sp.split_wedge_mean(pair, bg, w)
+    return 4.0 * t1 - (c / 3.0) * 4.0 * t2, i
+
+
+def _full_terms(phi, chi0):
+    return phi.values, _chi(phi, chi0).components(), chi0.realized.components()
 
 
 def J_closed(phi, chi0, omega0, c0):
     """Closed-form J: needs no path, extends to the weak space."""
-    chi = _chi(phi, chi0)
-    chi0r = chi0.realized
-    w = omega0.realized
-    t1 = wedge_density(chi, w).values + wedge_density(chi0r, w).values
-    t2 = (
-        wedge_density(chi, chi).values
-        + wedge_density(chi, chi0r).values
-        + wedge_density(chi0r, chi0r).values
-    )
-    p = phi.values
-    return 4.0 * float(np.mean(p * t1)) - (c0 / 3.0) * 4.0 * float(np.mean(p * t2))
+    return _energies_full(*_full_terms(phi, chi0), omega0.realized.components(), c0)[0]
 
 
 def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
@@ -101,10 +132,12 @@ def J_gradient_check(phi, v, chi0, omega0, c0, h=1e-4):
     analytic directional derivative 4 mean(v g) along v, g the gradient
     density.
 
-    The error is relative to the Hoelder bound 4 mean(|v| |g|) on that
-    pairing (or to |fd| or |analytic| where either is larger), so it stays
-    defined, and small, when the derivative along v is zero: for a direction
-    orthogonal to g it is roundoff relative to the size of the pairing. A zero
+    The error is relative to the size of the pairing before its two terms
+    cancel, 4 mean(|v| (|2 D(chi, omega)| + |c0| |D(chi, chi)|)), a bound on
+    |analytic| (or to |fd| or |analytic| where either is larger).  It stays
+    defined, and small, when the derivative along v is zero, also where g
+    vanishes identically (at a critical point, say): the finite difference's
+    roundoff is then relative to the size of the terms of g, not to g. A zero
     difference returns 0.0, also for v = 0. The error includes the O(h^2)
     truncation of the difference and its roundoff of about eps |J| / h.
     """
@@ -116,20 +149,14 @@ def J_gradient_check(phi, v, chi0, omega0, c0, h=1e-4):
     diff = abs(fd - analytic)
     if diff == 0.0:
         return 0.0
-    bound = 4.0 * float(np.mean(np.abs(v.values) * np.abs(g)))
-    return diff / max(abs(analytic), abs(fd), bound)
+    d_cw, d_cc = _gradient_terms(phi, chi0, omega0)
+    scale = 4.0 * float(np.mean(np.abs(v.values) * (np.abs(2.0 * d_cw) + abs(c0) * np.abs(d_cc))))
+    return diff / max(abs(analytic), abs(fd), scale)
 
 
 def I_functional(phi, chi0):
     """The conserved normalization: (1/3) int phi (chi^2 + chi chi0 + chi0^2)."""
-    chi = _chi(phi, chi0)
-    chi0r = chi0.realized
-    t = (
-        wedge_density(chi, chi).values
-        + wedge_density(chi, chi0r).values
-        + wedge_density(chi0r, chi0r).values
-    )
-    return (4.0 / 3.0) * float(np.mean(phi.values * t))
+    return _energies_full(*_full_terms(phi, chi0), None, 0.0)[1]
 
 
 def E_aubin_yau(phi, chi0):
@@ -238,35 +265,17 @@ def evaluate_suite(phi, chi0, omega0, c0, steps=16, with_mabuchi=True):
 # --- split-backend evaluations (separable products, no 4-D assembly) -----
 
 
-def j_closed_split(phi, chi0, omega, c):
-    """J_closed for split data, via factor means."""
-    a, b = _split_chi(phi, chi0)
-    p0, q0 = chi0.profiles()
-    f, g = omega.profiles()
-    pp = (phi.phi1, phi.phi2)
-    t1 = sp.split_wedge_mean(pp, (a, b), (f, g)) + sp.split_wedge_mean(pp, (p0, q0), (f, g))
-    t2 = (
-        sp.split_wedge_mean(pp, (a, b), (a, b))
-        + sp.split_wedge_mean(pp, (a, b), (p0, q0))
-        + sp.split_wedge_mean(pp, (p0, q0), (p0, q0))
-    )
-    return 4.0 * t1 - (c / 3.0) * 4.0 * t2
-
-
-def i_functional_split(phi, chi0):
-    a, b = _split_chi(phi, chi0)
-    p0, q0 = chi0.profiles()
-    pp = (phi.phi1, phi.phi2)
-    t = (
-        sp.split_wedge_mean(pp, (a, b), (a, b))
-        + sp.split_wedge_mean(pp, (a, b), (p0, q0))
-        + sp.split_wedge_mean(pp, (p0, q0), (p0, q0))
-    )
-    return (4.0 / 3.0) * t
-
-
-def _split_chi(phi, chi0):
+def _split_terms(phi, chi0):
     a0, b0 = chi0.profiles()
     a = a0 + sp.factor_hessian(phi.grid, phi.phi1)
     b = b0 + sp.factor_hessian(phi.grid, phi.phi2)
-    return a, b
+    return (phi.phi1, phi.phi2), (a, b), (a0, b0)
+
+
+def j_closed_split(phi, chi0, omega, c):
+    """J_closed for split data, via factor means."""
+    return _energies_split(*_split_terms(phi, chi0), omega.profiles(), c)[0]
+
+
+def i_functional_split(phi, chi0):
+    return _energies_split(*_split_terms(phi, chi0), None, 0.0)[1]

@@ -17,14 +17,15 @@ constant-coefficient operator built from the mean of A_psi.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
+import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .cohomology import class_pairing, cone_condition, c_constant
+from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import ConeConditionError, MAConvergenceError, PositivityError
-from .split import SplitForm, SplitPotential, factor_hessian, factor_poisson
+from .split import SplitPotential, factor_hessian, factor_poisson
 from .torus import (
     ScalarField,
+    SpectralOps,
     complex_hessian,
     positivity_margin,
     wedge_density,
@@ -48,14 +49,7 @@ class MASolverConfig:
 def build_alpha(chi0, omega_eps, c_eps):
     """alpha = c_eps * chi0 - omega_eps, with the cone margin enforced and
     the class identity [alpha]^2 = [omega_eps]^2 verified."""
-    split = isinstance(chi0, SplitForm)
-    if split:
-        from .cohomology import CohomologyClass
-
-        x_cls = CohomologyClass.diag(chi0.a1, chi0.a2)
-        w_cls = CohomologyClass.diag(omega_eps.a1, omega_eps.a2)
-    else:
-        x_cls, w_cls = chi0.cls, omega_eps.cls
+    x_cls, w_cls = chi0.cls, omega_eps.cls
     margin = cone_condition(x_cls, w_cls)
     if margin <= 0.0:
         raise ConeConditionError(
@@ -77,15 +71,7 @@ def poisson_solve(src, tol=1e-12):
     m = src.mean()
     if abs(m) > tol:
         raise ValueError(f"poisson_solve: source mean {m:.3e} exceeds {tol:.1e}")
-    grid = src.grid
-    sym = grid.laplace_symbol().copy()
-    sym[0, 0, 0, 0] = 1.0
-    ncut = grid.n // 2 + 1
-    crop = (slice(None),) * 3 + (slice(0, ncut),)
-    f = sfft.rfftn(src.values - m, axes=(0, 1, 2, 3))
-    f /= sym[crop]
-    f[0, 0, 0, 0] = 0.0
-    return ScalarField(grid, sfft.irfftn(f, s=grid.shape, axes=(0, 1, 2, 3)))
+    return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
 
 
 def critical_residual(phi, chi0, omega, c):
@@ -173,22 +159,11 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     else:
         psi = np.zeros(grid.shape)
 
-    ncut = grid.n // 2 + 1
-    crop = (slice(None),) * 3 + (slice(0, ncut),)
-    s11, s22, s12e, s12o = grid.hessian_symbols()
-    sym = (s11[crop], s22[crop], s12e[crop], s12o[crop])
-    shape = grid.shape
-    axes = (0, 1, 2, 3)
-    base = (a_real.h11, a_real.h22, a_real.h12_re, a_real.h12_im)
+    ops = SpectralOps.of(grid)
+    base = a_real.components()
 
     def a_field(p):
-        f = sfft.rfftn(p, axes=axes)
-        return (
-            base[0] + c * sfft.irfftn(sym[0] * f, s=shape, axes=axes),
-            base[1] + c * sfft.irfftn(sym[1] * f, s=shape, axes=axes),
-            base[2] + c * sfft.irfftn(sym[2] * f, s=shape, axes=axes),
-            base[3] + c * sfft.irfftn(sym[3] * f, s=shape, axes=axes),
-        )
+        return ops.hessian(p, base=base, c=c)
 
     def dens(a):
         return 2.0 * (a[0] * a[1] - a[2] ** 2 - a[3] ** 2)
@@ -208,11 +183,10 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     g_res = np.log(dens(a)) - log_t
     residuals = [float(np.abs(g_res).max())]
 
-    size = psi.size
     for iteration in range(cfg.max_newton):
         if residuals[-1] <= cfg.newton_tol:
             break
-        delta = _newton_direction(g_res, a, c, sym, shape, axes, size, cfg, residuals[-1])
+        delta = _newton_direction(g_res, a, c, ops, cfg, residuals[-1])
         # backtracking: keep A positive and require residual decrease
         s = 1.0
         accepted = False
@@ -245,21 +219,15 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     return MASolution(_gauge(out, gauge), residuals, len(residuals) - 1)
 
 
-def _newton_direction(g_res, a, c, sym, shape, axes, size, cfg, res_sup):
+def _newton_direction(g_res, a, c, ops, cfg, res_sup):
     """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero)."""
+    shape, sym = ops.shape, ops.hessian_syms
+    size = g_res.size
     det = a[0] * a[1] - a[2] ** 2 - a[3] ** 2
-
-    def hess_apply(p):
-        f = sfft.rfftn(p.reshape(shape), axes=axes)
-        h11 = sfft.irfftn(sym[0] * f, s=shape, axes=axes)
-        h22 = sfft.irfftn(sym[1] * f, s=shape, axes=axes)
-        h12r = sfft.irfftn(sym[2] * f, s=shape, axes=axes)
-        h12i = sfft.irfftn(sym[3] * f, s=shape, axes=axes)
-        return h11, h22, h12r, h12i
 
     def matvec(p):
         p = p - p.mean()
-        h = hess_apply(p)
+        h = ops.hessian(p)
         tr = (a[0] * h[1] + a[1] * h[0] - 2.0 * (a[2] * h[2] + a[3] * h[3])) / det
         out = c * tr
         return (out - out.mean()).ravel()
@@ -268,14 +236,9 @@ def _newton_direction(g_res, a, c, sym, shape, axes, size, cfg, res_sup):
     am = (float(a[0].mean()), float(a[1].mean()), float(a[2].mean()), float(a[3].mean()))
     det_m = am[0] * am[1] - am[2] ** 2 - am[3] ** 2
     denom = c * (am[0] * sym[1] + am[1] * sym[0] - 2.0 * (am[2] * sym[2] + am[3] * sym[3])) / det_m
-    denom_safe = denom.copy()
-    denom_safe[(0,) * len(shape)] = 1.0
 
     def precond(r):
-        f = sfft.rfftn(r.reshape(shape), axes=axes)
-        f /= denom_safe
-        f[(0,) * len(shape)] = 0.0
-        return sfft.irfftn(f, s=shape, axes=axes).ravel()
+        return ops.divide(r.reshape(shape), denom).ravel()
 
     rhs = -(g_res - g_res.mean()).ravel()
     op = LinearOperator((size, size), matvec=lambda p: matvec(p.reshape(shape)))
@@ -378,24 +341,14 @@ def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None, gauge="
     ladder, reusing the previous solution as the Newton start.  Returns the
     list of (eps, MASolution) pairs.
     """
-    from .cohomology import epsilon_form
-
     cfg = cfg or MASolverConfig()
-    split = isinstance(chi0, SplitForm)
     out = []
     psi_prev = None
     for eps in eps_ladder:
         omega_eps = epsilon_form(omega0, eps, omega_hat)
-        if split:
-            from .cohomology import CohomologyClass
-
-            x = CohomologyClass.diag(chi0.a1, chi0.a2)
-            w = CohomologyClass.diag(omega_eps.a1, omega_eps.a2)
-        else:
-            x, w = chi0.cls, omega_eps.cls
-        c_eps = c_constant(x, w)
+        c_eps = c_constant(chi0.cls, omega_eps.cls)
         alpha = build_alpha(chi0, omega_eps, c_eps)
-        if split:
+        if chi0.backend == "split":
             sol = solve_ma_split(alpha, c_eps, omega_eps, cfg, gauge=gauge)
         else:
             sol = solve_ma(alpha, c_eps, omega_eps, cfg, psi0=psi_prev, gauge=gauge)

@@ -66,15 +66,10 @@ class Problem:
         return epsilon_form(self.omega0, eps, self.omega_hat)
 
     def chi0_class(self):
-        if self.backend == "split":
-            return CohomologyClass.diag(self.chi0.a1, self.chi0.a2)
         return self.chi0.cls
 
     def omega_eps_class(self, eps):
-        w = self.omega_eps(eps)
-        if self.backend == "split":
-            return CohomologyClass.diag(w.a1, w.a2)
-        return w.cls
+        return self.omega_eps(eps).cls
 
     def full_grid(self):
         if self.backend == "split":

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .torus import Grid, ScalarField
+from .cohomology import ClosedForm, CohomologyClass
+from .torus import Grid, ScalarField, SpectralOps
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,7 @@ class FactorGrid:
 
 def factor_hessian(grid, phi):
     """d_z d_zbar phi on a factor grid (spectral)."""
-    sym = grid.laplace_symbol()
-    ncut = grid.n // 2 + 1
-    f = sfft.rfftn(phi, axes=(0, 1))
-    return sfft.irfftn(sym[:, :ncut] * f, s=grid.shape, axes=(0, 1))
+    return SpectralOps.of(grid).laplacian(phi)
 
 
 def factor_poisson(grid, src, tol=1e-12):
@@ -62,13 +60,7 @@ def factor_poisson(grid, src, tol=1e-12):
     m = float(np.mean(src))
     if abs(m) > tol:
         raise ValueError(f"factor_poisson: source mean {m:.3e} exceeds {tol:.1e}")
-    sym = grid.laplace_symbol().copy()
-    sym[0, 0] = 1.0
-    ncut = grid.n // 2 + 1
-    f = sfft.rfftn(src - m, axes=(0, 1))
-    f /= sym[:, :ncut]
-    f[0, 0] = 0.0
-    return sfft.irfftn(f, s=grid.shape, axes=(0, 1))
+    return SpectralOps.of(grid).divide(src - m)
 
 
 @dataclass(frozen=True)
@@ -107,6 +99,13 @@ class SplitForm:
             a2 = float(np.mean(g))
             p2 = factor_poisson(grid, g - a2)
         return cls(grid, a1, a2, p1, p2)
+
+    backend = "split"
+
+    @property
+    def cls(self):
+        """The cohomology class diag(a1, a2)."""
+        return CohomologyClass.diag(self.a1, self.a2)
 
     def profiles(self):
         """Realised factor profiles (A, B) as 2-D arrays."""
@@ -164,13 +163,10 @@ class SplitPotential:
 
 def assemble_form(form, grid4=None):
     """Materialise a SplitForm as a full-backend closed form."""
-    from .cohomology import ClosedForm, CohomologyClass
-
     if grid4 is None:
         grid4 = Grid(form.grid.n, form.grid.offsets + (0.0, 0.0))
     pot = SplitPotential(form.grid, form.p1, form.p2).assemble(grid4)
-    cls = CohomologyClass(form.a1, form.a2, 0.0)
-    return ClosedForm(cls, pot)
+    return ClosedForm(form.cls, pot)
 
 
 # --- separable integrals -------------------------------------------------
@@ -200,13 +196,6 @@ def split_wedge_mean(phi, chi, omega):
         + mean4(p1 * f, b)
         + mean4(f, p2 * b)
     )
-
-
-def split_density_mean(chi, omega):
-    """mean of D(chi, omega) for split forms (no potential weight)."""
-    a, b = chi
-    f, g = omega
-    return mean4(a, g) + mean4(f, b)
 
 
 def split_sup_abs(u1, u2):

@@ -18,6 +18,7 @@ All field values are plain float64 numpy arrays; fields are treated as
 immutable values (kernels never write into their inputs).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,11 @@ class Grid:
     # cycles per unit length; the Nyquist row is assigned to -N/2 (fftfreq
     # convention), applied uniformly so that the discrete Parseval
     # identities used by the energy functionals hold exactly.
-    def _freq(self):
-        return sfft.fftfreq(self.n) * self.n
+    def _wavenumbers(self):
+        """Broadcastable integer frequencies (k_x1, k_y1, k_x2, k_y2)."""
+        k = sfft.fftfreq(self.n) * self.n
+        return (k.reshape(-1, 1, 1, 1), k.reshape(1, -1, 1, 1),
+                k.reshape(1, 1, -1, 1), k.reshape(1, 1, 1, -1))
 
     def hessian_symbols(self):
         """Spectral symbols of dd^c: (s11, s22, s12_even, s12_odd).
@@ -86,11 +90,7 @@ class Grid:
         splits as s12 = s12_even + i*s12_odd with both parts real and even,
         so every output field of the Hessian comes from a real transform.
         """
-        k = self._freq()
-        a = k.reshape(-1, 1, 1, 1)
-        b = k.reshape(1, -1, 1, 1)
-        c = k.reshape(1, 1, -1, 1)
-        d = k.reshape(1, 1, 1, -1)
+        a, b, c, d = self._wavenumbers()
         pi2 = np.pi ** 2
         s11 = -pi2 * (a * a + b * b)
         s22 = -pi2 * (c * c + d * d)
@@ -100,9 +100,70 @@ class Grid:
         return s11, s22, s12e, s12o
 
     def laplace_symbol(self):
-        """Symbol of tr_Id dd^c = quarter Laplacian."""
-        s11, s22, _, _ = self.hessian_symbols()
-        return s11 + s22
+        """Symbol of tr_Id dd^c = quarter Laplacian: s11 + s22."""
+        a, b, c, d = self._wavenumbers()
+        pi2 = np.pi ** 2
+        return -pi2 * (a * a + b * b) + -pi2 * (c * c + d * d)
+
+
+class SpectralOps:
+    """The spectral operators of one grid, symbols cropped to the
+    half-spectrum of the real transforms; ``SpectralOps.of(grid)`` caches
+    one per grid.
+
+    Serves the 4-D ``Grid`` and the 2-D factor grid of the split backend
+    alike through their ``laplace_symbol()``; grids with
+    ``hessian_symbols()`` also get the complex Hessian.  Constants are
+    applied to transformed fields, never folded into a symbol, so every
+    result is bitwise the same as an open-coded transform in that order.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.shape = grid.shape
+        self.axes = tuple(range(len(self.shape)))
+        crop = (slice(None),) * (len(self.shape) - 1) + (slice(0, grid.n // 2 + 1),)
+        self.laplace = np.ascontiguousarray(grid.laplace_symbol()[crop])
+        self.hessian_syms = None
+        if hasattr(grid, "hessian_symbols"):
+            self.hessian_syms = tuple(
+                np.ascontiguousarray(s[crop]) for s in grid.hessian_symbols()
+            )
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)
+    def of(cls, grid):
+        return cls(grid)
+
+    def hessian(self, v, base=None, c=None):
+        """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v,
+        each as ``base_k + c * H_k`` when ``base`` / ``c`` are given."""
+        f = sfft.rfftn(v, axes=self.axes)
+        out = []
+        for k, sym in enumerate(self.hessian_syms):
+            h = sfft.irfftn(sym * f, s=self.shape, axes=self.axes)
+            if c is not None:
+                h = c * h
+            if base is not None:
+                h = base[k] + h
+            out.append(h)
+        return tuple(out)
+
+    def laplacian(self, v):
+        """tr_Id dd^c v (on a factor grid: d_z d_zbar v) for raw values v."""
+        f = sfft.rfftn(v, axes=self.axes)
+        return sfft.irfftn(self.laplace * f, s=self.shape, axes=self.axes)
+
+    def divide(self, v, sym=None):
+        """Mean-zero inverse of a symbol (the Laplacian's by default) applied
+        to raw values v: the mean mode is dropped, not divided."""
+        sym = self.laplace if sym is None else sym
+        safe = sym.copy()
+        safe[(0,) * len(self.shape)] = 1.0
+        f = sfft.rfftn(v, axes=self.axes)
+        f /= safe
+        f[(0,) * len(self.shape)] = 0.0
+        return sfft.irfftn(f, s=self.shape, axes=self.axes)
 
 
 @dataclass(frozen=True)
@@ -186,6 +247,10 @@ class HermitianFormField:
             self.grid, c * self.h11, c * self.h22, c * self.h12_re, c * self.h12_im
         )
 
+    def components(self):
+        """(h11, h22, h12_re, h12_im): the raw tuple the kernels work on."""
+        return self.h11, self.h22, self.h12_re, self.h12_im
+
     def eigenvalues(self):
         """Pointwise eigenvalues (against the identity), sorted ascending."""
         half_tr = 0.5 * (self.h11 + self.h22)
@@ -204,33 +269,23 @@ def complex_hessian(phi):
     v = phi.values
     if not np.all(np.isfinite(v)):
         raise ValueError("complex_hessian: input field has non-finite entries")
-    g = phi.grid
-    s11, s22, s12e, s12o = g.hessian_symbols()
-    sh = g.shape
-    axes = (0, 1, 2, 3)
-    f = sfft.rfftn(v, axes=axes)
-    ncut = sh[3] // 2 + 1
-    crop = (slice(None),) * 3 + (slice(0, ncut),)
-    h11 = sfft.irfftn(s11[crop] * f, s=sh, axes=axes)
-    h22 = sfft.irfftn(s22[crop] * f, s=sh, axes=axes)
-    h12r = sfft.irfftn(s12e[crop] * f, s=sh, axes=axes)
-    h12i = sfft.irfftn(s12o[crop] * f, s=sh, axes=axes)
-    return HermitianFormField(g, h11, h22, h12r, h12i)
+    return HermitianFormField(phi.grid, *SpectralOps.of(phi.grid).hessian(v))
 
 
 def holomorphic_gradient(phi):
     """(d_{z1} phi, d_{z2} phi) as complex arrays (spectral)."""
-    g = phi.grid
-    k = g._freq()
-    a = k.reshape(-1, 1, 1, 1)
-    b = k.reshape(1, -1, 1, 1)
-    c = k.reshape(1, 1, -1, 1)
-    d = k.reshape(1, 1, 1, -1)
+    a, b, c, d = phi.grid._wavenumbers()
     f = sfft.fftn(phi.values)
     # d_z = (d_x - i d_y)/2acts as multiplication by i*pi*(k_x - i k_y)
     dz1 = sfft.ifftn(1j * np.pi * (a - 1j * b) * f)
     dz2 = sfft.ifftn(1j * np.pi * (c - 1j * d) * f)
     return dz1, dz2
+
+
+def _wedge(a, b):
+    """Wedge density D(a, b) of raw component tuples (h11, h22, h12_re, h12_im):
+    the one formula behind ``wedge_density`` and the flow kernels."""
+    return a[0] * b[1] + a[1] * b[0] - 2.0 * (a[2] * b[2] + a[3] * b[3])
 
 
 def wedge_density(alpha, beta):
@@ -239,12 +294,7 @@ def wedge_density(alpha, beta):
     alpha ^ beta = D * (i dz1 dz1bar)(i dz2 dz2bar) with
     D = a11*b22 + a22*b11 - 2 Re(a12 * conj(b12)); symmetric in (alpha, beta).
     """
-    d = (
-        alpha.h11 * beta.h22
-        + alpha.h22 * beta.h11
-        - 2.0 * (alpha.h12_re * beta.h12_re + alpha.h12_im * beta.h12_im)
-    )
-    return ScalarField(alpha.grid, d)
+    return ScalarField(alpha.grid, _wedge(alpha.components(), beta.components()))
 
 
 def integrate(density):

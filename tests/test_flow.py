@@ -157,11 +157,27 @@ class TestStep:
     def test_hopeless_step_raises_stiffness_error(self, smooth8):
         pb = smooth8
         state = make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
-        with pytest.raises(DegenerateStiffnessError):
+        with pytest.raises(DegenerateStiffnessError) as info:
             step(state, 1e12)
+        err = info.value
+        assert err.t == state.t
+        assert err.dt == 1e12 * 0.5 ** 20  # the last of 21 tries
+        assert not err.margin > 0.0
 
 
 class TestEvolve:
+    def test_fixed_dt_matches_step_calls(self, smooth8):
+        pb = smooth8
+        cfg = smooth_cfg(fixed_dt=5e-4, max_time=5e-3, stop_tolerance=1e-14)
+        traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
+        state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat)
+        for _ in range(traj.steps):
+            state = step(state, cfg.fixed_dt)
+        assert traj.steps == 10
+        assert np.array_equal(traj.final.phi1, state.phi.phi1)
+        assert np.array_equal(traj.final.phi2, state.phi.phi2)
+        assert traj.rows[-1].t == state.t
+
     def test_stationary_immediate_stop(self):
         pb = build_preset("identity", n=8)
         traj = evolve(

@@ -151,6 +151,15 @@ class TestJGradient:
         )
         assert J_gradient_check(phi, v, ident, ident, 2.0) >= 1e-2
 
+    def test_vanishing_density_is_not_an_error(self, setup):
+        # at phi = 0 with chi0 = omega0 = Id and c0 = 2 the gradient density
+        # cancels identically, so the finite difference is pure roundoff
+        grid, ident = setup
+        phi = ScalarField.zeros(grid)
+        assert np.all(j_gradient_density(phi, ident, ident, 2.0).values == 0.0)
+        v = rand_phi(grid, np.random.default_rng(10), amp=0.1, kmax=1)
+        assert J_gradient_check(phi, v, ident, ident, 2.0) < 1e-6
+
     def test_zero_direction_is_zero(self, setup):
         grid, ident = setup
         phi = chi_safe_phi(grid, np.random.default_rng(9))

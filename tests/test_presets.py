@@ -3,6 +3,7 @@ import pytest
 
 from jflow.cohomology import verify_omega0_conditions
 from jflow.presets import (
+    PRESET_DEFAULTS,
     PRESET_NAMES,
     build_preset,
     degenerate_profile,
@@ -73,6 +74,21 @@ class TestBuildPreset:
         pb = build_preset("degenerate_split", n=16, offsets=(0.003, 0.0))
         s2 = pb.divisor.s2_proxy_factor(pb.grid)
         assert s2.min() > 0.0
+
+
+    @pytest.mark.parametrize(
+        "name", [n for n in PRESET_NAMES if PRESET_DEFAULTS[n]["backend"] == "split"]
+    )
+    def test_split_class_matches_assembled_form(self, name):
+        pb = build_preset(name, n=8)
+        full = pb.to_full()
+        assert pb.chi0.cls == full.chi0.cls == pb.chi0_class()
+        for eps in (0.0, 0.1):
+            cls = pb.omega_eps(eps).cls
+            assert cls == full.omega_eps(eps).cls == pb.omega_eps_class(eps)
+            # the class is the mean of the assembled representative
+            w = full.omega_eps(eps).realized
+            assert np.isclose(w.h11.mean(), cls.m11) and np.isclose(w.h22.mean(), cls.m22)
 
 
 class TestRandomPotential:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from jflow.errors import PositivityError
+from jflow.split import FactorGrid, SplitPotential
 from jflow.torus import (
     Grid,
     HermitianFormField,
     ScalarField,
+    SpectralOps,
     complex_hessian,
     generalized_eigenvalues,
     integrate,
@@ -114,6 +116,37 @@ class TestComplexHessian:
         v[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             complex_hessian(ScalarField(grid, v))
+
+
+class TestSpectralOps:
+    def test_cached_per_grid(self):
+        assert SpectralOps.of(Grid(8)) is SpectralOps.of(Grid(8))
+
+    def test_factor_laplacian_is_hessian_block(self):
+        # phi = u(z1) + w(z2): dd^c phi = diag(d_z1 d_z1bar u, d_z2 d_z2bar w)
+        fg = FactorGrid(8)
+        rng = np.random.default_rng(11)
+        x, y = fg.coords()
+        parts = []
+        for _ in range(2):
+            v = np.zeros(fg.shape)
+            for _ in range(4):
+                kx, ky = rng.integers(-3, 4, size=2)
+                v = v + rng.normal() * np.cos(
+                    2 * np.pi * (kx * x + ky * y) + rng.uniform(0, 2 * np.pi)
+                )
+            parts.append(v)
+        ops = SpectralOps.of(fg)
+        h = complex_hessian(SplitPotential(fg, parts[0], parts[1]).assemble())
+        assert np.abs(h.h11 - ops.laplacian(parts[0])[:, :, None, None]).max() < 1e-12
+        assert np.abs(h.h22 - ops.laplacian(parts[1])[None, None, :, :]).max() < 1e-12
+        assert np.abs(h.h12_re).max() < 1e-12 and np.abs(h.h12_im).max() < 1e-12
+
+    def test_divide_inverts_laplacian_off_the_mean(self, grid):
+        ops = SpectralOps.of(grid)
+        u = random_bandlimited(grid, np.random.default_rng(12)).values
+        u = u - u.mean()
+        assert np.abs(ops.divide(ops.laplacian(u)) - u).max() < 1e-12
 
 
 class TestWedgeAndTrace:
