@@ -402,6 +402,9 @@ def _cmd_check_classes(cfg, record, out):
 
 
 def _run_monitors(cfg, problem, traj, record, label=""):
+    """Record the monitors' verdicts on a finished run.  A q-monitor that
+    cannot be evaluated on this grid is a failure line, not the end of the
+    run: the verdicts before it stand."""
     tag = f"{label}:" if label else ""
     mp = max_principle_monitor(traj) if len(traj.rows) >= 3 else None
     if mp is not None:
@@ -410,19 +413,23 @@ def _run_monitors(cfg, problem, traj, record, label=""):
             record.failures.extend(f"{tag}{f}" for f in mp.failures)
     tb = trace_bound_check(traj)
     record.verdicts[f"{tag}trace_bound"] = tb.ok
+    js = [r.j for r in traj.rows]
+    record.verdicts[f"{tag}j_nonincreasing"] = all(
+        b <= a + 1e-12 for a, b in zip(js, js[1:])
+    )
     if problem.divisor is not None:
         qcfg = QMonitorConfig(
             a=cfg.q.get("a", PRESET_QMONITOR["A"]),
             delta=cfg.q.get("delta", PRESET_QMONITOR["delta"]),
             c0_shift=cfg.q.get("c0_shift"),
         )
-        series, verdict = q_monitor(traj, problem.divisor, qcfg)
-        record.verdicts[f"{tag}q_monitor"] = verdict.ok
-        record.scalars[f"{tag}q_max_final"] = series[-1][1]
-    js = [r.j for r in traj.rows]
-    record.verdicts[f"{tag}j_nonincreasing"] = all(
-        b <= a + 1e-12 for a, b in zip(js, js[1:])
-    )
+        try:
+            series, verdict = q_monitor(traj, problem.divisor, qcfg)
+        except ConfigError as err:
+            record.failures.append(f"{tag}q_monitor not evaluated: {err}")
+        else:
+            record.verdicts[f"{tag}q_monitor"] = verdict.ok
+            record.scalars[f"{tag}q_max_final"] = series[-1][1]
 
 
 def _cmd_run(cfg, record, out):
@@ -594,10 +601,22 @@ _IMPLS = {
 }
 
 
+def validate_command(cfg, command):
+    """Problems of a parsed config (preset defaults filled in) that only
+    the command reveals."""
+    if command not in COMMANDS:
+        return [f"unknown command {command!r}; choose from {COMMANDS}"]
+    if command == "run" and len(cfg.eps) > 1:
+        return [f"eps: run integrates one eps, got {cfg.eps}; "
+                "use the family command for several"]
+    return []
+
+
 def execute(cfg, command):
     """Run one command; returns (RunRecord, exit_code)."""
-    if command not in COMMANDS:
-        raise ConfigError([f"unknown command {command!r}; choose from {COMMANDS}"])
+    problems = validate_command(cfg, command)
+    if problems:
+        raise ConfigError(problems)
     out = cfg.out
     os.makedirs(out, exist_ok=True)
     record = _new_record(cfg, command)
@@ -642,11 +661,11 @@ def main(argv=None):
         text = text + "\n" + "\n".join(overrides)
     try:
         cfg = parse_config(text)
+        record, code = execute(cfg, args.command)
     except ConfigError as err:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    record, code = execute(cfg, args.command)
     status = "PASS" if code == 0 else "FAIL"
     print(f"{args.command}: {status} ({len(record.verdicts)} verdicts)")
     for failure in record.failures:

@@ -184,24 +184,18 @@ class _FullKernel:
         return float(np.abs(rhs).max())
 
     def adaptive_dt(self, chi):
-        """dt = safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2)."""
+        """dt = safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2).
+
+        The eigenvalues come from the trace tr(adj(chi)^2 omega) / det^2 and
+        the determinant det(omega) / det^2, both real: no complex arrays.
+        """
         h11, h22, h12r, h12i = chi
-        x12 = h12r + 1j * h12i
-        det = h11 * h22 - h12r ** 2 - h12i ** 2
-        i11 = h22 / det
-        i22 = h11 / det
-        i12 = -x12 / det
         w11, w22, w12r, w12i = self._w
-        w12 = w12r + 1j * w12i
-        # m = chi^-1 * omega ; h = m * chi^-1
-        m11 = i11 * w11 + i12 * w12.conjugate()
-        m12 = i11 * w12 + i12 * w22
-        m21 = i12.conjugate() * w11 + i22 * w12.conjugate()
-        m22 = i12.conjugate() * w12 + i22 * w22
-        t11 = m11 * i11 + m12 * i12.conjugate()
-        t22 = m21 * i12 + m22 * i22
-        tr = (t11 + t22).real
-        det_h = self._w_det / det ** 2
+        x2 = h12r * h12r + h12i * h12i
+        det2 = (h11 * h22 - x2) ** 2
+        tr = ((h22 * h22 + x2) * w11 + (h11 * h11 + x2) * w22
+              - 2.0 * (h11 + h22) * (h12r * w12r + h12i * w12i)) / det2
+        det_h = self._w_det / det2
         lam = 0.5 * tr + np.sqrt(np.maximum(0.25 * tr ** 2 - det_h, 0.0))
         lam_max = float(lam.max())
         return self.cfg.dt_safety / (lam_max * self._kmax2)

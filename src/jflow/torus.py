@@ -5,6 +5,10 @@ j = 1, 2, sampled on a uniform N^4 lattice stored row-major as
 (x1, y1, x2, y2).  Real (1,1)-forms are pointwise 2x2 Hermitian matrices.
 Derivatives are pseudospectral: exact for band-limited data, which is what
 makes the energy identities in the rest of the package hold to rounding.
+``SpectralOps`` applies them: the even second derivatives (the Laplacian
+and the diagonal Hessian entries) as products with the dense 1-D spectral
+second-derivative matrix along each axis, the mixed Hessian entries and
+symbol division through real FFTs.
 
 Conventions fixed here and used everywhere else:
 
@@ -107,27 +111,42 @@ class Grid:
 
 
 class SpectralOps:
-    """The spectral operators of one grid, symbols cropped to the
-    half-spectrum of the real transforms; ``SpectralOps.of(grid)`` caches
-    one per grid.
+    """The spectral operators of one grid; ``SpectralOps.of(grid)`` caches
+    one per grid.  Serves the 4-D ``Grid`` and the 2-D factor grid of the
+    split backend alike.
 
-    Serves the 4-D ``Grid`` and the 2-D factor grid of the split backend
-    alike through their ``laplace_symbol()``; grids with
-    ``hessian_symbols()`` also get the complex Hessian.  Constants are
-    applied to transformed fields, never folded into a symbol, so every
-    result is bitwise the same as an open-coded transform in that order.
+    * The even second derivatives are matrix products, with no transform.
+      ``d2`` is the n x n circulant matrix of the 1-D symbol -pi^2 k^2 (the
+      grid's Laplace symbol along axis 0, so the Nyquist mode is treated as
+      the transforms treat it); the Laplacian sums it applied along every
+      axis, h11 along axes 0 and 1, h22 along axes 2 and 3.  The input is
+      shifted by its first sample and the output's mean is subtracted, so a
+      constant maps to exactly 0 and each output has zero mean, as with the
+      transform; otherwise they agree with the transform to rounding.
+    * The mixed components h12_re / h12_im (grids with
+      ``hessian_symbols()`` only) and ``divide`` apply symbols, cropped to
+      the half-spectrum, through real transforms.  A dense h12 would cost
+      more than its transform: over the two complex planes its operator
+      has Kronecker rank 4.
     """
 
     def __init__(self, grid):
         self.grid = grid
         self.shape = grid.shape
         self.axes = tuple(range(len(self.shape)))
-        crop = (slice(None),) * (len(self.shape) - 1) + (slice(0, grid.n // 2 + 1),)
-        self.laplace = np.ascontiguousarray(grid.laplace_symbol()[crop])
+        n = grid.n
+        half = (slice(None),) * (len(self.shape) - 1) + (slice(0, n // 2 + 1),)
+        lap = grid.laplace_symbol()
+        self.laplace = np.ascontiguousarray(lap[half])
+        # response to a unit impulse at 0, circulated: d2[i, j] = col[i - j]
+        line = lap[(slice(None),) + (0,) * (len(self.shape) - 1)]
+        col = sfft.irfft(line[: n // 2 + 1], n=n)
+        self.d2 = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+        self._d2t = np.ascontiguousarray(self.d2.T)
         self.hessian_syms = None
         if hasattr(grid, "hessian_symbols"):
             self.hessian_syms = tuple(
-                np.ascontiguousarray(s[crop]) for s in grid.hessian_symbols()
+                np.ascontiguousarray(s[half]) for s in grid.hessian_symbols()
             )
 
     @classmethod
@@ -135,24 +154,40 @@ class SpectralOps:
     def of(cls, grid):
         return cls(grid)
 
+    def _d2_along(self, u, axis):
+        """``d2`` applied along one axis of u, as a matmul over a reshaped view."""
+        n = self.grid.n
+        if axis == 0:
+            return (self.d2 @ u.reshape(n, -1)).reshape(self.shape)
+        if axis == len(self.shape) - 1:
+            return (u.reshape(-1, n) @ self._d2t).reshape(self.shape)
+        return (self.d2 @ u.reshape(n ** axis, n, -1)).reshape(self.shape)
+
+    def _d2_sum(self, u, axes):
+        """Mean-free sum of ``d2`` along ``axes`` of u."""
+        out = self._d2_along(u, axes[0])
+        for axis in axes[1:]:
+            out += self._d2_along(u, axis)
+        out -= out.sum() / out.size
+        return out
+
     def hessian(self, v, base=None, c=None):
         """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v,
         each as ``base_k + c * H_k`` when ``base`` / ``c`` are given."""
+        u = v - v.item(0)
         f = sfft.rfftn(v, axes=self.axes)
-        out = []
-        for k, sym in enumerate(self.hessian_syms):
-            h = sfft.irfftn(sym * f, s=self.shape, axes=self.axes)
-            if c is not None:
-                h = c * h
-            if base is not None:
-                h = base[k] + h
-            out.append(h)
+        out = [self._d2_sum(u, (0, 1)), self._d2_sum(u, (2, 3))]
+        for sym in self.hessian_syms[2:]:
+            out.append(sfft.irfftn(sym * f, s=self.shape, axes=self.axes))
+        if c is not None:
+            out = [c * h for h in out]
+        if base is not None:
+            out = [b + h for b, h in zip(base, out)]
         return tuple(out)
 
     def laplacian(self, v):
         """tr_Id dd^c v (on a factor grid: d_z d_zbar v) for raw values v."""
-        f = sfft.rfftn(v, axes=self.axes)
-        return sfft.irfftn(self.laplace * f, s=self.shape, axes=self.axes)
+        return self._d2_sum(v - v.item(0), self.axes)
 
     def divide(self, v, sym=None):
         """Mean-zero inverse of a symbol (the Laplacian's by default) applied
@@ -233,6 +268,10 @@ class HermitianFormField:
         return cls.constant(grid, 1.0, 1.0)
 
     def add(self, other):
+        if other.grid != self.grid:
+            raise ValueError(
+                f"HermitianFormField.add: grids differ ({self.grid} vs {other.grid})"
+            )
         return HermitianFormField(
             self.grid,
             self.h11 + other.h11,

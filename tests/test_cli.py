@@ -188,6 +188,32 @@ class TestExecute:
             texts.append((out / "series.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    def test_run_refuses_several_eps(self, tmp_path):
+        cfg = parse_config(f"preset=degenerate_split, N=8, out={tmp_path}, eps=[0.2, 0.1]")
+        with pytest.raises(ConfigError, match="family"):
+            execute(cfg, "run")
+        # the preset's default eps list has three entries
+        with pytest.raises(ConfigError, match="family"):
+            execute(parse_config(f"preset=degenerate_split, N=8, out={tmp_path}"), "run")
+        assert not (tmp_path / "run.json").exists()
+
+    def test_monitor_config_error_keeps_run_completed(self, tmp_path):
+        # zero grid offsets put 1/64 of the points on the divisor: the
+        # q-monitor cannot be evaluated, the other monitors still can
+        cfg = parse_config(
+            f"preset=nonsplit_perturbed, N=8, out={tmp_path}, seed=3,"
+            " phi0.random=true, eps=[0.1], flow.max_time=0.05"
+        )
+        record, code = execute(cfg, "run")
+        assert code == 1
+        assert record.verdicts["completed"]
+        assert "q_monitor" not in record.verdicts
+        for name in ("trace_bound", "j_nonincreasing"):
+            assert name in record.verdicts
+        assert any("q_monitor" in f and "locus mask" in f for f in record.failures)
+        stored = read_record(tmp_path / "run.json")
+        assert stored.verdicts == record.verdicts
+
 
 class TestMain:
     def test_cli_flags_override(self, tmp_path, capsys):
@@ -200,6 +226,12 @@ class TestMain:
         assert "PASS" in out
         stored = read_record(tmp_path / "run.json")
         assert stored.eps == [0.0, 0.1]
+
+    def test_run_with_several_eps_exit_2(self, tmp_path, capsys):
+        code = main(["--command", "run", "--preset", "degenerate_split",
+                     "--out", str(tmp_path), "--eps", "0.2,0.1"])
+        assert code == 2
+        assert "family" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "wrong"])

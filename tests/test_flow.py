@@ -15,7 +15,7 @@ from jflow.flow import (
     step,
 )
 from jflow.ma import split_critical
-from jflow.presets import build_preset, smooth_profile
+from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField, complex_hessian, trace_with
 
@@ -115,6 +115,23 @@ class TestAdaptiveDt:
         # chi = Id, omega = 2 Id: h = 2 Id, lambda_max doubles
         s2 = make_state(cfg, ident, doubled, ident)
         assert np.isclose(adaptive_dt(s2), 0.5 * adaptive_dt(s1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_real_formula_matches_complex_eigenvalues(self, seed):
+        pb = build_preset("nonsplit_perturbed", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
+        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+
+        def matrices(h11, h22, h12r, h12i):
+            h12 = h12r + 1j * h12i
+            return np.stack([np.stack([h11 + 0j, h12], -1),
+                             np.stack([h12.conj(), h22 + 0j], -1)], -2)
+
+        x_inv = np.linalg.inv(matrices(*state._chi))
+        m = x_inv @ matrices(*state.kernel._w) @ x_inv
+        lam_max = np.linalg.eigvalsh(m).max()
+        expected = 0.2 / (lam_max * (8 * np.pi) ** 2)
+        assert np.isclose(adaptive_dt(state), expected, rtol=1e-13, atol=0.0)
 
 
 class TestStep:

@@ -118,6 +118,10 @@ class TestComplexHessian:
             complex_hessian(ScalarField(grid, v))
 
 
+def grid_id(g):
+    return f"{type(g).__name__}{g.n}"
+
+
 class TestSpectralOps:
     def test_cached_per_grid(self):
         assert SpectralOps.of(Grid(8)) is SpectralOps.of(Grid(8))
@@ -147,6 +151,55 @@ class TestSpectralOps:
         u = random_bandlimited(grid, np.random.default_rng(12)).values
         u = u - u.mean()
         assert np.abs(ops.divide(ops.laplacian(u)) - u).max() < 1e-12
+
+    # every kind of grid the operators serve: factor grids and 4-D grids
+    GRIDS_4D = [Grid(n) for n in (4, 8, 12)]
+    GRIDS = [FactorGrid(n) for n in (4, 8, 12, 32)] + GRIDS_4D
+
+    @staticmethod
+    def transform_reference(grid, v, symbols):
+        """The symbols applied by an open-coded rfftn / irfftn pair."""
+        axes = tuple(range(v.ndim))
+        half = (slice(None),) * (v.ndim - 1) + (slice(0, grid.n // 2 + 1),)
+        f = np.fft.rfftn(v, axes=axes)
+        return [np.fft.irfftn(sym[half] * f, s=v.shape, axes=axes) for sym in symbols]
+
+    @staticmethod
+    def noise(grid, seed):
+        # white noise: every mode is present, Nyquist rows included
+        return np.random.default_rng(seed).normal(size=grid.shape)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
+    def test_laplacian_matches_transform(self, g):
+        v = self.noise(g, 21)
+        (ref,) = self.transform_reference(g, v, [g.laplace_symbol()])
+        lap = SpectralOps.of(g).laplacian(v)
+        assert np.abs(lap - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", GRIDS_4D, ids=grid_id)
+    def test_hessian_matches_transform(self, g):
+        v = self.noise(g, 22)
+        refs = self.transform_reference(g, v, g.hessian_symbols())
+        for h, ref in zip(SpectralOps.of(g).hessian(v), refs):
+            assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
+    def test_constants_map_to_zero(self, g):
+        ops = SpectralOps.of(g)
+        v = np.full(g.shape, -2.3)
+        assert np.all(ops.laplacian(v) == 0.0)
+        if isinstance(g, Grid):
+            assert all(np.all(h == 0.0) for h in ops.hessian(v))
+
+    @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
+    def test_second_derivatives_have_zero_mean(self, g):
+        ops = SpectralOps.of(g)
+        v = self.noise(g, 23)
+        outs = [ops.laplacian(v)]
+        if isinstance(g, Grid):
+            outs += ops.hessian(v)[:2]
+        for h in outs:
+            assert abs(h.mean()) <= 1e-15 * np.abs(h).max()
 
 
 class TestWedgeAndTrace:
@@ -199,6 +252,14 @@ class TestWedgeAndTrace:
             trace_with(bad, i)
         assert err.value.margin == -1.0
         assert err.value.point is not None
+
+
+class TestFormAlgebra:
+    def test_add_refuses_other_offsets(self, grid):
+        shifted = Grid(grid.n, (0.5 / grid.n, 0.0, 0.0, 0.0))
+        a = HermitianFormField.identity(grid)
+        with pytest.raises(ValueError, match="grids differ"):
+            a.add(HermitianFormField.identity(shifted))
 
 
 class TestGeneralizedEigenvalues:
