@@ -62,7 +62,6 @@ class RunConfig:
     preset: str = ""
     n: int = 0  # 0: preset default
     offsets: list = field(default_factory=list)
-    backend: str = ""  # "": preset default
     divisor: bool = None
     eps: list = field(default_factory=list)
     out: str = "out"
@@ -96,8 +95,8 @@ _SECTION_KEYS = {
     "omegahat": {"class", "modes"},
     "phi0": {"modes", "random"},
 }
-_TOP_KEYS = {"version", "preset", "n", "offsets", "backend", "divisor", "eps",
-             "out", "seed", "workers"}
+_TOP_KEYS = {"version", "preset", "n", "offsets", "divisor", "eps", "out", "seed",
+             "workers"}
 
 
 def _split_items(text):
@@ -194,26 +193,21 @@ def validate_config(cfg):
     if cfg.n:
         if not isinstance(cfg.n, int) or cfg.n < 4 or cfg.n % 2:
             problems.append(f"N must be even and >= 4, got {cfg.n}")
-    if cfg.backend and cfg.backend not in ("full", "split"):
-        problems.append(f"backend: must be 'full' or 'split', got {cfg.backend!r}")
     for i, e in enumerate(cfg.eps):
         if not isinstance(e, (int, float)) or e < 0:
             problems.append(f"eps[{i}]: entries must be nonnegative reals, got {e!r}")
-    if cfg.offsets and len(cfg.offsets) not in (2, 4):
+    if cfg.offsets and not (isinstance(cfg.offsets, list) and len(cfg.offsets) in (2, 4)):
         problems.append("offsets: give 2 (split) or 4 (full) entries")
-    ds = cfg.flow.get("dt_safety")
-    if ds is not None and not (0 < ds < 1):
-        problems.append(f"flow.dt_safety: must lie in (0,1), got {ds}")
-    for name in ("stop_tolerance", "max_time"):
-        v = cfg.flow.get(name)
-        if v is not None and v <= 0:
-            problems.append(f"flow.{name}: must be positive, got {v}")
-    for name in ("newton_tol", "linear_tol"):
-        v = cfg.ma.get(name)
-        if v is not None and v <= 0:
-            problems.append(f"ma.{name}: must be positive, got {v}")
-    if cfg.workers < 1:
-        problems.append(f"workers: must be >= 1, got {cfg.workers}")
+    if not isinstance(cfg.workers, int) or cfg.workers < 1:
+        problems.append(f"workers: must be an integer >= 1, got {cfg.workers!r}")
+    # the sections are checked by the library's own config types
+    for section, build in (("flow", lambda: _flow_config(cfg, 0.0)),
+                           ("ma", lambda: _ma_config(cfg)),
+                           ("q", lambda: _q_config(cfg))):
+        try:
+            build()
+        except (TypeError, ValueError) as err:
+            problems.append(f"{section}: {err}")
     return problems
 
 
@@ -221,7 +215,6 @@ def _fill_defaults(cfg):
     if cfg.preset:
         d = PRESET_DEFAULTS[cfg.preset]
         cfg.n = cfg.n or d["n"]
-        cfg.backend = cfg.backend or d["backend"]
         if cfg.divisor is None:
             cfg.divisor = d["divisor"]
         if not cfg.eps:
@@ -236,7 +229,6 @@ def _fill_defaults(cfg):
         if cfg.eps == [0.0] and cfg.preset in ("identity", "smooth_split"):
             cfg.flow.setdefault("allow_degenerate", True)
     else:
-        cfg.backend = cfg.backend or "full"
         cfg.n = cfg.n or 8
         if cfg.divisor is None:
             cfg.divisor = False
@@ -284,6 +276,10 @@ def _flow_config(cfg, eps):
 
 def _ma_config(cfg):
     return MASolverConfig(**{k: v for k, v in cfg.ma.items() if v is not None})
+
+
+def _q_config(cfg):
+    return QMonitorConfig(**{k: v for k, v in cfg.q.items() if v is not None})
 
 
 def _initial_potential(cfg, problem):
@@ -418,13 +414,8 @@ def _run_monitors(cfg, problem, traj, record, label=""):
         b <= a + 1e-12 for a, b in zip(js, js[1:])
     )
     if problem.divisor is not None:
-        qcfg = QMonitorConfig(
-            a=cfg.q.get("a", PRESET_QMONITOR["A"]),
-            delta=cfg.q.get("delta", PRESET_QMONITOR["delta"]),
-            c0_shift=cfg.q.get("c0_shift"),
-        )
         try:
-            series, verdict = q_monitor(traj, problem.divisor, qcfg)
+            series, verdict = q_monitor(traj, problem.divisor, _q_config(cfg))
         except ConfigError as err:
             record.failures.append(f"{tag}q_monitor not evaluated: {err}")
         else:
@@ -538,9 +529,8 @@ def _cmd_functionals(cfg, record, out):
     payload["eps"] = eps
     if problem.divisor is not None:
         from .diagnostics import FIT_BAND
-        from .torus import complex_hessian
 
-        chi = problem.chi0.realized.add(complex_hessian(phi))
+        chi = problem.chi0.plus_ddc(phi)
         u = chi.h11 + chi.h22
         s2 = problem.divisor.s2_proxy(problem.grid).values
         try:

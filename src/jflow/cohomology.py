@@ -16,6 +16,8 @@ from .errors import PositivityError
 from .torus import (
     HermitianFormField,
     ScalarField,
+    _lam_lo,
+    _wedge,
     complex_hessian,
     generalized_eigenvalues,
 )
@@ -42,10 +44,12 @@ class CohomologyClass:
     def diag(cls, a, b):
         return cls(a, b, 0.0)
 
+    def components(self):
+        """(m11, m22, Re m12, Im m12): the raw tuple of the form algebra."""
+        return self.m11, self.m22, self.m12.real, self.m12.imag
+
     def min_eigenvalue(self):
-        half_tr = 0.5 * (self.m11 + self.m22)
-        rad = np.sqrt((0.5 * (self.m11 - self.m22)) ** 2 + abs(self.m12) ** 2)
-        return float(half_tr - rad)
+        return float(_lam_lo(self.components()))
 
     def is_positive(self):
         return self.min_eigenvalue() > 0.0
@@ -69,11 +73,7 @@ def class_pairing(a, b):
 
     4 * (a11 b22 + a22 b11 - 2 Re(a12 conj(b12))); symmetric bilinear.
     """
-    return 4.0 * (
-        a.m11 * b.m22
-        + a.m22 * b.m11
-        - 2.0 * (a.m12 * b.m12.conjugate()).real
-    )
+    return 4.0 * _wedge(a.components(), b.components())
 
 
 def c_constant(x, w):
@@ -121,12 +121,18 @@ class ClosedForm:
     def from_class(cls, cohomology_class, grid):
         return cls(cohomology_class, ScalarField.zeros(grid))
 
+    def plus_ddc(self, phi):
+        """chi_phi = self + dd^c phi, realised as a HermitianFormField."""
+        return self.realized.add(complex_hessian(phi))
+
     def scale(self, c):
         return ClosedForm(
             self.cls.scale(c), ScalarField(self.grid, float(c) * self.potential.values)
         )
 
     def add(self, other):
+        if other.grid != self.grid:
+            raise ValueError(f"ClosedForm.add: grids differ ({self.grid} vs {other.grid})")
         return ClosedForm(
             self.cls.add(other.cls),
             ScalarField(self.grid, self.potential.values + other.potential.values),

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .flow import MonitorVerdict, _trace_bound_excess
-from .split import factor_hessian
-from .torus import ScalarField, complex_hessian
+from .torus import ScalarField
 
 OFF_DIVISOR_THRESHOLD = 0.1
 FIT_BAND = (1e-3, 0.5)
@@ -34,10 +33,12 @@ class QMonitorConfig:
     c0_shift: float = None
 
     def __post_init__(self):
-        if self.a <= 1.0:
+        if not self.a > 1.0:
             raise ValueError("QMonitorConfig: A must exceed 1")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("QMonitorConfig: delta must be positive")
+        if self.c0_shift is not None:
+            object.__setattr__(self, "c0_shift", float(self.c0_shift))
 
     def validate_against(self, div):
         if self.a * self.delta < 2.0 * div.beta - 1e-12:
@@ -202,15 +203,10 @@ def q_monitor(traj, div, cfg, slack=1.0):
 
 def _trace_field(traj, snap, grid):
     """u = tr_Id chi_phi on the snapshot, per backend."""
+    chi = traj.chi0_form.plus_ddc(snap)
     if traj.backend == "split":
-        fgrid = snap.grid
-        a0, b0 = traj.chi0_form.profiles()
-        a = a0 + factor_hessian(fgrid, snap.phi1)
-        b = b0 + factor_hessian(fgrid, snap.phi2)
-        return np.broadcast_to(
-            a[:, :, None, None] + b[None, None, :, :], grid.shape
-        )
-    chi = traj.chi0_form.realized.add(complex_hessian(snap))
+        a, b = chi
+        return np.broadcast_to(a[:, :, None, None] + b[None, None, :, :], grid.shape)
     return chi.h11 + chi.h22
 
 

@@ -38,7 +38,15 @@ from .errors import (
 )
 from .functionals import _energies_full, _energies_split
 from .split import SplitForm, SplitPotential, split_sup_abs
-from .torus import ScalarField, SpectralOps, _wedge, complex_hessian, trace_with
+from .torus import (
+    ScalarField,
+    SpectralOps,
+    _critical_density,
+    _det,
+    _lam_lo,
+    _trace,
+    trace_with,
+)
 
 _MAX_REJECTIONS = 20
 
@@ -58,14 +66,17 @@ class FlowConfig:
     max_field_snapshots: int = 96
 
     def __post_init__(self):
+        # comparisons written so that nan fails them too
         if not (0.0 < self.dt_safety < 1.0):
             raise ValueError("dt_safety must lie in (0, 1)")
-        if self.stop_tolerance <= 0.0 or self.max_time <= 0.0:
+        if not (self.stop_tolerance > 0.0 and self.max_time > 0.0):
             raise ValueError("tolerances and max_time must be positive")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        if self.eps < 0.0:
+        if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be an integer >= 1")
+        if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
+        if self.fixed_dt is not None and not self.fixed_dt > 0.0:
+            raise ValueError("fixed_dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,9 +146,8 @@ class _FullKernel:
         self.cfg = cfg
         self._ops = SpectralOps.of(grid)
         self._bg = chi0.realized.components()
-        w = omega_eps.realized
-        self._w = w.components()
-        self._w_det = w.h11 * w.h22 - w.h12_re ** 2 - w.h12_im ** 2
+        self._w = omega_eps.realized.components()
+        self._w_det = _det(self._w)
         self._kmax2 = (np.pi * grid.n) ** 2
         self._off = None
         if divisor is not None:
@@ -155,24 +165,18 @@ class _FullKernel:
     def chi(self, v):
         return self._ops.hessian(v, base=self._bg)
 
-    def rhs_only(self, v):
-        chi = self.chi(v)
+    def _rhs(self, chi):
         with np.errstate(all="ignore"):
-            daa = _wedge(chi, chi)
-            dab = _wedge(chi, self._w)
-            return self.c - 2.0 * dab / daa
+            return self.c - _trace(chi, self._w)
+
+    def rhs_only(self, v):
+        return self._rhs(self.chi(v))
 
     def metrics(self, v):
         """(rhs, chi, margin_off, finite) in one pass."""
         chi = self.chi(v)
-        h11, h22, h12r, h12i = chi
-        with np.errstate(all="ignore"):
-            daa = h11 * h22 - h12r ** 2 - h12i ** 2  # det = D(chi,chi)/2
-            dab = _wedge(chi, self._w)
-            rhs = self.c - dab / daa
-        lam_lo = 0.5 * (h11 + h22) - np.sqrt(
-            (0.5 * (h11 - h22)) ** 2 + h12r ** 2 + h12i ** 2
-        )
+        rhs = self._rhs(chi)
+        lam_lo = _lam_lo(chi)
         if self._off is not None:
             margin = float(lam_lo[self._off].min())
         else:
@@ -192,7 +196,7 @@ class _FullKernel:
         h11, h22, h12r, h12i = chi
         w11, w22, w12r, w12i = self._w
         x2 = h12r * h12r + h12i * h12i
-        det2 = (h11 * h22 - x2) ** 2
+        det2 = _det(chi) ** 2
         tr = ((h22 * h22 + x2) * w11 + (h11 * h11 + x2) * w22
               - 2.0 * (h11 + h22) * (h12r * w12r + h12i * w12i)) / det2
         det_h = self._w_det / det2
@@ -216,11 +220,9 @@ class _FullKernel:
         """(J, I, dJ/dt, critical residual) from the cached chi arrays."""
         w, c = self._w, self.c
         j, i = _energies_full(v, chi, self._bg, w, c)
-        d_cw = _wedge(chi, w)
-        d_cc = 2.0 * (chi[0] * chi[1] - chi[2] ** 2 - chi[3] ** 2)
-        j_rate = -4.0 * float(np.mean(rhs * rhs * d_cc))
-        # density form of the critical residual: finite even where chi degenerates
-        crit = float(np.abs(2.0 * d_cw - c * d_cc).max())
+        # -int phidot^2 chi^2 with chi^2 density D(chi, chi) = 2 det chi
+        j_rate = -8.0 * float(np.mean(rhs * rhs * _det(chi)))
+        crit = float(np.abs(_critical_density(chi, w, c)).max())
         return j, i, j_rate, crit
 
     def copy_potential(self, v):
@@ -364,8 +366,7 @@ def flow_rhs(phi, chi0, omega_eps, c_eps):
     Raises PositivityError (with the offending point) when chi_phi fails
     to be positive.
     """
-    chi = chi0.realized.add(complex_hessian(phi))
-    tr = trace_with(chi, omega_eps.realized)  # checks positivity
+    tr = trace_with(chi0.plus_ddc(phi), omega_eps.realized)  # checks positivity
     return ScalarField(phi.grid, c_eps - tr.values)
 
 

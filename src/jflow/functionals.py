@@ -16,10 +16,12 @@ from .errors import PositivityError
 from .torus import (
     HermitianFormField,
     ScalarField,
+    _critical_density,
+    _det,
+    _wedge,
     complex_hessian,
     holomorphic_gradient,
     integrate,
-    _wedge,
     positivity_margin,
     trace_with,
     wedge_density,
@@ -47,21 +49,10 @@ def _romberg(samples, length=1.0):
     return float(table[0])
 
 
-def _chi(phi, chi0):
-    return chi0.realized.add(complex_hessian(phi))
-
-
-def _gradient_terms(phi, chi0, omega0):
-    """D(chi_phi, omega0) and D(chi_phi, chi_phi): the two terms of the
-    J-gradient density."""
-    chi = _chi(phi, chi0)
-    return wedge_density(chi, omega0.realized).values, wedge_density(chi, chi).values
-
-
 def j_gradient_density(phi, chi0, omega0, c0):
     """The density of the J-gradient: 2 chi_phi ^ omega0 - c0 chi_phi^2."""
-    d_cw, d_cc = _gradient_terms(phi, chi0, omega0)
-    return ScalarField(phi.grid, 2.0 * d_cw - c0 * d_cc)
+    chi = chi0.plus_ddc(phi).components()
+    return ScalarField(phi.grid, _critical_density(chi, omega0.realized.components(), c0))
 
 
 def _energies_full(v, chi, bg, w, c):
@@ -69,8 +60,7 @@ def _energies_full(v, chi, bg, w, c):
     chi_phi, chi0 and omega (J is None when omega is): the one full-backend
     formula, shared by the flow's history rows and ``J_closed`` /
     ``I_functional``."""
-    d_cc = 2.0 * (chi[0] * chi[1] - chi[2] ** 2 - chi[3] ** 2)
-    t2 = d_cc + _wedge(chi, bg) + _wedge(bg, bg)
+    t2 = 2.0 * _det(chi) + _wedge(chi, bg) + _wedge(bg, bg)
     i = (4.0 / 3.0) * float(np.mean(v * t2))
     if w is None:
         return None, i
@@ -95,7 +85,7 @@ def _energies_split(pair, chi, bg, w, c):
 
 
 def _full_terms(phi, chi0):
-    return phi.values, _chi(phi, chi0).components(), chi0.realized.components()
+    return phi.values, chi0.plus_ddc(phi).components(), chi0.realized.components()
 
 
 def J_closed(phi, chi0, omega0, c0):
@@ -113,7 +103,7 @@ def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
     if steps < 8:
         raise ValueError("J_path needs at least 8 quadrature steps")
     chi0r = chi0.realized
-    w = omega0.realized
+    w = omega0.realized.components()
     p = phi.values
     hess = complex_hessian(phi)
     samples = []
@@ -121,8 +111,8 @@ def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
         s = j / steps
         r = s if reparam is None else reparam[0](s)
         rp = 1.0 if reparam is None else reparam[1](s)
-        chi_s = chi0r.add(hess.scale(r))
-        dens = 2.0 * wedge_density(chi_s, w).values - c0 * wedge_density(chi_s, chi_s).values
+        chi_s = chi0r.add(hess.scale(r)).components()
+        dens = _critical_density(chi_s, w, c0)
         samples.append(4.0 * float(np.mean(rp * p * dens)))
     return _romberg(samples)
 
@@ -149,8 +139,10 @@ def J_gradient_check(phi, v, chi0, omega0, c0, h=1e-4):
     diff = abs(fd - analytic)
     if diff == 0.0:
         return 0.0
-    d_cw, d_cc = _gradient_terms(phi, chi0, omega0)
-    scale = 4.0 * float(np.mean(np.abs(v.values) * (np.abs(2.0 * d_cw) + abs(c0) * np.abs(d_cc))))
+    chi = chi0.plus_ddc(phi).components()
+    d_cw = _wedge(chi, omega0.realized.components())
+    terms = np.abs(2.0 * d_cw) + abs(c0) * np.abs(2.0 * _det(chi))
+    scale = 4.0 * float(np.mean(np.abs(v.values) * terms))
     return diff / max(abs(analytic), abs(fd), scale)
 
 
@@ -171,7 +163,7 @@ def E_aubin_yau(phi, chi0):
         (dz1 * dz2.conjugate()).real,
         (dz1 * dz2.conjugate()).imag,
     )
-    total = chi0.realized.add(_chi(phi, chi0))
+    total = chi0.realized.add(chi0.plus_ddc(phi))
     return integrate(wedge_density(p, total))
 
 
@@ -186,8 +178,7 @@ def scalar_curvature(chi, margin_tol=1e-10):
             f"scalar_curvature: form not positive (margin {margin:.3e})",
             margin=margin,
         )
-    det = 0.5 * wedge_density(chi, chi).values
-    ric = complex_hessian(ScalarField(chi.grid, -np.log(det)))
+    ric = complex_hessian(ScalarField(chi.grid, -np.log(_det(chi.components()))))
     return trace_with(chi, ric, check=False)
 
 
@@ -266,10 +257,7 @@ def evaluate_suite(phi, chi0, omega0, c0, steps=16, with_mabuchi=True):
 
 
 def _split_terms(phi, chi0):
-    a0, b0 = chi0.profiles()
-    a = a0 + sp.factor_hessian(phi.grid, phi.phi1)
-    b = b0 + sp.factor_hessian(phi.grid, phi.phi2)
-    return (phi.phi1, phi.phi2), (a, b), (a0, b0)
+    return (phi.phi1, phi.phi2), chi0.plus_ddc(phi), chi0.profiles()
 
 
 def j_closed_split(phi, chi0, omega, c):

@@ -26,9 +26,11 @@ from .split import SplitPotential, factor_hessian, factor_poisson
 from .torus import (
     ScalarField,
     SpectralOps,
-    complex_hessian,
+    _critical_density,
+    _det,
+    _lam_lo,
+    _trace,
     positivity_margin,
-    wedge_density,
 )
 
 
@@ -40,10 +42,12 @@ class MASolverConfig:
     damping: float = 0.5        # backtracking factor, with positivity safeguard
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.linear_tol <= 0:
+        if not (self.newton_tol > 0 and self.linear_tol > 0):
             raise ValueError("tolerances must be positive")
         if not (0.0 < self.damping < 1.0):
             raise ValueError("damping factor must lie in (0, 1)")
+        if not isinstance(self.max_newton, int) or self.max_newton < 1:
+            raise ValueError("max_newton must be an integer >= 1")
 
 
 def build_alpha(chi0, omega_eps, c_eps):
@@ -80,9 +84,8 @@ def critical_residual(phi, chi0, omega, c):
     No division: finite even where chi degenerates, so it extends to the
     weak space.
     """
-    chi = chi0.realized.add(complex_hessian(phi))
-    dens = 2.0 * wedge_density(chi, omega.realized).values - c * wedge_density(chi, chi).values
-    return float(np.abs(dens).max())
+    chi = chi0.plus_ddc(phi).components()
+    return float(np.abs(_critical_density(chi, omega.realized.components(), c)).max())
 
 
 def split_critical(f, g, x11=1.0, x22=1.0, fgrid=None):
@@ -141,8 +144,7 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     cfg = cfg or MASolverConfig()
     grid = alpha.grid
     a_real = alpha.realized
-    t_real = target.realized
-    t_dens = wedge_density(t_real, t_real).values
+    t_dens = 2.0 * _det(target.realized.components())
     if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
         raise PositivityError(
             "solve_ma: target density vanishes; use epsilon-continuation "
@@ -165,22 +167,13 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     def a_field(p):
         return ops.hessian(p, base=base, c=c)
 
-    def dens(a):
-        return 2.0 * (a[0] * a[1] - a[2] ** 2 - a[3] ** 2)
-
-    def margin(a):
-        lo = 0.5 * (a[0] + a[1]) - np.sqrt(
-            (0.5 * (a[0] - a[1])) ** 2 + a[2] ** 2 + a[3] ** 2
-        )
-        return float(lo.min())
-
     a = a_field(psi)
-    m = margin(a)
+    m = float(_lam_lo(a).min())
     if m <= 0.0:
         raise PositivityError(
             f"solve_ma: initial A_psi not positive (margin {m:.3e})", margin=m
         )
-    g_res = np.log(dens(a)) - log_t
+    g_res = np.log(2.0 * _det(a)) - log_t
     residuals = [float(np.abs(g_res).max())]
 
     for iteration in range(cfg.max_newton):
@@ -194,8 +187,8 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
             trial = psi + s * delta
             trial -= trial.mean()
             a_trial = a_field(trial)
-            if margin(a_trial) > 0.0:
-                g_trial = np.log(dens(a_trial)) - log_t
+            if _lam_lo(a_trial).min() > 0.0:
+                g_trial = np.log(2.0 * _det(a_trial)) - log_t
                 r_trial = float(np.abs(g_trial).max())
                 if r_trial < residuals[-1] or r_trial <= cfg.newton_tol:
                     accepted = True
@@ -223,19 +216,14 @@ def _newton_direction(g_res, a, c, ops, cfg, res_sup):
     """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero)."""
     shape, sym = ops.shape, ops.hessian_syms
     size = g_res.size
-    det = a[0] * a[1] - a[2] ** 2 - a[3] ** 2
 
     def matvec(p):
-        p = p - p.mean()
-        h = ops.hessian(p)
-        tr = (a[0] * h[1] + a[1] * h[0] - 2.0 * (a[2] * h[2] + a[3] * h[3])) / det
-        out = c * tr
+        out = c * _trace(a, ops.hessian(p - p.mean()))
         return (out - out.mean()).ravel()
 
     # constant-coefficient preconditioner from the mean matrix of A
-    am = (float(a[0].mean()), float(a[1].mean()), float(a[2].mean()), float(a[3].mean()))
-    det_m = am[0] * am[1] - am[2] ** 2 - am[3] ** 2
-    denom = c * (am[0] * sym[1] + am[1] * sym[0] - 2.0 * (am[2] * sym[2] + am[3] * sym[3])) / det_m
+    am = tuple(float(x.mean()) for x in a)
+    denom = c * _trace(am, sym)
 
     def precond(r):
         return ops.divide(r.reshape(shape), denom).ravel()

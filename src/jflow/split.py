@@ -113,11 +113,19 @@ class SplitForm:
         b = self.a2 + factor_hessian(self.grid, self.p2)
         return a, b
 
+    def plus_ddc(self, phi):
+        """Realised factor profiles (A, B) of chi_phi = self + dd^c phi for a
+        SplitPotential phi."""
+        a, b = self.profiles()
+        return a + factor_hessian(phi.grid, phi.phi1), b + factor_hessian(phi.grid, phi.phi2)
+
     def scale(self, c):
         c = float(c)
         return SplitForm(self.grid, c * self.a1, c * self.a2, c * self.p1, c * self.p2)
 
     def add(self, other):
+        if other.grid != self.grid:
+            raise ValueError(f"SplitForm.add: grids differ ({self.grid} vs {other.grid})")
         return SplitForm(
             self.grid,
             self.a1 + other.a1,

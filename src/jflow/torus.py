@@ -10,6 +10,11 @@ and the diagonal Hessian entries) as products with the dense 1-D spectral
 second-derivative matrix along each axis, the mixed Hessian entries and
 symbol division through real FFTs.
 
+The pointwise form algebra is written once, here, on raw component tuples
+(h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
+``_lam_lo``, ``_trace`` and ``_critical_density``.  Every other module calls
+these helpers instead of spelling out a formula.
+
 Conventions fixed here and used everywhere else:
 
 * d_{z_j} = (d_{x_j} - i d_{y_j}) / 2, so the complex Hessian is
@@ -290,13 +295,9 @@ class HermitianFormField:
         """(h11, h22, h12_re, h12_im): the raw tuple the kernels work on."""
         return self.h11, self.h22, self.h12_re, self.h12_im
 
-    def eigenvalues(self):
-        """Pointwise eigenvalues (against the identity), sorted ascending."""
-        half_tr = 0.5 * (self.h11 + self.h22)
-        rad = np.sqrt(
-            (0.5 * (self.h11 - self.h22)) ** 2 + self.h12_re ** 2 + self.h12_im ** 2
-        )
-        return half_tr - rad, half_tr + rad
+    def min_eigenvalue(self):
+        """Pointwise lowest eigenvalue (against the identity)."""
+        return _lam_lo(self.components())
 
 
 def complex_hessian(phi):
@@ -322,9 +323,28 @@ def holomorphic_gradient(phi):
 
 
 def _wedge(a, b):
-    """Wedge density D(a, b) of raw component tuples (h11, h22, h12_re, h12_im):
-    the one formula behind ``wedge_density`` and the flow kernels."""
+    """Wedge density D(a, b): a ^ b = D (i dz1 dz1bar)(i dz2 dz2bar)."""
     return a[0] * b[1] + a[1] * b[0] - 2.0 * (a[2] * b[2] + a[3] * b[3])
+
+
+def _det(a):
+    """det a = D(a, a) / 2."""
+    return a[0] * a[1] - a[2] ** 2 - a[3] ** 2
+
+
+def _lam_lo(a):
+    """Lowest eigenvalue of a against the identity."""
+    return 0.5 * (a[0] + a[1]) - np.sqrt((0.5 * (a[0] - a[1])) ** 2 + a[2] ** 2 + a[3] ** 2)
+
+
+def _trace(a, b):
+    """tr_a b = a^{j kbar} b_{j kbar} = D(a, b) / det a, for positive a."""
+    return _wedge(a, b) / _det(a)
+
+
+def _critical_density(chi, w, c):
+    """Density of 2 chi ^ w - c chi^2 (the critical residual, the J-gradient)."""
+    return 2.0 * _wedge(chi, w) - c * (2.0 * _det(chi))
 
 
 def wedge_density(alpha, beta):
@@ -346,7 +366,7 @@ def integrate(density):
 
 
 def _positivity_check(alpha, what):
-    lo, _ = alpha.eigenvalues()
+    lo = alpha.min_eigenvalue()
     idx = int(np.argmin(lo))
     margin = float(lo.flat[idx])
     if margin <= 0.0:
@@ -363,14 +383,12 @@ def _positivity_check(alpha, what):
 def trace_with(alpha, beta, check=True):
     """tr_alpha beta = alpha^{j kbar} beta_{j kbar} for positive alpha.
 
-    In complex dimension 2 this equals 2 D(alpha, beta) / D(alpha, alpha),
-    which is how it is computed (no matrix inversion).
+    In complex dimension 2 this equals D(alpha, beta) / det alpha, which is
+    how it is computed (no matrix inversion).
     """
     if check:
         _positivity_check(alpha, "trace_with")
-    num = wedge_density(alpha, beta).values
-    den = wedge_density(alpha, alpha).values
-    return ScalarField(alpha.grid, 2.0 * num / den)
+    return ScalarField(alpha.grid, _trace(alpha.components(), beta.components()))
 
 
 def generalized_eigenvalues(alpha, beta, check=True):
@@ -399,7 +417,7 @@ def positivity_margin(alpha, mask=None):
 
     Negative values are a valid result: the form fails positivity there.
     """
-    lo, _ = alpha.eigenvalues()
+    lo = alpha.min_eigenvalue()
     if mask is not None:
         lo = lo[mask]
     return float(lo.min())

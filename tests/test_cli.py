@@ -2,9 +2,14 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jflow.cli import (
+    _SECTION_KEYS,
+    _TOP_KEYS,
     RunRecord,
+    _flow_config,
+    _ma_config,
     build_problem,
     execute,
     main,
@@ -13,6 +18,24 @@ from jflow.cli import (
     write_record,
 )
 from jflow.errors import ConfigError
+from jflow.presets import PRESET_NAMES
+
+KNOWN_KEYS = sorted(_TOP_KEYS) + sorted(
+    f"{section}.{key}" for section, keys in _SECTION_KEYS.items() for key in keys
+)
+_scalars = st.one_of(
+    st.integers(-10, 100).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.booleans().map(lambda b: "true" if b else "false"),
+    st.sampled_from(PRESET_NAMES),
+    st.text("abcdefxyz_.-0123456789", min_size=1, max_size=6),
+)
+_values = st.one_of(
+    _scalars, st.lists(_scalars, max_size=4).map(lambda v: "[" + ", ".join(v) + "]")
+)
+_config_texts = st.lists(
+    st.tuples(st.sampled_from(KNOWN_KEYS), _values), max_size=5
+).map(lambda items: ", ".join(f"{k}={v}" for k, v in items))
 
 
 class TestParseConfig:
@@ -20,7 +43,7 @@ class TestParseConfig:
         cfg = parse_config("preset=smooth_split, N=32")
         assert cfg.preset == "smooth_split"
         assert cfg.n == 32
-        assert cfg.backend == "split"  # default filled
+        assert build_problem(cfg).backend == "split"  # the preset's backend
         assert cfg.eps == [0.0]
         assert cfg.flow.get("allow_degenerate") is True
 
@@ -74,6 +97,26 @@ class TestParseConfig:
     def test_requires_preset_or_forms(self):
         with pytest.raises(ConfigError, match="preset or explicit"):
             parse_config("n=8")
+
+    def test_backend_is_not_a_key(self):
+        # the preset alone picks the backend
+        with pytest.raises(ConfigError, match="unknown key: 'backend'"):
+            parse_config("preset=smooth_split, N=8, backend=full")
+
+    @pytest.mark.parametrize("text, section", [
+        ("preset=identity, N=4, ma.damping=2", "ma"),
+        ("preset=identity, flow.snapshot_stride=0", "flow"),
+        ("preset=identity, flow.max_time=abc", "flow"),
+        ("preset=degenerate_split, q.a=0.5", "q"),
+        ("preset=identity, ma.max_newton=2.5", "ma"),
+        ("preset=identity, flow.fixed_dt=[1]", "flow"),
+        ("preset=identity, workers=two", "workers"),
+        ("preset=identity, offsets=0.1", "offsets"),
+    ])
+    def test_bad_value_names_its_key(self, text, section):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(p.startswith(f"{section}:") for p in err.value.problems)
 
     def test_hash_is_stable_and_sensitive(self):
         c1 = parse_config("preset=identity, seed=1")
@@ -233,7 +276,38 @@ class TestMain:
         assert code == 2
         assert "family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        ("solve-ma", "preset=identity, N=4, ma.damping=2"),
+        ("run", "preset=identity, N=4, flow.snapshot_stride=0"),
+        ("run", "preset=identity, N=4, flow.max_time=abc"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=0.5"),
+    ])
+    def test_bad_section_value_exit_2(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{text}\nout={out}\n")
+        code = main(["--command", command, "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "wrong"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(st.sampled_from(PRESET_NAMES), _config_texts)
+    @example("identity", "flow.max_time=abc")
+    @example("identity", "flow.max_time=2.5, ma.max_newton=8, q.delta=0.5")
+    def test_parse_returns_or_raises_config_error(self, preset, text):
+        try:
+            cfg = parse_config(f"preset={preset}, {text}")
+        except ConfigError:
+            return
+        # whatever parses must build the library's config types
+        _flow_config(cfg, 0.1)
+        _ma_config(cfg)

@@ -12,8 +12,8 @@ from jflow.cohomology import (
     verify_omega0_conditions,
 )
 from jflow.errors import PositivityError
-from jflow.presets import build_preset, make_divisor
-from jflow.split import assemble_form
+from jflow.presets import build_preset, make_divisor, random_bandlimited_potential
+from jflow.split import FactorGrid, SplitForm, assemble_form
 from jflow.torus import Grid, ScalarField, integrate, wedge_density
 
 ID = CohomologyClass.identity()
@@ -141,6 +141,30 @@ class TestClosedForm:
         assert np.abs(diff.h22 - 0.9).max() < 1e-10
         assert np.abs(diff.h12_re - 0.2).max() < 1e-10
         assert np.abs(diff.h12_im + 0.1).max() < 1e-10
+
+
+    @pytest.mark.parametrize("make", [
+        lambda g: ClosedForm.from_class(ID, g),
+        lambda g: SplitForm.constant(FactorGrid(g.n, g.offsets[:2]), 1.0, 1.0),
+    ], ids=["closed", "split"])
+    def test_add_refuses_other_grid(self, make):
+        a = make(Grid(8))
+        b = make(Grid(8, (0.05, 0.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="grids differ"):
+            a.add(b)
+        with pytest.raises(ValueError, match="grids differ"):
+            b.add(a)
+
+    def test_split_plus_ddc_matches_full(self):
+        # chi_phi of the split form, assembled, is chi_phi of the assembled form
+        pb = build_preset("degenerate_split", n=8)
+        rng = np.random.default_rng(4)
+        phi = random_bandlimited_potential(pb, rng)
+        a, b = pb.omega0.plus_ddc(phi)
+        full = assemble_form(pb.omega0).plus_ddc(phi.assemble())
+        assert np.abs(full.h11 - a[:, :, None, None]).max() < 1e-12
+        assert np.abs(full.h22 - b[None, None, :, :]).max() < 1e-12
+        assert np.abs(full.h12_re).max() < 1e-12 and np.abs(full.h12_im).max() < 1e-12
 
 
 class TestVerifyOmega0:

@@ -86,6 +86,18 @@ class TestFlowRhs:
         assert np.abs(rhs.values + tr.values - 2.2).max() < 1e-12
 
 
+    def test_kernel_stages_share_one_rhs(self):
+        # RK4's first stage (metrics) and its later ones (rhs_only) agree bitwise
+        pb = build_preset("nonsplit_perturbed", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(2))
+        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+        kernel, v = state.kernel, phi0.values
+        assert np.array_equal(kernel.rhs_only(v), kernel.metrics(v)[0])
+        w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
+        ref = flow_rhs(phi0, pb.chi0, w, kernel.c).values
+        assert np.abs(kernel.rhs_only(v) - ref).max() < 1e-13
+
+
 class TestAdaptiveDt:
     def test_identity_formula(self):
         pb = build_preset("identity", n=16)
@@ -296,6 +308,23 @@ class TestEpsilonFamily:
         assert full >= off > 0.0
         d = report.to_dict()
         assert d["failures"] == {}
+
+    def test_process_pool_matches_serial(self):
+        # members are independent runs; worker processes must not change them
+        pb = build_preset("degenerate_split", n=4)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+        cfg = FlowConfig(eps=0.2, dt_safety=0.8, stop_tolerance=1e-8, max_time=0.05)
+        args = ([0.2, 0.1, 0.05], pb.chi0, pb.omega0, pb.omega_hat)
+        serial = epsilon_family(cfg, *args, phi0=phi0, divisor=pb.divisor, workers=1)
+        pooled = epsilon_family(cfg, *args, phi0=phi0, divisor=pb.divisor, workers=2)
+        assert serial.ok and pooled.ok
+        assert [m.eps for m in pooled.members] == [m.eps for m in serial.members]
+        for s_m, p_m in zip(serial.members, pooled.members):
+            s_t, p_t = s_m.trajectory, p_m.trajectory
+            assert (p_t.steps, p_t.stop_reason) == (s_t.steps, s_t.stop_reason)
+            assert np.array_equal(p_t.final.phi1, s_t.final.phi1)
+            assert np.array_equal(p_t.final.phi2, s_t.final.phi2)
+        assert pooled.consecutive_diffs == serial.consecutive_diffs
 
     def test_requires_descending_positive(self):
         pb = build_preset("degenerate_split", n=8)

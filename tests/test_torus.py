@@ -8,6 +8,11 @@ from jflow.torus import (
     HermitianFormField,
     ScalarField,
     SpectralOps,
+    _critical_density,
+    _det,
+    _lam_lo,
+    _trace,
+    _wedge,
     complex_hessian,
     generalized_eigenvalues,
     integrate,
@@ -260,6 +265,48 @@ class TestFormAlgebra:
         a = HermitianFormField.identity(grid)
         with pytest.raises(ValueError, match="grids differ"):
             a.add(HermitianFormField.identity(shifted))
+
+
+class TestPointwiseHelpers:
+    """The raw-tuple helpers against dense 2x2 Hermitian linear algebra."""
+
+    @staticmethod
+    def _random_pair(rng, shape=(64,)):
+        a = (2.0 + rng.uniform(-0.5, 0.5, shape), 2.0 + rng.uniform(-0.5, 0.5, shape),
+             rng.uniform(-0.4, 0.4, shape), rng.uniform(-0.4, 0.4, shape))
+        b = tuple(rng.normal(size=shape) for _ in range(4))
+        return a, b
+
+    @staticmethod
+    def _matrix(h):
+        m12 = h[2] + 1j * h[3]
+        return np.stack([np.stack([h[0] + 0j, m12], -1),
+                         np.stack([m12.conj(), h[1] + 0j], -1)], -2)
+
+    def test_against_dense_linear_algebra(self):
+        rng = np.random.default_rng(11)
+        a, b = self._random_pair(rng)
+        ma, mb = self._matrix(a), self._matrix(b)
+        assert np.allclose(_det(a), np.linalg.det(ma).real, rtol=1e-13, atol=0)
+        assert np.allclose(_lam_lo(a), np.linalg.eigvalsh(ma)[:, 0], rtol=1e-13, atol=0)
+        # tr_a b = a^{j kbar} b_{j kbar} = tr(a^-1 b) for Hermitian matrices
+        dense_tr = np.trace(np.linalg.solve(ma, mb), axis1=-2, axis2=-1).real
+        assert np.allclose(_trace(a, b), dense_tr, rtol=1e-12, atol=1e-13)
+        assert np.allclose(_wedge(a, a), 2.0 * _det(a), rtol=1e-14, atol=0)
+
+    def test_critical_density(self):
+        rng = np.random.default_rng(12)
+        chi, w = self._random_pair(rng)
+        c = 1.7
+        expected = 2.0 * _wedge(chi, w) - c * _wedge(chi, chi)
+        assert np.allclose(_critical_density(chi, w, c), expected, rtol=1e-13, atol=1e-13)
+
+    def test_floats_and_fields_agree(self, grid):
+        # the class helpers run on floats, the field helpers on arrays
+        h = (1.3, 0.7, 0.2, -0.25)
+        field = HermitianFormField.constant(grid, h[0], h[1], complex(h[2], h[3]))
+        assert np.all(field.min_eigenvalue() == _lam_lo(h))
+        assert np.all(trace_with(field, field).values == _trace(h, h))
 
 
 class TestGeneralizedEigenvalues:
