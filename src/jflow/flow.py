@@ -20,11 +20,30 @@ potentials for product data (see `split`), for which every history
 quantity reduces to factor means.  Both take their transforms from
 ``torus.SpectralOps`` and their J and I from the formulas in
 ``functionals``.
+
+A backend is a kernel object; the generic stepping (``_rk4``, ``_sup``,
+``_advance``) is written once against this contract:
+
+* ``shape``: the shape of the raw state, a plain float array that numpy
+  adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
+  potentials); velocities have the same shape;
+* ``wrap(raw)`` / ``unwrap(phi)``: raw array to potential object and back;
+* ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
+  positivity margin, finite) from one evaluation of the same formula;
+* ``extrema(x)``: (max, min) over the grid of a raw-shaped array, from
+  which ``_sup`` takes sup |x|;
+* ``adaptive_dt(chi)`` and ``row_functionals(raw, rhs, chi)``: the explicit
+  step size and the (J, I, dJ/dt, critical residual) of a history row.
+
+These methods are defined on each kernel class, not on a shared base: the
+benchmark tracer wraps the public methods of the kernel's own class, and
+counts one RHS evaluation per ``rhs_only`` or ``metrics`` call (so
+``metrics`` does not call ``rhs_only``).
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +56,7 @@ from .errors import (
     PositivityError,
 )
 from .functionals import _energies_full, _energies_split
-from .split import SplitForm, SplitPotential, split_sup_abs
+from .split import SplitForm, SplitPotential
 from .torus import (
     ScalarField,
     SpectralOps,
@@ -142,6 +161,7 @@ class _FullKernel:
     def __init__(self, chi0, omega_eps, c_eps, cfg, divisor=None):
         grid = chi0.grid
         self.grid = grid
+        self.shape = grid.shape
         self.c = float(c_eps)
         self.cfg = cfg
         self._ops = SpectralOps.of(grid)
@@ -177,15 +197,12 @@ class _FullKernel:
         chi = self.chi(v)
         rhs = self._rhs(chi)
         lam_lo = _lam_lo(chi)
-        if self._off is not None:
-            margin = float(lam_lo[self._off].min())
-        else:
-            margin = float(lam_lo.min())
-        finite = bool(np.isfinite(rhs).all())
-        return rhs, chi, margin, finite
+        margin = float((lam_lo if self._off is None else lam_lo[self._off]).min())
+        return rhs, chi, margin, bool(np.isfinite(rhs).all())
 
-    def residual_sup(self, rhs):
-        return float(np.abs(rhs).max())
+    def extrema(self, x):
+        """(max, min) of the potential-shaped raw array x over the grid."""
+        return float(x.max()), float(x.min())
 
     def adaptive_dt(self, chi):
         """dt = safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2).
@@ -204,18 +221,6 @@ class _FullKernel:
         lam_max = float(lam.max())
         return self.cfg.dt_safety / (lam_max * self._kmax2)
 
-    def rk4(self, v, k1, dt):
-        k2 = self.rhs_only(v + 0.5 * dt * k1)
-        k3 = self.rhs_only(v + 0.5 * dt * k2)
-        k4 = self.rhs_only(v + dt * k3)
-        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def phidot_stats(self, rhs):
-        return float(rhs.max()), float(rhs.min()), float(np.abs(rhs).max())
-
-    def sup_phi(self, v):
-        return float(np.abs(v).max())
-
     def row_functionals(self, v, rhs, chi):
         """(J, I, dJ/dt, critical residual) from the cached chi arrays."""
         w, c = self._w, self.c
@@ -225,88 +230,72 @@ class _FullKernel:
         crit = float(np.abs(_critical_density(chi, w, c)).max())
         return j, i, j_rate, crit
 
-    def copy_potential(self, v):
-        return self.wrap(v.copy())
-
 
 class _SplitKernel:
+    """Raw state: the factor potentials stacked as one (2, n, n) array, and
+    so are the factor velocities (rhs) and the factor metric profiles (chi)
+    A(z1) = p0 + dd^c phi1, B(z2) = q0 + dd^c phi2."""
+
     backend = "split"
 
     def __init__(self, chi0, omega_eps, c_eps, cfg, divisor=None):
         fgrid = chi0.grid
         self.grid = fgrid
+        self.shape = (2,) + fgrid.shape
         self.cfg = cfg
         self.c = float(c_eps)
-        self.p0, self.q0 = chi0.profiles()
-        self.w1, self.w2 = omega_eps.profiles()
+        self._bg = np.stack(chi0.profiles())
+        self._w = np.stack(omega_eps.profiles())
         # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
-        self.c1 = float(np.mean(self.w1)) / chi0.a1
-        self.c2 = float(np.mean(self.w2)) / chi0.a2
+        self._cs = np.array([float(np.mean(self._w[0])) / chi0.a1,
+                             float(np.mean(self._w[1])) / chi0.a2])[:, None, None]
         self._lap = SpectralOps.of(fgrid).laplacian
         self._kmax2 = (np.pi * fgrid.n) ** 2
-        self._off1 = None
+        self._off = None
         if divisor is not None:
+            # the divisor lies in the first factor: exempt it from A only
             s2 = divisor.s2_proxy_factor(fgrid)
             mask = s2 >= 1e-12
             if not mask.all():
-                self._off1 = mask
+                self._off = np.stack((mask, np.ones_like(mask)))
 
     def unwrap(self, phi):
-        return (phi.phi1, phi.phi2)
+        return np.stack((phi.phi1, phi.phi2))
 
-    def wrap(self, pair):
-        return SplitPotential(self.grid, pair[0], pair[1])
+    def wrap(self, v):
+        return SplitPotential(self.grid, v[0], v[1])
 
-    def chi(self, pair):
-        return self.p0 + self._lap(pair[0]), self.q0 + self._lap(pair[1])
+    def chi(self, v):
+        return self._bg + self._lap(v)
 
-    def rhs_only(self, pair):
-        a, b = self.chi(pair)
+    def _rhs(self, chi):
         with np.errstate(all="ignore"):
-            return self.c1 - self.w1 / a, self.c2 - self.w2 / b
+            return self._cs - self._w / chi
 
-    def metrics(self, pair):
-        a, b = self.chi(pair)
-        with np.errstate(all="ignore"):
-            r1 = self.c1 - self.w1 / a
-            r2 = self.c2 - self.w2 / b
-        a_min = float(a[self._off1].min()) if self._off1 is not None else float(a.min())
-        margin = min(a_min, float(b.min()))
-        finite = bool(np.isfinite(r1).all() and np.isfinite(r2).all())
-        return (r1, r2), (a, b), margin, finite
+    def rhs_only(self, v):
+        return self._rhs(self.chi(v))
 
-    def residual_sup(self, rhs):
-        return split_sup_abs(rhs[0], rhs[1])
+    def metrics(self, v):
+        """(rhs, chi, margin_off, finite) in one pass."""
+        chi = self.chi(v)
+        rhs = self._rhs(chi)
+        margin = float((chi if self._off is None else chi[self._off]).min())
+        return rhs, chi, margin, bool(np.isfinite(rhs).all())
+
+    def extrema(self, x):
+        """(max, min) over the product grid of x[0](z1) + x[1](z2), exact."""
+        return float(x[0].max() + x[1].max()), float(x[0].min() + x[1].min())
 
     def adaptive_dt(self, chi):
-        a, b = chi
-        lam_max = max(float((self.w1 / a ** 2).max()), float((self.w2 / b ** 2).max()))
+        lam_max = float((self._w / chi ** 2).max())
         return self.cfg.dt_safety / (lam_max * self._kmax2)
 
-    def rk4(self, pair, k1, dt):
-        u, v = pair
-        k2 = self.rhs_only((u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1]))
-        k3 = self.rhs_only((u + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1]))
-        k4 = self.rhs_only((u + dt * k3[0], v + dt * k3[1]))
-        nu = u + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        nv = v + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return (nu, nv)
-
-    def phidot_stats(self, rhs):
-        r1, r2 = rhs
-        hi = float(r1.max() + r2.max())
-        lo = float(r1.min() + r2.min())
-        return hi, lo, max(hi, -lo)
-
-    def sup_phi(self, pair):
-        return split_sup_abs(pair[0], pair[1])
-
-    def row_functionals(self, pair, rhs, chi):
+    def row_functionals(self, v, rhs, chi):
         """(J, I, dJ/dt, critical residual) via separable factor means."""
         a, b = chi
         r1, r2 = rhs
         c = self.c
-        j, i = _energies_split(pair, chi, (self.p0, self.q0), (self.w1, self.w2), c)
+        j, i = _energies_split(v, chi, self._bg, self._w, c)
         # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
         m = (
             float(np.mean(r1 * r1 * a)) * float(np.mean(b))
@@ -315,11 +304,8 @@ class _SplitKernel:
         )
         j_rate = -8.0 * m
         # critical residual |2 chi^omega - c chi^2| = 2|A(g - cB) + fB|
-        crit = 2.0 * _split_pairwise_abs_max(a, self.w1, self.w2 - c * b, b)
+        crit = 2.0 * _split_pairwise_abs_max(a, self._w[0], self._w[1] - c * b, b)
         return j, i, j_rate, crit
-
-    def copy_potential(self, pair):
-        return self.wrap((pair[0].copy(), pair[1].copy()))
 
 
 def _support_candidates(p, q):
@@ -372,20 +358,18 @@ def flow_rhs(phi, chi0, omega_eps, c_eps):
 
 @dataclass
 class FlowState:
-    """Evolving potential plus cached velocity and step bookkeeping."""
+    """Potential at time t with the raw velocity ``rhs``, metric ``chi`` and
+    positivity margin of its last evaluation, plus the accepted dt and the
+    rejections of the step that produced it."""
 
     kernel: object
     phi: object
     t: float
-    phi_dot: object
+    rhs: object
+    chi: object
     margin: float
-    history: list = field(default_factory=list)
     last_dt: float = 0.0
     last_rejections: int = 0
-
-    @property
-    def residual(self):
-        return self.kernel.residual_sup(self.kernel.unwrap(self.phi_dot))
 
 
 def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
@@ -405,13 +389,7 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         )
     c_eps = c_constant(x_cls, w_cls)
     kernel = _make_kernel(chi0, omega_eps, c_eps, cfg, divisor)
-    if phi0 is None:
-        phi0 = kernel.wrap(
-            (np.zeros(kernel.grid.shape), np.zeros(kernel.grid.shape))
-            if kernel.backend == "split"
-            else np.zeros(kernel.grid.shape)
-        )
-    raw = kernel.unwrap(phi0)
+    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
     rhs, chi, margin0, finite = kernel.metrics(raw)
     if not finite or margin0 <= 0.0:
         raise PositivityError(
@@ -419,16 +397,27 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
             f"(margin {margin0:.3e})",
             margin=margin0,
         )
-    state = FlowState(kernel, phi0, 0.0, kernel.wrap(rhs), margin0)
-    state._chi = chi
-    state._raw_rhs = rhs
-    return state
+    return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, margin0)
 
 
 def adaptive_dt(state):
     """Explicit-stability step size from the current metric:
     dt = dt_safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2)."""
-    return state.kernel.adaptive_dt(state._chi)
+    return state.kernel.adaptive_dt(state.chi)
+
+
+def _rk4(kernel, v, k1, dt):
+    """Classical RK4 step of the raw state v, whose velocity k1 is known."""
+    k2 = kernel.rhs_only(v + 0.5 * dt * k1)
+    k3 = kernel.rhs_only(v + 0.5 * dt * k2)
+    k4 = kernel.rhs_only(v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _sup(kernel, x):
+    """sup |x| over the grid of a potential-shaped raw array x."""
+    hi, lo = kernel.extrema(x)
+    return max(hi, -lo)
 
 
 def _advance(kernel, raw, rhs, dt, t):
@@ -440,7 +429,7 @@ def _advance(kernel, raw, rhs, dt, t):
     """
     rejections = 0
     while True:
-        new = kernel.rk4(raw, rhs, dt)
+        new = _rk4(kernel, raw, rhs, dt)
         new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
         if finite and new_margin > 0.0:
             return new, new_rhs, new_chi, new_margin, dt, rejections
@@ -463,26 +452,11 @@ def step(state, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     kernel = state.kernel
-    raw = kernel.unwrap(state.phi)
-    rhs = getattr(state, "_raw_rhs", None)
-    if rhs is None:
-        rhs = kernel.metrics(raw)[0]
-    new, new_rhs, new_chi, new_margin, dt, rejections = _advance(
-        kernel, raw, rhs, dt, state.t
+    new, rhs, chi, margin, dt, rejections = _advance(
+        kernel, kernel.unwrap(state.phi), state.rhs, dt, state.t
     )
-    out = FlowState(
-        kernel,
-        kernel.wrap(new),
-        state.t + dt,
-        kernel.wrap(new_rhs),
-        new_margin,
-        state.history,
-        last_dt=dt,
-        last_rejections=rejections,
-    )
-    out._chi = new_chi
-    out._raw_rhs = new_rhs
-    return out
+    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, margin,
+                     last_dt=dt, last_rejections=rejections)
 
 
 def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
@@ -494,8 +468,7 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     state = make_state(cfg, chi0, omega0, omega_hat, phi0, divisor)
     kernel = state.kernel
     raw = kernel.unwrap(state.phi)
-    rhs, chi = state._raw_rhs, state._chi
-    margin = state.margin
+    rhs, chi, margin = state.rhs, state.chi, state.margin
 
     rows = []
     snapshots = []
@@ -506,17 +479,17 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
     def record(force=False):
         nonlocal snap_mult
-        hi, lo, sup_pd = kernel.phidot_stats(rhs)
+        hi, lo = kernel.extrema(rhs)
+        sup_pd = _sup(kernel, rhs)
         j, i, j_rate, crit = kernel.row_functionals(raw, rhs, chi)
         rows.append(
             HistoryRow(
-                t, kernel.sup_phi(raw), sup_pd, j, i, margin,
-                kernel.residual_sup(rhs), hi, lo, j_rate,
+                t, _sup(kernel, raw), sup_pd, j, i, margin, sup_pd, hi, lo, j_rate,
             )
         )
         idx = len(rows) - 1
         if force or idx % snap_mult == 0:
-            snapshots.append((t, kernel.copy_potential(raw)))
+            snapshots.append((t, kernel.wrap(raw.copy())))
             if len(snapshots) > cfg.max_field_snapshots:
                 del snapshots[1::2]
                 snap_mult *= 2
@@ -530,8 +503,7 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         max(1, round(cfg.max_time / cfg.fixed_dt)) if cfg.fixed_dt is not None else None
     )
     while True:
-        residual = kernel.residual_sup(rhs)
-        if residual < cfg.stop_tolerance:
+        if _sup(kernel, rhs) < cfg.stop_tolerance:
             stop_reason = "converged"
             break
         if n_fixed is not None:
@@ -551,15 +523,14 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
     if not rows or rows[-1].t < t:
         record(force=True)
-    final = kernel.copy_potential(raw)
     return Trajectory(
         kernel.backend,
         cfg.eps,
         kernel.c,
         rows,
         snapshots,
-        final,
-        kernel.residual_sup(rhs),
+        kernel.wrap(raw.copy()),
+        _sup(kernel, rhs),
         stop_reason,
         steps,
         rejections,

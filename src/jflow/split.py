@@ -204,10 +204,3 @@ def split_wedge_mean(phi, chi, omega):
         + mean4(p1 * f, b)
         + mean4(f, p2 * b)
     )
-
-
-def split_sup_abs(u1, u2):
-    """sup |u1(z1) + u2(z2)| over the product grid (exact, via extrema)."""
-    hi = u1.max() + u2.max()
-    lo = u1.min() + u2.min()
-    return float(max(hi, -lo))

@@ -160,20 +160,25 @@ class SpectralOps:
         return cls(grid)
 
     def _d2_along(self, u, axis):
-        """``d2`` applied along one axis of u, as a matmul over a reshaped view."""
+        """``d2`` applied along one grid axis of u, as a matmul over a
+        reshaped view; leading batch axes of u are matmul batch axes."""
         n = self.grid.n
+        lead = u.shape[: u.ndim - len(self.shape)]
         if axis == 0:
-            return (self.d2 @ u.reshape(n, -1)).reshape(self.shape)
-        if axis == len(self.shape) - 1:
-            return (u.reshape(-1, n) @ self._d2t).reshape(self.shape)
-        return (self.d2 @ u.reshape(n ** axis, n, -1)).reshape(self.shape)
+            out = self.d2 @ u.reshape(lead + (n, -1))
+        elif axis == len(self.shape) - 1:
+            out = u.reshape(lead + (-1, n)) @ self._d2t
+        else:
+            out = self.d2 @ u.reshape(lead + (n ** axis, n, -1))
+        return out.reshape(u.shape)
 
     def _d2_sum(self, u, axes):
-        """Mean-free sum of ``d2`` along ``axes`` of u."""
+        """Sum of ``d2`` along the grid ``axes`` of u, mean-free per grid block."""
         out = self._d2_along(u, axes[0])
         for axis in axes[1:]:
             out += self._d2_along(u, axis)
-        out -= out.sum() / out.size
+        flat = out.reshape(out.shape[: out.ndim - len(self.shape)] + (-1,))
+        flat -= flat.sum(-1, keepdims=True) / flat.shape[-1]
         return out
 
     def hessian(self, v, base=None, c=None):
@@ -191,8 +196,14 @@ class SpectralOps:
         return tuple(out)
 
     def laplacian(self, v):
-        """tr_Id dd^c v (on a factor grid: d_z d_zbar v) for raw values v."""
-        return self._d2_sum(v - v.item(0), self.axes)
+        """tr_Id dd^c v (on a factor grid: d_z d_zbar v) for raw values v.
+
+        Axes of v before the grid's are batch axes: each trailing grid block
+        is shifted by its own first sample and made mean-free on its own, so
+        a stack of fields gives the stack of their Laplacians.
+        """
+        first = v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)]
+        return self._d2_sum(v - first, self.axes)
 
     def divide(self, v, sym=None):
         """Mean-zero inverse of a symbol (the Laplacian's by default) applied

@@ -27,6 +27,11 @@ def smooth_cfg(**kw):
     return FlowConfig(**base)
 
 
+def _values(phi):
+    """4-D values of a potential of either backend."""
+    return phi.assemble().values if isinstance(phi, SplitPotential) else phi.values
+
+
 @pytest.fixture(scope="module")
 def smooth8():
     return build_preset("smooth_split", n=8)
@@ -139,7 +144,7 @@ class TestAdaptiveDt:
             return np.stack([np.stack([h11 + 0j, h12], -1),
                              np.stack([h12.conj(), h22 + 0j], -1)], -2)
 
-        x_inv = np.linalg.inv(matrices(*state._chi))
+        x_inv = np.linalg.inv(matrices(*state.chi))
         m = x_inv @ matrices(*state.kernel._w) @ x_inv
         lam_max = np.linalg.eigvalsh(m).max()
         expected = 0.2 / (lam_max * (8 * np.pi) ** 2)
@@ -175,6 +180,19 @@ class TestStep:
         rate = -np.log(amp / amp0) / state.t
         assert abs(rate - np.pi ** 2) / np.pi ** 2 < 0.01
 
+    def test_split_step_matches_full_assembly(self, smooth8):
+        # one step on the stacked factor state and on the assembled 4-D state
+        full = smooth8.to_full()
+        phi0 = random_bandlimited_potential(smooth8, np.random.default_rng(4))
+        split_state = make_state(smooth_cfg(), smooth8.chi0, smooth8.omega0,
+                                 smooth8.omega_hat, phi0)
+        full_state = make_state(smooth_cfg(), full.chi0, full.omega0, full.omega_hat,
+                                phi0.assemble())
+        dt = adaptive_dt(split_state)
+        a, b = step(split_state, dt), step(full_state, dt)
+        assert a.last_dt == b.last_dt == dt
+        assert np.abs(a.phi.assemble().values - b.phi.values).max() < 1e-12
+
     def test_manufactured_violation_halves_dt(self, smooth8):
         pb = smooth8
         state = make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
@@ -195,16 +213,21 @@ class TestStep:
 
 
 class TestEvolve:
-    def test_fixed_dt_matches_step_calls(self, smooth8):
-        pb = smooth8
-        cfg = smooth_cfg(fixed_dt=5e-4, max_time=5e-3, stop_tolerance=1e-14)
+    @pytest.mark.parametrize("preset, fixed_dt, eps", [
+        ("smooth_split", 5e-4, 0.0),
+        ("nonsplit_perturbed", 1e-4, 0.1),
+    ], ids=["split", "full"])
+    def test_fixed_dt_matches_step_calls(self, preset, fixed_dt, eps):
+        pb = build_preset(preset, n=8)
+        cfg = smooth_cfg(eps=eps, fixed_dt=fixed_dt, max_time=10 * fixed_dt,
+                         stop_tolerance=1e-14)
         traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
         state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat)
         for _ in range(traj.steps):
             state = step(state, cfg.fixed_dt)
         assert traj.steps == 10
-        assert np.array_equal(traj.final.phi1, state.phi.phi1)
-        assert np.array_equal(traj.final.phi2, state.phi.phi2)
+        assert traj.backend == pb.backend
+        assert np.array_equal(traj.final_potential().values, _values(state.phi))
         assert traj.rows[-1].t == state.t
 
     def test_stationary_immediate_stop(self):

@@ -196,6 +196,17 @@ class TestSpectralOps:
         if isinstance(g, Grid):
             assert all(np.all(h == 0.0) for h in ops.hessian(v))
 
+    @pytest.mark.parametrize("n", (4, 8, 12, 32))
+    def test_stacked_laplacian_is_per_block(self, n):
+        # the split backend's stacked (2, n, n) state: the batched call
+        # gives exactly the two per-factor calls, shift and mean included
+        ops = SpectralOps.of(FactorGrid(n))
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            v = rng.normal(size=(2, n, n)) + rng.normal(size=(2, 1, 1))
+            ref = np.stack([ops.laplacian(v[0].copy()), ops.laplacian(v[1].copy())])
+            assert np.array_equal(ops.laplacian(v), ref)
+
     @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
     def test_second_derivatives_have_zero_mean(self, g):
         ops = SpectralOps.of(g)
