@@ -10,6 +10,7 @@ output directory and exits 0 iff all asserted verdicts pass.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -200,6 +201,25 @@ def validate_config(cfg):
         problems.append("offsets: give 2 (split) or 4 (full) entries")
     if not isinstance(cfg.workers, int) or cfg.workers < 1:
         problems.append(f"workers: must be an integer >= 1, got {cfg.workers!r}")
+    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+        problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
+    if not isinstance(cfg.out, str) or not cfg.out:
+        problems.append(f"out: must be a directory path, got {cfg.out!r}")
+    for key, value in cfg.budget.items():
+        if value is not None and not _is_real(value):
+            problems.append(f"budget.{key}: must be a finite real, got {value!r}")
+    for section in ("chi0", "omega0", "omegahat", "phi0"):
+        spec = getattr(cfg, section)
+        if "class" in spec and not _is_reals(spec["class"], (4,)):
+            problems.append(f"{section}.class: must be 4 finite reals "
+                            f"[m11, m22, Re m12, Im m12], got {spec['class']!r}")
+        modes = spec.get("modes", [])
+        if not (isinstance(modes, list) and all(_is_reals(m, (5, 6)) for m in modes)):
+            problems.append(f"{section}.modes: must be a list of [amplitude, k_x1, "
+                            f"k_y1, k_x2, k_y2, (phase)] lists of finite reals, "
+                            f"got {modes!r}")
+    if not isinstance(cfg.phi0.get("random", False), bool):
+        problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
     # the sections are checked by the library's own config types
     for section, build in (("flow", lambda: _flow_config(cfg, 0.0)),
                            ("ma", lambda: _ma_config(cfg)),
@@ -209,6 +229,16 @@ def validate_config(cfg):
         except (TypeError, ValueError) as err:
             problems.append(f"{section}: {err}")
     return problems
+
+
+def _is_real(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_reals(values, lengths):
+    return (isinstance(values, list) and len(values) in lengths
+            and all(_is_real(v) for v in values))
 
 
 def _fill_defaults(cfg):

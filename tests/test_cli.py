@@ -292,6 +292,23 @@ class TestMain:
         assert "config error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("run", "preset=degenerate_split, N=8, eps=[0.2], seed=abc, phi0.random=true"),
+        ("run", "preset=identity, N=4, out=2024"),
+        ("run", "n=4, chi0.class=[a,1,0,0]"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], budget.sup_phi=abc"),
+    ])
+    def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                command, text):
+        # outputs would land under the working directory ("out", or "2024")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{text}\n")
+        code = main(["--command", command, "--config", "run.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "wrong"])
         assert code == 2
