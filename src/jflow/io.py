@@ -1,9 +1,11 @@
 """Binary field snapshots, history CSV, and atomic file writes.
 
-Snapshot layout: magic bytes ``JFLW``, version u16, N u32, component count
-u16, then little-endian float64 values row-major (x1, y1, x2, y2).  Scalar
-fields store one component; Hermitian form fields store four in the order
-h11, h22, h12_re, h12_im.
+Snapshot layout (version 2): magic bytes ``JFLW``, version u16, N u32,
+component count u16, the four grid offsets as little-endian float64, then
+little-endian float64 values row-major (x1, y1, x2, y2).  Scalar fields
+store one component; Hermitian form fields store four in the order h11,
+h22, h12_re, h12_im.  Version 1 files have no offsets and are read onto
+the zero-offset grid.
 """
 
 import json
@@ -16,7 +18,9 @@ import numpy as np
 from .torus import Grid, HermitianFormField, ScalarField
 
 MAGIC = b"JFLW"
-VERSION = 1
+VERSION = 2
+_HEAD = "<HIH"
+_OFFSETS = "<4d"
 
 
 def _write_atomic(path, write_fn, mode="wb"):
@@ -34,24 +38,32 @@ def _write_atomic(path, write_fn, mode="wb"):
         raise
 
 
-def _write_header(fh, n, ncomp):
+def _write_header(fh, grid, ncomp):
     fh.write(MAGIC)
-    fh.write(struct.pack("<HIH", VERSION, n, ncomp))
+    fh.write(struct.pack(_HEAD, VERSION, grid.n, ncomp))
+    fh.write(struct.pack(_OFFSETS, *grid.offsets))
 
 
 def _read_header(fh, path):
-    head = fh.read(4 + struct.calcsize("<HIH"))
-    if len(head) < 12 or head[:4] != MAGIC:
+    """(grid, component count) of a version 1 or 2 snapshot."""
+    size = struct.calcsize(_HEAD)
+    head = fh.read(4 + size)
+    if len(head) < 4 + size or head[:4] != MAGIC:
         raise ValueError(f"{path}: not a JFLW snapshot")
-    version, n, ncomp = struct.unpack("<HIH", head[4:])
+    version, n, ncomp = struct.unpack(_HEAD, head[4:])
+    if version == 1:
+        return Grid(n), ncomp
     if version != VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    return n, ncomp
+    raw = fh.read(struct.calcsize(_OFFSETS))
+    if len(raw) != struct.calcsize(_OFFSETS):
+        raise ValueError(f"{path}: truncated snapshot")
+    return Grid(n, struct.unpack(_OFFSETS, raw)), ncomp
 
 
 def write_scalar(path, field):
     def body(fh):
-        _write_header(fh, field.grid.n, 1)
+        _write_header(fh, field.grid, 1)
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
     _write_atomic(path, body)
@@ -59,7 +71,7 @@ def write_scalar(path, field):
 
 def write_hermitian(path, form):
     def body(fh):
-        _write_header(fh, form.grid.n, 4)
+        _write_header(fh, form.grid, 4)
         for comp in (form.h11, form.h22, form.h12_re, form.h12_im):
             fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
@@ -67,15 +79,11 @@ def write_hermitian(path, form):
 
 
 def read_field(path):
-    """Read a snapshot; returns a ScalarField or HermitianFormField.
-
-    The format carries no grid offsets, so the result lives on the default
-    (offset-zero) grid.
-    """
+    """Read a snapshot; returns a ScalarField or HermitianFormField on the
+    grid it was written from (a version 1 file: on the zero-offset grid)."""
     with open(path, "rb") as fh:
-        n, ncomp = _read_header(fh, path)
-        grid = Grid(n)
-        count = n ** 4
+        grid, ncomp = _read_header(fh, path)
+        count = grid.n ** 4
         comps = []
         for _ in range(ncomp):
             buf = fh.read(8 * count)

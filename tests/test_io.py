@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,57 @@ def test_hermitian_roundtrip(tmp_path):
 
 
 def test_header_layout(tmp_path):
-    grid = Grid(4)
+    grid = Grid(4, (0.0, 0.125, 0.0, 0.0))
     path = tmp_path / "f.jflw"
     write_scalar(path, ScalarField.zeros(grid))
     raw = path.read_bytes()
     assert raw[:4] == b"JFLW"
-    assert int.from_bytes(raw[4:6], "little") == 1  # version
+    assert int.from_bytes(raw[4:6], "little") == 2  # version
     assert int.from_bytes(raw[6:10], "little") == 4  # N
     assert int.from_bytes(raw[10:12], "little") == 1  # components
-    assert len(raw) == 12 + 8 * 4 ** 4
+    assert struct.unpack("<4d", raw[12:44]) == grid.offsets
+    assert len(raw) == 44 + 8 * 4 ** 4
+
+
+OFFSET_GRID = Grid(8, (0.01, 0.0, 0.02, 0.0))
+
+
+def test_scalar_roundtrip_keeps_offsets(tmp_path):
+    field = ScalarField(OFFSET_GRID, np.random.default_rng(2).normal(size=OFFSET_GRID.shape))
+    path = tmp_path / "phi.jflw"
+    write_scalar(path, field)
+    back = read_field(path)
+    assert back.grid == OFFSET_GRID
+    assert np.array_equal(back.values, field.values)
+
+
+def test_hermitian_roundtrip_keeps_offsets(tmp_path):
+    rng = np.random.default_rng(3)
+    form = HermitianFormField(OFFSET_GRID, *(rng.normal(size=OFFSET_GRID.shape)
+                                             for _ in range(4)))
+    path = tmp_path / "chi.jflw"
+    write_hermitian(path, form)
+    back = read_field(path)
+    assert back.grid == OFFSET_GRID
+    for name in ("h11", "h22", "h12_re", "h12_im"):
+        assert np.array_equal(getattr(back, name), getattr(form, name))
+
+
+def test_reads_version_1_onto_zero_offset_grid(tmp_path):
+    values = np.arange(4 ** 4, dtype=float).reshape((4,) * 4)
+    path = tmp_path / "v1.jflw"
+    path.write_bytes(b"JFLW" + struct.pack("<HIH", 1, 4, 1)
+                     + values.astype("<f8").tobytes())
+    back = read_field(path)
+    assert back.grid == Grid(4)
+    assert np.array_equal(back.values, values)
+
+
+def test_rejects_unknown_version(tmp_path):
+    path = tmp_path / "v3.jflw"
+    path.write_bytes(b"JFLW" + struct.pack("<HIH", 3, 4, 1) + b"\x00" * (32 + 8 * 4 ** 4))
+    with pytest.raises(ValueError, match="unsupported snapshot version 3"):
+        read_field(path)
 
 
 def test_rejects_garbage(tmp_path):
