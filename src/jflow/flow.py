@@ -232,9 +232,9 @@ class _FullKernel:
 
 
 class _SplitKernel:
-    """Raw state: the factor potentials stacked as one (2, n, n) array, and
-    so are the factor velocities (rhs) and the factor metric profiles (chi)
-    A(z1) = p0 + dd^c phi1, B(z2) = q0 + dd^c phi2."""
+    """Raw state: the factor potentials (phi1, phi2) stacked as one
+    (2, n, n) array; the factor velocities (rhs) and the factor profiles
+    (A, B) of chi_phi (chi) are stacked the same way."""
 
     backend = "split"
 

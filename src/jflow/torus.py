@@ -177,8 +177,8 @@ class SpectralOps:
         out = self._d2_along(u, axes[0])
         for axis in axes[1:]:
             out += self._d2_along(u, axis)
-        flat = out.reshape(out.shape[: out.ndim - len(self.shape)] + (-1,))
-        flat -= flat.sum(-1, keepdims=True) / flat.shape[-1]
+        block = tuple(range(-len(self.shape), 0))
+        out -= out.sum(block, keepdims=True) / self.grid.n ** len(self.shape)
         return out
 
     def hessian(self, v, base=None, c=None):
