@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -44,9 +44,10 @@ from .presets import (
     PRESET_QMONITOR,
     Problem,
     build_preset,
+    preset_grid,
     random_bandlimited_potential,
 )
-from .torus import Grid, ScalarField
+from .torus import ScalarField
 
 SCHEMA_VERSION = 1
 
@@ -272,10 +273,9 @@ def build_problem(cfg):
     if cfg.preset:
         problem = build_preset(cfg.preset, n=cfg.n, offsets=cfg.offsets or None)
         if not cfg.divisor and problem.divisor is not None:
-            problem = Problem(problem.name, problem.backend, problem.chi0,
-                              problem.omega0, problem.omega_hat, None)
+            problem = replace(problem, divisor=None)
         return problem
-    grid = Grid(cfg.n, tuple(cfg.offsets) if cfg.offsets else (0.0,) * 4)
+    grid = preset_grid("", cfg.n, cfg.offsets)
     forms = {}
     for name, spec in (("chi0", cfg.chi0), ("omega0", cfg.omega0),
                        ("omegahat", cfg.omegahat)):
@@ -283,8 +283,7 @@ def build_problem(cfg):
         cls = CohomologyClass(cls_spec[0], cls_spec[1],
                               complex(cls_spec[2], cls_spec[3]))
         forms[name] = ClosedForm(cls, _modes_field(grid, spec.get("modes", [])))
-    return Problem("explicit", "full", forms["chi0"], forms["omega0"],
-                   forms["omegahat"], None)
+    return Problem("explicit", forms["chi0"], forms["omega0"], forms["omegahat"])
 
 
 def _modes_field(grid, modes):

@@ -167,14 +167,10 @@ class DivisorModel:
     rho: float
     r_h: object  # ClosedForm or SplitForm
 
-    def s2_proxy_factor(self, fgrid):
-        """Proxy |s|^2 on the z1 factor grid: sin^2(pi x1) + sin^2(pi y1)."""
-        x, y = fgrid.coords()
-        return np.sin(np.pi * x) ** 2 + np.sin(np.pi * y) ** 2
-
     def s2_proxy(self, grid):
-        """Proxy |s|^2 on the 4-D grid (depends on z1 only)."""
-        x1, y1, _, _ = grid.coords()
+        """Proxy |s|^2 on the 4-D or the z1 factor lattice (a function of z1
+        only): sin^2(pi x1) + sin^2(pi y1)."""
+        x1, y1 = grid.coords()[:2]
         v = np.sin(np.pi * x1) ** 2 + np.sin(np.pi * y1) ** 2
         return ScalarField(grid, np.broadcast_to(v, grid.shape).copy())
 

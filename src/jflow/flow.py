@@ -254,8 +254,7 @@ class _SplitKernel:
         self._off = None
         if divisor is not None:
             # the divisor lies in the first factor: exempt it from A only
-            s2 = divisor.s2_proxy_factor(fgrid)
-            mask = s2 >= 1e-12
+            mask = ~divisor.locus_mask(fgrid)
             if not mask.all():
                 self._off = np.stack((mask, np.ones_like(mask)))
 

@@ -22,14 +22,16 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import ConeConditionError, MAConvergenceError, PositivityError
-from .split import SplitPotential, factor_hessian, factor_poisson
+from .split import SplitPotential, factor_hessian
 from .torus import (
+    Grid,
     ScalarField,
     SpectralOps,
     _critical_density,
     _det,
     _lam_lo,
     _trace,
+    poisson_solve,
     positivity_margin,
 )
 
@@ -70,14 +72,6 @@ def build_alpha(chi0, omega_eps, c_eps):
     return alpha
 
 
-def poisson_solve(src, tol=1e-12):
-    """Mean-zero u with tr_Id dd^c u = src (spectral symbol division)."""
-    m = src.mean()
-    if abs(m) > tol:
-        raise ValueError(f"poisson_solve: source mean {m:.3e} exceeds {tol:.1e}")
-    return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
-
-
 def critical_residual(phi, chi0, omega, c):
     """sup |2 chi_phi ^ omega - c chi_phi^2| in density form.
 
@@ -96,19 +90,17 @@ def split_critical(f, g, x11=1.0, x22=1.0, fgrid=None):
     dd^c phi_i = profile/c_i - X_ii.  The assembled chi = diag(f/c1, g/c2)
     satisfies the critical equation exactly.
     """
-    from .split import FactorGrid
-
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if fgrid is None:
-        fgrid = FactorGrid(f.shape[0])
+        fgrid = Grid(f.shape[0], (0.0, 0.0))
     mf, mg = float(f.mean()), float(g.mean())
     if mf <= 0.0 or mg <= 0.0:
         raise ValueError("split_critical: profiles need positive means")
     c1 = mf / x11
     c2 = mg / x22
-    phi1 = factor_poisson(fgrid, f / c1 - x11)
-    phi2 = factor_poisson(fgrid, g / c2 - x22)
+    phi1 = poisson_solve(ScalarField(fgrid, f / c1 - x11)).values
+    phi2 = poisson_solve(ScalarField(fgrid, g / c2 - x22)).values
     return c1, c2, phi1, phi2
 
 
@@ -295,7 +287,7 @@ def _factor_newton(fgrid, a, c, target, cfg):
         # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G
         rhs = -a_cur * g_res
         rhs -= rhs.mean()
-        delta = factor_poisson(fgrid, rhs) / c
+        delta = poisson_solve(ScalarField(fgrid, rhs)).values / c
         s = 1.0
         accepted = False
         for _ in range(40):

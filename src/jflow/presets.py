@@ -14,23 +14,27 @@ The divisor representative R_H is (1/rho)(omega0 - diag(1 - rho, 1)): a
 smooth form in c1([D]) = diag(1, 0) that makes omega0 - rho R_H constant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .cohomology import ClosedForm, CohomologyClass, DivisorModel, epsilon_form
-from .split import FactorGrid, SplitForm, SplitPotential, assemble_form
+from .split import SplitForm, SplitPotential, assemble_form
 from .torus import Grid, ScalarField, complex_hessian, positivity_margin
 
 PRESET_NAMES = ("identity", "smooth_split", "degenerate_split", "nonsplit_perturbed")
 
+# presets built on the factor lattice (split backend); the others, and
+# explicit problems, are built on the 4-D lattice
+SPLIT_PRESETS = ("smooth_split", "degenerate_split")
+
 # Default grid sizes and epsilon ladders, chosen for desk-scale runtimes.
 PRESET_DEFAULTS = {
-    "identity": dict(backend="full", n=8, eps=[0.0], divisor=False),
-    "smooth_split": dict(backend="split", n=32, eps=[0.0], divisor=False),
-    "degenerate_split": dict(backend="split", n=16, eps=[0.2, 0.1, 0.05], divisor=True),
-    "nonsplit_perturbed": dict(backend="full", n=12, eps=[0.1], divisor=True),
+    "identity": dict(n=8, eps=[0.0], divisor=False),
+    "smooth_split": dict(n=32, eps=[0.0], divisor=False),
+    "degenerate_split": dict(n=16, eps=[0.2, 0.1, 0.05], divisor=True),
+    "nonsplit_perturbed": dict(n=12, eps=[0.1], divisor=True),
 }
 
 # Uniform-estimate budgets for the degenerate family (desk-scale version of
@@ -49,18 +53,22 @@ PRESET_QMONITOR = {"A": 4.0, "delta": 0.5}
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything a driver needs: background forms, divisor, backend."""
+    """Everything a driver needs: background forms and divisor; the backend
+    is the forms' own."""
 
     name: str
-    backend: str  # "full" | "split"
     chi0: object  # ClosedForm | SplitForm
     omega0: object
     omega_hat: object
     divisor: Optional[DivisorModel] = None
 
     @property
+    def backend(self):
+        return self.chi0.backend  # "full" | "split"
+
+    @property
     def grid(self):
-        return self.chi0.grid  # Grid (full) or FactorGrid (split)
+        return self.chi0.grid  # the 4-D (full) or the factor (split) lattice
 
     def omega_eps(self, eps):
         return epsilon_form(self.omega0, eps, self.omega_hat)
@@ -71,27 +79,16 @@ class Problem:
     def omega_eps_class(self, eps):
         return self.omega_eps(eps).cls
 
-    def full_grid(self):
-        if self.backend == "split":
-            return Grid(self.grid.n, self.grid.offsets + (0.0, 0.0))
-        return self.grid
-
-    def to_full(self):
-        """Assemble a split problem on the 4-D grid (identity on full ones)."""
+    def to_full(self, grid4=None):
+        """Assemble a split problem on a 4-D grid, by default the product of
+        its factor lattice (identity on full ones)."""
         if self.backend == "full":
             return self
-        g4 = self.full_grid()
         div = self.divisor
         if div is not None:
-            div = DivisorModel(div.beta, div.rho, assemble_form(div.r_h, g4))
-        return Problem(
-            self.name,
-            "full",
-            assemble_form(self.chi0, g4),
-            assemble_form(self.omega0, g4),
-            assemble_form(self.omega_hat, g4),
-            div,
-        )
+            div = replace(div, r_h=assemble_form(div.r_h, grid4))
+        forms = (self.chi0, self.omega0, self.omega_hat)
+        return Problem(self.name, *(assemble_form(f, grid4) for f in forms), div)
 
 
 def degenerate_profile(fgrid):
@@ -124,46 +121,51 @@ def make_divisor(fgrid, rho=0.5, beta=1.0):
     return _split_divisor(fgrid, rho=rho, beta=beta)
 
 
+def preset_grid(name, n, offsets=None):
+    """The lattice preset ``name`` is built on: the factor lattice for the
+    split presets (2 offsets), the 4-D lattice otherwise (4 offsets; an
+    explicit problem, name "", too).  Zero offsets by default; raises
+    ValueError on a wrong offset count or an offset outside [0, 1/N)."""
+    dim = 2 if name in SPLIT_PRESETS else 4
+    offsets = tuple(offsets) if offsets else (0.0,) * dim
+    if len(offsets) != dim:
+        raise ValueError(f"{name or 'an explicit problem'} takes {dim} offsets, "
+                         f"got {len(offsets)}")
+    return Grid(n, offsets)
+
+
 def build_preset(name, n=None, offsets=None):
     """Construct a preset Problem at grid size n (defaults per preset)."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    defaults = PRESET_DEFAULTS[name]
-    n = defaults["n"] if n is None else int(n)
+    n = PRESET_DEFAULTS[name]["n"] if n is None else int(n)
+    grid = preset_grid(name, n, offsets)
 
     if name == "identity":
-        grid = Grid(n, tuple(offsets) if offsets else (0.0,) * 4)
         ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
-        return Problem(name, "full", ident, ident, ident)
+        return Problem(name, ident, ident, ident)
 
-    fgrid = FactorGrid(n, tuple(offsets[:2]) if offsets else (0.0, 0.0))
+    fgrid = Grid(n, grid.offsets[:2])
     one = SplitForm.constant(fgrid, 1.0, 1.0)
 
     if name == "smooth_split":
         omega0 = SplitForm.from_profiles(fgrid, f=smooth_profile(fgrid))
-        return Problem(name, "split", one, omega0, one)
+        return Problem(name, one, omega0, one)
 
+    omega0 = SplitForm.from_profiles(fgrid, f=degenerate_profile(fgrid))
+    degenerate = Problem(name, one, omega0, one, _split_divisor(fgrid))
     if name == "degenerate_split":
-        omega0 = SplitForm.from_profiles(fgrid, f=degenerate_profile(fgrid))
-        return Problem(name, "split", one, omega0, one, _split_divisor(fgrid))
+        return degenerate
 
-    # nonsplit_perturbed: assemble the degenerate preset on the 4-D grid and
-    # perturb chi0 by an off-diagonal potential mode.
-    split_problem = Problem(
-        "degenerate_split",
-        "split",
-        one,
-        SplitForm.from_profiles(fgrid, f=degenerate_profile(fgrid)),
-        one,
-        _split_divisor(fgrid),
-    )
-    full = split_problem.to_full()
-    g4 = full.grid
-    x1, _, x2, _ = g4.coords()
+    # nonsplit_perturbed: the degenerate preset, whose z2 potentials all
+    # vanish, assembled on the 4-D grid, with chi0 perturbed by an
+    # off-diagonal potential mode.
+    full = degenerate.to_full(grid)
+    x1, _, x2, _ = grid.coords()
     mode = 0.05 * np.cos(2 * np.pi * (x1 + x2))
-    pot = ScalarField(g4, np.broadcast_to(mode, g4.shape).copy())
+    pot = ScalarField(grid, np.broadcast_to(mode, grid.shape).copy())
     chi0 = ClosedForm(CohomologyClass.identity(), pot)
-    return Problem(name, "full", chi0, full.omega0, full.omega_hat, full.divisor)
+    return Problem(name, chi0, full.omega0, full.omega_hat, full.divisor)
 
 
 def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.5):
@@ -187,8 +189,7 @@ def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.
                 v = v + rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y) + phase)
             parts.append(v)
         phi = SplitPotential(fgrid, parts[0], parts[1])
-        full = phi.assemble(problem.full_grid())
-        scale = _positive_scale(problem.to_full(), full, margin_frac)
+        scale = _positive_scale(problem.to_full(), phi.assemble(), margin_frac)
         return SplitPotential(fgrid, scale * parts[0], scale * parts[1])
 
     grid = problem.grid

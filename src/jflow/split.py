@@ -4,7 +4,9 @@ factors of the torus.
 Product data diag(f(z1), g(z2)) with additive potentials
 phi = phi1(z1) + phi2(z2) is preserved by the flow and by the critical
 equation, so a surface problem factors into two problems on 2-D tori.
-This module holds the factor-level spectral kernels, the separable-product
+Both factor fields are sampled on one factor lattice, a ``torus.Grid``
+with two offsets, so the assembled 4-D grid is its ``product()``.  This
+module holds the factor-level spectral kernels, the separable-product
 integrals used to evaluate energy functionals without ever materialising
 the 4-D grid, and lazy assembly to full 4-D fields when a pointwise 4-D
 quantity is genuinely needed.
@@ -15,52 +17,15 @@ Everything here is pure-functional over immutable arrays.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
+import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
 
 from .cohomology import ClosedForm, CohomologyClass
-from .torus import Grid, ScalarField, SpectralOps
-
-
-@dataclass(frozen=True)
-class FactorGrid:
-    """Uniform N^2 lattice on one complex factor [0,1)^2, coords (x, y)."""
-
-    n: int
-    offsets: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"factor grid size must be even and >= 4, got {self.n}")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
-    def coords(self):
-        x = (np.arange(self.n) / self.n + self.offsets[0]).reshape(-1, 1)
-        y = (np.arange(self.n) / self.n + self.offsets[1]).reshape(1, -1)
-        return x, y
-
-    def laplace_symbol(self):
-        """Symbol of d_z d_zbar = quarter Laplacian on the factor."""
-        k = sfft.fftfreq(self.n) * self.n
-        a = k.reshape(-1, 1)
-        b = k.reshape(1, -1)
-        return -np.pi ** 2 * (a * a + b * b)
+from .torus import Grid, ScalarField, SpectralOps, poisson_solve
 
 
 def factor_hessian(grid, phi):
-    """d_z d_zbar phi on a factor grid (spectral)."""
+    """d_z d_zbar phi on a factor lattice (spectral)."""
     return SpectralOps.of(grid).laplacian(phi)
-
-
-def factor_poisson(grid, src, tol=1e-12):
-    """Mean-zero u with d_z d_zbar u = src; src must have (near) zero mean."""
-    m = float(np.mean(src))
-    if abs(m) > tol:
-        raise ValueError(f"factor_poisson: source mean {m:.3e} exceeds {tol:.1e}")
-    return SpectralOps.of(grid).divide(src - m)
 
 
 @dataclass(frozen=True)
@@ -72,7 +37,7 @@ class SplitForm:
     2-D field on its own factor.  Closed by construction.
     """
 
-    grid: FactorGrid
+    grid: Grid  # the factor lattice
     a1: float
     a2: float
     p1: np.ndarray
@@ -94,10 +59,10 @@ class SplitForm:
         a2, p2 = 1.0, np.zeros(grid.shape)
         if f is not None:
             a1 = float(np.mean(f))
-            p1 = factor_poisson(grid, f - a1)
+            p1 = poisson_solve(ScalarField(grid, f - a1)).values
         if g is not None:
             a2 = float(np.mean(g))
-            p2 = factor_poisson(grid, g - a2)
+            p2 = poisson_solve(ScalarField(grid, g - a2)).values
         return cls(grid, a1, a2, p1, p2)
 
     backend = "split"
@@ -139,7 +104,7 @@ class SplitForm:
 class SplitPotential:
     """Additive potential phi(z1, z2) = phi1(z1) + phi2(z2)."""
 
-    grid: FactorGrid
+    grid: Grid  # the factor lattice
     phi1: np.ndarray
     phi2: np.ndarray
 
@@ -162,17 +127,17 @@ class SplitPotential:
         )
 
     def assemble(self, grid4=None):
-        """Materialise the 4-D ScalarField phi1 (+) phi2."""
+        """Materialise the 4-D ScalarField phi1 (+) phi2, by default on the
+        product of the factor lattice."""
         if grid4 is None:
-            grid4 = Grid(self.grid.n, self.grid.offsets + (0.0, 0.0))
+            grid4 = self.grid.product()
         v = self.phi1[:, :, None, None] + self.phi2[None, None, :, :]
         return ScalarField(grid4, np.broadcast_to(v, grid4.shape).copy())
 
 
 def assemble_form(form, grid4=None):
-    """Materialise a SplitForm as a full-backend closed form."""
-    if grid4 is None:
-        grid4 = Grid(form.grid.n, form.grid.offsets + (0.0, 0.0))
+    """Materialise a SplitForm as a full-backend closed form (by default on
+    the product of its factor lattice)."""
     pot = SplitPotential(form.grid, form.p1, form.p2).assemble(grid4)
     return ClosedForm(form.cls, pot)
 

@@ -2,7 +2,10 @@
 
 The torus is T^4 = [0,1)^4 with complex coordinates z_j = x_j + i*y_j,
 j = 1, 2, sampled on a uniform N^4 lattice stored row-major as
-(x1, y1, x2, y2).  Real (1,1)-forms are pointwise 2x2 Hermitian matrices.
+(x1, y1, x2, y2).  ``Grid`` describes this lattice and, with two offsets,
+the N^2 lattice (x, y) of one complex factor, on which the split backend
+samples both factor potentials.  Real (1,1)-forms are pointwise 2x2
+Hermitian matrices.
 Derivatives are pseudospectral: exact for band-limited data, which is what
 makes the energy identities in the rest of the package hold to rounding.
 ``SpectralOps`` applies them: the even second derivatives (the Laplacian
@@ -40,7 +43,9 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform N^4 lattice on [0,1)^4, optionally shifted by per-axis offsets.
+    """Uniform lattice on [0,1)^d, optionally shifted by per-axis offsets:
+    the 4-D lattice (x1, y1, x2, y2) with 4 offsets (the default), or the
+    lattice of one complex factor (x, y) with 2 offsets.
 
     Offsets move lattice points off distinguished loci (e.g. a divisor)
     without changing the spectral operators, which are shift-invariant.
@@ -52,48 +57,55 @@ class Grid:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        if len(self.offsets) != 4:
-            raise ValueError("offsets must have 4 entries")
+        if len(self.offsets) not in (2, 4):
+            raise ValueError(f"offsets must have 2 or 4 entries, got {len(self.offsets)}")
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         for o in self.offsets:
             if not (0.0 <= o < 1.0 / self.n):
-                raise ValueError(f"offsets must lie in [0, 1/N), got {o}")
+                raise ValueError(f"offsets must lie in [0, 1/N) = [0, {1.0 / self.n:g}), "
+                                 f"got {o}")
 
     @property
     def shape(self):
-        return (self.n,) * 4
+        return (self.n,) * len(self.offsets)
 
     @property
     def spacing(self):
         return 1.0 / self.n
 
+    def product(self):
+        """The 4-D lattice of a factor lattice: z1 and z2 each sampled on it."""
+        return Grid(self.n, self.offsets * 2)
+
+    def _along(self, i, v):
+        """v reshaped to broadcast along axis i."""
+        return v.reshape(tuple(-1 if j == i else 1 for j in range(len(self.shape))))
+
     def axis(self, i):
-        """Sample points along real axis i (0..3), offset included."""
+        """Sample points along real axis i, offset included."""
         return (np.arange(self.n) + 0.0) / self.n + self.offsets[i]
 
     def coords(self):
-        """Broadcastable coordinate arrays (x1, y1, x2, y2)."""
-        ax = [self.axis(i) for i in range(4)]
-        shapes = [(-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)]
-        return tuple(a.reshape(s) for a, s in zip(ax, shapes))
+        """Broadcastable coordinate arrays, (x1, y1, x2, y2) or (x, y)."""
+        return tuple(self._along(i, self.axis(i)) for i in range(len(self.shape)))
 
     def point(self, index):
         """Coordinates of the lattice point at a flat or tuple index."""
         idx = np.unravel_index(index, self.shape) if np.isscalar(index) else tuple(index)
-        return tuple(self.axis(i)[int(idx[i])] for i in range(4))
+        return tuple(self.axis(i)[int(j)] for i, j in enumerate(idx))
 
     # Frequency grids for the spectral operators.  Integer frequencies in
     # cycles per unit length; the Nyquist row is assigned to -N/2 (fftfreq
     # convention), applied uniformly so that the discrete Parseval
     # identities used by the energy functionals hold exactly.
     def _wavenumbers(self):
-        """Broadcastable integer frequencies (k_x1, k_y1, k_x2, k_y2)."""
+        """Broadcastable integer frequencies, one per axis."""
         k = sfft.fftfreq(self.n) * self.n
-        return (k.reshape(-1, 1, 1, 1), k.reshape(1, -1, 1, 1),
-                k.reshape(1, 1, -1, 1), k.reshape(1, 1, 1, -1))
+        return tuple(self._along(i, k) for i in range(len(self.shape)))
 
     def hessian_symbols(self):
-        """Spectral symbols of dd^c: (s11, s22, s12_even, s12_odd).
+        """Spectral symbols of dd^c on the 4-D lattice: (s11, s22, s12_even,
+        s12_odd).
 
         s11/s22 are the symbols of d_{z_j} d_{zbar_j}; the mixed component
         splits as s12 = s12_even + i*s12_odd with both parts real and even,
@@ -109,15 +121,19 @@ class Grid:
         return s11, s22, s12e, s12o
 
     def laplace_symbol(self):
-        """Symbol of tr_Id dd^c = quarter Laplacian: s11 + s22."""
-        a, b, c, d = self._wavenumbers()
+        """Symbol of tr_Id dd^c = quarter Laplacian: s11 + s22 on the 4-D
+        lattice, d_z d_zbar on a factor lattice."""
+        k = self._wavenumbers()
         pi2 = np.pi ** 2
-        return -pi2 * (a * a + b * b) + -pi2 * (c * c + d * d)
+        sym = -pi2 * (k[0] * k[0] + k[1] * k[1])
+        if len(k) == 4:
+            sym = sym + -pi2 * (k[2] * k[2] + k[3] * k[3])
+        return sym
 
 
 class SpectralOps:
     """The spectral operators of one grid; ``SpectralOps.of(grid)`` caches
-    one per grid.  Serves the 4-D ``Grid`` and the 2-D factor grid of the
+    one per grid.  Serves the 4-D lattice and the factor lattice of the
     split backend alike.
 
     * The even second derivatives are matrix products, with no transform.
@@ -128,11 +144,10 @@ class SpectralOps:
       shifted by its first sample and the output's mean is subtracted, so a
       constant maps to exactly 0 and each output has zero mean, as with the
       transform; otherwise they agree with the transform to rounding.
-    * The mixed components h12_re / h12_im (grids with
-      ``hessian_symbols()`` only) and ``divide`` apply symbols, cropped to
-      the half-spectrum, through real transforms.  A dense h12 would cost
-      more than its transform: over the two complex planes its operator
-      has Kronecker rank 4.
+    * The mixed components h12_re / h12_im (4-D lattices only) and
+      ``divide`` apply symbols, cropped to the half-spectrum, through real
+      transforms.  A dense h12 would cost more than its transform: over the
+      two complex planes its operator has Kronecker rank 4.
     """
 
     def __init__(self, grid):
@@ -149,7 +164,7 @@ class SpectralOps:
         self.d2 = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
         self._d2t = np.ascontiguousarray(self.d2.T)
         self.hessian_syms = None
-        if hasattr(grid, "hessian_symbols"):
+        if len(self.shape) == 4:
             self.hessian_syms = tuple(
                 np.ascontiguousarray(s[half]) for s in grid.hessian_symbols()
             )
@@ -196,7 +211,7 @@ class SpectralOps:
         return tuple(out)
 
     def laplacian(self, v):
-        """tr_Id dd^c v (on a factor grid: d_z d_zbar v) for raw values v.
+        """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v.
 
         Axes of v before the grid's are batch axes: each trailing grid block
         is shifted by its own first sample and made mean-free on its own, so
@@ -321,6 +336,15 @@ def complex_hessian(phi):
     if not np.all(np.isfinite(v)):
         raise ValueError("complex_hessian: input field has non-finite entries")
     return HermitianFormField(phi.grid, *SpectralOps.of(phi.grid).hessian(v))
+
+
+def poisson_solve(src, tol=1e-12):
+    """Mean-zero u with tr_Id dd^c u = src (spectral symbol division), on
+    either lattice: on a factor lattice, d_z d_zbar u = src."""
+    m = src.mean()
+    if abs(m) > tol:
+        raise ValueError(f"poisson_solve: source mean {m:.3e} exceeds {tol:.1e}")
+    return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
 
 
 def holomorphic_gradient(phi):

@@ -328,7 +328,7 @@ def test_criterion_9_monitors(family_run, random_init_runs):
     pb, fam, _ = family_run
     checks = []
 
-    s2 = pb.divisor.s2_proxy_factor(pb.grid)
+    s2 = pb.divisor.s2_proxy(pb.grid).values
     u_syn = np.where(s2 > 0, s2, 1.0) ** (-0.3)
     gamma, _ = singular_profile_fit(u_syn, s2)
     checks.append((abs(gamma - 0.3) <= 0.02,

@@ -13,7 +13,7 @@ from jflow.cohomology import (
 )
 from jflow.errors import PositivityError
 from jflow.presets import build_preset, make_divisor, random_bandlimited_potential
-from jflow.split import FactorGrid, SplitForm, assemble_form
+from jflow.split import SplitForm, assemble_form
 from jflow.torus import Grid, ScalarField, integrate, wedge_density
 
 ID = CohomologyClass.identity()
@@ -145,7 +145,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("make", [
         lambda g: ClosedForm.from_class(ID, g),
-        lambda g: SplitForm.constant(FactorGrid(g.n, g.offsets[:2]), 1.0, 1.0),
+        lambda g: SplitForm.constant(Grid(g.n, g.offsets[:2]), 1.0, 1.0),
     ], ids=["closed", "split"])
     def test_add_refuses_other_grid(self, make):
         a = make(Grid(8))
@@ -196,7 +196,7 @@ class TestVerifyOmega0:
         pb = build_preset("degenerate_split", n=8)
         bad_div = make_divisor(pb.grid, rho=2.0)
         full_div = DivisorModel(
-            bad_div.beta, bad_div.rho, assemble_form(bad_div.r_h, pb.full_grid())
+            bad_div.beta, bad_div.rho, assemble_form(bad_div.r_h, pb.grid.product())
         )
         full = pb.to_full()
         cert = verify_omega0_conditions(full.omega0, full_div, full.omega_hat)

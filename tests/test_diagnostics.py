@@ -82,7 +82,7 @@ class TestSingularFit:
     def test_bounded_profile_gives_zero(self):
         pb = build_preset("degenerate_split", n=16)
         div = pb.divisor
-        s2 = div.s2_proxy_factor(pb.grid)
+        s2 = div.s2_proxy(pb.grid).values
         from jflow.presets import degenerate_profile
 
         u = degenerate_profile(pb.grid) + 1.0  # tr of the degenerate limit
@@ -91,7 +91,7 @@ class TestSingularFit:
 
     def test_recovers_synthetic_exponent(self):
         pb = build_preset("degenerate_split", n=16)
-        s2 = pb.divisor.s2_proxy_factor(pb.grid)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
         u = np.where(s2 > 0, s2, 1.0) ** (-0.3)
         gamma, c = singular_profile_fit(u, s2)
         assert abs(gamma - 0.3) <= 0.02
@@ -99,7 +99,7 @@ class TestSingularFit:
 
     def test_too_few_points(self):
         pb = build_preset("degenerate_split", n=8)
-        s2 = pb.divisor.s2_proxy_factor(pb.grid)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
         with pytest.raises(FitError):
             singular_profile_fit(np.ones_like(s2), s2, band=(1e-7, 1e-6))
 
@@ -149,7 +149,7 @@ class TestQMonitor:
         # near-divisor band exceeds its global median
         pb = build_preset("degenerate_split", n=16, offsets=(0.002, 0.0))
         div = pb.divisor
-        s2 = div.s2_proxy_factor(pb.grid)
+        s2 = div.s2_proxy(pb.grid).values
         assert ((s2 >= 1e-6) & (s2 <= 1e-3)).any()
         delta = 0.5
         phit = 0.0 - delta * np.log(s2)

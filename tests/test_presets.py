@@ -3,7 +3,6 @@ import pytest
 
 from jflow.cohomology import verify_omega0_conditions
 from jflow.presets import (
-    PRESET_DEFAULTS,
     PRESET_NAMES,
     build_preset,
     degenerate_profile,
@@ -67,17 +66,27 @@ class TestBuildPreset:
 
     def test_s2_proxy_matches_degenerate_profile(self):
         pb = build_preset("degenerate_split", n=16)
-        s2 = pb.divisor.s2_proxy_factor(pb.grid)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
         assert np.abs(s2 - degenerate_profile(pb.grid)).max() == 0.0
 
     def test_offsets_move_locus_off_grid(self):
         pb = build_preset("degenerate_split", n=16, offsets=(0.003, 0.0))
-        s2 = pb.divisor.s2_proxy_factor(pb.grid)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
         assert s2.min() > 0.0
+
+    @pytest.mark.parametrize("name, offsets", [
+        ("identity", (0.01, 0.01)),
+        ("nonsplit_perturbed", (0.01, 0.01)),
+        ("smooth_split", (0.01, 0.01, 0.01, 0.01)),
+        ("degenerate_split", (0.01, 0.01, 0.0, 0.0)),
+    ])
+    def test_wrong_offset_count_refused(self, name, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            build_preset(name, n=8, offsets=offsets)
 
 
     @pytest.mark.parametrize(
-        "name", [n for n in PRESET_NAMES if PRESET_DEFAULTS[n]["backend"] == "split"]
+        "name", [n for n in PRESET_NAMES if build_preset(n, n=8).backend == "split"]
     )
     def test_split_class_matches_assembled_form(self, name):
         pb = build_preset(name, n=8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jflow.errors import PositivityError
-from jflow.split import FactorGrid, SplitPotential
+from jflow.split import SplitPotential
 from jflow.torus import (
     Grid,
     HermitianFormField,
@@ -61,6 +61,24 @@ class TestGrid:
 
     def test_spacing(self):
         assert Grid(16).spacing == 1.0 / 16
+
+    def test_factor_lattice_validated_alike(self):
+        assert Grid(8, (0.01, 0.0)).shape == (8, 8)
+        for offsets in ((0.0,), (0.0, 0.0, 0.0), (0.2, 0.0)):
+            with pytest.raises(ValueError, match="offsets"):
+                Grid(8, offsets)
+
+    def test_product_samples_z2_on_the_factor_lattice(self):
+        # a z2 cosine sampled on the factor lattice, assembled, is the cosine
+        # at the 4-D grid's own z2 coordinates (the z2 offsets are the factor's)
+        fg = Grid(8, (0.01, 0.0))
+        x, _ = fg.coords()
+        wave = np.broadcast_to(np.cos(2 * np.pi * x), fg.shape)
+        phi = SplitPotential(fg, np.zeros(fg.shape), wave).assemble()
+        _, _, x2, _ = phi.grid.coords()
+        exact = np.broadcast_to(np.cos(2 * np.pi * x2), phi.grid.shape)
+        assert np.abs(phi.values - exact).max() == 0.0
+        assert phi.grid == fg.product() == Grid(8, (0.01, 0.0, 0.01, 0.0))
 
 
 class TestComplexHessian:
@@ -124,7 +142,7 @@ class TestComplexHessian:
 
 
 def grid_id(g):
-    return f"{type(g).__name__}{g.n}"
+    return f"{'Factor' if len(g.shape) == 2 else ''}Grid{g.n}"
 
 
 class TestSpectralOps:
@@ -133,7 +151,7 @@ class TestSpectralOps:
 
     def test_factor_laplacian_is_hessian_block(self):
         # phi = u(z1) + w(z2): dd^c phi = diag(d_z1 d_z1bar u, d_z2 d_z2bar w)
-        fg = FactorGrid(8)
+        fg = Grid(8, (0.0, 0.0))
         rng = np.random.default_rng(11)
         x, y = fg.coords()
         parts = []
@@ -159,7 +177,7 @@ class TestSpectralOps:
 
     # every kind of grid the operators serve: factor grids and 4-D grids
     GRIDS_4D = [Grid(n) for n in (4, 8, 12)]
-    GRIDS = [FactorGrid(n) for n in (4, 8, 12, 32)] + GRIDS_4D
+    GRIDS = [Grid(n, (0.0, 0.0)) for n in (4, 8, 12, 32)] + GRIDS_4D
 
     @staticmethod
     def transform_reference(grid, v, symbols):
@@ -193,14 +211,14 @@ class TestSpectralOps:
         ops = SpectralOps.of(g)
         v = np.full(g.shape, -2.3)
         assert np.all(ops.laplacian(v) == 0.0)
-        if isinstance(g, Grid):
+        if len(g.shape) == 4:
             assert all(np.all(h == 0.0) for h in ops.hessian(v))
 
     @pytest.mark.parametrize("n", (4, 8, 12, 32))
     def test_stacked_laplacian_is_per_block(self, n):
         # the split backend's stacked (2, n, n) state: the batched call
         # gives exactly the two per-factor calls, shift and mean included
-        ops = SpectralOps.of(FactorGrid(n))
+        ops = SpectralOps.of(Grid(n, (0.0, 0.0)))
         rng = np.random.default_rng(24)
         for _ in range(5):
             v = rng.normal(size=(2, n, n)) + rng.normal(size=(2, 1, 1))
@@ -212,7 +230,7 @@ class TestSpectralOps:
         ops = SpectralOps.of(g)
         v = self.noise(g, 23)
         outs = [ops.laplacian(v)]
-        if isinstance(g, Grid):
+        if len(g.shape) == 4:
             outs += ops.hessian(v)[:2]
         for h in outs:
             assert abs(h.mean()) <= 1e-15 * np.abs(h).max()
