@@ -145,8 +145,10 @@ def _parse_value(text):
     return text
 
 
-def parse_config(text):
-    """Parse and validate; raises ConfigError listing every problem."""
+def parse_config(text, out=None):
+    """Parse and validate; raises ConfigError listing every problem.  A
+    given ``out`` (the --out flag) replaces the output directory as a path,
+    never parsed as a number."""
     cfg = RunConfig()
     problems = []
     for item in _split_items(text):
@@ -175,6 +177,8 @@ def parse_config(text):
             setattr(cfg, lower, value)
         else:
             problems.append(f"unknown key: {key!r}")
+    if out:
+        cfg.out = out
     problems.extend(validate_config(cfg))
     if problems:
         raise ConfigError(problems)
@@ -198,8 +202,9 @@ def validate_config(cfg):
     for i, e in enumerate(cfg.eps):
         if not isinstance(e, (int, float)) or e < 0:
             problems.append(f"eps[{i}]: entries must be nonnegative reals, got {e!r}")
-    if cfg.offsets and not (isinstance(cfg.offsets, list) and len(cfg.offsets) in (2, 4)):
-        problems.append("offsets: give 2 (split) or 4 (full) entries")
+    if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
+        problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
+                        f"got {cfg.offsets!r}")
     if not isinstance(cfg.workers, int) or cfg.workers < 1:
         problems.append(f"workers: must be an integer >= 1, got {cfg.workers!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
@@ -621,14 +626,20 @@ _IMPLS = {
 
 
 def validate_command(cfg, command):
-    """Problems of a parsed config (preset defaults filled in) that only
-    the command reveals."""
+    """Problems of a parsed config that show only with the preset defaults
+    filled in (the offsets against the preset's lattice and N) or with the
+    command."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
+    problems = []
     if command == "run" and len(cfg.eps) > 1:
-        return [f"eps: run integrates one eps, got {cfg.eps}; "
-                "use the family command for several"]
-    return []
+        problems.append(f"eps: run integrates one eps, got {cfg.eps}; "
+                        "use the family command for several")
+    try:
+        preset_grid(cfg.preset, cfg.n, cfg.offsets)
+    except ValueError as err:
+        problems.append(f"offsets: {err}")
+    return problems
 
 
 def execute(cfg, command):
@@ -670,8 +681,6 @@ def main(argv=None):
     overrides = []
     if args.preset:
         overrides.append(f"preset={args.preset}")
-    if args.out:
-        overrides.append(f"out={args.out}")
     if args.eps:
         overrides.append(f"eps=[{args.eps}]")
     if args.seed is not None:
@@ -679,7 +688,7 @@ def main(argv=None):
     if overrides:
         text = text + "\n" + "\n".join(overrides)
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, out=args.out)
         record, code = execute(cfg, args.command)
     except ConfigError as err:
         for p in err.problems:

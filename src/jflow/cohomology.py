@@ -194,7 +194,11 @@ class Omega0Certificate:
         return self.ok
 
 
-def verify_omega0_conditions(omega0, div, omega_hat, locus_tol=1e-12):
+# s2 proxy values below this count as lying on the divisor locus
+_LOCUS_TOL = 1e-12
+
+
+def verify_omega0_conditions(omega0, div, omega_hat):
     """Scan the grid for the smallest C0 certifying the degeneracy condition.
 
     Checks pointwise (i) omega0 >= (1/C0) * s2^beta * omega_hat and
@@ -211,7 +215,7 @@ def verify_omega0_conditions(omega0, div, omega_hat, locus_tol=1e-12):
     # generalized eigenvalue of the pencil (omega_hat, omega0).
     mu, _ = generalized_eigenvalues(what, w0)
     mu = mu.values
-    off = s2 > locus_tol
+    off = s2 > _LOCUS_TOL
     neg = ~off & (mu < -1e-10)
     if np.any(neg):
         idx = int(np.flatnonzero(neg.ravel())[0])

@@ -17,6 +17,9 @@ from .torus import ScalarField
 
 OFF_DIVISOR_THRESHOLD = 0.1
 FIT_BAND = (1e-3, 0.5)
+_TREND_RATIO = 1.1  # largest ratio of successive limit sups down the eps ladder
+_MASK_TOL = 1e-12  # s2 proxy values below this lie on the divisor locus
+_Q_SLACK = 1.0  # how far q_max may rise above its value at t = 0
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,13 @@ class EstimateReport:
         }
 
 
-def uniformity_report(family, budget_phi=None, budget_phidot=None, trend_ratio=1.1):
+def uniformity_report(family, budget_phi=None, budget_phidot=None):
     """Uniform-in-epsilon bounds at desk scale.
 
     Asserts the run-wide sups of |phi| and |phi_dot| stay within the
     configured budgets for every member, and that the sups of the
     gauge-normalized limits do not diverge as epsilon decreases (ratio of
-    successive sups <= ``trend_ratio``).  The trend uses mean-normalized
+    successive sups <= 1.1).  The trend uses mean-normalized
     final potentials: the raw fields carry a conserved-I gauge constant
     that is an epsilon-dependent offset, not a size statement.
     """
@@ -103,10 +106,10 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None, trend_ratio=1
     if len(members) >= 2:
         sups = [m.trajectory.final_potential().mean_normalized().sup() for m in members]
         for (hi, lo, s_hi, s_lo) in zip(members, members[1:], sups, sups[1:]):
-            if s_lo > trend_ratio * s_hi:
+            if s_lo > _TREND_RATIO * s_hi:
                 report.failures.append(
                     f"divergent trend between eps={hi.eps} and eps={lo.eps}: "
-                    f"sup ratio {s_lo / s_hi:.4f} > {trend_ratio}"
+                    f"sup ratio {s_lo / s_hi:.4f} > {_TREND_RATIO}"
                 )
     report.ok = not report.failures
     return report
@@ -141,7 +144,7 @@ def singular_profile_fit(u, s2, band=FIT_BAND, min_points=8):
     return max(float(slope), 0.0), float(np.exp(intercept))
 
 
-def q_values(phi, u, s2, cfg, mask_tol=1e-12):
+def q_values(phi, u, s2, cfg):
     """The barrier quantity Q = log u - A*phi_tilde + 1/(phi_tilde + C0)
     with phi_tilde = phi - delta log s2, masked on the divisor locus.
 
@@ -152,7 +155,7 @@ def q_values(phi, u, s2, cfg, mask_tol=1e-12):
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    off = s2 >= mask_tol
+    off = s2 >= _MASK_TOL
     if off.sum() < 0.99 * s2.size:
         raise ConfigError(
             f"q_monitor: locus mask covers {(1 - off.sum() / s2.size) * 100:.2f}% "
@@ -170,9 +173,9 @@ def q_values(phi, u, s2, cfg, mask_tol=1e-12):
     return float(q.max()), c0
 
 
-def q_monitor(traj, div, cfg, slack=1.0):
+def q_monitor(traj, div, cfg):
     """Evaluate Q on every retained snapshot of a run and check the
-    boundedness assertion q_max(t) <= q_max(0) + slack.
+    boundedness assertion q_max(t) <= q_max(0) + 1.
 
     Works on both backends; the divisor may be None for smooth runs, in
     which case the s2 proxy is replaced by the constant 1 surrogate.
@@ -196,7 +199,7 @@ def q_monitor(traj, div, cfg, slack=1.0):
         series.append((t, q))
     q0 = series[0][1]
     failures = tuple(
-        (t, q, q0 + slack) for t, q in series if q > q0 + slack
+        (t, q, q0 + _Q_SLACK) for t, q in series if q > q0 + _Q_SLACK
     )
     return series, MonitorVerdict(not failures, failures)
 

@@ -68,6 +68,7 @@ from .torus import (
 )
 
 _MAX_REJECTIONS = 20
+_MAX_FIELD_SNAPSHOTS = 96  # more halve the kept snapshots and double the stride
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ class FlowConfig:
     snapshot_stride: int = 50
     allow_degenerate: bool = False
     fixed_dt: Optional[float] = None  # testing hook; bypasses the adaptive rule
-    max_field_snapshots: int = 96
 
     def __post_init__(self):
         # comparisons written so that nan fails them too
@@ -308,23 +308,16 @@ class _SplitKernel:
 
 
 def _support_candidates(p, q):
-    """Hull vertices of the 2-D cloud {(p_j, q_j)}: the only points that can
-    maximise a linear functional.  Product presets generate collinear
-    clouds, which reduce to segment endpoints."""
+    """Points of the 2-D cloud {(p_j, q_j)} that can maximise a linear
+    functional.  Product presets generate collinear clouds, which reduce to
+    the segment's endpoints; any other cloud is returned whole."""
     pts = np.column_stack([p.ravel(), q.ravel()])
     d = pts - pts.mean(0)
     w, v = np.linalg.eigh(d.T @ d)
     if w[0] <= 1e-24 * max(w[1], 1e-300):
         t = d @ v[:, 1]
         return pts[[int(t.argmin()), int(t.argmax())]]
-    # imported here: scipy.spatial costs megabytes and set-up time, and
-    # product presets never reach this line
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except QhullError:
-        return pts
+    return pts
 
 
 def _split_pairwise_abs_max(u1, v1, p2, q2):
@@ -489,7 +482,7 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         idx = len(rows) - 1
         if force or idx % snap_mult == 0:
             snapshots.append((t, kernel.wrap(raw.copy())))
-            if len(snapshots) > cfg.max_field_snapshots:
+            if len(snapshots) > _MAX_FIELD_SNAPSHOTS:
                 del snapshots[1::2]
                 snap_mult *= 2
 

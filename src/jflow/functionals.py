@@ -167,13 +167,17 @@ def E_aubin_yau(phi, chi0):
     return integrate(wedge_density(p, total))
 
 
-def scalar_curvature(chi, margin_tol=1e-10):
+# the smallest positivity margin at which the scalar curvature is taken
+_CURVATURE_MARGIN = 1e-10
+
+
+def scalar_curvature(chi):
     """Scalar curvature of a positive (1,1)-form field.
 
     R = tr_chi Ric with Ric = -dd^c log det(chi); flat backgrounds give 0.
     """
     margin = positivity_margin(chi)
-    if margin <= margin_tol:
+    if margin <= _CURVATURE_MARGIN:
         raise PositivityError(
             f"scalar_curvature: form not positive (margin {margin:.3e})",
             margin=margin,
@@ -190,7 +194,7 @@ def mean_scalar_curvature(chi):
     return num / integrate(vol)
 
 
-def mabuchi_path(phi, chi0, steps=16, rbar=None, margin_tol=1e-10):
+def mabuchi_path(phi, chi0, steps=16, rbar=None):
     """Mabuchi energy along the linear path; every intermediate form must
     stay positive.  ``rbar`` defaults to the average scalar curvature of
     the background."""
@@ -205,7 +209,7 @@ def mabuchi_path(phi, chi0, steps=16, rbar=None, margin_tol=1e-10):
     for j in range(steps + 1):
         s = j / steps
         chi_s = chi0r.add(hess.scale(s))
-        r_s = scalar_curvature(chi_s, margin_tol=margin_tol)
+        r_s = scalar_curvature(chi_s)
         vol = wedge_density(chi_s, chi_s).values
         samples.append(-4.0 * float(np.mean(p * (r_s.values - rbar) * vol)))
     return _romberg(samples)
@@ -236,7 +240,7 @@ class FunctionalReport:
         }
 
 
-def evaluate_suite(phi, chi0, omega0, c0, steps=16, with_mabuchi=True):
+def evaluate_suite(phi, chi0, omega0, c0, steps=16):
     """FunctionalReport for one potential; Mabuchi is skipped (with a note)
     when some path form loses positivity."""
     j = J_closed(phi, chi0, omega0, c0)
@@ -244,12 +248,11 @@ def evaluate_suite(phi, chi0, omega0, c0, steps=16, with_mabuchi=True):
     e = E_aubin_yau(phi, chi0)
     m = f = None
     notes = ""
-    if with_mabuchi:
-        try:
-            m = mabuchi_path(phi, chi0, steps=steps)
-            f = m - j
-        except PositivityError as err:
-            notes = f"mabuchi skipped: {err}"
+    try:
+        m = mabuchi_path(phi, chi0, steps=steps)
+        f = m - j
+    except PositivityError as err:
+        notes = f"mabuchi skipped: {err}"
     return FunctionalReport(j, i, e, m, f, steps, notes)
 
 

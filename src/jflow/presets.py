@@ -50,6 +50,11 @@ FAMILY_BUDGETS = {
 # only, so the presets carry their own pair.
 PRESET_QMONITOR = {"A": 4.0, "delta": 0.5}
 
+# random initial potentials: modes drawn per factor (twice as many on the
+# 4-D lattice), and the share of chi0's positivity margin they may use up
+_RANDOM_MODES = 4
+_RANDOM_MARGIN_FRAC = 0.5
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -103,8 +108,8 @@ def smooth_profile(fgrid):
     return np.broadcast_to(1.0 + 0.5 * np.sin(2 * np.pi * x), fgrid.shape).copy()
 
 
-def _split_divisor(fgrid, rho=0.5, beta=1.0):
-    """Divisor model for the split degenerate preset.
+def make_divisor(fgrid, rho=0.5, beta=1.0):
+    """Divisor model of the split degenerate preset on a factor lattice.
 
     R_H = (1/rho)(omega0 - diag(1-rho, 1)) = diag((f - (1-rho))/rho, 0); its
     class is diag(1, 0) = c1([D]) and omega0 - rho R_H = diag(1-rho, 1).
@@ -114,11 +119,6 @@ def _split_divisor(fgrid, rho=0.5, beta=1.0):
     r_h = SplitForm.from_profiles(fgrid, f=r1, g=None)
     r_h = SplitForm(fgrid, 1.0, 0.0, r_h.p1, np.zeros(fgrid.shape))
     return DivisorModel(beta=beta, rho=rho, r_h=r_h)
-
-
-def make_divisor(fgrid, rho=0.5, beta=1.0):
-    """Public hook for divisor models with non-default rho/beta."""
-    return _split_divisor(fgrid, rho=rho, beta=beta)
 
 
 def preset_grid(name, n, offsets=None):
@@ -153,7 +153,7 @@ def build_preset(name, n=None, offsets=None):
         return Problem(name, one, omega0, one)
 
     omega0 = SplitForm.from_profiles(fgrid, f=degenerate_profile(fgrid))
-    degenerate = Problem(name, one, omega0, one, _split_divisor(fgrid))
+    degenerate = Problem(name, one, omega0, one, make_divisor(fgrid))
     if name == "degenerate_split":
         return degenerate
 
@@ -168,12 +168,12 @@ def build_preset(name, n=None, offsets=None):
     return Problem(name, chi0, full.omega0, full.omega_hat, full.divisor)
 
 
-def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.5):
+def random_bandlimited_potential(problem, rng, kmax=2):
     """Random trigonometric initial potential keeping chi_phi positive.
 
     Draws a handful of low-frequency modes and rescales so the positivity
-    margin of chi0 + dd^c(phi) stays above ``margin_frac`` times chi0's own
-    margin.  Deterministic given the rng state.
+    margin of chi0 + dd^c(phi) stays above half of chi0's own margin.
+    Deterministic given the rng state.
     """
     if problem.backend == "split":
         fgrid = problem.grid
@@ -181,7 +181,7 @@ def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.
         for _ in range(2):
             x, y = fgrid.coords()
             v = np.zeros(fgrid.shape)
-            for _ in range(n_modes):
+            for _ in range(_RANDOM_MODES):
                 kx, ky = rng.integers(-kmax, kmax + 1, size=2)
                 if kx == 0 and ky == 0:
                     continue
@@ -189,13 +189,13 @@ def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.
                 v = v + rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y) + phase)
             parts.append(v)
         phi = SplitPotential(fgrid, parts[0], parts[1])
-        scale = _positive_scale(problem.to_full(), phi.assemble(), margin_frac)
+        scale = _positive_scale(problem.to_full(), phi.assemble())
         return SplitPotential(fgrid, scale * parts[0], scale * parts[1])
 
     grid = problem.grid
     x = grid.coords()
     v = np.zeros(grid.shape)
-    for _ in range(2 * n_modes):
+    for _ in range(2 * _RANDOM_MODES):
         k = rng.integers(-kmax, kmax + 1, size=4)
         if not np.any(k):
             continue
@@ -203,13 +203,13 @@ def random_bandlimited_potential(problem, rng, kmax=2, n_modes=4, margin_frac=0.
         arg = sum(2 * np.pi * ki * xi for ki, xi in zip(k, x))
         v = v + rng.normal() * np.cos(arg + phase)
     phi = ScalarField(grid, v)
-    scale = _positive_scale(problem, phi, margin_frac)
+    scale = _positive_scale(problem, phi)
     return ScalarField(grid, scale * v)
 
 
-def _positive_scale(full_problem, phi, margin_frac):
+def _positive_scale(full_problem, phi):
     base = positivity_margin(full_problem.chi0.realized)
     hess_margin = positivity_margin(complex_hessian(phi))
     if hess_margin >= 0.0:
         return 1.0
-    return min(1.0, (1.0 - margin_frac) * base / (-hess_margin))
+    return min(1.0, (1.0 - _RANDOM_MARGIN_FRAC) * base / (-hess_margin))

@@ -18,6 +18,7 @@ from jflow.cli import (
     write_record,
 )
 from jflow.errors import ConfigError
+from jflow.io import read_field
 from jflow.presets import PRESET_NAMES
 
 KNOWN_KEYS = sorted(_TOP_KEYS) + sorted(
@@ -257,6 +258,15 @@ class TestExecute:
         stored = read_record(tmp_path / "run.json")
         assert stored.verdicts == record.verdicts
 
+    def test_nonsplit_snapshot_keeps_four_offsets(self, tmp_path):
+        cfg = parse_config(
+            f"preset=nonsplit_perturbed, N=8, out={tmp_path}, eps=[0.1],"
+            " offsets=[0.01, 0.02, 0.03, 0.04], flow.max_time=0.002"
+        )
+        execute(cfg, "run")
+        final = read_field(tmp_path / "fields" / "final.jflw")
+        assert final.grid.offsets == (0.01, 0.02, 0.03, 0.04)
+
 
 class TestMain:
     def test_cli_flags_override(self, tmp_path, capsys):
@@ -308,6 +318,34 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", "preset=degenerate_split, N=8, eps=[0.2], offsets=[0.2, 0.2]"),
+        ("run", "preset=identity, offsets=[0.01, 0.01]"),
+        ("run", "preset=smooth_split, N=8, offsets=[0.01, 0.01, 0.01, 0.01]"),
+        ("check-classes", "n=8, chi0.class=[1,1,0,0], offsets=[0.01, 0.01]"),
+    ])
+    def test_bad_offsets_exit_2(self, tmp_path, monkeypatch, capsys, command, text):
+        # a wrong offset count for the preset's lattice, or an offset outside
+        # [0, 1/N), is a config error before anything runs or is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{text}\n")
+        code = main(["--command", command, "--config", "run.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: offsets:" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_numeric_out_flag_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["--command", "check-classes", "--preset", "identity", "--out", "2024"])
+        assert code == 0
+        assert read_record(tmp_path / "2024" / "run.json").ok
+        # the flag also replaces a config file's out, whatever its value
+        (tmp_path / "run.cfg").write_text("preset=identity\nout=2025\n")
+        code = main(["--command", "check-classes", "--config", "run.cfg", "--out", "2026"])
+        assert code == 0
+        assert (tmp_path / "2026" / "run.json").exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "wrong"])

@@ -6,6 +6,7 @@ from jflow.diagnostics import compare_up_to_constant
 from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
 from jflow.flow import (
     FlowConfig,
+    _split_pairwise_abs_max,
     adaptive_dt,
     epsilon_family,
     evolve,
@@ -409,6 +410,27 @@ class TestMaxPrincipleMonitor:
             pytest.skip("run produced enough rows")
         with pytest.raises(ValueError):
             max_principle_monitor(traj)
+
+
+class TestSplitPairwiseAbsMax:
+    """The split critical residual's sup over the product grid against the
+    brute-force sup over all (z1, z2) pairs."""
+
+    @staticmethod
+    def brute(u1, v1, p2, q2):
+        return np.abs(np.multiply.outer(u1, p2) + np.multiply.outer(v1, q2)).max()
+
+    def test_collinear_cloud(self):
+        # the split kernel's cloud (g - c B, B) with constant g: a segment
+        rng = np.random.default_rng(31)
+        u1, v1 = rng.normal(size=(2, 8, 8))
+        b = 1.0 + 0.3 * rng.normal(size=(8, 8))
+        p2, q2 = 1.2 - 2.5 * b, b
+        assert _split_pairwise_abs_max(u1, v1, p2, q2) == self.brute(u1, v1, p2, q2)
+
+    def test_random_cloud(self):
+        u1, v1, p2, q2 = np.random.default_rng(32).normal(size=(4, 8, 8))
+        assert _split_pairwise_abs_max(u1, v1, p2, q2) == self.brute(u1, v1, p2, q2)
 
 
 class TestUniqueness:
