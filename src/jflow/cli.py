@@ -86,11 +86,11 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+# the flow, ma and q keys are the fields of the library's config types
 _SECTION_KEYS = {
-    "flow": {"dt_safety", "stop_tolerance", "max_time", "snapshot_stride",
-             "allow_degenerate", "fixed_dt"},
-    "ma": {"newton_tol", "max_newton", "linear_tol", "damping"},
-    "q": {"a", "delta", "c0_shift"},
+    "flow": {f.name for f in dc_fields(FlowConfig)} - {"eps"},
+    "ma": {f.name for f in dc_fields(MASolverConfig)},
+    "q": {f.name for f in dc_fields(QMonitorConfig)},
     "budget": {"sup_phi", "sup_phidot"},
     "chi0": {"class", "modes"},
     "omega0": {"class", "modes"},

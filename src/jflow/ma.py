@@ -11,7 +11,12 @@ so a converged Newton solution is an independent check on the flow limit.
 Newton runs on the log-quotient G(psi) = log (A_psi)^2 - log (target)^2,
 whose linearization is the variable-coefficient complex Laplacian
 c tr_{A_psi} dd^c; each step is solved by GMRES preconditioned with the
-constant-coefficient operator built from the mean of A_psi.
+constant-coefficient operator built from the mean of A_psi.  For product
+data the equation factorises into log(a_i + c dd^c psi_i) = log t_i on each
+factor, whose linearization is a Poisson solve; the two factors are one
+stacked (2, n, n) problem.  Both backends run the same damped Newton loop,
+``_damped_newton``: one positivity check, one backtracking line search and
+one set of failure errors.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import ConeConditionError, MAConvergenceError, PositivityError
-from .split import SplitPotential, factor_hessian
+from .split import SplitPotential
 from .torus import (
     Grid,
     ScalarField,
@@ -40,14 +45,10 @@ from .torus import (
 class MASolverConfig:
     newton_tol: float = 1e-10   # sup norm of the log residual
     max_newton: int = 50
-    linear_tol: float = 1e-12
-    damping: float = 0.5        # backtracking factor, with positivity safeguard
 
     def __post_init__(self):
-        if not (self.newton_tol > 0 and self.linear_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping factor must lie in (0, 1)")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol must be positive")
         if not isinstance(self.max_newton, int) or self.max_newton < 1:
             raise ValueError("max_newton must be an integer >= 1")
 
@@ -105,7 +106,10 @@ def split_critical(f, g, x11=1.0, x22=1.0, fgrid=None):
 
 
 # --------------------------------------------------------------------------
-# Newton solver, full backend
+# Newton solver
+
+_DAMPING = 0.5       # line-search factor: the step halves after each refused trial
+_LINEAR_TOL = 1e-12  # floor of the GMRES relative tolerance
 
 
 def _gauge(psi, gauge):
@@ -122,6 +126,55 @@ class MASolution:
 
     def residual(self):
         return self.residuals[-1] if self.residuals else np.inf
+
+
+def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
+    """Damped Newton on the log residual G from the mean-zero start psi.
+
+    ``evaluate(p)`` gives (A_p, positivity margin of A_p, G(p)), with G
+    None where the margin is not positive; ``direction(G, A, sup|G|)``
+    gives the Newton step and the GMRES ``info`` of its linear solve (0 for
+    a direct solve).  The trial psi + s delta is recentred to mean zero on
+    each grid block (the last ``grid_ndim`` axes) and accepted when its A is
+    positive and sup|G| decreases or reaches ``newton_tol``; s is halved
+    after each refused trial, 40 times at most.  Converging on the last of
+    the ``max_newton`` iterations is success.  Returns (psi, residuals).
+    """
+    block = tuple(range(-grid_ndim, 0))
+    a, m, g_res = evaluate(psi)
+    if m <= 0.0:
+        raise PositivityError(
+            f"{name}: initial A_psi not positive (margin {m:.3e})", margin=m
+        )
+    residuals = [float(np.abs(g_res).max())]
+    while residuals[-1] > cfg.newton_tol:
+        if len(residuals) > cfg.max_newton:
+            raise MAConvergenceError(
+                f"{name}: not converged in {cfg.max_newton} iterations "
+                f"(residual {residuals[-1]:.3e})",
+                residuals=residuals,
+            )
+        delta, info = direction(g_res, a, residuals[-1])
+        s = 1.0
+        for _ in range(40):
+            trial = psi + s * delta
+            trial -= trial.mean(block, keepdims=True)
+            a_trial, m, g_trial = evaluate(trial)
+            if m > 0.0:
+                r_trial = float(np.abs(g_trial).max())
+                if r_trial < residuals[-1] or r_trial <= cfg.newton_tol:
+                    break
+            s *= _DAMPING
+        else:
+            unconverged = f" after an unconverged GMRES solve (info={info})" if info else ""
+            raise MAConvergenceError(
+                f"{name}: no acceptable damped step at iteration "
+                f"{len(residuals) - 1}{unconverged}",
+                residuals=residuals,
+            )
+        psi, a, g_res = trial, a_trial, g_trial
+        residuals.append(r_trial)
+    return psi, residuals
 
 
 def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
@@ -156,56 +209,22 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     ops = SpectralOps.of(grid)
     base = a_real.components()
 
-    def a_field(p):
-        return ops.hessian(p, base=base, c=c)
+    def evaluate(p):
+        a = ops.hessian(p, base=base, c=c)
+        m = float(_lam_lo(a).min())
+        return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
 
-    a = a_field(psi)
-    m = float(_lam_lo(a).min())
-    if m <= 0.0:
-        raise PositivityError(
-            f"solve_ma: initial A_psi not positive (margin {m:.3e})", margin=m
-        )
-    g_res = np.log(2.0 * _det(a)) - log_t
-    residuals = [float(np.abs(g_res).max())]
+    def direction(g_res, a, res_sup):
+        return _newton_direction(g_res, a, c, ops, res_sup)
 
-    for iteration in range(cfg.max_newton):
-        if residuals[-1] <= cfg.newton_tol:
-            break
-        delta = _newton_direction(g_res, a, c, ops, cfg, residuals[-1])
-        # backtracking: keep A positive and require residual decrease
-        s = 1.0
-        accepted = False
-        for _ in range(40):
-            trial = psi + s * delta
-            trial -= trial.mean()
-            a_trial = a_field(trial)
-            if _lam_lo(a_trial).min() > 0.0:
-                g_trial = np.log(2.0 * _det(a_trial)) - log_t
-                r_trial = float(np.abs(g_trial).max())
-                if r_trial < residuals[-1] or r_trial <= cfg.newton_tol:
-                    accepted = True
-                    break
-            s *= cfg.damping
-        if not accepted:
-            raise MAConvergenceError(
-                f"solve_ma: no acceptable damped step at iteration {iteration}",
-                residuals=residuals,
-            )
-        psi, a, g_res = trial, a_trial, g_trial
-        residuals.append(r_trial)
-    else:
-        raise MAConvergenceError(
-            f"solve_ma: not converged in {cfg.max_newton} iterations "
-            f"(residual {residuals[-1]:.3e})",
-            residuals=residuals,
-        )
-
+    psi, residuals = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
     out = ScalarField(grid, psi)
     return MASolution(_gauge(out, gauge), residuals, len(residuals) - 1)
 
 
-def _newton_direction(g_res, a, c, ops, cfg, res_sup):
-    """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero)."""
+def _newton_direction(g_res, a, c, ops, res_sup):
+    """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero);
+    returns (delta, GMRES info)."""
     shape, sym = ops.shape, ops.hessian_syms
     size = g_res.size
 
@@ -223,30 +242,26 @@ def _newton_direction(g_res, a, c, ops, cfg, res_sup):
     rhs = -(g_res - g_res.mean()).ravel()
     op = LinearOperator((size, size), matvec=lambda p: matvec(p.reshape(shape)))
     pre = LinearOperator((size, size), matvec=precond)
-    # inexact Newton: modest relative tolerance early, cfg.linear_tol near the end
-    rtol = float(np.clip(0.01 * res_sup, cfg.linear_tol, 1e-2))
+    # inexact Newton: modest relative tolerance early, _LINEAR_TOL near the end
+    rtol = float(np.clip(0.01 * res_sup, _LINEAR_TOL, 1e-2))
     delta, info = gmres(op, rhs, M=pre, rtol=rtol, atol=0.0, restart=60, maxiter=40)
     if info != 0 and not np.all(np.isfinite(delta)):
         raise MAConvergenceError(f"solve_ma: GMRES breakdown (info={info})")
     delta = delta.reshape(shape)
-    return delta - delta.mean()
-
-
-# --------------------------------------------------------------------------
-# Newton solver, split backend
+    return delta - delta.mean(), info
 
 
 def solve_ma_split(alpha, c, target, cfg=None, gauge="mean"):
     """Split-mode Monge-Ampere solve: the product equation factorises into
-    one log-linear equation per factor, each solved by a damped Newton
-    iteration whose linear step is a constant-coefficient Poisson solve.
+    one log-linear equation log(a_i + c dd^c psi_i) = log(t_i) per factor.
+    Both are solved as one stacked (2, n, n) Newton problem whose linear
+    step is a constant-coefficient Poisson solve per factor.
 
     The partition constant kappa between the factors is fixed by the class
     means (the factor problems must each balance in cohomology).
     """
     cfg = cfg or MASolverConfig()
     fgrid = alpha.grid
-    a1, a2 = alpha.profiles()
     f, g = target.profiles()
     floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
     if f.min() <= floor or g.min() <= floor:
@@ -255,63 +270,31 @@ def solve_ma_split(alpha, c, target, cfg=None, gauge="mean"):
             margin=float(min(f.min(), g.min())),
         )
     kappa = alpha.a1 / float(f.mean())
-    psi1, res1 = _factor_newton(fgrid, a1, c, kappa * f, cfg)
-    psi2, res2 = _factor_newton(fgrid, a2, c, g / kappa, cfg)
-    k = max(len(res1), len(res2))
-    ext = lambda r: r + [r[-1]] * (k - len(r))
-    residuals = [max(x, y) for x, y in zip(ext(res1), ext(res2))]
+    side = np.stack(alpha.profiles())
+    goal = np.stack((kappa * f, g / kappa))
+    side_mean, goal_mean = side.mean((1, 2)), goal.mean((1, 2))
+    if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
+        raise ValueError("solve_ma_split: class means of side and target disagree")
+    log_t = np.log(goal)
+    ops = SpectralOps.of(fgrid)
+
+    def evaluate(p):
+        a = side + c * ops.laplacian(p)
+        m = float(a.min())
+        return a, m, (np.log(a) - log_t if m > 0.0 else None)
+
+    def direction(g_res, a, res_sup):
+        # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G on
+        # each factor; divide drops each factor's mean mode (solvability)
+        return ops.divide(-a * g_res) / c, 0
+
+    psi, residuals = _damped_newton(
+        "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
+    )
     if gauge == "sup":
-        psi = SplitPotential(fgrid, psi1 - psi1.max(), psi2 - psi2.max())
-    else:
-        psi = SplitPotential(fgrid, psi1, psi2).mean_normalized()
-    return MASolution(psi, residuals, len(residuals) - 1)
-
-
-def _factor_newton(fgrid, a, c, target, cfg):
-    """Newton on log(a + c dd^c psi) = log(target) for one factor."""
-    if abs(float(a.mean()) - float(target.mean())) > 1e-8 * abs(float(target.mean())):
-        raise ValueError("factor Newton: class means of side and target disagree")
-    log_t = np.log(target)
-    psi = np.zeros(fgrid.shape)
-    a_cur = a.copy()
-    if a_cur.min() <= 0.0:
-        raise PositivityError(
-            f"solve_ma_split: factor side not positive (min {a_cur.min():.3e})",
-            margin=float(a_cur.min()),
-        )
-    g_res = np.log(a_cur) - log_t
-    residuals = [float(np.abs(g_res).max())]
-    for _ in range(cfg.max_newton):
-        if residuals[-1] <= cfg.newton_tol:
-            break
-        # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G
-        rhs = -a_cur * g_res
-        rhs -= rhs.mean()
-        delta = poisson_solve(ScalarField(fgrid, rhs)).values / c
-        s = 1.0
-        accepted = False
-        for _ in range(40):
-            trial = psi + s * delta
-            a_trial = a + c * factor_hessian(fgrid, trial)
-            if a_trial.min() > 0.0:
-                g_trial = np.log(a_trial) - log_t
-                r_trial = float(np.abs(g_trial).max())
-                if r_trial < residuals[-1] or r_trial <= cfg.newton_tol:
-                    accepted = True
-                    break
-            s *= cfg.damping
-        if not accepted:
-            raise MAConvergenceError(
-                "solve_ma_split: no acceptable damped step", residuals=residuals
-            )
-        psi, a_cur, g_res = trial, a_trial, g_trial
-        residuals.append(r_trial)
-    else:
-        raise MAConvergenceError(
-            f"solve_ma_split: not converged in {cfg.max_newton} iterations",
-            residuals=residuals,
-        )
-    return psi - psi.mean(), residuals
+        psi = psi - psi.max((1, 2), keepdims=True)
+    return MASolution(SplitPotential(fgrid, psi[0], psi[1]), residuals,
+                      len(residuals) - 1)
 
 
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None, gauge="mean"):

@@ -154,6 +154,7 @@ class SpectralOps:
         self.grid = grid
         self.shape = grid.shape
         self.axes = tuple(range(len(self.shape)))
+        self._block = tuple(range(-len(self.shape), 0))  # the grid axes, from the end
         n = grid.n
         half = (slice(None),) * (len(self.shape) - 1) + (slice(0, n // 2 + 1),)
         lap = grid.laplace_symbol()
@@ -192,8 +193,7 @@ class SpectralOps:
         out = self._d2_along(u, axes[0])
         for axis in axes[1:]:
             out += self._d2_along(u, axis)
-        block = tuple(range(-len(self.shape), 0))
-        out -= out.sum(block, keepdims=True) / self.grid.n ** len(self.shape)
+        out -= out.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
         return out
 
     def hessian(self, v, base=None, c=None):
@@ -222,14 +222,15 @@ class SpectralOps:
 
     def divide(self, v, sym=None):
         """Mean-zero inverse of a symbol (the Laplacian's by default) applied
-        to raw values v: the mean mode is dropped, not divided."""
+        to raw values v: the mean mode is dropped, not divided.  Axes of v
+        before the grid's are batch axes, as in ``laplacian``."""
         sym = self.laplace if sym is None else sym
         safe = sym.copy()
         safe[(0,) * len(self.shape)] = 1.0
-        f = sfft.rfftn(v, axes=self.axes)
+        f = sfft.rfftn(v, axes=self._block)
         f /= safe
-        f[(0,) * len(self.shape)] = 0.0
-        return sfft.irfftn(f, s=self.shape, axes=self.axes)
+        f[(Ellipsis,) + (0,) * len(self.shape)] = 0.0
+        return sfft.irfftn(f, s=self.shape, axes=self._block)
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="preset or explicit"):
             parse_config("n=8")
 
+    def test_fixed_newton_constants_are_not_keys(self):
+        # the line-search factor and the GMRES tolerance floor are constants
+        for key in ("ma.damping", "ma.linear_tol"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'ma'"):
+                parse_config(f"preset=identity, {key}=0.5")
+
     def test_backend_is_not_a_key(self):
         # the preset alone picks the backend
         with pytest.raises(ConfigError, match="unknown key: 'backend'"):
             parse_config("preset=smooth_split, N=8, backend=full")
 
     @pytest.mark.parametrize("text, section", [
-        ("preset=identity, N=4, ma.damping=2", "ma"),
+        ("preset=identity, N=4, ma.newton_tol=-1", "ma"),
         ("preset=identity, flow.snapshot_stride=0", "flow"),
         ("preset=identity, flow.max_time=abc", "flow"),
         ("preset=degenerate_split, q.a=0.5", "q"),
@@ -206,6 +212,32 @@ class TestExecute:
         assert (tmp_path / "newton.csv").exists()
         assert (tmp_path / "fields" / "psi-eps0.jflw").exists()
 
+    def test_family_end_to_end(self, tmp_path):
+        cfg = parse_config(
+            f"preset=degenerate_split, N=8, out={tmp_path}, eps=[0.2, 0.1],"
+            " flow.max_time=0.2, flow.dt_safety=0.8, offsets=[0.01, 0.01]"
+        )
+        record, code = execute(cfg, "family")
+        assert code == 0 and not record.failures
+        assert record.verdicts["all_members_ran"] and record.verdicts["uniform_bounds"]
+        for eps in ("0.2", "0.1"):
+            assert (tmp_path / f"series-eps{eps}.csv").exists()
+            assert read_field(tmp_path / "fields" / f"final-eps{eps}.jflw").grid.n == 8
+            for verdict in ("max_principle", "trace_bound", "j_nonincreasing", "q_monitor"):
+                assert record.verdicts[f"eps={eps}:{verdict}"]
+        assert len(record.verdicts) == 10
+        assert record.scalars["max_sup_phidot"] > record.scalars["max_sup_phi"] > 0.0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {"family", "uniformity"}
+        assert set(report["family"]) == {
+            "eps", "sup_phi_by_eps", "sup_phidot_by_eps", "consecutive_diffs",
+            "failures", "final_residuals"}
+        assert report["family"]["eps"] == [0.2, 0.1]
+        assert set(report["uniformity"]) == {
+            "sup_phi_by_eps", "sup_phidot_by_eps", "trace_bound_ok", "gamma_fit",
+            "q_max_series", "notes", "ok", "failures"}
+        assert report["uniformity"]["ok"]
+
     def test_functionals_on_snapshot(self, tmp_path):
         cfg = parse_config(
             f"preset=smooth_split, N=8, out={tmp_path},"
@@ -287,7 +319,7 @@ class TestMain:
         assert "family" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text", [
-        ("solve-ma", "preset=identity, N=4, ma.damping=2"),
+        ("solve-ma", "preset=identity, N=4, ma.newton_tol=-1"),
         ("run", "preset=identity, N=4, flow.snapshot_stride=0"),
         ("run", "preset=identity, N=4, flow.max_time=abc"),
         ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=0.5"),

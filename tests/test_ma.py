@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from jflow.cohomology import CohomologyClass, c_constant, class_pairing, epsilon_form
-from jflow.errors import ConeConditionError, PositivityError
+from jflow import ma
+from jflow.errors import ConeConditionError, MAConvergenceError, PositivityError
 from jflow.flow import FlowConfig, evolve
 from jflow.ma import (
     MASolverConfig,
@@ -245,6 +246,56 @@ class TestSolveMA:
         pb = build_preset("degenerate_split", n=8)
         with pytest.raises(PositivityError, match="continuation"):
             solve_ma_split(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
+
+
+def _nonsplit_problem(eps=0.1):
+    pb = build_preset("nonsplit_perturbed", n=8)
+    w = epsilon_form(pb.omega0, eps, pb.omega_hat)
+    c = c_constant(pb.chi0_class(), pb.omega_eps_class(eps))
+    return build_alpha(pb.chi0, w, c), c, w
+
+
+class TestNewtonLoop:
+    """The damped Newton loop both solvers share: iteration budget and
+    failure reports."""
+
+    def test_converging_on_last_iteration_is_success_split(self):
+        pb = build_preset("smooth_split", n=16)
+        c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
+        alpha = build_alpha(pb.chi0, pb.omega0, c)
+        sol = solve_ma_split(alpha, c, pb.omega0, MASolverConfig(max_newton=5))
+        assert sol.newton_iterations == 5
+        assert sol.residual() <= 1e-10
+        with pytest.raises(MAConvergenceError, match="not converged in 4 iterations"):
+            solve_ma_split(alpha, c, pb.omega0, MASolverConfig(max_newton=4))
+
+    def test_converging_on_last_iteration_is_success_full(self):
+        alpha, c, w = _nonsplit_problem()
+        sol = solve_ma(alpha, c, w, MASolverConfig(max_newton=6))
+        assert sol.newton_iterations == 6
+        assert sol.residual() <= 1e-10
+
+    def test_iteration_budget_exhausted(self):
+        alpha, c, w = _nonsplit_problem()
+        with pytest.raises(MAConvergenceError, match="not converged in 1 iterations") as err:
+            solve_ma(alpha, c, w, MASolverConfig(max_newton=1))
+        assert len(err.value.residuals) == 2
+        assert err.value.residuals[1] < err.value.residuals[0]
+
+    def test_failed_line_search_names_unconverged_gmres(self, monkeypatch):
+        # an ascent direction from a GMRES solve reported as unconverged:
+        # no damped step is acceptable, and the error says why
+        gmres = ma.gmres
+
+        def ascent(*args, **kwargs):
+            x, _ = gmres(*args, **kwargs)
+            return -x, 1
+
+        monkeypatch.setattr(ma, "gmres", ascent)
+        alpha, c, w = _nonsplit_problem()
+        with pytest.raises(MAConvergenceError,
+                           match=r"iteration 0 after an unconverged GMRES solve \(info=1\)"):
+            solve_ma(alpha, c, w)
 
 
 class TestThetaComparison:

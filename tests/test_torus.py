@@ -225,6 +225,15 @@ class TestSpectralOps:
             ref = np.stack([ops.laplacian(v[0].copy()), ops.laplacian(v[1].copy())])
             assert np.array_equal(ops.laplacian(v), ref)
 
+    @pytest.mark.parametrize("n", (4, 8, 12, 32))
+    def test_stacked_divide_is_per_block(self, n):
+        # the split Newton step divides both factors in one call
+        ops = SpectralOps.of(Grid(n, (0.0, 0.0)))
+        v = np.random.default_rng(25).normal(size=(2, n, n))
+        ref = np.stack([ops.divide(v[0].copy()), ops.divide(v[1].copy())])
+        assert np.array_equal(ops.divide(v), ref)
+        assert np.abs(ref.mean((1, 2))).max() < 1e-15
+
     @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
     def test_second_derivatives_have_zero_mean(self, g):
         ops = SpectralOps.of(g)
