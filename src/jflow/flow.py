@@ -7,8 +7,9 @@ its epsilon-regularised family driver, and the maximum-principle monitors.
 Time stepping is classical explicit RK4 with an eigenvalue-based step-size
 rule.  One loop, ``_advance``, takes every step: it works on the kernel's
 raw arrays, and a step whose endpoint is not finite or loses positivity
-(off the divisor locus) is rejected and retried at half the step, up to
-twenty times before it raises DegenerateStiffnessError.  ``step`` wraps one
+(at eps = 0 only off the divisor locus, where omega_0 degenerates) is
+rejected and retried at half the step, up to twenty times before it raises
+DegenerateStiffnessError.  ``step`` wraps one
 such step as a FlowState; ``evolve`` calls it in a loop on the raw arrays
 and wraps the potential only where it records a snapshot.  A single run is
 sequential with data-parallel pointwise kernels; family members are
@@ -102,14 +103,19 @@ class FlowConfig:
 class HistoryRow:
     t: float
     sup_phi: float
-    sup_phidot: float
     j: float
     i: float
     margin: float
-    residual: float
     max_phidot: float
     min_phidot: float
     j_rate: float
+
+    @property
+    def sup_phidot(self):
+        """sup |phi_dot|, also the row's residual of the flow equation."""
+        return max(self.max_phidot, -self.min_phidot)
+
+    residual = sup_phidot
 
     def csv_values(self):
         return (self.t, self.sup_phi, self.sup_phidot, self.j, self.i,
@@ -126,12 +132,19 @@ class Trajectory:
     rows: list
     snapshots: list  # (t, potential) pairs, potential per backend
     final: object
-    final_residual: float
     stop_reason: str
     steps: int
     rejections: int
-    sup_phidot0: float
     chi0_form: object = None  # background form, for snapshot re-analysis
+
+    @property
+    def sup_phidot0(self):
+        return self.rows[0].sup_phidot
+
+    @property
+    def final_residual(self):
+        """sup |phi_dot| at the end (the last row is the final state)."""
+        return self.rows[-1].residual
 
     def final_potential(self):
         """Final potential as a 4-D ScalarField regardless of backend."""
@@ -170,7 +183,8 @@ class _FullKernel:
         self._w_det = _det(self._w)
         self._kmax2 = (np.pi * grid.n) ** 2
         self._off = None
-        if divisor is not None:
+        if divisor is not None and cfg.eps == 0.0:
+            # omega_eps > 0 on the divisor for eps > 0: no exemption then
             mask = ~divisor.locus_mask(grid)
             if not mask.all():
                 self._off = mask
@@ -193,7 +207,7 @@ class _FullKernel:
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
-        """(rhs, chi, margin_off, finite) in one pass."""
+        """(rhs, chi, positivity margin, finite) in one pass."""
         chi = self.chi(v)
         rhs = self._rhs(chi)
         lam_lo = _lam_lo(chi)
@@ -252,7 +266,7 @@ class _SplitKernel:
         self._lap = SpectralOps.of(fgrid).laplacian
         self._kmax2 = (np.pi * fgrid.n) ** 2
         self._off = None
-        if divisor is not None:
+        if divisor is not None and cfg.eps == 0.0:
             # the divisor lies in the first factor: exempt it from A only
             mask = ~divisor.locus_mask(fgrid)
             if not mask.all():
@@ -275,7 +289,7 @@ class _SplitKernel:
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
-        """(rhs, chi, margin_off, finite) in one pass."""
+        """(rhs, chi, positivity margin, finite) in one pass."""
         chi = self.chi(v)
         rhs = self._rhs(chi)
         margin = float((chi if self._off is None else chi[self._off]).min())
@@ -472,13 +486,8 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     def record(force=False):
         nonlocal snap_mult
         hi, lo = kernel.extrema(rhs)
-        sup_pd = _sup(kernel, rhs)
         j, i, j_rate, crit = kernel.row_functionals(raw, rhs, chi)
-        rows.append(
-            HistoryRow(
-                t, _sup(kernel, raw), sup_pd, j, i, margin, sup_pd, hi, lo, j_rate,
-            )
-        )
+        rows.append(HistoryRow(t, _sup(kernel, raw), j, i, margin, hi, lo, j_rate))
         idx = len(rows) - 1
         if force or idx % snap_mult == 0:
             snapshots.append((t, kernel.wrap(raw.copy())))
@@ -487,7 +496,6 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
                 snap_mult *= 2
 
     record()
-    sup_phidot0 = rows[0].sup_phidot
     stop_reason = "max_time"
     # fixed-dt runs take a whole number of steps so that runs with dt and
     # dt/2 land on identical times (integrator-order checks)
@@ -522,11 +530,9 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         rows,
         snapshots,
         kernel.wrap(raw.copy()),
-        _sup(kernel, rhs),
         stop_reason,
         steps,
         rejections,
-        sup_phidot0,
         chi0_form=chi0,
     )
 

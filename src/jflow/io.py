@@ -38,12 +38,6 @@ def _write_atomic(path, write_fn, mode="wb"):
         raise
 
 
-def _write_header(fh, grid, ncomp):
-    fh.write(MAGIC)
-    fh.write(struct.pack(_HEAD, VERSION, grid.n, ncomp))
-    fh.write(struct.pack(_OFFSETS, *grid.offsets))
-
-
 def _read_header(fh, path):
     """(grid, component count) of a version 1 or 2 snapshot."""
     size = struct.calcsize(_HEAD)
@@ -61,21 +55,27 @@ def _read_header(fh, path):
     return Grid(n, struct.unpack(_OFFSETS, raw)), ncomp
 
 
-def write_scalar(path, field):
+def _write_snapshot(path, grid, comps):
+    if len(grid.offsets) != 4:
+        raise ValueError(f"{path}: JFLW snapshots hold fields on the 4-D lattice, "
+                         f"got a factor lattice {grid}; assemble the field first")
+
     def body(fh):
-        _write_header(fh, field.grid, 1)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-    _write_atomic(path, body)
-
-
-def write_hermitian(path, form):
-    def body(fh):
-        _write_header(fh, form.grid, 4)
-        for comp in (form.h11, form.h22, form.h12_re, form.h12_im):
+        fh.write(MAGIC)
+        fh.write(struct.pack(_HEAD, VERSION, grid.n, len(comps)))
+        fh.write(struct.pack(_OFFSETS, *grid.offsets))
+        for comp in comps:
             fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
 
     _write_atomic(path, body)
+
+
+def write_scalar(path, field):
+    _write_snapshot(path, field.grid, (field.values,))
+
+
+def write_hermitian(path, form):
+    _write_snapshot(path, form.grid, (form.h11, form.h22, form.h12_re, form.h12_im))
 
 
 def read_field(path):

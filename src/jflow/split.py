@@ -108,19 +108,6 @@ class SplitPotential:
     phi1: np.ndarray
     phi2: np.ndarray
 
-    @classmethod
-    def zeros(cls, grid):
-        z = np.zeros(grid.shape)
-        return cls(grid, z, z)
-
-    def mean(self):
-        return float(np.mean(self.phi1) + np.mean(self.phi2))
-
-    def sup(self):
-        hi = self.phi1.max() + self.phi2.max()
-        lo = self.phi1.min() + self.phi2.min()
-        return float(max(hi, -lo))
-
     def mean_normalized(self):
         return SplitPotential(
             self.grid, self.phi1 - np.mean(self.phi1), self.phi2 - np.mean(self.phi2)

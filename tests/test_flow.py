@@ -18,7 +18,7 @@ from jflow.flow import (
 from jflow.ma import split_critical
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
-from jflow.torus import Grid, ScalarField, complex_hessian, trace_with
+from jflow.torus import Grid, ScalarField, SpectralOps, complex_hessian, trace_with
 
 
 def smooth_cfg(**kw):
@@ -297,6 +297,39 @@ class TestEvolve:
         assert all(r.margin > 0 for r in traj.rows)  # off-locus margin
         js = [r.j for r in traj.rows]
         assert min(js) < js[0]  # dissipation dominates the early phase
+
+    def test_divisor_exempt_from_positivity_only_at_eps_zero(self):
+        # a spike in phi1 makes chi_phi = diag(1 + dd^c phi1, 1) non-positive
+        # at the on-grid divisor point z1 = 0 only
+        pb = build_preset("degenerate_split", n=8)
+        spike = np.zeros(pb.grid.shape)
+        spike[0, 0] = 1.0
+        ddc = SpectralOps.of(pb.grid).laplacian(spike)
+        a = 1.0 - 1.5 * ddc / ddc[0, 0]
+        assert a[0, 0] < 0.0 < np.sort(a.ravel())[1]
+        phi1 = -1.5 * spike / ddc[0, 0]
+        for problem, phi0 in (
+            (pb, SplitPotential(pb.grid, phi1, 0 * phi1)),
+            (pb.to_full(), SplitPotential(pb.grid, phi1, 0 * phi1).assemble()),
+        ):
+            args = (problem.chi0, problem.omega0, problem.omega_hat, phi0)
+            state = make_state(FlowConfig(eps=0.0, allow_degenerate=True), *args,
+                               divisor=problem.divisor)
+            assert abs(state.margin - np.sort(a.ravel())[1]) < 1e-12  # off the locus
+            # omega_eps > 0 on the divisor: no exemption for eps > 0
+            with pytest.raises(PositivityError, match="non-positive"):
+                make_state(FlowConfig(eps=0.1), *args, divisor=problem.divisor)
+
+    def test_eps_run_margin_includes_the_divisor(self):
+        # the limit metric's first profile is (f + eps) / (1 + eps), whose
+        # minimum eps / (1 + eps) sits on the divisor
+        pb = build_preset("degenerate_split", n=8)
+        eps = 0.2
+        cfg = FlowConfig(eps=eps, dt_safety=0.8, stop_tolerance=1e-9, max_time=20.0,
+                         snapshot_stride=200)
+        traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
+        assert traj.stop_reason == "converged"
+        assert abs(traj.rows[-1].margin - eps / (1.0 + eps)) < 1e-8
 
     def test_split_and_full_backends_agree(self):
         pb = build_preset("degenerate_split", n=8)

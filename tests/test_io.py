@@ -113,19 +113,35 @@ def test_truncated_file(tmp_path):
         read_field(path)
 
 
+def test_factor_lattice_write_refused(tmp_path):
+    # snapshots are 4-D: a factor-lattice field is refused with a message,
+    # and nothing is written
+    grid = Grid(8, (0.0, 0.0))
+    path = tmp_path / "sub" / "f.jflw"
+    with pytest.raises(ValueError, match="4-D lattice"):
+        write_scalar(path, ScalarField(grid, np.zeros(grid.shape)))
+    with pytest.raises(ValueError, match="4-D lattice"):
+        write_hermitian(path, HermitianFormField.identity(grid))
+    assert not (tmp_path / "sub").exists()
+
+
 def test_history_csv(tmp_path):
     from jflow.flow import HistoryRow
 
     rows = [
-        HistoryRow(0.0, 0.1, 0.2, -1.0, 0.0, 1.0, 0.2, 0.2, -0.2, -0.01),
-        HistoryRow(0.5, 0.05, 0.1, -1.5, 0.0, 1.0, 0.1, 0.1, -0.1, -0.005),
+        HistoryRow(t=0.0, sup_phi=0.1, j=-1.0, i=0.0, margin=1.0,
+                   max_phidot=0.2, min_phidot=-0.15, j_rate=-0.01),
+        HistoryRow(t=0.5, sup_phi=0.05, j=-1.5, i=0.0, margin=1.0,
+                   max_phidot=0.05, min_phidot=-0.1, j_rate=-0.005),
     ]
     path = tmp_path / "series.csv"
     write_history_csv(path, rows)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,sup_phi,sup_phidot,J,I,margin,residual"
     assert len(lines) == 3
-    assert lines[1].startswith("0,0.1")
+    # sup_phidot and residual are both sup |phi_dot| = max(max, -min)
+    assert lines[1] == "0,0.10000000000000001,0.20000000000000001,-1,0,1,0.20000000000000001"
+    assert lines[2].split(",")[2] == lines[2].split(",")[6] == "0.10000000000000001"
 
 
 def test_json_roundtrip_atomic(tmp_path):
