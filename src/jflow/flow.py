@@ -9,11 +9,11 @@ rule.  One loop, ``_advance``, takes every step: it works on the kernel's
 raw arrays, and a step whose endpoint is not finite or loses positivity
 (at eps = 0 only off the divisor locus, where omega_0 degenerates) is
 rejected and retried at half the step, up to twenty times before it raises
-DegenerateStiffnessError.  ``step`` wraps one
-such step as a FlowState; ``evolve`` calls it in a loop on the raw arrays
-and wraps the potential only where it records a snapshot.  A single run is
-sequential with data-parallel pointwise kernels; family members are
-independent and may be dispatched to worker processes.
+DegenerateStiffnessError.  ``step`` wraps one such step as a FlowState;
+``evolve`` calls it in a loop on the raw arrays and wraps the potential
+only where it records a snapshot.  A single run is sequential with
+data-parallel pointwise kernels; family members are independent and may
+be dispatched to worker processes.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
