@@ -5,7 +5,7 @@ Modules:
 * ``torus``        spectral calculus and Hermitian form fields
 * ``cohomology``   classes, pairings, cone conditions, divisor model
 * ``split``        product-backend factor calculus
-* ``flow``         the RK4 method-of-lines integrator and family driver
+* ``flow``         the RKC / RK4 method-of-lines integrator and family driver
 * ``ma``           complex Monge-Ampere Newton solver and closed-form oracles
 * ``functionals``  energy functionals (J, I, E, Mabuchi)
 * ``diagnostics``  estimate monitors and fits

@@ -474,7 +474,8 @@ def _cmd_run(cfg, record, out):
     record.scalars.update(
         {"final_residual": traj.final_residual, "steps": traj.steps,
          "t_final": traj.rows[-1].t, "c_eps": traj.c_eps,
-         "J_final": traj.rows[-1].j}
+         "J_final": traj.rows[-1].j, "integrator": traj.integrator,
+         "rhs_evals": traj.rhs_evals, "rejections": traj.rejections}
     )
     record.verdicts["completed"] = True
     _run_monitors(cfg, problem, traj, record)

@@ -4,16 +4,29 @@
 
 its epsilon-regularised family driver, and the maximum-principle monitors.
 
-Time stepping is classical explicit RK4 with an eigenvalue-based step-size
-rule.  One loop, ``_advance``, takes every step: it works on the kernel's
-raw arrays, and a step whose endpoint is not finite or loses positivity
-(at eps = 0 only off the divisor locus, where omega_0 degenerates) is
-rejected and retried at half the step, up to twenty times before it raises
-DegenerateStiffnessError.  ``step`` wraps one such step as a FlowState;
-``evolve`` calls it in a loop on the raw arrays and wraps the potential
-only where it records a snapshot.  A single run is sequential with
-data-parallel pointwise kernels; family members are independent and may
-be dispatched to worker processes.
+The flow is parabolic with spectral radius rho = lambda_max(chi^-1 omega
+chi^-1) * (pi N)^2.  Two explicit integrators step it
+(``FlowConfig.integrator``):
+
+* ``"rkc"`` (default): damped second-order Runge-Kutta-Chebyshev (Sommeijer,
+  Shampine & Verwer, J. Comput. Appl. Math. 88, 1998).  A step h takes
+  s ~ sqrt(h rho) stages, capped at _RKC_MAX_STAGES, against ~h rho for RK4.
+  ``evolve`` controls h by RKC's embedded error estimate: a step passes when
+  the estimate is within both an absolute tolerance and a fraction of the
+  step's own increment, and the next h follows from the error ratio.
+* ``"rk4"``: classical RK4 at the explicit stability limit ``adaptive_dt``.
+  It is fourth order in time, which the dissipation identity of criterion 3
+  and 1e-9 conservation of I need.
+
+One loop, ``_advance``, takes every step of either integrator: it works on
+the kernel's raw arrays, and a step whose endpoint is not finite or loses
+positivity (at eps = 0 only off the divisor locus, where omega_0
+degenerates) is rejected and retried at half the step, up to twenty times
+before it raises DegenerateStiffnessError.  ``step`` wraps one such step as
+a FlowState; ``evolve`` calls it in a loop on the raw arrays and wraps the
+potential only where it records a snapshot.  A single run is sequential
+with data-parallel pointwise kernels; family members are independent and
+may be dispatched to worker processes.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
@@ -22,19 +35,21 @@ quantity reduces to factor means.  Both take their transforms from
 ``torus.SpectralOps`` and their J and I from the formulas in
 ``functionals``.
 
-A backend is a kernel object; the generic stepping (``_rk4``, ``_sup``,
-``_advance``) is written once against this contract:
+A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
+``_sup``, ``_advance``) is written once against this contract:
 
 * ``shape``: the shape of the raw state, a plain float array that numpy
   adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
   potentials); velocities have the same shape;
 * ``wrap(raw)`` / ``unwrap(phi)``: raw array to potential object and back;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
-  positivity margin, finite) from one evaluation of the same formula;
+  positivity margin, finite) from one evaluation of the same formula; each
+  call adds one to ``rhs_evals``;
 * ``extrema(x)``: (max, min) over the grid of a raw-shaped array, from
   which ``_sup`` takes sup |x|;
-* ``adaptive_dt(chi)`` and ``row_functionals(raw, rhs, chi)``: the explicit
-  step size and the (J, I, dJ/dt, critical residual) of a history row.
+* ``lam_max(chi)``: the spectral radius bound rho, from which
+  ``adaptive_dt(chi)`` = dt_safety / rho and the RKC stage count follow;
+* ``row_functionals(raw, rhs, chi)``: the (J, I, dJ/dt) of a history row.
 
 These methods are defined on each kernel class, not on a shared base: the
 benchmark tracer wraps the public methods of the kernel's own class, and
@@ -42,6 +57,7 @@ counts one RHS evaluation per ``rhs_only`` or ``metrics`` call (so
 ``metrics`` does not call ``rhs_only``).
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,7 +77,6 @@ from .split import SplitForm, SplitPotential
 from .torus import (
     ScalarField,
     SpectralOps,
-    _critical_density,
     _det,
     _lam_lo,
     _trace,
@@ -69,6 +84,13 @@ from .torus import (
 )
 
 _MAX_REJECTIONS = 20
+INTEGRATORS = ("rkc", "rk4")
+# RKC: stage cap, safety on the spectral radius bound the stage count is
+# chosen from, and the absolute and increment-relative error tolerances
+_RKC_MAX_STAGES = 320
+_RKC_RHO_SAFETY = 1.2
+_RKC_ATOL = 3e-8
+_RKC_RTOL = 3e-2
 _MAX_FIELD_SNAPSHOTS = 96  # more halve the kept snapshots and double the stride
 
 
@@ -84,6 +106,7 @@ class FlowConfig:
     snapshot_stride: int = 50
     allow_degenerate: bool = False
     fixed_dt: Optional[float] = None  # testing hook; bypasses the adaptive rule
+    integrator: str = "rkc"  # or "rk4"
 
     def __post_init__(self):
         # comparisons written so that nan fails them too
@@ -97,6 +120,9 @@ class FlowConfig:
             raise ValueError("eps must be nonnegative")
         if self.fixed_dt is not None and not self.fixed_dt > 0.0:
             raise ValueError("fixed_dt must be positive")
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, "
+                             f"got {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +160,9 @@ class Trajectory:
     final: object
     stop_reason: str
     steps: int
-    rejections: int
+    rejections: int  # attempts refused, by positivity or by the error test
+    integrator: str
+    rhs_evals: int  # every stage of every attempt, the initial evaluation too
     chi0_form: object = None  # background form, for snapshot re-analysis
 
     @property
@@ -177,6 +205,7 @@ class _FullKernel:
         self.shape = grid.shape
         self.c = float(c_eps)
         self.cfg = cfg
+        self.rhs_evals = 0
         self._ops = SpectralOps.of(grid)
         self._bg = chi0.realized.components()
         self._w = omega_eps.realized.components()
@@ -204,10 +233,12 @@ class _FullKernel:
             return self.c - _trace(chi, self._w)
 
     def rhs_only(self, v):
+        self.rhs_evals += 1
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
         """(rhs, chi, positivity margin, finite) in one pass."""
+        self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
         lam_lo = _lam_lo(chi)
@@ -218,8 +249,8 @@ class _FullKernel:
         """(max, min) of the potential-shaped raw array x over the grid."""
         return float(x.max()), float(x.min())
 
-    def adaptive_dt(self, chi):
-        """dt = safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2).
+    def lam_max(self, chi):
+        """Spectral radius bound lambda_max(chi^-1 omega chi^-1) * (pi N)^2.
 
         The eigenvalues come from the trace tr(adj(chi)^2 omega) / det^2 and
         the determinant det(omega) / det^2, both real: no complex arrays.
@@ -232,17 +263,18 @@ class _FullKernel:
               - 2.0 * (h11 + h22) * (h12r * w12r + h12i * w12i)) / det2
         det_h = self._w_det / det2
         lam = 0.5 * tr + np.sqrt(np.maximum(0.25 * tr ** 2 - det_h, 0.0))
-        lam_max = float(lam.max())
-        return self.cfg.dt_safety / (lam_max * self._kmax2)
+        return float(lam.max()) * self._kmax2
+
+    def adaptive_dt(self, chi):
+        """Explicit RK4 step size dt_safety / lam_max(chi)."""
+        return self.cfg.dt_safety / self.lam_max(chi)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt, critical residual) from the cached chi arrays."""
-        w, c = self._w, self.c
-        j, i = _energies_full(v, chi, self._bg, w, c)
+        """(J, I, dJ/dt) from the cached chi arrays."""
+        j, i = _energies_full(v, chi, self._bg, self._w, self.c)
         # -int phidot^2 chi^2 with chi^2 density D(chi, chi) = 2 det chi
         j_rate = -8.0 * float(np.mean(rhs * rhs * _det(chi)))
-        crit = float(np.abs(_critical_density(chi, w, c)).max())
-        return j, i, j_rate, crit
+        return j, i, j_rate
 
 
 class _SplitKernel:
@@ -257,6 +289,7 @@ class _SplitKernel:
         self.grid = fgrid
         self.shape = (2,) + fgrid.shape
         self.cfg = cfg
+        self.rhs_evals = 0
         self.c = float(c_eps)
         self._bg = np.stack(chi0.profiles())
         self._w = np.stack(omega_eps.profiles())
@@ -286,10 +319,12 @@ class _SplitKernel:
             return self._cs - self._w / chi
 
     def rhs_only(self, v):
+        self.rhs_evals += 1
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
         """(rhs, chi, positivity margin, finite) in one pass."""
+        self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
         margin = float((chi if self._off is None else chi[self._off]).min())
@@ -299,47 +334,26 @@ class _SplitKernel:
         """(max, min) over the product grid of x[0](z1) + x[1](z2), exact."""
         return float(x[0].max() + x[1].max()), float(x[0].min() + x[1].min())
 
+    def lam_max(self, chi):
+        """Spectral radius bound max(omega / chi^2) * (pi N)^2 over both factors."""
+        return float((self._w / chi ** 2).max()) * self._kmax2
+
     def adaptive_dt(self, chi):
-        lam_max = float((self._w / chi ** 2).max())
-        return self.cfg.dt_safety / (lam_max * self._kmax2)
+        """Explicit RK4 step size dt_safety / lam_max(chi)."""
+        return self.cfg.dt_safety / self.lam_max(chi)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt, critical residual) via separable factor means."""
+        """(J, I, dJ/dt) via separable factor means."""
         a, b = chi
         r1, r2 = rhs
-        c = self.c
-        j, i = _energies_split(v, chi, self._bg, self._w, c)
+        j, i = _energies_split(v, chi, self._bg, self._w, self.c)
         # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
         m = (
             float(np.mean(r1 * r1 * a)) * float(np.mean(b))
             + 2.0 * float(np.mean(r1 * a)) * float(np.mean(r2 * b))
             + float(np.mean(a)) * float(np.mean(r2 * r2 * b))
         )
-        j_rate = -8.0 * m
-        # critical residual |2 chi^omega - c chi^2| = 2|A(g - cB) + fB|
-        crit = 2.0 * _split_pairwise_abs_max(a, self._w[0], self._w[1] - c * b, b)
-        return j, i, j_rate, crit
-
-
-def _support_candidates(p, q):
-    """Points of the 2-D cloud {(p_j, q_j)} that can maximise a linear
-    functional.  Product presets generate collinear clouds, which reduce to
-    the segment's endpoints; any other cloud is returned whole."""
-    pts = np.column_stack([p.ravel(), q.ravel()])
-    d = pts - pts.mean(0)
-    w, v = np.linalg.eigh(d.T @ d)
-    if w[0] <= 1e-24 * max(w[1], 1e-300):
-        t = d @ v[:, 1]
-        return pts[[int(t.argmin()), int(t.argmax())]]
-    return pts
-
-
-def _split_pairwise_abs_max(u1, v1, p2, q2):
-    """Exact sup over the product grid of |u1(z1) p2(z2) + v1(z1) q2(z2)|."""
-    cand = _support_candidates(p2, q2)
-    u = u1.ravel()[:, None]
-    v = v1.ravel()[:, None]
-    return float(np.abs(u * cand[:, 0][None, :] + v * cand[:, 1][None, :]).max())
+        return j, i, -8.0 * m
 
 
 def _make_kernel(chi0, omega_eps, c_eps, cfg, divisor=None):
@@ -407,8 +421,9 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
 
 def adaptive_dt(state):
-    """Explicit-stability step size from the current metric:
-    dt = dt_safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2)."""
+    """Explicit-stability RK4 step size from the current metric,
+    dt = dt_safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2); also the
+    first step of an error-controlled RKC run."""
     return state.kernel.adaptive_dt(state.chi)
 
 
@@ -420,22 +435,95 @@ def _rk4(kernel, v, k1, dt):
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.lru_cache(maxsize=_RKC_MAX_STAGES)
+def _rkc_coefficients(s):
+    """Coefficients of the s-stage damped second-order RKC method (Sommeijer,
+    Shampine & Verwer 1998, damping 2/13): mu~_1 of the first stage and
+    (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j) of stages j = 2..s."""
+    w0 = 1.0 + 2.0 / (13.0 * s * s)
+    t1 = w0 * w0 - 1.0
+    t2 = math.sqrt(t1)
+    arg = s * math.log(w0 + t2)
+    w1 = math.sinh(arg) * t1 / (math.cosh(arg) * s * t2 - w0 * math.sinh(arg))
+    # Chebyshev T_j, T_j', T_j'' at w0 by their recurrences; b_j = T_j'' / T_j'^2
+    # for j >= 2 and b_0 = b_1 = b_2
+    b1 = 1.0 / (2.0 * w0) ** 2
+    b_prev2 = b_prev = b1
+    z_prev2, z_prev = 1.0, w0
+    dz_prev2, dz_prev = 0.0, 1.0
+    d2z_prev2, d2z_prev = 0.0, 0.0
+    stages = []
+    for _ in range(2, s + 1):
+        z = 2.0 * w0 * z_prev - z_prev2
+        dz = 2.0 * w0 * dz_prev - dz_prev2 + 2.0 * z_prev
+        d2z = 2.0 * w0 * d2z_prev - d2z_prev2 + 4.0 * dz_prev
+        b = d2z / dz ** 2
+        mu = 2.0 * w0 * b / b_prev
+        nu = -b / b_prev2
+        mu_t = mu * w1 / w0
+        stages.append((mu, nu, 1.0 - mu - nu, mu_t, -(1.0 - z_prev * b_prev) * mu_t))
+        b_prev2, b_prev = b_prev, b
+        z_prev2, z_prev = z_prev, z
+        dz_prev2, dz_prev = dz_prev, dz
+        d2z_prev2, d2z_prev = d2z_prev, d2z
+    return w1 * b1, tuple(stages)
+
+
+def _rkc_stages(h, rho):
+    """Stages an RKC step h needs to be stable at spectral radius rho,
+    capped at _RKC_MAX_STAGES."""
+    return min(_RKC_MAX_STAGES, max(2, 1 + int(math.sqrt(1.0 + 1.54 * h * rho))))
+
+
+def _rkc(kernel, v, k1, h, s):
+    """s-stage second-order RKC step of the raw state v, whose velocity k1
+    is known: s - 1 further right-hand sides."""
+    mu1, stages = _rkc_coefficients(s)
+    y2, y1 = v, v + (mu1 * h) * k1
+    for mu, nu, mu0, mu_t, gamma_t in stages:
+        f = kernel.rhs_only(y1)
+        y2, y1 = y1, mu * y1 + nu * y2 + mu0 * v + (mu_t * h) * f + (gamma_t * h) * k1
+    return y1
+
+
+def _rms(x):
+    return math.sqrt(float(np.mean(x * x)))
+
+
+def _rkc_error(v, new, k1, k_new, h):
+    """RKC's embedded error estimate 0.8 (v - new) + 0.4 h (k1 + k_new) over
+    its tolerance: at most 1 when its RMS norm is within both _RKC_ATOL and
+    _RKC_RTOL times the RMS norm of the increment."""
+    est = _rms(0.8 * (v - new) + (0.4 * h) * (k1 + k_new))
+    if est == 0.0:
+        return 0.0
+    tol = min(_RKC_ATOL, _RKC_RTOL * _rms(new - v))
+    return est / tol if tol > 0.0 else math.inf
+
+
 def _sup(kernel, x):
     """sup |x| over the grid of a potential-shaped raw array x."""
     hi, lo = kernel.extrema(x)
     return max(hi, -lo)
 
 
-def _advance(kernel, raw, rhs, dt, t):
-    """One RK4 step of the raw potential ``raw`` with velocity ``rhs`` at time t.
+def _advance(kernel, raw, rhs, chi, dt, t):
+    """One step of the configured integrator from the raw potential ``raw``
+    with velocity ``rhs`` and metric ``chi`` at time t; RKC takes its stage
+    count from the spectral radius bound ``kernel.lam_max(chi)``.
 
     A step whose endpoint is not finite or not positive is retried at half
     the step, up to _MAX_REJECTIONS times.  Returns (new, new_rhs, new_chi,
     new_margin, accepted_dt, rejections).
     """
+    rkc = kernel.cfg.integrator == "rkc"
+    rho = _RKC_RHO_SAFETY * kernel.lam_max(chi) if rkc else 0.0
     rejections = 0
     while True:
-        new = _rk4(kernel, raw, rhs, dt)
+        if rkc:
+            new = _rkc(kernel, raw, rhs, dt, _rkc_stages(dt, rho))
+        else:
+            new = _rk4(kernel, raw, rhs, dt)
         new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
         if finite and new_margin > 0.0:
             return new, new_rhs, new_chi, new_margin, dt, rejections
@@ -449,17 +537,48 @@ def _advance(kernel, raw, rhs, dt, t):
         dt *= 0.5
 
 
+def _controlled_rkc(kernel, raw, rhs, chi, h, t, t_end):
+    """One error-controlled RKC step of at most h, ending no later than t_end.
+
+    A step whose error estimate (``_rkc_error``) exceeds 1 is retried at the
+    step the controller proposes, up to _MAX_REJECTIONS times.  Returns
+    ``_advance``'s tuple, with the rejections of both kinds, and the step
+    proposed for the next call.
+    """
+    rejections = 0
+    refused = 0
+    while True:
+        new, new_rhs, new_chi, new_margin, dt, halvings = _advance(
+            kernel, raw, rhs, chi, min(h, t_end - t), t
+        )
+        rejections += halvings
+        err = _rkc_error(raw, new, rhs, new_rhs, dt)
+        h = dt * min(10.0, max(0.1, 0.8 / max(err, 1e-300) ** (1.0 / 3.0)))
+        if err <= 1.0:
+            return (new, new_rhs, new_chi, new_margin, dt, rejections), h
+        rejections += 1
+        refused += 1
+        if refused > _MAX_REJECTIONS:
+            raise DegenerateStiffnessError(
+                f"step refused by the error test {refused} times at t={t:.6g}; "
+                f"error {err:.3e} of tolerance at dt={dt:.3e}",
+                t=t, dt=dt, margin=new_margin,
+            )
+
+
 def step(state, dt):
-    """One RK4 step with positivity rejection; returns the advanced state.
+    """One step of the configured integrator with positivity rejection;
+    returns the advanced state.
 
     A rejected step halves dt and retries (up to 20 times before raising
-    DegenerateStiffnessError); the accepted dt is in ``last_dt``.
+    DegenerateStiffnessError); the accepted dt is in ``last_dt``.  There is
+    no error test: that belongs to ``evolve``'s step-size control.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     kernel = state.kernel
     new, rhs, chi, margin, dt, rejections = _advance(
-        kernel, kernel.unwrap(state.phi), state.rhs, dt, state.t
+        kernel, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
     )
     return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, margin,
                      last_dt=dt, last_rejections=rejections)
@@ -468,8 +587,11 @@ def step(state, dt):
 def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     """Run the flow until sup|rhs| < stop_tolerance or t > max_time.
 
-    Returns a Trajectory with per-snapshot history (J decreasing and I
-    constant along conforming runs) and decimated field snapshots.
+    RK4 steps at ``adaptive_dt``; RKC starts there and then takes the step
+    its error control proposes.  ``fixed_dt`` runs take whole steps of the
+    configured integrator without either rule.  Returns a Trajectory with
+    per-snapshot history (J decreasing and I constant along conforming runs)
+    and decimated field snapshots.
     """
     state = make_state(cfg, chi0, omega0, omega_hat, phi0, divisor)
     kernel = state.kernel
@@ -486,7 +608,7 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     def record(force=False):
         nonlocal snap_mult
         hi, lo = kernel.extrema(rhs)
-        j, i, j_rate, crit = kernel.row_functionals(raw, rhs, chi)
+        j, i, j_rate = kernel.row_functionals(raw, rhs, chi)
         rows.append(HistoryRow(t, _sup(kernel, raw), j, i, margin, hi, lo, j_rate))
         idx = len(rows) - 1
         if force or idx % snap_mult == 0:
@@ -502,6 +624,8 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     n_fixed = (
         max(1, round(cfg.max_time / cfg.fixed_dt)) if cfg.fixed_dt is not None else None
     )
+    controlled = n_fixed is None and cfg.integrator == "rkc"
+    h = kernel.adaptive_dt(chi) if controlled else None
     while True:
         if _sup(kernel, rhs) < cfg.stop_tolerance:
             stop_reason = "converged"
@@ -509,13 +633,19 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         if n_fixed is not None:
             if steps >= n_fixed:
                 break
-            dt = cfg.fixed_dt
+        elif t >= cfg.max_time:
+            break
+        if controlled:
+            (raw, rhs, chi, margin, dt, tries), h = _controlled_rkc(
+                kernel, raw, rhs, chi, h, t, cfg.max_time
+            )
         else:
-            if t >= cfg.max_time:
-                break
-            dt = min(kernel.adaptive_dt(chi), cfg.max_time - t)
-        raw, rhs, chi, margin, dt, halvings = _advance(kernel, raw, rhs, dt, t)
-        rejections += halvings
+            if n_fixed is not None:
+                dt = cfg.fixed_dt
+            else:
+                dt = min(kernel.adaptive_dt(chi), cfg.max_time - t)
+            raw, rhs, chi, margin, dt, tries = _advance(kernel, raw, rhs, chi, dt, t)
+        rejections += tries
         t += dt
         steps += 1
         if steps % cfg.snapshot_stride == 0:
@@ -533,6 +663,8 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
         stop_reason,
         steps,
         rejections,
+        cfg.integrator,
+        kernel.rhs_evals,
         chi0_form=chi0,
     )
 

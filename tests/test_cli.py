@@ -193,6 +193,24 @@ class TestExecute:
         record3, code3 = execute(cfg3, "report")
         assert any("stale" in f for f in record3.failures)
 
+    @pytest.mark.parametrize("integrator", ["rkc", "rk4"])
+    def test_run_records_integrator_telemetry(self, tmp_path, integrator):
+        choice = "" if integrator == "rkc" else f", flow.integrator={integrator}"
+        cfg = parse_config(
+            f"preset=smooth_split, N=8, out={tmp_path}, flow.max_time=0.05,"
+            f" flow.stop_tolerance=1e-6, flow.dt_safety=0.8{choice}"
+        )
+        record, code = execute(cfg, "run")
+        assert code == 0
+        stored = read_record(tmp_path / "run.json").scalars
+        assert stored["integrator"] == integrator
+        assert stored["rejections"] == 0
+        # RK4: the initial evaluation and four per step; RKC: at least two per step
+        per_step = (stored["rhs_evals"] - 1) / stored["steps"]
+        assert per_step == 4 if integrator == "rk4" else per_step >= 2
+        header = (tmp_path / "series.csv").read_text().splitlines()[0]
+        assert not any(k in header for k in ("integrator", "rhs_evals", "rejections"))
+
     def test_report_flags_missing_artifact(self, tmp_path):
         cfg = parse_config(
             f"preset=smooth_split, N=8, out={tmp_path},"
@@ -378,6 +396,17 @@ class TestMain:
         code = main(["--command", "check-classes", "--config", "run.cfg", "--out", "2026"])
         assert code == 0
         assert (tmp_path / "2026" / "run.json").exists()
+
+    def test_unknown_integrator_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text("preset=identity\nflow.integrator=euler\n")
+        code = main(["--command", "run", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: flow: integrator must be one of ('rkc', 'rk4')" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "wrong"])
