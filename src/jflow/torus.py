@@ -8,10 +8,10 @@ samples both factor potentials.  Real (1,1)-forms are pointwise 2x2
 Hermitian matrices.
 Derivatives are pseudospectral: exact for band-limited data, which is what
 makes the energy identities in the rest of the package hold to rounding.
-``SpectralOps`` applies them: the even second derivatives (the Laplacian
-and the diagonal Hessian entries) as products with the dense 1-D spectral
-second-derivative matrix along each axis, the mixed Hessian entries and
-symbol division through real FFTs.
+``SpectralOps`` applies them: every Hessian entry and the Laplacian as
+products with dense 1-D spectral derivative matrices along single axes
+(the second-derivative matrix for the diagonal entries, the first-derivative
+matrix twice for the mixed ones), symbol division through real FFTs.
 
 The pointwise form algebra is written once, here, on raw component tuples
 (h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
@@ -95,12 +95,18 @@ class Grid:
         return tuple(self.axis(i)[int(j)] for i, j in enumerate(idx))
 
     # Frequency grids for the spectral operators.  Integer frequencies in
-    # cycles per unit length; the Nyquist row is assigned to -N/2 (fftfreq
-    # convention), applied uniformly so that the discrete Parseval
-    # identities used by the energy functionals hold exactly.
-    def _wavenumbers(self):
-        """Broadcastable integer frequencies, one per axis."""
+    # cycles per unit length; in the even symbols (the Laplacian, s11, s22)
+    # the Nyquist row is assigned to -N/2 (fftfreq convention), applied
+    # uniformly so that the discrete Parseval identities used by the energy
+    # functionals hold exactly.  A first-derivative factor, being odd, has
+    # 0 there.
+    def _wavenumbers(self, odd=False):
+        """Broadcastable integer frequencies, one per axis.  With ``odd`` the
+        Nyquist row is 0 instead: the frequencies of a first derivative,
+        odd under k -> -k mod N."""
         k = sfft.fftfreq(self.n) * self.n
+        if odd:
+            k[self.n // 2] = 0.0
         return tuple(self._along(i, k) for i in range(len(self.shape)))
 
     def hessian_symbols(self):
@@ -108,14 +114,17 @@ class Grid:
         s12_odd).
 
         s11/s22 are the symbols of d_{z_j} d_{zbar_j}; the mixed component
-        splits as s12 = s12_even + i*s12_odd with both parts real and even,
-        so every output field of the Hessian comes from a real transform.
+        splits as s12 = s12_even + i*s12_odd, products of two first-derivative
+        symbols whose Nyquist rows are 0 (e.g. Trefethen, Spectral Methods in
+        MATLAB, ch. 3).  So every symbol is real and even, s(k) = s(-k mod N),
+        and they are exactly the operator ``SpectralOps.hessian`` applies.
         """
         a, b, c, d = self._wavenumbers()
         pi2 = np.pi ** 2
         s11 = -pi2 * (a * a + b * b)
         s22 = -pi2 * (c * c + d * d)
         # -pi^2 (a - ib)(c + id) = -pi^2 [(ac + bd) + i(ad - bc)]
+        a, b, c, d = self._wavenumbers(odd=True)
         s12e = -pi2 * (a * c + b * d)
         s12o = -pi2 * (a * d - b * c)
         return s11, s22, s12e, s12o
@@ -131,23 +140,36 @@ class Grid:
         return sym
 
 
+def _circulant(line):
+    """The real n x n matrix of a 1-D symbol given on the n fftfreq
+    frequencies (Hermitian: its Nyquist entry real), and its transpose."""
+    n = len(line)
+    # response to a unit impulse at 0, circulated: m[i, j] = col[i - j]
+    col = sfft.irfft(line[: n // 2 + 1], n=n)
+    m = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    return m, np.ascontiguousarray(m.T)
+
+
 class SpectralOps:
     """The spectral operators of one grid; ``SpectralOps.of(grid)`` caches
     one per grid.  Serves the 4-D lattice and the factor lattice of the
     split backend alike.
 
-    * The even second derivatives are matrix products, with no transform.
+    * Derivatives are matrix products along single axes, with no transform.
       ``d2`` is the n x n circulant matrix of the 1-D symbol -pi^2 k^2 (the
       grid's Laplace symbol along axis 0, so the Nyquist mode is treated as
       the transforms treat it); the Laplacian sums it applied along every
-      axis, h11 along axes 0 and 1, h22 along axes 2 and 3.  The input is
-      shifted by its first sample and the output's mean is subtracted, so a
-      constant maps to exactly 0 and each output has zero mean, as with the
-      transform; otherwise they agree with the transform to rounding.
-    * The mixed components h12_re / h12_im (4-D lattices only) and
-      ``divide`` apply symbols, cropped to the half-spectrum, through real
-      transforms.  A dense h12 would cost more than its transform: over the
-      two complex planes its operator has Kronecker rank 4.
+      axis, h11 along axes 0 and 1, h22 along axes 2 and 3.  On 4-D
+      lattices ``d1`` is the circulant of the odd symbol i*pi*k with k = 0
+      on the Nyquist row, d_x / 2 in the spectral sense.  With p, q = ``d1``
+      along axes 0, 1 (d_{x1} / 2, d_{y1} / 2), the mixed entries are
+      h12_re = d1_2 p + d1_3 q and h12_im = d1_3 p - d1_2 q, the symbols of
+      ``Grid.hessian_symbols``.  The input is shifted by its first sample,
+      so a constant maps to exactly 0; the outputs of ``d2`` also have their
+      mean subtracted, so they are mean-free as with the transform.
+      Otherwise they agree with the transform of the symbols to rounding.
+    * ``divide`` applies a symbol, cropped to the half-spectrum, through
+      real transforms.
     """
 
     def __init__(self, grid):
@@ -159,13 +181,11 @@ class SpectralOps:
         half = (slice(None),) * (len(self.shape) - 1) + (slice(0, n // 2 + 1),)
         lap = grid.laplace_symbol()
         self.laplace = np.ascontiguousarray(lap[half])
-        # response to a unit impulse at 0, circulated: d2[i, j] = col[i - j]
-        line = lap[(slice(None),) + (0,) * (len(self.shape) - 1)]
-        col = sfft.irfft(line[: n // 2 + 1], n=n)
-        self.d2 = col[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
-        self._d2t = np.ascontiguousarray(self.d2.T)
+        self.d2, self._d2t = _circulant(lap[(slice(None),) + (0,) * (len(self.shape) - 1)])
         self.hessian_syms = None
         if len(self.shape) == 4:
+            k = grid._wavenumbers(odd=True)[0].ravel()
+            self.d1, self._d1t = _circulant(1j * np.pi * k)
             self.hessian_syms = tuple(
                 np.ascontiguousarray(s[half]) for s in grid.hessian_symbols()
             )
@@ -175,35 +195,37 @@ class SpectralOps:
     def of(cls, grid):
         return cls(grid)
 
-    def _d2_along(self, u, axis):
-        """``d2`` applied along one grid axis of u, as a matmul over a
-        reshaped view; leading batch axes of u are matmul batch axes."""
+    def _apply_along(self, m, mt, u, axis):
+        """The 1-D matrix m (mt its transpose) applied along one grid axis of
+        u, as a matmul over a reshaped view; leading batch axes of u are
+        matmul batch axes."""
         n = self.grid.n
         lead = u.shape[: u.ndim - len(self.shape)]
         if axis == 0:
-            out = self.d2 @ u.reshape(lead + (n, -1))
+            out = m @ u.reshape(lead + (n, -1))
         elif axis == len(self.shape) - 1:
-            out = u.reshape(lead + (-1, n)) @ self._d2t
+            out = u.reshape(lead + (-1, n)) @ mt
         else:
-            out = self.d2 @ u.reshape(lead + (n ** axis, n, -1))
+            out = m @ u.reshape(lead + (n ** axis, n, -1))
         return out.reshape(u.shape)
 
     def _d2_sum(self, u, axes):
         """Sum of ``d2`` along the grid ``axes`` of u, mean-free per grid block."""
-        out = self._d2_along(u, axes[0])
+        out = self._apply_along(self.d2, self._d2t, u, axes[0])
         for axis in axes[1:]:
-            out += self._d2_along(u, axis)
+            out += self._apply_along(self.d2, self._d2t, u, axis)
         out -= out.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
         return out
 
     def hessian(self, v, base=None, c=None):
-        """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v,
-        each as ``base_k + c * H_k`` when ``base`` / ``c`` are given."""
+        """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v
+        on a 4-D lattice, each as ``base_k + c * H_k`` when ``base`` / ``c``
+        are given."""
         u = v - v.item(0)
-        f = sfft.rfftn(v, axes=self.axes)
-        out = [self._d2_sum(u, (0, 1)), self._d2_sum(u, (2, 3))]
-        for sym in self.hessian_syms[2:]:
-            out.append(sfft.irfftn(sym * f, s=self.shape, axes=self.axes))
+        d1 = functools.partial(self._apply_along, self.d1, self._d1t)
+        p, q = d1(u, 0), d1(u, 1)
+        out = [self._d2_sum(u, (0, 1)), self._d2_sum(u, (2, 3)),
+               d1(p, 2) + d1(q, 3), d1(p, 3) - d1(q, 2)]
         if c is not None:
             out = [c * h for h in out]
         if base is not None:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jflow import torus
 from jflow.errors import PositivityError
 from jflow.split import SplitPotential
 from jflow.torus import (
@@ -140,6 +142,37 @@ class TestComplexHessian:
         with pytest.raises(ValueError, match="non-finite"):
             complex_hessian(ScalarField(grid, v))
 
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(st.sampled_from((4, 8, 12)).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.lists(st.integers(1 - n // 2, n // 2 - 1), min_size=4,
+                                    max_size=4),
+                           st.floats(-1.0, 1.0), st.floats(0.0, 2 * np.pi)),
+                 min_size=1, max_size=6))))
+    def test_exact_on_band_limited_fields(self, case):
+        # a trigonometric polynomial with every |k| < N/2 has the closed-form
+        # dd^c: cos(2 pi k.x + theta) goes to s(k) cos(2 pi k.x + theta), with
+        # s11 = -pi^2 (a^2 + b^2), s22 = -pi^2 (c^2 + d^2) and
+        # s12 = -pi^2 (a - ib)(c + id) for k = (a, b, c, d)
+        n, terms = case
+        grid = Grid(n)
+        x = grid.coords()
+        v = np.zeros(grid.shape)
+        ref = [np.zeros(grid.shape) for _ in range(4)]
+        scale = 0.0
+        for (a, b, c, d), amp, theta in terms:
+            wave = amp * np.cos(sum(2 * np.pi * k * xi for k, xi in zip((a, b, c, d), x))
+                                + theta)
+            v = v + wave
+            syms = (a * a + b * b, c * c + d * d, a * c + b * d, a * d - b * c)
+            for r, s in zip(ref, syms):
+                r -= np.pi ** 2 * s * wave
+            scale += np.pi ** 2 * abs(amp) * (a * a + b * b + c * c + d * d)
+        # scale bounds every exact component (triangle inequality)
+        h = complex_hessian(ScalarField(grid, v)).components()
+        for comp, r in zip(h, ref):
+            assert np.abs(comp - r).max() <= 1e-11 * scale
+
 
 def grid_id(g):
     return f"{'Factor' if len(g.shape) == 2 else ''}Grid{g.n}"
@@ -205,6 +238,49 @@ class TestSpectralOps:
         refs = self.transform_reference(g, v, g.hessian_symbols())
         for h, ref in zip(SpectralOps.of(g).hessian(v), refs):
             assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("g", GRIDS_4D, ids=grid_id)
+    def test_hessian_commutes_with_torus_isometries(self, g):
+        # the z1 <-> z2 swap takes (h11, h22, h12) to (h22, h11, conj h12), the
+        # reflection y1, y2 -> -y1, -y2 takes h12 to conj h12; white noise
+        # carries the Nyquist rows, where both need a first derivative that
+        # is odd, i.e. 0 on the Nyquist mode
+        ops = SpectralOps.of(g)
+        v = self.noise(g, 26)
+        h = ops.hessian(v)
+        scale = max(np.abs(c).max() for c in h)
+        swap = lambda a: np.ascontiguousarray(a.transpose(2, 3, 0, 1))
+        flip = (-np.arange(g.n)) % g.n
+        reflect = lambda a: np.ascontiguousarray(a[:, flip][:, :, :, flip])
+        for iso, exact in ((swap, (h[1], h[0], h[2], -h[3])),
+                           (reflect, (h[0], h[1], h[2], -h[3]))):
+            for got, want in zip(ops.hessian(iso(v)), exact):
+                assert np.abs(got - iso(want)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("g", GRIDS_4D, ids=grid_id)
+    def test_hessian_symbols_are_even(self, g):
+        # s(k) = s(-k mod N) elementwise: each symbol is a real operator that
+        # commutes with the point reflection x -> -x
+        neg = np.ix_(*[(-np.arange(g.n)) % g.n] * 4)
+        for s in g.hessian_symbols():
+            s = np.broadcast_to(s, g.shape)
+            assert np.array_equal(s, s[neg])
+
+    def test_hessian_calls_no_transform(self, monkeypatch):
+        # all four entries, complex_hessian included, are matrix products
+        g = Grid(8)
+        ops = SpectralOps.of(g)
+        v = self.noise(g, 27)
+        ref = ops.hessian(v)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform called")
+
+        for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft"):
+            monkeypatch.setattr(torus.sfft, name, refuse)
+        assert all(np.array_equal(a, b) for a, b in zip(ops.hessian(v), ref))
+        complex_hessian(ScalarField(g, v))
+        ops.hessian(v, base=ref, c=0.5)
 
     @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
     def test_constants_map_to_zero(self, g):
