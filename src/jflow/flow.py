@@ -59,12 +59,11 @@ counts one RHS evaluation per ``rhs_only`` or ``metrics`` call (so
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
+import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (
@@ -749,6 +748,8 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
         for e in eps_list
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_family_worker, jobs))
     else:

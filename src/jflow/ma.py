@@ -17,13 +17,16 @@ factor, whose linearization is a Poisson solve; the two factors are one
 stacked (2, n, n) problem.  Both backends run the same damped Newton loop,
 ``_damped_newton``: one positivity check, one backtracking line search and
 one set of failure errors.
+
+scipy's Krylov layer (``gmres``, ``LinearOperator``) is imported on the
+first Newton-Krylov direction, not with the module, so that importing the
+package loads no scipy module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
-from scipy.sparse.linalg import LinearOperator, gmres
+import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import ConeConditionError, MAConvergenceError, PositivityError
@@ -222,9 +225,22 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
     return MASolution(_gauge(out, gauge), residuals, len(residuals) - 1)
 
 
+def __getattr__(name):
+    """PEP 562: scipy.sparse.linalg's ``gmres`` and ``LinearOperator``,
+    imported on first use.  Each is then a module attribute, and a
+    replacement set there (e.g. a traced ``gmres``) is the one
+    ``_newton_direction`` calls."""
+    if name not in ("LinearOperator", "gmres"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse import linalg
+
+    return globals().setdefault(name, getattr(linalg, name))
+
+
 def _newton_direction(g_res, a, c, ops, res_sup):
     """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero);
     returns (delta, GMRES info)."""
+    LinearOperator, gmres = __getattr__("LinearOperator"), __getattr__("gmres")
     shape, sym = ops.shape, ops.hessian_syms
     size = g_res.size
 

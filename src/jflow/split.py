@@ -17,7 +17,7 @@ Everything here is pure-functional over immutable arrays.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft  # noqa: F401 - module attribute the benchmark tracer proxies
+import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import ClosedForm, CohomologyClass
 from .torus import Grid, ScalarField, SpectralOps, poisson_solve

@@ -12,6 +12,8 @@ makes the energy identities in the rest of the package hold to rounding.
 products with dense 1-D spectral derivative matrices along single axes
 (the second-derivative matrix for the diagonal entries, the first-derivative
 matrix twice for the mixed ones), symbol division through real FFTs.
+Every transform is ``numpy.fft``'s (bound here as ``sfft``), so importing
+the package loads no scipy module.
 
 The pointwise form algebra is written once, here, on raw component tuples
 (h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
@@ -34,7 +36,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
+import numpy.fft as sfft
 
 from .errors import PositivityError
 
@@ -169,7 +171,7 @@ class SpectralOps:
       mean subtracted, so they are mean-free as with the transform.
       Otherwise they agree with the transform of the symbols to rounding.
     * ``divide`` applies a symbol, cropped to the half-spectrum, through
-      real transforms.
+      ``numpy.fft``'s real transforms.
     """
 
     def __init__(self, grid):
@@ -371,10 +373,15 @@ def poisson_solve(src, tol=1e-12):
 
 
 def holomorphic_gradient(phi):
-    """(d_{z1} phi, d_{z2} phi) as complex arrays (spectral)."""
-    a, b, c, d = phi.grid._wavenumbers()
+    """(d_{z1} phi, d_{z2} phi) as complex arrays (spectral).
+
+    The first-derivative frequencies are the Hessian's, 0 on the Nyquist
+    row, so the gradient commutes with the torus's isometries (reflections
+    and z1 <-> z2) as dd^c does.
+    """
+    a, b, c, d = phi.grid._wavenumbers(odd=True)
     f = sfft.fftn(phi.values)
-    # d_z = (d_x - i d_y)/2acts as multiplication by i*pi*(k_x - i k_y)
+    # d_z = (d_x - i d_y)/2 acts as multiplication by i*pi*(k_x - i k_y)
     dz1 = sfft.ifftn(1j * np.pi * (a - 1j * b) * f)
     dz2 = sfft.ifftn(1j * np.pi * (c - 1j * d) * f)
     return dz1, dz2

@@ -218,6 +218,25 @@ class TestAubinYau:
             phi = rand_phi(grid, rng, amp=0.05)
             assert E_aubin_yau(phi, ident) >= 0.0
 
+    def test_invariant_under_torus_isometries(self):
+        # white noise carries the Nyquist rows, where the gradient needs the
+        # odd first-derivative frequencies (0 there) to commute with
+        # y -> -y, x -> -x and z1 <-> z2
+        grid = Grid(8)
+        ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
+        v = 0.01 * np.random.default_rng(0).normal(size=grid.shape)
+        flip = (-np.arange(grid.n)) % grid.n
+        isometries = (
+            lambda a: a,
+            lambda a: a[:, flip][:, :, :, flip],  # y1, y2 -> -y1, -y2
+            lambda a: a[flip][:, :, flip],  # x1, x2 -> -x1, -x2
+            lambda a: a.transpose(2, 3, 0, 1),  # z1 <-> z2
+        )
+        for iso in isometries:
+            e = E_aubin_yau(ScalarField(grid, np.ascontiguousarray(iso(v))), ident)
+            assert e == pytest.approx(0.106865004, rel=1e-8)
+            assert e == pytest.approx(E_aubin_yau(ScalarField(grid, v), ident), rel=1e-12)
+
 
 class TestScalarCurvature:
     def test_flat_zero(self, setup):
