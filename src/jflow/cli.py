@@ -27,6 +27,7 @@ from .cohomology import (
     verify_omega0_conditions,
 )
 from .diagnostics import (
+    FIT_BAND,
     QMonitorConfig,
     q_monitor,
     singular_profile_fit,
@@ -533,8 +534,9 @@ def _cmd_solve_ma(cfg, record, out):
         for k, r in enumerate(sol.residuals):
             table.append((eps, k, r))
         converged &= sol.residual() <= macfg.newton_tol
-        psi = sol.psi.assemble() if problem.backend == "split" else sol.psi
-        jio.write_scalar(os.path.join(out, "fields", f"psi-eps{eps:g}.jflw"), psi)
+        jio.write_scalar(
+            os.path.join(out, "fields", f"psi-eps{eps:g}.jflw"), sol.psi.assemble()
+        )
         record.artifacts.append(f"fields/psi-eps{eps:g}.jflw")
         record.scalars[f"newton_iterations[{eps:g}]"] = sol.newton_iterations
         record.scalars[f"newton_residual[{eps:g}]"] = sol.residual()
@@ -563,8 +565,6 @@ def _cmd_functionals(cfg, record, out):
     payload["source"] = source
     payload["eps"] = eps
     if problem.divisor is not None:
-        from .diagnostics import FIT_BAND
-
         chi = problem.chi0.plus_ddc(phi)
         u = chi.h11 + chi.h22
         s2 = problem.divisor.s2_proxy(problem.grid).values

@@ -186,7 +186,7 @@ def q_monitor(traj, div, cfg):
     series = []
     c0_used = cfg.c0_shift
     for t, snap in traj.snapshots:
-        phi4 = snap.assemble() if traj.backend == "split" else snap
+        phi4 = snap.assemble()
         grid = phi4.grid
         if div is not None:
             s2 = div.s2_proxy(grid).values

@@ -18,15 +18,17 @@ chi^-1) * (pi N)^2.  Two explicit integrators step it
   It is fourth order in time, which the dissipation identity of criterion 3
   and 1e-9 conservation of I need.
 
-One loop, ``_advance``, takes every step of either integrator: it works on
-the kernel's raw arrays, and a step whose endpoint is not finite or loses
-positivity (at eps = 0 only off the divisor locus, where omega_0
-degenerates) is rejected and retried at half the step, up to twenty times
-before it raises DegenerateStiffnessError.  ``step`` wraps one such step as
-a FlowState; ``evolve`` calls it in a loop on the raw arrays and wraps the
-potential only where it records a snapshot.  A single run is sequential
-with data-parallel pointwise kernels; family members are independent and
-may be dispatched to worker processes.
+One loop, ``_advance``, takes every step of either integrator on the
+kernel's raw arrays and holds the one refusal policy.  An attempt whose
+endpoint is not finite or loses positivity (at eps = 0 only off the divisor
+locus, where omega_0 degenerates) is retried at half the step; under RKC's
+error control an attempt that fails the error test is retried at the step
+the controller proposes.  A step may be refused _MAX_REJECTIONS = 20 times,
+for either cause; the next refusal raises DegenerateStiffnessError.
+``step`` wraps one such step as a FlowState; ``evolve`` calls it in a loop
+on the raw arrays and wraps the potential only where it records a
+snapshot.  A single run is sequential with data-parallel pointwise kernels;
+family members are independent and may be dispatched to worker processes.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
@@ -175,9 +177,7 @@ class Trajectory:
 
     def final_potential(self):
         """Final potential as a 4-D ScalarField regardless of backend."""
-        if self.backend == "split":
-            return self.final.assemble()
-        return self.final
+        return self.final.assemble()
 
     def sup_phi_over_run(self):
         return max(r.sup_phi for r in self.rows)
@@ -506,14 +506,19 @@ def _sup(kernel, x):
     return max(hi, -lo)
 
 
-def _advance(kernel, raw, rhs, chi, dt, t):
+def _advance(kernel, raw, rhs, chi, dt, t, controlled=False):
     """One step of the configured integrator from the raw potential ``raw``
     with velocity ``rhs`` and metric ``chi`` at time t; RKC takes its stage
     count from the spectral radius bound ``kernel.lam_max(chi)``.
 
-    A step whose endpoint is not finite or not positive is retried at half
-    the step, up to _MAX_REJECTIONS times.  Returns (new, new_rhs, new_chi,
-    new_margin, accepted_dt, rejections).
+    An attempt is refused when its endpoint is not finite or not positive,
+    and retried at half the step; with ``controlled``, also when its error
+    estimate (``_rkc_error``) exceeds 1, and retried at the step the error
+    controller proposes.  After _MAX_REJECTIONS refusals of either kind the
+    next one raises DegenerateStiffnessError.  Returns (new, new_rhs,
+    new_chi, new_margin, accepted_dt, next_dt, rejections), where next_dt is
+    the controller's proposal for the following step (the accepted dt when
+    not ``controlled``).
     """
     rkc = kernel.cfg.integrator == "rkc"
     rho = _RKC_RHO_SAFETY * kernel.lam_max(chi) if rkc else 0.0
@@ -524,59 +529,39 @@ def _advance(kernel, raw, rhs, chi, dt, t):
         else:
             new = _rk4(kernel, raw, rhs, dt)
         new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
-        if finite and new_margin > 0.0:
-            return new, new_rhs, new_chi, new_margin, dt, rejections
+        if not (finite and new_margin > 0.0):
+            retry, cause = 0.5 * dt, "not finite or not positive"
+        elif controlled:
+            err = _rkc_error(raw, new, rhs, new_rhs, dt)
+            retry = dt * min(10.0, max(0.1, 0.8 / max(err, 1e-300) ** (1.0 / 3.0)))
+            if err <= 1.0:
+                return new, new_rhs, new_chi, new_margin, dt, retry, rejections
+            cause = f"error {err:.3e} of tolerance"
+        else:
+            return new, new_rhs, new_chi, new_margin, dt, dt, rejections
         rejections += 1
         if rejections > _MAX_REJECTIONS:
             raise DegenerateStiffnessError(
-                f"step rejected {rejections} times at t={t:.6g}; "
-                f"margin {new_margin:.3e}",
+                f"step rejected {rejections} times at t={t:.6g}, last at "
+                f"dt={dt:.3e} ({cause}); margin {new_margin:.3e}",
                 t=t, dt=dt, margin=new_margin,
             )
-        dt *= 0.5
-
-
-def _controlled_rkc(kernel, raw, rhs, chi, h, t, t_end):
-    """One error-controlled RKC step of at most h, ending no later than t_end.
-
-    A step whose error estimate (``_rkc_error``) exceeds 1 is retried at the
-    step the controller proposes, up to _MAX_REJECTIONS times.  Returns
-    ``_advance``'s tuple, with the rejections of both kinds, and the step
-    proposed for the next call.
-    """
-    rejections = 0
-    refused = 0
-    while True:
-        new, new_rhs, new_chi, new_margin, dt, halvings = _advance(
-            kernel, raw, rhs, chi, min(h, t_end - t), t
-        )
-        rejections += halvings
-        err = _rkc_error(raw, new, rhs, new_rhs, dt)
-        h = dt * min(10.0, max(0.1, 0.8 / max(err, 1e-300) ** (1.0 / 3.0)))
-        if err <= 1.0:
-            return (new, new_rhs, new_chi, new_margin, dt, rejections), h
-        rejections += 1
-        refused += 1
-        if refused > _MAX_REJECTIONS:
-            raise DegenerateStiffnessError(
-                f"step refused by the error test {refused} times at t={t:.6g}; "
-                f"error {err:.3e} of tolerance at dt={dt:.3e}",
-                t=t, dt=dt, margin=new_margin,
-            )
+        dt = retry
 
 
 def step(state, dt):
     """One step of the configured integrator with positivity rejection;
     returns the advanced state.
 
-    A rejected step halves dt and retries (up to 20 times before raising
-    DegenerateStiffnessError); the accepted dt is in ``last_dt``.  There is
-    no error test: that belongs to ``evolve``'s step-size control.
+    A rejected step halves dt and retries (up to _MAX_REJECTIONS times
+    before raising DegenerateStiffnessError); the accepted dt is in
+    ``last_dt``.  There is no error test: that belongs to ``evolve``'s
+    step-size control.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     kernel = state.kernel
-    new, rhs, chi, margin, dt, rejections = _advance(
+    new, rhs, chi, margin, dt, _, rejections = _advance(
         kernel, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
     )
     return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, margin,
@@ -588,9 +573,12 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
     RK4 steps at ``adaptive_dt``; RKC starts there and then takes the step
     its error control proposes.  ``fixed_dt`` runs take whole steps of the
-    configured integrator without either rule.  Returns a Trajectory with
-    per-snapshot history (J decreasing and I constant along conforming runs)
-    and decimated field snapshots.
+    configured integrator without either rule; the other runs cut their last
+    step to end at ``max_time``.  Each step is one ``_advance`` call, whose
+    refusals (positivity and, under error control, the error test) are
+    counted together in ``Trajectory.rejections``.  Returns a Trajectory with per-snapshot
+    history (J decreasing and I constant along conforming runs) and
+    decimated field snapshots.
     """
     state = make_state(cfg, chi0, omega0, omega_hat, phi0, divisor)
     kernel = state.kernel
@@ -634,16 +622,12 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
                 break
         elif t >= cfg.max_time:
             break
-        if controlled:
-            (raw, rhs, chi, margin, dt, tries), h = _controlled_rkc(
-                kernel, raw, rhs, chi, h, t, cfg.max_time
-            )
-        else:
-            if n_fixed is not None:
-                dt = cfg.fixed_dt
-            else:
-                dt = min(kernel.adaptive_dt(chi), cfg.max_time - t)
-            raw, rhs, chi, margin, dt, tries = _advance(kernel, raw, rhs, chi, dt, t)
+        dt = cfg.fixed_dt if n_fixed is not None else min(
+            h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t
+        )
+        raw, rhs, chi, margin, dt, h, tries = _advance(
+            kernel, raw, rhs, chi, dt, t, controlled
+        )
         rejections += tries
         t += dt
         steps += 1

@@ -290,6 +290,11 @@ class ScalarField:
     def mean_normalized(self):
         return self.shifted(-self.mean())
 
+    def assemble(self):
+        """The field as a 4-D ScalarField: itself (``SplitPotential.assemble``
+        builds one from the factor potentials)."""
+        return self
+
 
 @dataclass(frozen=True)
 class HermitianFormField:

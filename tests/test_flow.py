@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -399,6 +401,26 @@ class TestRKC:
         # 21 tries, each at the stage cap
         tries = flow._MAX_REJECTIONS + 1
         assert state.kernel.rhs_evals - before == tries * flow._RKC_MAX_STAGES
+
+    def test_error_refusals_raise_after_the_cap(self, monkeypatch, smooth8):
+        # every attempt fails the error test, so each retry is at a tenth of
+        # the step, the controller's floor
+        errors = []
+
+        def hopeless(*args):
+            errors.append(args)
+            return math.inf
+
+        monkeypatch.setattr(flow, "_rkc_error", hopeless)
+        pb = smooth8
+        h0 = adaptive_dt(make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat))
+        with pytest.raises(DegenerateStiffnessError) as info:
+            evolve(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
+        err = info.value
+        assert len(errors) == flow._MAX_REJECTIONS + 1
+        assert err.t == 0.0
+        assert err.dt == pytest.approx(h0 * 0.1 ** flow._MAX_REJECTIONS, rel=1e-12)
+        assert err.margin > 0.0
 
     @pytest.mark.parametrize("integrator", ["rkc", "rk4"])
     def test_rhs_evals_counts_every_attempt(self, monkeypatch, integrator):

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jflow.io import (
     read_field,
@@ -56,28 +57,38 @@ def test_header_layout(tmp_path):
     assert len(raw) == 44 + 8 * 4 ** 4
 
 
-OFFSET_GRID = Grid(8, (0.01, 0.0, 0.02, 0.0))
+@st.composite
+def offset_fields(draw):
+    """A scalar field or a Hermitian form on a 4-D grid with offsets in [0, 1/N)."""
+    n = draw(st.sampled_from((4, 6, 8)))
+    offset = st.floats(0.0, 1.0 / n, exclude_max=True)
+    grid = Grid(n, tuple(draw(offset) for _ in range(4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [rng.normal(size=grid.shape) for _ in range(draw(st.sampled_from((1, 4))))]
+    if len(parts) == 1:
+        return ScalarField(grid, parts[0])
+    return HermitianFormField(grid, *parts)
 
 
-def test_scalar_roundtrip_keeps_offsets(tmp_path):
-    field = ScalarField(OFFSET_GRID, np.random.default_rng(2).normal(size=OFFSET_GRID.shape))
-    path = tmp_path / "phi.jflw"
-    write_scalar(path, field)
+def _bits(field):
+    names = ("values",) if isinstance(field, ScalarField) else (
+        "h11", "h22", "h12_re", "h12_im")
+    return (np.array(field.grid.offsets).tobytes(), field.grid.n,
+            *(getattr(field, name).tobytes() for name in names))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=offset_fields())
+def test_roundtrip_keeps_offsets(tmp_path, field):
+    path = tmp_path / "field.jflw"
+    if isinstance(field, ScalarField):
+        write_scalar(path, field)
+    else:
+        write_hermitian(path, field)
     back = read_field(path)
-    assert back.grid == OFFSET_GRID
-    assert np.array_equal(back.values, field.values)
-
-
-def test_hermitian_roundtrip_keeps_offsets(tmp_path):
-    rng = np.random.default_rng(3)
-    form = HermitianFormField(OFFSET_GRID, *(rng.normal(size=OFFSET_GRID.shape)
-                                             for _ in range(4)))
-    path = tmp_path / "chi.jflw"
-    write_hermitian(path, form)
-    back = read_field(path)
-    assert back.grid == OFFSET_GRID
-    for name in ("h11", "h22", "h12_re", "h12_im"):
-        assert np.array_equal(getattr(back, name), getattr(form, name))
+    assert type(back) is type(field)
+    assert _bits(back) == _bits(field)
 
 
 def test_reads_version_1_onto_zero_offset_grid(tmp_path):
