@@ -58,14 +58,15 @@ def test_header_layout(tmp_path):
 
 
 @st.composite
-def offset_fields(draw):
-    """A scalar field or a Hermitian form on a 4-D grid with offsets in [0, 1/N)."""
+def offset_fields(draw, components):
+    """A field of 1 (scalar) or 4 (Hermitian form) components on a 4-D grid
+    with N in {4, 6, 8} and offsets in [0, 1/N)."""
     n = draw(st.sampled_from((4, 6, 8)))
     offset = st.floats(0.0, 1.0 / n, exclude_max=True)
     grid = Grid(n, tuple(draw(offset) for _ in range(4)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    parts = [rng.normal(size=grid.shape) for _ in range(draw(st.sampled_from((1, 4))))]
-    if len(parts) == 1:
+    parts = [rng.normal(size=grid.shape) for _ in range(components)]
+    if components == 1:
         return ScalarField(grid, parts[0])
     return HermitianFormField(grid, *parts)
 
@@ -77,11 +78,7 @@ def _bits(field):
             *(getattr(field, name).tobytes() for name in names))
 
 
-@settings(derandomize=True, deadline=None, max_examples=40, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(field=offset_fields())
-def test_roundtrip_keeps_offsets(tmp_path, field):
-    path = tmp_path / "field.jflw"
+def _assert_bitwise_roundtrip(path, field):
     if isinstance(field, ScalarField):
         write_scalar(path, field)
     else:
@@ -89,6 +86,23 @@ def test_roundtrip_keeps_offsets(tmp_path, field):
     back = read_field(path)
     assert type(back) is type(field)
     assert _bits(back) == _bits(field)
+
+
+roundtrip_settings = settings(
+    derandomize=True, deadline=None, max_examples=20, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@roundtrip_settings
+@given(field=offset_fields(1))
+def test_scalar_roundtrip_keeps_offsets(tmp_path, field):
+    _assert_bitwise_roundtrip(tmp_path / "phi.jflw", field)
+
+
+@roundtrip_settings
+@given(field=offset_fields(4))
+def test_hermitian_roundtrip_keeps_offsets(tmp_path, field):
+    _assert_bitwise_roundtrip(tmp_path / "chi.jflw", field)
 
 
 def test_reads_version_1_onto_zero_offset_grid(tmp_path):
