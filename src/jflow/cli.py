@@ -554,6 +554,9 @@ def _cmd_functionals(cfg, record, out):
     if os.path.exists(snap_path):
         phi = jio.read_field(snap_path)
         source = "fields/final.jflw"
+        if phi.grid != problem.grid:
+            raise ConfigError(f"functionals: {source} is on {phi.grid}, "
+                              f"the problem on {problem.grid}")
     else:
         phi = ScalarField.zeros(problem.grid)
         source = "zero potential"

@@ -55,9 +55,6 @@ class QMonitorConfig:
 class EstimateReport:
     sup_phi_by_eps: dict
     sup_phidot_by_eps: dict
-    trace_bound_ok: bool
-    gamma_fit: float = None
-    q_max_series: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     ok: bool = True
     failures: list = field(default_factory=list)
@@ -66,9 +63,6 @@ class EstimateReport:
         return {
             "sup_phi_by_eps": {str(k): v for k, v in self.sup_phi_by_eps.items()},
             "sup_phidot_by_eps": {str(k): v for k, v in self.sup_phidot_by_eps.items()},
-            "trace_bound_ok": self.trace_bound_ok,
-            "gamma_fit": self.gamma_fit,
-            "q_max_series": list(self.q_max_series),
             "notes": list(self.notes),
             "ok": self.ok,
             "failures": list(self.failures),
@@ -88,9 +82,7 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
     members = [m for m in family.members if m.ok]
     if not members:
         raise ValueError("uniformity_report needs at least one successful member")
-    report = EstimateReport(
-        dict(family.sup_phi_by_eps), dict(family.sup_phidot_by_eps), True
-    )
+    report = EstimateReport(dict(family.sup_phi_by_eps), dict(family.sup_phidot_by_eps))
     report.notes.append("s2 proxy in place of |s|^2_H: constants are proxy-scaled")
     for m in members:
         if budget_phi is not None and family.sup_phi_by_eps[m.eps] > budget_phi:

@@ -1,11 +1,11 @@
-"""Energy functionals: the flow energy J (path and closed forms), the
-conserved normalization I, the Aubin-Yau energy E, scalar curvature and the
-Mabuchi energy, plus the decomposition report M = J + F.
+"""Energy functionals: the flow energy J, the conserved normalization I, the
+Aubin-Yau energy E, scalar curvature and the Mabuchi energy M, plus the
+decomposition report M = J + F.
 
-Path integrals are evaluated by composite trapezoid quadrature with full
-Richardson extrapolation (Romberg); along the default linear path the
-J integrand is a quadratic polynomial in the path parameter, so the result
-is exact to rounding.
+J, I, E and M are closed forms.  The path integrals ``J_path`` and
+``mabuchi_path`` serve only as their test oracles, by Romberg quadrature;
+along the default linear path the J integrand is quadratic in the path
+parameter, so ``J_path`` is exact to rounding.
 """
 
 from dataclasses import dataclass
@@ -14,13 +14,12 @@ import numpy as np
 
 from .errors import PositivityError
 from .torus import (
-    HermitianFormField,
     ScalarField,
+    SpectralOps,
     _critical_density,
     _det,
     _wedge,
     complex_hessian,
-    holomorphic_gradient,
     integrate,
     positivity_margin,
     trace_with,
@@ -152,23 +151,22 @@ def I_functional(phi, chi0):
 
 
 def E_aubin_yau(phi, chi0):
-    """int i d(phi) ^ dbar(phi) ^ (chi0 + chi_phi); nonnegative whenever
-    chi0 + chi_phi is."""
-    dz1, dz2 = holomorphic_gradient(phi)
-    grid = phi.grid
-    p = HermitianFormField(
-        grid,
-        np.abs(dz1) ** 2,
-        np.abs(dz2) ** 2,
-        (dz1 * dz2.conjugate()).real,
-        (dz1 * dz2.conjugate()).imag,
-    )
-    total = chi0.realized.add(chi0.plus_ddc(phi))
-    return integrate(wedge_density(p, total))
+    """int i d(phi) ^ dbar(phi) ^ (chi0 + chi_phi), nonnegative whenever
+    chi0 + chi_phi is; by parts, -int phi dd^c phi ^ (chi0 + chi_phi)."""
+    h = SpectralOps.of(phi.grid).hessian(phi.values)
+    total = tuple(2.0 * b + x for b, x in zip(chi0.realized.components(), h))
+    return -4.0 * float(np.mean(phi.values * _wedge(h, total)))
 
 
 # the smallest positivity margin at which the scalar curvature is taken
 _CURVATURE_MARGIN = 1e-10
+
+
+def _check_curvature_margin(chi, what):
+    margin = positivity_margin(chi)
+    if margin <= _CURVATURE_MARGIN:
+        raise PositivityError(f"{what}: form not positive (margin {margin:.3e})",
+                              margin=margin)
 
 
 def scalar_curvature(chi):
@@ -176,12 +174,7 @@ def scalar_curvature(chi):
 
     R = tr_chi Ric with Ric = -dd^c log det(chi); flat backgrounds give 0.
     """
-    margin = positivity_margin(chi)
-    if margin <= _CURVATURE_MARGIN:
-        raise PositivityError(
-            f"scalar_curvature: form not positive (margin {margin:.3e})",
-            margin=margin,
-        )
+    _check_curvature_margin(chi, "scalar_curvature")
     ric = complex_hessian(ScalarField(chi.grid, -np.log(_det(chi.components()))))
     return trace_with(chi, ric, check=False)
 
@@ -194,10 +187,30 @@ def mean_scalar_curvature(chi):
     return num / integrate(vol)
 
 
+def mabuchi_closed(phi, chi0):
+    """Mabuchi energy by Chen's decomposition (X. X. Chen, IMRN 2000):
+    M = int log(det chi_phi / det chi0) chi_phi^2 + int phi rho ^ (chi0 +
+    chi_phi) + Rbar I(phi), rho = dd^c log det chi0, Rbar = 0 as c1(T^4) = 0.
+
+    lambda_min is concave, so no form of the linear path is less positive
+    than both ends: checking the two raises ``PositivityError`` exactly when
+    the test oracle ``mabuchi_path`` does.
+    """
+    bg, chi = chi0.realized, chi0.plus_ddc(phi)
+    for form in (bg, chi):
+        _check_curvature_margin(form, "mabuchi_closed")
+    bg, chi = bg.components(), chi.components()
+    det0, det = _det(bg), _det(chi)
+    rho = SpectralOps.of(phi.grid).hessian(np.log(det0))
+    total = tuple(a + b for a, b in zip(bg, chi))
+    return 4.0 * float(np.mean(2.0 * det * np.log(det / det0)
+                               + phi.values * _wedge(rho, total)))
+
+
 def mabuchi_path(phi, chi0, steps=16, rbar=None):
-    """Mabuchi energy along the linear path; every intermediate form must
-    stay positive.  ``rbar`` defaults to the average scalar curvature of
-    the background."""
+    """Mabuchi energy by quadrature along the linear path, the test oracle
+    of ``mabuchi_closed``; every intermediate form must stay positive.
+    ``rbar`` defaults to the average scalar curvature of the background."""
     if steps < 8:
         raise ValueError("mabuchi_path needs at least 8 quadrature steps")
     chi0r = chi0.realized
@@ -217,15 +230,14 @@ def mabuchi_path(phi, chi0, steps=16, rbar=None):
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """Snapshot of all functionals; F = M - J is only defined when the two
-    path integrals were taken at the same resolution."""
+    """Snapshot of all functionals, each in closed form; M and F = M - J
+    are None (and ``notes`` says why) when chi0 or chi_phi is not positive."""
 
     j: float
     i: float
     e: float
     m: float = None
     f: float = None
-    path_resolution: int = 0
     notes: str = ""
 
     def to_dict(self):
@@ -235,25 +247,25 @@ class FunctionalReport:
             "E": self.e,
             "M": self.m,
             "F": self.f,
-            "path_resolution": self.path_resolution,
             "notes": self.notes,
         }
 
 
-def evaluate_suite(phi, chi0, omega0, c0, steps=16):
-    """FunctionalReport for one potential; Mabuchi is skipped (with a note)
-    when some path form loses positivity."""
+def evaluate_suite(phi, chi0, omega0, c0):
+    """FunctionalReport for one potential: J, I, E and M (``mabuchi_closed``)
+    in closed form; M and F are skipped, with a note, when chi0 or chi_phi
+    is not positive."""
     j = J_closed(phi, chi0, omega0, c0)
     i = I_functional(phi, chi0)
     e = E_aubin_yau(phi, chi0)
     m = f = None
     notes = ""
     try:
-        m = mabuchi_path(phi, chi0, steps=steps)
+        m = mabuchi_closed(phi, chi0)
         f = m - j
     except PositivityError as err:
         notes = f"mabuchi skipped: {err}"
-    return FunctionalReport(j, i, e, m, f, steps, notes)
+    return FunctionalReport(j, i, e, m, f, notes)
 
 
 # --- split-backend evaluations (separable products, no 4-D assembly) -----

@@ -377,21 +377,6 @@ def poisson_solve(src, tol=1e-12):
     return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
 
 
-def holomorphic_gradient(phi):
-    """(d_{z1} phi, d_{z2} phi) as complex arrays (spectral).
-
-    The first-derivative frequencies are the Hessian's, 0 on the Nyquist
-    row, so the gradient commutes with the torus's isometries (reflections
-    and z1 <-> z2) as dd^c does.
-    """
-    a, b, c, d = phi.grid._wavenumbers(odd=True)
-    f = sfft.fftn(phi.values)
-    # d_z = (d_x - i d_y)/2 acts as multiplication by i*pi*(k_x - i k_y)
-    dz1 = sfft.ifftn(1j * np.pi * (a - 1j * b) * f)
-    dz2 = sfft.ifftn(1j * np.pi * (c - 1j * d) * f)
-    return dz1, dz2
-
-
 def _wedge(a, b):
     """Wedge density D(a, b): a ^ b = D (i dz1 dz1bar)(i dz2 dz2bar)."""
     return a[0] * b[1] + a[1] * b[0] - 2.0 * (a[2] * b[2] + a[3] * b[3])

@@ -252,8 +252,7 @@ class TestExecute:
             "failures", "final_residuals"}
         assert report["family"]["eps"] == [0.2, 0.1]
         assert set(report["uniformity"]) == {
-            "sup_phi_by_eps", "sup_phidot_by_eps", "trace_bound_ok", "gamma_fit",
-            "q_max_series", "notes", "ok", "failures"}
+            "sup_phi_by_eps", "sup_phidot_by_eps", "notes", "ok", "failures"}
         assert report["uniformity"]["ok"]
 
     def test_functionals_on_snapshot(self, tmp_path):
@@ -267,6 +266,19 @@ class TestExecute:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["source"] == "fields/final.jflw"
         assert payload["J"] is not None
+
+    def test_functionals_on_snapshot_from_another_grid(self, tmp_path):
+        text = (f"preset=smooth_split, out={tmp_path}, flow.max_time=0.2,"
+                " flow.stop_tolerance=1e-6, flow.dt_safety=0.8")
+        execute(parse_config(text + ", N=8"), "run")
+        (tmp_path / "run.json").unlink()
+        record, code = execute(parse_config(text + ", N=12"), "functionals")
+        assert code == 1 and not record.verdicts["completed"]
+        assert len(record.failures) == 1
+        assert record.failures[0].startswith("ConfigError: functionals:")
+        assert "n=8" in record.failures[0] and "n=12" in record.failures[0]
+        assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
+        assert not (tmp_path / "report.json").exists()
 
     def test_determinism_bitwise_csv(self, tmp_path):
         texts = []

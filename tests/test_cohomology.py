@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jflow.cohomology import (
     ClosedForm,
@@ -14,14 +15,31 @@ from jflow.cohomology import (
 from jflow.errors import PositivityError
 from jflow.presets import build_preset, make_divisor, random_bandlimited_potential
 from jflow.split import SplitForm, assemble_form
-from jflow.torus import Grid, ScalarField, integrate, wedge_density
+from jflow.torus import Grid, ScalarField, _wedge, integrate, wedge_density
 
 ID = CohomologyClass.identity()
+
+
+_entries = st.floats(-10.0, 10.0)
+_forms = st.tuples(_entries, _entries, _entries, _entries)
 
 
 class TestPairing:
     def test_identity(self):
         assert class_pairing(ID, ID) == 8.0
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(a=_forms, b=_forms, c=_forms, s=_entries, t=_entries)
+    def test_wedge_is_symmetric_bilinear(self, a, b, c, s, t):
+        # the one form algebra: D(a, b) = D(b, a) exactly, linear in each
+        # slot; the class pairing 4 D then gives [s Id].[t Id] = 8 s t
+        assert _wedge(a, b) == _wedge(b, a)
+        sa_tb = tuple(s * x + t * y for x, y in zip(a, b))
+        scale = 1.0 + sum(abs(x) for x in a + b + c) ** 2 * (1.0 + abs(s) + abs(t))
+        assert _wedge(sa_tb, c) == pytest.approx(
+            s * _wedge(a, c) + t * _wedge(b, c), abs=1e-12 * scale)
+        assert class_pairing(ID.scale(s), ID.scale(t)) == pytest.approx(
+            8.0 * s * t, rel=1e-15, abs=1e-300)
 
     def test_diagonal(self):
         a = CohomologyClass.diag(2.0, 3.0)

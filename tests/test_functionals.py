@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jflow import torus
 from jflow.cohomology import ClosedForm, CohomologyClass
 from jflow.errors import PositivityError
 from jflow.functionals import (
@@ -14,6 +18,7 @@ from jflow.functionals import (
     i_functional_split,
     j_closed_split,
     j_gradient_density,
+    mabuchi_closed,
     mabuchi_path,
     mean_scalar_curvature,
     scalar_curvature,
@@ -23,8 +28,10 @@ from jflow.torus import (
     Grid,
     HermitianFormField,
     ScalarField,
+    SpectralOps,
     complex_hessian,
     integrate,
+    positivity_margin,
     wedge_density,
 )
 
@@ -52,8 +59,6 @@ def rand_phi(grid, rng, amp=0.08, kmax=2):
 def chi_safe_phi(grid, rng, margin=0.5, kmax=2):
     """Random band-limited potential rescaled so Id + dd^c(phi) keeps the
     requested positivity margin (the hessian amplifies each mode by k^2)."""
-    from jflow.torus import positivity_margin
-
     phi = rand_phi(grid, rng, amp=1.0, kmax=kmax)
     worst = positivity_margin(complex_hessian(phi))
     scale = (1.0 - margin) / max(-worst, 1e-30)
@@ -219,9 +224,9 @@ class TestAubinYau:
             assert E_aubin_yau(phi, ident) >= 0.0
 
     def test_invariant_under_torus_isometries(self):
-        # white noise carries the Nyquist rows, where the gradient needs the
-        # odd first-derivative frequencies (0 there) to commute with
-        # y -> -y, x -> -x and z1 <-> z2
+        # white noise carries the Nyquist rows, where dd^c commutes with
+        # y -> -y, x -> -x and z1 <-> z2 because its mixed entries take the
+        # odd first-derivative frequencies (0 there)
         grid = Grid(8)
         ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
         v = 0.01 * np.random.default_rng(0).normal(size=grid.shape)
@@ -234,7 +239,7 @@ class TestAubinYau:
         )
         for iso in isometries:
             e = E_aubin_yau(ScalarField(grid, np.ascontiguousarray(iso(v))), ident)
-            assert e == pytest.approx(0.106865004, rel=1e-8)
+            assert e == pytest.approx(0.172683208, rel=1e-8)
             assert e == pytest.approx(E_aubin_yau(ScalarField(grid, v), ident), rel=1e-12)
 
 
@@ -274,11 +279,37 @@ class TestScalarCurvature:
             scalar_curvature(HermitianFormField.constant(grid, -1.0, 1.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _background(name):
+    return build_preset(name, n=12).chi0
+
+
+# the closed form and its path oracle, checked in one test each so that the
+# test ids stay those of the path-only tests
+MABUCHI = (mabuchi_closed, mabuchi_path)
+
+
 class TestMabuchi:
     def test_zero_and_constant(self, setup):
         grid, ident = setup
-        assert mabuchi_path(ScalarField.zeros(grid), ident) == 0.0
-        assert abs(mabuchi_path(ScalarField.constant(grid, 2.0), ident)) < 1e-12
+        for mabuchi in MABUCHI:
+            assert mabuchi(ScalarField.zeros(grid), ident) == 0.0
+            assert abs(mabuchi(ScalarField.constant(grid, 2.0), ident)) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=20, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), margin=st.floats(0.4, 0.9),
+           background=st.sampled_from(("identity", "nonsplit_perturbed")))
+    def test_closed_form_matches_path(self, seed, margin, background):
+        # Chen's decomposition against the 32-step path quadrature: band-
+        # limited phi (|k| <= 2) keeping Id + dd^c phi above the margin,
+        # scaled to half of chi0's own margin on the perturbed background
+        chi0 = _background(background)
+        grid = chi0.realized.grid
+        phi = chi_safe_phi(grid, np.random.default_rng(seed), margin=margin)
+        phi = ScalarField(grid, min(1.0, 0.5 * positivity_margin(chi0.realized)) * phi.values)
+        closed = mabuchi_closed(phi, chi0)
+        path = mabuchi_path(phi, chi0, steps=32)
+        assert closed == pytest.approx(path, rel=1e-10)
 
     def test_f_stable_across_resolutions(self, setup):
         grid, ident = setup
@@ -295,8 +326,9 @@ class TestMabuchi:
         phi = ScalarField(
             grid, np.broadcast_to(0.2 * np.cos(2 * np.pi * x1), grid.shape).copy()
         )
-        with pytest.raises(PositivityError):
-            mabuchi_path(phi, ident)
+        for mabuchi in MABUCHI:
+            with pytest.raises(PositivityError):
+                mabuchi(phi, ident)
 
 
 class TestSuiteAndSplitEvaluations:
@@ -308,7 +340,26 @@ class TestSuiteAndSplitEvaluations:
         assert isinstance(rep, FunctionalReport)
         assert rep.f == rep.m - rep.j
         d = rep.to_dict()
-        assert set(d) == {"J", "I", "E", "M", "F", "path_resolution", "notes"}
+        assert set(d) == {"J", "I", "E", "M", "F", "notes"}
+
+    def test_energies_call_no_transform(self, monkeypatch):
+        # E, M and the suite take dd^c by matrix products only, once the
+        # spectral matrices and chi0's realization are built
+        pb = build_preset("nonsplit_perturbed", n=8)
+        grid = pb.chi0.realized.grid
+        SpectralOps.of(grid)
+        pb.omega0.realized
+        phi = random_bandlimited_potential(pb, np.random.default_rng(13))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform called")
+
+        for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft"):
+            monkeypatch.setattr(torus.sfft, name, refuse)
+        E_aubin_yau(phi, pb.chi0)
+        mabuchi_closed(phi, pb.chi0)
+        rep = evaluate_suite(phi, pb.chi0, pb.omega0, 2.0)
+        assert rep.m is not None
 
     def test_split_matches_full(self):
         pb = build_preset("degenerate_split", n=12)
