@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -352,19 +352,7 @@ class RunRecord:
         return all(self.verdicts.values()) and not self.failures
 
     def to_dict(self):
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "started": self.started,
-            "finished": self.finished,
-            "preset": self.preset,
-            "n": self.n,
-            "eps": self.eps,
-            "verdicts": self.verdicts,
-            "failures": self.failures,
-            "artifacts": self.artifacts,
-            "scalars": self.scalars,
-        }
+        return asdict(self)
 
 
 def write_record(path, record):
@@ -432,11 +420,17 @@ def _cmd_check_classes(cfg, record, out):
     return record
 
 
-def _run_monitors(cfg, problem, traj, record, label=""):
-    """Record the monitors' verdicts on a finished run.  A q-monitor that
-    cannot be evaluated on this grid is a failure line, not the end of the
-    run: the verdicts before it stand."""
-    tag = f"{label}:" if label else ""
+def _record_trajectory(cfg, problem, traj, record, out, eps=None):
+    """Write a finished run's history to series.csv and its final potential
+    to fields/final.jflw (both names suffixed -eps<eps> for a family
+    member), then record the monitors' verdicts on it, prefixed eps=<eps>:
+    for a member.  A q-monitor that cannot be evaluated on this grid is a
+    failure line, not the end of the run: the verdicts before it stand."""
+    suffix, tag = ("", "") if eps is None else (f"-eps{eps:g}", f"eps={eps:g}:")
+    traj.write_csv(os.path.join(out, f"series{suffix}.csv"))
+    jio.write_scalar(os.path.join(out, "fields", f"final{suffix}.jflw"),
+                     traj.final_potential())
+    record.artifacts += [f"series{suffix}.csv", f"fields/final{suffix}.jflw"]
     mp = max_principle_monitor(traj) if len(traj.rows) >= 3 else None
     if mp is not None:
         record.verdicts[f"{tag}max_principle"] = mp.ok
@@ -467,11 +461,6 @@ def _cmd_run(cfg, record, out):
         phi0=_initial_potential(cfg, problem),
         divisor=problem.divisor,
     )
-    traj.write_csv(os.path.join(out, "series.csv"))
-    record.artifacts.append("series.csv")
-    final = traj.final_potential()
-    jio.write_scalar(os.path.join(out, "fields", "final.jflw"), final)
-    record.artifacts.append("fields/final.jflw")
     record.scalars.update(
         {"final_residual": traj.final_residual, "steps": traj.steps,
          "t_final": traj.rows[-1].t, "c_eps": traj.c_eps,
@@ -479,7 +468,7 @@ def _cmd_run(cfg, record, out):
          "rhs_evals": traj.rhs_evals, "rejections": traj.rejections}
     )
     record.verdicts["completed"] = True
-    _run_monitors(cfg, problem, traj, record)
+    _record_trajectory(cfg, problem, traj, record, out)
     return record
 
 
@@ -506,14 +495,7 @@ def _cmd_family(cfg, record, out):
     record.failures.extend(est.failures)
     for m in report.members:
         if m.ok:
-            m.trajectory.write_csv(os.path.join(out, f"series-eps{m.eps:g}.csv"))
-            record.artifacts.append(f"series-eps{m.eps:g}.csv")
-            jio.write_scalar(
-                os.path.join(out, "fields", f"final-eps{m.eps:g}.jflw"),
-                m.trajectory.final_potential(),
-            )
-            record.artifacts.append(f"fields/final-eps{m.eps:g}.jflw")
-            _run_monitors(cfg, problem, m.trajectory, record, label=f"eps={m.eps:g}")
+            _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)
     payload = {"family": report.to_dict(), "uniformity": est.to_dict()}
     jio.write_json(os.path.join(out, "report.json"), payload)
     record.artifacts.append("report.json")

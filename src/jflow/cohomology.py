@@ -152,6 +152,10 @@ def epsilon_form(omega0, eps, omega_hat):
     return omega0.add(omega_hat.scale(eps))
 
 
+# s2 proxy values below this count as lying on the divisor locus
+_LOCUS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class DivisorModel:
     """Model of the degeneracy divisor D = {z1 = 0} and its line-bundle data.
@@ -174,9 +178,9 @@ class DivisorModel:
         v = np.sin(np.pi * x1) ** 2 + np.sin(np.pi * y1) ** 2
         return ScalarField(grid, np.broadcast_to(v, grid.shape).copy())
 
-    def locus_mask(self, grid, tol=1e-12):
+    def locus_mask(self, grid):
         """Boolean mask of grid points lying on the divisor locus."""
-        return self.s2_proxy(grid).values < tol
+        return self.s2_proxy(grid).values < _LOCUS_TOL
 
 
 @dataclass(frozen=True)
@@ -192,10 +196,6 @@ class Omega0Certificate:
 
     def __bool__(self):
         return self.ok
-
-
-# s2 proxy values below this count as lying on the divisor locus
-_LOCUS_TOL = 1e-12
 
 
 def verify_omega0_conditions(omega0, div, omega_hat):

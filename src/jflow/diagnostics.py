@@ -11,14 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cohomology import _LOCUS_TOL
 from .errors import ConfigError, FitError
 from .flow import MonitorVerdict, _trace_bound_excess
 from .torus import ScalarField
 
-OFF_DIVISOR_THRESHOLD = 0.1
 FIT_BAND = (1e-3, 0.5)
+_FIT_MIN_POINTS = 8  # grid points in the band a profile fit needs
 _TREND_RATIO = 1.1  # largest ratio of successive limit sups down the eps ladder
-_MASK_TOL = 1e-12  # s2 proxy values below this lie on the divisor locus
 _Q_SLACK = 1.0  # how far q_max may rise above its value at t = 0
 
 
@@ -27,21 +27,18 @@ class QMonitorConfig:
     """Constants of the divisor barrier quantity.
 
     The product A*delta must dominate twice the divisor exponent beta
-    (checked against the active divisor model); C0_shift, when not given,
-    is chosen at t = 0 so that phi_tilde + C0_shift >= 1 with margin.
+    (checked against the active divisor model).  The shift C0 is not a
+    constant of the config: ``q_monitor`` works it out at t = 0.
     """
 
     a: float = 10.0
     delta: float = 0.1
-    c0_shift: float = None
 
     def __post_init__(self):
         if not self.a > 1.0:
             raise ValueError("QMonitorConfig: A must exceed 1")
         if not self.delta > 0.0:
             raise ValueError("QMonitorConfig: delta must be positive")
-        if self.c0_shift is not None:
-            object.__setattr__(self, "c0_shift", float(self.c0_shift))
 
     def validate_against(self, div):
         if self.a * self.delta < 2.0 * div.beta - 1e-12:
@@ -74,10 +71,10 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
 
     Asserts the run-wide sups of |phi| and |phi_dot| stay within the
     configured budgets for every member, and that the sups of the
-    gauge-normalized limits do not diverge as epsilon decreases (ratio of
-    successive sups <= 1.1).  The trend uses mean-normalized
-    final potentials: the raw fields carry a conserved-I gauge constant
-    that is an epsilon-dependent offset, not a size statement.
+    mean-normalized limits do not diverge as epsilon decreases (ratio of
+    successive sups <= 1.1).  The trend uses mean-normalized final
+    potentials: the raw fields carry a conserved-I additive constant that
+    is an epsilon-dependent offset, not a size statement.
     """
     members = [m for m in family.members if m.ok]
     if not members:
@@ -107,15 +104,15 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
     return report
 
 
-def trace_bound_check(traj, tol=1e-8):
-    """sup tr_{chi} omega_eps <= c_eps + sup|phi_dot(0)| + tol at every
-    snapshot (the flow identity tr = c - phi_dot turns the lower metric
-    bound into this trace form); failures are (t, trace_sup, bound)."""
-    failures = tuple(_trace_bound_excess(traj, tol))
+def trace_bound_check(traj):
+    """sup tr_{chi} omega_eps <= c_eps + sup|phi_dot(0)| + flow._MONITOR_TOL
+    at every snapshot (the flow identity tr = c - phi_dot turns the lower
+    metric bound into this trace form); failures are (t, trace_sup, bound)."""
+    failures = tuple(_trace_bound_excess(traj))
     return MonitorVerdict(not failures, failures)
 
 
-def singular_profile_fit(u, s2, band=FIT_BAND, min_points=8):
+def singular_profile_fit(u, s2, band=FIT_BAND):
     """Least-squares exponent of u against the divisor distance proxy.
 
     Fits log u = log C + gamma * (-log s2) over the band of s2 values and
@@ -125,10 +122,10 @@ def singular_profile_fit(u, s2, band=FIT_BAND, min_points=8):
     u = np.asarray(u, dtype=float).ravel()
     s2 = np.asarray(s2, dtype=float).ravel()
     sel = (s2 >= band[0]) & (s2 <= band[1]) & (u > 0.0)
-    if sel.sum() < min_points:
+    if sel.sum() < _FIT_MIN_POINTS:
         raise FitError(
             f"singular_profile_fit: only {int(sel.sum())} grid points have "
-            f"s2 in [{band[0]:g}, {band[1]:g}]; need {min_points}"
+            f"s2 in [{band[0]:g}, {band[1]:g}]; need {_FIT_MIN_POINTS}"
         )
     x = -np.log(s2[sel])
     y = np.log(u[sel])
@@ -136,30 +133,31 @@ def singular_profile_fit(u, s2, band=FIT_BAND, min_points=8):
     return max(float(slope), 0.0), float(np.exp(intercept))
 
 
-def q_values(phi, u, s2, cfg):
+def q_values(phi, u, s2, cfg, c0=None):
     """The barrier quantity Q = log u - A*phi_tilde + 1/(phi_tilde + C0)
     with phi_tilde = phi - delta log s2, masked on the divisor locus.
 
-    Returns (q_max, c0_shift_used).  Raises ConfigError when the locus mask
-    eats more than 1% of the grid or the shift cannot keep the reciprocal
-    term in [0, 1].
+    A missing shift ``c0`` is chosen here, as max(1.5 - min phi_tilde, 1.5),
+    so that phi_tilde + C0 >= 1 with margin; ``q_monitor`` does so at t = 0
+    and passes that C0 on to the later snapshots.  Returns (q_max, C0).
+    Raises ConfigError when the locus mask eats more than 1% of the grid or
+    the shift cannot keep the reciprocal term in [0, 1].
     """
     phi = np.asarray(phi, dtype=float)
     u = np.asarray(u, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    off = s2 >= _MASK_TOL
+    off = s2 >= _LOCUS_TOL
     if off.sum() < 0.99 * s2.size:
         raise ConfigError(
             f"q_monitor: locus mask covers {(1 - off.sum() / s2.size) * 100:.2f}% "
             "of the grid (> 1%); shift the grid offsets"
         )
     phit = phi[off] - cfg.delta * np.log(s2[off])
-    c0 = cfg.c0_shift
     if c0 is None:
         c0 = max(1.5 - float(phit.min()), 1.5)
     if float(phit.min()) + c0 < 1.0:
         raise ConfigError(
-            f"q_monitor: phi_tilde + C0_shift dips to {float(phit.min()) + c0:.3g} < 1"
+            f"q_monitor: phi_tilde + C0 dips to {float(phit.min()) + c0:.3g} < 1"
         )
     q = np.log(u[off]) - cfg.a * phit + 1.0 / (phit + c0)
     return float(q.max()), c0
@@ -176,7 +174,7 @@ def q_monitor(traj, div, cfg):
     if div is not None:
         cfg.validate_against(div)
     series = []
-    c0_used = cfg.c0_shift
+    c0 = None
     for t, snap in traj.snapshots:
         phi4 = snap.assemble()
         grid = phi4.grid
@@ -185,9 +183,7 @@ def q_monitor(traj, div, cfg):
         else:
             s2 = np.ones(grid.shape)
         u = _trace_field(traj, snap, grid)
-        q, c0_used = q_values(
-            phi4.values, u, s2, QMonitorConfig(cfg.a, cfg.delta, c0_used)
-        )
+        q, c0 = q_values(phi4.values, u, s2, cfg, c0)
         series.append((t, q))
     q0 = series[0][1]
     failures = tuple(
@@ -207,7 +203,7 @@ def _trace_field(traj, snap, grid):
 
 def compare_up_to_constant(a, b, mask=None):
     """sup over the mask of |a - b - mean_mask(a - b)|: the distance between
-    potentials modulo the additive-constant gauge (a pseudometric)."""
+    potentials modulo additive constants (a pseudometric)."""
     av = a.values if isinstance(a, ScalarField) else np.asarray(a)
     bv = b.values if isinstance(b, ScalarField) else np.asarray(b)
     diff = av - bv

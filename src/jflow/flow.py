@@ -25,7 +25,8 @@ locus, where omega_0 degenerates) is retried at half the step; under RKC's
 error control an attempt that fails the error test is retried at the step
 the controller proposes.  A step may be refused _MAX_REJECTIONS = 20 times,
 for either cause; the next refusal raises DegenerateStiffnessError.
-``step`` wraps one such step as a FlowState; ``evolve`` calls it in a loop
+``step`` wraps one such step as a FlowState and is how fixed-step runs
+advance; ``evolve`` calls ``_advance`` in a loop under its step-size rule
 on the raw arrays and wraps the potential only where it records a
 snapshot.  A single run is sequential with data-parallel pointwise kernels;
 family members are independent and may be dispatched to worker processes.
@@ -93,6 +94,9 @@ _RKC_RHO_SAFETY = 1.2
 _RKC_ATOL = 3e-8
 _RKC_RTOL = 3e-2
 _MAX_FIELD_SNAPSHOTS = 96  # more halve the kept snapshots and double the stride
+_MONITOR_TOL = 1e-8  # slack of the maximum-principle and trace-bound monitors
+# s2 proxy values at or above this bound the off-divisor region of family diffs
+_OFF_DIVISOR_S2 = 0.1
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ class FlowConfig:
     max_time: float = 5.0
     snapshot_stride: int = 50
     allow_degenerate: bool = False
-    fixed_dt: Optional[float] = None  # testing hook; bypasses the adaptive rule
     integrator: str = "rkc"  # or "rk4"
 
     def __post_init__(self):
@@ -119,8 +122,6 @@ class FlowConfig:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
-        if self.fixed_dt is not None and not self.fixed_dt > 0.0:
-            raise ValueError("fixed_dt must be positive")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, "
                              f"got {self.integrator!r}")
@@ -572,13 +573,12 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     """Run the flow until sup|rhs| < stop_tolerance or t > max_time.
 
     RK4 steps at ``adaptive_dt``; RKC starts there and then takes the step
-    its error control proposes.  ``fixed_dt`` runs take whole steps of the
-    configured integrator without either rule; the other runs cut their last
-    step to end at ``max_time``.  Each step is one ``_advance`` call, whose
-    refusals (positivity and, under error control, the error test) are
-    counted together in ``Trajectory.rejections``.  Returns a Trajectory with per-snapshot
-    history (J decreasing and I constant along conforming runs) and
-    decimated field snapshots.
+    its error control proposes.  The last step is cut to end at
+    ``max_time``; fixed-step runs call ``step`` instead.  Each step is one
+    ``_advance`` call, whose refusals (positivity and, under error control,
+    the error test) are counted together in ``Trajectory.rejections``.
+    Returns a Trajectory with per-snapshot history (J decreasing and I
+    constant along conforming runs) and decimated field snapshots.
     """
     state = make_state(cfg, chi0, omega0, omega_hat, phi0, divisor)
     kernel = state.kernel
@@ -606,25 +606,15 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
     record()
     stop_reason = "max_time"
-    # fixed-dt runs take a whole number of steps so that runs with dt and
-    # dt/2 land on identical times (integrator-order checks)
-    n_fixed = (
-        max(1, round(cfg.max_time / cfg.fixed_dt)) if cfg.fixed_dt is not None else None
-    )
-    controlled = n_fixed is None and cfg.integrator == "rkc"
+    controlled = cfg.integrator == "rkc"
     h = kernel.adaptive_dt(chi) if controlled else None
     while True:
         if _sup(kernel, rhs) < cfg.stop_tolerance:
             stop_reason = "converged"
             break
-        if n_fixed is not None:
-            if steps >= n_fixed:
-                break
-        elif t >= cfg.max_time:
+        if t >= cfg.max_time:
             break
-        dt = cfg.fixed_dt if n_fixed is not None else min(
-            h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t
-        )
+        dt = min(h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t)
         raw, rhs, chi, margin, dt, h, tries = _advance(
             kernel, raw, rhs, chi, dt, t, controlled
         )
@@ -717,9 +707,10 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
     """Independent runs for a descending positive epsilon ladder.
 
     Limits are compared after mean normalization (runs share phi0 but carry
-    their own conserved-I gauge); differences are reported on the full grid
-    and on the off-divisor region {s2_proxy >= 0.1}.  A failing member is
-    recorded and the report stays partial rather than raising.
+    their own conserved-I constant); differences are reported on the full
+    grid and on the off-divisor region {s2_proxy >= _OFF_DIVISOR_S2}.  A
+    failing member is recorded and the report stays partial rather than
+    raising.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 for e in eps_list):
@@ -755,7 +746,7 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
         full = float(delta.max())
         off = full
         if divisor is not None:
-            mask = divisor.s2_proxy(a.grid).values >= 0.1
+            mask = divisor.s2_proxy(a.grid).values >= _OFF_DIVISOR_S2
             off = float(delta[mask].max())
         diffs.append((hi.eps, lo.eps, full, off))
 
@@ -775,38 +766,39 @@ class MonitorVerdict:
         return self.ok
 
 
-def max_principle_monitor(traj, tol=1e-8):
+def max_principle_monitor(traj):
     """sup phi_dot must not increase, inf phi_dot must not decrease, and the
-    trace of omega_eps in chi never exceeds c_eps + sup|phi_dot(0)|."""
+    trace of omega_eps in chi never exceeds c_eps + sup|phi_dot(0)|, each up
+    to _MONITOR_TOL."""
     rows = traj.rows
     if len(rows) < 3:
         raise ValueError("max_principle_monitor needs at least 3 snapshots")
     failures = []
     for prev, cur in zip(rows, rows[1:]):
-        if cur.max_phidot > prev.max_phidot + tol:
+        if cur.max_phidot > prev.max_phidot + _MONITOR_TOL:
             failures.append(
                 (cur.t, "sup phi_dot increased", cur.max_phidot - prev.max_phidot)
             )
-        if cur.min_phidot < prev.min_phidot - tol:
+        if cur.min_phidot < prev.min_phidot - _MONITOR_TOL:
             failures.append(
                 (cur.t, "inf phi_dot decreased", prev.min_phidot - cur.min_phidot)
             )
     failures += [
         (t, "trace bound exceeded", trace_sup - bound)
-        for t, trace_sup, bound in _trace_bound_excess(traj, tol)
+        for t, trace_sup, bound in _trace_bound_excess(traj)
     ]
     return MonitorVerdict(not failures, tuple(failures))
 
 
-def _trace_bound_excess(traj, tol=1e-8):
-    """Rows where sup tr_{chi} omega_eps exceeds c_eps + sup|phi_dot(0)| + tol,
-    as (t, trace_sup, bound) triples.
+def _trace_bound_excess(traj):
+    """Rows where sup tr_{chi} omega_eps exceeds c_eps + sup|phi_dot(0)| +
+    _MONITOR_TOL, as (t, trace_sup, bound) triples.
 
     The flow identity tr = c_eps - phi_dot pointwise makes the sup of the
     trace c_eps - inf phi_dot, which turns the lower metric bound into this
     trace form.
     """
-    bound = traj.c_eps + traj.sup_phidot0 + tol
+    bound = traj.c_eps + traj.sup_phidot0 + _MONITOR_TOL
     return [
         (row.t, traj.c_eps - row.min_phidot, bound)
         for row in traj.rows

@@ -28,8 +28,9 @@ from .torus import (
 from . import split as sp
 
 
-def _romberg(samples, length=1.0):
-    """Romberg value from 2^k + 1 equispaced samples of the integrand."""
+def _romberg(samples):
+    """Romberg value over [0, 1] from 2^k + 1 equispaced samples of the
+    integrand."""
     m = len(samples) - 1
     k = int(round(np.log2(m)))
     if 2 ** k != m:
@@ -39,7 +40,7 @@ def _romberg(samples, length=1.0):
     for j in range(k + 1):
         stride = 2 ** (k - j)
         pts = samples[::stride]
-        h = length / 2 ** j
+        h = 1.0 / 2 ** j
         row.append(h * (pts.sum() - 0.5 * (pts[0] + pts[-1])))
     table = np.array(row)
     for m_level in range(1, k + 1):
@@ -116,7 +117,7 @@ def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
     return _romberg(samples)
 
 
-def J_gradient_check(phi, v, chi0, omega0, c0, h=1e-4):
+def J_gradient_check(phi, v, chi0, omega0, c0):
     """Relative error between a central finite difference of J and the
     analytic directional derivative 4 mean(v g) along v, g the gradient
     density.
@@ -128,8 +129,10 @@ def J_gradient_check(phi, v, chi0, omega0, c0, h=1e-4):
     vanishes identically (at a critical point, say): the finite difference's
     roundoff is then relative to the size of the terms of g, not to g. A zero
     difference returns 0.0, also for v = 0. The error includes the O(h^2)
-    truncation of the difference and its roundoff of about eps |J| / h.
+    truncation of the difference and its roundoff of about eps |J| / h at
+    its step h = 1e-4.
     """
+    h = 1e-4
     plus = ScalarField(phi.grid, phi.values + h * v.values)
     minus = ScalarField(phi.grid, phi.values - h * v.values)
     fd = (J_closed(plus, chi0, omega0, c0) - J_closed(minus, chi0, omega0, c0)) / (2.0 * h)
@@ -207,15 +210,14 @@ def mabuchi_closed(phi, chi0):
                                + phi.values * _wedge(rho, total)))
 
 
-def mabuchi_path(phi, chi0, steps=16, rbar=None):
+def mabuchi_path(phi, chi0, steps=16):
     """Mabuchi energy by quadrature along the linear path, the test oracle
     of ``mabuchi_closed``; every intermediate form must stay positive.
-    ``rbar`` defaults to the average scalar curvature of the background."""
+    Rbar is the average scalar curvature of the background."""
     if steps < 8:
         raise ValueError("mabuchi_path needs at least 8 quadrature steps")
     chi0r = chi0.realized
-    if rbar is None:
-        rbar = mean_scalar_curvature(chi0r)
+    rbar = mean_scalar_curvature(chi0r)
     hess = complex_hessian(phi)
     p = phi.values
     samples = []

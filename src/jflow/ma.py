@@ -32,10 +32,8 @@ from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import ConeConditionError, MAConvergenceError, PositivityError
 from .split import SplitPotential
 from .torus import (
-    Grid,
     ScalarField,
     SpectralOps,
-    _critical_density,
     _det,
     _lam_lo,
     _trace,
@@ -76,35 +74,22 @@ def build_alpha(chi0, omega_eps, c_eps):
     return alpha
 
 
-def critical_residual(phi, chi0, omega, c):
-    """sup |2 chi_phi ^ omega - c chi_phi^2| in density form.
+def split_critical(f, g, fgrid):
+    """Closed-form critical data for the product ansatz on the factor grid
+    ``fgrid``.
 
-    No division: finite even where chi degenerates, so it extends to the
-    weak space.
-    """
-    chi = chi0.plus_ddc(phi).components()
-    return float(np.abs(_critical_density(chi, omega.realized.components(), c)).max())
-
-
-def split_critical(f, g, x11=1.0, x22=1.0, fgrid=None):
-    """Closed-form critical data for the product ansatz.
-
-    For profiles f(z1), g(z2) >= 0 with positive means and diagonal class
-    X: c_i = mean/X_ii (then c1 + c2 = c0), and the factor potentials solve
-    dd^c phi_i = profile/c_i - X_ii.  The assembled chi = diag(f/c1, g/c2)
-    satisfies the critical equation exactly.
+    For profiles f(z1), g(z2) >= 0 with positive means and the identity
+    class: c_i = mean of the profile (then c1 + c2 = c0), and the factor
+    potentials solve dd^c phi_i = profile/c_i - 1.  The assembled
+    chi = diag(f/c1, g/c2) satisfies the critical equation exactly.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if fgrid is None:
-        fgrid = Grid(f.shape[0], (0.0, 0.0))
-    mf, mg = float(f.mean()), float(g.mean())
-    if mf <= 0.0 or mg <= 0.0:
+    c1, c2 = float(f.mean()), float(g.mean())
+    if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("split_critical: profiles need positive means")
-    c1 = mf / x11
-    c2 = mg / x22
-    phi1 = poisson_solve(ScalarField(fgrid, f / c1 - x11)).values
-    phi2 = poisson_solve(ScalarField(fgrid, g / c2 - x22)).values
+    phi1 = poisson_solve(ScalarField(fgrid, f / c1 - 1.0)).values
+    phi2 = poisson_solve(ScalarField(fgrid, g / c2 - 1.0)).values
     return c1, c2, phi1, phi2
 
 
@@ -113,12 +98,6 @@ def split_critical(f, g, x11=1.0, x22=1.0, fgrid=None):
 
 _DAMPING = 0.5       # line-search factor: the step halves after each refused trial
 _LINEAR_TOL = 1e-12  # floor of the GMRES relative tolerance
-
-
-def _gauge(psi, gauge):
-    if gauge == "sup":
-        return ScalarField(psi.grid, psi.values - psi.values.max())
-    return psi.mean_normalized()
 
 
 @dataclass
@@ -180,14 +159,13 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
     return psi, residuals
 
 
-def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
+def solve_ma(alpha, c, target, cfg=None, psi0=None):
     """Newton-Krylov solve of (alpha + c dd^c psi)^2 = target^2, full grid.
 
-    The unknown is mean-zero; ``gauge="sup"`` shifts the output to the
-    sup psi = 0 normalization on export.  If the realized alpha is not
-    positive and no psi0 is given, the iteration starts from the harmonic
-    gauge psi = -potential(alpha)/c, which makes the initial A_psi the
-    (positive) constant class representative.
+    The unknown, and the returned psi, is mean-zero.  If the realized alpha
+    is not positive and no psi0 is given, the iteration starts from
+    psi = -potential(alpha)/c, which makes the initial A_psi the (positive)
+    constant class representative.
     """
     cfg = cfg or MASolverConfig()
     grid = alpha.grid
@@ -222,7 +200,7 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None, gauge="mean"):
 
     psi, residuals = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
     out = ScalarField(grid, psi)
-    return MASolution(_gauge(out, gauge), residuals, len(residuals) - 1)
+    return MASolution(out.mean_normalized(), residuals, len(residuals) - 1)
 
 
 def __getattr__(name):
@@ -267,7 +245,7 @@ def _newton_direction(g_res, a, c, ops, res_sup):
     return delta - delta.mean(), info
 
 
-def solve_ma_split(alpha, c, target, cfg=None, gauge="mean"):
+def solve_ma_split(alpha, c, target, cfg=None):
     """Split-mode Monge-Ampere solve: the product equation factorises into
     one log-linear equation log(a_i + c dd^c psi_i) = log(t_i) per factor.
     Both are solved as one stacked (2, n, n) Newton problem whose linear
@@ -307,13 +285,11 @@ def solve_ma_split(alpha, c, target, cfg=None, gauge="mean"):
     psi, residuals = _damped_newton(
         "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
     )
-    if gauge == "sup":
-        psi = psi - psi.max((1, 2), keepdims=True)
     return MASolution(SplitPotential(fgrid, psi[0], psi[1]), residuals,
                       len(residuals) - 1)
 
 
-def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None, gauge="mean"):
+def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):
     """Warm-started epsilon-continuation toward a degenerate target.
 
     Solves the Monge-Ampere problem at each epsilon in the (descending)
@@ -328,9 +304,9 @@ def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None, gauge="
         c_eps = c_constant(chi0.cls, omega_eps.cls)
         alpha = build_alpha(chi0, omega_eps, c_eps)
         if chi0.backend == "split":
-            sol = solve_ma_split(alpha, c_eps, omega_eps, cfg, gauge=gauge)
+            sol = solve_ma_split(alpha, c_eps, omega_eps, cfg)
         else:
-            sol = solve_ma(alpha, c_eps, omega_eps, cfg, psi0=psi_prev, gauge=gauge)
+            sol = solve_ma(alpha, c_eps, omega_eps, cfg, psi0=psi_prev)
             psi_prev = sol.psi
         out.append((eps, sol))
     return out

@@ -51,8 +51,10 @@ FAMILY_BUDGETS = {
 PRESET_QMONITOR = {"A": 4.0, "delta": 0.5}
 
 # random initial potentials: modes drawn per factor (twice as many on the
-# 4-D lattice), and the share of chi0's positivity margin they may use up
+# 4-D lattice), the largest |k| of a mode per lattice direction, and the
+# share of chi0's positivity margin they may use up
 _RANDOM_MODES = 4
+_RANDOM_KMAX = 2
 _RANDOM_MARGIN_FRAC = 0.5
 
 
@@ -168,7 +170,7 @@ def build_preset(name, n=None, offsets=None):
     return Problem(name, chi0, full.omega0, full.omega_hat, full.divisor)
 
 
-def random_bandlimited_potential(problem, rng, kmax=2):
+def random_bandlimited_potential(problem, rng):
     """Random trigonometric initial potential keeping chi_phi positive.
 
     Draws a handful of low-frequency modes and rescales so the positivity
@@ -182,7 +184,7 @@ def random_bandlimited_potential(problem, rng, kmax=2):
             x, y = fgrid.coords()
             v = np.zeros(fgrid.shape)
             for _ in range(_RANDOM_MODES):
-                kx, ky = rng.integers(-kmax, kmax + 1, size=2)
+                kx, ky = rng.integers(-_RANDOM_KMAX, _RANDOM_KMAX + 1, size=2)
                 if kx == 0 and ky == 0:
                     continue
                 phase = rng.uniform(0, 2 * np.pi)
@@ -196,7 +198,7 @@ def random_bandlimited_potential(problem, rng, kmax=2):
     x = grid.coords()
     v = np.zeros(grid.shape)
     for _ in range(2 * _RANDOM_MODES):
-        k = rng.integers(-kmax, kmax + 1, size=4)
+        k = rng.integers(-_RANDOM_KMAX, _RANDOM_KMAX + 1, size=4)
         if not np.any(k):
             continue
         phase = rng.uniform(0, 2 * np.pi)

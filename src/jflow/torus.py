@@ -368,12 +368,13 @@ def complex_hessian(phi):
     return HermitianFormField(phi.grid, *SpectralOps.of(phi.grid).hessian(v))
 
 
-def poisson_solve(src, tol=1e-12):
+def poisson_solve(src):
     """Mean-zero u with tr_Id dd^c u = src (spectral symbol division), on
-    either lattice: on a factor lattice, d_z d_zbar u = src."""
+    either lattice: on a factor lattice, d_z d_zbar u = src.  A source mean
+    above 1e-12 is an error, not roundoff."""
     m = src.mean()
-    if abs(m) > tol:
-        raise ValueError(f"poisson_solve: source mean {m:.3e} exceeds {tol:.1e}")
+    if abs(m) > 1e-12:
+        raise ValueError(f"poisson_solve: source mean {m:.3e} exceeds 1.0e-12")
     return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
 
 
@@ -446,15 +447,14 @@ def trace_with(alpha, beta, check=True):
     return ScalarField(alpha.grid, _trace(alpha.components(), beta.components()))
 
 
-def generalized_eigenvalues(alpha, beta, check=True):
+def generalized_eigenvalues(alpha, beta):
     """Pointwise roots of det(beta - lambda * alpha), sorted ascending.
 
     Requires alpha positive.  The roots solve
     (D(a,a)/2) l^2 - D(a,b) l + D(b,b)/2 = 0; their product is
     D(b,b)/D(a,a) and their sum is tr_alpha beta.
     """
-    if check:
-        _positivity_check(alpha, "generalized_eigenvalues")
+    _positivity_check(alpha, "generalized_eigenvalues")
     daa = wedge_density(alpha, alpha).values
     dab = wedge_density(alpha, beta).values
     dbb = wedge_density(beta, beta).values
@@ -467,12 +467,9 @@ def generalized_eigenvalues(alpha, beta, check=True):
     return ScalarField(g, lo), ScalarField(g, hi)
 
 
-def positivity_margin(alpha, mask=None):
-    """Smallest pointwise eigenvalue of alpha over the grid (or a mask).
+def positivity_margin(alpha):
+    """Smallest pointwise eigenvalue of alpha over the grid.
 
     Negative values are a valid result: the form fails positivity there.
     """
-    lo = alpha.min_eigenvalue()
-    if mask is not None:
-        lo = lo[mask]
-    return float(lo.min())
+    return float(alpha.min_eigenvalue().min())

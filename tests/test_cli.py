@@ -105,6 +105,14 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'ma'"):
                 parse_config(f"preset=identity, {key}=0.5")
 
+    def test_retired_run_knobs_are_not_keys(self):
+        # fixed-step runs go through flow.step; q_monitor works C0 out at t = 0
+        for key in ("flow.fixed_dt", "q.c0_shift"):
+            section = key.partition(".")[0]
+            with pytest.raises(ConfigError,
+                               match=f"unknown key '{key}' in section '{section}'"):
+                parse_config(f"preset=degenerate_split, {key}=0.5")
+
     def test_backend_is_not_a_key(self):
         # the preset alone picks the backend
         with pytest.raises(ConfigError, match="unknown key: 'backend'"):
@@ -116,7 +124,7 @@ class TestParseConfig:
         ("preset=identity, flow.max_time=abc", "flow"),
         ("preset=degenerate_split, q.a=0.5", "q"),
         ("preset=identity, ma.max_newton=2.5", "ma"),
-        ("preset=identity, flow.fixed_dt=[1]", "flow"),
+        ("preset=identity, flow.dt_safety=[1]", "flow"),
         ("preset=identity, workers=two", "workers"),
         ("preset=identity, offsets=0.1", "offsets"),
     ])

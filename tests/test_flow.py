@@ -30,6 +30,15 @@ def smooth_cfg(**kw):
     return FlowConfig(**base)
 
 
+def fixed_step_final(cfg, pb, dt, t_end, divisor=None):
+    """Final 4-D potential values after round(t_end / dt) ``step`` calls at
+    dt from phi = 0, so that runs at dt and dt/2 end at the same time."""
+    state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=divisor)
+    for _ in range(round(t_end / dt)):
+        state = step(state, dt)
+    return state.phi.assemble().values
+
+
 @pytest.fixture(scope="module")
 def smooth8():
     return build_preset("smooth_split", n=8)
@@ -217,24 +226,6 @@ class TestStep:
 
 
 class TestEvolve:
-    @pytest.mark.parametrize("preset, fixed_dt, eps", [
-        ("smooth_split", 5e-4, 0.0),
-        ("nonsplit_perturbed", 1e-4, 0.1),
-    ], ids=["split", "full"])
-    def test_fixed_dt_matches_step_calls(self, preset, fixed_dt, eps):
-        pb = build_preset(preset, n=8)
-        cfg = smooth_cfg(eps=eps, fixed_dt=fixed_dt, max_time=10 * fixed_dt,
-                         stop_tolerance=1e-14)
-        traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
-        state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat)
-        for _ in range(traj.steps):
-            state = step(state, cfg.fixed_dt)
-        assert traj.steps == 10
-        assert traj.backend == pb.backend
-        kernel = state.kernel  # raw states: factor pairs on the split side
-        assert np.array_equal(kernel.unwrap(traj.final), kernel.unwrap(state.phi))
-        assert traj.rows[-1].t == state.t
-
     def test_stationary_immediate_stop(self):
         pb = build_preset("identity", n=8)
         traj = evolve(
@@ -283,13 +274,8 @@ class TestEvolve:
 
     def test_integrator_order(self, smooth8):
         # dt and dt/2 runs at fixed t differ at O(dt^4)
-        pb = smooth8
-        finals = []
-        for dt in (2e-4, 1e-4, 5e-5):
-            cfg = smooth_cfg(fixed_dt=dt, max_time=0.02, stop_tolerance=1e-30,
-                             integrator="rk4")
-            traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
-            finals.append(traj.final_potential().values)
+        cfg = smooth_cfg(integrator="rk4")
+        finals = [fixed_step_final(cfg, smooth8, dt, 0.02) for dt in (2e-4, 1e-4, 5e-5)]
         e1 = np.abs(finals[0] - finals[1]).max()
         e2 = np.abs(finals[1] - finals[2]).max()
         assert 10.0 < e1 / e2 < 24.0  # nominal 16
@@ -344,26 +330,18 @@ class TestEvolve:
 
     def test_split_and_full_backends_agree(self):
         pb = build_preset("degenerate_split", n=8)
-        full = pb.to_full()
-        cfg = smooth_cfg(eps=0.2, allow_degenerate=False, fixed_dt=2e-4,
-                         max_time=0.05, stop_tolerance=1e-30)
-        t_split = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
-        t_full = evolve(cfg, full.chi0, full.omega0, full.omega_hat, divisor=full.divisor)
-        a = t_split.final_potential().values
-        b = t_full.final_potential().values
+        cfg = smooth_cfg(eps=0.2, allow_degenerate=False)
+        a, b = (fixed_step_final(cfg, p, 2e-4, 0.05, divisor=p.divisor)
+                for p in (pb, pb.to_full()))
         assert np.abs(a - b).max() < 1e-9
 
 
 class TestRKC:
     def test_second_order(self, smooth8):
         # dt and dt/2 runs at fixed t differ at O(dt^2)
-        pb = smooth8
-        finals = []
-        for dt in (2e-4, 1e-4, 5e-5):
-            cfg = smooth_cfg(fixed_dt=dt, max_time=0.02, stop_tolerance=1e-30)
-            traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
-            assert traj.integrator == "rkc"
-            finals.append(traj.final_potential().values)
+        cfg = smooth_cfg()
+        assert cfg.integrator == "rkc"
+        finals = [fixed_step_final(cfg, smooth8, dt, 0.02) for dt in (2e-4, 1e-4, 5e-5)]
         e1 = np.abs(finals[0] - finals[1]).max()
         e2 = np.abs(finals[1] - finals[2]).max()
         assert 3.5 < e1 / e2 < 4.5  # nominal 4
