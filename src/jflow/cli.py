@@ -69,7 +69,6 @@ class RunConfig:
     eps: list = field(default_factory=list)
     out: str = "out"
     seed: int = 0
-    workers: int = 1
     flow: dict = field(default_factory=dict)
     ma: dict = field(default_factory=dict)
     q: dict = field(default_factory=dict)
@@ -98,8 +97,7 @@ _SECTION_KEYS = {
     "omegahat": {"class", "modes"},
     "phi0": {"modes", "random"},
 }
-_TOP_KEYS = {"version", "preset", "n", "offsets", "divisor", "eps", "out", "seed",
-             "workers"}
+_TOP_KEYS = {"version", "preset", "n", "offsets", "divisor", "eps", "out", "seed"}
 
 
 def _split_items(text):
@@ -206,8 +204,6 @@ def validate_config(cfg):
     if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
         problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
                         f"got {cfg.offsets!r}")
-    if not isinstance(cfg.workers, int) or cfg.workers < 1:
-        problems.append(f"workers: must be an integer >= 1, got {cfg.workers!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
     if not isinstance(cfg.out, str) or not cfg.out:
@@ -482,7 +478,6 @@ def _cmd_family(cfg, record, out):
         problem.chi0, problem.omega0, problem.omega_hat,
         phi0=_initial_potential(cfg, problem),
         divisor=problem.divisor,
-        workers=cfg.workers,
     )
     record.verdicts["all_members_ran"] = report.ok
     record.failures.extend(f"eps={k}: {v}" for k, v in report.failures.items())

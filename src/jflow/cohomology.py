@@ -94,6 +94,12 @@ def cone_condition(x, w):
     condition holds iff the margin is positive (on the torus the Kahler
     cone is exactly the positive-definite matrices).  A nonpositive margin
     is a valid verdict, not an error.
+
+    For 2 x 2 classes c*X - W = X adj(W) X / det X, which is congruent to
+    adj(W), so for a Kahler [X] the margin is positive iff [W] > 0: the
+    check cannot fail for a Kahler [W] and always fails for one that is
+    not.  (The paper's cone condition bites on curves of negative
+    self-intersection, which the flat torus does not have.)
     """
     c = c_constant(x, w)
     diff = x.scale(c).add(w.scale(-1.0))

@@ -30,15 +30,18 @@ class ConeConditionError(JFlowError):
 class DegenerateStiffnessError(JFlowError):
     """Time stepping rejected too many consecutive steps.
 
-    Carries the flow time ``t`` of the step, the last step size ``dt`` tried
-    and the positivity ``margin`` its endpoint reached.
+    Carries the flow time ``t`` of the step, the last step size ``dt`` tried,
+    the positivity ``margin`` its endpoint reached and, per member of a
+    batched step, whether that member failed the last attempt
+    (``members``).
     """
 
-    def __init__(self, message, t=None, dt=None, margin=None):
+    def __init__(self, message, t=None, dt=None, margin=None, members=None):
         super().__init__(message)
         self.t = t
         self.dt = dt
         self.margin = margin
+        self.members = members
 
 
 class MAConvergenceError(JFlowError):

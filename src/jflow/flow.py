@@ -26,10 +26,11 @@ error control an attempt that fails the error test is retried at the step
 the controller proposes.  A step may be refused _MAX_REJECTIONS = 20 times,
 for either cause; the next refusal raises DegenerateStiffnessError.
 ``step`` wraps one such step as a FlowState and is how fixed-step runs
-advance; ``evolve`` calls ``_advance`` in a loop under its step-size rule
-on the raw arrays and wraps the potential only where it records a
-snapshot.  A single run is sequential with data-parallel pointwise kernels;
-family members are independent and may be dispatched to worker processes.
+advance; ``_evolve_members`` calls ``_advance`` in a loop under its
+step-size rule on the raw arrays and wraps the potential only where it
+records a snapshot.  ``evolve`` is its one-member case; ``epsilon_family``
+steps all members of an eps ladder as one state with a leading member axis,
+so they share every dt and every right-hand-side call.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
@@ -43,16 +44,25 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 
 * ``shape``: the shape of the raw state, a plain float array that numpy
   adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
-  potentials); velocities have the same shape;
-* ``wrap(raw)`` / ``unwrap(phi)``: raw array to potential object and back;
+  potentials), behind a leading member axis in a batch; velocities have
+  the same shape; ``member_axes`` are the trailing axes of one member;
+* ``wrap(raw)`` / ``unwrap(phi)``: one member's raw array to potential
+  object, and a potential to the raw state of every member;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
-  positivity margin, finite) from one evaluation of the same formula; each
-  call adds one to ``rhs_evals``;
-* ``extrema(x)``: (max, min) over the grid of a raw-shaped array, from
-  which ``_sup`` takes sup |x|;
-* ``lam_max(chi)``: the spectral radius bound rho, from which
-  ``adaptive_dt(chi)`` = dt_safety / rho and the RKC stage count follow;
-* ``row_functionals(raw, rhs, chi)``: the (J, I, dJ/dt) of a history row.
+  positivity margin, finite) from one evaluation of the same formula, the
+  last two per member; each call adds one to ``rhs_evals``;
+* ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
+  array, from which ``_sup`` takes sup |x|;
+* ``lam_max(chi)``: the spectral radius bound rho of the stiffest member,
+  from which ``adaptive_dt(chi)`` = dt_safety / rho and the RKC stage
+  count follow;
+* ``row_functionals(raw, rhs, chi)``: per member, the (J, I, dJ/dt) of a
+  history row;
+* ``_keep(idx, chi)``: narrow a batch to the members ``idx``.
+
+Per-member values come from reductions over ``member_axes`` only, so a
+single run, whose kernel has no member axis, does the same float
+operations with or without batching.
 
 These methods are defined on each kernel class, not on a shared base: the
 benchmark tracer wraps the public methods of the kernel's own class, and
@@ -62,7 +72,7 @@ counts one RHS evaluation per ``rhs_only`` or ``metrics`` call (so
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -72,6 +82,7 @@ from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (
     ConeConditionError,
     DegenerateStiffnessError,
+    JFlowError,
     PositivityError,
 )
 from .functionals import _energies_full, _energies_split
@@ -152,7 +163,13 @@ class HistoryRow:
 
 @dataclass
 class Trajectory:
-    """History plus decimated field snapshots of one run."""
+    """History plus decimated field snapshots of one run.
+
+    A member of a batched ``epsilon_family`` shares its steps with the
+    others: its ``steps``, ``rejections`` and ``rhs_evals`` count the
+    batched steps, refusals and right-hand-side calls made while it was in
+    the batch (each call covered every member then in it).
+    """
 
     backend: str
     eps: float
@@ -196,31 +213,48 @@ class Trajectory:
 # backend kernels
 
 
+def _stack(items):
+    """The one item of a one-member run, else the items stacked on a new
+    leading member axis."""
+    return items[0] if len(items) == 1 else np.stack(items)
+
+
 class _FullKernel:
     backend = "full"
 
-    def __init__(self, chi0, omega_eps, c_eps, cfg, divisor=None):
+    def __init__(self, chi0, omegas, cs, cfg, divisor=None):
         grid = chi0.grid
         self.grid = grid
-        self.shape = grid.shape
-        self.c = float(c_eps)
         self.cfg = cfg
         self.rhs_evals = 0
         self._ops = SpectralOps.of(grid)
         self._bg = chi0.realized.components()
-        self._w = omega_eps.realized.components()
-        self._w_det = _det(self._w)
+        self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
         self._off = None
-        if divisor is not None and cfg.eps == 0.0:
-            # omega_eps > 0 on the divisor for eps > 0: no exemption then
+        if divisor is not None:
             mask = ~divisor.locus_mask(grid)
             if not mask.all():
                 self._off = mask
+        comps = [w.realized.components() for w in omegas]
+        self._members(_stack([float(c) for c in cs]),
+                      tuple(_stack(x) for x in zip(*comps)))
+
+    def _members(self, c, w):
+        self.c = c
+        self._c = np.reshape(c, np.shape(c) + (1,) * 4) if np.ndim(c) else c
+        self._w = w
+        self._w_det = _det(w)
+        self.shape = np.shape(c) + self.grid.shape
+
+    def _keep(self, idx, chi):
+        """Narrow a batch to the members ``idx``; returns their chi."""
+        self._members(self.c[idx], tuple(x[idx] for x in self._w))
+        return tuple(x[idx] for x in chi)
 
     # raw representation: plain ndarray of potential values
     def unwrap(self, phi):
-        return phi.values
+        return np.broadcast_to(phi.values, self.shape)
 
     def wrap(self, v):
         return ScalarField(self.grid, v)
@@ -230,27 +264,32 @@ class _FullKernel:
 
     def _rhs(self, chi):
         with np.errstate(all="ignore"):
-            return self.c - _trace(chi, self._w)
+            return self._c - _trace(chi, self._w)
 
     def rhs_only(self, v):
         self.rhs_evals += 1
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
-        """(rhs, chi, positivity margin, finite) in one pass."""
+        """(rhs, chi, positivity margin, finite) in one pass; the last two
+        per member."""
         self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
         lam_lo = _lam_lo(chi)
-        margin = float((lam_lo if self._off is None else lam_lo[self._off]).min())
-        return rhs, chi, margin, bool(np.isfinite(rhs).all())
+        if self._off is not None:
+            lam_lo = np.where(self._off, lam_lo, np.inf)
+        return (rhs, chi, lam_lo.min(axis=self.member_axes),
+                np.isfinite(rhs).all(axis=self.member_axes))
 
     def extrema(self, x):
-        """(max, min) of the potential-shaped raw array x over the grid."""
-        return float(x.max()), float(x.min())
+        """(max, min) of the potential-shaped raw array x over the grid, per
+        member."""
+        return x.max(axis=self.member_axes), x.min(axis=self.member_axes)
 
     def lam_max(self, chi):
-        """Spectral radius bound lambda_max(chi^-1 omega chi^-1) * (pi N)^2.
+        """Spectral radius bound lambda_max(chi^-1 omega chi^-1) * (pi N)^2,
+        of the stiffest member.
 
         The eigenvalues come from the trace tr(adj(chi)^2 omega) / det^2 and
         the determinant det(omega) / det^2, both real: no complex arrays.
@@ -270,11 +309,16 @@ class _FullKernel:
         return self.cfg.dt_safety / self.lam_max(chi)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt) from the cached chi arrays."""
+        """(J, I, dJ/dt) per member from the cached chi arrays."""
         j, i = _energies_full(v, chi, self._bg, self._w, self.c)
         # -int phidot^2 chi^2 with chi^2 density D(chi, chi) = 2 det chi
-        j_rate = -8.0 * float(np.mean(rhs * rhs * _det(chi)))
+        j_rate = -8.0 * np.mean(rhs * rhs * _det(chi), axis=self.member_axes)
         return j, i, j_rate
+
+
+def _factors(x):
+    """The two factor blocks of a split raw array, behind any member axis."""
+    return x[..., 0, :, :], x[..., 1, :, :]
 
 
 class _SplitKernel:
@@ -284,29 +328,39 @@ class _SplitKernel:
 
     backend = "split"
 
-    def __init__(self, chi0, omega_eps, c_eps, cfg, divisor=None):
+    def __init__(self, chi0, omegas, cs, cfg, divisor=None):
         fgrid = chi0.grid
         self.grid = fgrid
-        self.shape = (2,) + fgrid.shape
         self.cfg = cfg
         self.rhs_evals = 0
-        self.c = float(c_eps)
         self._bg = np.stack(chi0.profiles())
-        self._w = np.stack(omega_eps.profiles())
-        # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
-        self._cs = np.array([float(np.mean(self._w[0])) / chi0.a1,
-                             float(np.mean(self._w[1])) / chi0.a2])[:, None, None]
+        self.member_axes = (-3, -2, -1)
         self._lap = SpectralOps.of(fgrid).laplacian
         self._kmax2 = (np.pi * fgrid.n) ** 2
         self._off = None
-        if divisor is not None and cfg.eps == 0.0:
+        if divisor is not None:
             # the divisor lies in the first factor: exempt it from A only
             mask = ~divisor.locus_mask(fgrid)
             if not mask.all():
                 self._off = np.stack((mask, np.ones_like(mask)))
+        ws = [np.stack(w.profiles()) for w in omegas]
+        # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
+        factor_cs = [np.array([float(np.mean(w[0])) / chi0.a1,
+                               float(np.mean(w[1])) / chi0.a2])[:, None, None]
+                     for w in ws]
+        self._members(_stack([float(c) for c in cs]), _stack(ws), _stack(factor_cs))
+
+    def _members(self, c, w, cs):
+        self.c, self._w, self._cs = c, w, cs
+        self.shape = w.shape
+
+    def _keep(self, idx, chi):
+        """Narrow a batch to the members ``idx``; returns their chi."""
+        self._members(self.c[idx], self._w[idx], self._cs[idx])
+        return chi[idx]
 
     def unwrap(self, phi):
-        return np.stack((phi.phi1, phi.phi2))
+        return np.broadcast_to(np.stack((phi.phi1, phi.phi2)), self.shape)
 
     def wrap(self, v):
         return SplitPotential(self.grid, v[0], v[1])
@@ -323,19 +377,25 @@ class _SplitKernel:
         return self._rhs(self.chi(v))
 
     def metrics(self, v):
-        """(rhs, chi, positivity margin, finite) in one pass."""
+        """(rhs, chi, positivity margin, finite) in one pass; the last two
+        per member."""
         self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
-        margin = float((chi if self._off is None else chi[self._off]).min())
-        return rhs, chi, margin, bool(np.isfinite(rhs).all())
+        pos = chi if self._off is None else np.where(self._off, chi, np.inf)
+        return (rhs, chi, pos.min(axis=self.member_axes),
+                np.isfinite(rhs).all(axis=self.member_axes))
 
     def extrema(self, x):
-        """(max, min) over the product grid of x[0](z1) + x[1](z2), exact."""
-        return float(x[0].max() + x[1].max()), float(x[0].min() + x[1].min())
+        """(max, min) over the product grid of x[0](z1) + x[1](z2), exact,
+        per member."""
+        a, b = _factors(x)
+        return (a.max(axis=(-2, -1)) + b.max(axis=(-2, -1)),
+                a.min(axis=(-2, -1)) + b.min(axis=(-2, -1)))
 
     def lam_max(self, chi):
-        """Spectral radius bound max(omega / chi^2) * (pi N)^2 over both factors."""
+        """Spectral radius bound max(omega / chi^2) * (pi N)^2 over both
+        factors, of the stiffest member."""
         return float((self._w / chi ** 2).max()) * self._kmax2
 
     def adaptive_dt(self, chi):
@@ -343,23 +403,26 @@ class _SplitKernel:
         return self.cfg.dt_safety / self.lam_max(chi)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt) via separable factor means."""
-        a, b = chi
-        r1, r2 = rhs
-        j, i = _energies_split(v, chi, self._bg, self._w, self.c)
+        """(J, I, dJ/dt) per member via separable factor means."""
+        def mean(x):
+            return np.mean(x, axis=(-2, -1))
+
+        (a, b), (r1, r2) = _factors(chi), _factors(rhs)
+        j, i = _energies_split(_factors(v), (a, b), self._bg, _factors(self._w), self.c)
         # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
-        m = (
-            float(np.mean(r1 * r1 * a)) * float(np.mean(b))
-            + 2.0 * float(np.mean(r1 * a)) * float(np.mean(r2 * b))
-            + float(np.mean(a)) * float(np.mean(r2 * r2 * b))
-        )
+        m = (mean(r1 * r1 * a) * mean(b) + 2.0 * mean(r1 * a) * mean(r2 * b)
+             + mean(a) * mean(r2 * r2 * b))
         return j, i, -8.0 * m
 
 
-def _make_kernel(chi0, omega_eps, c_eps, cfg, divisor=None):
+def _make_kernel(chi0, omegas, cs, cfg, divisor=None):
+    """The backend kernel of one run (``omegas`` and ``cs`` of length 1), or
+    of a batch of members that differ only in omega_eps and c_eps, stacked
+    on a leading member axis.  ``divisor``, when given, is exempt from the
+    positivity margin."""
     if isinstance(chi0, SplitForm):
-        return _SplitKernel(chi0, omega_eps, c_eps, cfg, divisor)
-    return _FullKernel(chi0, omega_eps, c_eps, cfg, divisor)
+        return _SplitKernel(chi0, omegas, cs, cfg, divisor)
+    return _FullKernel(chi0, omegas, cs, cfg, divisor)
 
 
 # --------------------------------------------------------------------------
@@ -392,8 +455,9 @@ class FlowState:
     last_rejections: int = 0
 
 
-def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
-    """Assemble a FlowState at t = 0, enforcing the run preconditions."""
+def _member_forms(cfg, chi0, omega0, omega_hat):
+    """(omega_eps, c_eps) of a run at cfg.eps, enforcing the run
+    preconditions on the classes."""
     if cfg.eps == 0.0 and not cfg.allow_degenerate:
         raise ValueError(
             "eps = 0 runs the degenerate equation; set allow_degenerate=True "
@@ -407,16 +471,28 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
             f"cone condition fails for eps={cfg.eps}: margin {margin:.6e} <= 0",
             margin=margin,
         )
-    c_eps = c_constant(x_cls, w_cls)
-    kernel = _make_kernel(chi0, omega_eps, c_eps, cfg, divisor)
+    return omega_eps, c_constant(x_cls, w_cls)
+
+
+def _initial_error(margin):
+    return PositivityError(
+        f"initial potential leaves chi0 + dd^c(phi) non-positive "
+        f"(margin {margin:.3e})",
+        margin=margin,
+    )
+
+
+def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
+    """Assemble a FlowState at t = 0, enforcing the run preconditions."""
+    omega_eps, c_eps = _member_forms(cfg, chi0, omega0, omega_hat)
+    # omega_eps > 0 on the divisor for eps > 0: no exemption then
+    exempt = divisor if cfg.eps == 0.0 else None
+    kernel = _make_kernel(chi0, [omega_eps], [c_eps], cfg, exempt)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
     rhs, chi, margin0, finite = kernel.metrics(raw)
+    margin0 = float(margin0)
     if not finite or margin0 <= 0.0:
-        raise PositivityError(
-            f"initial potential leaves chi0 + dd^c(phi) non-positive "
-            f"(margin {margin0:.3e})",
-            margin=margin0,
-        )
+        raise _initial_error(margin0)
     return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, margin0)
 
 
@@ -486,40 +562,45 @@ def _rkc(kernel, v, k1, h, s):
     return y1
 
 
-def _rms(x):
-    return math.sqrt(float(np.mean(x * x)))
+def _rms(x, axes):
+    """Root mean square over ``axes``: np.mean's sum and division, without
+    its per-call overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=axes) / math.prod(x.shape[a] for a in axes))
 
 
-def _rkc_error(v, new, k1, k_new, h):
+def _rkc_error(kernel, v, new, k1, k_new, h):
     """RKC's embedded error estimate 0.8 (v - new) + 0.4 h (k1 + k_new) over
-    its tolerance: at most 1 when its RMS norm is within both _RKC_ATOL and
-    _RKC_RTOL times the RMS norm of the increment."""
-    est = _rms(0.8 * (v - new) + (0.4 * h) * (k1 + k_new))
-    if est == 0.0:
-        return 0.0
-    tol = min(_RKC_ATOL, _RKC_RTOL * _rms(new - v))
-    return est / tol if tol > 0.0 else math.inf
+    its tolerance, per member: at most 1 when its RMS norm is within both
+    _RKC_ATOL and _RKC_RTOL times the RMS norm of the member's increment."""
+    axes = kernel.member_axes
+    est = _rms(0.8 * (v - new) + (0.4 * h) * (k1 + k_new), axes)
+    tol = np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(new - v, axes))
+    # est / tol where tol > 0; else 0 for a zero estimate and inf otherwise
+    return np.divide(est, tol, out=np.where(est == 0.0, 0.0, np.inf), where=tol > 0.0)
 
 
 def _sup(kernel, x):
-    """sup |x| over the grid of a potential-shaped raw array x."""
+    """sup |x| over the grid of a potential-shaped raw array x, per member."""
     hi, lo = kernel.extrema(x)
-    return max(hi, -lo)
+    return np.maximum(hi, -lo)
 
 
 def _advance(kernel, raw, rhs, chi, dt, t, controlled=False):
     """One step of the configured integrator from the raw potential ``raw``
     with velocity ``rhs`` and metric ``chi`` at time t; RKC takes its stage
-    count from the spectral radius bound ``kernel.lam_max(chi)``.
+    count from the spectral radius bound ``kernel.lam_max(chi)``, which is
+    the stiffest member's in a batch.
 
-    An attempt is refused when its endpoint is not finite or not positive,
-    and retried at half the step; with ``controlled``, also when its error
-    estimate (``_rkc_error``) exceeds 1, and retried at the step the error
-    controller proposes.  After _MAX_REJECTIONS refusals of either kind the
-    next one raises DegenerateStiffnessError.  Returns (new, new_rhs,
-    new_chi, new_margin, accepted_dt, next_dt, rejections), where next_dt is
-    the controller's proposal for the following step (the accepted dt when
-    not ``controlled``).
+    An attempt is refused when its endpoint is not finite or not positive
+    for some member, and retried at half the step; with ``controlled``,
+    also when the largest member's error estimate (``_rkc_error``) exceeds
+    1, and retried at the step the error controller proposes.  After
+    _MAX_REJECTIONS refusals of either kind the next one raises
+    DegenerateStiffnessError, whose ``members`` flags the members that
+    failed that attempt.  Returns (new, new_rhs, new_chi, new_margin,
+    accepted_dt, next_dt, rejections), where next_dt is the controller's
+    proposal for the following step (the accepted dt when not
+    ``controlled``).
     """
     rkc = kernel.cfg.integrator == "rkc"
     rho = _RKC_RHO_SAFETY * kernel.lam_max(chi) if rkc else 0.0
@@ -530,22 +611,25 @@ def _advance(kernel, raw, rhs, chi, dt, t, controlled=False):
         else:
             new = _rk4(kernel, raw, rhs, dt)
         new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
-        if not (finite and new_margin > 0.0):
+        bad = ~(finite & (new_margin > 0.0))
+        if bad.any():
             retry, cause = 0.5 * dt, "not finite or not positive"
         elif controlled:
-            err = _rkc_error(raw, new, rhs, new_rhs, dt)
-            retry = dt * min(10.0, max(0.1, 0.8 / max(err, 1e-300) ** (1.0 / 3.0)))
-            if err <= 1.0:
+            err = _rkc_error(kernel, raw, new, rhs, new_rhs, dt)
+            worst = float(np.max(err))
+            retry = dt * min(10.0, max(0.1, 0.8 / max(worst, 1e-300) ** (1.0 / 3.0)))
+            if worst <= 1.0:
                 return new, new_rhs, new_chi, new_margin, dt, retry, rejections
-            cause = f"error {err:.3e} of tolerance"
+            bad, cause = err > 1.0, f"error {worst:.3e} of tolerance"
         else:
             return new, new_rhs, new_chi, new_margin, dt, dt, rejections
         rejections += 1
         if rejections > _MAX_REJECTIONS:
+            margin = float(np.min(new_margin))
             raise DegenerateStiffnessError(
                 f"step rejected {rejections} times at t={t:.6g}, last at "
-                f"dt={dt:.3e} ({cause}); margin {new_margin:.3e}",
-                t=t, dt=dt, margin=new_margin,
+                f"dt={dt:.3e} ({cause}); margin {margin:.3e}",
+                t=t, dt=dt, margin=margin, members=bad,
             )
         dt = retry
 
@@ -565,8 +649,136 @@ def step(state, dt):
     new, rhs, chi, margin, dt, _, rejections = _advance(
         kernel, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
     )
-    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, margin,
+    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, float(margin),
                      last_dt=dt, last_rejections=rejections)
+
+
+@dataclass
+class _Member:
+    """One run's record while ``_evolve_members`` steps it."""
+
+    eps: float
+    c_eps: float = math.nan
+    rows: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)
+    snap_mult: int = 1
+    trajectory: Optional[Trajectory] = None
+    error: Optional[Exception] = None
+
+    def record(self, row, raw, wrap, force=False):
+        """Append a history row, and a snapshot of ``raw`` every snap_mult
+        rows (kept to _MAX_FIELD_SNAPSHOTS by halving)."""
+        self.rows.append(row)
+        if force or (len(self.rows) - 1) % self.snap_mult == 0:
+            self.snapshots.append((row.t, wrap(raw.copy())))
+            if len(self.snapshots) > _MAX_FIELD_SNAPSHOTS:
+                del self.snapshots[1::2]
+                self.snap_mult *= 2
+
+
+def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=None):
+    """Run the flow at every eps of ``eps_list`` (the rest of ``cfg`` shared)
+    as one batched state; ``evolve`` is the one-member case, whose kernel
+    has no member axis.  Returns one _Member per eps, with its trajectory or
+    the error that ended it.
+
+    Every step has one dt and, under RKC, one stage count, set by the
+    stiffest live member, and every right-hand side covers every live
+    member.  A member that converges (or reaches max_time) leaves the batch
+    with its own rows, stop time, step count and ``rhs_evals``.  A member
+    refused at construction, or flagged by a DegenerateStiffnessError,
+    keeps the error; the others go on from the last accepted state.
+    """
+    members = [_Member(float(e)) for e in eps_list]
+    omegas = []
+    for mem in members:
+        try:
+            omega_eps, mem.c_eps = _member_forms(replace(cfg, eps=mem.eps), chi0,
+                                                 omega0, omega_hat)
+            omegas.append(omega_eps)
+        except (ValueError, JFlowError) as err:  # recorded: a report stays partial
+            mem.error = err
+    live = [m for m in members if m.error is None]
+    if not live:
+        return members
+    # omega_eps > 0 on the divisor for eps > 0: no exemption then
+    exempt = divisor if all(m.eps == 0.0 for m in live) else None
+    kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg, exempt)
+    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
+    rhs, chi, margin, finite = kernel.metrics(raw)
+    one = np.ndim(margin) == 0  # a single run: no member axis
+    t, steps, rejections = 0.0, 0, 0
+
+    def per_member(x):
+        return np.reshape(x, -1)
+
+    def raw_of(p):
+        return raw if one else raw[p]
+
+    def drop(gone):
+        """Take the members flagged in ``gone`` out of the batch."""
+        nonlocal live, raw, rhs, chi, margin
+        if not gone.any():
+            return
+        keep = np.flatnonzero(~gone)
+        live = [live[p] for p in keep]
+        if live:  # a single run's state is never narrowed: its member leaves
+            raw, rhs, margin = raw[keep], rhs[keep], margin[keep]
+            chi = kernel._keep(keep, chi)
+
+    def record(which=None, force=False):
+        hi, lo = kernel.extrema(rhs)
+        j, i, j_rate = kernel.row_functionals(raw, rhs, chi)
+        cols = [per_member(x) for x in (_sup(kernel, raw), j, i, margin, hi, lo, j_rate)]
+        for p, mem in enumerate(live):
+            if which is None or which[p]:
+                row = HistoryRow(t, *(float(x[p]) for x in cols))
+                mem.record(row, raw_of(p), kernel.wrap, force)
+
+    bad = ~per_member(finite & (margin > 0.0))
+    for p in np.flatnonzero(bad):
+        live[p].error = _initial_error(float(per_member(margin)[p]))
+    drop(bad)
+    if live:
+        record()
+    controlled = cfg.integrator == "rkc"
+    h = kernel.adaptive_dt(chi) if controlled and live else None
+    while live:
+        converged = per_member(_sup(kernel, rhs) < cfg.stop_tolerance)
+        done = converged | (t >= cfg.max_time)
+        if done.any():
+            if live[0].rows[-1].t < t:  # live members share their row times
+                record(done, force=True)
+            for p in np.flatnonzero(done):
+                mem = live[p]
+                mem.trajectory = Trajectory(
+                    kernel.backend, mem.eps, mem.c_eps, mem.rows, mem.snapshots,
+                    kernel.wrap(raw_of(p).copy()),
+                    "converged" if converged[p] else "max_time",
+                    steps, rejections, cfg.integrator, kernel.rhs_evals,
+                    chi0_form=chi0,
+                )
+            drop(done)
+            if not live:
+                break
+        dt = min(h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t)
+        try:
+            raw, rhs, chi, margin, dt, h, tries = _advance(
+                kernel, raw, rhs, chi, dt, t, controlled
+            )
+        except DegenerateStiffnessError as err:
+            gone = per_member(err.members)
+            for p in np.flatnonzero(gone):
+                live[p].error = err
+            rejections += _MAX_REJECTIONS + 1
+            drop(gone)
+            continue
+        rejections += tries
+        t += dt
+        steps += 1
+        if steps % cfg.snapshot_stride == 0:
+            record()
+    return members
 
 
 def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
@@ -580,66 +792,10 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     Returns a Trajectory with per-snapshot history (J decreasing and I
     constant along conforming runs) and decimated field snapshots.
     """
-    state = make_state(cfg, chi0, omega0, omega_hat, phi0, divisor)
-    kernel = state.kernel
-    raw = kernel.unwrap(state.phi)
-    rhs, chi, margin = state.rhs, state.chi, state.margin
-
-    rows = []
-    snapshots = []
-    t = 0.0
-    steps = 0
-    rejections = 0
-    snap_mult = 1
-
-    def record(force=False):
-        nonlocal snap_mult
-        hi, lo = kernel.extrema(rhs)
-        j, i, j_rate = kernel.row_functionals(raw, rhs, chi)
-        rows.append(HistoryRow(t, _sup(kernel, raw), j, i, margin, hi, lo, j_rate))
-        idx = len(rows) - 1
-        if force or idx % snap_mult == 0:
-            snapshots.append((t, kernel.wrap(raw.copy())))
-            if len(snapshots) > _MAX_FIELD_SNAPSHOTS:
-                del snapshots[1::2]
-                snap_mult *= 2
-
-    record()
-    stop_reason = "max_time"
-    controlled = cfg.integrator == "rkc"
-    h = kernel.adaptive_dt(chi) if controlled else None
-    while True:
-        if _sup(kernel, rhs) < cfg.stop_tolerance:
-            stop_reason = "converged"
-            break
-        if t >= cfg.max_time:
-            break
-        dt = min(h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t)
-        raw, rhs, chi, margin, dt, h, tries = _advance(
-            kernel, raw, rhs, chi, dt, t, controlled
-        )
-        rejections += tries
-        t += dt
-        steps += 1
-        if steps % cfg.snapshot_stride == 0:
-            record()
-
-    if not rows or rows[-1].t < t:
-        record(force=True)
-    return Trajectory(
-        kernel.backend,
-        cfg.eps,
-        kernel.c,
-        rows,
-        snapshots,
-        kernel.wrap(raw.copy()),
-        stop_reason,
-        steps,
-        rejections,
-        cfg.integrator,
-        kernel.rhs_evals,
-        chi0_form=chi0,
-    )
+    (run,) = _evolve_members(cfg, [cfg.eps], chi0, omega0, omega_hat, phi0, divisor)
+    if run.error is not None:
+        raise run.error
+    return run.trajectory
 
 
 # --------------------------------------------------------------------------
@@ -694,43 +850,32 @@ class FamilyReport:
         }
 
 
-def _family_worker(args):
-    cfg, chi0, omega0, omega_hat, phi0, divisor = args
-    try:
-        return evolve(cfg, chi0, omega0, omega_hat, phi0, divisor), ""
-    except Exception as err:  # recorded by the caller: partial report
-        return None, f"{type(err).__name__}: {err}"
-
-
 def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
                    divisor=None, workers=1):
-    """Independent runs for a descending positive epsilon ladder.
+    """Runs for a descending positive epsilon ladder, stepped as one batched
+    state (``_evolve_members``); ``workers`` must be 1.
 
+    The members share dt, so a member's series is not bitwise the one its
+    own ``evolve`` gives; its limit agrees to the error control's accuracy.
     Limits are compared after mean normalization (runs share phi0 but carry
     their own conserved-I constant); differences are reported on the full
     grid and on the off-divisor region {s2_proxy >= _OFF_DIVISOR_S2}.  A
     failing member is recorded and the report stays partial rather than
     raising.
     """
+    if workers != 1:
+        raise ValueError(f"epsilon_family steps its members as one batch; "
+                         f"workers must be 1, got {workers!r}")
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("epsilon_family needs strictly positive epsilons")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly descending")
 
-    jobs = [
-        (replace(cfg, eps=e), chi0, omega0, omega_hat, phi0, divisor)
-        for e in eps_list
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_family_worker, jobs))
-    else:
-        results = [_family_worker(job) for job in jobs]
     members = [
-        FamilyMember(e, traj, err) for e, (traj, err) in zip(eps_list, results)
+        FamilyMember(run.eps, run.trajectory,
+                     "" if run.error is None else f"{type(run.error).__name__}: {run.error}")
+        for run in _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
     ]
 
     sup_phi = {m.eps: m.trajectory.sup_phi_over_run() for m in members if m.ok}

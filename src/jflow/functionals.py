@@ -59,19 +59,23 @@ def _energies_full(v, chi, bg, w, c):
     """(J, I) from raw potential values v and the raw component tuples of
     chi_phi, chi0 and omega (J is None when omega is): the one full-backend
     formula, shared by the flow's history rows and ``J_closed`` /
-    ``I_functional``."""
+    ``I_functional``.  Means are over the trailing grid axes, so axes
+    before them (a batch of runs, with c per run) give one (J, I) each."""
+    def mean(x):
+        return np.mean(x, axis=(-4, -3, -2, -1))
+
     t2 = 2.0 * _det(chi) + _wedge(chi, bg) + _wedge(bg, bg)
-    i = (4.0 / 3.0) * float(np.mean(v * t2))
+    i = (4.0 / 3.0) * mean(v * t2)
     if w is None:
         return None, i
     t1 = _wedge(chi, w) + _wedge(bg, w)
-    j = 4.0 * float(np.mean(v * t1)) - (c / 3.0) * 4.0 * float(np.mean(v * t2))
+    j = 4.0 * mean(v * t1) - (c / 3.0) * 4.0 * mean(v * t2)
     return j, i
 
 
 def _energies_split(pair, chi, bg, w, c):
     """Split-backend counterpart of ``_energies_full`` on factor pairs, via
-    separable factor means (no 4-D assembly)."""
+    separable factor means (no 4-D assembly); batch axes as there."""
     t2 = (
         sp.split_wedge_mean(pair, chi, chi)
         + sp.split_wedge_mean(pair, chi, bg)
@@ -90,7 +94,8 @@ def _full_terms(phi, chi0):
 
 def J_closed(phi, chi0, omega0, c0):
     """Closed-form J: needs no path, extends to the weak space."""
-    return _energies_full(*_full_terms(phi, chi0), omega0.realized.components(), c0)[0]
+    return float(_energies_full(*_full_terms(phi, chi0), omega0.realized.components(),
+                                c0)[0])
 
 
 def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
@@ -150,7 +155,7 @@ def J_gradient_check(phi, v, chi0, omega0, c0):
 
 def I_functional(phi, chi0):
     """The conserved normalization: (1/3) int phi (chi^2 + chi chi0 + chi0^2)."""
-    return _energies_full(*_full_terms(phi, chi0), None, 0.0)[1]
+    return float(_energies_full(*_full_terms(phi, chi0), None, 0.0)[1])
 
 
 def E_aubin_yau(phi, chi0):
@@ -279,8 +284,8 @@ def _split_terms(phi, chi0):
 
 def j_closed_split(phi, chi0, omega, c):
     """J_closed for split data, via factor means."""
-    return _energies_split(*_split_terms(phi, chi0), omega.profiles(), c)[0]
+    return float(_energies_split(*_split_terms(phi, chi0), omega.profiles(), c)[0])
 
 
 def i_functional_split(phi, chi0):
-    return _energies_split(*_split_terms(phi, chi0), None, 0.0)[1]
+    return float(_energies_split(*_split_terms(phi, chi0), None, 0.0)[1])

@@ -137,8 +137,9 @@ def assemble_form(form, grid4=None):
 
 
 def mean4(u, v):
-    """Mean over the 4-D grid of u(z1) * v(z2)."""
-    return float(np.mean(u)) * float(np.mean(v))
+    """Mean over the 4-D grid of u(z1) * v(z2); axes before the factor
+    grid's are batch axes."""
+    return np.mean(u, axis=(-2, -1)) * np.mean(v, axis=(-2, -1))
 
 
 def split_wedge_mean(phi, chi, omega):

@@ -211,6 +211,10 @@ class SpectralOps:
             out = m @ u.reshape(lead + (n ** axis, n, -1))
         return out.reshape(u.shape)
 
+    def _shifted(self, v):
+        """v with each trailing grid block shifted by its own first sample."""
+        return v - v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)]
+
     def _d2_sum(self, u, axes):
         """Sum of ``d2`` along the grid ``axes`` of u, mean-free per grid block."""
         out = self._apply_along(self.d2, self._d2t, u, axes[0])
@@ -222,8 +226,9 @@ class SpectralOps:
     def hessian(self, v, base=None, c=None):
         """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v
         on a 4-D lattice, each as ``base_k + c * H_k`` when ``base`` / ``c``
-        are given."""
-        u = v - v.item(0)
+        are given.  Axes of v before the grid's are batch axes, as in
+        ``laplacian``."""
+        u = self._shifted(v)
         d1 = functools.partial(self._apply_along, self.d1, self._d1t)
         p, q = d1(u, 0), d1(u, 1)
         out = [self._d2_sum(u, (0, 1)), self._d2_sum(u, (2, 3)),
@@ -241,8 +246,7 @@ class SpectralOps:
         is shifted by its own first sample and made mean-free on its own, so
         a stack of fields gives the stack of their Laplacians.
         """
-        first = v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)]
-        return self._d2_sum(v - first, self.axes)
+        return self._d2_sum(self._shifted(v), self.axes)
 
     def divide(self, v, sym=None):
         """Mean-zero inverse of a symbol (the Laplacian's by default) applied

@@ -118,6 +118,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key: 'backend'"):
             parse_config("preset=smooth_split, N=8, backend=full")
 
+    def test_workers_is_not_a_key(self):
+        # an epsilon family is one batched run: there is no pool to size
+        with pytest.raises(ConfigError, match="unknown key: 'workers'"):
+            parse_config("preset=degenerate_split, N=8, workers=2")
+
     @pytest.mark.parametrize("text, section", [
         ("preset=identity, N=4, ma.newton_tol=-1", "ma"),
         ("preset=identity, flow.snapshot_stride=0", "flow"),
@@ -125,7 +130,6 @@ class TestParseConfig:
         ("preset=degenerate_split, q.a=0.5", "q"),
         ("preset=identity, ma.max_newton=2.5", "ma"),
         ("preset=identity, flow.dt_safety=[1]", "flow"),
-        ("preset=identity, workers=two", "workers"),
         ("preset=identity, offsets=0.1", "offsets"),
     ])
     def test_bad_value_names_its_key(self, text, section):

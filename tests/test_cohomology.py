@@ -118,6 +118,27 @@ class TestConeCondition:
         m2 = cone_condition(x.scale(5.0), w)
         assert np.isclose(m1, m2)  # c*X - W is literally the same matrix
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0),
+           st.floats(-1.0, 1.0), _forms)
+    def test_margin_is_lowest_eigenvalue_of_x_adj_w_x(self, l1, l2, zr, zi, w):
+        # X = L L^* with L = [[l1, 0], [z, l2]]; for 2x2 classes
+        # c X - W = X adj(W) X / det X, so the margin is positive iff W > 0
+        z = complex(zr, zi)
+        xm = np.array([[l1 * l1, l1 * z.conjugate()], [l1 * z, abs(z) ** 2 + l2 * l2]])
+        wm = np.array([[w[0], complex(w[2], w[3])], [complex(w[2], -w[3]), w[1]]])
+        adj = np.array([[wm[1, 1], -wm[0, 1]], [-wm[1, 0], wm[0, 0]]])
+        ev = np.linalg.eigvalsh(xm @ adj @ xm / np.linalg.det(xm).real)
+        margin = cone_condition(
+            CohomologyClass(xm[0, 0].real, xm[1, 1].real, xm[0, 1]),
+            CohomologyClass(w[0], w[1], complex(w[2], w[3])),
+        )
+        scale = np.abs(ev).max()
+        assert abs(margin - ev[0]) <= 1e-12 * scale
+        w_ev = np.linalg.eigvalsh(wm)
+        if abs(w_ev[0]) > 1e-9 * np.abs(w_ev).max():  # W's definiteness is clear
+            assert (margin > 0.0) == (w_ev[0] > 0.0)
+
 
 class TestEpsilonForm:
     def test_zero_eps_unchanged(self):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jflow import flow
-from jflow.cohomology import CohomologyClass, ClosedForm, epsilon_form
+from jflow.cohomology import CohomologyClass, ClosedForm, c_constant, epsilon_form
 from jflow.diagnostics import compare_up_to_constant
 from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
 from jflow.flow import (
@@ -452,22 +453,90 @@ class TestEpsilonFamily:
         d = report.to_dict()
         assert d["failures"] == {}
 
-    def test_process_pool_matches_serial(self):
-        # members are independent runs; worker processes must not change them
-        pb = build_preset("degenerate_split", n=4)
+    @staticmethod
+    def _batched_vs_single(pb, ladder, cfg, phi0):
+        report = epsilon_family(cfg, ladder, pb.chi0, pb.omega0, pb.omega_hat,
+                                phi0=phi0, divisor=pb.divisor)
+        assert report.ok
+        for m in report.members:
+            traj = m.trajectory
+            assert traj.stop_reason == "converged"
+            single = evolve(replace(cfg, eps=m.eps), pb.chi0, pb.omega0, pb.omega_hat,
+                            phi0=phi0, divisor=pb.divisor)
+            gap = compare_up_to_constant(traj.final_potential(), single.final_potential())
+            assert gap <= 1e-8, (m.eps, gap)
+            js = [r.j for r in traj.rows]
+            assert all(b <= a for a, b in zip(js, js[1:])), m.eps
+        return report
+
+    def test_batched_members_match_single_runs(self):
+        pb = build_preset("degenerate_split", n=8)
         phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
-        cfg = FlowConfig(eps=0.2, dt_safety=0.8, stop_tolerance=1e-8, max_time=0.05)
-        args = ([0.2, 0.1, 0.05], pb.chi0, pb.omega0, pb.omega_hat)
-        serial = epsilon_family(cfg, *args, phi0=phi0, divisor=pb.divisor, workers=1)
-        pooled = epsilon_family(cfg, *args, phi0=phi0, divisor=pb.divisor, workers=2)
-        assert serial.ok and pooled.ok
-        assert [m.eps for m in pooled.members] == [m.eps for m in serial.members]
-        for s_m, p_m in zip(serial.members, pooled.members):
-            s_t, p_t = s_m.trajectory, p_m.trajectory
-            assert (p_t.steps, p_t.stop_reason) == (s_t.steps, s_t.stop_reason)
-            assert np.array_equal(p_t.final.phi1, s_t.final.phi1)
-            assert np.array_equal(p_t.final.phi2, s_t.final.phi2)
-        assert pooled.consecutive_diffs == serial.consecutive_diffs
+        cfg = FlowConfig(eps=0.2, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0)
+        report = self._batched_vs_single(pb, [0.2, 0.1, 0.05], cfg, phi0)
+        # one shared step sequence: the members stop one after another
+        steps = [m.trajectory.steps for m in report.members]
+        assert steps == sorted(steps)
+
+    def test_batched_members_match_single_runs_full_backend(self):
+        pb = build_preset("nonsplit_perturbed", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+        cfg = FlowConfig(eps=0.2, dt_safety=0.8, stop_tolerance=1e-8, max_time=6.0,
+                         snapshot_stride=100)
+        self._batched_vs_single(pb, [0.2, 0.1], cfg, phi0)
+
+    def test_one_member_family_is_evolve(self):
+        pb = build_preset("degenerate_split", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+        cfg = FlowConfig(eps=0.1, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0)
+        (member,) = epsilon_family(cfg, [0.1], pb.chi0, pb.omega0, pb.omega_hat,
+                                   phi0=phi0, divisor=pb.divisor).members
+        single = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0,
+                        divisor=pb.divisor)
+        traj = member.trajectory
+        assert traj.rows == single.rows
+        assert np.array_equal(traj.final.phi1, single.final.phi1)
+        assert np.array_equal(traj.final.phi2, single.final.phi2)
+        assert ((traj.steps, traj.rejections, traj.rhs_evals, traj.stop_reason)
+                == (single.steps, single.rejections, single.rhs_evals, single.stop_reason))
+
+    def test_member_losing_positivity_is_dropped(self, monkeypatch):
+        pb = build_preset("degenerate_split", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+        doomed = c_constant(pb.chi0_class(), pb.omega_eps_class(0.1))
+        make_kernel = flow._make_kernel
+
+        def sabotaged(*args, **kwargs):
+            # from the 200th evaluation on, the eps = 0.1 member is never positive
+            kernel = make_kernel(*args, **kwargs)
+            metrics = kernel.metrics
+
+            def failing(v):
+                rhs, chi, margin, finite = metrics(v)
+                if kernel.rhs_evals >= 200:
+                    margin = np.where(kernel.c == doomed, -1.0, margin)
+                return rhs, chi, margin, finite
+
+            kernel.metrics = failing
+            return kernel
+
+        monkeypatch.setattr(flow, "_make_kernel", sabotaged)
+        cfg = FlowConfig(eps=0.2, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0)
+        report = epsilon_family(cfg, [0.2, 0.1, 0.05], pb.chi0, pb.omega0,
+                                pb.omega_hat, phi0=phi0, divisor=pb.divisor)
+        assert list(report.failures) == [0.1]
+        assert report.failures[0.1].startswith("DegenerateStiffnessError")
+        assert set(report.sup_phi_by_eps) == {0.2, 0.05}
+        for m in report.members:
+            if m.eps != 0.1:
+                assert m.trajectory.stop_reason == "converged"
+        assert [d[:2] for d in report.consecutive_diffs] == [(0.2, 0.05)]
+
+    def test_workers_other_than_one_are_refused(self):
+        pb = build_preset("degenerate_split", n=8)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            epsilon_family(FlowConfig(eps=0.2), [0.2, 0.1], pb.chi0, pb.omega0,
+                           pb.omega_hat, workers=2)
 
     def test_requires_descending_positive(self):
         pb = build_preset("degenerate_split", n=8)

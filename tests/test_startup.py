@@ -1,8 +1,9 @@
 """Start-up cost: importing the package loads numpy only.
 
 A flow run needs no scipy module: the transforms are numpy.fft's, and
-scipy's GMRES is imported by the first Newton-Krylov direction.  The
-worker pool of ``epsilon_family`` is imported only when workers > 1.
+scipy's GMRES is imported by the first Newton-Krylov direction.  Nothing
+imports a process pool: ``epsilon_family`` steps its members as one
+batched state in the calling process.
 """
 
 import json

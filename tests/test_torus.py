@@ -202,6 +202,21 @@ class TestSpectralOps:
         assert np.abs(h.h22 - ops.laplacian(parts[1])[None, None, :, :]).max() < 1e-12
         assert np.abs(h.h12_re).max() < 1e-12 and np.abs(h.h12_im).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_stacked_hessian_is_per_block(self, n):
+        # each trailing grid block is shifted by its own first sample
+        g = Grid(n)
+        ops = SpectralOps.of(g)
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_bandlimited(g, rng).values + k for k in range(3)])
+        base = tuple(rng.normal(size=g.shape) for _ in range(4))
+        for kw in ({}, {"base": base}, {"c": 0.7}, {"base": base, "c": 0.7}):
+            batched = ops.hessian(stack, **kw)
+            for k in range(3):
+                single = ops.hessian(stack[k], **kw)
+                for b, s in zip(batched, single):
+                    assert np.array_equal(b[k], s)
+
     def test_divide_inverts_laplacian_off_the_mean(self, grid):
         ops = SpectralOps.of(grid)
         u = random_bandlimited(grid, np.random.default_rng(12)).values
