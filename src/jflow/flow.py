@@ -50,7 +50,12 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
   object, and a potential to the raw state of every member;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
   positivity margin, finite) from one evaluation of the same formula, the
-  last two per member; each call adds one to ``rhs_evals``;
+  last two per member; each call adds one to ``rhs_evals``.  Both return
+  fresh arrays, which the steppers may keep (RK4 holds three velocities)
+  or overwrite (``_rkc`` scales each stage's velocity in place).  The
+  metric that ``rhs_only`` needs on the way is transient: the full kernel
+  writes it into scratch it owns, made again when a batch narrows, and
+  overwrites it on the next call; the metric ``metrics`` returns is fresh;
 * ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
   array, from which ``_sup`` takes sup |x|;
 * ``lam_max(chi)``: the spectral radius bound rho of the stiffest member,
@@ -228,7 +233,7 @@ class _FullKernel:
         self.cfg = cfg
         self.rhs_evals = 0
         self._ops = SpectralOps.of(grid)
-        self._bg = chi0.realized.components()
+        self._bg = np.stack(chi0.realized.components())
         self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
         self._off = None
@@ -246,6 +251,8 @@ class _FullKernel:
         self._w = w
         self._w_det = _det(w)
         self.shape = np.shape(c) + self.grid.shape
+        # rhs_only's transient chi, made again when a batch narrows
+        self._chi_scratch = np.empty((4,) + self.shape)
 
     def _keep(self, idx, chi):
         """Narrow a batch to the members ``idx``; returns their chi."""
@@ -264,11 +271,14 @@ class _FullKernel:
 
     def _rhs(self, chi):
         with np.errstate(all="ignore"):
-            return self._c - _trace(chi, self._w)
+            tr = _trace(chi, self._w)
+            return np.subtract(self._c, tr, out=tr)
 
     def rhs_only(self, v):
+        """The velocity, a fresh array; its chi is written into the
+        kernel's scratch and overwritten by the next call."""
         self.rhs_evals += 1
-        return self._rhs(self.chi(v))
+        return self._rhs(self._ops.hessian(v, base=self._bg, out=self._chi_scratch))
 
     def metrics(self, v):
         """(rhs, chi, positivity margin, finite) in one pass; the last two
@@ -296,13 +306,35 @@ class _FullKernel:
         """
         h11, h22, h12r, h12i = chi
         w11, w22, w12r, w12i = self._w
-        x2 = h12r * h12r + h12i * h12i
-        det2 = _det(chi) ** 2
-        tr = ((h22 * h22 + x2) * w11 + (h11 * h11 + x2) * w22
-              - 2.0 * (h11 + h22) * (h12r * w12r + h12i * w12i)) / det2
-        det_h = self._w_det / det2
-        lam = 0.5 * tr + np.sqrt(np.maximum(0.25 * tr ** 2 - det_h, 0.0))
-        return float(lam.max()) * self._kmax2
+        # tr = ((h22^2 + x2) w11 + (h11^2 + x2) w22 - 2 (h11 + h22) m) / det^2
+        # with x2 = |h12|^2, m = h12r w12r + h12i w12i; then det_h = det w / det^2
+        # and lam = tr / 2 + sqrt(max(tr^2 / 4 - det_h, 0)), each left to right
+        x2 = h12r * h12r
+        x2 += h12i * h12i
+        det2 = _det(chi)
+        det2 **= 2
+        tr = h22 * h22
+        tr += x2
+        tr *= w11
+        x2 += h11 * h11
+        x2 *= w22
+        tr += x2
+        s = h11 + h22
+        s *= 2.0
+        m = h12r * w12r
+        m += h12i * w12i
+        s *= m
+        tr -= s
+        tr /= det2
+        det_h = np.divide(self._w_det, det2, out=det2)
+        d = tr * tr
+        d *= 0.25
+        d -= det_h
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        tr *= 0.5
+        tr += d
+        return float(tr.max()) * self._kmax2
 
     def adaptive_dt(self, chi):
         """Explicit RK4 step size dt_safety / lam_max(chi)."""
@@ -553,12 +585,26 @@ def _rkc_stages(h, rho):
 
 def _rkc(kernel, v, k1, h, s):
     """s-stage second-order RKC step of the raw state v, whose velocity k1
-    is known: s - 1 further right-hand sides."""
+    is known: s - 1 further right-hand sides.
+
+    Each stage is built in place, left to right, in a buffer that the
+    stage two back has released: the same float operations as the
+    one-line recurrence, without its temporaries.  v and k1 are only read;
+    the returned state is an array of its own."""
     mu1, stages = _rkc_coefficients(s)
     y2, y1 = v, v + (mu1 * h) * k1
+    new, tmp = np.empty(v.shape), np.empty(v.shape)
     for mu, nu, mu0, mu_t, gamma_t in stages:
         f = kernel.rhs_only(y1)
-        y2, y1 = y1, mu * y1 + nu * y2 + mu0 * v + (mu_t * h) * f + (gamma_t * h) * k1
+        # new = mu y1 + nu y2 + mu0 v + (mu_t h) f + (gamma_t h) k1, left to right
+        np.multiply(y1, mu, out=new)
+        new += np.multiply(y2, nu, out=tmp)
+        new += np.multiply(v, mu0, out=tmp)
+        f *= mu_t * h
+        new += f
+        new += np.multiply(k1, gamma_t * h, out=tmp)
+        # the old y2 is not read again: it takes the next stage (never v)
+        y2, y1, new = y1, new, (np.empty(v.shape) if y2 is v else y2)
     return y1
 
 
@@ -573,8 +619,14 @@ def _rkc_error(kernel, v, new, k1, k_new, h):
     its tolerance, per member: at most 1 when its RMS norm is within both
     _RKC_ATOL and _RKC_RTOL times the RMS norm of the member's increment."""
     axes = kernel.member_axes
-    est = _rms(0.8 * (v - new) + (0.4 * h) * (k1 + k_new), axes)
-    tol = np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(new - v, axes))
+    d = v - new
+    # the RMS of new - v: its squares are those of v - new, bit for bit
+    tol = np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(d, axes))
+    d *= 0.8
+    k = k1 + k_new
+    k *= 0.4 * h
+    d += k
+    est = _rms(d, axes)
     # est / tol where tol > 0; else 0 for a zero estimate and inf otherwise
     return np.divide(est, tol, out=np.where(est == 0.0, 0.0, np.inf), where=tol > 0.0)
 

@@ -172,6 +172,13 @@ class SpectralOps:
       Otherwise they agree with the transform of the symbols to rounding.
     * ``divide`` applies a symbol, cropped to the half-spectrum, through
       ``numpy.fft``'s real transforms.
+
+    Scratch: ``hessian`` keeps its intermediates (the shifted input and the
+    first-derivative and product blocks) in arrays made once per input
+    shape and reused by every later call with that shape, so a batch that
+    narrows gets its own.  No array it returns shares that scratch: the
+    result is a fresh block, or the caller's ``out``.  The operators are
+    therefore not reentrant across threads.
     """
 
     def __init__(self, grid):
@@ -185,12 +192,15 @@ class SpectralOps:
         self.laplace = np.ascontiguousarray(lap[half])
         self.d2, self._d2t = _circulant(lap[(slice(None),) + (0,) * (len(self.shape) - 1)])
         self.hessian_syms = None
+        self._plans = {}  # hessian's matmul shapes and scratch, per input shape
         if len(self.shape) == 4:
             k = grid._wavenumbers(odd=True)[0].ravel()
             self.d1, self._d1t = _circulant(1j * np.pi * k)
-            self.hessian_syms = tuple(
-                np.ascontiguousarray(s[half]) for s in grid.hessian_symbols()
-            )
+            self._neg_d1 = -self.d1
+            # broadcast views of one shape, as the form algebra expects
+            self.hessian_syms = tuple(np.broadcast_arrays(
+                *(np.ascontiguousarray(s[half]) for s in grid.hessian_symbols())
+            ))
 
     @classmethod
     @functools.lru_cache(maxsize=32)
@@ -223,21 +233,72 @@ class SpectralOps:
         out -= out.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
         return out
 
-    def hessian(self, v, base=None, c=None):
+    def _plan(self, shape):
+        """``hessian``'s matmul shapes for a 4-D input of ``shape`` (along
+        axes 0, 1, 2 and 3 as in ``_apply_along``, then ``shape`` itself)
+        and its scratch: the shifted input, p and q, each as its views of
+        those shapes, and a (4,) + shape block for the second product of
+        each entry.  Made on the first call with that shape and kept."""
+        plan = self._plans.get(shape)
+        if plan is None:
+            n = self.grid.n
+            lead = shape[:-4]
+            views = (lead + (n, -1), lead + (n, n, -1), lead + (n * n, n, -1),
+                     lead + (-1, n), shape)
+            u, p, q = (tuple(a.reshape(r) for r in views) for a in np.empty((3,) + shape))
+            plan = self._plans[shape] = (views, u, p, q, np.empty((4,) + shape))
+        return plan
+
+    def hessian(self, v, base=None, c=None, out=None):
         """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v
         on a 4-D lattice, each as ``base_k + c * H_k`` when ``base`` / ``c``
-        are given.  Axes of v before the grid's are batch axes, as in
-        ``laplacian``."""
-        u = self._shifted(v)
-        d1 = functools.partial(self._apply_along, self.d1, self._d1t)
-        p, q = d1(u, 0), d1(u, 1)
-        out = [self._d2_sum(u, (0, 1)), self._d2_sum(u, (2, 3)),
-               d1(p, 2) + d1(q, 3), d1(p, 3) - d1(q, 2)]
+        are given (``base`` stacked to a (4,) + shape array broadcast to
+        v's shape, ``c`` a float).  Axes of v before the grid's are batch
+        axes, as in ``laplacian``.
+
+        The components are the four rows of one C-contiguous (4,) + v.shape
+        block: ``out`` when it is given (not overlapping v), else a fresh
+        one.  The intermediates live in scratch kept per input shape, which
+        no returned array shares.  The ten 1-D products are d1 along axes 0
+        and 1 (p, q), then two per entry: d2 along 0 and 1 (h11), d2 along 2
+        and 3 (h22), d1 of p along 2 and of q along 3 (h12_re), d1 of p
+        along 3 and -d1 of q along 2 (h12_im: adding the negated product is
+        the same float operation as subtracting it).  Each entry's first
+        product goes into the block, its second into scratch, and one
+        in-place sum adds all four; the mean subtraction, ``c`` and ``base``
+        are one in-place operation each.
+        """
+        (r0, r1, r2, r3, _), u, p, q, t = self._plan(v.shape)
+        if out is None:
+            h = np.empty(t.shape)
+        elif out.shape == t.shape and out.flags.c_contiguous:
+            h = out  # its rows reshape to views, which the products write
+        else:
+            raise ValueError(f"hessian: out must be a C-contiguous {t.shape} array")
+        d1, d1t, d2, d2t = self.d1, self._d1t, self.d2, self._d2t
+        mm = np.matmul
+        # v shifted by its first sample, so that a constant maps to exactly 0
+        np.subtract(v, v[(Ellipsis,) + (slice(0, 1),) * 4], out=u[4])
+        mm(d1, u[0], out=p[0])
+        mm(d1, u[1], out=q[1])
+        mm(d2, u[0], out=h[0].reshape(r0))
+        mm(d2, u[1], out=t[0].reshape(r1))
+        mm(d2, u[2], out=h[1].reshape(r2))
+        mm(u[3], d2t, out=t[1].reshape(r3))
+        mm(d1, p[2], out=h[2].reshape(r2))
+        mm(q[3], d1t, out=t[2].reshape(r3))
+        mm(p[3], d1t, out=h[3].reshape(r3))
+        mm(self._neg_d1, q[2], out=t[3].reshape(r2))
+        h += t
+        # the d2 entries made mean-free, as with the transform
+        hd = h[:2]
+        hd -= hd.sum(self._block, keepdims=True) / self.grid.n ** 4
         if c is not None:
-            out = [c * h for h in out]
+            h *= c
         if base is not None:
-            out = [b + h for b, h in zip(base, out)]
-        return tuple(out)
+            b = np.asarray(base)
+            h += b.reshape(b.shape[:1] + (1,) * (h.ndim - b.ndim) + b.shape[1:])
+        return tuple(h)
 
     def laplacian(self, v):
         """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v.
@@ -382,24 +443,52 @@ def poisson_solve(src):
     return ScalarField(src.grid, SpectralOps.of(src.grid).divide(src.values - m))
 
 
+# Each helper below evaluates its formula left to right, as the one-line
+# expression in its docstring would, but accumulates into the first fresh
+# product with +=, -=, *=: the same float operations with fewer temporaries.
+# The components of one tuple are all floats or all arrays of one shape,
+# so every product of two components already has the result's shape.
+
+
 def _wedge(a, b):
-    """Wedge density D(a, b): a ^ b = D (i dz1 dz1bar)(i dz2 dz2bar)."""
-    return a[0] * b[1] + a[1] * b[0] - 2.0 * (a[2] * b[2] + a[3] * b[3])
+    """Wedge density D(a, b) = a0 b1 + a1 b0 - 2 (a2 b2 + a3 b3):
+    a ^ b = D (i dz1 dz1bar)(i dz2 dz2bar)."""
+    d = a[0] * b[1]
+    d += a[1] * b[0]
+    s = a[2] * b[2]
+    s += a[3] * b[3]
+    s *= 2.0
+    d -= s
+    return d
 
 
 def _det(a):
-    """det a = D(a, a) / 2."""
-    return a[0] * a[1] - a[2] ** 2 - a[3] ** 2
+    """det a = a0 a1 - a2^2 - a3^2 = D(a, a) / 2."""
+    d = a[0] * a[1]
+    d -= a[2] ** 2
+    d -= a[3] ** 2
+    return d
 
 
 def _lam_lo(a):
-    """Lowest eigenvalue of a against the identity."""
-    return 0.5 * (a[0] + a[1]) - np.sqrt((0.5 * (a[0] - a[1])) ** 2 + a[2] ** 2 + a[3] ** 2)
+    """Lowest eigenvalue of a against the identity,
+    0.5 (a0 + a1) - sqrt((0.5 (a0 - a1))^2 + a2^2 + a3^2)."""
+    m = a[0] + a[1]
+    m *= 0.5
+    r = a[0] - a[1]
+    r *= 0.5
+    r **= 2
+    r += a[2] ** 2
+    r += a[3] ** 2
+    m -= np.sqrt(r)
+    return m
 
 
 def _trace(a, b):
     """tr_a b = a^{j kbar} b_{j kbar} = D(a, b) / det a, for positive a."""
-    return _wedge(a, b) / _det(a)
+    t = _wedge(a, b)
+    t /= _det(a)
+    return t
 
 
 def _critical_density(chi, w, c):

@@ -267,6 +267,29 @@ class TestExecute:
             "sup_phi_by_eps", "sup_phidot_by_eps", "notes", "ok", "failures"}
         assert report["uniformity"]["ok"]
 
+    def test_family_budgets_follow_the_start(self, tmp_path):
+        # the preset budgets hold for phi0 = 0; a random start carries its own
+        # sup|phi_dot(0)| (3.5 here), which the maximum principle keeps
+        text = ("preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05],"
+                " offsets=[0.01, 0.01], out={}, ")
+        record, code = execute(parse_config(
+            text.format(tmp_path / "random") + "seed=1, phi0.random=true"), "family")
+        assert code == 0 and not record.failures
+        assert record.verdicts["uniform_bounds"]
+        assert record.scalars["max_sup_phidot"] > 3.0
+        # a zero start reports what it did before: no failure at the preset
+        # budgets, and the same lines for a budget it exceeds
+        record, code = execute(parse_config(text.format(tmp_path / "zero")), "family")
+        assert code == 0 and record.verdicts["uniform_bounds"]
+        record, code = execute(parse_config(
+            text.format(tmp_path / "tight") + "budget.sup_phi=0.05"), "family")
+        assert code == 1 and not record.verdicts["uniform_bounds"]
+        assert record.failures == [
+            "eps=0.2: sup|phi| 0.0930636 exceeds budget 0.05",
+            "eps=0.1: sup|phi| 0.102396 exceeds budget 0.05",
+            "eps=0.05: sup|phi| 0.107794 exceeds budget 0.05",
+        ]
+
     def test_functionals_on_snapshot(self, tmp_path):
         cfg = parse_config(
             f"preset=smooth_split, N=8, out={tmp_path},"

@@ -117,6 +117,63 @@ class TestFlowRhs:
         assert np.abs(kernel.rhs_only(v) - ref).max() < 1e-13
 
 
+class TestKernelScratch:
+    """The 4-D kernel writes rhs_only's chi into scratch it owns: what it
+    returns, and what metrics returned before, must never share it."""
+
+    @staticmethod
+    def _state(integrator="rkc"):
+        pb = build_preset("nonsplit_perturbed", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(2))
+        cfg = FlowConfig(eps=0.1, integrator=integrator)
+        return pb, phi0, make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+
+    def test_rhs_only_returns_fresh_arrays(self):
+        _, phi0, state = self._state()
+        kernel, v = state.kernel, phi0.values
+        rhs, chi = kernel.metrics(v)[:2]
+        kept = [x.copy() for x in chi]
+        a = kernel.rhs_only(v)
+        a_kept = a.copy()
+        b = kernel.rhs_only(v + 1e-3 * a)
+        assert not np.shares_memory(a, b)
+        for x in (a, b):
+            assert not any(np.shares_memory(x, c) for c in chi)
+        # neither the chi that metrics returned nor the first velocity moved
+        assert all(np.array_equal(c, k) for c, k in zip(chi, kept))
+        assert np.array_equal(a, a_kept) and np.array_equal(a, rhs)
+
+    def test_rk4_step_holds_three_velocities(self):
+        # RK4 keeps k2, k3 and k4 at once; the step is the open-coded formula
+        # on flow_rhs, bit for bit
+        pb, phi0, state = self._state("rk4")
+        w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
+
+        def f(x):
+            return flow_rhs(ScalarField(pb.grid, x), pb.chi0, w, state.kernel.c).values
+
+        v, k1, dt = phi0.values, state.rhs, adaptive_dt(state)
+        k2 = f(v + 0.5 * dt * k1)
+        k3 = f(v + 0.5 * dt * k2)
+        k4 = f(v + dt * k3)
+        out = step(state, dt)
+        assert out.last_dt == dt
+        assert np.array_equal(out.phi.values, v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+    def test_narrowed_batch_matches_its_members(self):
+        # a batch that loses a member remakes its scratch at the new shape
+        pb, phi0, _ = self._state()
+        cfg = FlowConfig(eps=0.1)
+        forms = [epsilon_form(pb.omega0, e, pb.omega_hat) for e in (0.2, 0.1)]
+        cs = [c_constant(pb.chi0.cls, w.cls) for w in forms]
+        kernel = flow._make_kernel(pb.chi0, forms, cs, cfg)
+        v = np.stack([phi0.values, 0.5 * phi0.values])
+        both = kernel.rhs_only(v)
+        chi = kernel.metrics(v)[1]
+        kernel._keep(np.array([1]), chi)
+        assert np.array_equal(kernel.rhs_only(v[1:]), both[1:])
+
+
 class TestAdaptiveDt:
     def test_identity_formula(self):
         pb = build_preset("identity", n=16)

@@ -204,18 +204,36 @@ class TestSpectralOps:
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_stacked_hessian_is_per_block(self, n):
-        # each trailing grid block is shifted by its own first sample
+        # each trailing grid block is shifted by its own first sample; a
+        # batched 4-D family drops members mid-run, so the same operators see
+        # (3,), (2,) and (1,) batches in turn, each with its own scratch.
+        # base is shared or one per member (stacked (4, m) + grid), and out=
+        # a caller's block
         g = Grid(n)
         ops = SpectralOps.of(g)
         rng = np.random.default_rng(n)
-        stack = np.stack([random_bandlimited(g, rng).values + k for k in range(3)])
-        base = tuple(rng.normal(size=g.shape) for _ in range(4))
-        for kw in ({}, {"base": base}, {"c": 0.7}, {"base": base, "c": 0.7}):
-            batched = ops.hessian(stack, **kw)
-            for k in range(3):
-                single = ops.hessian(stack[k], **kw)
-                for b, s in zip(batched, single):
-                    assert np.array_equal(b[k], s)
+        for m in (3, 2, 1, 3):
+            stack = np.stack([random_bandlimited(g, rng).values + k for k in range(m)])
+            shared = tuple(rng.normal(size=g.shape) for _ in range(4))
+            own = rng.normal(size=(4, m) + g.shape)
+            for kw, single_kw in (({}, lambda k: {}),
+                                  ({"c": 0.7}, lambda k: {"c": 0.7}),
+                                  ({"base": shared}, lambda k: {"base": shared}),
+                                  ({"base": shared, "c": 0.7},
+                                   lambda k: {"base": shared, "c": 0.7}),
+                                  ({"base": own, "c": 0.7},
+                                   lambda k: {"base": own[:, k], "c": 0.7})):
+                batched = ops.hessian(stack, **kw)
+                into = np.empty((4,) + stack.shape)
+                assert all(np.shares_memory(h, into)
+                           for h in ops.hessian(stack, out=into, **kw))
+                for k in range(m):
+                    single = ops.hessian(stack[k], **single_kw(k))
+                    for b, o, s in zip(batched, into, single):
+                        assert np.array_equal(b[k], s) and np.array_equal(o[k], s)
+        # products write through reshaped views, so out= must be contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ops.hessian(stack, out=np.empty((4,) + stack.shape, order="F"))
 
     def test_divide_inverts_laplacian_off_the_mean(self, grid):
         ops = SpectralOps.of(grid)
