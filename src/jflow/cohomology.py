@@ -7,6 +7,7 @@ closed form is a (class, potential) pair -- closed by construction, which
 removes any need for numerical closedness testing.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +50,14 @@ class CohomologyClass:
         return self.m11, self.m22, self.m12.real, self.m12.imag
 
     def min_eigenvalue(self):
-        return float(_lam_lo(self.components()))
+        """Lowest eigenvalue, from the components scaled by the power of two
+        that brings the largest into [0.5, 1), and scaled back.  Scaling by
+        a power of two is exact, so in the normal range the result has the
+        unscaled formula's bits; a subnormal or huge entry no longer
+        squares to 0 or to inf."""
+        comps = self.components()
+        e = math.frexp(max(abs(x) for x in comps))[1]
+        return math.ldexp(float(_lam_lo(tuple(math.ldexp(x, -e) for x in comps))), e)
 
     def is_positive(self):
         return self.min_eigenvalue() > 0.0

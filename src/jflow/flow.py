@@ -4,9 +4,13 @@
 
 its epsilon-regularised family driver, and the maximum-principle monitors.
 
-The flow is parabolic with spectral radius rho = lambda_max(chi^-1 omega
-chi^-1) * (pi N)^2.  Two explicit integrators step it
-(``FlowConfig.integrator``):
+The flow is parabolic: its linearization is g-weighted dd^c with the
+pointwise coefficient g = lambda_max(chi^-1 omega chi^-1) (omega / chi^2 per
+factor on the split backend), so its spectral radius is at most
+rho = max g * |L|, |L| the largest symbol of the Laplacian of the lattice the
+kernel steps: (pi N)^2 on the 4-D lattice, (pi N)^2 / 2 on a factor lattice.
+(g L is similar to g^1/2 L g^1/2, whose norm is at most max g |L|.)  Two
+explicit integrators step it (``FlowConfig.integrator``):
 
 * ``"rkc"`` (default): damped second-order Runge-Kutta-Chebyshev (Sommeijer,
   Shampine & Verwer, J. Comput. Appl. Math. 88, 1998).  A step h takes
@@ -14,9 +18,11 @@ chi^-1) * (pi N)^2.  Two explicit integrators step it
   ``evolve`` controls h by RKC's embedded error estimate: a step passes when
   the estimate is within both an absolute tolerance and a fraction of the
   step's own increment, and the next h follows from the error ratio.
-* ``"rk4"``: classical RK4 at the explicit stability limit ``adaptive_dt``.
-  It is fourth order in time, which the dissipation identity of criterion 3
-  and 1e-9 conservation of I need.
+* ``"rk4"``: classical RK4 at the explicit stability limit ``adaptive_dt``
+  = dt_safety / (max g * (pi N)^2) on both backends, so on the split
+  backend a factor 2 below its own bound: the step that the RK4 tests and
+  criterion 3 are calibrated on.  It is fourth order in time, which the
+  dissipation identity of criterion 3 and 1e-9 conservation of I need.
 
 One loop, ``_advance``, takes every step of either integrator on the
 kernel's raw arrays and holds the one refusal policy.  An attempt whose
@@ -53,14 +59,22 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
   last two per member; each call adds one to ``rhs_evals``.  Both return
   fresh arrays, which the steppers may keep (RK4 holds three velocities)
   or overwrite (``_rkc`` scales each stage's velocity in place).  The
-  metric that ``rhs_only`` needs on the way is transient: the full kernel
+  metric that ``rhs_only`` needs on the way is transient: each kernel
   writes it into scratch it owns, made again when a batch narrows, and
-  overwrites it on the next call; the metric ``metrics`` returns is fresh;
+  overwrites it on the next call; the metric ``metrics`` returns is fresh.
+  Neither call enters ``np.errstate``: a non-positive metric divides by
+  zero, and ``_advance`` enters it once per attempt (``make_state`` and
+  ``_evolve_members`` once around the first evaluation), then refuses
+  what is not finite or not positive;
 * ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
   array, from which ``_sup`` takes sup |x|;
-* ``lam_max(chi)``: the spectral radius bound rho of the stiffest member,
-  from which ``adaptive_dt(chi)`` = dt_safety / rho and the RKC stage
-  count follow;
+* ``lam_max(chi)``: the spectral radius bound rho = max g * |L| of the
+  stiffest member, from the kernel's own lattice, from which the RKC stage
+  count follows (with the safety factor _RKC_RHO_SAFETY);
+  ``adaptive_dt(chi)``: dt_safety / (max g * (pi N)^2), RK4's step and
+  RKC's first trial step: dt_safety / rho on the 4-D lattice and
+  dt_safety / (2 rho) on a factor lattice, the values both took when rho
+  was (pi N)^2 on either;
 * ``row_functionals(raw, rhs, chi)``: per member, the (J, I, dJ/dt) of a
   history row;
 * ``_keep(idx, chi)``: narrow a batch to the members ``idx``.
@@ -236,6 +250,7 @@ class _FullKernel:
         self._bg = np.stack(chi0.realized.components())
         self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
+        self._lap_norm = float(-self._ops.laplace.min())
         self._off = None
         if divisor is not None:
             mask = ~divisor.locus_mask(grid)
@@ -270,9 +285,8 @@ class _FullKernel:
         return self._ops.hessian(v, base=self._bg)
 
     def _rhs(self, chi):
-        with np.errstate(all="ignore"):
-            tr = _trace(chi, self._w)
-            return np.subtract(self._c, tr, out=tr)
+        tr = _trace(chi, self._w)
+        return np.subtract(self._c, tr, out=tr)
 
     def rhs_only(self, v):
         """The velocity, a fresh array; its chi is written into the
@@ -297,9 +311,9 @@ class _FullKernel:
         member."""
         return x.max(axis=self.member_axes), x.min(axis=self.member_axes)
 
-    def lam_max(self, chi):
-        """Spectral radius bound lambda_max(chi^-1 omega chi^-1) * (pi N)^2,
-        of the stiffest member.
+    def _stiffness(self, chi):
+        """max over the grid of g = lambda_max(chi^-1 omega chi^-1), of the
+        stiffest member: the linearized velocity is g-weighted dd^c.
 
         The eigenvalues come from the trace tr(adj(chi)^2 omega) / det^2 and
         the determinant det(omega) / det^2, both real: no complex arrays.
@@ -334,11 +348,17 @@ class _FullKernel:
         np.sqrt(d, out=d)
         tr *= 0.5
         tr += d
-        return float(tr.max()) * self._kmax2
+        return float(tr.max())
+
+    def lam_max(self, chi):
+        """Spectral radius bound max g * |Laplacian| of the linearized
+        velocity, of the stiffest member; |Laplacian| = (pi N)^2, the 4-D
+        lattice's largest symbol."""
+        return self._stiffness(chi) * self._lap_norm
 
     def adaptive_dt(self, chi):
-        """Explicit RK4 step size dt_safety / lam_max(chi)."""
-        return self.cfg.dt_safety / self.lam_max(chi)
+        """Explicit RK4 step size dt_safety / (max g * (pi N)^2)."""
+        return self.cfg.dt_safety / (self._stiffness(chi) * self._kmax2)
 
     def row_functionals(self, v, rhs, chi):
         """(J, I, dJ/dt) per member from the cached chi arrays."""
@@ -367,8 +387,9 @@ class _SplitKernel:
         self.rhs_evals = 0
         self._bg = np.stack(chi0.profiles())
         self.member_axes = (-3, -2, -1)
-        self._lap = SpectralOps.of(fgrid).laplacian
+        self._ops = SpectralOps.of(fgrid)
         self._kmax2 = (np.pi * fgrid.n) ** 2
+        self._lap_norm = float(-self._ops.laplace.min())
         self._off = None
         if divisor is not None:
             # the divisor lies in the first factor: exempt it from A only
@@ -385,6 +406,8 @@ class _SplitKernel:
     def _members(self, c, w, cs):
         self.c, self._w, self._cs = c, w, cs
         self.shape = w.shape
+        # rhs_only's transient chi, made again when a batch narrows
+        self._chi_scratch = np.empty(self.shape)
 
     def _keep(self, idx, chi):
         """Narrow a batch to the members ``idx``; returns their chi."""
@@ -398,15 +421,17 @@ class _SplitKernel:
         return SplitPotential(self.grid, v[0], v[1])
 
     def chi(self, v):
-        return self._bg + self._lap(v)
+        return self._ops.laplacian(v, base=self._bg)
 
     def _rhs(self, chi):
-        with np.errstate(all="ignore"):
-            return self._cs - self._w / chi
+        r = np.divide(self._w, chi)
+        return np.subtract(self._cs, r, out=r)
 
     def rhs_only(self, v):
+        """The velocity, a fresh array; its chi is written into the
+        kernel's scratch and overwritten by the next call."""
         self.rhs_evals += 1
-        return self._rhs(self.chi(v))
+        return self._rhs(self._ops.laplacian(v, base=self._bg, out=self._chi_scratch))
 
     def metrics(self, v):
         """(rhs, chi, positivity margin, finite) in one pass; the last two
@@ -425,14 +450,23 @@ class _SplitKernel:
         return (a.max(axis=(-2, -1)) + b.max(axis=(-2, -1)),
                 a.min(axis=(-2, -1)) + b.min(axis=(-2, -1)))
 
+    def _stiffness(self, chi):
+        """max over both factors of g = omega / chi^2, of the stiffest
+        member: the linearized velocity is g times each factor's Laplacian."""
+        g = chi * chi
+        return float(np.divide(self._w, g, out=g).max())
+
     def lam_max(self, chi):
-        """Spectral radius bound max(omega / chi^2) * (pi N)^2 over both
-        factors, of the stiffest member."""
-        return float((self._w / chi ** 2).max()) * self._kmax2
+        """Spectral radius bound max g * |Laplacian| of the linearized
+        velocity, of the stiffest member.  |Laplacian| is the factor
+        lattice's largest symbol, (pi N)^2 / 2: half the 4-D lattice's
+        (pi N)^2, since the split operator acts on one factor at a time."""
+        return self._stiffness(chi) * self._lap_norm
 
     def adaptive_dt(self, chi):
-        """Explicit RK4 step size dt_safety / lam_max(chi)."""
-        return self.cfg.dt_safety / self.lam_max(chi)
+        """Explicit RK4 step size dt_safety / (max g * (pi N)^2): the step
+        RK4 is calibrated on, from the 4-D lattice's bound, twice lam_max."""
+        return self.cfg.dt_safety / (self._stiffness(chi) * self._kmax2)
 
     def row_functionals(self, v, rhs, chi):
         """(J, I, dJ/dt) per member via separable factor means."""
@@ -521,7 +555,8 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     exempt = divisor if cfg.eps == 0.0 else None
     kernel = _make_kernel(chi0, [omega_eps], [c_eps], cfg, exempt)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
-    rhs, chi, margin0, finite = kernel.metrics(raw)
+    with np.errstate(all="ignore"):  # a non-positive start is refused below
+        rhs, chi, margin0, finite = kernel.metrics(raw)
     margin0 = float(margin0)
     if not finite or margin0 <= 0.0:
         raise _initial_error(margin0)
@@ -658,11 +693,13 @@ def _advance(kernel, raw, rhs, chi, dt, t, controlled=False):
     rho = _RKC_RHO_SAFETY * kernel.lam_max(chi) if rkc else 0.0
     rejections = 0
     while True:
-        if rkc:
-            new = _rkc(kernel, raw, rhs, dt, _rkc_stages(dt, rho))
-        else:
-            new = _rk4(kernel, raw, rhs, dt)
-        new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
+        # an attempt that leaves the positive cone is refused, not warned about
+        with np.errstate(all="ignore"):
+            if rkc:
+                new = _rkc(kernel, raw, rhs, dt, _rkc_stages(dt, rho))
+            else:
+                new = _rk4(kernel, raw, rhs, dt)
+            new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
         bad = ~(finite & (new_margin > 0.0))
         if bad.any():
             retry, cause = 0.5 * dt, "not finite or not positive"
@@ -757,7 +794,8 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
     exempt = divisor if all(m.eps == 0.0 for m in live) else None
     kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg, exempt)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
-    rhs, chi, margin, finite = kernel.metrics(raw)
+    with np.errstate(all="ignore"):  # a non-positive start is refused below
+        rhs, chi, margin, finite = kernel.metrics(raw)
     one = np.ndim(margin) == 0  # a single run: no member axis
     t, steps, rejections = 0.0, 0, 0
 

@@ -173,12 +173,12 @@ class SpectralOps:
     * ``divide`` applies a symbol, cropped to the half-spectrum, through
       ``numpy.fft``'s real transforms.
 
-    Scratch: ``hessian`` keeps its intermediates (the shifted input and the
-    first-derivative and product blocks) in arrays made once per input
-    shape and reused by every later call with that shape, so a batch that
-    narrows gets its own.  No array it returns shares that scratch: the
-    result is a fresh block, or the caller's ``out``.  The operators are
-    therefore not reentrant across threads.
+    Scratch: ``hessian`` and ``laplacian`` keep their intermediates (the
+    shifted input and the first-derivative and product blocks) in arrays
+    made once per input shape and reused by every later call with that
+    shape, so a batch that narrows gets its own.  No array they return
+    shares that scratch: the result is fresh, or the caller's ``out``.  The
+    operators are therefore not reentrant across threads.
     """
 
     def __init__(self, grid):
@@ -207,47 +207,38 @@ class SpectralOps:
     def of(cls, grid):
         return cls(grid)
 
-    def _apply_along(self, m, mt, u, axis):
-        """The 1-D matrix m (mt its transpose) applied along one grid axis of
-        u, as a matmul over a reshaped view; leading batch axes of u are
-        matmul batch axes."""
-        n = self.grid.n
-        lead = u.shape[: u.ndim - len(self.shape)]
-        if axis == 0:
-            out = m @ u.reshape(lead + (n, -1))
-        elif axis == len(self.shape) - 1:
-            out = u.reshape(lead + (-1, n)) @ mt
-        else:
-            out = m @ u.reshape(lead + (n ** axis, n, -1))
-        return out.reshape(u.shape)
-
-    def _shifted(self, v):
-        """v with each trailing grid block shifted by its own first sample."""
-        return v - v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)]
-
-    def _d2_sum(self, u, axes):
-        """Sum of ``d2`` along the grid ``axes`` of u, mean-free per grid block."""
-        out = self._apply_along(self.d2, self._d2t, u, axes[0])
-        for axis in axes[1:]:
-            out += self._apply_along(self.d2, self._d2t, u, axis)
-        out -= out.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
-        return out
-
     def _plan(self, shape):
-        """``hessian``'s matmul shapes for a 4-D input of ``shape`` (along
-        axes 0, 1, 2 and 3 as in ``_apply_along``, then ``shape`` itself)
-        and its scratch: the shifted input, p and q, each as its views of
-        those shapes, and a (4,) + shape block for the second product of
-        each entry.  Made on the first call with that shape and kept."""
+        """Matmul shapes for an input of ``shape`` (the 1-D matrix applied
+        along each grid axis as a matmul over a reshape: (n, -1) along the
+        first, (-1, n) along the last, (n^i, n, -1) along axis i between;
+        leading batch axes are matmul batch axes), then ``shape`` itself;
+        and scratch for them: the shifted input as its views of those
+        shapes, and a block of products (on a factor lattice one, the
+        Laplacian's products after the first; on a 4-D lattice four,
+        ``hessian``'s second product of each entry, plus its p and q as
+        views like the input's).  Made on the first call with that shape
+        and kept."""
         plan = self._plans.get(shape)
         if plan is None:
-            n = self.grid.n
-            lead = shape[:-4]
-            views = (lead + (n, -1), lead + (n, n, -1), lead + (n * n, n, -1),
-                     lead + (-1, n), shape)
-            u, p, q = (tuple(a.reshape(r) for r in views) for a in np.empty((3,) + shape))
-            plan = self._plans[shape] = (views, u, p, q, np.empty((4,) + shape))
+            n, d = self.grid.n, len(self.shape)
+            lead = shape[:-d]
+            views = tuple(lead + ((n, -1) if i == 0 else (-1, n) if i == d - 1
+                                  else (n ** i, n, -1)) for i in range(d)) + (shape,)
+            u, *pq = (tuple(a.reshape(r) for r in views)
+                      for a in np.empty((3 if d == 4 else 1,) + shape))
+            t = np.empty((4 if d == 4 else 1,) + shape)
+            plan = self._plans[shape] = (views, u, pq, t)
         return plan
+
+    @staticmethod
+    def _into(out, shape, who):
+        """``out`` when it is a C-contiguous array of ``shape`` (the products
+        write its reshaped views), a fresh array when it is None."""
+        if out is None:
+            return np.empty(shape)
+        if out.shape == shape and out.flags.c_contiguous:
+            return out
+        raise ValueError(f"{who}: out must be a C-contiguous {shape} array")
 
     def hessian(self, v, base=None, c=None, out=None):
         """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v
@@ -268,13 +259,8 @@ class SpectralOps:
         in-place sum adds all four; the mean subtraction, ``c`` and ``base``
         are one in-place operation each.
         """
-        (r0, r1, r2, r3, _), u, p, q, t = self._plan(v.shape)
-        if out is None:
-            h = np.empty(t.shape)
-        elif out.shape == t.shape and out.flags.c_contiguous:
-            h = out  # its rows reshape to views, which the products write
-        else:
-            raise ValueError(f"hessian: out must be a C-contiguous {t.shape} array")
+        (r0, r1, r2, r3, _), u, (p, q), t = self._plan(v.shape)
+        h = self._into(out, t.shape, "hessian")
         d1, d1t, d2, d2t = self.d1, self._d1t, self.d2, self._d2t
         mm = np.matmul
         # v shifted by its first sample, so that a constant maps to exactly 0
@@ -300,14 +286,36 @@ class SpectralOps:
             h += b.reshape(b.shape[:1] + (1,) * (h.ndim - b.ndim) + b.shape[1:])
         return tuple(h)
 
-    def laplacian(self, v):
-        """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v.
+    def laplacian(self, v, base=None, out=None):
+        """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v,
+        as ``base + Lv`` when ``base`` (broadcast to v's shape) is given.
 
         Axes of v before the grid's are batch axes: each trailing grid block
         is shifted by its own first sample and made mean-free on its own, so
-        a stack of fields gives the stack of their Laplacians.
+        a stack of fields gives the stack of their Laplacians.  The result
+        is ``out`` when it is given (C-contiguous, v's shape, not overlapping
+        v), else a fresh array; the intermediates live in the scratch kept
+        for v's shape, which no returned array shares.  ``d2`` along the
+        first axis goes into the result, along each later axis into scratch
+        and is added in place, axis by axis; the mean subtraction and
+        ``base`` are one in-place operation each.
         """
-        return self._d2_sum(self._shifted(v), self.axes)
+        views, u, _, t = self._plan(v.shape)
+        h = self._into(out, v.shape, "laplacian")
+        t, last = t[0], len(self.shape) - 1
+        np.subtract(v, v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)], out=u[-1])
+        for i in self.axes:
+            dst = (t if i else h).reshape(views[i])
+            if i == last:
+                np.matmul(u[i], self._d2t, out=dst)
+            else:
+                np.matmul(self.d2, u[i], out=dst)
+            if i:
+                h += t
+        h -= h.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
+        if base is not None:
+            h += base
+        return h
 
     def divide(self, v, sym=None):
         """Mean-zero inverse of a symbol (the Laplacian's by default) applied

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jflow.cohomology import (
     ClosedForm,
@@ -121,6 +121,8 @@ class TestConeCondition:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0),
            st.floats(-1.0, 1.0), _forms)
+    @example(1.0, 1.0, 0.0, 0.0, (0.0, 0.0, 0.0, 5e-324))
+    @example(1.0, 1.0, 0.0, 0.0, (0.0, 0.0, 0.0, 3.9e-200))
     def test_margin_is_lowest_eigenvalue_of_x_adj_w_x(self, l1, l2, zr, zi, w):
         # X = L L^* with L = [[l1, 0], [z, l2]]; for 2x2 classes
         # c X - W = X adj(W) X / det X, so the margin is positive iff W > 0

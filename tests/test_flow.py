@@ -20,7 +20,7 @@ from jflow.flow import (
 )
 from jflow.ma import split_critical
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
-from jflow.split import SplitPotential
+from jflow.split import SplitForm, SplitPotential
 from jflow.torus import Grid, ScalarField, SpectralOps, complex_hessian, trace_with
 
 
@@ -173,6 +173,23 @@ class TestKernelScratch:
         kernel._keep(np.array([1]), chi)
         assert np.array_equal(kernel.rhs_only(v[1:]), both[1:])
 
+    def test_split_rhs_only_returns_fresh_arrays(self):
+        # the split kernel's rhs_only writes its chi into scratch as well
+        pb = build_preset("degenerate_split", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(2))
+        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+        kernel = state.kernel
+        v = kernel.unwrap(phi0)
+        rhs, chi = kernel.metrics(v)[:2]
+        kept = chi.copy()
+        a = kernel.rhs_only(v)
+        a_kept = a.copy()
+        b = kernel.rhs_only(v + 1e-3 * a)
+        assert not np.shares_memory(a, b)
+        assert not any(np.shares_memory(x, chi) for x in (a, b))
+        assert np.array_equal(chi, kept)
+        assert np.array_equal(a, a_kept) and np.array_equal(a, rhs)
+
 
 class TestAdaptiveDt:
     def test_identity_formula(self):
@@ -220,6 +237,62 @@ class TestAdaptiveDt:
         lam_max = np.linalg.eigvalsh(m).max()
         expected = 0.2 / (lam_max * (8 * np.pi) ** 2)
         assert np.isclose(adaptive_dt(state), expected, rtol=1e-13, atol=0.0)
+
+
+class TestStiffnessBound:
+    """lam_max, the bound RKC takes its stage count from, against the
+    spectral radius of the dense Jacobian diag(g) L of the velocity: g > 0
+    the pointwise coefficient, L the kernel's own lattice Laplacian as a
+    matrix (one block per factor on the split backend).  diag(g) L is
+    similar to the symmetric g^1/2 L g^1/2, whose eigenvalues ``eigvalsh``
+    gives to rounding."""
+
+    @staticmethod
+    def dense_laplacian(grid):
+        k = math.prod(grid.shape)
+        unit = np.eye(k).reshape((k,) + grid.shape)
+        lap = SpectralOps.of(grid).laplacian(unit).reshape(k, k)
+        return 0.5 * (lap + lap.T)  # symmetric up to rounding
+
+    @classmethod
+    def radius(cls, grid, g):
+        """Spectral radius of diag(g) L on the lattice ``grid``."""
+        s = np.sqrt(g).ravel()
+        return np.abs(np.linalg.eigvalsh(s[:, None] * cls.dense_laplacian(grid) * s)).max()
+
+    @classmethod
+    def split_radius(cls, kernel, chi):
+        return max(cls.radius(kernel.grid, g) for g in kernel._w / chi ** 2)
+
+    def test_constant_split_coefficients_meet_the_bound(self):
+        # g = omega / chi^2 is constant per factor, so the radius is the
+        # larger factor's g times the factor Laplacian's largest symbol
+        grid = Grid(8, (0.0, 0.0))
+        chi0 = SplitForm.constant(grid, 1.5, 0.8)
+        omega = SplitForm.constant(grid, 0.7, 1.1)
+        kernel = flow._make_kernel(chi0, [omega], [1.0], FlowConfig(eps=0.1))
+        chi = kernel.metrics(np.zeros(kernel.shape))[1]
+        radius = self.split_radius(kernel, chi)
+        assert abs(kernel.lam_max(chi) - radius) <= 1e-12 * radius
+
+    def test_constant_4d_coefficients_meet_the_bound(self):
+        # chi = a Id, omega = b Id: the linearized velocity is (b / a^2) L.
+        # Powers of two keep the double eigenvalue's discriminant exactly 0,
+        # whose square root would otherwise lift rounding to ~1e-8
+        grid = Grid(4)
+        chi0 = ClosedForm.from_class(CohomologyClass.diag(2.0, 2.0), grid)
+        omega = ClosedForm.from_class(CohomologyClass.diag(0.5, 0.5), grid)
+        kernel = flow._make_kernel(chi0, [omega], [1.0], FlowConfig(eps=0.1))
+        chi = kernel.metrics(np.zeros(kernel.shape))[1]
+        radius = self.radius(grid, np.full(grid.shape, 0.5 / 2.0 ** 2))
+        assert abs(kernel.lam_max(chi) - radius) <= 1e-12 * radius
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_covers_random_split_starts(self, seed):
+        pb = build_preset("degenerate_split", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
+        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+        assert state.kernel.lam_max(state.chi) >= self.split_radius(state.kernel, state.chi)
 
 
 class TestStep:

@@ -235,6 +235,36 @@ class TestSpectralOps:
         with pytest.raises(ValueError, match="C-contiguous"):
             ops.hessian(stack, out=np.empty((4,) + stack.shape, order="F"))
 
+    @pytest.mark.parametrize("g", [Grid(n, (0.0, 0.0)) for n in (4, 8, 12)]
+                             + [Grid(n) for n in (4, 8)], ids=grid_id)
+    def test_laplacian_base_and_out(self, g):
+        # the split kernel's chi = base + laplacian(v) as one call, fresh or
+        # into the caller's out; a batched family narrows from 3 members to
+        # 2 to 1, so the same operators see each batch with its own scratch
+        ops = SpectralOps.of(g)
+        rng = np.random.default_rng(g.n)
+        base = rng.normal(size=(2,) + g.shape)
+        for m in (3, 2, 1):
+            v = rng.normal(size=(m, 2) + g.shape) + rng.normal(size=(m, 2) + (1,) * len(g.shape))
+            ref = base + ops.laplacian(v)
+            into = np.empty(v.shape)
+            assert ops.laplacian(v, base=base, out=into) is into
+            fresh = ops.laplacian(v, base=base)
+            assert np.array_equal(into, ref) and np.array_equal(fresh, ref)
+            for k in range(m):
+                assert np.array_equal(ops.laplacian(v[k], base=base), ref[k])
+            # no returned array shares the scratch kept for its shape, and a
+            # later call leaves an earlier result as it was
+            kept = fresh.copy()
+            ops.laplacian(v + 1.0, base=base)
+            assert np.array_equal(fresh, kept)
+            _, u, pq, t = ops._plan(v.shape)
+            for a in (ref, into, fresh):
+                assert not any(np.shares_memory(a, s) for s in (u[-1], t, *(x[-1] for x in pq)))
+        # products write through reshaped views, so out= must be contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ops.laplacian(v, out=np.empty(v.shape, order="F"))
+
     def test_divide_inverts_laplacian_off_the_mean(self, grid):
         ops = SpectralOps.of(grid)
         u = random_bandlimited(grid, np.random.default_rng(12)).values
