@@ -461,7 +461,9 @@ def _cmd_run(cfg, record, out):
         {"final_residual": traj.final_residual, "steps": traj.steps,
          "t_final": traj.rows[-1].t, "c_eps": traj.c_eps,
          "J_final": traj.rows[-1].j, "integrator": traj.integrator,
-         "rhs_evals": traj.rhs_evals, "rejections": traj.rejections}
+         "rhs_evals": traj.rhs_evals, "rejections": traj.rejections,
+         "radius_evals": traj.radius_evals, "rkc_stages_max": traj.rkc_stages_max,
+         "rkc_stages_median": traj.rkc_stages_median}
     )
     record.verdicts["completed"] = True
     _record_trajectory(cfg, problem, traj, record, out)

@@ -220,8 +220,16 @@ class TestExecute:
         # RK4: the initial evaluation and four per step; RKC: at least two per step
         per_step = (stored["rhs_evals"] - 1) / stored["steps"]
         assert per_step == 4 if integrator == "rk4" else per_step >= 2
+        if integrator == "rk4":
+            assert stored["radius_evals"] == 0
+            assert stored["rkc_stages_max"] is stored["rkc_stages_median"] is None
+        else:
+            # the estimates are inside rhs_evals; every step takes 2 stages or more
+            assert 0 < stored["radius_evals"] < stored["rhs_evals"]
+            assert stored["rkc_stages_max"] >= stored["rkc_stages_median"] >= 2
         header = (tmp_path / "series.csv").read_text().splitlines()[0]
-        assert not any(k in header for k in ("integrator", "rhs_evals", "rejections"))
+        assert not any(k in header for k in ("integrator", "rhs_evals", "rejections",
+                                             "radius", "stages"))
 
     def test_report_flags_missing_artifact(self, tmp_path):
         cfg = parse_config(

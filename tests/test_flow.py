@@ -40,6 +40,13 @@ def fixed_step_final(cfg, pb, dt, t_end, divisor=None):
     return state.phi.assemble().values
 
 
+def matrices(h11, h22, h12r, h12i):
+    """The Hermitian 2x2 matrices of a form's four real components."""
+    h12 = h12r + 1j * h12i
+    return np.stack([np.stack([h11 + 0j, h12], -1),
+                     np.stack([h12.conj(), h22 + 0j], -1)], -2)
+
+
 @pytest.fixture(scope="module")
 def smooth8():
     return build_preset("smooth_split", n=8)
@@ -221,31 +228,41 @@ class TestAdaptiveDt:
         s2 = make_state(cfg, ident, doubled, ident)
         assert np.isclose(adaptive_dt(s2), 0.5 * adaptive_dt(s1))
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", [*range(5), "isotropic"])
     def test_real_formula_matches_complex_eigenvalues(self, seed):
-        pb = build_preset("nonsplit_perturbed", n=8)
-        phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
-        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
-
-        def matrices(h11, h22, h12r, h12i):
-            h12 = h12r + 1j * h12i
-            return np.stack([np.stack([h11 + 0j, h12], -1),
-                             np.stack([h12.conj(), h22 + 0j], -1)], -2)
+        if seed == "isotropic":
+            # chi = 1.5 Id, omega = 0.7 Id: a double eigenvalue, where a
+            # discriminant tr^2 / 4 - det lifted rounding to ~1e-8
+            grid = Grid(4)
+            chi0 = ClosedForm.from_class(CohomologyClass.diag(1.5, 1.5), grid)
+            omega = ClosedForm.from_class(CohomologyClass.diag(0.7, 0.7), grid)
+            state = make_state(FlowConfig(eps=0.0, allow_degenerate=True), chi0, omega, omega)
+        else:
+            pb = build_preset("nonsplit_perturbed", n=8)
+            phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
+            state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat,
+                               phi0=phi0)
 
         x_inv = np.linalg.inv(matrices(*state.chi))
         m = x_inv @ matrices(*state.kernel._w) @ x_inv
         lam_max = np.linalg.eigvalsh(m).max()
-        expected = 0.2 / (lam_max * (8 * np.pi) ** 2)
+        expected = 0.2 / (lam_max * (state.kernel.grid.n * np.pi) ** 2)
         assert np.isclose(adaptive_dt(state), expected, rtol=1e-13, atol=0.0)
 
 
 class TestStiffnessBound:
-    """lam_max, the bound RKC takes its stage count from, against the
-    spectral radius of the dense Jacobian diag(g) L of the velocity: g > 0
-    the pointwise coefficient, L the kernel's own lattice Laplacian as a
-    matrix (one block per factor on the split backend).  diag(g) L is
+    """The power estimate RKC takes its stage count from, against the
+    spectral radius of the dense Jacobian of the velocity.  On the split
+    backend, and for constant coefficients on the 4-D lattice, that is
+    diag(g) L: g > 0 the pointwise coefficient, L the kernel's own lattice
+    Laplacian as a matrix (one block per factor on the split backend),
     similar to the symmetric g^1/2 L g^1/2, whose eigenvalues ``eigvalsh``
-    gives to rounding."""
+    gives to rounding.  On the 4-D lattice in general it is phi -> tr(A
+    dd^c phi) with A = chi^-1 omega chi^-1.
+
+    Every case starts the estimate as a run does, from the checkerboard, and
+    asserts that the safety factor covers the radius and that the estimate
+    is at most the bound max g * |L| it replaced (never more stages)."""
 
     @staticmethod
     def dense_laplacian(grid):
@@ -264,35 +281,72 @@ class TestStiffnessBound:
     def split_radius(cls, kernel, chi):
         return max(cls.radius(kernel.grid, g) for g in kernel._w / chi ** 2)
 
+    @staticmethod
+    def full_radius(kernel, chi):
+        """Spectral radius of phi -> tr(A dd^c phi), A = chi^-1 omega chi^-1,
+        the exact linearization of the 4-D velocity."""
+        x_inv = np.linalg.inv(matrices(*chi))
+        a = x_inv @ matrices(*kernel._w) @ x_inv
+        k = math.prod(kernel.grid.shape)
+        h11, h22, h12r, h12i = SpectralOps.of(kernel.grid).hessian(
+            np.eye(k).reshape((k,) + kernel.grid.shape))
+        # tr(A H) = a11 h11 + a22 h22 + 2 Re(a12 conj(h12)), one column per unit vector
+        jac = (a[..., 0, 0].real * h11 + a[..., 1, 1].real * h22
+               + 2.0 * (a[..., 0, 1].real * h12r + a[..., 0, 1].imag * h12i))
+        return np.abs(np.linalg.eigvals(jac.reshape(k, k).T)).max()
+
+    @staticmethod
+    def check(state, radius):
+        kernel = state.kernel
+        estimate = flow._SpectralRadius().estimate(kernel, kernel.unwrap(state.phi), state.rhs)
+        bound = kernel._stiffness(state.chi) * -SpectralOps.of(kernel.grid).laplace.min()
+        assert flow._RKC_RHO_SAFETY * estimate >= radius
+        # the constant cases attain the bound up to the difference quotient's error
+        assert estimate <= bound * (1.0 + 1e-8)
+        return estimate
+
+    @staticmethod
+    def constant_state(chi0, omega):
+        return make_state(FlowConfig(eps=0.0, allow_degenerate=True), chi0, omega, omega)
+
     def test_constant_split_coefficients_meet_the_bound(self):
         # g = omega / chi^2 is constant per factor, so the radius is the
-        # larger factor's g times the factor Laplacian's largest symbol
+        # larger factor's g times the factor Laplacian's largest symbol, the
+        # checkerboard's
         grid = Grid(8, (0.0, 0.0))
-        chi0 = SplitForm.constant(grid, 1.5, 0.8)
-        omega = SplitForm.constant(grid, 0.7, 1.1)
-        kernel = flow._make_kernel(chi0, [omega], [1.0], FlowConfig(eps=0.1))
-        chi = kernel.metrics(np.zeros(kernel.shape))[1]
-        radius = self.split_radius(kernel, chi)
-        assert abs(kernel.lam_max(chi) - radius) <= 1e-12 * radius
+        state = self.constant_state(SplitForm.constant(grid, 1.5, 0.8),
+                                    SplitForm.constant(grid, 0.7, 1.1))
+        radius = self.split_radius(state.kernel, state.chi)
+        assert abs(self.check(state, radius) - radius) <= flow._RADIUS_RTOL * radius
 
     def test_constant_4d_coefficients_meet_the_bound(self):
-        # chi = a Id, omega = b Id: the linearized velocity is (b / a^2) L.
-        # Powers of two keep the double eigenvalue's discriminant exactly 0,
-        # whose square root would otherwise lift rounding to ~1e-8
+        # chi = a Id, omega = b Id: the linearized velocity is (b / a^2) L
         grid = Grid(4)
-        chi0 = ClosedForm.from_class(CohomologyClass.diag(2.0, 2.0), grid)
-        omega = ClosedForm.from_class(CohomologyClass.diag(0.5, 0.5), grid)
-        kernel = flow._make_kernel(chi0, [omega], [1.0], FlowConfig(eps=0.1))
-        chi = kernel.metrics(np.zeros(kernel.shape))[1]
+        state = self.constant_state(
+            ClosedForm.from_class(CohomologyClass.diag(2.0, 2.0), grid),
+            ClosedForm.from_class(CohomologyClass.diag(0.5, 0.5), grid))
         radius = self.radius(grid, np.full(grid.shape, 0.5 / 2.0 ** 2))
-        assert abs(kernel.lam_max(chi) - radius) <= 1e-12 * radius
+        assert abs(self.check(state, radius) - radius) <= flow._RADIUS_RTOL * radius
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bound_covers_random_split_starts(self, seed):
         pb = build_preset("degenerate_split", n=8)
         phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
         state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
-        assert state.kernel.lam_max(state.chi) >= self.split_radius(state.kernel, state.chi)
+        self.check(state, self.split_radius(state.kernel, state.chi))
+
+    def test_estimate_covers_random_4d_start(self):
+        pb = build_preset("nonsplit_perturbed", n=4)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(0))
+        state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+        self.check(state, self.full_radius(state.kernel, state.chi))
+
+    def test_estimate_covers_smooth_split_start(self):
+        # phi = 0 on smooth_split: F(y) is a smooth z1-function, and a power
+        # iteration started from it stays in the modes it excites
+        pb = build_preset("smooth_split", n=32)
+        state = make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
+        self.check(state, self.split_radius(state.kernel, state.chi))
 
 
 class TestStep:
@@ -501,15 +555,27 @@ class TestRKC:
         exact = eps / ((1.0 + eps) * np.pi ** 2)
         assert abs(gap - exact) < 1e-5 * exact
 
-    def test_stage_cap_bounds_hopeless_step(self, smooth8):
+    def test_stage_cap_bounds_hopeless_step(self, monkeypatch, smooth8):
+        estimates = []
+        estimate = flow._SpectralRadius.estimate
+
+        def counted(radius, *args):
+            before = radius.evals
+            rho = estimate(radius, *args)
+            estimates.append(radius.evals - before)
+            return rho
+
+        monkeypatch.setattr(flow._SpectralRadius, "estimate", counted)
         pb = smooth8
         state = make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
         before = state.kernel.rhs_evals
         with pytest.raises(DegenerateStiffnessError):
             step(state, 1e12)
-        # 21 tries, each at the stage cap
+        # 21 tries, each at the stage cap after a radius estimate: the first
+        # because none is held, the others because the try before was refused
         tries = flow._MAX_REJECTIONS + 1
-        assert state.kernel.rhs_evals - before == tries * flow._RKC_MAX_STAGES
+        assert len(estimates) == tries
+        assert state.kernel.rhs_evals - before == tries * flow._RKC_MAX_STAGES + sum(estimates)
 
     def test_error_refusals_raise_after_the_cap(self, monkeypatch, smooth8):
         # every attempt fails the error test, so each retry is at a tenth of
