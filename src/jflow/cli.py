@@ -419,14 +419,17 @@ def _cmd_check_classes(cfg, record, out):
 def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     """Write a finished run's history to series.csv and its final potential
     to fields/final.jflw (both names suffixed -eps<eps> for a family
-    member), then record the monitors' verdicts on it, prefixed eps=<eps>:
-    for a member.  A q-monitor that cannot be evaluated on this grid is a
-    failure line, not the end of the run: the verdicts before it stand."""
+    member), then record its telemetry and the monitors' verdicts, prefixed
+    eps=<eps>: for a member.  A q-monitor that cannot be evaluated on this
+    grid is a failure line, not the end of the run: the verdicts before it stand."""
     suffix, tag = ("", "") if eps is None else (f"-eps{eps:g}", f"eps={eps:g}:")
     traj.write_csv(os.path.join(out, f"series{suffix}.csv"))
     jio.write_scalar(os.path.join(out, "fields", f"final{suffix}.jflw"),
                      traj.final_potential())
     record.artifacts += [f"series{suffix}.csv", f"fields/final{suffix}.jflw"]
+    record.scalars.update({f"{tag}{k}": getattr(traj, k) for k in (
+        "steps", "rejections", "rhs_evals", "radius_evals", "rkc_stages_max",
+        "rkc_stages_median")})
     mp = max_principle_monitor(traj) if len(traj.rows) >= 3 else None
     if mp is not None:
         record.verdicts[f"{tag}max_principle"] = mp.ok
@@ -458,12 +461,8 @@ def _cmd_run(cfg, record, out):
         divisor=problem.divisor,
     )
     record.scalars.update(
-        {"final_residual": traj.final_residual, "steps": traj.steps,
-         "t_final": traj.rows[-1].t, "c_eps": traj.c_eps,
-         "J_final": traj.rows[-1].j, "integrator": traj.integrator,
-         "rhs_evals": traj.rhs_evals, "rejections": traj.rejections,
-         "radius_evals": traj.radius_evals, "rkc_stages_max": traj.rkc_stages_max,
-         "rkc_stages_median": traj.rkc_stages_median}
+        {"final_residual": traj.final_residual, "t_final": traj.rows[-1].t,
+         "c_eps": traj.c_eps, "J_final": traj.rows[-1].j, "integrator": traj.integrator}
     )
     record.verdicts["completed"] = True
     _record_trajectory(cfg, problem, traj, record, out)
@@ -519,6 +518,8 @@ def _cmd_solve_ma(cfg, record, out):
         record.artifacts.append(f"fields/psi-eps{eps:g}.jflw")
         record.scalars[f"newton_iterations[{eps:g}]"] = sol.newton_iterations
         record.scalars[f"newton_residual[{eps:g}]"] = sol.residual()
+        record.scalars[f"precond_applies[{eps:g}]"] = sol.precond_applies
+        record.scalars[f"gmres_info_max[{eps:g}]"] = sol.gmres_info_max
     jio.write_series_csv(
         os.path.join(out, "newton.csv"), ("eps", "iteration", "residual"), table
     )

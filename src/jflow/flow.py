@@ -106,9 +106,9 @@ from .split import SplitForm, SplitPotential
 from .torus import (
     ScalarField,
     SpectralOps,
+    _cowedge,
     _det,
     _lam_lo,
-    _trace,
     trace_with,
 )
 
@@ -264,20 +264,27 @@ class _FullKernel:
                 self._off = mask
         comps = [w.realized.components() for w in omegas]
         self._members(_stack([float(c) for c in cs]),
-                      tuple(_stack(x) for x in zip(*comps)))
+                      _cowedge(tuple(_stack(x) for x in zip(*comps))))
 
-    def _members(self, c, w):
+    def _members(self, c, wp):
+        """Set the members' c and omega' = ``_cowedge(omega)``."""
         self.c = c
         self._c = np.reshape(c, np.shape(c) + (1,) * 4) if np.ndim(c) else c
-        self._w = w
+        self._wp = wp
         self.shape = np.shape(c) + self.grid.shape
         # rhs_only's transient chi, made again when a batch narrows
         self._chi_scratch = np.empty((4,) + self.shape)
 
+    @property
+    def _w(self):
+        """omega's components (w11, w22, w12_re, w12_im), from omega' exactly."""
+        wp = self._wp
+        return wp[1], wp[0], -0.5 * wp[2], -0.5 * wp[3]
+
     def _keep(self, idx, chi):
         """Narrow a batch to the members ``idx``; returns their chi."""
-        self._members(self.c[idx], tuple(x[idx] for x in self._w))
-        return tuple(x[idx] for x in chi)
+        self._members(self.c[idx], self._wp[:, idx])
+        return chi[:, idx]
 
     # raw representation: plain ndarray of potential values
     def unwrap(self, phi):
@@ -290,7 +297,9 @@ class _FullKernel:
         return self._ops.hessian(v, base=self._bg)
 
     def _rhs(self, chi):
-        tr = _trace(chi, self._w)
+        # tr_chi omega = D(chi, omega) / det chi, D one contraction
+        tr = np.einsum("k...,k...->...", chi, self._wp)
+        tr /= _det(chi)
         return np.subtract(self._c, tr, out=tr)
 
     def rhs_only(self, v):

@@ -10,8 +10,9 @@ is algebraically equivalent to
 so a converged Newton solution is an independent check on the flow limit.
 Newton runs on the log-quotient G(psi) = log (A_psi)^2 - log (target)^2,
 whose linearization is the variable-coefficient complex Laplacian
-c tr_{A_psi} dd^c; each step is solved by GMRES preconditioned with the
-constant-coefficient operator built from the mean of A_psi.  For product
+c tr_{A_psi} dd^c; each step is solved by GMRES, preconditioned with the
+constant-coefficient operator of the diagonal of the mean of A_psi,
+conformally scaled (``_newton_direction``).  For product
 data the equation factorises into log(a_i + c dd^c psi_i) = log t_i on each
 factor, whose linearization is a Poisson solve; the two factors are one
 stacked (2, n, n) problem.  Both backends run the same damped Newton loop,
@@ -34,9 +35,9 @@ from .split import SplitPotential
 from .torus import (
     ScalarField,
     SpectralOps,
+    _cowedge,
     _det,
     _lam_lo,
-    _trace,
     poisson_solve,
     positivity_margin,
 )
@@ -105,6 +106,8 @@ class MASolution:
     psi: object
     residuals: list
     newton_iterations: int
+    precond_applies: int = 0  # GMRES preconditioner applications, all directions
+    gmres_info_max: int = 0  # the largest GMRES info (0: every solve converged)
 
     def residual(self):
         return self.residuals[-1] if self.residuals else np.inf
@@ -115,12 +118,14 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
 
     ``evaluate(p)`` gives (A_p, positivity margin of A_p, G(p)), with G
     None where the margin is not positive; ``direction(G, A, sup|G|)``
-    gives the Newton step and the GMRES ``info`` of its linear solve (0 for
-    a direct solve).  The trial psi + s delta is recentred to mean zero on
-    each grid block (the last ``grid_ndim`` axes) and accepted when its A is
-    positive and sup|G| decreases or reaches ``newton_tol``; s is halved
-    after each refused trial, 40 times at most.  Converging on the last of
-    the ``max_newton`` iterations is success.  Returns (psi, residuals).
+    gives the Newton step, the GMRES ``info`` of its linear solve and its
+    preconditioner applications (0 and 0 for a direct solve).  The trial
+    psi + s delta is recentred to mean zero on each grid block (the last
+    ``grid_ndim`` axes) and accepted when its A is positive and sup|G|
+    decreases or reaches ``newton_tol``; s is halved after each refused
+    trial, 40 times at most.  Converging on the last of the ``max_newton``
+    iterations is success.  Returns (psi, residuals, preconditioner
+    applications, largest GMRES info).
     """
     block = tuple(range(-grid_ndim, 0))
     a, m, g_res = evaluate(psi)
@@ -129,6 +134,7 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
             f"{name}: initial A_psi not positive (margin {m:.3e})", margin=m
         )
     residuals = [float(np.abs(g_res).max())]
+    applies = info_max = 0
     while residuals[-1] > cfg.newton_tol:
         if len(residuals) > cfg.max_newton:
             raise MAConvergenceError(
@@ -136,7 +142,8 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
                 f"(residual {residuals[-1]:.3e})",
                 residuals=residuals,
             )
-        delta, info = direction(g_res, a, residuals[-1])
+        delta, info, n_pre = direction(g_res, a, residuals[-1])
+        applies, info_max = applies + n_pre, max(info_max, info)
         s = 1.0
         for _ in range(40):
             trial = psi + s * delta
@@ -156,7 +163,7 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
             )
         psi, a, g_res = trial, a_trial, g_trial
         residuals.append(r_trial)
-    return psi, residuals
+    return psi, residuals, applies, info_max
 
 
 def solve_ma(alpha, c, target, cfg=None, psi0=None):
@@ -198,9 +205,9 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
     def direction(g_res, a, res_sup):
         return _newton_direction(g_res, a, c, ops, res_sup)
 
-    psi, residuals = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
+    psi, residuals, *stats = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
     out = ScalarField(grid, psi)
-    return MASolution(out.mean_normalized(), residuals, len(residuals) - 1)
+    return MASolution(out.mean_normalized(), residuals, len(residuals) - 1, *stats)
 
 
 def __getattr__(name):
@@ -217,32 +224,42 @@ def __getattr__(name):
 
 def _newton_direction(g_res, a, c, ops, res_sup):
     """Solve c tr_A dd^c(delta) = -G by preconditioned GMRES (mean-zero);
-    returns (delta, GMRES info)."""
+    returns (delta, GMRES info, preconditioner applications).
+
+    The matvec contracts dd^c delta with c A' / det A (A' = ``_cowedge(A)``),
+    formed once per direction.  With Abar = diag(Abar11, Abar22) the diagonal
+    of the mean of A, the preconditioner is P^-1 r = Lbar^-1 (s r) with
+    Lbar = c tr_Abar dd^c = c (Delta_{z1} / Abar11 + Delta_{z2} / Abar22) and
+    s = sqrt(det A / det Abar): if A = s Abar pointwise, c tr_A dd^c = Lbar / s."""
     LinearOperator, gmres = __getattr__("LinearOperator"), __getattr__("gmres")
-    shape, sym = ops.shape, ops.hessian_syms
-    size = g_res.size
+    shape, size = ops.shape, g_res.size
+    ap = _cowedge(a)
+    ap *= c / _det(a)
 
     def matvec(p):
-        out = c * _trace(a, ops.hessian(p - p.mean()))
+        out = np.einsum("k...,k...->...", ap, ops.hessian(p - p.mean()))
         return (out - out.mean()).ravel()
 
-    # constant-coefficient preconditioner from the mean matrix of A
-    am = tuple(float(x.mean()) for x in a)
-    denom = c * _trace(am, sym)
+    a11, a22 = float(a[0].mean()), float(a[1].mean())
+    s = np.sqrt(_det(a) / (a11 * a22))
+    weights, applies = (c / a11, c / a22), 0
 
     def precond(r):
-        return ops.divide(r.reshape(shape), denom).ravel()
+        nonlocal applies
+        applies += 1
+        return ops.divide(s * r.reshape(shape), weights).ravel()
 
     rhs = -(g_res - g_res.mean()).ravel()
-    op = LinearOperator((size, size), matvec=lambda p: matvec(p.reshape(shape)))
-    pre = LinearOperator((size, size), matvec=precond)
+    # with its dtype given, LinearOperator makes no probing call on zeros
+    op = LinearOperator((size, size), matvec=lambda p: matvec(p.reshape(shape)), dtype=float)
+    pre = LinearOperator((size, size), matvec=precond, dtype=float)
     # inexact Newton: modest relative tolerance early, _LINEAR_TOL near the end
     rtol = float(np.clip(0.01 * res_sup, _LINEAR_TOL, 1e-2))
     delta, info = gmres(op, rhs, M=pre, rtol=rtol, atol=0.0, restart=60, maxiter=40)
     if info != 0 and not np.all(np.isfinite(delta)):
         raise MAConvergenceError(f"solve_ma: GMRES breakdown (info={info})")
     delta = delta.reshape(shape)
-    return delta - delta.mean(), info
+    return delta - delta.mean(), info, applies
 
 
 def solve_ma_split(alpha, c, target, cfg=None):
@@ -280,13 +297,13 @@ def solve_ma_split(alpha, c, target, cfg=None):
     def direction(g_res, a, res_sup):
         # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G on
         # each factor; divide drops each factor's mean mode (solvability)
-        return ops.divide(-a * g_res) / c, 0
+        return ops.divide(-a * g_res) / c, 0, 0
 
-    psi, residuals = _damped_newton(
+    psi, residuals, *stats = _damped_newton(
         "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
     )
     return MASolution(SplitPotential(fgrid, psi[0], psi[1]), residuals,
-                      len(residuals) - 1)
+                      len(residuals) - 1, *stats)
 
 
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):

@@ -8,12 +8,14 @@ samples both factor potentials.  Real (1,1)-forms are pointwise 2x2
 Hermitian matrices.
 Derivatives are pseudospectral: exact for band-limited data, which is what
 makes the energy identities in the rest of the package hold to rounding.
-``SpectralOps`` applies them: every Hessian entry and the Laplacian as
-products with dense 1-D spectral derivative matrices along single axes
-(the second-derivative matrix for the diagonal entries, the first-derivative
-matrix twice for the mixed ones), symbol division through real FFTs.
-Every transform is ``numpy.fft``'s (bound here as ``sfft``), so importing
-the package loads no scipy module.
+``SpectralOps`` applies them as products with dense 1-D matrices along
+single axes: every Hessian entry and the Laplacian with spectral derivative
+matrices (the second-derivative matrix for the diagonal entries, the
+first-derivative matrix twice for the mixed ones), symbol division with the
+lattice's real Fourier basis, in which the second-derivative matrix is
+diagonal.  No operator makes a transform; ``numpy.fft`` (bound here as
+``sfft``) only builds the matrices, so importing the package loads no scipy
+module.
 
 The pointwise form algebra is written once, here, on raw component tuples
 (h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
@@ -111,35 +113,25 @@ class Grid:
             k[self.n // 2] = 0.0
         return tuple(self._along(i, k) for i in range(len(self.shape)))
 
-    def hessian_symbols(self):
-        """Spectral symbols of dd^c on the 4-D lattice: (s11, s22, s12_even,
-        s12_odd).
-
-        s11/s22 are the symbols of d_{z_j} d_{zbar_j}; the mixed component
-        splits as s12 = s12_even + i*s12_odd, products of two first-derivative
-        symbols whose Nyquist rows are 0 (e.g. Trefethen, Spectral Methods in
-        MATLAB, ch. 3).  So every symbol is real and even, s(k) = s(-k mod N),
-        and they are exactly the operator ``SpectralOps.hessian`` applies.
-        """
-        a, b, c, d = self._wavenumbers()
-        pi2 = np.pi ** 2
-        s11 = -pi2 * (a * a + b * b)
-        s22 = -pi2 * (c * c + d * d)
-        # -pi^2 (a - ib)(c + id) = -pi^2 [(ac + bd) + i(ad - bc)]
-        a, b, c, d = self._wavenumbers(odd=True)
-        s12e = -pi2 * (a * c + b * d)
-        s12o = -pi2 * (a * d - b * c)
-        return s11, s22, s12e, s12o
-
-    def laplace_symbol(self):
-        """Symbol of tr_Id dd^c = quarter Laplacian: s11 + s22 on the 4-D
-        lattice, d_z d_zbar on a factor lattice."""
+    def laplace_symbol(self, weights=None):
+        """Symbol of sum_j w_j Delta_{z_j}, Delta_{z_j} = d_{z_j} d_{zbar_j} on
+        the plane of z_j: one weight per complex factor of the lattice, all 1
+        by default, when it is tr_Id dd^c, the quarter Laplacian (s11 + s22 on
+        the 4-D lattice, d_z d_zbar on a factor lattice)."""
         k = self._wavenumbers()
-        pi2 = np.pi ** 2
-        sym = -pi2 * (k[0] * k[0] + k[1] * k[1])
-        if len(k) == 4:
-            sym = sym + -pi2 * (k[2] * k[2] + k[3] * k[3])
-        return sym
+        w = weights or (1.0,) * (len(k) // 2)
+        return sum(wj * -np.pi ** 2 * (a * a + b * b) for wj, a, b in zip(w, k[::2], k[1::2]))
+
+
+def _fourier_basis(n):
+    """The n-point lattice's orthonormal real Fourier basis as the columns of
+    an n x n matrix V, in fftfreq order: the cos of each frequency k >= 0
+    (the Nyquist checkerboard at n/2), the sin of |k| for k < 0.  So
+    V^T d2 V is the diagonal of the 1-D symbol -pi^2 k^2 ``d2`` is made of."""
+    k = np.abs(sfft.fftfreq(n) * n)
+    sin = np.arange(n) > n // 2  # cos(x - pi/2): the sin columns
+    arg = (_TWO_PI / n) * (np.outer(np.arange(n), k) % n) - 0.5 * np.pi * sin
+    return np.cos(arg) * np.sqrt(np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n)
 
 
 def _circulant(line):
@@ -165,16 +157,21 @@ class SpectralOps:
       lattices ``d1`` is the circulant of the odd symbol i*pi*k with k = 0
       on the Nyquist row, d_x / 2 in the spectral sense.  With p, q = ``d1``
       along axes 0, 1 (d_{x1} / 2, d_{y1} / 2), the mixed entries are
-      h12_re = d1_2 p + d1_3 q and h12_im = d1_3 p - d1_2 q, the symbols of
-      ``Grid.hessian_symbols``.  The input is shifted by its first sample,
-      so a constant maps to exactly 0; the outputs of ``d2`` also have their
-      mean subtracted, so they are mean-free as with the transform.
-      Otherwise they agree with the transform of the symbols to rounding.
-    * ``divide`` applies a symbol, cropped to the half-spectrum, through
-      ``numpy.fft``'s real transforms.
+      h12_re = d1_2 p + d1_3 q and h12_im = d1_3 p - d1_2 q: the real, even
+      parts of -pi^2 (a - ib)(c + id), a product of two first-derivative
+      symbols (Trefethen, Spectral Methods in MATLAB, ch. 3).  The input is
+      shifted by its first sample, so a constant maps to exactly 0; the
+      outputs of ``d2`` also have their mean subtracted, so they are
+      mean-free as with the transform.  Otherwise they agree with the
+      transform of the symbols to rounding.
+    * ``divide`` inverts sum_j w_j Delta_{z_j} in the basis V of
+      ``_fourier_basis``, where its diagonal is the grid's symbol
+      (``laplace`` for the Laplacian): V^T along every axis, the inverse
+      symbol (0 on the mean mode), V along every axis.
 
-    Scratch: ``hessian`` and ``laplacian`` keep their intermediates (the
-    shifted input and the first-derivative and product blocks) in arrays
+    Scratch: ``hessian``, ``laplacian`` and ``divide`` keep their
+    intermediates (the shifted input and the first-derivative and product
+    blocks, or the basis coefficients) in arrays
     made once per input shape and reused by every later call with that
     shape, so a batch that narrows gets its own.  No array they return
     shares that scratch: the result is fresh, or the caller's ``out``.  The
@@ -186,21 +183,16 @@ class SpectralOps:
         self.shape = grid.shape
         self.axes = tuple(range(len(self.shape)))
         self._block = tuple(range(-len(self.shape), 0))  # the grid axes, from the end
-        n = grid.n
-        half = (slice(None),) * (len(self.shape) - 1) + (slice(0, n // 2 + 1),)
-        lap = grid.laplace_symbol()
-        self.laplace = np.ascontiguousarray(lap[half])
+        self.laplace = lap = grid.laplace_symbol()
         self.d2, self._d2t = _circulant(lap[(slice(None),) + (0,) * (len(self.shape) - 1)])
-        self.hessian_syms = None
-        self._plans = {}  # hessian's matmul shapes and scratch, per input shape
+        self._plans = {}  # the matmul shapes and scratch, per input shape
         if len(self.shape) == 4:
             k = grid._wavenumbers(odd=True)[0].ravel()
             self.d1, self._d1t = _circulant(1j * np.pi * k)
             self._neg_d1 = -self.d1
-            # broadcast views of one shape, as the form algebra expects
-            self.hessian_syms = tuple(np.broadcast_arrays(
-                *(np.ascontiguousarray(s[half]) for s in grid.hessian_symbols())
-            ))
+        self._v = _fourier_basis(grid.n)  # divide's basis
+        self._vt = np.ascontiguousarray(self._v.T)
+        self._inv = ((), None)  # divide's last weights and inverse diagonal
 
     @classmethod
     @functools.lru_cache(maxsize=32)
@@ -216,8 +208,9 @@ class SpectralOps:
         shapes, and a block of products (on a factor lattice one, the
         Laplacian's products after the first; on a 4-D lattice four,
         ``hessian``'s second product of each entry, plus its p and q as
-        views like the input's).  Made on the first call with that shape
-        and kept."""
+        views like the input's); ``divide`` alternates between the input's
+        array and the first product block.  Made on the first call with that
+        shape and kept."""
         plan = self._plans.get(shape)
         if plan is None:
             n, d = self.grid.n, len(self.shape)
@@ -247,10 +240,10 @@ class SpectralOps:
         v's shape, ``c`` a float).  Axes of v before the grid's are batch
         axes, as in ``laplacian``.
 
-        The components are the four rows of one C-contiguous (4,) + v.shape
-        block: ``out`` when it is given (not overlapping v), else a fresh
-        one.  The intermediates live in scratch kept per input shape, which
-        no returned array shares.  The ten 1-D products are d1 along axes 0
+        Returns the four rows of one C-contiguous (4,) + v.shape block:
+        ``out`` when it is given (not overlapping v), else a fresh one.  The
+        intermediates live in scratch kept per input shape, which no
+        returned array shares.  The ten 1-D products are d1 along axes 0
         and 1 (p, q), then two per entry: d2 along 0 and 1 (h11), d2 along 2
         and 3 (h22), d1 of p along 2 and of q along 3 (h12_re), d1 of p
         along 3 and -d1 of q along 2 (h12_im: adding the negated product is
@@ -284,7 +277,7 @@ class SpectralOps:
         if base is not None:
             b = np.asarray(base)
             h += b.reshape(b.shape[:1] + (1,) * (h.ndim - b.ndim) + b.shape[1:])
-        return tuple(h)
+        return h
 
     def laplacian(self, v, base=None, out=None):
         """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v,
@@ -317,17 +310,31 @@ class SpectralOps:
             h += base
         return h
 
-    def divide(self, v, sym=None):
-        """Mean-zero inverse of a symbol (the Laplacian's by default) applied
-        to raw values v: the mean mode is dropped, not divided.  Axes of v
-        before the grid's are batch axes, as in ``laplacian``."""
-        sym = self.laplace if sym is None else sym
-        safe = sym.copy()
-        safe[(0,) * len(self.shape)] = 1.0
-        f = sfft.rfftn(v, axes=self._block)
-        f /= safe
-        f[(Ellipsis,) + (0,) * len(self.shape)] = 0.0
-        return sfft.irfftn(f, s=self.shape, axes=self._block)
+    def divide(self, v, weights=None):
+        """Mean-zero inverse of sum_j w_j Delta_{z_j} (``weights`` as in
+        ``Grid.laplace_symbol``; by default the Laplacian's) applied to raw
+        values v: the mean mode is dropped, not divided.  Axes of v before
+        the grid's are batch axes, as in ``laplacian``.  The coefficients
+        live in the scratch kept for v's shape; the result is fresh.  The
+        inverse diagonal is kept for the last weights."""
+        d = len(self.shape)
+        if self._inv[0] != weights:
+            diag = self.grid.laplace_symbol(weights)
+            diag[(0,) * d] = np.inf  # the mean mode: dropped
+            self._inv = (weights, 1.0 / diag)
+        views, u, _, t = self._plan(v.shape)
+        bufs, out, x = (u[-1], t[0]), np.empty(v.shape), v
+        for k in range(2 * d):  # V^T along every axis, then V
+            i, back = k % d, k >= d
+            dst = (out if k == 2 * d - 1 else bufs[k % 2]).reshape(views[i])
+            if i == d - 1:  # along the last axis: x V^T is V applied
+                np.matmul(x.reshape(views[i]), self._vt if back else self._v, out=dst)
+            else:
+                np.matmul(self._v if back else self._vt, x.reshape(views[i]), out=dst)
+            x = dst
+            if k == d - 1:
+                np.multiply(bufs[k % 2], self._inv[1], out=bufs[k % 2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -497,6 +504,12 @@ def _trace(a, b):
     t = _wedge(a, b)
     t /= _det(a)
     return t
+
+
+def _cowedge(b):
+    """The (4,) + shape block b' = (b1, b0, -2 b2, -2 b3): D(a, b) is the one
+    contraction np.einsum("k...,k...->...", a, b')."""
+    return np.stack((b[1], b[0], -2.0 * b[2], -2.0 * b[3]))
 
 
 def _critical_density(chi, w, c):

@@ -275,6 +275,39 @@ class TestExecute:
             "sup_phi_by_eps", "sup_phidot_by_eps", "notes", "ok", "failures"}
         assert report["uniformity"]["ok"]
 
+    def test_family_records_member_telemetry(self, tmp_path):
+        # each member's flow telemetry, tagged as its verdicts are
+        cfg = parse_config(
+            f"preset=degenerate_split, N=8, out={tmp_path}, eps=[0.2, 0.1],"
+            " flow.max_time=0.2, flow.dt_safety=0.8, offsets=[0.01, 0.01]"
+        )
+        record, code = execute(cfg, "family")
+        assert code == 0
+        stored = read_record(tmp_path / "run.json").scalars
+        for eps in ("0.2", "0.1"):
+            tel = {k: stored[f"eps={eps}:{k}"] for k in (
+                "steps", "rejections", "rhs_evals", "radius_evals", "rkc_stages_max",
+                "rkc_stages_median")}
+            assert tel["steps"] > 0 and tel["rejections"] >= 0
+            assert 0 < tel["radius_evals"] < tel["rhs_evals"]
+            assert tel["rkc_stages_max"] >= tel["rkc_stages_median"] >= 2
+        # the members share their steps while both are in the batch
+        assert stored["eps=0.1:rhs_evals"] >= stored["eps=0.2:rhs_evals"]
+
+    def test_solve_ma_records_newton_telemetry(self, tmp_path):
+        cfg = parse_config(f"preset=nonsplit_perturbed, N=8, out={tmp_path}")
+        record, code = execute(cfg, "solve-ma")
+        assert code == 0
+        stored = read_record(tmp_path / "run.json").scalars
+        assert stored["newton_iterations[0.1]"] == 6
+        assert 0 < stored["precond_applies[0.1]"] <= 65
+        assert stored["gmres_info_max[0.1]"] == 0
+        # the split solve's Newton step is a direct division: no GMRES
+        cfg = parse_config(f"preset=smooth_split, N=16, out={tmp_path / 'split'}")
+        execute(cfg, "solve-ma")
+        stored = read_record(tmp_path / "split" / "run.json").scalars
+        assert stored["precond_applies[0]"] == stored["gmres_info_max[0]"] == 0
+
     def test_family_budgets_follow_the_start(self, tmp_path):
         # the preset budgets hold for phi0 = 0; a random start carries its own
         # sup|phi_dot(0)| (3.5 here), which the maximum principle keeps

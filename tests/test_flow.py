@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jflow import flow
+from jflow import flow, torus
 from jflow.cohomology import CohomologyClass, ClosedForm, c_constant, epsilon_form
 from jflow.diagnostics import compare_up_to_constant
 from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
@@ -122,6 +122,23 @@ class TestFlowRhs:
         w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
         ref = flow_rhs(phi0, pb.chi0, w, kernel.c).values
         assert np.abs(kernel.rhs_only(v) - ref).max() < 1e-13
+
+    def test_kernel_trace_contraction_off_the_diagonal(self):
+        # the kernel's trace is one contraction with omega' = (w22, w11,
+        # -2 w12_re, -2 w12_im); a random omega with nonzero w12 checks the
+        # off-diagonal terms against the form algebra's _trace
+        pb = build_preset("nonsplit_perturbed", n=8)
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(4))
+        kernel = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat,
+                            phi0=phi0).kernel
+        rng = np.random.default_rng(5)
+        w = (1.0 + rng.uniform(size=pb.grid.shape), 1.0 + rng.uniform(size=pb.grid.shape),
+             0.3 * rng.normal(size=pb.grid.shape), 0.3 * rng.normal(size=pb.grid.shape))
+        kernel._members(kernel.c, torus._cowedge(w))
+        assert all(np.array_equal(a, b) for a, b in zip(kernel._w, w))
+        chi = kernel.chi(phi0.values)
+        ref = kernel.c - torus._trace(chi, w)
+        assert np.abs(kernel._rhs(chi) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestKernelScratch:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from jflow.cohomology import CohomologyClass, c_constant, class_pairing, epsilon_form
+from jflow.cohomology import (
+    ClosedForm,
+    CohomologyClass,
+    c_constant,
+    class_pairing,
+    epsilon_form,
+)
 from jflow import ma
 from jflow.errors import ConeConditionError, MAConvergenceError, PositivityError
 from jflow.flow import FlowConfig, evolve
@@ -239,6 +245,51 @@ class TestSolveMA:
         pb = build_preset("degenerate_split", n=8)
         with pytest.raises(PositivityError, match="continuation"):
             solve_ma_split(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
+
+
+class TestNewtonOperators:
+    """The Newton step's operators: no transform, and a preconditioner that
+    holds off the diagonal classes."""
+
+    @staticmethod
+    def off_diagonal_problem(m12):
+        # nonsplit_perturbed with chi0's class given the off-diagonal entry m12
+        pb = build_preset("nonsplit_perturbed", n=8)
+        w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
+        chi0 = ClosedForm(CohomologyClass(1.0, 1.0, m12), pb.chi0.potential)
+        return chi0, w, c_constant(chi0.cls, w.cls)
+
+    def test_solvers_make_no_transform(self, monkeypatch):
+        full = _nonsplit_problem()
+        pb = build_preset("smooth_split", n=16)
+        c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
+        split = build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0
+        src4 = mode_field(full[0].grid, lambda x1, y1, x2, y2: np.cos(2 * np.pi * (x1 - y2)))
+        src2 = ScalarField(pb.grid, np.broadcast_to(smooth_profile(pb.grid) - 1.0, pb.grid.shape))
+
+        # first runs build the operators (their circulants come from irfft)
+        refs = [solve_ma(*full).psi, solve_ma_split(*split).psi,
+                poisson_solve(src4), poisson_solve(src2)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform called")
+
+        for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        sols = [solve_ma(*full), solve_ma_split(*split)]
+        assert all(sol.residual() <= 1e-10 for sol in sols)
+        again = [sols[0].psi, sols[1].psi, poisson_solve(src4), poisson_solve(src2)]
+        for a, b in zip(refs, again):
+            assert np.array_equal(a.assemble().values, b.assemble().values)
+
+    @pytest.mark.parametrize("m12", [0.3, 0.6, 0.3 + 0.4j])
+    def test_off_diagonal_class_converges(self, m12):
+        chi0, w, c = self.off_diagonal_problem(m12)
+        sol = solve_ma(build_alpha(chi0, w, c), c, w)
+        assert sol.residual() <= MASolverConfig().newton_tol
+        assert sol.gmres_info_max == 0
+        # psi solves the critical equation for chi0 (the solver invariant)
+        assert j_gradient_density(sol.psi, chi0, w, c).sup() <= 10 * MASolverConfig().newton_tol
 
 
 def _nonsplit_problem(eps=0.1):

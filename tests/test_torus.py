@@ -174,6 +174,24 @@ class TestComplexHessian:
             assert np.abs(comp - r).max() <= 1e-11 * scale
 
 
+def hessian_symbols(grid):
+    """Spectral symbols of dd^c on a 4-D lattice: (s11, s22, s12_even,
+    s12_odd), the operator ``SpectralOps.hessian`` applies.
+
+    s11/s22 are the symbols of d_{z_j} d_{zbar_j}; the mixed component
+    splits as s12 = s12_even + i*s12_odd, products of two first-derivative
+    symbols whose Nyquist rows are 0 (e.g. Trefethen, Spectral Methods in
+    MATLAB, ch. 3).  So every symbol is real and even, s(k) = s(-k mod N).
+    """
+    a, b, c, d = grid._wavenumbers()
+    pi2 = np.pi ** 2
+    s11 = -pi2 * (a * a + b * b)
+    s22 = -pi2 * (c * c + d * d)
+    # -pi^2 (a - ib)(c + id) = -pi^2 [(ac + bd) + i(ad - bc)]
+    a, b, c, d = grid._wavenumbers(odd=True)
+    return s11, s22, -pi2 * (a * c + b * d), -pi2 * (a * d - b * c)
+
+
 def grid_id(g):
     return f"{'Factor' if len(g.shape) == 2 else ''}Grid{g.n}"
 
@@ -298,7 +316,7 @@ class TestSpectralOps:
     @pytest.mark.parametrize("g", GRIDS_4D, ids=grid_id)
     def test_hessian_matches_transform(self, g):
         v = self.noise(g, 22)
-        refs = self.transform_reference(g, v, g.hessian_symbols())
+        refs = self.transform_reference(g, v, hessian_symbols(g))
         for h, ref in zip(SpectralOps.of(g).hessian(v), refs):
             assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -325,7 +343,7 @@ class TestSpectralOps:
         # s(k) = s(-k mod N) elementwise: each symbol is a real operator that
         # commutes with the point reflection x -> -x
         neg = np.ix_(*[(-np.arange(g.n)) % g.n] * 4)
-        for s in g.hessian_symbols():
+        for s in hessian_symbols(g):
             s = np.broadcast_to(s, g.shape)
             assert np.array_equal(s, s[neg])
 
@@ -372,6 +390,37 @@ class TestSpectralOps:
         ref = np.stack([ops.divide(v[0].copy()), ops.divide(v[1].copy())])
         assert np.array_equal(ops.divide(v), ref)
         assert np.abs(ref.mean((1, 2))).max() < 1e-15
+
+    @staticmethod
+    def transform_division(grid, v, weights):
+        """sum_j w_j Delta_{z_j} inverted by an open-coded rfftn / irfftn
+        pair over the grid axes, the mean mode dropped."""
+        d = len(grid.shape)
+        axes = tuple(range(-d, 0))
+        k = grid._wavenumbers()
+        sym = sum(-np.pi ** 2 * w * (a * a + b * b)
+                  for w, a, b in zip(weights, k[::2], k[1::2]))
+        sym = np.broadcast_to(sym, grid.shape)[..., : grid.n // 2 + 1].copy()
+        sym[(0,) * d] = 1.0
+        f = np.fft.rfftn(v, axes=axes) / sym
+        f[(Ellipsis,) + (0,) * d] = 0.0
+        return np.fft.irfftn(f, s=grid.shape, axes=axes)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
+    @pytest.mark.parametrize("plane_weights", [None, (0.7, 1.9)], ids=["laplacian", "planes"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    def test_divide_matches_transform(self, g, plane_weights, batch):
+        # white noise, Nyquist rows included; a factor lattice has one plane
+        weights = plane_weights and plane_weights[: len(g.shape) // 2]
+        ops = SpectralOps.of(g)
+        v = np.random.default_rng(28).normal(size=batch + g.shape)
+        ref = self.transform_division(g, v, weights or (1.0, 1.0))
+        got = ops.divide(v, weights)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the mean mode is dropped: a constant shift does not reach the result
+        block = tuple(range(-len(g.shape), 0))
+        assert np.abs(got.mean(block)).max() <= 1e-15 * np.abs(got).max()
+        assert np.abs(ops.divide(v + 2.5, weights) - got).max() <= 1e-13 * np.abs(got).max()
 
     @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
     def test_second_derivatives_have_zero_mean(self, g):
