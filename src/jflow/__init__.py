@@ -6,11 +6,14 @@ Modules:
 * ``cohomology``   classes, pairings, cone conditions, divisor model
 * ``split``        product-backend factor calculus
 * ``flow``         the RKC / RK4 method-of-lines integrator and family driver
-* ``ma``           complex Monge-Ampere Newton solver and closed-form oracles
+* ``ma``           complex Monge-Ampere Newton solver
 * ``functionals``  energy functionals (J, I, E, Mabuchi)
 * ``diagnostics``  estimate monitors and fits
 * ``presets``      pinned experiment configurations
 * ``cli``          command-line driver (``jflow``)
+
+The test oracles (path quadratures of J and M, ``split_critical``,
+``flow_rhs``) are not part of the package: see ``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +26,7 @@ from .cohomology import (
     cone_condition,
 )
 from .flow import FlowConfig, epsilon_family, evolve
-from .ma import MASolverConfig, solve_ma, solve_ma_split, split_critical
+from .ma import MASolverConfig, solve_ma, solve_ma_split
 from .presets import build_preset
 from .torus import Grid, HermitianFormField, ScalarField
 
@@ -40,7 +43,6 @@ __all__ = [
     "MASolverConfig",
     "solve_ma",
     "solve_ma_split",
-    "split_critical",
     "build_preset",
     "Grid",
     "HermitianFormField",

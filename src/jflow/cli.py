@@ -423,7 +423,7 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     eps=<eps>: for a member.  A q-monitor that cannot be evaluated on this
     grid is a failure line, not the end of the run: the verdicts before it stand."""
     suffix, tag = ("", "") if eps is None else (f"-eps{eps:g}", f"eps={eps:g}:")
-    traj.write_csv(os.path.join(out, f"series{suffix}.csv"))
+    jio.write_history_csv(os.path.join(out, f"series{suffix}.csv"), traj.rows)
     jio.write_scalar(os.path.join(out, "fields", f"final{suffix}.jflw"),
                      traj.final_potential())
     record.artifacts += [f"series{suffix}.csv", f"fields/final{suffix}.jflw"]

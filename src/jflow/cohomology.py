@@ -107,11 +107,15 @@ def cone_condition(x, w):
     adj(W), so for a Kahler [X] the margin is positive iff [W] > 0: the
     check cannot fail for a Kahler [W] and always fails for one that is
     not.  (The paper's cone condition bites on curves of negative
-    self-intersection, which the flat torus does not have.)
+    self-intersection, which the flat torus does not have.)  W is first
+    scaled by a power of two, as in ``min_eigenvalue``, and the margin scaled
+    back: exact in the normal range, and a subnormal W no longer rounds.
     """
-    c = c_constant(x, w)
-    diff = x.scale(c).add(w.scale(-1.0))
-    return diff.min_eigenvalue()
+    e = math.frexp(max(abs(v) for v in w.components()))[1]
+    m11, m22, re, im = (math.ldexp(v, -e) for v in w.components())
+    w = CohomologyClass(m11, m22, complex(re, im))
+    diff = x.scale(c_constant(x, w)).add(w.scale(-1.0))
+    return math.ldexp(diff.min_eigenvalue(), e)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,10 @@ advance; ``_evolve_members`` calls ``_advance`` in a loop under its
 step-size rule on the raw arrays and wraps the potential only where it
 records a snapshot.  ``evolve`` is its one-member case; ``epsilon_family``
 steps all members of an eps ladder as one state with a leading member axis,
-so they share every dt and every right-hand-side call.
+so they share every dt and every right-hand-side call.  ``make_state`` and
+``_evolve_members`` share one set-up, ``_start``, and one run record,
+``FamilyMember``.  The tests' reference velocity ``flow_rhs`` is in
+``tests/oracles.py``.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
@@ -65,9 +68,9 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
   writes it into scratch it owns, made again when a batch narrows, and
   overwrites it on the next call; the metric ``metrics`` returns is fresh.
   Neither call enters ``np.errstate``: a non-positive metric divides by
-  zero, and ``_advance`` enters it once per attempt (``make_state`` and
-  ``_evolve_members`` once around the first evaluation), then refuses
-  what is not finite or not positive;
+  zero, and ``_advance`` enters it once per attempt (``_start`` once
+  around the first evaluation), then refuses what is not finite or not
+  positive;
 * ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
   array, from which ``_sup`` takes sup |x|;
 * ``adaptive_dt(chi)``: dt_safety / (max g * (pi N)^2) of the stiffest
@@ -109,7 +112,6 @@ from .torus import (
     _cowedge,
     _det,
     _lam_lo,
-    trace_with,
 )
 
 _MAX_REJECTIONS = 20
@@ -228,11 +230,6 @@ class Trajectory:
 
     def sup_phidot_over_run(self):
         return max(r.sup_phidot for r in self.rows)
-
-    def write_csv(self, path):
-        from .io import write_history_csv
-
-        write_history_csv(path, self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -480,16 +477,6 @@ def _make_kernel(chi0, omegas, cs, cfg, divisor=None):
 # public operations
 
 
-def flow_rhs(phi, chi0, omega_eps, c_eps):
-    """Right-hand side c_eps - tr_{chi_phi} omega_eps on the full backend.
-
-    Raises PositivityError (with the offending point) when chi_phi fails
-    to be positive.
-    """
-    tr = trace_with(chi0.plus_ddc(phi), omega_eps.realized)  # checks positivity
-    return ScalarField(phi.grid, c_eps - tr.values)
-
-
 @dataclass
 class FlowState:
     """Potential at time t with the raw velocity ``rhs``, metric ``chi`` and
@@ -508,54 +495,84 @@ class FlowState:
     radius: object = None
 
 
-def _member_forms(cfg, chi0, omega0, omega_hat):
-    """(omega_eps, c_eps) of a run at cfg.eps, enforcing the run
-    preconditions on the classes."""
-    if cfg.eps == 0.0 and not cfg.allow_degenerate:
-        raise ValueError(
-            "eps = 0 runs the degenerate equation; set allow_degenerate=True "
-            "to acknowledge"
-        )
-    omega_eps = epsilon_form(omega0, cfg.eps, omega_hat)
-    x_cls, w_cls = chi0.cls, omega_eps.cls
-    margin = cone_condition(x_cls, w_cls)
-    if margin <= 0.0:
-        raise ConeConditionError(
-            f"cone condition fails for eps={cfg.eps}: margin {margin:.6e} <= 0",
-            margin=margin,
-        )
-    return omega_eps, c_constant(x_cls, w_cls)
+@dataclass
+class FamilyMember:
+    """One run's record: its eps and c_eps, the history rows and snapshots
+    ``_evolve_members`` records while it steps, then the trajectory it ends
+    with or the error that refused or ended it."""
+
+    eps: float
+    c_eps: float = math.nan
+    rows: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)
+    snap_mult: int = 1
+    trajectory: Optional[Trajectory] = None
+    error: Optional[Exception] = None
+
+    @property
+    def ok(self):
+        return self.trajectory is not None
+
+    def record(self, row, raw, wrap, force=False):
+        """Append a history row, and a snapshot of ``raw`` every snap_mult
+        rows (kept to _MAX_FIELD_SNAPSHOTS by halving)."""
+        self.rows.append(row)
+        if force or (len(self.rows) - 1) % self.snap_mult == 0:
+            self.snapshots.append((row.t, wrap(raw.copy())))
+            if len(self.snapshots) > _MAX_FIELD_SNAPSHOTS:
+                del self.snapshots[1::2]
+                self.snap_mult *= 2
 
 
-def _initial_error(margin):
-    return PositivityError(
-        f"initial potential leaves chi0 + dd^c(phi) non-positive "
-        f"(margin {margin:.3e})",
-        margin=margin,
-    )
+def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
+    """Set up a run of ``members`` (FamilyMember records, the rest of ``cfg``
+    shared): each one's omega_eps and c_eps under the run preconditions (eps
+    = 0 acknowledged, the cone condition), one kernel for those that pass,
+    exempting ``divisor`` only when all run at eps = 0 (omega_eps > 0 on it
+    for eps > 0), and the metrics of the raw start.  A member refused there
+    or by a non-positive start keeps the error.  Returns (live, kernel, raw,
+    rhs, chi, margin), or None when no member passes the preconditions."""
+    live, omegas = [], []
+    for mem in members:
+        try:  # recorded, not raised: a family report stays partial
+            if mem.eps == 0.0 and not cfg.allow_degenerate:
+                raise ValueError("eps = 0 runs the degenerate equation; set "
+                                 "allow_degenerate=True to acknowledge")
+            omega_eps = epsilon_form(omega0, mem.eps, omega_hat)
+            margin = cone_condition(chi0.cls, omega_eps.cls)
+            if margin <= 0.0:
+                raise ConeConditionError(f"cone condition fails for eps={mem.eps}: "
+                                         f"margin {margin:.6e} <= 0", margin=margin)
+            mem.c_eps = c_constant(chi0.cls, omega_eps.cls)
+        except (ValueError, JFlowError) as err:
+            mem.error = err
+            continue
+        live.append(mem)
+        omegas.append(omega_eps)
+    if not live:
+        return None
+    exempt = divisor if all(m.eps == 0.0 for m in live) else None
+    kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg, exempt)
+    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
+    with np.errstate(all="ignore"):  # a non-positive start is refused below
+        rhs, chi, margin, finite = kernel.metrics(raw)
+    for mem, m, ok in zip(live, np.reshape(margin, -1), np.reshape(finite, -1)):
+        if not (ok and m > 0.0):
+            mem.error = PositivityError(
+                f"initial potential leaves chi0 + dd^c(phi) non-positive "
+                f"(margin {m:.3e})", margin=float(m))
+    return live, kernel, raw, rhs, chi, margin
 
 
 def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     """Assemble a FlowState at t = 0, enforcing the run preconditions."""
-    omega_eps, c_eps = _member_forms(cfg, chi0, omega0, omega_hat)
-    # omega_eps > 0 on the divisor for eps > 0: no exemption then
-    exempt = divisor if cfg.eps == 0.0 else None
-    kernel = _make_kernel(chi0, [omega_eps], [c_eps], cfg, exempt)
-    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
-    with np.errstate(all="ignore"):  # a non-positive start is refused below
-        rhs, chi, margin0, finite = kernel.metrics(raw)
-    margin0 = float(margin0)
-    if not finite or margin0 <= 0.0:
-        raise _initial_error(margin0)
-    return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, margin0,
+    member = FamilyMember(float(cfg.eps))
+    start = _start(cfg, [member], chi0, omega0, omega_hat, phi0, divisor)
+    if member.error is not None:
+        raise member.error
+    _, kernel, raw, rhs, chi, margin = start
+    return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, float(margin),
                      radius=_SpectralRadius())
-
-
-def adaptive_dt(state):
-    """Explicit-stability RK4 step size from the current metric,
-    dt = dt_safety / (lambda_max(chi^-1 omega chi^-1) * (pi N)^2); also the
-    first step of an error-controlled RKC run."""
-    return state.kernel.adaptive_dt(state.chi)
 
 
 def _rk4(kernel, v, k1, dt):
@@ -794,60 +811,25 @@ def step(state, dt):
                      last_dt=dt, last_rejections=rejections, radius=radius)
 
 
-@dataclass
-class _Member:
-    """One run's record while ``_evolve_members`` steps it."""
-
-    eps: float
-    c_eps: float = math.nan
-    rows: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
-    snap_mult: int = 1
-    trajectory: Optional[Trajectory] = None
-    error: Optional[Exception] = None
-
-    def record(self, row, raw, wrap, force=False):
-        """Append a history row, and a snapshot of ``raw`` every snap_mult
-        rows (kept to _MAX_FIELD_SNAPSHOTS by halving)."""
-        self.rows.append(row)
-        if force or (len(self.rows) - 1) % self.snap_mult == 0:
-            self.snapshots.append((row.t, wrap(raw.copy())))
-            if len(self.snapshots) > _MAX_FIELD_SNAPSHOTS:
-                del self.snapshots[1::2]
-                self.snap_mult *= 2
-
-
 def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=None):
     """Run the flow at every eps of ``eps_list`` (the rest of ``cfg`` shared)
     as one batched state; ``evolve`` is the one-member case, whose kernel
-    has no member axis.  Returns one _Member per eps, with its trajectory or
-    the error that ended it.
+    has no member axis.  Returns one FamilyMember per eps, with its
+    trajectory or the error that ended it.
 
     Every step has one dt and, under RKC, one stage count, set by the
     stiffest live member, and every right-hand side covers every live
     member.  A member that converges (or reaches max_time) leaves the batch
     with its own rows, stop time, step count and ``rhs_evals``.  A member
-    refused at construction, or flagged by a DegenerateStiffnessError,
-    keeps the error; the others go on from the last accepted state.
+    refused at the start (``_start``), or flagged by a
+    DegenerateStiffnessError, keeps the error; the others go on from the last
+    accepted state.
     """
-    members = [_Member(float(e)) for e in eps_list]
-    omegas = []
-    for mem in members:
-        try:
-            omega_eps, mem.c_eps = _member_forms(replace(cfg, eps=mem.eps), chi0,
-                                                 omega0, omega_hat)
-            omegas.append(omega_eps)
-        except (ValueError, JFlowError) as err:  # recorded: a report stays partial
-            mem.error = err
-    live = [m for m in members if m.error is None]
-    if not live:
+    members = [FamilyMember(float(e)) for e in eps_list]
+    start = _start(cfg, members, chi0, omega0, omega_hat, phi0, divisor)
+    if start is None:
         return members
-    # omega_eps > 0 on the divisor for eps > 0: no exemption then
-    exempt = divisor if all(m.eps == 0.0 for m in live) else None
-    kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg, exempt)
-    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
-    with np.errstate(all="ignore"):  # a non-positive start is refused below
-        rhs, chi, margin, finite = kernel.metrics(raw)
+    live, kernel, raw, rhs, chi, margin = start
     one = np.ndim(margin) == 0  # a single run: no member axis
     t, steps, rejections = 0.0, 0, 0
     radius, stages = _SpectralRadius(), []  # stages of every accepted RKC step
@@ -879,10 +861,7 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
                 row = HistoryRow(t, *(float(x[p]) for x in cols))
                 mem.record(row, raw_of(p), kernel.wrap, force)
 
-    bad = ~per_member(finite & (margin > 0.0))
-    for p in np.flatnonzero(bad):
-        live[p].error = _initial_error(float(per_member(margin)[p]))
-    drop(bad)
+    drop(np.array([m.error is not None for m in live]))
     if live:
         record()
     controlled = cfg.integrator == "rkc"
@@ -957,17 +936,6 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 
 
 @dataclass
-class FamilyMember:
-    eps: float
-    trajectory: Optional[Trajectory]
-    error: str = ""
-
-    @property
-    def ok(self):
-        return self.trajectory is not None
-
-
-@dataclass
 class FamilyReport:
     """Aggregated record of an epsilon sweep."""
 
@@ -1026,15 +994,10 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly descending")
 
-    members = [
-        FamilyMember(run.eps, run.trajectory,
-                     "" if run.error is None else f"{type(run.error).__name__}: {run.error}")
-        for run in _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
-    ]
-
+    members = _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
     sup_phi = {m.eps: m.trajectory.sup_phi_over_run() for m in members if m.ok}
     sup_phidot = {m.eps: m.trajectory.sup_phidot_over_run() for m in members if m.ok}
-    failures = {m.eps: m.error for m in members if not m.ok}
+    failures = {m.eps: f"{type(m.error).__name__}: {m.error}" for m in members if not m.ok}
 
     diffs = []
     ok_members = [m for m in members if m.ok]

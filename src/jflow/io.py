@@ -74,10 +74,6 @@ def write_scalar(path, field):
     _write_snapshot(path, field.grid, (field.values,))
 
 
-def write_hermitian(path, form):
-    _write_snapshot(path, form.grid, (form.h11, form.h22, form.h12_re, form.h12_im))
-
-
 def read_field(path):
     """Read a snapshot; returns a ScalarField or HermitianFormField on the
     grid it was written from (a version 1 file: on the zero-offset grid)."""
@@ -101,12 +97,7 @@ HISTORY_COLUMNS = ("t", "sup_phi", "sup_phidot", "J", "I", "margin", "residual")
 
 
 def write_history_csv(path, rows):
-    def body(fh):
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row.csv_values()) + "\n")
-
-    _write_atomic(path, body, mode="w")
+    write_series_csv(path, HISTORY_COLUMNS, (row.csv_values() for row in rows))
 
 
 def write_series_csv(path, header, table):

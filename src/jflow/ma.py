@@ -1,6 +1,7 @@
 """Elliptic side of the lab: the reduction of the critical equation to a
-complex Monge-Ampere equation, a damped Newton-Krylov solver for it,
-spectral Poisson solves, and the split-ansatz closed-form oracle.
+complex Monge-Ampere equation and a damped Newton-Krylov solver for it.
+The split-ansatz closed-form critical point, ``split_critical``, is a test
+oracle and lives in the test helper ``tests/oracles.py``.
 
 The critical equation 2 chi ^ omega = c chi^2 for chi = chi0 + dd^c(phi)
 is algebraically equivalent to
@@ -38,7 +39,6 @@ from .torus import (
     _cowedge,
     _det,
     _lam_lo,
-    poisson_solve,
     positivity_margin,
 )
 
@@ -73,25 +73,6 @@ def build_alpha(chi0, omega_eps, c_eps):
             f"class identity [alpha]^2 = [omega]^2 violated: {lhs} vs {rhs}"
         )
     return alpha
-
-
-def split_critical(f, g, fgrid):
-    """Closed-form critical data for the product ansatz on the factor grid
-    ``fgrid``.
-
-    For profiles f(z1), g(z2) >= 0 with positive means and the identity
-    class: c_i = mean of the profile (then c1 + c2 = c0), and the factor
-    potentials solve dd^c phi_i = profile/c_i - 1.  The assembled
-    chi = diag(f/c1, g/c2) satisfies the critical equation exactly.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    c1, c2 = float(f.mean()), float(g.mean())
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("split_critical: profiles need positive means")
-    phi1 = poisson_solve(ScalarField(fgrid, f / c1 - 1.0)).values
-    phi2 = poisson_solve(ScalarField(fgrid, g / c2 - 1.0)).values
-    return c1, c2, phi1, phi2
 
 
 # --------------------------------------------------------------------------

@@ -23,11 +23,6 @@ from .cohomology import ClosedForm, CohomologyClass
 from .torus import Grid, ScalarField, SpectralOps, poisson_solve
 
 
-def factor_hessian(grid, phi):
-    """d_z d_zbar phi on a factor lattice (spectral)."""
-    return SpectralOps.of(grid).laplacian(phi)
-
-
 @dataclass(frozen=True)
 class SplitForm:
     """Closed (1,1)-form of product type diag(A(z1), B(z2)).
@@ -74,15 +69,15 @@ class SplitForm:
 
     def profiles(self):
         """Realised factor profiles (A, B) as 2-D arrays."""
-        a = self.a1 + factor_hessian(self.grid, self.p1)
-        b = self.a2 + factor_hessian(self.grid, self.p2)
-        return a, b
+        lap = SpectralOps.of(self.grid).laplacian
+        return self.a1 + lap(self.p1), self.a2 + lap(self.p2)
 
     def plus_ddc(self, phi):
         """Realised factor profiles (A, B) of chi_phi = self + dd^c phi for a
         SplitPotential phi."""
         a, b = self.profiles()
-        return a + factor_hessian(phi.grid, phi.phi1), b + factor_hessian(phi.grid, phi.phi2)
+        lap = SpectralOps.of(phi.grid).laplacian
+        return a + lap(phi.phi1), b + lap(phi.phi2)
 
     def scale(self, c):
         c = float(c)

@@ -1,0 +1,198 @@
+"""Independent test oracles for the ``jflow`` checks.
+
+Nothing in the package calls these: they are the references the tests hold
+the library against.  The path quadratures ``J_path`` and ``mabuchi_path``
+check the closed-form J and M by Romberg quadrature (along the default
+linear path the J integrand is quadratic in the path parameter, so
+``J_path`` is exact to rounding); ``J_gradient_check`` checks J's gradient
+density by finite differences; ``j_closed_split`` and ``i_functional_split``
+evaluate J and I on split data; ``split_critical`` is the closed-form
+critical point of the product ansatz; ``flow_rhs`` is the flow velocity
+through the public form API, with its positivity check; ``write_hermitian``
+writes a form snapshot for the reader's round trip.
+
+The tests import this module as ``oracles`` (pytest puts ``tests/`` on the
+import path).
+"""
+
+import numpy as np
+
+from jflow.functionals import J_closed, _check_curvature_margin, _energies_split
+from jflow.io import _write_snapshot
+from jflow.torus import (
+    ScalarField,
+    _critical_density,
+    _det,
+    _wedge,
+    complex_hessian,
+    integrate,
+    poisson_solve,
+    trace_with,
+    wedge_density,
+)
+
+
+def _romberg(samples):
+    """Romberg value over [0, 1] from 2^k + 1 equispaced samples of the
+    integrand."""
+    m = len(samples) - 1
+    k = int(round(np.log2(m)))
+    if 2 ** k != m:
+        raise ValueError("romberg needs 2^k + 1 samples")
+    samples = np.asarray(samples, dtype=float)
+    row = []
+    for j in range(k + 1):
+        stride = 2 ** (k - j)
+        pts = samples[::stride]
+        h = 1.0 / 2 ** j
+        row.append(h * (pts.sum() - 0.5 * (pts[0] + pts[-1])))
+    table = np.array(row)
+    for m_level in range(1, k + 1):
+        factor = 4.0 ** m_level
+        table = (factor * table[1:] - table[:-1]) / (factor - 1.0)
+    return float(table[0])
+
+
+def j_gradient_density(phi, chi0, omega0, c0):
+    """The density of the J-gradient: 2 chi_phi ^ omega0 - c0 chi_phi^2."""
+    chi = chi0.plus_ddc(phi).components()
+    return ScalarField(phi.grid, _critical_density(chi, omega0.realized.components(), c0))
+
+
+def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
+    """J by quadrature along a path s -> r(s) * phi (linear by default).
+
+    ``steps`` must be a power of two >= 8; ``reparam`` is an optional pair
+    of callables (r, r') with r(0) = 0, r(1) = 1 for path-independence
+    experiments.
+    """
+    if steps < 8:
+        raise ValueError("J_path needs at least 8 quadrature steps")
+    chi0r = chi0.realized
+    w = omega0.realized.components()
+    p = phi.values
+    hess = complex_hessian(phi)
+    samples = []
+    for j in range(steps + 1):
+        s = j / steps
+        r = s if reparam is None else reparam[0](s)
+        rp = 1.0 if reparam is None else reparam[1](s)
+        chi_s = chi0r.add(hess.scale(r)).components()
+        dens = _critical_density(chi_s, w, c0)
+        samples.append(4.0 * float(np.mean(rp * p * dens)))
+    return _romberg(samples)
+
+
+def J_gradient_check(phi, v, chi0, omega0, c0):
+    """Relative error between a central finite difference of J and the
+    analytic directional derivative 4 mean(v g) along v, g the gradient
+    density.
+
+    The error is relative to the size of the pairing before its two terms
+    cancel, 4 mean(|v| (|2 D(chi, omega)| + |c0| |D(chi, chi)|)), a bound on
+    |analytic| (or to |fd| or |analytic| where either is larger).  It stays
+    defined, and small, when the derivative along v is zero, also where g
+    vanishes identically (at a critical point, say): the finite difference's
+    roundoff is then relative to the size of the terms of g, not to g. A zero
+    difference returns 0.0, also for v = 0. The error includes the O(h^2)
+    truncation of the difference and its roundoff of about eps |J| / h at
+    its step h = 1e-4.
+    """
+    h = 1e-4
+    plus = ScalarField(phi.grid, phi.values + h * v.values)
+    minus = ScalarField(phi.grid, phi.values - h * v.values)
+    fd = (J_closed(plus, chi0, omega0, c0) - J_closed(minus, chi0, omega0, c0)) / (2.0 * h)
+    g = j_gradient_density(phi, chi0, omega0, c0).values
+    analytic = 4.0 * float(np.mean(v.values * g))
+    diff = abs(fd - analytic)
+    if diff == 0.0:
+        return 0.0
+    chi = chi0.plus_ddc(phi).components()
+    d_cw = _wedge(chi, omega0.realized.components())
+    terms = np.abs(2.0 * d_cw) + abs(c0) * np.abs(2.0 * _det(chi))
+    scale = 4.0 * float(np.mean(np.abs(v.values) * terms))
+    return diff / max(abs(analytic), abs(fd), scale)
+
+
+def scalar_curvature(chi):
+    """Scalar curvature of a positive (1,1)-form field.
+
+    R = tr_chi Ric with Ric = -dd^c log det(chi); flat backgrounds give 0.
+    """
+    _check_curvature_margin(chi, "scalar_curvature")
+    ric = complex_hessian(ScalarField(chi.grid, -np.log(_det(chi.components()))))
+    return trace_with(chi, ric, check=False)
+
+
+def mean_scalar_curvature(chi):
+    """Average R over the chi-volume: int R chi^2 / int chi^2 (0 on the torus)."""
+    r = scalar_curvature(chi)
+    vol = wedge_density(chi, chi)
+    num = integrate(ScalarField(chi.grid, r.values * vol.values))
+    return num / integrate(vol)
+
+
+def mabuchi_path(phi, chi0, steps=16):
+    """Mabuchi energy by quadrature along the linear path, the test oracle
+    of ``mabuchi_closed``; every intermediate form must stay positive.
+    Rbar is the average scalar curvature of the background."""
+    if steps < 8:
+        raise ValueError("mabuchi_path needs at least 8 quadrature steps")
+    chi0r = chi0.realized
+    rbar = mean_scalar_curvature(chi0r)
+    hess = complex_hessian(phi)
+    p = phi.values
+    samples = []
+    for j in range(steps + 1):
+        s = j / steps
+        chi_s = chi0r.add(hess.scale(s))
+        r_s = scalar_curvature(chi_s)
+        vol = wedge_density(chi_s, chi_s).values
+        samples.append(-4.0 * float(np.mean(p * (r_s.values - rbar) * vol)))
+    return _romberg(samples)
+
+
+def _split_terms(phi, chi0):
+    return (phi.phi1, phi.phi2), chi0.plus_ddc(phi), chi0.profiles()
+
+
+def j_closed_split(phi, chi0, omega, c):
+    """J_closed for split data, via factor means."""
+    return float(_energies_split(*_split_terms(phi, chi0), omega.profiles(), c)[0])
+
+
+def i_functional_split(phi, chi0):
+    return float(_energies_split(*_split_terms(phi, chi0), None, 0.0)[1])
+
+
+def split_critical(f, g, fgrid):
+    """Closed-form critical data for the product ansatz on the factor grid
+    ``fgrid``.
+
+    For profiles f(z1), g(z2) >= 0 with positive means and the identity
+    class: c_i = mean of the profile (then c1 + c2 = c0), and the factor
+    potentials solve dd^c phi_i = profile/c_i - 1.  The assembled
+    chi = diag(f/c1, g/c2) satisfies the critical equation exactly.
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    c1, c2 = float(f.mean()), float(g.mean())
+    if c1 <= 0.0 or c2 <= 0.0:
+        raise ValueError("split_critical: profiles need positive means")
+    phi1 = poisson_solve(ScalarField(fgrid, f / c1 - 1.0)).values
+    phi2 = poisson_solve(ScalarField(fgrid, g / c2 - 1.0)).values
+    return c1, c2, phi1, phi2
+
+
+def flow_rhs(phi, chi0, omega_eps, c_eps):
+    """Right-hand side c_eps - tr_{chi_phi} omega_eps on the full backend.
+
+    Raises PositivityError (with the offending point) when chi_phi fails
+    to be positive.
+    """
+    tr = trace_with(chi0.plus_ddc(phi), omega_eps.realized)  # checks positivity
+    return ScalarField(phi.grid, c_eps - tr.values)
+
+
+def write_hermitian(path, form):
+    _write_snapshot(path, form.grid, (form.h11, form.h22, form.h12_re, form.h12_im))

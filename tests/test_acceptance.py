@@ -23,14 +23,8 @@ from jflow.diagnostics import (
     uniformity_report,
 )
 from jflow.flow import FlowConfig, epsilon_family, evolve, max_principle_monitor
-from jflow.functionals import J_closed, J_gradient_check, J_path, j_gradient_density
-from jflow.ma import (
-    MASolverConfig,
-    build_alpha,
-    solve_ma,
-    solve_ma_split,
-    split_critical,
-)
+from jflow.functionals import J_closed
+from jflow.ma import MASolverConfig, build_alpha, solve_ma, solve_ma_split
 from jflow.presets import (
     build_preset,
     degenerate_profile,
@@ -39,6 +33,7 @@ from jflow.presets import (
 )
 from jflow.split import SplitPotential
 from jflow.torus import ScalarField, integrate
+from oracles import J_gradient_check, J_path, j_gradient_density, split_critical
 
 PI2 = np.pi ** 2
 

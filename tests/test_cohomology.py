@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -123,14 +125,20 @@ class TestConeCondition:
            st.floats(-1.0, 1.0), _forms)
     @example(1.0, 1.0, 0.0, 0.0, (0.0, 0.0, 0.0, 5e-324))
     @example(1.0, 1.0, 0.0, 0.0, (0.0, 0.0, 0.0, 3.9e-200))
+    @example(0.5, 1.84375, 0.0, 0.0, (-2.2250738585e-313, 0.0, 0.0, 0.0))
     def test_margin_is_lowest_eigenvalue_of_x_adj_w_x(self, l1, l2, zr, zi, w):
         # X = L L^* with L = [[l1, 0], [z, l2]]; for 2x2 classes
-        # c X - W = X adj(W) X / det X, so the margin is positive iff W > 0
+        # c X - W = X adj(W) X / det X, so the margin is positive iff W > 0.
+        # The reference is taken on W scaled by the power of two that brings
+        # its largest entry into [0.5, 1), and scaled back: in subnormal
+        # arithmetic the unscaled product rounds at every step
         z = complex(zr, zi)
         xm = np.array([[l1 * l1, l1 * z.conjugate()], [l1 * z, abs(z) ** 2 + l2 * l2]])
-        wm = np.array([[w[0], complex(w[2], w[3])], [complex(w[2], -w[3]), w[1]]])
+        e = math.frexp(max(abs(v) for v in w))[1]
+        ws = [math.ldexp(v, -e) for v in w]
+        wm = np.array([[ws[0], complex(ws[2], ws[3])], [complex(ws[2], -ws[3]), ws[1]]])
         adj = np.array([[wm[1, 1], -wm[0, 1]], [-wm[1, 0], wm[0, 0]]])
-        ev = np.linalg.eigvalsh(xm @ adj @ xm / np.linalg.det(xm).real)
+        ev = np.ldexp(np.linalg.eigvalsh(xm @ adj @ xm / np.linalg.det(xm).real), e)
         margin = cone_condition(
             CohomologyClass(xm[0, 0].real, xm[1, 1].real, xm[0, 1]),
             CohomologyClass(w[0], w[1], complex(w[2], w[3])),

@@ -5,23 +5,34 @@ import numpy as np
 import pytest
 
 from jflow import flow, torus
-from jflow.cohomology import CohomologyClass, ClosedForm, c_constant, epsilon_form
+from jflow.cohomology import (
+    CohomologyClass,
+    ClosedForm,
+    c_constant,
+    cone_condition,
+    epsilon_form,
+)
 from jflow.diagnostics import compare_up_to_constant
 from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
 from jflow.flow import (
     FlowConfig,
-    adaptive_dt,
     epsilon_family,
     evolve,
-    flow_rhs,
     make_state,
     max_principle_monitor,
     step,
 )
-from jflow.ma import split_critical
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitForm, SplitPotential
-from jflow.torus import Grid, ScalarField, SpectralOps, complex_hessian, trace_with
+from jflow.torus import (
+    Grid,
+    ScalarField,
+    SpectralOps,
+    complex_hessian,
+    positivity_margin,
+    trace_with,
+)
+from oracles import flow_rhs, split_critical
 
 
 def smooth_cfg(**kw):
@@ -176,7 +187,7 @@ class TestKernelScratch:
         def f(x):
             return flow_rhs(ScalarField(pb.grid, x), pb.chi0, w, state.kernel.c).values
 
-        v, k1, dt = phi0.values, state.rhs, adaptive_dt(state)
+        v, k1, dt = phi0.values, state.rhs, state.kernel.adaptive_dt(state.chi)
         k2 = f(v + 0.5 * dt * k1)
         k3 = f(v + 0.5 * dt * k2)
         k4 = f(v + dt * k3)
@@ -222,7 +233,7 @@ class TestAdaptiveDt:
             FlowConfig(eps=0.0, allow_degenerate=True), pb.chi0, pb.omega0, pb.omega_hat
         )
         expected = 0.2 / (16 * np.pi) ** 2
-        assert np.isclose(adaptive_dt(state), expected, rtol=1e-12)
+        assert np.isclose(state.kernel.adaptive_dt(state.chi), expected, rtol=1e-12)
 
     def test_halving_n_quadruples_dt(self):
         dts = []
@@ -232,7 +243,7 @@ class TestAdaptiveDt:
                 FlowConfig(eps=0.0, allow_degenerate=True),
                 pb.chi0, pb.omega0, pb.omega_hat,
             )
-            dts.append(adaptive_dt(state))
+            dts.append(state.kernel.adaptive_dt(state.chi))
         assert np.isclose(dts[1], 4.0 * dts[0])
 
     def test_lambda_doubling_halves_dt(self):
@@ -243,7 +254,7 @@ class TestAdaptiveDt:
         s1 = make_state(cfg, ident, ident, ident)
         # chi = Id, omega = 2 Id: h = 2 Id, lambda_max doubles
         s2 = make_state(cfg, ident, doubled, ident)
-        assert np.isclose(adaptive_dt(s2), 0.5 * adaptive_dt(s1))
+        assert np.isclose(s2.kernel.adaptive_dt(s2.chi), 0.5 * s1.kernel.adaptive_dt(s1.chi))
 
     @pytest.mark.parametrize("seed", [*range(5), "isotropic"])
     def test_real_formula_matches_complex_eigenvalues(self, seed):
@@ -264,7 +275,7 @@ class TestAdaptiveDt:
         m = x_inv @ matrices(*state.kernel._w) @ x_inv
         lam_max = np.linalg.eigvalsh(m).max()
         expected = 0.2 / (lam_max * (state.kernel.grid.n * np.pi) ** 2)
-        assert np.isclose(adaptive_dt(state), expected, rtol=1e-13, atol=0.0)
+        assert np.isclose(state.kernel.adaptive_dt(state.chi), expected, rtol=1e-13, atol=0.0)
 
 
 class TestStiffnessBound:
@@ -386,7 +397,7 @@ class TestStep:
         )
         cfg = FlowConfig(eps=0.0, allow_degenerate=True)
         state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0)
-        dt = adaptive_dt(state)
+        dt = state.kernel.adaptive_dt(state.chi)
         n_steps = 200
         for _ in range(n_steps):
             state = step(state, dt)
@@ -403,7 +414,7 @@ class TestStep:
                                  smooth8.omega_hat, phi0)
         full_state = make_state(smooth_cfg(), full.chi0, full.omega0, full.omega_hat,
                                 phi0.assemble())
-        dt = adaptive_dt(split_state)
+        dt = split_state.kernel.adaptive_dt(split_state.chi)
         a, b = step(split_state, dt), step(full_state, dt)
         assert a.last_dt == b.last_dt == dt
         assert np.abs(a.phi.assemble().values - b.phi.values).max() < 1e-12
@@ -473,6 +484,41 @@ class TestEvolve:
         pb = smooth8
         with pytest.raises(ValueError, match="allow_degenerate"):
             evolve(FlowConfig(eps=0.0), pb.chi0, pb.omega0, pb.omega_hat)
+
+    @staticmethod
+    def _refused_start(case):
+        """(cfg, (chi0, omega0, omega_hat), phi0, error type, message) of a
+        run that its start refuses."""
+        grid = Grid(8)
+        ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
+        if case == "eps0_unacknowledged":
+            return (FlowConfig(eps=0.0), (ident, ident, ident), None, ValueError,
+                    "eps = 0 runs the degenerate equation; set allow_degenerate=True "
+                    "to acknowledge")
+        if case == "cone":
+            # as in test_partial_report_on_member_failure: margin 1.01 - 1.2
+            w = ClosedForm.from_class(CohomologyClass(1.0, 1.0, 1.2), grid)
+            margin = cone_condition(ident.cls, epsilon_form(w, 0.01, ident).cls)
+            return (FlowConfig(eps=0.01), (ident, w, ident), None, ConeConditionError,
+                    f"cone condition fails for eps=0.01: margin {margin:.6e} <= 0")
+        # chi0 + dd^c phi0 has h11 = 1 - 0.2 pi^2 cos(2 pi x1), negative at x1 = 0
+        phi0 = ScalarField(grid, 0.2 * np.cos(2 * np.pi * grid.coords()[0])
+                           * np.ones(grid.shape))
+        margin = positivity_margin(ident.plus_ddc(phi0))
+        assert margin < 0.0
+        return (FlowConfig(eps=0.1), (ident, ident, ident), phi0, PositivityError,
+                f"initial potential leaves chi0 + dd^c(phi) non-positive "
+                f"(margin {margin:.3e})")
+
+    @pytest.mark.parametrize("case", ["eps0_unacknowledged", "cone", "nonpositive_start"])
+    @pytest.mark.parametrize("entry", [make_state, evolve])
+    def test_start_refusals_agree(self, entry, case):
+        # make_state and evolve share one start: same error type and message
+        cfg, forms, phi0, exc, message = self._refused_start(case)
+        with pytest.raises(exc) as err:
+            entry(cfg, *forms, phi0=phi0)
+        assert type(err.value) is exc
+        assert str(err.value) == message
 
     def test_integrator_order(self, smooth8):
         # dt and dt/2 runs at fixed t differ at O(dt^4)
@@ -605,7 +651,8 @@ class TestRKC:
 
         monkeypatch.setattr(flow, "_rkc_error", hopeless)
         pb = smooth8
-        h0 = adaptive_dt(make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat))
+        start = make_state(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
+        h0 = start.kernel.adaptive_dt(start.chi)
         with pytest.raises(DegenerateStiffnessError) as info:
             evolve(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
         err = info.value
@@ -771,6 +818,10 @@ class TestEpsilonFamily:
         assert 0.01 in report.failures
         assert "ConeCondition" in report.failures[0.01]
         assert 1.0 in report.sup_phi_by_eps
+        # the member keeps the exception object; failures its "<Type>: <message>"
+        (failed,) = [m for m in report.members if not m.ok]
+        assert isinstance(failed.error, ConeConditionError)
+        assert report.failures[0.01] == f"ConeConditionError: {failed.error}"
 
 
 class TestMaxPrincipleMonitor:

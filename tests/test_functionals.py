@@ -12,18 +12,21 @@ from jflow.functionals import (
     FunctionalReport,
     I_functional,
     J_closed,
+    evaluate_suite,
+    mabuchi_closed,
+)
+from jflow.presets import build_preset, random_bandlimited_potential
+from oracles import (
     J_gradient_check,
     J_path,
-    evaluate_suite,
     i_functional_split,
     j_closed_split,
     j_gradient_density,
-    mabuchi_closed,
     mabuchi_path,
     mean_scalar_curvature,
     scalar_curvature,
+    split_critical,
 )
-from jflow.presets import build_preset, random_bandlimited_potential
 from jflow.torus import (
     Grid,
     HermitianFormField,
@@ -137,7 +140,7 @@ class TestJGradient:
     def test_wrong_density_is_caught(self, setup, monkeypatch):
         # a direction with a component along phi has a nonzero derivative,
         # so a gradient density off by a factor of two must show
-        import jflow.functionals as fn
+        import oracles
 
         grid, ident = setup
         rng = np.random.default_rng(8)
@@ -148,9 +151,9 @@ class TestJGradient:
         )
         assert J_gradient_check(phi, v, ident, ident, 2.0) < 1e-6
 
-        true_density = fn.j_gradient_density
+        true_density = oracles.j_gradient_density
         monkeypatch.setattr(
-            fn,
+            oracles,
             "j_gradient_density",
             lambda *a: ScalarField(grid, 2.0 * true_density(*a).values),
         )
@@ -173,7 +176,6 @@ class TestJGradient:
 
     def test_vanishes_at_critical_point(self):
         pb = build_preset("smooth_split", n=16).to_full()
-        from jflow.ma import split_critical
         from jflow.presets import smooth_profile
         from jflow.split import SplitPotential
 

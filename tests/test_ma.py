@@ -11,19 +11,17 @@ from jflow.cohomology import (
 from jflow import ma
 from jflow.errors import ConeConditionError, MAConvergenceError, PositivityError
 from jflow.flow import FlowConfig, evolve
-from jflow.functionals import j_gradient_density
 from jflow.ma import (
     MASolverConfig,
     build_alpha,
-    poisson_solve,
     solve_ma,
     solve_ma_continuation,
     solve_ma_split,
-    split_critical,
 )
 from jflow.presets import build_preset, degenerate_profile, smooth_profile
 from jflow.split import SplitPotential
-from jflow.torus import Grid, ScalarField, positivity_margin
+from jflow.torus import Grid, ScalarField, poisson_solve, positivity_margin
+from oracles import j_gradient_density, split_critical
 
 
 def mode_field(grid, fn):
