@@ -35,7 +35,7 @@ from .diagnostics import (
     uniformity_report,
 )
 from .errors import ConfigError, JFlowError
-from .flow import FlowConfig, epsilon_family, evolve, max_principle_monitor
+from .flow import FlowConfig, check_ladder, epsilon_family, evolve, max_principle_monitor
 from .functionals import evaluate_suite
 from .ma import MASolverConfig, solve_ma_continuation
 from .presets import (
@@ -78,19 +78,16 @@ class RunConfig:
     omegahat: dict = field(default_factory=dict)
     phi0: dict = field(default_factory=dict)
 
-    def canonical(self):
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
     def config_hash(self):
-        text = json.dumps(self.canonical(), sort_keys=True)
+        text = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-# the flow, ma and q keys are the fields of the library's config types
+# the flow, ma and q sections are the library's config types, their keys
+# the types' fields (flow's eps is the top-level list)
+_SECTIONS = {"flow": FlowConfig, "ma": MASolverConfig, "q": QMonitorConfig}
 _SECTION_KEYS = {
-    "flow": {f.name for f in dc_fields(FlowConfig)} - {"eps"},
-    "ma": {f.name for f in dc_fields(MASolverConfig)},
-    "q": {f.name for f in dc_fields(QMonitorConfig)},
+    **{name: {f.name for f in dc_fields(t)} - {"eps"} for name, t in _SECTIONS.items()},
     "budget": {"sup_phi", "sup_phidot"},
     "chi0": {"class", "modes"},
     "omega0": {"class", "modes"},
@@ -160,9 +157,7 @@ def parse_config(text, out=None):
         key = key.strip()
         value = _parse_value(raw)
         lower = key.lower()
-        if lower == "n":
-            cfg.n = value
-        elif "." in lower:
+        if "." in lower:
             section, _, sub = lower.partition(".")
             if section not in _SECTION_KEYS:
                 problems.append(f"unknown section: {key!r}")
@@ -199,8 +194,9 @@ def validate_config(cfg):
         if not isinstance(cfg.n, int) or cfg.n < 4 or cfg.n % 2:
             problems.append(f"N must be even and >= 4, got {cfg.n}")
     for i, e in enumerate(cfg.eps):
-        if not isinstance(e, (int, float)) or e < 0:
-            problems.append(f"eps[{i}]: entries must be nonnegative reals, got {e!r}")
+        if not (_is_real(e) and e >= 0):
+            problems.append(f"eps[{i}]: entries must be nonnegative finite reals, "
+                            f"got {e!r}")
     if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
         problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
                         f"got {cfg.offsets!r}")
@@ -224,13 +220,11 @@ def validate_config(cfg):
     if not isinstance(cfg.phi0.get("random", False), bool):
         problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
     # the sections are checked by the library's own config types
-    for section, build in (("flow", lambda: _flow_config(cfg, 0.0)),
-                           ("ma", lambda: _ma_config(cfg)),
-                           ("q", lambda: _q_config(cfg))):
+    for name in _SECTIONS:
         try:
-            build()
+            _section(cfg, name)
         except (TypeError, ValueError) as err:
-            problems.append(f"{section}: {err}")
+            problems.append(f"{name}: {err}")
     return problems
 
 
@@ -300,17 +294,11 @@ def _modes_field(grid, modes):
     return ScalarField(grid, v)
 
 
-def _flow_config(cfg, eps):
-    kw = {k: v for k, v in cfg.flow.items() if v is not None}
-    return FlowConfig(eps=eps, **kw)
-
-
-def _ma_config(cfg):
-    return MASolverConfig(**{k: v for k, v in cfg.ma.items() if v is not None})
-
-
-def _q_config(cfg):
-    return QMonitorConfig(**{k: v for k, v in cfg.q.items() if v is not None})
+def _section(cfg, name, **fixed):
+    """The library config of section ``name`` from its keys that are set,
+    plus ``fixed`` (flow's eps)."""
+    kw = {k: v for k, v in getattr(cfg, name).items() if v is not None}
+    return _SECTIONS[name](**fixed, **kw)
 
 
 def _initial_potential(cfg, problem):
@@ -443,7 +431,7 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     )
     if problem.divisor is not None:
         try:
-            series, verdict = q_monitor(traj, problem.divisor, _q_config(cfg))
+            series, verdict = q_monitor(traj, problem.divisor, _section(cfg, "q"))
         except ConfigError as err:
             record.failures.append(f"{tag}q_monitor not evaluated: {err}")
         else:
@@ -455,7 +443,7 @@ def _cmd_run(cfg, record, out):
     problem = build_problem(cfg)
     eps = cfg.eps[0]
     traj = evolve(
-        _flow_config(cfg, eps),
+        _section(cfg, "flow", eps=eps),
         problem.chi0, problem.omega0, problem.omega_hat,
         phi0=_initial_potential(cfg, problem),
         divisor=problem.divisor,
@@ -475,7 +463,7 @@ def _cmd_family(cfg, record, out):
     if not eps_list:
         raise ConfigError(["family: needs positive eps entries"])
     report = epsilon_family(
-        _flow_config(cfg, eps_list[0]), eps_list,
+        _section(cfg, "flow", eps=eps_list[0]), eps_list,
         problem.chi0, problem.omega0, problem.omega_hat,
         phi0=_initial_potential(cfg, problem),
         divisor=problem.divisor,
@@ -502,7 +490,7 @@ def _cmd_family(cfg, record, out):
 
 def _cmd_solve_ma(cfg, record, out):
     problem = build_problem(cfg)
-    macfg = _ma_config(cfg)
+    macfg = _section(cfg, "ma")
     sols = solve_ma_continuation(
         problem.chi0, problem.omega0, problem.omega_hat, cfg.eps, macfg
     )
@@ -612,13 +600,19 @@ _IMPLS = {
 def validate_command(cfg, command):
     """Problems of a parsed config that show only with the preset defaults
     filled in (the offsets against the preset's lattice and N) or with the
-    command."""
+    command (one eps for ``run``, the ladder rule for ``family``'s positive
+    entries)."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
     problems = []
     if command == "run" and len(cfg.eps) > 1:
         problems.append(f"eps: run integrates one eps, got {cfg.eps}; "
                         "use the family command for several")
+    if command == "family":
+        try:
+            check_ladder([e for e in cfg.eps if e > 0])
+        except ValueError as err:
+            problems.append(f"eps: {err}")
     try:
         preset_grid(cfg.preset, cfg.n, cfg.offsets)
     except ValueError as err:

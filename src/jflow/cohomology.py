@@ -59,9 +59,6 @@ class CohomologyClass:
         e = math.frexp(max(abs(x) for x in comps))[1]
         return math.ldexp(float(_lam_lo(tuple(math.ldexp(x, -e) for x in comps))), e)
 
-    def is_positive(self):
-        return self.min_eigenvalue() > 0.0
-
     def add(self, other):
         return CohomologyClass(
             self.m11 + other.m11, self.m22 + other.m22, self.m12 + other.m12
@@ -70,10 +67,6 @@ class CohomologyClass:
     def scale(self, c):
         c = float(c)
         return CohomologyClass(c * self.m11, c * self.m22, c * self.m12)
-
-    def realize(self, grid):
-        """Constant representative as a field on the grid."""
-        return HermitianFormField.constant(grid, self.m11, self.m22, self.m12)
 
 
 def class_pairing(a, b):
@@ -86,12 +79,10 @@ def class_pairing(a, b):
 
 def c_constant(x, w):
     """The flow constant c = 2 [X].[W] / [X]^2 for a Kahler class X."""
-    if not x.is_positive():
+    lam = x.min_eigenvalue()
+    if not lam > 0.0:
         raise PositivityError(
-            f"c_constant: class X is not Kahler (min eigenvalue "
-            f"{x.min_eigenvalue():.3e})",
-            margin=x.min_eigenvalue(),
-        )
+            f"c_constant: class X is not Kahler (min eigenvalue {lam:.3e})", margin=lam)
     return 2.0 * class_pairing(x, w) / class_pairing(x, x)
 
 
@@ -129,7 +120,9 @@ class ClosedForm:
 
     @cached_property
     def realized(self):
-        return self.cls.realize(self.grid).add(complex_hessian(self.potential))
+        c = self.cls  # its constant representative plus dd^c of the potential
+        return (HermitianFormField.constant(self.grid, c.m11, c.m22, c.m12)
+                .add(complex_hessian(self.potential)))
 
     @property
     def grid(self):
@@ -229,28 +222,23 @@ def verify_omega0_conditions(omega0, div, omega_hat):
     what = omega_hat.realized
     s2 = div.s2_proxy(grid).values ** div.beta
 
+    def fail(failure, idx):
+        return Omega0Certificate(False, np.inf, div.beta, div.rho, failure=failure,
+                                 point=grid.point(idx))
+
     # (i): largest t with omega0 >= t*omega_hat pointwise is the smaller
     # generalized eigenvalue of the pencil (omega_hat, omega0).
     mu, _ = generalized_eigenvalues(what, w0)
     mu = mu.values
     off = s2 > _LOCUS_TOL
     neg = ~off & (mu < -1e-10)
-    if np.any(neg):
-        idx = int(np.flatnonzero(neg.ravel())[0])
-        return Omega0Certificate(
-            False, np.inf, div.beta, div.rho,
-            failure="omega0 not nonnegative on the divisor locus",
-            point=grid.point(idx),
-        )
+    if np.any(neg):  # argmax of a mask: its first True point
+        return fail("omega0 not nonnegative on the divisor locus", int(np.argmax(neg)))
     ratio = np.where(off, s2 / np.where(off, mu, 1.0), 0.0)
     bad = off & (mu <= 0.0)
     if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        return Omega0Certificate(
-            False, np.inf, div.beta, div.rho,
-            failure="first inequality fails: omega0 degenerate off the locus",
-            point=grid.point(idx),
-        )
+        return fail("first inequality fails: omega0 degenerate off the locus",
+                    int(np.argmax(bad)))
     c0_first = float(ratio.max())
 
     # (ii): omega0 - rho * r_h >= (1/C0) * omega_hat needs a positive floor.
@@ -258,12 +246,8 @@ def verify_omega0_conditions(omega0, div, omega_hat):
     nu, _ = generalized_eigenvalues(what, shifted)
     nu_min = float(nu.values.min())
     if nu_min <= 0.0:
-        idx = int(np.argmin(nu.values))
-        return Omega0Certificate(
-            False, np.inf, div.beta, div.rho,
-            failure="second inequality fails: omega0 - rho*R_H not positive",
-            point=grid.point(idx),
-        )
+        return fail("second inequality fails: omega0 - rho*R_H not positive",
+                    int(np.argmin(nu.values)))
     c0_second = 1.0 / nu_min
 
     return Omega0Certificate(True, max(c0_first, c0_second), div.beta, div.rho)

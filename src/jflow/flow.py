@@ -53,6 +53,10 @@ quantity reduces to factor means.  Both take their transforms from
 A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 ``_sup``, ``_advance``) is written once against this contract:
 
+* it is built as ``(chi0, omegas, cs, cfg, off)`` by ``_make_kernel``;
+  ``off``, when not None, is the boolean mask of the points of the
+  kernel's lattice off the divisor locus, and the positivity margin is
+  taken over those points only;
 * ``shape``: the shape of the raw state, a plain float array that numpy
   adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
   potentials), behind a leading member axis in a batch; velocities have
@@ -225,12 +229,6 @@ class Trajectory:
         """Final potential as a 4-D ScalarField regardless of backend."""
         return self.final.assemble()
 
-    def sup_phi_over_run(self):
-        return max(r.sup_phi for r in self.rows)
-
-    def sup_phidot_over_run(self):
-        return max(r.sup_phidot for r in self.rows)
-
 
 # --------------------------------------------------------------------------
 # backend kernels
@@ -245,7 +243,7 @@ def _stack(items):
 class _FullKernel:
     backend = "full"
 
-    def __init__(self, chi0, omegas, cs, cfg, divisor=None):
+    def __init__(self, chi0, omegas, cs, cfg, off=None):
         grid = chi0.grid
         self.grid = grid
         self.cfg = cfg
@@ -254,11 +252,7 @@ class _FullKernel:
         self._bg = np.stack(chi0.realized.components())
         self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
-        self._off = None
-        if divisor is not None:
-            mask = ~divisor.locus_mask(grid)
-            if not mask.all():
-                self._off = mask
+        self._off = off
         comps = [w.realized.components() for w in omegas]
         self._members(_stack([float(c) for c in cs]),
                       _cowedge(tuple(_stack(x) for x in zip(*comps))))
@@ -369,7 +363,7 @@ class _SplitKernel:
 
     backend = "split"
 
-    def __init__(self, chi0, omegas, cs, cfg, divisor=None):
+    def __init__(self, chi0, omegas, cs, cfg, off=None):
         fgrid = chi0.grid
         self.grid = fgrid
         self.cfg = cfg
@@ -378,12 +372,8 @@ class _SplitKernel:
         self.member_axes = (-3, -2, -1)
         self._ops = SpectralOps.of(fgrid)
         self._kmax2 = (np.pi * fgrid.n) ** 2
-        self._off = None
-        if divisor is not None:
-            # the divisor lies in the first factor: exempt it from A only
-            mask = ~divisor.locus_mask(fgrid)
-            if not mask.all():
-                self._off = np.stack((mask, np.ones_like(mask)))
+        # the divisor lies in the first factor: exempt it from A only
+        self._off = None if off is None else np.stack((off, np.ones_like(off)))
         ws = [np.stack(w.profiles()) for w in omegas]
         # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
         factor_cs = [np.array([float(np.mean(w[0])) / chi0.a1,
@@ -467,10 +457,11 @@ def _make_kernel(chi0, omegas, cs, cfg, divisor=None):
     """The backend kernel of one run (``omegas`` and ``cs`` of length 1), or
     of a batch of members that differ only in omega_eps and c_eps, stacked
     on a leading member axis.  ``divisor``, when given, is exempt from the
-    positivity margin."""
-    if isinstance(chi0, SplitForm):
-        return _SplitKernel(chi0, omegas, cs, cfg, divisor)
-    return _FullKernel(chi0, omegas, cs, cfg, divisor)
+    positivity margin: the kernel gets its off-locus mask as ``off``, None
+    when no lattice point lies on it."""
+    off = None if divisor is None else ~divisor.locus_mask(chi0.grid)
+    kernel = _SplitKernel if isinstance(chi0, SplitForm) else _FullKernel
+    return kernel(chi0, omegas, cs, cfg, None if off is None or off.all() else off)
 
 
 # --------------------------------------------------------------------------
@@ -972,6 +963,15 @@ class FamilyReport:
         }
 
 
+def check_ladder(eps_list):
+    """Raise ValueError unless ``eps_list`` is an eps ladder that
+    ``epsilon_family`` runs: strictly positive and strictly descending."""
+    if any(e <= 0.0 for e in eps_list):
+        raise ValueError(f"epsilon_family needs strictly positive epsilons, got {eps_list}")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"epsilon list must be strictly descending, got {eps_list}")
+
+
 def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
                    divisor=None, workers=1):
     """Runs for a descending positive epsilon ladder, stepped as one batched
@@ -989,21 +989,17 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
         raise ValueError(f"epsilon_family steps its members as one batch; "
                          f"workers must be 1, got {workers!r}")
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError("epsilon_family needs strictly positive epsilons")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon list must be strictly descending")
+    check_ladder(eps_list)
 
     members = _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
-    sup_phi = {m.eps: m.trajectory.sup_phi_over_run() for m in members if m.ok}
-    sup_phidot = {m.eps: m.trajectory.sup_phidot_over_run() for m in members if m.ok}
+    ok = [m for m in members if m.ok]
+    sup_phi = {m.eps: max(r.sup_phi for r in m.rows) for m in ok}
+    sup_phidot = {m.eps: max(r.sup_phidot for r in m.rows) for m in ok}
     failures = {m.eps: f"{type(m.error).__name__}: {m.error}" for m in members if not m.ok}
 
     diffs = []
-    ok_members = [m for m in members if m.ok]
-    for hi, lo in zip(ok_members, ok_members[1:]):
-        a = hi.trajectory.final_potential().mean_normalized()
-        b = lo.trajectory.final_potential().mean_normalized()
+    finals = [m.trajectory.final_potential().mean_normalized() for m in ok]
+    for hi, lo, a, b in zip(ok, ok[1:], finals, finals[1:]):
         delta = np.abs(a.values - b.values)
         full = float(delta.max())
         off = full

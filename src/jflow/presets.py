@@ -118,7 +118,7 @@ def make_divisor(fgrid, rho=0.5, beta=1.0):
     """
     f = degenerate_profile(fgrid)
     r1 = (f - (1.0 - rho)) / rho
-    r_h = SplitForm.from_profiles(fgrid, f=r1, g=None)
+    r_h = SplitForm.from_profiles(fgrid, r1)
     r_h = SplitForm(fgrid, 1.0, 0.0, r_h.p1, np.zeros(fgrid.shape))
     return DivisorModel(beta=beta, rho=rho, r_h=r_h)
 
@@ -151,10 +151,10 @@ def build_preset(name, n=None, offsets=None):
     one = SplitForm.constant(fgrid, 1.0, 1.0)
 
     if name == "smooth_split":
-        omega0 = SplitForm.from_profiles(fgrid, f=smooth_profile(fgrid))
+        omega0 = SplitForm.from_profiles(fgrid, smooth_profile(fgrid))
         return Problem(name, one, omega0, one)
 
-    omega0 = SplitForm.from_profiles(fgrid, f=degenerate_profile(fgrid))
+    omega0 = SplitForm.from_profiles(fgrid, degenerate_profile(fgrid))
     degenerate = Problem(name, one, omega0, one, make_divisor(fgrid))
     if name == "degenerate_split":
         return degenerate

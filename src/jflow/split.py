@@ -44,21 +44,15 @@ class SplitForm:
         return cls(grid, float(a1), float(a2), z, z)
 
     @classmethod
-    def from_profiles(cls, grid, f=None, g=None):
-        """Build the form with realised profiles f(z1), g(z2).
+    def from_profiles(cls, grid, f):
+        """Build the form with realised profiles f(z1) and 1.
 
-        The class entries are the profile means; the potentials come from
-        factor Poisson solves (exact for band-limited profiles).
+        The class entry a1 is f's mean; the potential p1 comes from a factor
+        Poisson solve (exact for band-limited profiles).
         """
-        a1, p1 = 1.0, np.zeros(grid.shape)
-        a2, p2 = 1.0, np.zeros(grid.shape)
-        if f is not None:
-            a1 = float(np.mean(f))
-            p1 = poisson_solve(ScalarField(grid, f - a1)).values
-        if g is not None:
-            a2 = float(np.mean(g))
-            p2 = poisson_solve(ScalarField(grid, g - a2)).values
-        return cls(grid, a1, a2, p1, p2)
+        a1 = float(np.mean(f))
+        p1 = poisson_solve(ScalarField(grid, f - a1)).values
+        return cls(grid, a1, 1.0, p1, np.zeros(grid.shape))
 
     backend = "split"
 
@@ -102,11 +96,6 @@ class SplitPotential:
     grid: Grid  # the factor lattice
     phi1: np.ndarray
     phi2: np.ndarray
-
-    def mean_normalized(self):
-        return SplitPotential(
-            self.grid, self.phi1 - np.mean(self.phi1), self.phi2 - np.mean(self.phi2)
-        )
 
     def assemble(self, grid4=None):
         """Materialise the 4-D ScalarField phi1 (+) phi2, by default on the

@@ -19,8 +19,10 @@ module.
 
 The pointwise form algebra is written once, here, on raw component tuples
 (h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
-``_lam_lo``, ``_trace`` and ``_critical_density``.  Every other module calls
-these helpers instead of spelling out a formula.
+``_lam_lo`` and ``_cowedge`` (the co-wedge block that turns D into one
+contraction).  Every other module calls these helpers instead of spelling
+out a formula; the tests' trace, critical density and integral are in
+``tests/oracles.py``.
 
 Conventions fixed here and used everywhere else:
 
@@ -72,10 +74,6 @@ class Grid:
     @property
     def shape(self):
         return (self.n,) * len(self.offsets)
-
-    @property
-    def spacing(self):
-        return 1.0 / self.n
 
     def product(self):
         """The 4-D lattice of a factor lattice: z1 and z2 each sampled on it."""
@@ -499,22 +497,10 @@ def _lam_lo(a):
     return m
 
 
-def _trace(a, b):
-    """tr_a b = a^{j kbar} b_{j kbar} = D(a, b) / det a, for positive a."""
-    t = _wedge(a, b)
-    t /= _det(a)
-    return t
-
-
 def _cowedge(b):
     """The (4,) + shape block b' = (b1, b0, -2 b2, -2 b3): D(a, b) is the one
     contraction np.einsum("k...,k...->...", a, b')."""
     return np.stack((b[1], b[0], -2.0 * b[2], -2.0 * b[3]))
-
-
-def _critical_density(chi, w, c):
-    """Density of 2 chi ^ w - c chi^2 (the critical residual, the J-gradient)."""
-    return 2.0 * _wedge(chi, w) - c * (2.0 * _det(chi))
 
 
 def wedge_density(alpha, beta):
@@ -524,15 +510,6 @@ def wedge_density(alpha, beta):
     D = a11*b22 + a22*b11 - 2 Re(a12 * conj(b12)); symmetric in (alpha, beta).
     """
     return ScalarField(alpha.grid, _wedge(alpha.components(), beta.components()))
-
-
-def integrate(density):
-    """Integral of a top form over the torus: 4 * mean of its wedge density.
-
-    (i dz ^ dzbar = 2 dx ^ dy per factor; the trapezoid rule on a periodic
-    grid is the spectrally exact mean.)
-    """
-    return 4.0 * density.mean()
 
 
 def _positivity_check(alpha, what):
@@ -548,17 +525,6 @@ def _positivity_check(alpha, what):
             point=point,
             margin=margin,
         )
-
-
-def trace_with(alpha, beta, check=True):
-    """tr_alpha beta = alpha^{j kbar} beta_{j kbar} for positive alpha.
-
-    In complex dimension 2 this equals D(alpha, beta) / det alpha, which is
-    how it is computed (no matrix inversion).
-    """
-    if check:
-        _positivity_check(alpha, "trace_with")
-    return ScalarField(alpha.grid, _trace(alpha.components(), beta.components()))
 
 
 def generalized_eigenvalues(alpha, beta):

@@ -9,7 +9,10 @@ density by finite differences; ``j_closed_split`` and ``i_functional_split``
 evaluate J and I on split data; ``split_critical`` is the closed-form
 critical point of the product ansatz; ``flow_rhs`` is the flow velocity
 through the public form API, with its positivity check; ``write_hermitian``
-writes a form snapshot for the reader's round trip.
+writes a form snapshot for the reader's round trip.  ``trace_with`` (and
+its raw ``_trace``), ``_critical_density`` and ``integrate`` are the
+pointwise trace, the J-gradient density and the integral of a top form,
+written on ``jflow.torus``'s form algebra.
 
 The tests import this module as ``oracles`` (pytest puts ``tests/`` on the
 import path).
@@ -21,13 +24,11 @@ from jflow.functionals import J_closed, _check_curvature_margin, _energies_split
 from jflow.io import _write_snapshot
 from jflow.torus import (
     ScalarField,
-    _critical_density,
     _det,
+    _positivity_check,
     _wedge,
     complex_hessian,
-    integrate,
     poisson_solve,
-    trace_with,
     wedge_density,
 )
 
@@ -196,3 +197,39 @@ def flow_rhs(phi, chi0, omega_eps, c_eps):
 
 def write_hermitian(path, form):
     _write_snapshot(path, form.grid, (form.h11, form.h22, form.h12_re, form.h12_im))
+
+
+# pointwise trace, critical density and integral, on the form algebra of
+# ``jflow.torus``
+
+
+def _trace(a, b):
+    """tr_a b = a^{j kbar} b_{j kbar} = D(a, b) / det a, for positive a."""
+    t = _wedge(a, b)
+    t /= _det(a)
+    return t
+
+
+def _critical_density(chi, w, c):
+    """Density of 2 chi ^ w - c chi^2 (the critical residual, the J-gradient)."""
+    return 2.0 * _wedge(chi, w) - c * (2.0 * _det(chi))
+
+
+def integrate(density):
+    """Integral of a top form over the torus: 4 * mean of its wedge density.
+
+    (i dz ^ dzbar = 2 dx ^ dy per factor; the trapezoid rule on a periodic
+    grid is the spectrally exact mean.)
+    """
+    return 4.0 * density.mean()
+
+
+def trace_with(alpha, beta, check=True):
+    """tr_alpha beta = alpha^{j kbar} beta_{j kbar} for positive alpha.
+
+    In complex dimension 2 this equals D(alpha, beta) / det alpha, which is
+    how it is computed (no matrix inversion).
+    """
+    if check:
+        _positivity_check(alpha, "trace_with")
+    return ScalarField(alpha.grid, _trace(alpha.components(), beta.components()))

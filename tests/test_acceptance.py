@@ -32,8 +32,8 @@ from jflow.presets import (
     smooth_profile,
 )
 from jflow.split import SplitPotential
-from jflow.torus import ScalarField, integrate
-from oracles import J_gradient_check, J_path, j_gradient_density, split_critical
+from jflow.torus import ScalarField
+from oracles import J_gradient_check, J_path, integrate, j_gradient_density, split_critical
 
 PI2 = np.pi ** 2
 

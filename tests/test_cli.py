@@ -8,8 +8,7 @@ from jflow.cli import (
     _SECTION_KEYS,
     _TOP_KEYS,
     RunRecord,
-    _flow_config,
-    _ma_config,
+    _section,
     build_problem,
     execute,
     main,
@@ -343,6 +342,37 @@ class TestExecute:
         assert payload["source"] == "fields/final.jflw"
         assert payload["J"] is not None
 
+    def test_check_classes_writes_the_certificate(self, tmp_path):
+        record, code = execute(parse_config(f"preset=degenerate_split, out={tmp_path}"),
+                               "check-classes")
+        assert code == 0 and record.verdicts["omega0_conditions"]
+        cert = json.loads((tmp_path / "report.json").read_text())["omega0_certificate"]
+        assert cert["ok"] and abs(cert["C0"] - 2.0) < 1e-9
+        assert (cert["beta"], cert["rho"], cert["failure"], cert["point"]) == (1.0, 0.5, "", [])
+
+    def test_functionals_fits_the_divisor_profile(self, tmp_path):
+        cfg = parse_config(
+            f"preset=degenerate_split, N=8, eps=[0.1], offsets=[0.01, 0.01], out={tmp_path},"
+            " flow.dt_safety=0.8, flow.stop_tolerance=1e-8"
+        )
+        execute(cfg, "run")
+        record, code = execute(cfg, "functionals")
+        assert code == 0
+        assert record.artifacts == ["fit_scatter.csv", "report.json"]
+        assert (tmp_path / "fit_scatter.csv").exists()
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["source"] == "fields/final.jflw"
+        assert payload["gamma_fit"] == 0.0  # a bounded trace: the fit's clamp at 0
+
+    def test_functionals_without_snapshot_is_the_zero_potential(self, tmp_path):
+        cfg = parse_config(f"preset=nonsplit_perturbed, N=8, eps=[0.1],"
+                           f" offsets=[0.01, 0.01, 0.01, 0.01], out={tmp_path}")
+        record, code = execute(cfg, "functionals")
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["source"] == "zero potential"
+        assert payload["J"] == payload["I"] == payload["M"] == 0.0
+
     def test_functionals_on_snapshot_from_another_grid(self, tmp_path):
         text = (f"preset=smooth_split, out={tmp_path}, flow.max_time=0.2,"
                 " flow.stop_tolerance=1e-6, flow.dt_safety=0.8")
@@ -445,6 +475,13 @@ class TestMain:
         ("run", "preset=identity, N=4, out=2024"),
         ("run", "n=4, chi0.class=[a,1,0,0]"),
         ("family", "preset=degenerate_split, N=8, eps=[0.2], budget.sup_phi=abc"),
+        # eps entries the library refuses: not finite, a bool, or a family
+        # ladder that is not strictly descending
+        ("check-classes", "preset=identity, eps=[nan]"),
+        ("check-classes", "preset=identity, eps=[true]"),
+        ("run", "preset=identity, N=4, eps=[nan]"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.1, 0.2]"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2, 0.2]"),
     ])
     def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, text):
@@ -513,5 +550,6 @@ class TestConfigFuzz:
         except ConfigError:
             return
         # whatever parses must build the library's config types
-        _flow_config(cfg, 0.1)
-        _ma_config(cfg)
+        _section(cfg, "flow", eps=0.1)
+        _section(cfg, "ma")
+        _section(cfg, "q")

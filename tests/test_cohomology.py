@@ -17,7 +17,8 @@ from jflow.cohomology import (
 from jflow.errors import PositivityError
 from jflow.presets import build_preset, make_divisor, random_bandlimited_potential
 from jflow.split import SplitForm, assemble_form
-from jflow.torus import Grid, ScalarField, _wedge, integrate, wedge_density
+from jflow.torus import Grid, ScalarField, _wedge, wedge_density
+from oracles import integrate
 
 ID = CohomologyClass.identity()
 
@@ -252,3 +253,28 @@ class TestVerifyOmega0:
         assert not cert.ok
         assert "second inequality" in cert.failure
         assert len(cert.point) == 4
+
+    def _bent_certificate(self, axis):
+        # omega0 = Id + dd^c(-0.2 cos 2 pi x), x the real axis ``axis``: that
+        # axis's diagonal entry is 1 + 0.2 pi^2 cos 2 pi x, negative for x in
+        # (0.34, 0.66), first at x = 0.375 on the zero-offset N=8 lattice
+        grid = Grid(8)
+        x = grid.coords()[axis]
+        bend = np.broadcast_to(-0.2 * np.cos(2 * np.pi * x), grid.shape).copy()
+        div = DivisorModel(1.0, 0.5, ClosedForm.from_class(CohomologyClass.diag(1.0, 0.0), grid))
+        return verify_omega0_conditions(ClosedForm(ID, ScalarField(grid, bend)), div,
+                                        ClosedForm.from_class(ID, grid))
+
+    def test_negative_on_the_locus_fails(self):
+        # a bend along x2 reaches every z1, the locus z1 = 0 included
+        cert = self._bent_certificate(2)
+        assert not cert.ok and cert.c0 == np.inf
+        assert cert.failure == "omega0 not nonnegative on the divisor locus"
+        assert cert.point == (0.0, 0.0, 0.375, 0.0)
+
+    def test_degenerate_off_the_locus_fails(self):
+        # a bend along x1 is positive at x1 = 0: omega0 fails off the locus only
+        cert = self._bent_certificate(0)
+        assert not cert.ok and cert.c0 == np.inf
+        assert cert.failure == "first inequality fails: omega0 degenerate off the locus"
+        assert cert.point == (0.375, 0.0, 0.0, 0.0)

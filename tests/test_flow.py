@@ -30,9 +30,8 @@ from jflow.torus import (
     SpectralOps,
     complex_hessian,
     positivity_margin,
-    trace_with,
 )
-from oracles import flow_rhs, split_critical
+from oracles import _trace, flow_rhs, split_critical, trace_with
 
 
 def smooth_cfg(**kw):
@@ -148,7 +147,7 @@ class TestFlowRhs:
         kernel._members(kernel.c, torus._cowedge(w))
         assert all(np.array_equal(a, b) for a, b in zip(kernel._w, w))
         chi = kernel.chi(phi0.values)
-        ref = kernel.c - torus._trace(chi, w)
+        ref = kernel.c - _trace(chi, w)
         assert np.abs(kernel._rhs(chi) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

@@ -20,6 +20,7 @@ from oracles import (
     J_gradient_check,
     J_path,
     i_functional_split,
+    integrate,
     j_closed_split,
     j_gradient_density,
     mabuchi_path,
@@ -33,7 +34,6 @@ from jflow.torus import (
     ScalarField,
     SpectralOps,
     complex_hessian,
-    integrate,
     positivity_margin,
     wedge_density,
 )

@@ -10,18 +10,15 @@ from jflow.torus import (
     HermitianFormField,
     ScalarField,
     SpectralOps,
-    _critical_density,
     _det,
     _lam_lo,
-    _trace,
     _wedge,
     complex_hessian,
     generalized_eigenvalues,
-    integrate,
     positivity_margin,
-    trace_with,
     wedge_density,
 )
+from oracles import _critical_density, _trace, integrate, trace_with
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +57,6 @@ class TestGrid:
         Grid(8, (0.01, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             Grid(8, (0.2, 0.0, 0.0, 0.0))
-
-    def test_spacing(self):
-        assert Grid(16).spacing == 1.0 / 16
 
     def test_factor_lattice_validated_alike(self):
         assert Grid(8, (0.01, 0.0)).shape == (8, 8)

@@ -6,9 +6,12 @@
 
 Runs a fixed set of small ``jflow`` command lines (``CONFIGS``: ``run`` on
 the split and 4-D backends, under RK4, at eps = 0 on the divisor, one that
-the maximum-principle monitor fails, and two that the start refuses (the
-cone condition, a non-positive phi0); ``family``; ``solve-ma`` on both
-backends; ``functionals`` on a run's final potential; ``check-classes``)
+the maximum-principle monitor fails, two that the start refuses (the cone
+condition, a non-positive phi0), and one with offsets and explicit
+``flow``, ``ma`` and ``q`` keys; ``family``; ``solve-ma`` on both
+backends; ``functionals`` on a split run's final potential and, with no
+prior run, on the zero potential of the 4-D ``nonsplit_perturbed`` (its
+divisor fit on the 4-D lattice); ``check-classes``)
 with the ``jflow`` package of ``<checkout>/src``, each in a fresh output
 directory, and prints JSON with every command's exit status and the sha256
 of every file it wrote.  From ``run.json`` the wall-clock stamps
@@ -51,6 +54,9 @@ CONFIGS = {
                                  "omega0.class=[1,1,1.2,0], omegahat.class=[1,1,0,0]")],
     "run_start_refused": [("run", "preset=identity, N=8, eps=[0.1], "
                                   "phi0.modes=[[0.2, 1, 0, 0, 0, 0]]")],
+    "run_sections": [("run", "preset=degenerate_split, N=8, eps=[0.1], offsets=[0.01, 0.01], "
+                             "flow.dt_safety=0.8, flow.stop_tolerance=1e-8, "
+                             "flow.snapshot_stride=25, ma.newton_tol=1e-9, q.a=4, q.delta=0.5")],
     "family": [("family", "preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05], "
                           "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                           "flow.stop_tolerance=1e-8")],
@@ -60,6 +66,8 @@ CONFIGS = {
                               "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                               "flow.stop_tolerance=1e-8")
                     for command in ("run", "functionals")],
+    "functionals_zero": [("functionals", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
+                                         "offsets=[0.01, 0.01, 0.01, 0.01]")],
     "check_classes": [("check-classes", "preset=degenerate_split, N=8, "
                                         "eps=[0.2, 0.1, 0]")],
 }
