@@ -35,7 +35,14 @@ from .diagnostics import (
     uniformity_report,
 )
 from .errors import ConfigError, JFlowError
-from .flow import FlowConfig, check_ladder, epsilon_family, evolve, max_principle_monitor
+from .flow import (
+    FlowConfig,
+    check_eps_zero,
+    check_ladder,
+    epsilon_family,
+    evolve,
+    max_principle_monitor,
+)
 from .functionals import evaluate_suite
 from .ma import MASolverConfig, solve_ma_continuation
 from .presets import (
@@ -43,8 +50,10 @@ from .presets import (
     PRESET_DEFAULTS,
     PRESET_NAMES,
     PRESET_QMONITOR,
+    SPLIT_PRESETS,
     Problem,
     build_preset,
+    cosine_modes,
     preset_grid,
     random_bandlimited_potential,
 )
@@ -219,6 +228,9 @@ def validate_config(cfg):
                             f"got {modes!r}")
     if not isinstance(cfg.phi0.get("random", False), bool):
         problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
+    if cfg.phi0.get("modes") and cfg.preset in SPLIT_PRESETS:
+        problems.append(f"phi0.modes: explicit modes need the full backend, and "
+                        f"{cfg.preset} runs on the split one")
     # the sections are checked by the library's own config types
     for name in _SECTIONS:
         try:
@@ -252,16 +264,12 @@ def _fill_defaults(cfg):
         if cfg.divisor:
             cfg.q.setdefault("a", PRESET_QMONITOR["A"])
             cfg.q.setdefault("delta", PRESET_QMONITOR["delta"])
-        # direct eps = 0 runs on Kahler presets: acknowledged by default
-        if cfg.eps == [0.0] and cfg.preset in ("identity", "smooth_split"):
-            cfg.flow.setdefault("allow_degenerate", True)
     else:
         cfg.n = cfg.n or 8
         if cfg.divisor is None:
             cfg.divisor = False
         if not cfg.eps:
             cfg.eps = [0.0]
-            cfg.flow.setdefault("allow_degenerate", True)
 
 
 def build_problem(cfg):
@@ -283,15 +291,10 @@ def build_problem(cfg):
 
 
 def _modes_field(grid, modes):
-    """Sum of cosine modes [amplitude, k_x1, k_y1, k_x2, k_y2, phase]."""
-    v = np.zeros(grid.shape)
-    x = grid.coords()
-    for mode in modes:
-        amp, k1, k2, k3, k4 = mode[:5]
-        phase = mode[5] if len(mode) > 5 else 0.0
-        arg = 2 * np.pi * (k1 * x[0] + k2 * x[1] + k3 * x[2] + k4 * x[3])
-        v = v + amp * np.cos(arg - 2 * np.pi * phase)
-    return ScalarField(grid, v)
+    """Sum of cosine modes [amplitude, k_x1, k_y1, k_x2, k_y2, phase], the
+    phase in cycles and subtracted."""
+    return ScalarField(grid, cosine_modes(grid, [
+        (m[0], m[1:5], -2 * np.pi * (m[5] if len(m) > 5 else 0.0)) for m in modes]))
 
 
 def _section(cfg, name, **fixed):
@@ -306,11 +309,7 @@ def _initial_potential(cfg, problem):
         rng = np.random.default_rng(cfg.seed)
         return random_bandlimited_potential(problem, rng)
     modes = cfg.phi0.get("modes")
-    if not modes:
-        return None
-    if problem.backend == "split":
-        raise ConfigError(["phi0.modes: explicit modes need the full backend"])
-    return _modes_field(problem.grid, modes)
+    return _modes_field(problem.grid, modes) if modes else None
 
 
 # --------------------------------------------------------------------------
@@ -460,8 +459,6 @@ def _cmd_run(cfg, record, out):
 def _cmd_family(cfg, record, out):
     problem = build_problem(cfg)
     eps_list = [e for e in cfg.eps if e > 0]
-    if not eps_list:
-        raise ConfigError(["family: needs positive eps entries"])
     report = epsilon_family(
         _section(cfg, "flow", eps=eps_list[0]), eps_list,
         problem.chi0, problem.omega0, problem.omega_hat,
@@ -600,8 +597,10 @@ _IMPLS = {
 def validate_command(cfg, command):
     """Problems of a parsed config that show only with the preset defaults
     filled in (the offsets against the preset's lattice and N) or with the
-    command (one eps for ``run``, the ladder rule for ``family``'s positive
-    entries)."""
+    command (one eps for ``run``, and no eps = 0 on a lattice that samples
+    the preset's divisor, whether or not ``divisor`` keeps its monitors; the
+    ladder rule for ``family``'s positive entries, of which there must be
+    one)."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
     problems = []
@@ -609,14 +608,19 @@ def validate_command(cfg, command):
         problems.append(f"eps: run integrates one eps, got {cfg.eps}; "
                         "use the family command for several")
     if command == "family":
-        try:
-            check_ladder([e for e in cfg.eps if e > 0])
+        try:  # with no positive entry, the whole list breaks the rule
+            check_ladder([e for e in cfg.eps if e > 0] or cfg.eps)
         except ValueError as err:
             problems.append(f"eps: {err}")
     try:
-        preset_grid(cfg.preset, cfg.n, cfg.offsets)
+        grid = preset_grid(cfg.preset, cfg.n, cfg.offsets)
     except ValueError as err:
-        problems.append(f"offsets: {err}")
+        return problems + [f"offsets: {err}"]
+    if command == "run" and cfg.preset and cfg.eps == [0.0]:
+        try:
+            check_eps_zero(0.0, grid, build_preset(cfg.preset, cfg.n, grid.offsets).divisor)
+        except ValueError as err:
+            problems.append(f"eps: {err}")
     return problems
 
 

@@ -28,20 +28,22 @@ the flow (``FlowConfig.integrator``):
 
 One loop, ``_advance``, takes every step of either integrator on the
 kernel's raw arrays and holds the one refusal policy.  An attempt whose
-endpoint is not finite or loses positivity (at eps = 0 only off the divisor
-locus, where omega_0 degenerates) is retried at half the step; under RKC's
-error control an attempt that fails the error test is retried at the step
-the controller proposes.  A step may be refused _MAX_REJECTIONS = 20 times,
-for either cause; the next refusal raises DegenerateStiffnessError.
-``step`` wraps one such step as a FlowState and is how fixed-step runs
-advance; ``_evolve_members`` calls ``_advance`` in a loop under its
-step-size rule on the raw arrays and wraps the potential only where it
-records a snapshot.  ``evolve`` is its one-member case; ``epsilon_family``
-steps all members of an eps ladder as one state with a leading member axis,
-so they share every dt and every right-hand-side call.  ``make_state`` and
-``_evolve_members`` share one set-up, ``_start``, and one run record,
-``FamilyMember``.  The tests' reference velocity ``flow_rhs`` is in
-``tests/oracles.py``.
+endpoint is not finite or loses positivity at some lattice point is retried
+at half the step; under RKC's error control an attempt that fails the error
+test is retried at the step the controller proposes.  A step may be refused
+_MAX_REJECTIONS = 20 times, for either cause; the next refusal raises
+DegenerateStiffnessError.  ``step`` wraps one such step as a FlowState and
+is how fixed-step runs advance; ``_evolve_members`` calls ``_advance`` in a
+loop under its step-size rule on the raw arrays and wraps the potential only
+where it records a snapshot.  ``evolve`` is its one-member case;
+``epsilon_family`` steps all members of an eps ladder as one state with a
+leading member axis, so they share every dt and every right-hand-side call.
+``make_state`` and ``_evolve_members`` share one set-up, ``_start``, and one
+run record, ``FamilyMember``.  The tests' reference velocity ``flow_rhs`` is
+in ``tests/oracles.py``.
+
+eps = 0, the degenerate flow itself, runs on any lattice off the divisor
+{z1 = 0}; ``check_eps_zero`` refuses a lattice that samples it.
 
 Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
@@ -53,10 +55,7 @@ quantity reduces to factor means.  Both take their transforms from
 A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 ``_sup``, ``_advance``) is written once against this contract:
 
-* it is built as ``(chi0, omegas, cs, cfg, off)`` by ``_make_kernel``;
-  ``off``, when not None, is the boolean mask of the points of the
-  kernel's lattice off the divisor locus, and the positivity margin is
-  taken over those points only;
+* it is built as ``(chi0, omegas, cs, cfg)`` by ``_make_kernel``;
 * ``shape``: the shape of the raw state, a plain float array that numpy
   adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
   potentials), behind a leading member axis in a batch; velocities have
@@ -140,15 +139,14 @@ _OFF_DIVISOR_S2 = 0.1
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Run parameters; eps = 0 must be acknowledged explicitly because the
-    equation is then only degenerate-parabolic."""
+    """Run parameters.  eps = 0 runs the degenerate equation, which
+    ``_start`` refuses on a lattice that samples the divisor."""
 
     eps: float = 0.0
     dt_safety: float = 0.2
     stop_tolerance: float = 1e-9
     max_time: float = 5.0
     snapshot_stride: int = 50
-    allow_degenerate: bool = False
     integrator: str = "rkc"  # or "rk4"
 
     def __post_init__(self):
@@ -243,7 +241,7 @@ def _stack(items):
 class _FullKernel:
     backend = "full"
 
-    def __init__(self, chi0, omegas, cs, cfg, off=None):
+    def __init__(self, chi0, omegas, cs, cfg):
         grid = chi0.grid
         self.grid = grid
         self.cfg = cfg
@@ -252,7 +250,6 @@ class _FullKernel:
         self._bg = np.stack(chi0.realized.components())
         self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
-        self._off = off
         comps = [w.realized.components() for w in omegas]
         self._members(_stack([float(c) for c in cs]),
                       _cowedge(tuple(_stack(x) for x in zip(*comps))))
@@ -305,10 +302,7 @@ class _FullKernel:
         self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
-        lam_lo = _lam_lo(chi)
-        if self._off is not None:
-            lam_lo = np.where(self._off, lam_lo, np.inf)
-        return (rhs, chi, lam_lo.min(axis=self.member_axes),
+        return (rhs, chi, _lam_lo(chi).min(axis=self.member_axes),
                 np.isfinite(rhs).all(axis=self.member_axes))
 
     def extrema(self, x):
@@ -363,7 +357,7 @@ class _SplitKernel:
 
     backend = "split"
 
-    def __init__(self, chi0, omegas, cs, cfg, off=None):
+    def __init__(self, chi0, omegas, cs, cfg):
         fgrid = chi0.grid
         self.grid = fgrid
         self.cfg = cfg
@@ -372,8 +366,6 @@ class _SplitKernel:
         self.member_axes = (-3, -2, -1)
         self._ops = SpectralOps.of(fgrid)
         self._kmax2 = (np.pi * fgrid.n) ** 2
-        # the divisor lies in the first factor: exempt it from A only
-        self._off = None if off is None else np.stack((off, np.ones_like(off)))
         ws = [np.stack(w.profiles()) for w in omegas]
         # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
         factor_cs = [np.array([float(np.mean(w[0])) / chi0.a1,
@@ -417,8 +409,7 @@ class _SplitKernel:
         self.rhs_evals += 1
         chi = self.chi(v)
         rhs = self._rhs(chi)
-        pos = chi if self._off is None else np.where(self._off, chi, np.inf)
-        return (rhs, chi, pos.min(axis=self.member_axes),
+        return (rhs, chi, chi.min(axis=self.member_axes),
                 np.isfinite(rhs).all(axis=self.member_axes))
 
     def extrema(self, x):
@@ -453,15 +444,12 @@ class _SplitKernel:
         return j, i, -8.0 * m
 
 
-def _make_kernel(chi0, omegas, cs, cfg, divisor=None):
+def _make_kernel(chi0, omegas, cs, cfg):
     """The backend kernel of one run (``omegas`` and ``cs`` of length 1), or
     of a batch of members that differ only in omega_eps and c_eps, stacked
-    on a leading member axis.  ``divisor``, when given, is exempt from the
-    positivity margin: the kernel gets its off-locus mask as ``off``, None
-    when no lattice point lies on it."""
-    off = None if divisor is None else ~divisor.locus_mask(chi0.grid)
+    on a leading member axis."""
     kernel = _SplitKernel if isinstance(chi0, SplitForm) else _FullKernel
-    return kernel(chi0, omegas, cs, cfg, None if off is None or off.all() else off)
+    return kernel(chi0, omegas, cs, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -515,20 +503,29 @@ class FamilyMember:
                 self.snap_mult *= 2
 
 
+def check_eps_zero(eps, grid, divisor):
+    """Raise ValueError if eps = 0 would run on a ``grid`` with points on
+    ``divisor``, where omega_0 = 0 and so phi_dot = c_0 forever; the message
+    names their count and the first."""
+    on = np.argwhere(divisor.locus_mask(grid)) if eps == 0.0 and divisor is not None else ()
+    if len(on):
+        raise ValueError(f"eps = 0 on a lattice with {len(on)} point(s) on the divisor, "
+                         f"the first at {grid.point(on[0])}: omega_0 vanishes there; "
+                         "set offsets that move the lattice off the divisor")
+
+
 def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     """Set up a run of ``members`` (FamilyMember records, the rest of ``cfg``
     shared): each one's omega_eps and c_eps under the run preconditions (eps
-    = 0 acknowledged, the cone condition), one kernel for those that pass,
-    exempting ``divisor`` only when all run at eps = 0 (omega_eps > 0 on it
-    for eps > 0), and the metrics of the raw start.  A member refused there
-    or by a non-positive start keeps the error.  Returns (live, kernel, raw,
-    rhs, chi, margin), or None when no member passes the preconditions."""
+    = 0 only on a lattice off ``divisor``, the cone condition), one kernel
+    for those that pass, and the metrics of the raw start, whose positivity
+    margin covers every lattice point.  A member refused there or by a
+    non-positive start keeps the error.  Returns (live, kernel, raw, rhs,
+    chi, margin), or None when no member passes the preconditions."""
     live, omegas = [], []
     for mem in members:
         try:  # recorded, not raised: a family report stays partial
-            if mem.eps == 0.0 and not cfg.allow_degenerate:
-                raise ValueError("eps = 0 runs the degenerate equation; set "
-                                 "allow_degenerate=True to acknowledge")
+            check_eps_zero(mem.eps, chi0.grid, divisor)
             omega_eps = epsilon_form(omega0, mem.eps, omega_hat)
             margin = cone_condition(chi0.cls, omega_eps.cls)
             if margin <= 0.0:
@@ -542,8 +539,7 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
         omegas.append(omega_eps)
     if not live:
         return None
-    exempt = divisor if all(m.eps == 0.0 for m in live) else None
-    kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg, exempt)
+    kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
     with np.errstate(all="ignore"):  # a non-positive start is refused below
         rhs, chi, margin, finite = kernel.metrics(raw)

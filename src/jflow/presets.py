@@ -163,11 +163,21 @@ def build_preset(name, n=None, offsets=None):
     # vanish, assembled on the 4-D grid, with chi0 perturbed by an
     # off-diagonal potential mode.
     full = degenerate.to_full(grid)
-    x1, _, x2, _ = grid.coords()
-    mode = 0.05 * np.cos(2 * np.pi * (x1 + x2))
-    pot = ScalarField(grid, np.broadcast_to(mode, grid.shape).copy())
+    pot = ScalarField(grid, cosine_modes(grid, [(0.05, (1, 0, 1, 0), 0.0)]))
     chi0 = ClosedForm(CohomologyClass.identity(), pot)
     return Problem(name, chi0, full.omega0, full.omega_hat, full.divisor)
+
+
+def cosine_modes(grid, modes):
+    """The sum of amp * cos(2 pi k . x + phase) over ``modes``, (amp, k,
+    phase) triples with one wavenumber in k per axis of ``grid`` and the
+    phase in radians: an array of the grid's shape."""
+    x = grid.coords()
+    v = np.zeros(grid.shape)
+    for amp, k, phase in modes:
+        arg = 2 * np.pi * sum(ki * xi for ki, xi in zip(k, x))
+        v = v + amp * np.cos(arg + phase)
+    return v
 
 
 def random_bandlimited_potential(problem, rng):
@@ -177,35 +187,23 @@ def random_bandlimited_potential(problem, rng):
     margin of chi0 + dd^c(phi) stays above half of chi0's own margin.
     Deterministic given the rng state.
     """
-    if problem.backend == "split":
-        fgrid = problem.grid
-        parts = []
-        for _ in range(2):
-            x, y = fgrid.coords()
-            v = np.zeros(fgrid.shape)
-            for _ in range(_RANDOM_MODES):
-                kx, ky = rng.integers(-_RANDOM_KMAX, _RANDOM_KMAX + 1, size=2)
-                if kx == 0 and ky == 0:
-                    continue
-                phase = rng.uniform(0, 2 * np.pi)
-                v = v + rng.normal() * np.cos(2 * np.pi * (kx * x + ky * y) + phase)
-            parts.append(v)
-        phi = SplitPotential(fgrid, parts[0], parts[1])
-        scale = _positive_scale(problem.to_full(), phi.assemble())
-        return SplitPotential(fgrid, scale * parts[0], scale * parts[1])
-
     grid = problem.grid
-    x = grid.coords()
-    v = np.zeros(grid.shape)
-    for _ in range(2 * _RANDOM_MODES):
-        k = rng.integers(-_RANDOM_KMAX, _RANDOM_KMAX + 1, size=4)
-        if not np.any(k):
-            continue
-        phase = rng.uniform(0, 2 * np.pi)
-        arg = sum(2 * np.pi * ki * xi for ki, xi in zip(k, x))
-        v = v + rng.normal() * np.cos(arg + phase)
-    phi = ScalarField(grid, v)
-    scale = _positive_scale(problem, phi)
+
+    def draw(count):  # per mode: k, then its phase and amplitude (none for k = 0)
+        modes = []
+        for _ in range(count):
+            k = rng.integers(-_RANDOM_KMAX, _RANDOM_KMAX + 1, size=len(grid.shape))
+            if np.any(k):
+                phase = rng.uniform(0, 2 * np.pi)
+                modes.append((rng.normal(), k, phase))
+        return cosine_modes(grid, modes)
+
+    if problem.backend == "split":
+        parts = [draw(_RANDOM_MODES) for _ in range(2)]
+        scale = _positive_scale(problem.to_full(), SplitPotential(grid, *parts).assemble())
+        return SplitPotential(grid, scale * parts[0], scale * parts[1])
+    v = draw(2 * _RANDOM_MODES)
+    scale = _positive_scale(problem, ScalarField(grid, v))
     return ScalarField(grid, scale * v)
 
 

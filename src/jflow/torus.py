@@ -94,7 +94,7 @@ class Grid:
     def point(self, index):
         """Coordinates of the lattice point at a flat or tuple index."""
         idx = np.unravel_index(index, self.shape) if np.isscalar(index) else tuple(index)
-        return tuple(self.axis(i)[int(j)] for i, j in enumerate(idx))
+        return tuple(float(self.axis(i)[int(j)]) for i, j in enumerate(idx))
 
     # Frequency grids for the spectral operators.  Integer frequencies in
     # cycles per unit length; in the even symbols (the Laplacian, s11, s22)

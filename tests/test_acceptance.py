@@ -59,7 +59,7 @@ def smooth_run():
     # second order reads 7.6 and 4.2e-6 here)
     pb = build_preset("smooth_split", n=32)
     cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0,
-                     snapshot_stride=25, allow_degenerate=True, integrator="rk4")
+                     snapshot_stride=25, integrator="rk4")
     t0 = time.perf_counter()
     traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
     return pb, traj, time.perf_counter() - t0
@@ -108,7 +108,7 @@ def nonsplit_run():
 def random_init_runs():
     pb = build_preset("smooth_split", n=16)
     cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0,
-                     snapshot_stride=100, allow_degenerate=True)
+                     snapshot_stride=100)
     rng = np.random.default_rng(2024)
     runs = []
     for _ in range(5):
@@ -135,7 +135,7 @@ def test_criterion_1_stationarity():
     pb = build_preset("identity", n=8)
     t0 = time.perf_counter()
     traj = evolve(
-        FlowConfig(eps=0.0, allow_degenerate=True, stop_tolerance=1e-13,
+        FlowConfig(eps=0.0, stop_tolerance=1e-13,
                    max_time=0.01, snapshot_stride=1),
         pb.chi0, pb.omega0, pb.omega_hat,
     )

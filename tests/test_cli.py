@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,11 +15,12 @@ from jflow.cli import (
     main,
     parse_config,
     read_record,
+    validate_command,
     write_record,
 )
 from jflow.errors import ConfigError
 from jflow.io import read_field
-from jflow.presets import PRESET_NAMES
+from jflow.presets import PRESET_NAMES, cosine_modes
 
 KNOWN_KEYS = sorted(_TOP_KEYS) + sorted(
     f"{section}.{key}" for section, keys in _SECTION_KEYS.items() for key in keys
@@ -45,7 +47,6 @@ class TestParseConfig:
         assert cfg.n == 32
         assert build_problem(cfg).backend == "split"  # the preset's backend
         assert cfg.eps == [0.0]
-        assert cfg.flow.get("allow_degenerate") is True
 
     def test_degenerate_defaults(self):
         cfg = parse_config("preset=degenerate_split")
@@ -105,8 +106,9 @@ class TestParseConfig:
                 parse_config(f"preset=identity, {key}=0.5")
 
     def test_retired_run_knobs_are_not_keys(self):
-        # fixed-step runs go through flow.step; q_monitor works C0 out at t = 0
-        for key in ("flow.fixed_dt", "q.c0_shift"):
+        # fixed-step runs go through flow.step; q_monitor works C0 out at t = 0;
+        # eps = 0 needs a lattice off the divisor, not an acknowledgement
+        for key in ("flow.fixed_dt", "q.c0_shift", "flow.allow_degenerate"):
             section = key.partition(".")[0]
             with pytest.raises(ConfigError,
                                match=f"unknown key '{key}' in section '{section}'"):
@@ -426,6 +428,44 @@ class TestExecute:
         stored = read_record(tmp_path / "run.json")
         assert stored.verdicts == record.verdicts
 
+    def test_eps_zero_off_the_divisor_passes(self, tmp_path):
+        # the degenerate flow itself, on a lattice off the divisor: every
+        # verdict passes, the q-monitor's too
+        cfg = parse_config(f"preset=degenerate_split, eps=[0], offsets=[0.01, 0.01],"
+                           f" out={tmp_path}")
+        record, code = execute(cfg, "run")
+        assert code == 0 and not record.failures
+        assert set(record.verdicts) == {"completed", "max_principle", "trace_bound",
+                                        "j_nonincreasing", "q_monitor"}
+        assert record.scalars["final_residual"] < 1e-9
+
+    def test_divisor_false_drops_the_divisor_monitors(self, tmp_path):
+        text = (f"preset=degenerate_split, N=8, divisor=false, offsets=[0.01, 0.01],"
+                f" out={tmp_path}, flow.max_time=0.05")
+        cfg = parse_config(text + ", eps=[0.1]")
+        assert build_problem(cfg).divisor is None and cfg.q == {}
+        record, code = execute(cfg, "run")
+        assert code == 0 and "q_monitor" not in record.verdicts
+        # the lattice still samples the preset's divisor at zero offsets
+        cfg = parse_config(text.replace("offsets=[0.01, 0.01], ", "") + ", eps=[0]")
+        problems = validate_command(cfg, "run")
+        assert len(problems) == 1
+        assert problems[0].startswith("eps: eps = 0 on a lattice with 1 point(s)")
+
+    def test_phi0_modes_on_the_full_backend(self, tmp_path):
+        # the start is the synthesized field: a phase of 1/4 cycle turns the
+        # cosine into a sine
+        cfg = parse_config(f"preset=nonsplit_perturbed, N=8, eps=[0.1], out={tmp_path},"
+                           " offsets=[0.01, 0.01, 0.01, 0.01], flow.max_time=1e-3,"
+                           " phi0.modes=[[0.002, 1, 0, 0, 0, 0.25]]")
+        record, code = execute(cfg, "run")
+        assert record.verdicts["completed"]
+        grid = build_problem(cfg).grid
+        field = cosine_modes(grid, [(0.002, (1, 0, 0, 0), -2 * np.pi * 0.25)])
+        assert np.abs(field - 0.002 * np.sin(2 * np.pi * grid.coords()[0])).max() < 1e-17
+        first = (tmp_path / "series.csv").read_text().splitlines()[1].split(",")
+        assert float(first[1]) == np.abs(field).max()
+
     def test_nonsplit_snapshot_keeps_four_offsets(self, tmp_path):
         cfg = parse_config(
             f"preset=nonsplit_perturbed, N=8, out={tmp_path}, eps=[0.1],"
@@ -482,6 +522,12 @@ class TestMain:
         ("run", "preset=identity, N=4, eps=[nan]"),
         ("family", "preset=degenerate_split, N=8, eps=[0.1, 0.2]"),
         ("family", "preset=degenerate_split, N=8, eps=[0.2, 0.2]"),
+        # a family with no positive eps; explicit modes on a split preset;
+        # eps = 0 on a lattice that samples the divisor (zero offsets)
+        ("family", "preset=degenerate_split, N=8, eps=[0]"),
+        ("run", "preset=smooth_split, N=8, phi0.modes=[[0.01, 1, 0, 0, 0]]"),
+        ("run", "preset=degenerate_split, eps=[0]"),
+        ("run", "preset=nonsplit_perturbed, eps=[0]"),
     ])
     def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, text):

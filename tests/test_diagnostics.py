@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from jflow.diagnostics import (
 from jflow.errors import ConfigError, FitError
 from jflow.flow import FlowConfig, epsilon_family, evolve
 from jflow.presets import PRESET_QMONITOR, build_preset
+from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField
 
 
@@ -49,6 +52,21 @@ class TestUniformity:
         rep = uniformity_report(fam, budget_phi=1e-6, budget_phidot=1.05)
         assert not rep.ok
         assert any("sup|phi|" in f for f in rep.failures)
+
+    def test_divergent_trend_reported(self, family12):
+        # the smaller eps's limit scaled by 2: the limits' sups grow by more
+        # than the trend ratio as eps decreases
+        _, fam = family12
+        hi, lo = fam.members
+        phi = lo.trajectory.final
+        doubled = SplitPotential(phi.grid, 2.0 * phi.phi1, 2.0 * phi.phi2)
+        lo = replace(lo, trajectory=replace(lo.trajectory, final=doubled))
+        rep = uniformity_report(replace(fam, members=[hi, lo]))
+        s_hi, s_lo = (m.trajectory.final_potential().mean_normalized().sup()
+                      for m in (hi, lo))
+        assert not rep.ok
+        assert rep.failures == [f"divergent trend between eps=0.2 and eps=0.1: "
+                                f"sup ratio {s_lo / s_hi:.4f} > 1.1"]
 
     def test_budgets_hold_to_smallest_epsilon(self):
         # the uniform bounds stay inside the same budgets down to eps=0.025
@@ -129,7 +147,7 @@ class TestQMonitor:
     def test_smooth_run_with_unit_surrogate(self):
         pb = build_preset("smooth_split", n=8)
         cfg_f = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-7,
-                           max_time=2.0, snapshot_stride=50, allow_degenerate=True)
+                           max_time=2.0, snapshot_stride=50)
         traj = evolve(cfg_f, pb.chi0, pb.omega0, pb.omega_hat)
         series, verdict = q_monitor(traj, None, QMonitorConfig())
         assert verdict.ok

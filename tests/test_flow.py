@@ -36,7 +36,7 @@ from oracles import _trace, flow_rhs, split_critical, trace_with
 
 def smooth_cfg(**kw):
     base = dict(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8, max_time=3.0,
-                snapshot_stride=25, allow_degenerate=True)
+                snapshot_stride=25)
     base.update(kw)
     return FlowConfig(**base)
 
@@ -229,7 +229,7 @@ class TestAdaptiveDt:
     def test_identity_formula(self):
         pb = build_preset("identity", n=16)
         state = make_state(
-            FlowConfig(eps=0.0, allow_degenerate=True), pb.chi0, pb.omega0, pb.omega_hat
+            FlowConfig(eps=0.0), pb.chi0, pb.omega0, pb.omega_hat
         )
         expected = 0.2 / (16 * np.pi) ** 2
         assert np.isclose(state.kernel.adaptive_dt(state.chi), expected, rtol=1e-12)
@@ -239,7 +239,7 @@ class TestAdaptiveDt:
         for n in (16, 8):
             pb = build_preset("identity", n=n)
             state = make_state(
-                FlowConfig(eps=0.0, allow_degenerate=True),
+                FlowConfig(eps=0.0),
                 pb.chi0, pb.omega0, pb.omega_hat,
             )
             dts.append(state.kernel.adaptive_dt(state.chi))
@@ -249,7 +249,7 @@ class TestAdaptiveDt:
         grid = Grid(8)
         ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
         doubled = ClosedForm.from_class(CohomologyClass.diag(2.0, 2.0), grid)
-        cfg = FlowConfig(eps=0.0, allow_degenerate=True)
+        cfg = FlowConfig(eps=0.0)
         s1 = make_state(cfg, ident, ident, ident)
         # chi = Id, omega = 2 Id: h = 2 Id, lambda_max doubles
         s2 = make_state(cfg, ident, doubled, ident)
@@ -263,7 +263,7 @@ class TestAdaptiveDt:
             grid = Grid(4)
             chi0 = ClosedForm.from_class(CohomologyClass.diag(1.5, 1.5), grid)
             omega = ClosedForm.from_class(CohomologyClass.diag(0.7, 0.7), grid)
-            state = make_state(FlowConfig(eps=0.0, allow_degenerate=True), chi0, omega, omega)
+            state = make_state(FlowConfig(eps=0.0), chi0, omega, omega)
         else:
             pb = build_preset("nonsplit_perturbed", n=8)
             phi0 = random_bandlimited_potential(pb, np.random.default_rng(seed))
@@ -334,7 +334,7 @@ class TestStiffnessBound:
 
     @staticmethod
     def constant_state(chi0, omega):
-        return make_state(FlowConfig(eps=0.0, allow_degenerate=True), chi0, omega, omega)
+        return make_state(FlowConfig(eps=0.0), chi0, omega, omega)
 
     def test_constant_split_coefficients_meet_the_bound(self):
         # g = omega / chi^2 is constant per factor, so the radius is the
@@ -380,7 +380,7 @@ class TestStep:
     def test_zero_rhs_keeps_phi(self):
         pb = build_preset("identity", n=8)
         state = make_state(
-            FlowConfig(eps=0.0, allow_degenerate=True), pb.chi0, pb.omega0, pb.omega_hat
+            FlowConfig(eps=0.0), pb.chi0, pb.omega0, pb.omega_hat
         )
         out = step(state, 1e-3)
         assert out.t == 1e-3
@@ -394,7 +394,7 @@ class TestStep:
         phi0 = ScalarField(
             pb.grid, np.broadcast_to(eta * np.cos(2 * np.pi * x1), pb.grid.shape).copy()
         )
-        cfg = FlowConfig(eps=0.0, allow_degenerate=True)
+        cfg = FlowConfig(eps=0.0)
         state = make_state(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0)
         dt = state.kernel.adaptive_dt(state.chi)
         n_steps = 200
@@ -441,7 +441,7 @@ class TestEvolve:
     def test_stationary_immediate_stop(self):
         pb = build_preset("identity", n=8)
         traj = evolve(
-            FlowConfig(eps=0.0, allow_degenerate=True, stop_tolerance=1e-12),
+            FlowConfig(eps=0.0, stop_tolerance=1e-12),
             pb.chi0, pb.omega0, pb.omega_hat,
         )
         assert traj.stop_reason == "converged"
@@ -475,47 +475,66 @@ class TestEvolve:
         w = ClosedForm.from_class(CohomologyClass.diag(1.0, 0.0), grid)
         with pytest.raises(ConeConditionError) as err:
             evolve(
-                FlowConfig(eps=0.0, allow_degenerate=True), ident, w, ident
+                FlowConfig(eps=0.0), ident, w, ident
             )
         assert err.value.margin <= 0.0
 
-    def test_eps_zero_needs_acknowledgement(self, smooth8):
-        pb = smooth8
-        with pytest.raises(ValueError, match="allow_degenerate"):
-            evolve(FlowConfig(eps=0.0), pb.chi0, pb.omega0, pb.omega_hat)
+    @staticmethod
+    def _on_divisor_message(count, dim):
+        return (f"eps = 0 on a lattice with {count} point(s) on the divisor, the first "
+                f"at {(0.0,) * dim}: omega_0 vanishes there; set offsets that move "
+                f"the lattice off the divisor")
+
+    @pytest.mark.parametrize("name", ["degenerate_split", "nonsplit_perturbed"])
+    def test_eps_zero_refused_on_the_divisor(self, name):
+        # omega_0 = 0 at the lattice points on {z1 = 0}, where phi_dot = c_0
+        # forever: the factor lattice has 1 such point, the 4-D lattice 8^2
+        pb = build_preset(name, n=8)
+        dim = len(pb.grid.shape)
+        with pytest.raises(ValueError) as err:
+            evolve(FlowConfig(eps=0.0), pb.chi0, pb.omega0, pb.omega_hat,
+                   divisor=pb.divisor)
+        assert str(err.value) == self._on_divisor_message(1 if dim == 2 else 64, dim)
+        # offsets move the lattice off the divisor, and eps = 0 runs there
+        pb = build_preset(name, n=8, offsets=(0.01,) * dim)
+        traj = evolve(FlowConfig(eps=0.0, max_time=0.01), pb.chi0, pb.omega0,
+                      pb.omega_hat, divisor=pb.divisor)
+        assert traj.stop_reason == "max_time" and traj.steps > 0
+        assert all(r.margin > 0.0 for r in traj.rows)
 
     @staticmethod
     def _refused_start(case):
-        """(cfg, (chi0, omega0, omega_hat), phi0, error type, message) of a
-        run that its start refuses."""
+        """(cfg, (chi0, omega0, omega_hat), keyword arguments, error type,
+        message) of a run that its start refuses."""
         grid = Grid(8)
         ident = ClosedForm.from_class(CohomologyClass.identity(), grid)
-        if case == "eps0_unacknowledged":
-            return (FlowConfig(eps=0.0), (ident, ident, ident), None, ValueError,
-                    "eps = 0 runs the degenerate equation; set allow_degenerate=True "
-                    "to acknowledge")
+        if case == "eps0_on_divisor":
+            pb = build_preset("degenerate_split", n=8)
+            return (FlowConfig(eps=0.0), (pb.chi0, pb.omega0, pb.omega_hat),
+                    {"divisor": pb.divisor}, ValueError,
+                    TestEvolve._on_divisor_message(1, 2))
         if case == "cone":
             # as in test_partial_report_on_member_failure: margin 1.01 - 1.2
             w = ClosedForm.from_class(CohomologyClass(1.0, 1.0, 1.2), grid)
             margin = cone_condition(ident.cls, epsilon_form(w, 0.01, ident).cls)
-            return (FlowConfig(eps=0.01), (ident, w, ident), None, ConeConditionError,
+            return (FlowConfig(eps=0.01), (ident, w, ident), {}, ConeConditionError,
                     f"cone condition fails for eps=0.01: margin {margin:.6e} <= 0")
         # chi0 + dd^c phi0 has h11 = 1 - 0.2 pi^2 cos(2 pi x1), negative at x1 = 0
         phi0 = ScalarField(grid, 0.2 * np.cos(2 * np.pi * grid.coords()[0])
                            * np.ones(grid.shape))
         margin = positivity_margin(ident.plus_ddc(phi0))
         assert margin < 0.0
-        return (FlowConfig(eps=0.1), (ident, ident, ident), phi0, PositivityError,
+        return (FlowConfig(eps=0.1), (ident, ident, ident), {"phi0": phi0}, PositivityError,
                 f"initial potential leaves chi0 + dd^c(phi) non-positive "
                 f"(margin {margin:.3e})")
 
-    @pytest.mark.parametrize("case", ["eps0_unacknowledged", "cone", "nonpositive_start"])
+    @pytest.mark.parametrize("case", ["eps0_on_divisor", "cone", "nonpositive_start"])
     @pytest.mark.parametrize("entry", [make_state, evolve])
     def test_start_refusals_agree(self, entry, case):
         # make_state and evolve share one start: same error type and message
-        cfg, forms, phi0, exc, message = self._refused_start(case)
+        cfg, forms, kwargs, exc, message = self._refused_start(case)
         with pytest.raises(exc) as err:
-            entry(cfg, *forms, phi0=phi0)
+            entry(cfg, *forms, **kwargs)
         assert type(err.value) is exc
         assert str(err.value) == message
 
@@ -528,23 +547,24 @@ class TestEvolve:
         assert 10.0 < e1 / e2 < 24.0  # nominal 16
 
     def test_degenerate_eps_zero_run(self):
-        # the RHS stays finite at the divisor (the degenerate direction of
-        # omega0 contributes 0), so direct eps = 0 runs are permitted; the
-        # primary route to the degenerate solution remains the eps-family
-        # (at the on-grid locus point the velocity is c1 forever, so such a
-        # run cannot converge in sup norm and is monitored off-locus only)
-        pb = build_preset("degenerate_split", n=12)
-        cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-7,
-                         max_time=0.5, snapshot_stride=50, allow_degenerate=True)
+        # the paper's main theorem at eps = 0: off the divisor the degenerate
+        # flow converges, J nonincreasing, to phi*_0 = (cos 2 pi x + cos 2 pi y)
+        # / (2 pi^2) up to a constant (282 steps, within 1.06e-9)
+        pb = build_preset("degenerate_split", n=12, offsets=(0.01, 0.01))
+        cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8, snapshot_stride=50)
         traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
-        assert all(np.isfinite(r.residual) for r in traj.rows)
-        assert all(r.margin > 0 for r in traj.rows)  # off-locus margin
+        assert traj.stop_reason == "converged"
         js = [r.j for r in traj.rows]
-        assert min(js) < js[0]  # dissipation dominates the early phase
+        assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
+        x, y = pb.grid.coords()
+        closed = (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) / (2 * np.pi ** 2)
+        limit = SplitPotential(pb.grid, closed, np.zeros(pb.grid.shape)).assemble()
+        assert compare_up_to_constant(traj.final_potential(), limit) < 1e-8
 
-    def test_divisor_exempt_from_positivity_only_at_eps_zero(self):
+    def test_nonpositive_divisor_point_is_refused(self):
         # a spike in phi1 makes chi_phi = diag(1 + dd^c phi1, 1) non-positive
-        # at the on-grid divisor point z1 = 0 only
+        # at the on-grid divisor point z1 = 0 only: the start is refused there
+        # as anywhere else, with that point's margin
         pb = build_preset("degenerate_split", n=8)
         spike = np.zeros(pb.grid.shape)
         spike[0, 0] = 1.0
@@ -557,12 +577,9 @@ class TestEvolve:
             (pb.to_full(), SplitPotential(pb.grid, phi1, 0 * phi1).assemble()),
         ):
             args = (problem.chi0, problem.omega0, problem.omega_hat, phi0)
-            state = make_state(FlowConfig(eps=0.0, allow_degenerate=True), *args,
-                               divisor=problem.divisor)
-            assert abs(state.margin - np.sort(a.ravel())[1]) < 1e-12  # off the locus
-            # omega_eps > 0 on the divisor: no exemption for eps > 0
-            with pytest.raises(PositivityError, match="non-positive"):
+            with pytest.raises(PositivityError, match="non-positive") as err:
                 make_state(FlowConfig(eps=0.1), *args, divisor=problem.divisor)
+            assert abs(err.value.margin - a[0, 0]) < 1e-12
 
     def test_eps_run_margin_includes_the_divisor(self):
         # the limit metric's first profile is (f + eps) / (1 + eps), whose
@@ -577,7 +594,7 @@ class TestEvolve:
 
     def test_split_and_full_backends_agree(self):
         pb = build_preset("degenerate_split", n=8)
-        cfg = smooth_cfg(eps=0.2, allow_degenerate=False)
+        cfg = smooth_cfg(eps=0.2)
         a, b = (fixed_step_final(cfg, p, 2e-4, 0.05, divisor=p.divisor)
                 for p in (pb, pb.to_full()))
         assert np.abs(a - b).max() < 1e-9
@@ -834,7 +851,7 @@ class TestMaxPrincipleMonitor:
             np.broadcast_to(1e-10 * np.cos(2 * np.pi * x1), pb.grid.shape).copy(),
         )
         traj = evolve(
-            FlowConfig(eps=0.0, allow_degenerate=True, stop_tolerance=1e-300,
+            FlowConfig(eps=0.0, stop_tolerance=1e-300,
                        max_time=3e-3, snapshot_stride=1),
             pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0,
         )
@@ -875,6 +892,20 @@ class TestMaxPrincipleMonitor:
             assert max(sups) > sups[0] + 1e-3 and sups[-1] < sups[0]
             peaks.append(max(sups))
         assert abs(peaks[0] - peaks[1]) < 1e-6
+
+    def test_inf_fall_and_trace_excess_reported(self):
+        # hand-made rows: inf phi_dot falls by 0.1 at t = 1, which lifts the
+        # trace c - inf phi_dot above c + sup|phi_dot(0)| there
+        rows = [flow.HistoryRow(t, 0.0, 0.0, 0.0, 1.0, hi, lo, 0.0)
+                for t, hi, lo in ((0.0, 1.0, -1.0), (1.0, 0.9, -1.1), (2.0, 0.8, -0.5))]
+        traj = flow.Trajectory("split", 0.1, 2.0, rows, [], None, "max_time", 2, 0,
+                               "rkc", 3)
+        verdict = max_principle_monitor(traj)
+        assert not verdict.ok
+        assert verdict.failures == (
+            (1.0, "inf phi_dot decreased", -1.0 - (-1.1)),
+            (1.0, "trace bound exceeded", (2.0 - (-1.1)) - (2.0 + 1.0 + flow._MONITOR_TOL)),
+        )
 
     def test_needs_three_snapshots(self, smooth8):
         pb = smooth8

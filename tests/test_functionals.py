@@ -344,6 +344,18 @@ class TestSuiteAndSplitEvaluations:
         d = rep.to_dict()
         assert set(d) == {"J", "I", "E", "M", "F", "notes"}
 
+    def test_nonpositive_potential_skips_mabuchi(self, setup):
+        # h11 = 1 - 0.2 pi^2 cos(2 pi x1) < 0 at x1 = 0: M and F need chi_phi > 0
+        grid, ident = setup
+        phi = ScalarField(grid, 0.2 * np.cos(2 * np.pi * grid.coords()[0])
+                          * np.ones(grid.shape))
+        with pytest.raises(PositivityError) as err:
+            mabuchi_closed(phi, ident)
+        rep = evaluate_suite(phi, ident, ident, 2.0)
+        assert rep.m is None and rep.f is None
+        assert rep.notes == f"mabuchi skipped: {err.value}"
+        assert rep.j == J_closed(phi, ident, ident, 2.0)
+
     def test_energies_call_no_transform(self, monkeypatch):
         # E, M and the suite take dd^c by matrix products only, once the
         # spectral matrices and chi0's realization are built

@@ -347,7 +347,7 @@ class TestThetaComparison:
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
         psi = solve_ma_split(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0).psi
         cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8,
-                         max_time=3.0, snapshot_stride=25, allow_degenerate=True)
+                         max_time=3.0, snapshot_stride=25)
         traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
         gap0 = None
         for t, snap in traj.snapshots:

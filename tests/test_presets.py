@@ -5,10 +5,11 @@ from jflow.cohomology import verify_omega0_conditions
 from jflow.presets import (
     PRESET_NAMES,
     build_preset,
+    cosine_modes,
     degenerate_profile,
     random_bandlimited_potential,
 )
-from jflow.torus import complex_hessian, positivity_margin
+from jflow.torus import Grid, complex_hessian, positivity_margin
 
 
 class TestBuildPreset:
@@ -98,6 +99,22 @@ class TestBuildPreset:
             # the class is the mean of the assembled representative
             w = full.omega_eps(eps).realized
             assert np.isclose(w.h11.mean(), cls.m11) and np.isclose(w.h22.mean(), cls.m22)
+
+
+class TestCosineModes:
+    def test_factor_and_4d_lattices(self):
+        # amp * cos(2 pi k . x + phase), one wavenumber per axis of the grid
+        fgrid = Grid(8, (0.01, 0.02))
+        x, y = fgrid.coords()
+        v = cosine_modes(fgrid, [(0.5, (1, -2), 0.3), (2.0, (0, 1), 0.0)])
+        expected = 0.5 * np.cos(2 * np.pi * (x - 2 * y) + 0.3) + 2.0 * np.cos(2 * np.pi * y)
+        assert v.shape == fgrid.shape and np.abs(v - expected).max() < 1e-14
+        grid = Grid(4)
+        assert np.array_equal(cosine_modes(grid, []), np.zeros(grid.shape))
+        x1, _, x2, _ = grid.coords()
+        assert np.array_equal(
+            build_preset("nonsplit_perturbed", n=4).chi0.potential.values,
+            np.broadcast_to(0.05 * np.cos(2 * np.pi * (x1 + x2)), grid.shape))
 
 
 class TestRandomPotential:

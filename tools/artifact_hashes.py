@@ -5,13 +5,17 @@
     cmp parent.json change.json
 
 Runs a fixed set of small ``jflow`` command lines (``CONFIGS``: ``run`` on
-the split and 4-D backends, under RK4, at eps = 0 on the divisor, one that
-the maximum-principle monitor fails, two that the start refuses (the cone
-condition, a non-positive phi0), and one with offsets and explicit
-``flow``, ``ma`` and ``q`` keys; ``family``; ``solve-ma`` on both
-backends; ``functionals`` on a split run's final potential and, with no
-prior run, on the zero potential of the 4-D ``nonsplit_perturbed`` (its
-divisor fit on the 4-D lattice); ``check-classes``)
+the split and 4-D backends, under RK4, at eps = 0 on a divisor preset with
+offsets, at eps = 0 on a lattice that samples the divisor (a config error,
+nothing written), one that the maximum-principle monitor fails, two that
+the start refuses (the cone condition, a non-positive phi0), one with
+offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
+``phi0.modes`` on the 4-D backend and one from a random split start;
+``family``, and ``family`` with no positive eps (a config error);
+``solve-ma`` on both backends; ``functionals`` on a split run's final
+potential and, with no prior run, on the zero potential of the 4-D
+``nonsplit_perturbed`` (its divisor fit on the 4-D lattice);
+``check-classes``)
 with the ``jflow`` package of ``<checkout>/src``, each in a fresh output
 directory, and prints JSON with every command's exit status and the sha256
 of every file it wrote.  From ``run.json`` the wall-clock stamps
@@ -46,8 +50,8 @@ CONFIGS = {
     "run_rk4": [("run", "preset=smooth_split, N=8, eps=[0], flow.integrator=rk4, "
                         "flow.max_time=0.05")],
     "run_eps0_divisor": [("run", "preset=degenerate_split, N=8, eps=[0], "
-                                 "offsets=[0.01, 0.01], flow.allow_degenerate=true, "
-                                 "flow.max_time=0.2")],
+                                 "offsets=[0.01, 0.01], flow.max_time=0.2")],
+    "run_eps0_on_divisor": [("run", "preset=degenerate_split, N=8, eps=[0]")],
     "run_max_principle_fails": [("run", "preset=nonsplit_perturbed, N=8, seed=3, "
                                         "phi0.random=true, eps=[0.1], flow.max_time=0.3")],
     "run_cone_refused": [("run", "n=4, eps=[0.01], chi0.class=[1,1,0,0], "
@@ -57,6 +61,13 @@ CONFIGS = {
     "run_sections": [("run", "preset=degenerate_split, N=8, eps=[0.1], offsets=[0.01, 0.01], "
                              "flow.dt_safety=0.8, flow.stop_tolerance=1e-8, "
                              "flow.snapshot_stride=25, ma.newton_tol=1e-9, q.a=4, q.delta=0.5")],
+    "run_modes_full": [("run", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
+                               "offsets=[0.01, 0.01, 0.01, 0.01], flow.max_time=0.05, "
+                               "phi0.modes=[[0.002, 1, 0, 0, 0, 0.25]]")],
+    "run_random_split": [("run", "preset=degenerate_split, N=8, eps=[0.1], "
+                                 "offsets=[0.01, 0.01], seed=1, phi0.random=true, "
+                                 "flow.dt_safety=0.8, flow.stop_tolerance=1e-8")],
+    "family_eps0": [("family", "preset=degenerate_split, N=8, eps=[0]")],
     "family": [("family", "preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05], "
                           "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                           "flow.stop_tolerance=1e-8")],
