@@ -2,7 +2,7 @@
 
 Modules:
 
-* ``torus``        spectral calculus and Hermitian form fields
+* ``torus``        spectral calculus and the pointwise form algebra on blocks
 * ``cohomology``   classes, pairings, cone conditions, divisor model
 * ``split``        product-backend factor calculus
 * ``flow``         the RKC / RK4 method-of-lines integrator and family driver
@@ -28,7 +28,7 @@ from .cohomology import (
 from .flow import FlowConfig, epsilon_family, evolve
 from .ma import MASolverConfig, solve_ma, solve_ma_split
 from .presets import build_preset
-from .torus import Grid, HermitianFormField, ScalarField
+from .torus import Grid, ScalarField
 
 __all__ = [
     "__version__",
@@ -45,6 +45,5 @@ __all__ = [
     "solve_ma_split",
     "build_preset",
     "Grid",
-    "HermitianFormField",
     "ScalarField",
 ]

@@ -209,6 +209,8 @@ def validate_config(cfg):
     if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
         problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
                         f"got {cfg.offsets!r}")
+    if cfg.divisor is not None and not isinstance(cfg.divisor, bool):
+        problems.append(f"divisor: must be true or false, got {cfg.divisor!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
     if not isinstance(cfg.out, str) or not cfg.out:
@@ -534,7 +536,7 @@ def _cmd_functionals(cfg, record, out):
     payload["eps"] = eps
     if problem.divisor is not None:
         chi = problem.chi0.plus_ddc(phi)
-        u = chi.h11 + chi.h22
+        u = chi[0] + chi[1]
         s2 = problem.divisor.s2_proxy(problem.grid).values
         try:
             gamma, c_fit = singular_profile_fit(u, s2)

@@ -4,7 +4,8 @@ degenerate-form certificate.
 On the flat 2-torus every (1,1)-class has a unique constant (harmonic)
 representative, so a class is just a constant 2x2 Hermitian matrix and a
 closed form is a (class, potential) pair -- closed by construction, which
-removes any need for numerical closedness testing.
+removes any need for numerical closedness testing.  Realised, a closed form
+is the (4,) + shape block of ``torus.complex_hessian``.
 """
 
 import math
@@ -14,14 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PositivityError
-from .torus import (
-    HermitianFormField,
-    ScalarField,
-    _lam_lo,
-    _wedge,
-    complex_hessian,
-    generalized_eigenvalues,
-)
+from .torus import ScalarField, _lam_lo, _wedge, complex_hessian, generalized_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,11 @@ class ClosedForm:
 
     @cached_property
     def realized(self):
-        c = self.cls  # its constant representative plus dd^c of the potential
-        return (HermitianFormField.constant(self.grid, c.m11, c.m22, c.m12)
-                .add(complex_hessian(self.potential)))
+        """The class's constant representative plus dd^c of the potential, as
+        a read-only (4,) + shape block: kernels share it."""
+        block = complex_hessian(self.potential, base=np.array(self.cls.components()))
+        block.flags.writeable = False
+        return block
 
     @property
     def grid(self):
@@ -133,8 +129,10 @@ class ClosedForm:
         return cls(cohomology_class, ScalarField.zeros(grid))
 
     def plus_ddc(self, phi):
-        """chi_phi = self + dd^c phi, realised as a HermitianFormField."""
-        return self.realized.add(complex_hessian(phi))
+        """chi_phi = self + dd^c phi, realised as a fresh (4,) + shape block."""
+        if phi.grid != self.grid:
+            raise ValueError(f"ClosedForm.plus_ddc: grids differ ({self.grid} vs {phi.grid})")
+        return complex_hessian(phi, base=self.realized)
 
     def scale(self, c):
         return ClosedForm(
@@ -228,8 +226,7 @@ def verify_omega0_conditions(omega0, div, omega_hat):
 
     # (i): largest t with omega0 >= t*omega_hat pointwise is the smaller
     # generalized eigenvalue of the pencil (omega_hat, omega0).
-    mu, _ = generalized_eigenvalues(what, w0)
-    mu = mu.values
+    mu, _ = generalized_eigenvalues(what, w0, grid)
     off = s2 > _LOCUS_TOL
     neg = ~off & (mu < -1e-10)
     if np.any(neg):  # argmax of a mask: its first True point
@@ -243,11 +240,11 @@ def verify_omega0_conditions(omega0, div, omega_hat):
 
     # (ii): omega0 - rho * r_h >= (1/C0) * omega_hat needs a positive floor.
     shifted = omega0.add(div.r_h.scale(-div.rho)).realized
-    nu, _ = generalized_eigenvalues(what, shifted)
-    nu_min = float(nu.values.min())
+    nu, _ = generalized_eigenvalues(what, shifted, grid)
+    nu_min = float(nu.min())
     if nu_min <= 0.0:
         return fail("second inequality fails: omega0 - rho*R_H not positive",
-                    int(np.argmin(nu.values)))
+                    int(np.argmin(nu)))
     c0_second = 1.0 / nu_min
 
     return Omega0Certificate(True, max(c0_first, c0_second), div.beta, div.rho)

@@ -204,7 +204,7 @@ def _trace_field(traj, snap, grid):
     if traj.backend == "split":
         a, b = chi
         return np.broadcast_to(a[:, :, None, None] + b[None, None, :, :], grid.shape)
-    return chi.h11 + chi.h22
+    return chi[0] + chi[1]
 
 
 def compare_up_to_constant(a, b, mask=None):

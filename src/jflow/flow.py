@@ -120,11 +120,13 @@ from .torus import (
 _MAX_REJECTIONS = 20
 INTEGRATORS = ("rkc", "rk4")
 # RKC: stage cap, safety on the spectral radius estimate the stage count is
-# chosen from, and the absolute and increment-relative error tolerances
+# chosen from, the absolute and increment-relative error tolerances, and
+# their floor relative to the state
 _RKC_MAX_STAGES = 320
 _RKC_RHO_SAFETY = 1.2
 _RKC_ATOL = 3e-8
 _RKC_RTOL = 3e-2
+_RKC_ROUNDING = 64 * math.ulp(1.0)
 # the radius estimate: power iterations at most, their relative change that
 # ends one, and the accepted steps after which the estimate is refreshed
 _RADIUS_MAX_ITERS = 20
@@ -150,11 +152,14 @@ class FlowConfig:
     integrator: str = "rkc"  # or "rk4"
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):  # a bool is an int: true would read as 1
+                raise ValueError(f"{name} must be a number, got {value}")
         # comparisons written so that nan fails them too
         if not (0.0 < self.dt_safety < 1.0):
             raise ValueError("dt_safety must lie in (0, 1)")
-        if not (self.stop_tolerance > 0.0 and self.max_time > 0.0):
-            raise ValueError("tolerances and max_time must be positive")
+        if not (0.0 < self.stop_tolerance < math.inf and 0.0 < self.max_time < math.inf):
+            raise ValueError("stop_tolerance and max_time must be positive and finite")
         if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not self.eps >= 0.0:
@@ -247,12 +252,11 @@ class _FullKernel:
         self.cfg = cfg
         self.rhs_evals = 0
         self._ops = SpectralOps.of(grid)
-        self._bg = np.stack(chi0.realized.components())
+        self._bg = chi0.realized
         self.member_axes = (-4, -3, -2, -1)
         self._kmax2 = (np.pi * grid.n) ** 2
-        comps = [w.realized.components() for w in omegas]
-        self._members(_stack([float(c) for c in cs]),
-                      _cowedge(tuple(_stack(x) for x in zip(*comps))))
+        omega = tuple(_stack(x) for x in zip(*(w.realized for w in omegas)))
+        self._members(_stack([float(c) for c in cs]), _cowedge(omega))
 
     def _members(self, c, wp):
         """Set the members' c and omega' = ``_cowedge(omega)``."""
@@ -701,11 +705,16 @@ def _rms(x, axes):
 def _rkc_error(kernel, v, new, k1, k_new, h):
     """RKC's embedded error estimate 0.8 (v - new) + 0.4 h (k1 + k_new) over
     its tolerance, per member: at most 1 when its RMS norm is within both
-    _RKC_ATOL and _RKC_RTOL times the RMS norm of the member's increment."""
+    _RKC_ATOL and _RKC_RTOL times the RMS norm of the member's increment.
+
+    The tolerance is never below _RKC_ROUNDING times the RMS norm of v: once
+    the increment is rounding, so is the estimate, and no smaller step
+    could meet a tolerance that shrinks with the increment."""
     axes = kernel.member_axes
     d = v - new
     # the RMS of new - v: its squares are those of v - new, bit for bit
-    tol = np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(d, axes))
+    tol = np.maximum(np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(d, axes)),
+                     _RKC_ROUNDING * _rms(v, axes))
     d *= 0.8
     k = k1 + k_new
     k *= 0.4 * h

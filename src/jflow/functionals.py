@@ -17,7 +17,7 @@ from . import split as sp
 
 
 def _energies_full(v, chi, bg, w, c):
-    """(J, I) from raw potential values v and the raw component tuples of
+    """(J, I) from raw potential values v and the (4,) + shape blocks of
     chi_phi, chi0 and omega (J is None when omega is): the one full-backend
     formula, shared by the flow's history rows and ``J_closed`` /
     ``I_functional``.  Means are over the trailing grid axes, so axes
@@ -50,13 +50,12 @@ def _energies_split(pair, chi, bg, w, c):
 
 
 def _full_terms(phi, chi0):
-    return phi.values, chi0.plus_ddc(phi).components(), chi0.realized.components()
+    return phi.values, chi0.plus_ddc(phi), chi0.realized
 
 
 def J_closed(phi, chi0, omega0, c0):
     """Closed-form J: needs no path, extends to the weak space."""
-    return float(_energies_full(*_full_terms(phi, chi0), omega0.realized.components(),
-                                c0)[0])
+    return float(_energies_full(*_full_terms(phi, chi0), omega0.realized, c0)[0])
 
 
 def I_functional(phi, chi0):
@@ -68,7 +67,7 @@ def E_aubin_yau(phi, chi0):
     """int i d(phi) ^ dbar(phi) ^ (chi0 + chi_phi), nonnegative whenever
     chi0 + chi_phi is; by parts, -int phi dd^c phi ^ (chi0 + chi_phi)."""
     h = SpectralOps.of(phi.grid).hessian(phi.values)
-    total = tuple(2.0 * b + x for b, x in zip(chi0.realized.components(), h))
+    total = 2.0 * chi0.realized + h
     return -4.0 * float(np.mean(phi.values * _wedge(h, total)))
 
 
@@ -95,12 +94,10 @@ def mabuchi_closed(phi, chi0):
     bg, chi = chi0.realized, chi0.plus_ddc(phi)
     for form in (bg, chi):
         _check_curvature_margin(form, "mabuchi_closed")
-    bg, chi = bg.components(), chi.components()
     det0, det = _det(bg), _det(chi)
     rho = SpectralOps.of(phi.grid).hessian(np.log(det0))
-    total = tuple(a + b for a, b in zip(bg, chi))
     return 4.0 * float(np.mean(2.0 * det * np.log(det / det0)
-                               + phi.values * _wedge(rho, total)))
+                               + phi.values * _wedge(rho, bg + chi)))
 
 
 @dataclass(frozen=True)

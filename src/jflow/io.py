@@ -2,10 +2,10 @@
 
 Snapshot layout (version 2): magic bytes ``JFLW``, version u16, N u32,
 component count u16, the four grid offsets as little-endian float64, then
-little-endian float64 values row-major (x1, y1, x2, y2).  Scalar fields
-store one component; Hermitian form fields store four in the order h11,
-h22, h12_re, h12_im.  Version 1 files have no offsets and are read onto
-the zero-offset grid.
+little-endian float64 values row-major (x1, y1, x2, y2).  Snapshots hold
+scalar fields, one component; a file with another component count is
+refused.  Version 1 files have no offsets and are read onto the zero-offset
+grid.
 """
 
 import json
@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .torus import Grid, HermitianFormField, ScalarField
+from .torus import Grid, ScalarField
 
 MAGIC = b"JFLW"
 VERSION = 2
@@ -55,42 +55,32 @@ def _read_header(fh, path):
     return Grid(n, struct.unpack(_OFFSETS, raw)), ncomp
 
 
-def _write_snapshot(path, grid, comps):
+def write_scalar(path, field):
+    grid = field.grid
     if len(grid.offsets) != 4:
         raise ValueError(f"{path}: JFLW snapshots hold fields on the 4-D lattice, "
                          f"got a factor lattice {grid}; assemble the field first")
 
     def body(fh):
         fh.write(MAGIC)
-        fh.write(struct.pack(_HEAD, VERSION, grid.n, len(comps)))
+        fh.write(struct.pack(_HEAD, VERSION, grid.n, 1))
         fh.write(struct.pack(_OFFSETS, *grid.offsets))
-        for comp in comps:
-            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
     _write_atomic(path, body)
 
 
-def write_scalar(path, field):
-    _write_snapshot(path, field.grid, (field.values,))
-
-
 def read_field(path):
-    """Read a snapshot; returns a ScalarField or HermitianFormField on the
-    grid it was written from (a version 1 file: on the zero-offset grid)."""
+    """Read a scalar snapshot; returns a ScalarField on the grid it was
+    written from (a version 1 file: on the zero-offset grid)."""
     with open(path, "rb") as fh:
         grid, ncomp = _read_header(fh, path)
-        count = grid.n ** 4
-        comps = []
-        for _ in range(ncomp):
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated snapshot")
-            comps.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
-    if ncomp == 1:
-        return ScalarField(grid, comps[0])
-    if ncomp == 4:
-        return HermitianFormField(grid, *comps)
-    raise ValueError(f"{path}: unsupported component count {ncomp}")
+        if ncomp != 1:
+            raise ValueError(f"{path}: unsupported component count {ncomp}")
+        buf = fh.read(8 * grid.n ** 4)
+    if len(buf) != 8 * grid.n ** 4:
+        raise ValueError(f"{path}: truncated snapshot")
+    return ScalarField(grid, np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
 
 
 HISTORY_COLUMNS = ("t", "sup_phi", "sup_phidot", "J", "I", "margin", "residual")

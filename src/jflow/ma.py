@@ -49,6 +49,9 @@ class MASolverConfig:
     max_newton: int = 50
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):  # a bool is an int: true would read as 1
+                raise ValueError(f"{name} must be a number, got {value}")
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if not isinstance(self.max_newton, int) or self.max_newton < 1:
@@ -158,7 +161,7 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
     cfg = cfg or MASolverConfig()
     grid = alpha.grid
     a_real = alpha.realized
-    t_dens = 2.0 * _det(target.realized.components())
+    t_dens = 2.0 * _det(target.realized)
     if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
         raise PositivityError(
             "solve_ma: target density vanishes; use epsilon-continuation "
@@ -176,10 +179,9 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
         psi = np.zeros(grid.shape)
 
     ops = SpectralOps.of(grid)
-    base = a_real.components()
 
     def evaluate(p):
-        a = ops.hessian(p, base=base, c=c)
+        a = ops.hessian(p, base=a_real, c=c)
         m = float(_lam_lo(a).min())
         return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
 

@@ -5,7 +5,11 @@ j = 1, 2, sampled on a uniform N^4 lattice stored row-major as
 (x1, y1, x2, y2).  ``Grid`` describes this lattice and, with two offsets,
 the N^2 lattice (x, y) of one complex factor, on which the split backend
 samples both factor potentials.  Real (1,1)-forms are pointwise 2x2
-Hermitian matrices.
+Hermitian matrices; a realised form is one C-contiguous (4,) + shape block
+of its components (h11, h22, h12_re, h12_im), h12 the (1, 2bar) entry (the
+(2, 1bar) entry is its conjugate), as ``complex_hessian`` and
+``SpectralOps.hessian`` return it.  Positivity is a checked property, never
+assumed.
 Derivatives are pseudospectral: exact for band-limited data, which is what
 makes the energy identities in the rest of the package hold to rounding.
 ``SpectralOps`` applies them as products with dense 1-D matrices along
@@ -17,8 +21,8 @@ diagonal.  No operator makes a transform; ``numpy.fft`` (bound here as
 ``sfft``) only builds the matrices, so importing the package loads no scipy
 module.
 
-The pointwise form algebra is written once, here, on raw component tuples
-(h11, h22, h12_re, h12_im) of arrays or floats: ``_wedge``, ``_det``,
+The pointwise form algebra is written once, here, on blocks and on raw
+component tuples (h11, h22, h12_re, h12_im) of floats: ``_wedge``, ``_det``,
 ``_lam_lo`` and ``_cowedge`` (the co-wedge block that turns D into one
 contraction).  Every other module calls these helpers instead of spelling
 out a formula; the tests' trace, critical density and integral are in
@@ -374,68 +378,10 @@ class ScalarField:
         return self
 
 
-@dataclass(frozen=True)
-class HermitianFormField:
-    """Pointwise 2x2 Hermitian matrix field: a real (1,1)-form.
-
-    Stored componentwise; h12 is the (1, 2bar) entry, the (2, 1bar) entry is
-    its conjugate by construction.  Positivity is a checked property, never
-    assumed.
-    """
-
-    grid: Grid
-    h11: np.ndarray
-    h22: np.ndarray
-    h12_re: np.ndarray
-    h12_im: np.ndarray
-
-    def __post_init__(self):
-        for name in ("h11", "h22", "h12_re", "h12_im"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != self.grid.shape:
-                v = np.broadcast_to(v, self.grid.shape)
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def constant(cls, grid, m11, m22, m12=0.0):
-        m12 = complex(m12)
-        full = lambda v: np.full(grid.shape, float(v))
-        return cls(grid, full(m11), full(m22), full(m12.real), full(m12.imag))
-
-    @classmethod
-    def identity(cls, grid):
-        return cls.constant(grid, 1.0, 1.0)
-
-    def add(self, other):
-        if other.grid != self.grid:
-            raise ValueError(
-                f"HermitianFormField.add: grids differ ({self.grid} vs {other.grid})"
-            )
-        return HermitianFormField(
-            self.grid,
-            self.h11 + other.h11,
-            self.h22 + other.h22,
-            self.h12_re + other.h12_re,
-            self.h12_im + other.h12_im,
-        )
-
-    def scale(self, c):
-        c = float(c)
-        return HermitianFormField(
-            self.grid, c * self.h11, c * self.h22, c * self.h12_re, c * self.h12_im
-        )
-
-    def components(self):
-        """(h11, h22, h12_re, h12_im): the raw tuple the kernels work on."""
-        return self.h11, self.h22, self.h12_re, self.h12_im
-
-    def min_eigenvalue(self):
-        """Pointwise lowest eigenvalue (against the identity)."""
-        return _lam_lo(self.components())
-
-
-def complex_hessian(phi):
-    """dd^c of a scalar potential: (dd^c phi)_{j kbar} = d2 phi/dz_j dzbar_k.
+def complex_hessian(phi, base=None):
+    """dd^c of a scalar potential: (dd^c phi)_{j kbar} = d2 phi/dz_j dzbar_k,
+    as a fresh C-contiguous (4,) + shape block (h11, h22, h12_re, h12_im),
+    plus ``base`` (a block, or the four constants of a class) when given.
 
     Spectral, hence exact for band-limited input; diagonal components have
     exactly zero mean (the form is dd^c-exact).
@@ -443,7 +389,7 @@ def complex_hessian(phi):
     v = phi.values
     if not np.all(np.isfinite(v)):
         raise ValueError("complex_hessian: input field has non-finite entries")
-    return HermitianFormField(phi.grid, *SpectralOps.of(phi.grid).hessian(v))
+    return SpectralOps.of(phi.grid).hessian(v, base=base)
 
 
 def poisson_solve(src):
@@ -503,21 +449,12 @@ def _cowedge(b):
     return np.stack((b[1], b[0], -2.0 * b[2], -2.0 * b[3]))
 
 
-def wedge_density(alpha, beta):
-    """Density D of the top form alpha ^ beta.
-
-    alpha ^ beta = D * (i dz1 dz1bar)(i dz2 dz2bar) with
-    D = a11*b22 + a22*b11 - 2 Re(a12 * conj(b12)); symmetric in (alpha, beta).
-    """
-    return ScalarField(alpha.grid, _wedge(alpha.components(), beta.components()))
-
-
-def _positivity_check(alpha, what):
-    lo = alpha.min_eigenvalue()
+def _positivity_check(alpha, grid, what):
+    lo = _lam_lo(alpha)
     idx = int(np.argmin(lo))
     margin = float(lo.flat[idx])
     if margin <= 0.0:
-        point = alpha.grid.point(idx)
+        point = grid.point(idx)
         raise PositivityError(
             f"{what}: form not positive definite at grid point {point} "
             f"(margin {margin:.3e})",
@@ -527,29 +464,25 @@ def _positivity_check(alpha, what):
         )
 
 
-def generalized_eigenvalues(alpha, beta):
-    """Pointwise roots of det(beta - lambda * alpha), sorted ascending.
+def generalized_eigenvalues(alpha, beta, grid):
+    """Pointwise roots of det(beta - lambda * alpha), sorted ascending, for
+    blocks alpha and beta on ``grid``.
 
-    Requires alpha positive.  The roots solve
-    (D(a,a)/2) l^2 - D(a,b) l + D(b,b)/2 = 0; their product is
+    Requires alpha positive (the error names a point of ``grid``).  The roots
+    solve (D(a,a)/2) l^2 - D(a,b) l + D(b,b)/2 = 0; their product is
     D(b,b)/D(a,a) and their sum is tr_alpha beta.
     """
-    _positivity_check(alpha, "generalized_eigenvalues")
-    daa = wedge_density(alpha, alpha).values
-    dab = wedge_density(alpha, beta).values
-    dbb = wedge_density(beta, beta).values
+    _positivity_check(alpha, grid, "generalized_eigenvalues")
+    daa, dab, dbb = _wedge(alpha, alpha), _wedge(alpha, beta), _wedge(beta, beta)
     # Discriminant of the pencil; clamp tiny negatives from roundoff.
     disc = dab * dab - daa * dbb
     disc = np.sqrt(np.maximum(disc, 0.0))
-    lo = (dab - disc) / daa
-    hi = (dab + disc) / daa
-    g = alpha.grid
-    return ScalarField(g, lo), ScalarField(g, hi)
+    return (dab - disc) / daa, (dab + disc) / daa
 
 
 def positivity_margin(alpha):
-    """Smallest pointwise eigenvalue of alpha over the grid.
+    """Smallest pointwise eigenvalue of the block alpha over the grid.
 
     Negative values are a valid result: the form fails positivity there.
     """
-    return float(alpha.min_eigenvalue().min())
+    return float(_lam_lo(alpha).min())

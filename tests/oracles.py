@@ -8,11 +8,10 @@ linear path the J integrand is quadratic in the path parameter, so
 density by finite differences; ``j_closed_split`` and ``i_functional_split``
 evaluate J and I on split data; ``split_critical`` is the closed-form
 critical point of the product ansatz; ``flow_rhs`` is the flow velocity
-through the public form API, with its positivity check; ``write_hermitian``
-writes a form snapshot for the reader's round trip.  ``trace_with`` (and
+through the public form API, with its positivity check.  ``trace_with`` (and
 its raw ``_trace``), ``_critical_density`` and ``integrate`` are the
 pointwise trace, the J-gradient density and the integral of a top form,
-written on ``jflow.torus``'s form algebra.
+written on ``jflow.torus``'s form algebra; forms are (4,) + shape blocks.
 
 The tests import this module as ``oracles`` (pytest puts ``tests/`` on the
 import path).
@@ -21,7 +20,6 @@ import path).
 import numpy as np
 
 from jflow.functionals import J_closed, _check_curvature_margin, _energies_split
-from jflow.io import _write_snapshot
 from jflow.torus import (
     ScalarField,
     _det,
@@ -29,7 +27,6 @@ from jflow.torus import (
     _wedge,
     complex_hessian,
     poisson_solve,
-    wedge_density,
 )
 
 
@@ -56,8 +53,8 @@ def _romberg(samples):
 
 def j_gradient_density(phi, chi0, omega0, c0):
     """The density of the J-gradient: 2 chi_phi ^ omega0 - c0 chi_phi^2."""
-    chi = chi0.plus_ddc(phi).components()
-    return ScalarField(phi.grid, _critical_density(chi, omega0.realized.components(), c0))
+    chi = chi0.plus_ddc(phi)
+    return ScalarField(phi.grid, _critical_density(chi, omega0.realized, c0))
 
 
 def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
@@ -70,7 +67,7 @@ def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
     if steps < 8:
         raise ValueError("J_path needs at least 8 quadrature steps")
     chi0r = chi0.realized
-    w = omega0.realized.components()
+    w = omega0.realized
     p = phi.values
     hess = complex_hessian(phi)
     samples = []
@@ -78,7 +75,7 @@ def J_path(phi, chi0, omega0, c0, steps=16, reparam=None):
         s = j / steps
         r = s if reparam is None else reparam[0](s)
         rp = 1.0 if reparam is None else reparam[1](s)
-        chi_s = chi0r.add(hess.scale(r)).components()
+        chi_s = chi0r + r * hess
         dens = _critical_density(chi_s, w, c0)
         samples.append(4.0 * float(np.mean(rp * p * dens)))
     return _romberg(samples)
@@ -108,29 +105,27 @@ def J_gradient_check(phi, v, chi0, omega0, c0):
     diff = abs(fd - analytic)
     if diff == 0.0:
         return 0.0
-    chi = chi0.plus_ddc(phi).components()
-    d_cw = _wedge(chi, omega0.realized.components())
+    chi = chi0.plus_ddc(phi)
+    d_cw = _wedge(chi, omega0.realized)
     terms = np.abs(2.0 * d_cw) + abs(c0) * np.abs(2.0 * _det(chi))
     scale = 4.0 * float(np.mean(np.abs(v.values) * terms))
     return diff / max(abs(analytic), abs(fd), scale)
 
 
-def scalar_curvature(chi):
-    """Scalar curvature of a positive (1,1)-form field.
+def scalar_curvature(chi, grid):
+    """Scalar curvature of a positive (1,1)-form block on ``grid``.
 
     R = tr_chi Ric with Ric = -dd^c log det(chi); flat backgrounds give 0.
     """
     _check_curvature_margin(chi, "scalar_curvature")
-    ric = complex_hessian(ScalarField(chi.grid, -np.log(_det(chi.components()))))
-    return trace_with(chi, ric, check=False)
+    ric = complex_hessian(ScalarField(grid, -np.log(_det(chi))))
+    return ScalarField(grid, _trace(chi, ric))
 
 
-def mean_scalar_curvature(chi):
+def mean_scalar_curvature(chi, grid):
     """Average R over the chi-volume: int R chi^2 / int chi^2 (0 on the torus)."""
-    r = scalar_curvature(chi)
-    vol = wedge_density(chi, chi)
-    num = integrate(ScalarField(chi.grid, r.values * vol.values))
-    return num / integrate(vol)
+    vol = _wedge(chi, chi)
+    return integrate(scalar_curvature(chi, grid).values * vol) / integrate(vol)
 
 
 def mabuchi_path(phi, chi0, steps=16):
@@ -140,15 +135,15 @@ def mabuchi_path(phi, chi0, steps=16):
     if steps < 8:
         raise ValueError("mabuchi_path needs at least 8 quadrature steps")
     chi0r = chi0.realized
-    rbar = mean_scalar_curvature(chi0r)
+    rbar = mean_scalar_curvature(chi0r, phi.grid)
     hess = complex_hessian(phi)
     p = phi.values
     samples = []
     for j in range(steps + 1):
         s = j / steps
-        chi_s = chi0r.add(hess.scale(s))
-        r_s = scalar_curvature(chi_s)
-        vol = wedge_density(chi_s, chi_s).values
+        chi_s = chi0r + s * hess
+        r_s = scalar_curvature(chi_s, phi.grid)
+        vol = _wedge(chi_s, chi_s)
         samples.append(-4.0 * float(np.mean(p * (r_s.values - rbar) * vol)))
     return _romberg(samples)
 
@@ -191,12 +186,8 @@ def flow_rhs(phi, chi0, omega_eps, c_eps):
     Raises PositivityError (with the offending point) when chi_phi fails
     to be positive.
     """
-    tr = trace_with(chi0.plus_ddc(phi), omega_eps.realized)  # checks positivity
+    tr = trace_with(chi0.plus_ddc(phi), omega_eps.realized, phi.grid)  # checks positivity
     return ScalarField(phi.grid, c_eps - tr.values)
-
-
-def write_hermitian(path, form):
-    _write_snapshot(path, form.grid, (form.h11, form.h22, form.h12_re, form.h12_im))
 
 
 # pointwise trace, critical density and integral, on the form algebra of
@@ -216,20 +207,21 @@ def _critical_density(chi, w, c):
 
 
 def integrate(density):
-    """Integral of a top form over the torus: 4 * mean of its wedge density.
+    """Integral of a top form over the torus: 4 * mean of its wedge density,
+    an array of grid values.
 
     (i dz ^ dzbar = 2 dx ^ dy per factor; the trapezoid rule on a periodic
     grid is the spectrally exact mean.)
     """
-    return 4.0 * density.mean()
+    return 4.0 * float(np.mean(density))
 
 
-def trace_with(alpha, beta, check=True):
-    """tr_alpha beta = alpha^{j kbar} beta_{j kbar} for positive alpha.
+def trace_with(alpha, beta, grid):
+    """tr_alpha beta = alpha^{j kbar} beta_{j kbar} for positive blocks alpha
+    and beta on ``grid``, whose point a positivity failure names.
 
     In complex dimension 2 this equals D(alpha, beta) / det alpha, which is
     how it is computed (no matrix inversion).
     """
-    if check:
-        _positivity_check(alpha, "trace_with")
-    return ScalarField(alpha.grid, _trace(alpha.components(), beta.components()))
+    _positivity_check(alpha, grid, "trace_with")
+    return ScalarField(grid, _trace(alpha, beta))

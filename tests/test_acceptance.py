@@ -177,7 +177,7 @@ def test_criterion_2_gradient_structure():
     checks.append((rel < 1e-6, f"FD gradient rel err {rel:.1e} < 1e-6"))
 
     # constant direction: the cohomological identity 2 X.W - c0 X^2 = 0
-    const_pairing = abs(integrate(j_gradient_density(phi, pb.chi0, pb.omega0, 2.0)))
+    const_pairing = abs(integrate(j_gradient_density(phi, pb.chi0, pb.omega0, 2.0).values))
     checks.append((const_pairing < 1e-12,
                    f"constant-direction derivative {const_pairing:.1e} < 1e-12"))
     report(2, "gradient structure", checks)

@@ -93,7 +93,7 @@ class TestParseConfig:
         problem = build_problem(cfg)
         assert problem.backend == "full"
         w = problem.omega0.realized
-        assert w.h11.std() > 0  # the mode deformed the profile
+        assert w[0].std() > 0  # the mode deformed the profile
 
     def test_requires_preset_or_forms(self):
         with pytest.raises(ConfigError, match="preset or explicit"):
@@ -499,6 +499,9 @@ class TestMain:
         ("run", "preset=identity, N=4, flow.snapshot_stride=0"),
         ("run", "preset=identity, N=4, flow.max_time=abc"),
         ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=0.5"),
+        # no end time, or a tolerance that any state meets
+        ("run", "preset=smooth_split, N=8, flow.max_time=inf"),
+        ("run", "preset=smooth_split, N=8, flow.stop_tolerance=inf"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, text):
         out = tmp_path / "out"
@@ -528,6 +531,11 @@ class TestMain:
         ("run", "preset=smooth_split, N=8, phi0.modes=[[0.01, 1, 0, 0, 0]]"),
         ("run", "preset=degenerate_split, eps=[0]"),
         ("run", "preset=nonsplit_perturbed, eps=[0]"),
+        # values of the wrong type: divisor is a bool, and a bool is no count
+        ("run", "preset=degenerate_split, N=8, eps=[0.1], divisor=maybe"),
+        ("run", "preset=degenerate_split, N=8, eps=[0.1], divisor=3"),
+        ("run", "preset=smooth_split, N=8, flow.snapshot_stride=true"),
+        ("solve-ma", "preset=identity, N=4, ma.max_newton=true"),
     ])
     def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, text):

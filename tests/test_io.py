@@ -11,8 +11,7 @@ from jflow.io import (
     read_json,
     write_scalar,
 )
-from jflow.torus import Grid, HermitianFormField, ScalarField
-from oracles import write_hermitian
+from jflow.torus import Grid, ScalarField
 
 
 def test_scalar_roundtrip(tmp_path):
@@ -26,22 +25,12 @@ def test_scalar_roundtrip(tmp_path):
     assert np.array_equal(back.values, field.values)
 
 
-def test_hermitian_roundtrip(tmp_path):
-    grid = Grid(6)
-    rng = np.random.default_rng(1)
-    form = HermitianFormField(
-        grid,
-        rng.normal(size=grid.shape),
-        rng.normal(size=grid.shape),
-        rng.normal(size=grid.shape),
-        rng.normal(size=grid.shape),
-    )
+def test_rejects_four_component_file(tmp_path):
+    # snapshots hold scalar fields; a (1,1)-form's four components are refused
     path = tmp_path / "chi.jflw"
-    write_hermitian(path, form)
-    back = read_field(path)
-    assert isinstance(back, HermitianFormField)
-    for name in ("h11", "h22", "h12_re", "h12_im"):
-        assert np.array_equal(getattr(back, name), getattr(form, name))
+    path.write_bytes(b"JFLW" + struct.pack("<HIH", 2, 4, 4) + b"\x00" * (32 + 4 * 8 * 4 ** 4))
+    with pytest.raises(ValueError, match="unsupported component count 4"):
+        read_field(path)
 
 
 def test_header_layout(tmp_path):
@@ -58,51 +47,29 @@ def test_header_layout(tmp_path):
 
 
 @st.composite
-def offset_fields(draw, components):
-    """A field of 1 (scalar) or 4 (Hermitian form) components on a 4-D grid
-    with N in {4, 6, 8} and offsets in [0, 1/N)."""
+def offset_fields(draw):
+    """A scalar field on a 4-D grid with N in {4, 6, 8} and offsets in
+    [0, 1/N)."""
     n = draw(st.sampled_from((4, 6, 8)))
     offset = st.floats(0.0, 1.0 / n, exclude_max=True)
     grid = Grid(n, tuple(draw(offset) for _ in range(4)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    parts = [rng.normal(size=grid.shape) for _ in range(components)]
-    if components == 1:
-        return ScalarField(grid, parts[0])
-    return HermitianFormField(grid, *parts)
+    return ScalarField(grid, rng.normal(size=grid.shape))
 
 
 def _bits(field):
-    names = ("values",) if isinstance(field, ScalarField) else (
-        "h11", "h22", "h12_re", "h12_im")
-    return (np.array(field.grid.offsets).tobytes(), field.grid.n,
-            *(getattr(field, name).tobytes() for name in names))
+    return np.array(field.grid.offsets).tobytes(), field.grid.n, field.values.tobytes()
 
 
-def _assert_bitwise_roundtrip(path, field):
-    if isinstance(field, ScalarField):
-        write_scalar(path, field)
-    else:
-        write_hermitian(path, field)
-    back = read_field(path)
-    assert type(back) is type(field)
-    assert _bits(back) == _bits(field)
-
-
-roundtrip_settings = settings(
-    derandomize=True, deadline=None, max_examples=20, database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@roundtrip_settings
-@given(field=offset_fields(1))
+@settings(derandomize=True, deadline=None, max_examples=20, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=offset_fields())
 def test_scalar_roundtrip_keeps_offsets(tmp_path, field):
-    _assert_bitwise_roundtrip(tmp_path / "phi.jflw", field)
-
-
-@roundtrip_settings
-@given(field=offset_fields(4))
-def test_hermitian_roundtrip_keeps_offsets(tmp_path, field):
-    _assert_bitwise_roundtrip(tmp_path / "chi.jflw", field)
+    path = tmp_path / "phi.jflw"
+    write_scalar(path, field)
+    back = read_field(path)
+    assert type(back) is ScalarField
+    assert _bits(back) == _bits(field)
 
 
 def test_reads_version_1_onto_zero_offset_grid(tmp_path):
@@ -145,8 +112,6 @@ def test_factor_lattice_write_refused(tmp_path):
     path = tmp_path / "sub" / "f.jflw"
     with pytest.raises(ValueError, match="4-D lattice"):
         write_scalar(path, ScalarField(grid, np.zeros(grid.shape)))
-    with pytest.raises(ValueError, match="4-D lattice"):
-        write_hermitian(path, HermitianFormField.identity(grid))
     assert not (tmp_path / "sub").exists()
 
 

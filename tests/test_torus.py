@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jflow import torus
+from jflow.cohomology import ClosedForm, CohomologyClass
 from jflow.errors import PositivityError
 from jflow.split import SplitPotential
 from jflow.torus import (
     Grid,
-    HermitianFormField,
     ScalarField,
     SpectralOps,
     _det,
@@ -16,7 +16,6 @@ from jflow.torus import (
     complex_hessian,
     generalized_eigenvalues,
     positivity_margin,
-    wedge_density,
 )
 from oracles import _critical_density, _trace, integrate, trace_with
 
@@ -29,6 +28,11 @@ def grid():
 def make_field(grid, fn):
     x1, y1, x2, y2 = grid.coords()
     return ScalarField(grid, np.broadcast_to(fn(x1, y1, x2, y2), grid.shape).copy())
+
+
+def form(grid, *h):
+    """The (4,) + shape block of the components h (floats or grid arrays)."""
+    return np.stack([np.broadcast_to(np.asarray(x, dtype=float), grid.shape) for x in h])
 
 
 def random_bandlimited(grid, rng, amp=0.1, kmax=2):
@@ -80,18 +84,16 @@ class TestGrid:
 class TestComplexHessian:
     def test_zero_potential(self, grid):
         h = complex_hessian(ScalarField.zeros(grid))
-        for comp in (h.h11, h.h22, h.h12_re, h.h12_im):
-            assert np.all(comp == 0.0)
+        assert h.shape == (4,) + grid.shape and h.flags.c_contiguous
+        assert np.all(h == 0.0)
 
     def test_single_mode_x1(self, grid):
         phi = make_field(grid, lambda x1, y1, x2, y2: 0.1 * np.cos(2 * np.pi * x1))
         h = complex_hessian(phi)
         x1 = grid.coords()[0]
         expected = np.broadcast_to(-0.1 * np.pi ** 2 * np.cos(2 * np.pi * x1), grid.shape)
-        assert np.abs(h.h11 - expected).max() < 1e-12
-        assert np.abs(h.h22).max() < 1e-12
-        assert np.abs(h.h12_re).max() < 1e-12
-        assert np.abs(h.h12_im).max() < 1e-12
+        assert np.abs(h[0] - expected).max() < 1e-12
+        assert np.abs(h[1:]).max() < 1e-12
 
     def test_diagonal_mode(self, grid):
         phi = make_field(
@@ -102,9 +104,8 @@ class TestComplexHessian:
         expected = np.broadcast_to(
             -0.1 * np.pi ** 2 * np.cos(2 * np.pi * (x1 + x2)), grid.shape
         )
-        for comp in (h.h11, h.h22, h.h12_re):
-            assert np.abs(comp - expected).max() < 1e-12
-        assert np.abs(h.h12_im).max() < 1e-12
+        assert np.abs(h[:3] - expected).max() < 1e-12
+        assert np.abs(h[3]).max() < 1e-12
 
     def test_mixed_mode_imaginary_part(self, grid):
         # phi = cos(2pi x1) cos(2pi y2) has h12 = pi^2 sin(2pi x1) sin(2pi y2) * i/... :
@@ -120,15 +121,15 @@ class TestComplexHessian:
         expected = np.broadcast_to(
             np.pi ** 2 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * y2), grid.shape
         )
-        assert np.abs(h.h12_im - expected).max() < 1e-11
-        assert np.abs(h.h12_re).max() < 1e-11
+        assert np.abs(h[3] - expected).max() < 1e-11
+        assert np.abs(h[2]).max() < 1e-11
 
     def test_diagonal_mean_zero(self, grid):
         rng = np.random.default_rng(7)
         phi = random_bandlimited(grid, rng)
         h = complex_hessian(phi)
-        assert abs(h.h11.mean()) < 1e-15
-        assert abs(h.h22.mean()) < 1e-15
+        assert abs(h[0].mean()) < 1e-15
+        assert abs(h[1].mean()) < 1e-15
 
     def test_rejects_nonfinite(self, grid):
         v = np.zeros(grid.shape)
@@ -163,7 +164,7 @@ class TestComplexHessian:
                 r -= np.pi ** 2 * s * wave
             scale += np.pi ** 2 * abs(amp) * (a * a + b * b + c * c + d * d)
         # scale bounds every exact component (triangle inequality)
-        h = complex_hessian(ScalarField(grid, v)).components()
+        h = complex_hessian(ScalarField(grid, v))
         for comp, r in zip(h, ref):
             assert np.abs(comp - r).max() <= 1e-11 * scale
 
@@ -210,9 +211,9 @@ class TestSpectralOps:
             parts.append(v)
         ops = SpectralOps.of(fg)
         h = complex_hessian(SplitPotential(fg, parts[0], parts[1]).assemble())
-        assert np.abs(h.h11 - ops.laplacian(parts[0])[:, :, None, None]).max() < 1e-12
-        assert np.abs(h.h22 - ops.laplacian(parts[1])[None, None, :, :]).max() < 1e-12
-        assert np.abs(h.h12_re).max() < 1e-12 and np.abs(h.h12_im).max() < 1e-12
+        assert np.abs(h[0] - ops.laplacian(parts[0])[:, :, None, None]).max() < 1e-12
+        assert np.abs(h[1] - ops.laplacian(parts[1])[None, None, :, :]).max() < 1e-12
+        assert np.abs(h[2:]).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_stacked_hessian_is_per_block(self, n):
@@ -429,62 +430,61 @@ class TestSpectralOps:
 
 class TestWedgeAndTrace:
     def test_identity_wedge(self, grid):
-        i = HermitianFormField.identity(grid)
-        assert np.all(wedge_density(i, i).values == 2.0)
+        i = form(grid, 1.0, 1.0, 0.0, 0.0)
+        assert np.all(_wedge(i, i) == 2.0)
 
     def test_diagonal_wedge(self, grid):
-        a = HermitianFormField.constant(grid, 2.0, 3.0)
-        b = HermitianFormField.constant(grid, 5.0, 7.0)
-        assert np.all(wedge_density(a, b).values == 2.0 * 7.0 + 3.0 * 5.0)
+        a = form(grid, 2.0, 3.0, 0.0, 0.0)
+        b = form(grid, 5.0, 7.0, 0.0, 0.0)
+        assert np.all(_wedge(a, b) == 2.0 * 7.0 + 3.0 * 5.0)
 
     def test_offdiag_wedge(self, grid):
-        a = HermitianFormField.constant(grid, 1.0, 1.0, 0.5j)
-        assert np.allclose(wedge_density(a, a).values, 1.5)
+        a = form(grid, 1.0, 1.0, 0.0, 0.5)
+        assert np.allclose(_wedge(a, a), 1.5)
 
     def test_trace_identity_background(self, grid):
-        i = HermitianFormField.identity(grid)
-        b = HermitianFormField.constant(grid, 3.0, 4.0)
-        assert np.allclose(trace_with(i, b).values, 7.0)
+        i = form(grid, 1.0, 1.0, 0.0, 0.0)
+        b = form(grid, 3.0, 4.0, 0.0, 0.0)
+        assert np.allclose(trace_with(i, b, grid).values, 7.0)
 
     def test_trace_self_is_dimension(self, grid):
-        a = HermitianFormField.constant(grid, 2.0, 4.0)
-        assert np.allclose(trace_with(a, a).values, 2.0)
+        a = form(grid, 2.0, 4.0, 0.0, 0.0)
+        assert np.allclose(trace_with(a, a, grid).values, 2.0)
 
     def test_trace_wedge_identity_random(self, grid):
         rng = np.random.default_rng(3)
-        a = HermitianFormField(
-            grid,
-            2.0 + rng.uniform(-0.5, 0.5, grid.shape),
-            2.0 + rng.uniform(-0.5, 0.5, grid.shape),
-            rng.uniform(-0.3, 0.3, grid.shape),
-            rng.uniform(-0.3, 0.3, grid.shape),
-        )
-        b = HermitianFormField(
-            grid,
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-        )
-        tr = trace_with(a, b).values
-        alt = 2.0 * wedge_density(a, b).values / wedge_density(a, a).values
+        a = form(grid, 2.0 + rng.uniform(-0.5, 0.5, grid.shape),
+                 2.0 + rng.uniform(-0.5, 0.5, grid.shape),
+                 rng.uniform(-0.3, 0.3, grid.shape), rng.uniform(-0.3, 0.3, grid.shape))
+        b = rng.normal(size=(4,) + grid.shape)
+        tr = trace_with(a, b, grid).values
+        alt = 2.0 * _wedge(a, b) / _wedge(a, a)
         assert np.abs(tr - alt).max() < 1e-13
 
     def test_trace_rejects_nonpositive(self, grid):
-        bad = HermitianFormField.constant(grid, -1.0, 1.0)
-        i = HermitianFormField.identity(grid)
+        bad = form(grid, -1.0, 1.0, 0.0, 0.0)
         with pytest.raises(PositivityError) as err:
-            trace_with(bad, i)
+            trace_with(bad, form(grid, 1.0, 1.0, 0.0, 0.0), grid)
         assert err.value.margin == -1.0
-        assert err.value.point is not None
+        assert err.value.point == grid.point(0)
 
 
 class TestFormAlgebra:
-    def test_add_refuses_other_offsets(self, grid):
+    def test_plus_ddc_refuses_other_offsets(self, grid):
         shifted = Grid(grid.n, (0.5 / grid.n, 0.0, 0.0, 0.0))
-        a = HermitianFormField.identity(grid)
+        chi = ClosedForm.from_class(CohomologyClass.identity(), grid)
         with pytest.raises(ValueError, match="grids differ"):
-            a.add(HermitianFormField.identity(shifted))
+            chi.plus_ddc(ScalarField.zeros(shifted))
+
+    def test_realized_is_a_read_only_block(self, grid):
+        # kernels share the cached block: no caller may write into it
+        rng = np.random.default_rng(4)
+        chi = ClosedForm(CohomologyClass(1.5, 0.7, 0.2j), random_bandlimited(grid, rng))
+        block = chi.realized
+        assert block is chi.realized and not block.flags.writeable
+        assert block.shape == (4,) + grid.shape and block.flags.c_contiguous
+        chi_phi = chi.plus_ddc(random_bandlimited(grid, rng))
+        assert chi_phi.flags.writeable and not np.shares_memory(chi_phi, block)
 
 
 class TestPointwiseHelpers:
@@ -524,97 +524,123 @@ class TestPointwiseHelpers:
     def test_floats_and_fields_agree(self, grid):
         # the class helpers run on floats, the field helpers on arrays
         h = (1.3, 0.7, 0.2, -0.25)
-        field = HermitianFormField.constant(grid, h[0], h[1], complex(h[2], h[3]))
-        assert np.all(field.min_eigenvalue() == _lam_lo(h))
-        assert np.all(trace_with(field, field).values == _trace(h, h))
+        field = form(grid, *h)
+        assert np.all(_lam_lo(field) == _lam_lo(h))
+        assert np.all(trace_with(field, field, grid).values == _trace(h, h))
 
 
 class TestGeneralizedEigenvalues:
     def test_diagonal(self, grid):
-        i = HermitianFormField.identity(grid)
-        lo, hi = generalized_eigenvalues(i, HermitianFormField.constant(grid, 3.0, 5.0))
-        assert np.allclose(lo.values, 3.0) and np.allclose(hi.values, 5.0)
+        i = form(grid, 1.0, 1.0, 0.0, 0.0)
+        lo, hi = generalized_eigenvalues(i, form(grid, 3.0, 5.0, 0.0, 0.0), grid)
+        assert np.allclose(lo, 3.0) and np.allclose(hi, 5.0)
 
     def test_scaled_background(self, grid):
-        a = HermitianFormField.constant(grid, 2.0, 2.0)
-        lo, hi = generalized_eigenvalues(a, HermitianFormField.identity(grid))
-        assert np.allclose(lo.values, 0.5) and np.allclose(hi.values, 0.5)
+        a = form(grid, 2.0, 2.0, 0.0, 0.0)
+        lo, hi = generalized_eigenvalues(a, form(grid, 1.0, 1.0, 0.0, 0.0), grid)
+        assert np.allclose(lo, 0.5) and np.allclose(hi, 0.5)
 
     def test_symmetric_offdiag(self, grid):
-        i = HermitianFormField.identity(grid)
-        b = HermitianFormField.constant(grid, 2.0, 2.0, 1.0)
-        lo, hi = generalized_eigenvalues(i, b)
-        assert np.allclose(lo.values, 1.0) and np.allclose(hi.values, 3.0)
+        i = form(grid, 1.0, 1.0, 0.0, 0.0)
+        lo, hi = generalized_eigenvalues(i, form(grid, 2.0, 2.0, 1.0, 0.0), grid)
+        assert np.allclose(lo, 1.0) and np.allclose(hi, 3.0)
 
     def test_product_is_determinant_ratio(self, grid):
         rng = np.random.default_rng(11)
-        a = HermitianFormField(
-            grid,
-            2.0 + rng.uniform(-0.5, 0.5, grid.shape),
-            2.0 + rng.uniform(-0.5, 0.5, grid.shape),
-            rng.uniform(-0.3, 0.3, grid.shape),
-            rng.uniform(-0.3, 0.3, grid.shape),
-        )
-        b = HermitianFormField(
-            grid,
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-            rng.normal(size=grid.shape),
-        )
-        lo, hi = generalized_eigenvalues(a, b)
-        ratio = wedge_density(b, b).values / wedge_density(a, a).values
-        assert np.abs(lo.values * hi.values - ratio).max() < 1e-12
+        a = form(grid, 2.0 + rng.uniform(-0.5, 0.5, grid.shape),
+                 2.0 + rng.uniform(-0.5, 0.5, grid.shape),
+                 rng.uniform(-0.3, 0.3, grid.shape), rng.uniform(-0.3, 0.3, grid.shape))
+        b = rng.normal(size=(4,) + grid.shape)
+        lo, hi = generalized_eigenvalues(a, b, grid)
+        assert np.abs(lo * hi - _wedge(b, b) / _wedge(a, a)).max() < 1e-12
+
+    def test_refuses_nonpositive_alpha_at_its_point(self, grid):
+        a = form(grid, 1.0, 1.0, 0.0, 0.0).copy()
+        a[0].flat[5] = -1.0
+        with pytest.raises(PositivityError, match="generalized_eigenvalues") as err:
+            generalized_eigenvalues(a, a, grid)
+        assert err.value.point == grid.point(5) and err.value.margin == -1.0
 
 
 class TestIntegrateAndMargin:
     def test_unit_density(self, grid):
-        assert integrate(ScalarField.constant(grid, 1.0)) == 4.0
+        assert integrate(np.ones(grid.shape)) == 4.0
 
     def test_mean_zero_mode(self, grid):
         f = make_field(grid, lambda x1, y1, x2, y2: np.cos(2 * np.pi * x1))
-        assert abs(integrate(f)) < 1e-14
+        assert abs(integrate(f.values)) < 1e-14
 
     def test_identity_wedge_integral(self, grid):
-        i = HermitianFormField.identity(grid)
-        assert integrate(wedge_density(i, i)) == 8.0
+        i = form(grid, 1.0, 1.0, 0.0, 0.0)
+        assert integrate(_wedge(i, i)) == 8.0
 
     def test_margin_identity(self, grid):
-        assert positivity_margin(HermitianFormField.identity(grid)) == 1.0
+        assert positivity_margin(form(grid, 1.0, 1.0, 0.0, 0.0)) == 1.0
 
     def test_margin_degenerate_profile(self):
         g = Grid(8)  # contains x1 = y1 = 0
         x1, y1, _, _ = g.coords()
         f = np.sin(np.pi * x1) ** 2 + np.sin(np.pi * y1) ** 2
-        h = HermitianFormField(
-            g,
-            np.broadcast_to(f, g.shape).copy(),
-            np.ones(g.shape),
-            np.zeros(g.shape),
-            np.zeros(g.shape),
-        )
-        assert positivity_margin(h) == 0.0
+        assert positivity_margin(form(g, f, 1.0, 0.0, 0.0)) == 0.0
 
     def test_margin_negative(self, grid):
-        assert positivity_margin(HermitianFormField.constant(grid, -1.0, 1.0)) == -1.0
+        assert positivity_margin(form(grid, -1.0, 1.0, 0.0, 0.0)) == -1.0
+
+
+@st.composite
+def by_parts_cases(draw):
+    """A 4-D lattice (N in {4, 6, 8}, offsets in [0, 1/N)), three random
+    potentials on it band-limited to |k| <= (N - 1) / 3 per axis, so that no
+    product of three of them aliases, and a class."""
+    n = draw(st.sampled_from((4, 6, 8)))
+    offset = st.floats(0.0, 1.0 / n, exclude_max=True)
+    grid = Grid(n, tuple(draw(offset) for _ in range(4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, v, w = (random_bandlimited(grid, rng, amp=draw(st.floats(0.01, 1.0)),
+                                  kmax=(n - 1) // 3) for _ in range(3))
+    entry = st.floats(-2.0, 2.0)
+    cls = CohomologyClass(draw(entry), draw(entry), complex(draw(entry), draw(entry)))
+    return u, v, w, cls
+
+
+def wedge_size(a, b):
+    """A pointwise bound on |D(a, b)|, the size its rounding is relative to."""
+    return 2.0 * np.abs(a).sum(axis=0) * np.abs(b).sum(axis=0)
+
+
+by_parts_settings = settings(derandomize=True, deadline=None, max_examples=40,
+                             database=None)
 
 
 class TestExactness:
-    """Integration by parts on the torus holds to rounding."""
+    """Integration by parts on the torus holds to rounding, for band-limited
+    data on any lattice."""
 
-    def test_exact_form_pairs_to_zero(self, grid):
-        rng = np.random.default_rng(5)
-        for trial in range(3):
-            phi = random_bandlimited(grid, rng)
-            psi = random_bandlimited(grid, rng)
-            exact = complex_hessian(phi)
-            closed = HermitianFormField.constant(grid, 1.5, 0.7, 0.2j).add(
-                complex_hessian(psi)
-            )
-            assert abs(integrate(wedge_density(exact, closed))) < 1e-10
+    @by_parts_settings
+    @given(by_parts_cases())
+    def test_exact_form_pairs_to_zero(self, case):
+        # int dd^c u ^ alpha = 0 for closed alpha = [class] + dd^c w
+        u, _, w, cls = case
+        exact, closed = complex_hessian(u), ClosedForm(cls, w).realized
+        assert abs(integrate(_wedge(exact, closed))) <= 1e-13 * integrate(
+            wedge_size(exact, closed))
 
-    def test_exact_wedge_exact_vanishes(self, grid):
-        rng = np.random.default_rng(6)
-        u = complex_hessian(random_bandlimited(grid, rng))
-        v = complex_hessian(random_bandlimited(grid, rng))
-        assert abs(integrate(wedge_density(u, v))) < 1e-12
+    @by_parts_settings
+    @given(by_parts_cases())
+    def test_exact_wedge_exact_vanishes(self, case):
+        u, v, _, _ = case
+        a, b = complex_hessian(u), complex_hessian(v)
+        assert abs(integrate(_wedge(a, b))) <= 1e-13 * integrate(wedge_size(a, b))
+
+    @by_parts_settings
+    @given(by_parts_cases())
+    def test_ddc_is_symmetric(self, case):
+        # int u dd^c v ^ alpha = int v dd^c u ^ alpha for closed alpha
+        u, v, w, cls = case
+        alpha = ClosedForm(cls, w).realized
+        hu, hv = complex_hessian(u), complex_hessian(v)
+        lhs = integrate(u.values * _wedge(hv, alpha))
+        rhs = integrate(v.values * _wedge(hu, alpha))
+        size = integrate(np.abs(u.values) * wedge_size(hv, alpha)
+                         + np.abs(v.values) * wedge_size(hu, alpha))
+        assert abs(lhs - rhs) <= 1e-13 * size

@@ -13,8 +13,10 @@ offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
 ``family``, and ``family`` with no positive eps (a config error);
 ``solve-ma`` on both backends; ``functionals`` on a split run's final
-potential and, with no prior run, on the zero potential of the 4-D
-``nonsplit_perturbed`` (its divisor fit on the 4-D lattice);
+potential, on the final potential of a short 4-D ``nonsplit_perturbed`` run
+from a random start (a non-zero 4-D potential read back from its snapshot)
+and, with no prior run, on that preset's zero potential (its divisor fit on
+the 4-D lattice);
 ``check-classes``)
 with the ``jflow`` package of ``<checkout>/src``, each in a fresh output
 directory, and prints JSON with every command's exit status and the sha256
@@ -77,6 +79,10 @@ CONFIGS = {
                               "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                               "flow.stop_tolerance=1e-8")
                     for command in ("run", "functionals")],
+    "functionals_full": [(command, "preset=nonsplit_perturbed, N=8, eps=[0.1], "
+                                   "offsets=[0.01, 0.01, 0.01, 0.01], seed=1, "
+                                   "phi0.random=true, flow.max_time=0.05")
+                         for command in ("run", "functionals")],
     "functionals_zero": [("functionals", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
                                          "offsets=[0.01, 0.01, 0.01, 0.01]")],
     "check_classes": [("check-classes", "preset=degenerate_split, N=8, "
