@@ -7,6 +7,7 @@ Modules:
 * ``split``        product-backend factor calculus
 * ``flow``         the RKC / RK4 method-of-lines integrator and family driver
 * ``ma``           complex Monge-Ampere Newton solver
+* ``krylov``       restarted, preconditioned GMRES on numpy arrays
 * ``functionals``  energy functionals (J, I, E, Mabuchi)
 * ``diagnostics``  estimate monitors and fits
 * ``presets``      pinned experiment configurations

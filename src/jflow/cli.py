@@ -10,7 +10,6 @@ output directory and exits 0 iff all asserted verdicts pass.
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ from .diagnostics import (
     trace_bound_check,
     uniformity_report,
 )
-from .errors import ConfigError, JFlowError
+from .errors import ConfigError, JFlowError, is_number
 from .flow import (
     FlowConfig,
     check_eps_zero,
@@ -203,7 +202,7 @@ def validate_config(cfg):
         if not isinstance(cfg.n, int) or cfg.n < 4 or cfg.n % 2:
             problems.append(f"N must be even and >= 4, got {cfg.n}")
     for i, e in enumerate(cfg.eps):
-        if not (_is_real(e) and e >= 0):
+        if not (is_number(e) and e >= 0):
             problems.append(f"eps[{i}]: entries must be nonnegative finite reals, "
                             f"got {e!r}")
     if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
@@ -216,7 +215,7 @@ def validate_config(cfg):
     if not isinstance(cfg.out, str) or not cfg.out:
         problems.append(f"out: must be a directory path, got {cfg.out!r}")
     for key, value in cfg.budget.items():
-        if value is not None and not _is_real(value):
+        if value is not None and not is_number(value):
             problems.append(f"budget.{key}: must be a finite real, got {value!r}")
     for section in ("chi0", "omega0", "omegahat", "phi0"):
         spec = getattr(cfg, section)
@@ -242,14 +241,9 @@ def validate_config(cfg):
     return problems
 
 
-def _is_real(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _is_reals(values, lengths):
     return (isinstance(values, list) and len(values) in lengths
-            and all(_is_real(v) for v in values))
+            and all(is_number(v) for v in values))
 
 
 def _fill_defaults(cfg):

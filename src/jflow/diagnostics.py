@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import _LOCUS_TOL
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, check_numbers
 from .flow import MonitorVerdict, _trace_bound_excess
 from .torus import ScalarField
 
@@ -35,6 +35,7 @@ class QMonitorConfig:
     delta: float = 0.1
 
     def __post_init__(self):
+        check_numbers(self)
         if not self.a > 1.0:
             raise ValueError("QMonitorConfig: A must exceed 1")
         if not self.delta > 0.0:

@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value check that
+every config type makes."""
+
+import math
+
+
+def is_number(value):
+    """A finite int or float, and not a bool (a bool is an int: true would
+    read as 1)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_numbers(cfg):
+    """Raise ValueError if a number field of the config dataclass ``cfg`` is
+    a bool or not finite."""
+    for name, value in vars(cfg).items():
+        if isinstance(value, (int, float)) and not is_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 class JFlowError(Exception):

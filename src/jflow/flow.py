@@ -63,17 +63,20 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 * ``wrap(raw)`` / ``unwrap(phi)``: one member's raw array to potential
   object, and a potential to the raw state of every member;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
-  positivity margin, finite) from one evaluation of the same formula, the
-  last two per member; each call adds one to ``rhs_evals``.  Both return
-  fresh arrays, which the steppers may keep (RK4 holds three velocities)
-  or overwrite (``_rkc`` scales each stage's velocity in place).  The
-  metric that ``rhs_only`` needs on the way is transient: each kernel
-  writes it into scratch it owns, made again when a batch narrows, and
-  overwrites it on the next call; the metric ``metrics`` returns is fresh.
-  Neither call enters ``np.errstate``: a non-positive metric divides by
-  zero, and ``_advance`` enters it once per attempt (``_start`` once
-  around the first evaluation), then refuses what is not finite or not
-  positive;
+  ok) from one evaluation of the same formula, ok per member: the velocity
+  is finite and the metric positive at every point (det chi > 0 and
+  chi11 > 0 on the 4-D lattice, both profiles > 0 on the split one); each
+  call adds one to ``rhs_evals``.  Both return fresh arrays, which the
+  steppers may keep (RK4 holds three velocities) or overwrite (``_rkc``
+  scales each stage's velocity in place).  The metric that ``rhs_only``
+  needs on the way is transient: each kernel writes it into scratch it
+  owns, made again when a batch narrows, and overwrites it on the next
+  call; the metric ``metrics`` returns is fresh.  Neither call enters
+  ``np.errstate``: a non-positive metric divides by zero, and ``_advance``
+  enters it once per attempt (``_start`` once around the first
+  evaluation), then refuses what is not finite or not positive;
+* ``margin(chi)``: per member, the lowest eigenvalue of the metric over the
+  grid, for history rows, ``_start``'s refusals, ``step`` and errors only;
 * ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
   array, from which ``_sup`` takes sup |x|;
 * ``adaptive_dt(chi)``: dt_safety / (max g * (pi N)^2) of the stiffest
@@ -101,21 +104,11 @@ import numpy as np
 import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import c_constant, cone_condition, epsilon_form
-from .errors import (
-    ConeConditionError,
-    DegenerateStiffnessError,
-    JFlowError,
-    PositivityError,
-)
+from .errors import (ConeConditionError, DegenerateStiffnessError, JFlowError,
+                     PositivityError, check_numbers)
 from .functionals import _energies_full, _energies_split
 from .split import SplitForm, SplitPotential
-from .torus import (
-    ScalarField,
-    SpectralOps,
-    _cowedge,
-    _det,
-    _lam_lo,
-)
+from .torus import ScalarField, SpectralOps, _cowedge, _det, _lam_lo
 
 _MAX_REJECTIONS = 20
 INTEGRATORS = ("rkc", "rk4")
@@ -152,14 +145,11 @@ class FlowConfig:
     integrator: str = "rkc"  # or "rk4"
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool):  # a bool is an int: true would read as 1
-                raise ValueError(f"{name} must be a number, got {value}")
-        # comparisons written so that nan fails them too
+        check_numbers(self)
         if not (0.0 < self.dt_safety < 1.0):
             raise ValueError("dt_safety must lie in (0, 1)")
-        if not (0.0 < self.stop_tolerance < math.inf and 0.0 < self.max_time < math.inf):
-            raise ValueError("stop_tolerance and max_time must be positive and finite")
+        if not (self.stop_tolerance > 0.0 and self.max_time > 0.0):
+            raise ValueError("stop_tolerance and max_time must be positive")
         if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not self.eps >= 0.0:
@@ -288,26 +278,31 @@ class _FullKernel:
     def chi(self, v):
         return self._ops.hessian(v, base=self._bg)
 
-    def _rhs(self, chi):
+    def _rhs(self, chi, det):
         # tr_chi omega = D(chi, omega) / det chi, D one contraction
         tr = np.einsum("k...,k...->...", chi, self._wp)
-        tr /= _det(chi)
+        tr /= det
         return np.subtract(self._c, tr, out=tr)
 
     def rhs_only(self, v):
         """The velocity, a fresh array; its chi is written into the
         kernel's scratch and overwritten by the next call."""
         self.rhs_evals += 1
-        return self._rhs(self._ops.hessian(v, base=self._bg, out=self._chi_scratch))
+        chi = self._ops.hessian(v, base=self._bg, out=self._chi_scratch)
+        return self._rhs(chi, _det(chi))
 
     def metrics(self, v):
-        """(rhs, chi, positivity margin, finite) in one pass; the last two
-        per member."""
+        """(rhs, chi, ok) in one pass; a 2x2 Hermitian chi is positive iff
+        det chi > 0 and chi11 > 0."""
         self.rhs_evals += 1
-        chi = self.chi(v)
-        rhs = self._rhs(chi)
-        return (rhs, chi, _lam_lo(chi).min(axis=self.member_axes),
-                np.isfinite(rhs).all(axis=self.member_axes))
+        chi, axes = self.chi(v), self.member_axes
+        det = _det(chi)
+        rhs = self._rhs(chi, det)
+        ok = (det.min(axis=axes) > 0.0) & (chi[0].min(axis=axes) > 0.0)
+        return rhs, chi, np.isfinite(rhs).all(axis=axes) & ok
+
+    def margin(self, chi):
+        return _lam_lo(chi).min(axis=self.member_axes)
 
     def extrema(self, x):
         """(max, min) of the potential-shaped raw array x over the grid, per
@@ -408,13 +403,14 @@ class _SplitKernel:
         return self._rhs(self._ops.laplacian(v, base=self._bg, out=self._chi_scratch))
 
     def metrics(self, v):
-        """(rhs, chi, positivity margin, finite) in one pass; the last two
-        per member."""
+        """(rhs, chi, ok) in one pass."""
         self.rhs_evals += 1
-        chi = self.chi(v)
+        chi, axes = self.chi(v), self.member_axes
         rhs = self._rhs(chi)
-        return (rhs, chi, chi.min(axis=self.member_axes),
-                np.isfinite(rhs).all(axis=self.member_axes))
+        return rhs, chi, np.isfinite(rhs).all(axis=axes) & (chi.min(axis=axes) > 0.0)
+
+    def margin(self, chi):
+        return chi.min(axis=self.member_axes)
 
     def extrema(self, x):
         """(max, min) over the product grid of x[0](z1) + x[1](z2), exact,
@@ -546,9 +542,10 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
     with np.errstate(all="ignore"):  # a non-positive start is refused below
-        rhs, chi, margin, finite = kernel.metrics(raw)
-    for mem, m, ok in zip(live, np.reshape(margin, -1), np.reshape(finite, -1)):
-        if not (ok and m > 0.0):
+        rhs, chi, ok = kernel.metrics(raw)
+        margin = kernel.margin(chi)
+    for mem, m, good in zip(live, np.reshape(margin, -1), np.reshape(ok, -1)):
+        if not good:
             mem.error = PositivityError(
                 f"initial potential leaves chi0 + dd^c(phi) non-positive "
                 f"(margin {m:.3e})", margin=float(m))
@@ -741,8 +738,8 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
     1, and retried at the step the error controller proposes.  After
     _MAX_REJECTIONS refusals of either kind the next one raises
     DegenerateStiffnessError, whose ``members`` flags the members that
-    failed that attempt.  Returns (new, new_rhs, new_chi, new_margin,
-    accepted_dt, next_dt, rejections, stages), where next_dt is the
+    failed that attempt.  Returns (new, new_rhs, new_chi, accepted_dt,
+    next_dt, rejections, stages), where next_dt is the
     controller's proposal for the following step (the accepted dt when not
     ``controlled``) and stages the RKC stage count (None under RK4).
     """
@@ -759,8 +756,8 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
                 new = _rkc(kernel, raw, rhs, dt, stages)
             else:
                 new = _rk4(kernel, raw, rhs, dt)
-            new_rhs, new_chi, new_margin, finite = kernel.metrics(new)
-        bad = ~(finite & (new_margin > 0.0))
+            new_rhs, new_chi, ok = kernel.metrics(new)
+        bad = ~ok
         if bad.any():
             retry, cause = 0.5 * dt, "not finite or not positive"
         elif controlled:
@@ -776,7 +773,8 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
         rejections += 1
         radius.age = _RADIUS_REFRESH
         if rejections > _MAX_REJECTIONS:
-            margin = float(np.min(new_margin))
+            with np.errstate(all="ignore"):
+                margin = float(np.min(kernel.margin(new_chi)))
             raise DegenerateStiffnessError(
                 f"step rejected {rejections} times at t={t:.6g}, last at "
                 f"dt={dt:.3e} ({cause}); margin {margin:.3e}",
@@ -784,7 +782,7 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
             )
         dt = retry
     radius.age += 1
-    return new, new_rhs, new_chi, new_margin, dt, retry, rejections, stages
+    return new, new_rhs, new_chi, dt, retry, rejections, stages
 
 
 def step(state, dt):
@@ -800,10 +798,10 @@ def step(state, dt):
         raise ValueError("dt must be positive")
     kernel = state.kernel
     radius = replace(state.radius)  # the new state's: ``state`` keeps its own
-    new, rhs, chi, margin, dt, _, rejections, _ = _advance(
+    new, rhs, chi, dt, _, rejections, _ = _advance(
         kernel, radius, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
     )
-    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, float(margin),
+    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, float(kernel.margin(chi)),
                      last_dt=dt, last_rejections=rejections, radius=radius)
 
 
@@ -838,19 +836,20 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
 
     def drop(gone):
         """Take the members flagged in ``gone`` out of the batch."""
-        nonlocal live, raw, rhs, chi, margin
+        nonlocal live, raw, rhs, chi
         if not gone.any():
             return
         keep = np.flatnonzero(~gone)
         live = [live[p] for p in keep]
         if live:  # a single run's state is never narrowed: its member leaves
-            raw, rhs, margin = raw[keep], rhs[keep], margin[keep]
+            raw, rhs = raw[keep], rhs[keep]
             chi = kernel._keep(keep, chi)
             radius.keep(keep)
 
     def record(which=None, force=False):
         hi, lo = kernel.extrema(rhs)
         j, i, j_rate = kernel.row_functionals(raw, rhs, chi)
+        margin = kernel.margin(chi)
         cols = [per_member(x) for x in (_sup(kernel, raw), j, i, margin, hi, lo, j_rate)]
         for p, mem in enumerate(live):
             if which is None or which[p]:
@@ -884,7 +883,7 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
                 break
         dt = min(h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t)
         try:
-            raw, rhs, chi, margin, dt, h, tries, s = _advance(
+            raw, rhs, chi, dt, h, tries, s = _advance(
                 kernel, radius, raw, rhs, chi, dt, t, controlled
             )
         except DegenerateStiffnessError as err:

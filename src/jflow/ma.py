@@ -20,9 +20,11 @@ stacked (2, n, n) problem.  Both backends run the same damped Newton loop,
 ``_damped_newton``: one positivity check, one backtracking line search and
 one set of failure errors.
 
-scipy's Krylov layer (``gmres``, ``LinearOperator``) is imported on the
-first Newton-Krylov direction, not with the module, so that importing the
-package loads no scipy module.
+The GMRES is the lab's own (``krylov.gmres``, scipy's operation for
+operation), so a solve, like the rest of the package, loads numpy only.
+``_newton_direction`` calls it through the module attribute ``gmres``,
+where a replacement set on this module (e.g. a traced ``gmres``) is the one
+it calls.
 """
 
 from dataclasses import dataclass
@@ -31,16 +33,10 @@ import numpy as np
 import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
-from .errors import ConeConditionError, MAConvergenceError, PositivityError
+from .errors import ConeConditionError, MAConvergenceError, PositivityError, check_numbers
+from .krylov import Operator, gmres
 from .split import SplitPotential
-from .torus import (
-    ScalarField,
-    SpectralOps,
-    _cowedge,
-    _det,
-    _lam_lo,
-    positivity_margin,
-)
+from .torus import ScalarField, SpectralOps, _cowedge, _det, positivity_margin
 
 
 @dataclass(frozen=True)
@@ -49,9 +45,7 @@ class MASolverConfig:
     max_newton: int = 50
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool):  # a bool is an int: true would read as 1
-                raise ValueError(f"{name} must be a number, got {value}")
+        check_numbers(self)
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if not isinstance(self.max_newton, int) or self.max_newton < 1:
@@ -182,7 +176,7 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
 
     def evaluate(p):
         a = ops.hessian(p, base=a_real, c=c)
-        m = float(_lam_lo(a).min())
+        m = positivity_margin(a)
         return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
 
     def direction(g_res, a, res_sup):
@@ -191,18 +185,6 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
     psi, residuals, *stats = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
     out = ScalarField(grid, psi)
     return MASolution(out.mean_normalized(), residuals, len(residuals) - 1, *stats)
-
-
-def __getattr__(name):
-    """PEP 562: scipy.sparse.linalg's ``gmres`` and ``LinearOperator``,
-    imported on first use.  Each is then a module attribute, and a
-    replacement set there (e.g. a traced ``gmres``) is the one
-    ``_newton_direction`` calls."""
-    if name not in ("LinearOperator", "gmres"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.sparse import linalg
-
-    return globals().setdefault(name, getattr(linalg, name))
 
 
 def _newton_direction(g_res, a, c, ops, res_sup):
@@ -214,7 +196,6 @@ def _newton_direction(g_res, a, c, ops, res_sup):
     of the mean of A, the preconditioner is P^-1 r = Lbar^-1 (s r) with
     Lbar = c tr_Abar dd^c = c (Delta_{z1} / Abar11 + Delta_{z2} / Abar22) and
     s = sqrt(det A / det Abar): if A = s Abar pointwise, c tr_A dd^c = Lbar / s."""
-    LinearOperator, gmres = __getattr__("LinearOperator"), __getattr__("gmres")
     shape, size = ops.shape, g_res.size
     ap = _cowedge(a)
     ap *= c / _det(a)
@@ -233,9 +214,8 @@ def _newton_direction(g_res, a, c, ops, res_sup):
         return ops.divide(s * r.reshape(shape), weights).ravel()
 
     rhs = -(g_res - g_res.mean()).ravel()
-    # with its dtype given, LinearOperator makes no probing call on zeros
-    op = LinearOperator((size, size), matvec=lambda p: matvec(p.reshape(shape)), dtype=float)
-    pre = LinearOperator((size, size), matvec=precond, dtype=float)
+    op = Operator((size, size), lambda p: matvec(p.reshape(shape)))
+    pre = Operator((size, size), precond)
     # inexact Newton: modest relative tolerance early, _LINEAR_TOL near the end
     rtol = float(np.clip(0.01 * res_sup, _LINEAR_TOL, 1e-2))
     delta, info = gmres(op, rhs, M=pre, rtol=rtol, atol=0.0, restart=60, maxiter=40)

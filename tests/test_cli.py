@@ -129,6 +129,8 @@ class TestParseConfig:
         ("preset=identity, flow.snapshot_stride=0", "flow"),
         ("preset=identity, flow.max_time=abc", "flow"),
         ("preset=degenerate_split, q.a=0.5", "q"),
+        ("preset=degenerate_split, N=8, q.delta=true", "q"),
+        ("preset=degenerate_split, N=8, q.a=inf", "q"),
         ("preset=identity, ma.max_newton=2.5", "ma"),
         ("preset=identity, flow.dt_safety=[1]", "flow"),
         ("preset=identity, offsets=0.1", "offsets"),
@@ -502,6 +504,12 @@ class TestMain:
         # no end time, or a tolerance that any state meets
         ("run", "preset=smooth_split, N=8, flow.max_time=inf"),
         ("run", "preset=smooth_split, N=8, flow.stop_tolerance=inf"),
+        # a bool is no number, and every section refuses values that are not finite
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=true"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=inf"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=inf"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=1e400"),
+        ("solve-ma", "preset=identity, N=4, ma.newton_tol=inf"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, text):
         out = tmp_path / "out"

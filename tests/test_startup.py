@@ -1,9 +1,10 @@
-"""Start-up cost: importing the package loads numpy only.
+"""Start-up cost: the package loads numpy only, and so does every solve.
 
-A flow run needs no scipy module: the transforms are numpy.fft's, and
-scipy's GMRES is imported by the first Newton-Krylov direction.  Nothing
-imports a process pool: ``epsilon_family`` steps its members as one
-batched state in the calling process.
+No scipy module is loaded by importing the package, by a full-backend
+Newton-Krylov solve (its GMRES is ``jflow.krylov``'s) or by a whole
+``jflow --command solve-ma`` run; the transforms are numpy.fft's.  Nothing
+imports a process pool: ``epsilon_family`` steps its members as one batched
+state in the calling process.
 """
 
 import json
@@ -14,14 +15,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PROBE = r"""
+SCIPY = 'sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))'
+
+PROBE = rf"""
 import json, sys
 import jflow, jflow.cli
 
-before = {
-    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
-    "process_pool": "concurrent.futures.process" in sys.modules,
-}
+after_import = {SCIPY}
+process_pool = "concurrent.futures.process" in sys.modules
 from jflow import ma
 from jflow.cohomology import c_constant, epsilon_form
 from jflow.presets import build_preset
@@ -32,29 +33,47 @@ c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.1))
 cfg = ma.MASolverConfig()
 sol = ma.solve_ma(ma.build_alpha(pb.chi0, w, c), c, w, cfg)
 
-import scipy.sparse.linalg
-
-print(json.dumps({
-    **before,
-    "gmres_is_scipys": ma.gmres is scipy.sparse.linalg.gmres,
-    "linear_operator_is_scipys": ma.LinearOperator is scipy.sparse.linalg.LinearOperator,
+print(json.dumps({{
+    "after_import": after_import,
+    "process_pool": process_pool,
+    "after_solve": {SCIPY},
     "residual": sol.residual(),
     "newton_tol": cfg.newton_tol,
-}))
+}}))
+"""
+
+CLI_PROBE = rf"""
+import json, sys
+from jflow.cli import main
+
+code = main(["--command", "solve-ma", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({{"code": code, "after_cli": {SCIPY}}}))
 """
 
 
-def test_import_loads_no_scipy_and_gmres_loads_on_first_solve():
+def _run(code, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                          env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout.splitlines()[-1])
-    assert got["scipy"] == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_and_newton_solve_load_no_scipy():
+    got = _run(PROBE)
+    assert got["after_import"] == []
     assert not got["process_pool"]
-    assert got["gmres_is_scipys"]
-    assert got["linear_operator_is_scipys"]
+    assert got["after_solve"] == []
     assert got["residual"] <= got["newton_tol"]
+
+
+def test_solve_ma_command_loads_no_scipy(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("preset=nonsplit_perturbed, N=8\n")
+    got = _run(CLI_PROBE, str(config), str(tmp_path / "out"))
+    assert got["code"] == 0
+    assert got["after_cli"] == []
+    assert (tmp_path / "out" / "run.json").exists()

@@ -7,18 +7,19 @@ Starts one long-lived worker per checkout (this script with ``--worker``),
 each importing ``jflow`` from its checkout's ``src/`` and the workloads from
 its ``perfbench/``, with the BLAS/OpenMP pools pinned to one thread as
 ``perfbench/run.py`` pins them.  Each worker prepares and warms up the
-inputs of every seed once (the first unit also warms the Newton oracle's
-lazy imports), then runs units on request.  The two sides run one unit
-each per pair, one at a time, the first side alternating from pair to pair,
-so slow drift of the host hits both sides alike; whole benchmark runs
-repeated minutes apart drift far more.
+inputs of every seed once and runs one unit untimed (a checkout whose
+first solve imports a module pays for it there), then runs units on
+request.  The two sides run one unit each per pair, one at a time, the
+first side alternating from pair to pair, so slow drift of the host hits
+both sides alike; whole benchmark runs repeated minutes apart drift far
+more.
 
 Reported: per seed and overall, each side's median unit time and
 quartiles, the median and quartiles of the per-pair ratio change/parent,
 and the pairs the change won.  With ``--layers R`` the workers also time,
 in R alternating rounds, per-call costs on ``nonsplit_perturbed`` at
 N = 8 / 12 / 16 (seed-1 start, eps 0.1): ``SpectralOps.divide`` of white
-noise, the full kernel's ``_rhs`` of the start's chi, and the ``solve_ma``
+noise, the full kernel's ``rhs_only`` of the start, and the ``solve_ma``
 Newton oracle.  ``--out`` writes the result as JSON: ``about``, then
 ``workloads.<name>`` with ``end_to_end.unit_s`` (the quantity whose median
 ``time_to_solution_s`` is) and ``per_layer`` rows; an existing file keeps
@@ -73,11 +74,11 @@ def _layer_probes():
         state = flow.make_state(flow.FlowConfig(eps=0.1), pb.chi0, pb.omega0,
                                 pb.omega_hat, phi0=phi0)
         kernel = state.kernel
-        chi = kernel.chi(kernel.unwrap(state.phi))
+        raw = kernel.unwrap(state.phi)
         ops = SpectralOps.of(pb.grid)
         noise = np.random.default_rng(0).normal(size=pb.grid.shape)
         probes[f"divide[N={n}]"] = lambda ops=ops, v=noise: ops.divide(v)
-        probes[f"_rhs[N={n}]"] = lambda k=kernel, c=chi: k._rhs(c)
+        probes[f"rhs_only[N={n}]"] = lambda k=kernel, v=raw: k.rhs_only(v)
         probes[f"solve_ma[N={n}]"] = lambda pb=pb: newton_oracle(pb, 0.1)
     return probes
 
