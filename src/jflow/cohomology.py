@@ -15,7 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PositivityError
-from .torus import ScalarField, _lam_lo, _wedge, complex_hessian, generalized_eigenvalues
+from .split import SplitPotential
+from .torus import (ScalarField, SpectralOps, _lam_lo, _wedge, complex_hessian,
+                    generalized_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -105,54 +107,74 @@ def cone_condition(x, w):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Closed (1,1)-form: constant class plus dd^c of a potential."""
+    """Closed (1,1)-form: constant class plus dd^c of a potential, a
+    ``ScalarField`` on the 4-D lattice or, with a diagonal class, a
+    ``SplitPotential`` on a factor lattice (the form diag(A(z1), B(z2)))."""
 
     cls: CohomologyClass
-    potential: ScalarField
+    potential: object  # ScalarField | SplitPotential
 
-    backend = "full"
-
-    @cached_property
-    def realized(self):
-        """The class's constant representative plus dd^c of the potential, as
-        a read-only (4,) + shape block: kernels share it."""
-        block = complex_hessian(self.potential, base=np.array(self.cls.components()))
-        block.flags.writeable = False
-        return block
+    def __post_init__(self):
+        if self.backend == "split" and self.cls.m12 != 0.0:
+            raise ValueError(f"ClosedForm: off-diagonal class {self.cls} on a factor lattice")
 
     @property
     def grid(self):
         return self.potential.grid
 
+    @property
+    def backend(self):  # the lattice's: "split" on a factor lattice
+        return "split" if len(self.grid.shape) == 2 else "full"
+
+    @cached_property
+    def realized(self):
+        """The class's constant representative plus dd^c of the potential, as
+        a read-only block that kernels share: (4,) + shape on the 4-D
+        lattice, the (2, n, n) profile stack (A, B) on a factor lattice."""
+        if self.backend == "split":
+            base = np.array([self.cls.m11, self.cls.m22])[:, None, None]
+            block = SpectralOps.of(self.grid).laplacian(self.potential.values, base=base)
+        else:
+            block = complex_hessian(self.potential, base=np.array(self.cls.components()))
+        block.flags.writeable = False
+        return block
+
     @classmethod
     def from_class(cls, cohomology_class, grid):
-        return cls(cohomology_class, ScalarField.zeros(grid))
+        """The class's constant form: zeros of the lattice's potential type."""
+        zeros = SplitPotential.zeros if len(grid.shape) == 2 else ScalarField.zeros
+        return cls(cohomology_class, zeros(grid))
 
     def plus_ddc(self, phi):
-        """chi_phi = self + dd^c phi, realised as a fresh (4,) + shape block."""
+        """chi_phi = self + dd^c phi, realised as a fresh block."""
         if phi.grid != self.grid:
             raise ValueError(f"ClosedForm.plus_ddc: grids differ ({self.grid} vs {phi.grid})")
+        if self.backend == "split":
+            return SpectralOps.of(self.grid).laplacian(phi.values, base=self.realized)
         return complex_hessian(phi, base=self.realized)
 
+    def assemble(self, grid4=None):
+        """The form on a 4-D lattice, by default the product of its factor
+        lattice: itself on the 4-D lattice."""
+        if self.backend == "full":
+            return self
+        return ClosedForm(self.cls, self.potential.assemble(grid4))
+
     def scale(self, c):
-        return ClosedForm(
-            self.cls.scale(c), ScalarField(self.grid, float(c) * self.potential.values)
-        )
+        pot = type(self.potential)(self.grid, float(c) * self.potential.values)
+        return ClosedForm(self.cls.scale(c), pot)
 
     def add(self, other):
         if other.grid != self.grid:
             raise ValueError(f"ClosedForm.add: grids differ ({self.grid} vs {other.grid})")
-        return ClosedForm(
-            self.cls.add(other.cls),
-            ScalarField(self.grid, self.potential.values + other.potential.values),
-        )
+        pot = type(self.potential)(self.grid, self.potential.values + other.potential.values)
+        return ClosedForm(self.cls.add(other.cls), pot)
 
 
 def epsilon_form(omega0, eps, omega_hat):
     """The regularised family member omega_eps = omega0 + eps * omega_hat.
 
-    Class and potential add componentwise; works for both the full-grid
-    ClosedForm and the split-backend SplitForm (duck-typed add/scale).
+    Class and potential add componentwise, on either lattice.
     """
     if eps < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {eps}")
@@ -178,7 +200,7 @@ class DivisorModel:
 
     beta: float
     rho: float
-    r_h: object  # ClosedForm or SplitForm
+    r_h: ClosedForm
 
     def s2_proxy(self, grid):
         """Proxy |s|^2 on the 4-D or the z1 factor lattice (a function of z1

@@ -107,7 +107,7 @@ from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (ConeConditionError, DegenerateStiffnessError, JFlowError,
                      PositivityError, check_numbers)
 from .functionals import _energies_full, _energies_split
-from .split import SplitForm, SplitPotential
+from .split import SplitPotential
 from .torus import ScalarField, SpectralOps, _cowedge, _det, _lam_lo
 
 _MAX_REJECTIONS = 20
@@ -361,14 +361,14 @@ class _SplitKernel:
         self.grid = fgrid
         self.cfg = cfg
         self.rhs_evals = 0
-        self._bg = np.stack(chi0.profiles())
+        self._bg = chi0.realized
         self.member_axes = (-3, -2, -1)
         self._ops = SpectralOps.of(fgrid)
         self._kmax2 = (np.pi * fgrid.n) ** 2
-        ws = [np.stack(w.profiles()) for w in omegas]
+        ws = [w.realized for w in omegas]
         # factor constants: c = c1 + c2 with c_i = mean(omega factor)/chi0 class
-        factor_cs = [np.array([float(np.mean(w[0])) / chi0.a1,
-                               float(np.mean(w[1])) / chi0.a2])[:, None, None]
+        factor_cs = [np.array([float(np.mean(w[0])) / chi0.cls.m11,
+                               float(np.mean(w[1])) / chi0.cls.m22])[:, None, None]
                      for w in ws]
         self._members(_stack([float(c) for c in cs]), _stack(ws), _stack(factor_cs))
 
@@ -384,10 +384,10 @@ class _SplitKernel:
         return chi[idx]
 
     def unwrap(self, phi):
-        return np.broadcast_to(np.stack((phi.phi1, phi.phi2)), self.shape)
+        return np.broadcast_to(phi.values, self.shape)
 
     def wrap(self, v):
-        return SplitPotential(self.grid, v[0], v[1])
+        return SplitPotential(self.grid, v)
 
     def chi(self, v):
         return self._ops.laplacian(v, base=self._bg)
@@ -448,7 +448,7 @@ def _make_kernel(chi0, omegas, cs, cfg):
     """The backend kernel of one run (``omegas`` and ``cs`` of length 1), or
     of a batch of members that differ only in omega_eps and c_eps, stacked
     on a leading member axis."""
-    kernel = _SplitKernel if isinstance(chi0, SplitForm) else _FullKernel
+    kernel = _SplitKernel if chi0.backend == "split" else _FullKernel
     return kernel(chi0, omegas, cs, cfg)
 
 

@@ -236,15 +236,15 @@ def solve_ma_split(alpha, c, target, cfg=None):
     """
     cfg = cfg or MASolverConfig()
     fgrid = alpha.grid
-    f, g = target.profiles()
+    f, g = target.realized
     floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
     if f.min() <= floor or g.min() <= floor:
         raise PositivityError(
             "solve_ma_split: target profile vanishes; use epsilon-continuation",
             margin=float(min(f.min(), g.min())),
         )
-    kappa = alpha.a1 / float(f.mean())
-    side = np.stack(alpha.profiles())
+    kappa = alpha.cls.m11 / float(f.mean())
+    side = alpha.realized
     goal = np.stack((kappa * f, g / kappa))
     side_mean, goal_mean = side.mean((1, 2)), goal.mean((1, 2))
     if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
@@ -265,8 +265,7 @@ def solve_ma_split(alpha, c, target, cfg=None):
     psi, residuals, *stats = _damped_newton(
         "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
     )
-    return MASolution(SplitPotential(fgrid, psi[0], psi[1]), residuals,
-                      len(residuals) - 1, *stats)
+    return MASolution(SplitPotential(fgrid, psi), residuals, len(residuals) - 1, *stats)
 
 
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):

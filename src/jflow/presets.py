@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .cohomology import ClosedForm, CohomologyClass, DivisorModel, epsilon_form
-from .split import SplitForm, SplitPotential, assemble_form
-from .torus import Grid, ScalarField, complex_hessian, positivity_margin
+from .split import SplitPotential
+from .torus import Grid, ScalarField, complex_hessian, poisson_solve, positivity_margin
 
 PRESET_NAMES = ("identity", "smooth_split", "degenerate_split", "nonsplit_perturbed")
 
@@ -64,9 +64,9 @@ class Problem:
     is the forms' own."""
 
     name: str
-    chi0: object  # ClosedForm | SplitForm
-    omega0: object
-    omega_hat: object
+    chi0: ClosedForm
+    omega0: ClosedForm
+    omega_hat: ClosedForm
     divisor: Optional[DivisorModel] = None
 
     @property
@@ -93,9 +93,9 @@ class Problem:
             return self
         div = self.divisor
         if div is not None:
-            div = replace(div, r_h=assemble_form(div.r_h, grid4))
+            div = replace(div, r_h=div.r_h.assemble(grid4))
         forms = (self.chi0, self.omega0, self.omega_hat)
-        return Problem(self.name, *(assemble_form(f, grid4) for f in forms), div)
+        return Problem(self.name, *(f.assemble(grid4) for f in forms), div)
 
 
 def degenerate_profile(fgrid):
@@ -118,9 +118,17 @@ def make_divisor(fgrid, rho=0.5, beta=1.0):
     """
     f = degenerate_profile(fgrid)
     r1 = (f - (1.0 - rho)) / rho
-    r_h = SplitForm.from_profiles(fgrid, r1)
-    r_h = SplitForm(fgrid, 1.0, 0.0, r_h.p1, np.zeros(fgrid.shape))
+    r_h = replace(_from_profile(fgrid, r1), cls=CohomologyClass.diag(1.0, 0.0))
     return DivisorModel(beta=beta, rho=rho, r_h=r_h)
+
+
+def _from_profile(fgrid, f):
+    """The split form with realised profiles f(z1) and 1: class diag(mean f,
+    1), potential a factor Poisson solve (exact for band-limited f)."""
+    a1 = float(np.mean(f))
+    p1 = poisson_solve(ScalarField(fgrid, f - a1)).values
+    pot = SplitPotential(fgrid, np.stack((p1, np.zeros(fgrid.shape))))
+    return ClosedForm(CohomologyClass.diag(a1, 1.0), pot)
 
 
 def preset_grid(name, n, offsets=None):
@@ -148,13 +156,12 @@ def build_preset(name, n=None, offsets=None):
         return Problem(name, ident, ident, ident)
 
     fgrid = Grid(n, grid.offsets[:2])
-    one = SplitForm.constant(fgrid, 1.0, 1.0)
+    one = ClosedForm.from_class(CohomologyClass.identity(), fgrid)
 
     if name == "smooth_split":
-        omega0 = SplitForm.from_profiles(fgrid, smooth_profile(fgrid))
-        return Problem(name, one, omega0, one)
+        return Problem(name, one, _from_profile(fgrid, smooth_profile(fgrid)), one)
 
-    omega0 = SplitForm.from_profiles(fgrid, degenerate_profile(fgrid))
+    omega0 = _from_profile(fgrid, degenerate_profile(fgrid))
     degenerate = Problem(name, one, omega0, one, make_divisor(fgrid))
     if name == "degenerate_split":
         return degenerate
@@ -199,9 +206,9 @@ def random_bandlimited_potential(problem, rng):
         return cosine_modes(grid, modes)
 
     if problem.backend == "split":
-        parts = [draw(_RANDOM_MODES) for _ in range(2)]
-        scale = _positive_scale(problem.to_full(), SplitPotential(grid, *parts).assemble())
-        return SplitPotential(grid, scale * parts[0], scale * parts[1])
+        v = np.stack([draw(_RANDOM_MODES) for _ in range(2)])
+        scale = _positive_scale(problem.to_full(), SplitPotential(grid, v).assemble())
+        return SplitPotential(grid, scale * v)
     v = draw(2 * _RANDOM_MODES)
     scale = _positive_scale(problem, ScalarField(grid, v))
     return ScalarField(grid, scale * v)

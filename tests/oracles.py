@@ -149,12 +149,12 @@ def mabuchi_path(phi, chi0, steps=16):
 
 
 def _split_terms(phi, chi0):
-    return (phi.phi1, phi.phi2), chi0.plus_ddc(phi), chi0.profiles()
+    return phi.values, chi0.plus_ddc(phi), chi0.realized
 
 
 def j_closed_split(phi, chi0, omega, c):
     """J_closed for split data, via factor means."""
-    return float(_energies_split(*_split_terms(phi, chi0), omega.profiles(), c)[0])
+    return float(_energies_split(*_split_terms(phi, chi0), omega.realized, c)[0])
 
 
 def i_functional_split(phi, chi0):

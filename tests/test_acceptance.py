@@ -82,11 +82,10 @@ def second_init_run():
     # chi_phi positive (margin 1 - 0.05 pi^2 ~ 0.51)
     pb = build_preset("degenerate_split", n=16)
     x, y = pb.grid.coords()
-    phi0 = SplitPotential(
-        pb.grid,
+    phi0 = SplitPotential(pb.grid, np.stack((
         (0.05 * np.cos(2 * np.pi * y)) * np.ones(pb.grid.shape),
         np.zeros(pb.grid.shape),
-    )
+    )))
     cfg = FlowConfig(eps=0.05, dt_safety=0.8, stop_tolerance=1e-8, max_time=4.0,
                      snapshot_stride=50)
     traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0,
@@ -226,7 +225,7 @@ def test_criterion_4_critical_point_oracles(smooth_run):
                          MASolverConfig())
     f = smooth_profile(pb.grid)
     _, _, p1, p2 = split_critical(f, np.ones(pb.grid.shape), fgrid=pb.grid)
-    oracle = SplitPotential(pb.grid, p1, p2).assemble()
+    oracle = SplitPotential(pb.grid, np.stack((p1, p2))).assemble()
     flow_lim = traj.final_potential()
     newton = sol.psi.assemble()
     elapsed = run_seconds + (time.perf_counter() - t0)

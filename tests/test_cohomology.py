@@ -16,8 +16,8 @@ from jflow.cohomology import (
 )
 from jflow.errors import PositivityError
 from jflow.presets import build_preset, make_divisor, random_bandlimited_potential
-from jflow.split import SplitForm, assemble_form
-from jflow.torus import Grid, ScalarField, _wedge
+from jflow.split import SplitPotential
+from jflow.torus import Grid, ScalarField, SpectralOps, _wedge
 from oracles import integrate
 
 ID = CohomologyClass.identity()
@@ -159,7 +159,7 @@ class TestEpsilonForm:
     def test_degenerate_profile_shift(self):
         pb = build_preset("degenerate_split")
         w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
-        a, b = w.profiles()
+        a, b = w.realized
         from jflow.presets import degenerate_profile
 
         f = degenerate_profile(pb.grid)
@@ -195,7 +195,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("make", [
         lambda g: ClosedForm.from_class(ID, g),
-        lambda g: SplitForm.constant(Grid(g.n, g.offsets[:2]), 1.0, 1.0),
+        lambda g: ClosedForm.from_class(ID, Grid(g.n, g.offsets[:2])),
     ], ids=["closed", "split"])
     def test_add_refuses_other_grid(self, make):
         a = make(Grid(8))
@@ -211,10 +211,44 @@ class TestClosedForm:
         rng = np.random.default_rng(4)
         phi = random_bandlimited_potential(pb, rng)
         a, b = pb.omega0.plus_ddc(phi)
-        full = assemble_form(pb.omega0).plus_ddc(phi.assemble())
+        full = pb.omega0.assemble().plus_ddc(phi.assemble())
         assert np.abs(full[0] - a[:, :, None, None]).max() < 1e-12
         assert np.abs(full[1] - b[None, None, :, :]).max() < 1e-12
         assert np.abs(full[2:]).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["smooth_split", "degenerate_split"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_split_realized_is_each_factor_bitwise(self, name, n):
+        # the batched Laplacian of the (2, n, n) stack gives each factor's
+        # class plus its own Laplacian, bit for bit, as a read-only block
+        pb = build_preset(name, n=n)
+        lap = SpectralOps.of(pb.grid).laplacian
+        for form in (pb.chi0, pb.omega0, pb.omega_hat, pb.omega_eps(0.1)):
+            a = np.array([form.cls.m11, form.cls.m22])
+            each = [a[i] + lap(form.potential.values[i]) for i in range(2)]
+            assert np.array_equal(form.realized, np.stack(each))
+            assert not form.realized.flags.writeable
+        phi = random_bandlimited_potential(pb, np.random.default_rng(5))
+        each = [pb.omega0.realized[i] + lap(phi.values[i]) for i in range(2)]
+        assert np.array_equal(pb.omega0.plus_ddc(phi), np.stack(each))
+
+    def test_factor_lattice_refuses_off_diagonal_class(self):
+        fgrid = Grid(8, (0.0, 0.0))
+        with pytest.raises(ValueError, match="off-diagonal"):
+            ClosedForm.from_class(CohomologyClass(1.0, 1.0, 0.2j), fgrid)
+        assert ClosedForm.from_class(ID, fgrid).backend == "split"
+        assert ClosedForm.from_class(CohomologyClass(1.0, 1.0, 0.2j), Grid(8)).backend == "full"
+
+    def test_split_potential_checks_its_shape(self):
+        fgrid = Grid(8, (0.0, 0.0))
+        assert SplitPotential.zeros(fgrid).values.shape == (2, 8, 8)
+        for shape in ((8, 8), (2, 8, 4), (3, 8, 8)):
+            with pytest.raises(ValueError, match="split potential shape"):
+                SplitPotential(fgrid, np.zeros(shape))
+
+    def test_assemble_is_identity_on_the_4d_lattice(self):
+        pb = build_preset("nonsplit_perturbed", n=8)
+        assert pb.chi0.assemble() is pb.chi0 and pb.to_full() is pb
 
 
 class TestVerifyOmega0:
@@ -246,7 +280,7 @@ class TestVerifyOmega0:
         pb = build_preset("degenerate_split", n=8)
         bad_div = make_divisor(pb.grid, rho=2.0)
         full_div = DivisorModel(
-            bad_div.beta, bad_div.rho, assemble_form(bad_div.r_h, pb.grid.product())
+            bad_div.beta, bad_div.rho, bad_div.r_h.assemble(pb.grid.product())
         )
         full = pb.to_full()
         cert = verify_omega0_conditions(full.omega0, full_div, full.omega_hat)

@@ -59,7 +59,7 @@ class TestUniformity:
         _, fam = family12
         hi, lo = fam.members
         phi = lo.trajectory.final
-        doubled = SplitPotential(phi.grid, 2.0 * phi.phi1, 2.0 * phi.phi2)
+        doubled = SplitPotential(phi.grid, 2.0 * phi.values)
         lo = replace(lo, trajectory=replace(lo.trajectory, final=doubled))
         rep = uniformity_report(replace(fam, members=[hi, lo]))
         s_hi, s_lo = (m.trajectory.final_potential().mean_normalized().sup()

@@ -23,7 +23,7 @@ from jflow.flow import (
     step,
 )
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
-from jflow.split import SplitForm, SplitPotential
+from jflow.split import SplitPotential
 from jflow.torus import (
     Grid,
     ScalarField,
@@ -92,7 +92,7 @@ class TestFlowRhs:
         pb = build_preset("smooth_split", n=16)
         f = smooth_profile(pb.grid)
         c1, c2, p1, p2 = split_critical(f, np.ones(pb.grid.shape), fgrid=pb.grid)
-        phi = SplitPotential(pb.grid, p1, p2).assemble()
+        phi = SplitPotential(pb.grid, np.stack((p1, p2))).assemble()
         full = pb.to_full()
         rhs = flow_rhs(phi, full.chi0, full.omega0, c1 + c2)
         assert rhs.sup() < 1e-10
@@ -341,8 +341,9 @@ class TestStiffnessBound:
         # larger factor's g times the factor Laplacian's largest symbol, the
         # checkerboard's
         grid = Grid(8, (0.0, 0.0))
-        state = self.constant_state(SplitForm.constant(grid, 1.5, 0.8),
-                                    SplitForm.constant(grid, 0.7, 1.1))
+        state = self.constant_state(
+            ClosedForm.from_class(CohomologyClass.diag(1.5, 0.8), grid),
+            ClosedForm.from_class(CohomologyClass.diag(0.7, 1.1), grid))
         radius = self.split_radius(state.kernel, state.chi)
         assert abs(self.check(state, radius) - radius) <= flow._RADIUS_RTOL * radius
 
@@ -558,7 +559,7 @@ class TestEvolve:
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
         x, y = pb.grid.coords()
         closed = (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) / (2 * np.pi ** 2)
-        limit = SplitPotential(pb.grid, closed, np.zeros(pb.grid.shape)).assemble()
+        limit = SplitPotential(pb.grid, np.stack((closed, np.zeros(pb.grid.shape)))).assemble()
         assert compare_up_to_constant(traj.final_potential(), limit) < 1e-8
 
     def test_nonpositive_divisor_point_is_refused(self):
@@ -573,8 +574,8 @@ class TestEvolve:
         assert a[0, 0] < 0.0 < np.sort(a.ravel())[1]
         phi1 = -1.5 * spike / ddc[0, 0]
         for problem, phi0 in (
-            (pb, SplitPotential(pb.grid, phi1, 0 * phi1)),
-            (pb.to_full(), SplitPotential(pb.grid, phi1, 0 * phi1).assemble()),
+            (pb, SplitPotential(pb.grid, np.stack((phi1, 0 * phi1)))),
+            (pb.to_full(), SplitPotential(pb.grid, np.stack((phi1, 0 * phi1))).assemble()),
         ):
             args = (problem.chi0, problem.omega0, problem.omega_hat, phi0)
             with pytest.raises(PositivityError, match="non-positive") as err:
@@ -779,8 +780,7 @@ class TestEpsilonFamily:
                         divisor=pb.divisor)
         traj = member.trajectory
         assert traj.rows == single.rows
-        assert np.array_equal(traj.final.phi1, single.final.phi1)
-        assert np.array_equal(traj.final.phi2, single.final.phi2)
+        assert np.array_equal(traj.final.values, single.final.values)
         assert ((traj.steps, traj.rejections, traj.rhs_evals, traj.stop_reason)
                 == (single.steps, single.rejections, single.rhs_evals, single.stop_reason))
 
@@ -929,11 +929,10 @@ class TestUniqueness:
     def test_two_initializations_share_limit(self, smooth8):
         pb = smooth8
         x, y = pb.grid.coords()
-        phi0 = SplitPotential(
-            pb.grid,
+        phi0 = SplitPotential(pb.grid, np.stack((
             0.02 * np.cos(2 * np.pi * y) * np.ones_like(x + y),
             np.zeros(pb.grid.shape),
-        )
+        )))
         t1 = evolve(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat)
         t2 = evolve(smooth_cfg(), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
         a = t1.final_potential()

@@ -173,7 +173,7 @@ class TestJGradient:
 
         fg = build_preset("smooth_split", n=16).grid
         _, _, p1, p2 = split_critical(smooth_profile(fg), np.ones(fg.shape), fgrid=fg)
-        phi = SplitPotential(fg, p1, p2).assemble()
+        phi = SplitPotential(fg, np.stack((p1, p2))).assemble()
         rng = np.random.default_rng(7)
         for _ in range(3):
             v = rand_phi(phi.grid, rng, amp=1.0)

@@ -41,7 +41,7 @@ class TestBuildAlpha:
     def test_degenerate_split_eps_zero(self):
         pb = build_preset("degenerate_split", n=8)
         alpha = build_alpha(pb.chi0, pb.omega0, 2.0)
-        a, b = alpha.profiles()
+        a, b = alpha.realized
         f = degenerate_profile(pb.grid)
         assert np.abs(a - (2.0 - f)).max() < 1e-12
         assert np.abs(b - 1.0).max() < 1e-12
@@ -52,7 +52,7 @@ class TestBuildAlpha:
         w = epsilon_form(pb.omega0, eps, pb.omega_hat)
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(eps))
         alpha = build_alpha(pb.chi0, w, c)
-        a_cls = CohomologyClass.diag(alpha.a1, alpha.a2)
+        a_cls = CohomologyClass.diag(alpha.cls.m11, alpha.cls.m22)
         assert abs(class_pairing(a_cls, a_cls) - 8.0 * (1 + eps) ** 2) < 1e-10
 
     def test_refuses_bad_cone(self):
@@ -121,7 +121,7 @@ class TestSplitCritical:
         assert np.abs(p1 - expected).max() < 1e-13
         # the critical metric degenerates exactly on the divisor while the
         # potential stays bounded (the weak-solution picture)
-        phi = SplitPotential(pb.grid, p1, p2).assemble()
+        phi = SplitPotential(pb.grid, np.stack((p1, p2))).assemble()
         full = pb.to_full()
         assert j_gradient_density(phi, full.chi0, full.omega0, c1 + c2).sup() < 1e-10
         from jflow.torus import complex_hessian
@@ -182,7 +182,7 @@ class TestSolveMA:
         assert sol.residual() <= 1e-10
         f = smooth_profile(pb.grid)
         _, _, p1, p2 = split_critical(f, np.ones(pb.grid.shape), fgrid=pb.grid)
-        oracle = SplitPotential(pb.grid, p1, p2).assemble().mean_normalized()
+        oracle = SplitPotential(pb.grid, np.stack((p1, p2))).assemble().mean_normalized()
         psi = sol.psi.assemble().mean_normalized()
         assert np.abs(psi.values - oracle.values).max() < 1e-8
 
@@ -204,10 +204,11 @@ class TestSolveMA:
         base = base * np.ones(pb.grid.shape)
         for eps, sol in sols:
             assert sol.residual() <= 1e-10
-            psi1 = sol.psi.phi1 - sol.psi.phi1.mean()
+            psi1, psi2 = sol.psi.values
+            psi1 = psi1 - psi1.mean()
             expected = base / (1.0 + eps)
             assert np.abs(psi1 - expected).max() < 1e-9
-            assert np.abs(sol.psi.phi2 - sol.psi.phi2.mean()).max() < 1e-9
+            assert np.abs(psi2 - psi2.mean()).max() < 1e-9
 
     def test_full_newton_critical_residual_bound(self):
         # the solver invariant: critical residual <= 10 * newton_tol

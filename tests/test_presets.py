@@ -29,14 +29,14 @@ class TestBuildPreset:
 
     def test_smooth_profile_realization(self):
         pb = build_preset("smooth_split", n=16)
-        f, g = pb.omega0.profiles()
+        f, g = pb.omega0.realized
         x = pb.grid.coords()[0]
         assert np.abs(f - (1 + 0.5 * np.sin(2 * np.pi * x))).max() < 1e-12
         assert np.abs(g - 1.0).max() < 1e-12
 
     def test_degenerate_profile_and_classes(self):
         pb = build_preset("degenerate_split", n=16)
-        f, _ = pb.omega0.profiles()
+        f, _ = pb.omega0.realized
         assert abs(f.min()) < 1e-12  # vanishes on the divisor
         assert np.isclose(f.max(), 2.0)
         cls = pb.omega_eps_class(0.0)
@@ -47,10 +47,10 @@ class TestBuildPreset:
         div = pb.divisor
         assert div.beta == 1.0 and div.rho == 0.5
         # r_h lies in c1([D]) = diag(1, 0)
-        assert np.isclose(div.r_h.a1, 1.0) and np.isclose(div.r_h.a2, 0.0)
+        assert np.isclose(div.r_h.cls.m11, 1.0) and np.isclose(div.r_h.cls.m22, 0.0)
         # omega0 - rho * R_H is the constant form diag(1 - rho, 1)
         shifted = pb.omega0.add(div.r_h.scale(-div.rho))
-        a, b = shifted.profiles()
+        a, b = shifted.realized
         assert np.abs(a - 0.5).max() < 1e-12
         assert np.abs(b - 1.0).max() < 1e-12
         full = pb.to_full()
@@ -138,5 +138,4 @@ class TestRandomPotential:
         pb = build_preset("smooth_split", n=8)
         a = random_bandlimited_potential(pb, np.random.default_rng(7))
         b = random_bandlimited_potential(pb, np.random.default_rng(7))
-        assert np.array_equal(a.phi1, b.phi1)
-        assert np.array_equal(a.phi2, b.phi2)
+        assert np.array_equal(a.values, b.values)

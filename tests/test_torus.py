@@ -74,7 +74,7 @@ class TestGrid:
         fg = Grid(8, (0.01, 0.0))
         x, _ = fg.coords()
         wave = np.broadcast_to(np.cos(2 * np.pi * x), fg.shape)
-        phi = SplitPotential(fg, np.zeros(fg.shape), wave).assemble()
+        phi = SplitPotential(fg, np.stack((np.zeros(fg.shape), wave))).assemble()
         _, _, x2, _ = phi.grid.coords()
         exact = np.broadcast_to(np.cos(2 * np.pi * x2), phi.grid.shape)
         assert np.abs(phi.values - exact).max() == 0.0
@@ -210,7 +210,7 @@ class TestSpectralOps:
                 )
             parts.append(v)
         ops = SpectralOps.of(fg)
-        h = complex_hessian(SplitPotential(fg, parts[0], parts[1]).assemble())
+        h = complex_hessian(SplitPotential(fg, np.stack(parts)).assemble())
         assert np.abs(h[0] - ops.laplacian(parts[0])[:, :, None, None]).max() < 1e-12
         assert np.abs(h[1] - ops.laplacian(parts[1])[None, None, :, :]).max() < 1e-12
         assert np.abs(h[2:]).max() < 1e-12
