@@ -176,8 +176,8 @@ def epsilon_form(omega0, eps, omega_hat):
 
     Class and potential add componentwise, on either lattice.
     """
-    if eps < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:  # nan compares false
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     if eps == 0.0:
         return omega0
     return omega0.add(omega_hat.scale(eps))

@@ -731,6 +731,8 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
     """One step of the configured integrator from the raw potential ``raw``
     with velocity ``rhs`` and metric ``chi`` at time t; RKC takes its stage
     count from ``radius`` (a _SpectralRadius), refreshed here when due.
+    With ``controlled``, each attempt is first cut to the longest step that
+    _RKC_MAX_STAGES stages keep stable, which the error test would refuse.
 
     An attempt is refused when its endpoint is not finite or not positive
     for some member, and retried at half the step; with ``controlled``,
@@ -752,7 +754,10 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
             if rkc:
                 if radius.age >= _RADIUS_REFRESH:
                     radius.estimate(kernel, raw, rhs)
-                stages = _rkc_stages(dt, _RKC_RHO_SAFETY * radius.rho)
+                rho = _RKC_RHO_SAFETY * radius.rho
+                if controlled:  # no longer than _RKC_MAX_STAGES keep stable
+                    dt = min(dt, ((_RKC_MAX_STAGES - 1) ** 2 - 1) / (1.54 * rho))
+                stages = _rkc_stages(dt, rho)
                 new = _rkc(kernel, raw, rhs, dt, stages)
             else:
                 new = _rk4(kernel, raw, rhs, dt)
@@ -969,9 +974,9 @@ class FamilyReport:
 
 def check_ladder(eps_list):
     """Raise ValueError unless ``eps_list`` is an eps ladder that
-    ``epsilon_family`` runs: strictly positive and strictly descending."""
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError(f"epsilon_family needs strictly positive epsilons, got {eps_list}")
+    ``epsilon_family`` runs: finite, positive, strictly descending."""
+    if not all(0.0 < e < math.inf for e in eps_list):  # nan compares false
+        raise ValueError(f"epsilon_family needs finite positive epsilons, got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilon list must be strictly descending, got {eps_list}")
 

@@ -2,8 +2,15 @@
 SIAM J. Sci. Stat. Comput. 7, 1986), scipy 1.17.1's ``gmres`` operation for
 operation: modified Gram-Schmidt, norms as sqrt(x . x), the same inner and
 outer tests, back substitution, then x += y V; the Givens rotations are
-LAPACK dlartg's unscaled branch.  On real systems of moderate scale it gives
-scipy's x and info bit for bit, and it loads no scipy module."""
+LAPACK dlartg's unscaled branch.  It loads no scipy module.
+
+Every inner product and norm goes through ``_dot``: ``np.dot`` over fixed
+blocks of _BLOCK entries, the partial sums added by ``math.fsum``.  A BLAS
+splits a longer dot product over its threads (OpenBLAS above 10,000
+entries), so its bits followed the thread count; a block is too short to
+split, and the blocks are fixed, so ``_dot`` gives the same bits under any
+thread count.  Up to _BLOCK entries it is ``np.dot`` itself, so on systems
+of that size ``gmres`` gives scipy's x and info bit for bit."""
 
 import math
 from typing import Callable, NamedTuple
@@ -11,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+_BLOCK = 8192  # entries per np.dot in _dot
 
 
 class Operator(NamedTuple):
@@ -21,8 +29,14 @@ class Operator(NamedTuple):
     dtype: type = float
 
 
+def _dot(x, y):
+    """x . y from one np.dot per block of _BLOCK entries, summed by fsum."""
+    return math.fsum(np.dot(x[i:i + _BLOCK], y[i:i + _BLOCK])
+                     for i in range(0, len(x), _BLOCK))
+
+
 def _norm(x):
-    return math.sqrt(np.dot(x, x))
+    return math.sqrt(_dot(x, x))
 
 
 def gmres(A, b, *, M=None, rtol=1e-5, atol=0.0, restart=20, maxiter=None):
@@ -60,7 +74,7 @@ def gmres(A, b, *, M=None, rtol=1e-5, atol=0.0, restart=20, maxiter=None):
             w = psolve(matvec(v[col]))
             h0 = _norm(w)
             for k in range(col + 1):  # modified Gram-Schmidt
-                h[col, k] = tmp = np.dot(v[k], w)
+                h[col, k] = tmp = _dot(v[k], w)
                 w -= tmp * v[k]
             h1 = _norm(w)
             breakdown = h1 <= _EPS * h0  # an invariant Krylov space: the exact solution

@@ -107,7 +107,7 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
     """
     block = tuple(range(-grid_ndim, 0))
     a, m, g_res = evaluate(psi)
-    if m <= 0.0:
+    if not m > 0.0:  # a nan margin too
         raise PositivityError(
             f"{name}: initial A_psi not positive (margin {m:.3e})", margin=m
         )

@@ -177,6 +177,13 @@ class TestEpsilonForm:
         with pytest.raises(ValueError):
             epsilon_form(pb.omega0, -0.1, pb.omega_hat)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        # a nan form's cone margin is nan, which no check refuses
+        pb = build_preset("degenerate_split", n=8)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            epsilon_form(pb.omega0, eps, pb.omega_hat)
+
 
 class TestClosedForm:
     def test_realized_minus_hessian_is_class(self):

@@ -363,6 +363,20 @@ class TestStiffnessBound:
         state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
         self.check(state, self.split_radius(state.kernel, state.chi))
 
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_estimate_covers_degenerate_split(self, n, seed, eps):
+        # from phi = 0 and from the seed-3 random start, whose estimates read
+        # up to 2.8 % below the dense radius (N=8, eps 0.05: 604.8 against
+        # 621.9), so the safety factor keeps 1.167 of cover
+        pb = build_preset("degenerate_split", n=n)
+        phi0 = None if seed is None else random_bandlimited_potential(
+            pb, np.random.default_rng(seed))
+        state = make_state(FlowConfig(eps=eps), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0,
+                           divisor=pb.divisor)
+        self.check(state, self.split_radius(state.kernel, state.chi))
+
     def test_estimate_covers_random_4d_start(self):
         pb = build_preset("nonsplit_perturbed", n=4)
         phi0 = random_bandlimited_potential(pb, np.random.default_rng(0))
@@ -665,6 +679,32 @@ class TestRKC:
         assert len(estimates) == tries
         assert state.kernel.rhs_evals - before == tries * flow._RKC_MAX_STAGES + sum(estimates)
 
+    def test_controlled_step_is_cut_to_what_the_cap_keeps_stable(self, monkeypatch):
+        # at eps = 0 next to the divisor the stiffness asks for more stages
+        # than the cap; an attempt longer than the capped stages keep stable
+        # was refused by the error test (128 such refusals with a cap of 8)
+        cap, attempts = 8, []
+        rkc, rkc_error = flow._rkc, flow._rkc_error
+
+        def counted(kernel, v, k1, h, s):
+            attempts.append([s, False])  # stages, refused by the error test
+            return rkc(kernel, v, k1, h, s)
+
+        def refusals(*args):
+            err = rkc_error(*args)
+            attempts[-1][1] = float(np.max(err)) > 1.0
+            return err
+
+        monkeypatch.setattr(flow, "_RKC_MAX_STAGES", cap)
+        monkeypatch.setattr(flow, "_rkc", counted)
+        monkeypatch.setattr(flow, "_rkc_error", refusals)
+        pb = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01))
+        cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8, max_time=0.2)
+        traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
+        assert traj.rkc_stages_max == cap
+        assert sum(s == cap for s, _ in attempts) > 50
+        assert not [s for s, refused in attempts if refused and s == cap]
+
     def test_error_refusals_raise_after_the_cap(self, monkeypatch, smooth8):
         # every attempt fails the error test, so each retry is at a tenth of
         # the step, the controller's floor
@@ -737,6 +777,17 @@ class TestEpsilonFamily:
         assert full >= off > 0.0
         d = report.to_dict()
         assert d["failures"] == {}
+
+    @pytest.mark.parametrize("ladder", [[0.2, math.nan], [math.inf, 0.1], [math.nan]])
+    def test_non_finite_eps_is_refused(self, ladder):
+        # nan compares false, so it passed the ladder checks and its member
+        # was reported as a non-positive start
+        pb = build_preset("degenerate_split", n=8)
+        with pytest.raises(ValueError, match="finite positive epsilons"):
+            flow.check_ladder(ladder)
+        with pytest.raises(ValueError, match="finite positive epsilons"):
+            epsilon_family(FlowConfig(eps=0.2), ladder, pb.chi0, pb.omega0, pb.omega_hat,
+                           divisor=pb.divisor)
 
     @staticmethod
     def _batched_vs_single(pb, ladder, cfg, phi0):

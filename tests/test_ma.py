@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,6 +174,22 @@ class TestCriticalResidual:
 
 
 class TestSolveMA:
+    @pytest.mark.parametrize("name", ["degenerate_split", "nonsplit_perturbed"])
+    def test_continuation_refuses_non_finite_eps(self, name):
+        # a nan eps ended in a TypeError inside the Newton loop
+        pb = build_preset(name, n=8)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                solve_ma_continuation(pb.chi0, pb.omega0, pb.omega_hat, [0.2, eps])
+
+    def test_nan_start_margin_is_a_positivity_error(self):
+        # a nan margin compares false with 0: the solve returned a nan psi
+        # after no iteration
+        alpha, c, w = _nonsplit_problem()
+        psi0 = ScalarField(alpha.grid, np.full(alpha.grid.shape, math.nan))
+        with pytest.raises(PositivityError, match="initial A_psi not positive"):
+            solve_ma(alpha, c, w, psi0=psi0)
+
     def test_identity_trivial(self):
         pb = build_preset("identity", n=8)
         sol = solve_ma(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
@@ -355,3 +377,35 @@ class TestThetaComparison:
             if gap0 is None:
                 gap0 = gap
             assert gap <= gap0 + 1e-8
+
+
+# solve_ma at N = 12 in a fresh process; prints the sha256 of psi's bytes
+_PSI_PROBE = """
+import hashlib
+from jflow.ma import build_alpha, solve_ma
+from jflow.presets import build_preset
+from jflow.cohomology import c_constant, epsilon_form
+
+pb = build_preset("nonsplit_perturbed", n=12)
+w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
+c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.1))
+sol = solve_ma(build_alpha(pb.chi0, w, c), c, w)
+print(hashlib.sha256(sol.psi.values.tobytes()).hexdigest(), sol.newton_iterations)
+"""
+
+
+def test_newton_bits_do_not_follow_the_blas_thread_count():
+    # GMRES's vectors have 12^4 = 20,736 entries at N = 12; OpenBLAS splits
+    # a dot product over its threads above 10,000, so np.dot's sum order
+    # followed the thread count and so did psi's bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                     if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", _PSI_PROBE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out[0] == out[1]

@@ -12,7 +12,8 @@ the start refuses (the cone condition, a non-positive phi0), one with
 offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
 ``family``, and ``family`` with no positive eps (a config error);
-``solve-ma`` on both backends; ``functionals`` on a split run's final
+``solve-ma`` on both backends, and on the 4-D one at N=12 as well
+(``solve_ma_full_n12``); ``functionals`` on a split run's final
 potential, on the final potential of a short 4-D ``nonsplit_perturbed`` run
 from a random start (a non-zero 4-D potential read back from its snapshot)
 and, with no prior run, on that preset's zero potential (its divisor fit on
@@ -26,6 +27,12 @@ the output path) are dropped before hashing.  A refactor that keeps every
 output byte for byte gives the same JSON as its parent.  BLAS/OpenMP pools
 are pinned to one thread, as ``perfbench/run.py`` pins them.  Takes a few
 seconds on one core.
+
+``solve_ma_full_n12`` fingerprints Newton where GMRES's vectors (12^4
+entries) are long enough for a BLAS to split a dot product over threads.
+It was added with ``krylov._dot``, which made those bits independent of
+the thread count and changed them once; the other 19 configs kept every
+byte through that change.
 """
 
 import argparse
@@ -74,6 +81,7 @@ CONFIGS = {
                           "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                           "flow.stop_tolerance=1e-8")],
     "solve_ma_full": [("solve-ma", "preset=nonsplit_perturbed, N=8, eps=[0.1]")],
+    "solve_ma_full_n12": [("solve-ma", "preset=nonsplit_perturbed, N=12, eps=[0.1]")],
     "solve_ma_split": [("solve-ma", "preset=degenerate_split, N=8, eps=[0.2, 0.1]")],
     "functionals": [(command, "preset=degenerate_split, N=8, eps=[0.1], "
                               "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
