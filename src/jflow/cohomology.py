@@ -4,8 +4,11 @@ degenerate-form certificate.
 On the flat 2-torus every (1,1)-class has a unique constant (harmonic)
 representative, so a class is just a constant 2x2 Hermitian matrix and a
 closed form is a (class, potential) pair -- closed by construction, which
-removes any need for numerical closedness testing.  Realised, a closed form
-is the (4,) + shape block of ``torus.complex_hessian``.
+removes any need for numerical closedness testing.  ``ClosedForm`` is the
+one closed-form type on both lattices.  Realised, it is the (4,) + shape
+block of ``torus.complex_hessian`` on the 4-D lattice and, on a factor
+lattice (a ``SplitPotential``, a diagonal class), the (2, n, n) profile
+stack (A, B) of diag(A(z1), B(z2)).
 """
 
 import math

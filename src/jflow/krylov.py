@@ -4,13 +4,11 @@ operation: modified Gram-Schmidt, norms as sqrt(x . x), the same inner and
 outer tests, back substitution, then x += y V; the Givens rotations are
 LAPACK dlartg's unscaled branch.  It loads no scipy module.
 
-Every inner product and norm goes through ``_dot``: ``np.dot`` over fixed
-blocks of _BLOCK entries, the partial sums added by ``math.fsum``.  A BLAS
-splits a longer dot product over its threads (OpenBLAS above 10,000
-entries), so its bits followed the thread count; a block is too short to
-split, and the blocks are fixed, so ``_dot`` gives the same bits under any
-thread count.  Up to _BLOCK entries it is ``np.dot`` itself, so on systems
-of that size ``gmres`` gives scipy's x and info bit for bit."""
+Every inner product and norm is ``_dot``: ``np.dot`` over fixed blocks of
+_BLOCK entries, summed by ``math.fsum``.  A BLAS splits a longer dot product
+over its threads (OpenBLAS above 10,000 entries), so its bits follow the
+thread count; ``_dot``'s do not.  Up to _BLOCK entries ``_dot`` is
+``np.dot``, so there ``gmres`` gives scipy's x and info bit for bit."""
 
 import math
 from typing import Callable, NamedTuple

@@ -1,6 +1,7 @@
 """Pinned experiment presets and the Problem container the drivers consume.
 
-Presets:
+Presets (every form a ``cohomology.ClosedForm``, the split presets' on the
+factor lattice):
 
 * ``identity``           chi0 = omega0 = omega_hat = Id; stationary at phi = 0.
 * ``smooth_split``       omega0 = diag(1 + sin(2pi x1)/2, 1); Kahler, split.
