@@ -731,8 +731,8 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
     """One step of the configured integrator from the raw potential ``raw``
     with velocity ``rhs`` and metric ``chi`` at time t; RKC takes its stage
     count from ``radius`` (a _SpectralRadius), refreshed here when due.
-    With ``controlled``, each attempt is first cut to the longest step that
-    _RKC_MAX_STAGES stages keep stable, which the error test would refuse.
+    With ``controlled``, an RKC attempt is first cut to the longest step
+    that _RKC_MAX_STAGES stages keep stable: the error test refuses longer.
 
     An attempt is refused when its endpoint is not finite or not positive
     for some member, and retried at half the step; with ``controlled``,
@@ -755,7 +755,7 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
                 if radius.age >= _RADIUS_REFRESH:
                     radius.estimate(kernel, raw, rhs)
                 rho = _RKC_RHO_SAFETY * radius.rho
-                if controlled:  # no longer than _RKC_MAX_STAGES keep stable
+                if controlled:  # no longer than the stage cap keeps stable
                     dt = min(dt, ((_RKC_MAX_STAGES - 1) ** 2 - 1) / (1.54 * rho))
                 stages = _rkc_stages(dt, rho)
                 new = _rkc(kernel, raw, rhs, dt, stages)
