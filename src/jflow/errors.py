@@ -2,20 +2,29 @@
 every config type makes."""
 
 import math
+import numbers
+
+import numpy as np
+
+_BOOLS = (bool, np.bool_)  # a bool is an int: true would read as 1
 
 
 def is_number(value):
-    """A finite int or float, and not a bool (a bool is an int: true would
-    read as 1)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite ``numbers.Real`` (Python's or numpy's), and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
             and math.isfinite(value))
 
 
+def is_integer(value):
+    """A ``numbers.Integral`` (Python's or numpy's), and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, _BOOLS)
+
+
 def check_numbers(cfg):
-    """Raise ValueError if a number field of the config dataclass ``cfg`` is
-    a bool or not finite."""
+    """Raise ValueError if a number field of the config dataclass ``cfg`` (a
+    number or a numpy bool) is a bool, not real or not finite."""
     for name, value in vars(cfg).items():
-        if isinstance(value, (int, float)) and not is_number(value):
+        if isinstance(value, (numbers.Number, np.bool_)) and not is_number(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 

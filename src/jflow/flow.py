@@ -53,7 +53,7 @@ quantity reduces to factor means.  Both take their transforms from
 ``functionals``.
 
 A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
-``_sup``, ``_advance``) is written once against this contract:
+``_advance``) is written once against this contract:
 
 * it is built as ``(chi0, omegas, cs, cfg)`` by ``_make_kernel``;
 * ``shape``: the shape of the raw state, a plain float array that numpy
@@ -63,10 +63,13 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 * ``wrap(raw)`` / ``unwrap(phi)``: one member's raw array to potential
   object, and a potential to the raw state of every member;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
-  ok) from one evaluation of the same formula, ok per member: the velocity
-  is finite and the metric positive at every point (det chi > 0 and
-  chi11 > 0 on the 4-D lattice, both profiles > 0 on the split one); each
-  call adds one to ``rhs_evals``.  Both return fresh arrays, which the
+  ok, sup) from one evaluation of the same formula, ok and sup lists of
+  Python values, one per member: ok that the velocity is finite and the
+  metric positive at every point (det chi > 0 and chi11 > 0 on the 4-D
+  lattice, both profiles > 0 on the split one), sup the velocity's
+  sup |.|, which ``_advance`` hands to ``_evolve_members``' convergence
+  test; both come from the velocity's per-member max and min, taken once.
+  Each call adds one to ``rhs_evals``.  Both return fresh arrays, which the
   steppers may keep (RK4 holds three velocities) or overwrite (``_rkc``
   scales each stage's velocity in place).  The metric that ``rhs_only``
   needs on the way is transient: each kernel writes it into scratch it
@@ -78,7 +81,7 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 * ``margin(chi)``: per member, the lowest eigenvalue of the metric over the
   grid, for history rows, ``_start``'s refusals, ``step`` and errors only;
 * ``extrema(x)``: per member, (max, min) over the grid of a raw-shaped
-  array, from which ``_sup`` takes sup |x|;
+  array;
 * ``adaptive_dt(chi)``: dt_safety / (max g * (pi N)^2) of the stiffest
   member, RK4's step and RKC's first trial step: the only use of g;
 * ``row_functionals(raw, rhs, chi)``: per member, the (J, I, dJ/dt) of a
@@ -87,7 +90,9 @@ A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 
 Per-member values come from reductions over ``member_axes`` only, so a
 single run, whose kernel has no member axis, does the same float
-operations with or without batching.
+operations with or without batching.  What the step loop does per member
+(the error test, the refusals, the convergence test, narrowing a batch) is
+Python arithmetic on lists, from one ``.tolist()`` per reduction.
 
 These methods are defined on each kernel class, not on a shared base: the
 benchmark tracer wraps the public methods of the kernel's own class, and
@@ -105,7 +110,7 @@ import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark trace
 
 from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (ConeConditionError, DegenerateStiffnessError, JFlowError,
-                     PositivityError, check_numbers)
+                     PositivityError, check_numbers, is_integer)
 from .functionals import _energies_full, _energies_split
 from .split import SplitPotential
 from .torus import ScalarField, SpectralOps, _cowedge, _det, _lam_lo
@@ -150,7 +155,7 @@ class FlowConfig:
             raise ValueError("dt_safety must lie in (0, 1)")
         if not (self.stop_tolerance > 0.0 and self.max_time > 0.0):
             raise ValueError("stop_tolerance and max_time must be positive")
-        if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 1:
+        if not is_integer(self.snapshot_stride) or self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
@@ -233,6 +238,15 @@ def _stack(items):
     return items[0] if len(items) == 1 else np.stack(items)
 
 
+def _verdict(hi, lo, low):
+    """``metrics``' (ok, sup) lists from the velocity's per-member max hi and
+    min lo and the metric's test value low: ok when hi and lo are finite (a
+    nan or an infinity anywhere reaches one of them) and low > 0."""
+    hi, lo, low = (x.reshape(-1).tolist() for x in (hi, lo, low))
+    ok = [math.isfinite(a) and math.isfinite(b) and m > 0.0 for a, b, m in zip(hi, lo, low)]
+    return ok, [max(a, -b) for a, b in zip(hi, lo)]
+
+
 class _FullKernel:
     backend = "full"
 
@@ -292,14 +306,14 @@ class _FullKernel:
         return self._rhs(chi, _det(chi))
 
     def metrics(self, v):
-        """(rhs, chi, ok) in one pass; a 2x2 Hermitian chi is positive iff
-        det chi > 0 and chi11 > 0."""
+        """(rhs, chi, ok, sup) in one pass; a 2x2 Hermitian chi is positive
+        iff det chi > 0 and chi11 > 0."""
         self.rhs_evals += 1
         chi, axes = self.chi(v), self.member_axes
         det = _det(chi)
         rhs = self._rhs(chi, det)
-        ok = (det.min(axis=axes) > 0.0) & (chi[0].min(axis=axes) > 0.0)
-        return rhs, chi, np.isfinite(rhs).all(axis=axes) & ok
+        low = np.minimum(det.min(axis=axes), chi[0].min(axis=axes))
+        return (rhs, chi) + _verdict(*self.extrema(rhs), low)
 
     def margin(self, chi):
         return _lam_lo(chi).min(axis=self.member_axes)
@@ -344,11 +358,6 @@ class _FullKernel:
         return j, i, j_rate
 
 
-def _factors(x):
-    """The two factor blocks of a split raw array, behind any member axis."""
-    return x[..., 0, :, :], x[..., 1, :, :]
-
-
 class _SplitKernel:
     """Raw state: the factor potentials (phi1, phi2) stacked as one
     (2, n, n) array; the factor velocities (rhs) and the factor profiles
@@ -373,8 +382,12 @@ class _SplitKernel:
         self._members(_stack([float(c) for c in cs]), _stack(ws), _stack(factor_cs))
 
     def _members(self, c, w, cs):
-        self.c, self._w, self._cs = c, w, cs
+        self.c, self._w = c, w
         self.shape = w.shape
+        # the factor constants and chi0 spread over the raw shape: a
+        # contiguous operand adds faster than a broadcast one
+        self._cs = np.ascontiguousarray(np.broadcast_to(cs, self.shape))
+        self._base = np.ascontiguousarray(np.broadcast_to(self._bg, self.shape))
         # rhs_only's transient chi, made again when a batch narrows
         self._chi_scratch = np.empty(self.shape)
 
@@ -390,7 +403,7 @@ class _SplitKernel:
         return SplitPotential(self.grid, v)
 
     def chi(self, v):
-        return self._ops.laplacian(v, base=self._bg)
+        return self._ops.laplacian(v, base=self._base)
 
     def _rhs(self, chi):
         r = np.divide(self._w, chi)
@@ -400,14 +413,14 @@ class _SplitKernel:
         """The velocity, a fresh array; its chi is written into the
         kernel's scratch and overwritten by the next call."""
         self.rhs_evals += 1
-        return self._rhs(self._ops.laplacian(v, base=self._bg, out=self._chi_scratch))
+        return self._rhs(self._ops.laplacian(v, base=self._base, out=self._chi_scratch))
 
     def metrics(self, v):
-        """(rhs, chi, ok) in one pass."""
+        """(rhs, chi, ok, sup) in one pass."""
         self.rhs_evals += 1
-        chi, axes = self.chi(v), self.member_axes
+        chi = self.chi(v)
         rhs = self._rhs(chi)
-        return rhs, chi, np.isfinite(rhs).all(axis=axes) & (chi.min(axis=axes) > 0.0)
+        return (rhs, chi) + _verdict(*self.extrema(rhs), chi.min(axis=self.member_axes))
 
     def margin(self, chi):
         return chi.min(axis=self.member_axes)
@@ -415,9 +428,8 @@ class _SplitKernel:
     def extrema(self, x):
         """(max, min) over the product grid of x[0](z1) + x[1](z2), exact,
         per member."""
-        a, b = _factors(x)
-        return (a.max(axis=(-2, -1)) + b.max(axis=(-2, -1)),
-                a.min(axis=(-2, -1)) + b.min(axis=(-2, -1)))
+        hi, lo = x.max(axis=(-2, -1)), x.min(axis=(-2, -1))  # per factor
+        return hi[..., 0] + hi[..., 1], lo[..., 0] + lo[..., 1]
 
     def _stiffness(self, chi):
         """max over both factors of g = omega / chi^2, of the stiffest
@@ -436,8 +448,8 @@ class _SplitKernel:
         def mean(x):
             return np.mean(x, axis=(-2, -1))
 
-        (a, b), (r1, r2) = _factors(chi), _factors(rhs)
-        j, i = _energies_split(_factors(v), (a, b), self._bg, _factors(self._w), self.c)
+        (a, b), (r1, r2) = np.moveaxis(chi, -3, 0), np.moveaxis(rhs, -3, 0)  # the factors
+        j, i = _energies_split(v, chi, self._bg, self._w, self.c)
         # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
         m = (mean(r1 * r1 * a) * mean(b) + 2.0 * mean(r1 * a) * mean(r2 * b)
              + mean(a) * mean(r2 * r2 * b))
@@ -521,7 +533,8 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     for those that pass, and the metrics of the raw start, whose positivity
     margin covers every lattice point.  A member refused there or by a
     non-positive start keeps the error.  Returns (live, kernel, raw, rhs,
-    chi, margin), or None when no member passes the preconditions."""
+    chi, margin, sup), sup from ``metrics``, or None when no member passes
+    the preconditions."""
     live, omegas = [], []
     for mem in members:
         try:  # recorded, not raised: a family report stays partial
@@ -542,14 +555,14 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg)
     raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
     with np.errstate(all="ignore"):  # a non-positive start is refused below
-        rhs, chi, ok = kernel.metrics(raw)
+        rhs, chi, ok, sup = kernel.metrics(raw)
         margin = kernel.margin(chi)
-    for mem, m, good in zip(live, np.reshape(margin, -1), np.reshape(ok, -1)):
+    for mem, m, good in zip(live, np.reshape(margin, -1), ok):
         if not good:
             mem.error = PositivityError(
                 f"initial potential leaves chi0 + dd^c(phi) non-positive "
                 f"(margin {m:.3e})", margin=float(m))
-    return live, kernel, raw, rhs, chi, margin
+    return live, kernel, raw, rhs, chi, margin, sup
 
 
 def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
@@ -558,7 +571,7 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     start = _start(cfg, [member], chi0, omega0, omega_hat, phi0, divisor)
     if member.error is not None:
         raise member.error
-    _, kernel, raw, rhs, chi, margin = start
+    _, kernel, raw, rhs, chi, margin, _ = start
     return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, float(margin),
                      radius=_SpectralRadius())
 
@@ -677,8 +690,9 @@ def _rkc(kernel, v, k1, h, s):
     one-line recurrence, without its temporaries.  v and k1 are only read;
     the returned state is an array of its own."""
     mu1, stages = _rkc_coefficients(s)
-    y2, y1 = v, v + (mu1 * h) * k1
-    new, tmp = np.empty(v.shape), np.empty(v.shape)
+    y1 = np.multiply(k1, mu1 * h)
+    y1 += v  # v + (mu1 h) k1
+    y2, new, tmp = v, np.empty(v.shape), np.empty(v.shape)
     for mu, nu, mu0, mu_t, gamma_t in stages:
         f = kernel.rhs_only(y1)
         # new = mu y1 + nu y2 + mu0 v + (mu_t h) f + (gamma_t h) k1, left to right
@@ -701,30 +715,33 @@ def _rms(x, axes):
 
 def _rkc_error(kernel, v, new, k1, k_new, h):
     """RKC's embedded error estimate 0.8 (v - new) + 0.4 h (k1 + k_new) over
-    its tolerance, per member: at most 1 when its RMS norm is within both
-    _RKC_ATOL and _RKC_RTOL times the RMS norm of the member's increment.
+    its tolerance, per member as a list of floats: at most 1 when its RMS
+    norm is within both _RKC_ATOL and _RKC_RTOL times the RMS norm of the
+    member's increment.
 
     The tolerance is never below _RKC_ROUNDING times the RMS norm of v: once
     the increment is rounding, so is the estimate, and no smaller step
-    could meet a tolerance that shrinks with the increment."""
+    could meet a tolerance that shrinks with the increment.  The three sums
+    of squares come from one reduction, which adds each block as ``_rms``
+    would; the rest is the same float operations in Python."""
     axes = kernel.member_axes
-    d = v - new
-    # the RMS of new - v: its squares are those of v - new, bit for bit
-    tol = np.maximum(np.minimum(_RKC_ATOL, _RKC_RTOL * _rms(d, axes)),
-                     _RKC_ROUNDING * _rms(v, axes))
-    d *= 0.8
-    k = k1 + k_new
-    k *= 0.4 * h
-    d += k
-    est = _rms(d, axes)
-    # est / tol where tol > 0; else 0 for a zero estimate and inf otherwise
-    return np.divide(est, tol, out=np.where(est == 0.0, 0.0, np.inf), where=tol > 0.0)
-
-
-def _sup(kernel, x):
-    """sup |x| over the grid of a potential-shaped raw array x, per member."""
-    hi, lo = kernel.extrema(x)
-    return np.maximum(hi, -lo)
+    sq = np.empty((3,) + new.shape)  # the squares of v - new, v and the estimate
+    d = np.subtract(v, new, out=sq[0])
+    est = np.add(k1, k_new, out=sq[2])
+    est *= 0.4 * h
+    est += d * 0.8
+    d *= d  # the squares of new - v, bit for bit
+    np.multiply(v, v, out=sq[1])
+    est *= est
+    sums = np.add.reduce(sq, axis=axes).reshape(3, -1)
+    n = new.size // sums.shape[1]  # points per member
+    errs = []
+    for dd, vv, ee in zip(*sums.tolist()):
+        tol = max(min(_RKC_ATOL, _RKC_RTOL * math.sqrt(dd / n)), _RKC_ROUNDING * math.sqrt(vv / n))
+        e = math.sqrt(ee / n)
+        # e / tol where tol > 0; else 0 for a zero estimate and inf otherwise
+        errs.append(e / tol if tol > 0.0 else 0.0 if e == 0.0 else math.inf)
+    return errs
 
 
 def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
@@ -740,10 +757,11 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
     1, and retried at the step the error controller proposes.  After
     _MAX_REJECTIONS refusals of either kind the next one raises
     DegenerateStiffnessError, whose ``members`` flags the members that
-    failed that attempt.  Returns (new, new_rhs, new_chi, accepted_dt,
-    next_dt, rejections, stages), where next_dt is the
-    controller's proposal for the following step (the accepted dt when not
-    ``controlled``) and stages the RKC stage count (None under RK4).
+    failed that attempt (a list of bools).  Returns (new, new_rhs, new_chi,
+    new_sup, accepted_dt, next_dt, rejections, stages), where new_sup is
+    the new state's sup |velocity| per member (``metrics``' list), next_dt
+    the controller's proposal for the following step (the accepted dt when
+    not ``controlled``) and stages the RKC stage count (None under RK4).
     """
     rkc = kernel.cfg.integrator == "rkc"
     stages = None
@@ -761,17 +779,16 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
                 new = _rkc(kernel, raw, rhs, dt, stages)
             else:
                 new = _rk4(kernel, raw, rhs, dt)
-            new_rhs, new_chi, ok = kernel.metrics(new)
-        bad = ~ok
-        if bad.any():
-            retry, cause = 0.5 * dt, "not finite or not positive"
+            new_rhs, new_chi, ok, sup = kernel.metrics(new)
+        if not all(ok):
+            bad, retry, cause = [not g for g in ok], 0.5 * dt, "not finite or not positive"
         elif controlled:
             err = _rkc_error(kernel, raw, new, rhs, new_rhs, dt)
-            worst = float(np.max(err))
+            worst = max(err)
             retry = dt * min(10.0, max(0.1, 0.8 / max(worst, 1e-300) ** (1.0 / 3.0)))
             if worst <= 1.0:
                 break
-            bad, cause = err > 1.0, f"error {worst:.3e} of tolerance"
+            bad, cause = [e > 1.0 for e in err], f"error {worst:.3e} of tolerance"
         else:
             retry = dt
             break
@@ -787,7 +804,7 @@ def _advance(kernel, radius, raw, rhs, chi, dt, t, controlled=False):
             )
         dt = retry
     radius.age += 1
-    return new, new_rhs, new_chi, dt, retry, rejections, stages
+    return new, new_rhs, new_chi, sup, dt, retry, rejections, stages
 
 
 def step(state, dt):
@@ -803,7 +820,7 @@ def step(state, dt):
         raise ValueError("dt must be positive")
     kernel = state.kernel
     radius = replace(state.radius)  # the new state's: ``state`` keeps its own
-    new, rhs, chi, dt, _, rejections, _ = _advance(
+    new, rhs, chi, _, dt, _, rejections, _ = _advance(
         kernel, radius, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
     )
     return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, float(kernel.margin(chi)),
@@ -828,56 +845,53 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
     start = _start(cfg, members, chi0, omega0, omega_hat, phi0, divisor)
     if start is None:
         return members
-    live, kernel, raw, rhs, chi, margin = start
+    live, kernel, raw, rhs, chi, margin, sup = start
     one = np.ndim(margin) == 0  # a single run: no member axis
     t, steps, rejections = 0.0, 0, 0
     radius, stages = _SpectralRadius(), []  # stages of every accepted RKC step
-
-    def per_member(x):
-        return np.reshape(x, -1)
+    stop = cfg.stop_tolerance
 
     def raw_of(p):
         return raw if one else raw[p]
 
     def drop(gone):
-        """Take the members flagged in ``gone`` out of the batch."""
-        nonlocal live, raw, rhs, chi
-        if not gone.any():
+        """Take the members flagged in the list ``gone`` out of the batch."""
+        nonlocal live, raw, rhs, chi, sup
+        if not any(gone):
             return
-        keep = np.flatnonzero(~gone)
-        live = [live[p] for p in keep]
+        keep = [p for p, g in enumerate(gone) if not g]
+        live, sup = [live[p] for p in keep], [sup[p] for p in keep]
         if live:  # a single run's state is never narrowed: its member leaves
             raw, rhs = raw[keep], rhs[keep]
             chi = kernel._keep(keep, chi)
             radius.keep(keep)
 
     def record(which=None, force=False):
-        hi, lo = kernel.extrema(rhs)
+        (top, bottom), (hi, lo) = kernel.extrema(raw), kernel.extrema(rhs)
         j, i, j_rate = kernel.row_functionals(raw, rhs, chi)
-        margin = kernel.margin(chi)
-        cols = [per_member(x) for x in (_sup(kernel, raw), j, i, margin, hi, lo, j_rate)]
+        cols = [np.reshape(x, -1).tolist() for x in
+                (np.maximum(top, -bottom), j, i, kernel.margin(chi), hi, lo, j_rate)]
         for p, mem in enumerate(live):
             if which is None or which[p]:
-                row = HistoryRow(t, *(float(x[p]) for x in cols))
-                mem.record(row, raw_of(p), kernel.wrap, force)
+                mem.record(HistoryRow(t, *(x[p] for x in cols)), raw_of(p), kernel.wrap, force)
 
-    drop(np.array([m.error is not None for m in live]))
+    drop([m.error is not None for m in live])
     if live:
         record()
     controlled = cfg.integrator == "rkc"
     h = kernel.adaptive_dt(chi) if controlled and live else None
     while live:
-        converged = per_member(_sup(kernel, rhs) < cfg.stop_tolerance)
-        done = converged | (t >= cfg.max_time)
-        if done.any():
+        over = t >= cfg.max_time
+        if over or min(sup) < stop:
+            done = [over or x < stop for x in sup]
             if live[0].rows[-1].t < t:  # live members share their row times
                 record(done, force=True)
-            for p in np.flatnonzero(done):
+            for p in [p for p, end in enumerate(done) if end]:
                 mem = live[p]
                 mem.trajectory = Trajectory(
                     kernel.backend, mem.eps, mem.c_eps, mem.rows, mem.snapshots,
                     kernel.wrap(raw_of(p).copy()),
-                    "converged" if converged[p] else "max_time",
+                    "converged" if sup[p] < stop else "max_time",
                     steps, rejections, cfg.integrator, kernel.rhs_evals,
                     chi0_form=chi0, radius_evals=radius.evals,
                     rkc_stages_max=max(stages, default=None),
@@ -888,15 +902,15 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
                 break
         dt = min(h if controlled else kernel.adaptive_dt(chi), cfg.max_time - t)
         try:
-            raw, rhs, chi, dt, h, tries, s = _advance(
+            raw, rhs, chi, sup, dt, h, tries, s = _advance(
                 kernel, radius, raw, rhs, chi, dt, t, controlled
             )
         except DegenerateStiffnessError as err:
-            gone = per_member(err.members)
-            for p in np.flatnonzero(gone):
-                live[p].error = err
+            for mem, gone in zip(live, err.members):
+                if gone:
+                    mem.error = err
             rejections += _MAX_REJECTIONS + 1
-            drop(gone)
+            drop(err.members)
             continue
         rejections += tries
         t += dt

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import PositivityError
 from .torus import SpectralOps, _det, _wedge, positivity_margin
-from . import split as sp
 
 
 def _energies_full(v, chi, bg, w, c):
@@ -34,18 +33,26 @@ def _energies_full(v, chi, bg, w, c):
     return j, i
 
 
-def _energies_split(pair, chi, bg, w, c):
-    """Split-backend counterpart of ``_energies_full`` on factor pairs, via
-    separable factor means (no 4-D assembly); batch axes as there."""
-    t2 = (
-        sp.split_wedge_mean(pair, chi, chi)
-        + sp.split_wedge_mean(pair, chi, bg)
-        + sp.split_wedge_mean(pair, bg, bg)
-    )
+def _energies_split(v, chi, bg, w, c):
+    """Split-backend counterpart of ``_energies_full`` on stacked factor
+    arrays (..., 2, n, n) of phi, chi_phi, chi0 and omega; batch axes as
+    there.  With phi = phi1 + phi2 and D(diag(A, B), diag(F, G)) = AG + BF,
+    each 4-D mean of phi D(X, Y) is a sum of four products of factor means,
+    so no 4-D grid is made; the 12 factor means come from one reduction."""
+    terms = (v * chi, chi, v * bg, bg) + (() if w is None else (v * w, w))
+    x = np.stack(np.broadcast_arrays(*terms))
+    # factor 1 and factor 2 means of each term, (len(terms),) + batch shape
+    m1, m2 = np.moveaxis(np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1]), -1, 0)
+
+    def wedge(k, q):  # mean of phi * D(X, Y), X's terms at k, k + 1 and Y's at q, q + 1
+        return m1[k] * m2[q + 1] + m1[k + 1] * m2[q] + m1[q] * m2[k + 1] + m1[q + 1] * m2[k]
+
+    chi_, bg_, w_ = 0, 2, 4  # where each form's terms start
+    t2 = wedge(chi_, chi_) + wedge(chi_, bg_) + wedge(bg_, bg_)
     i = (4.0 / 3.0) * t2
     if w is None:
         return None, i
-    t1 = sp.split_wedge_mean(pair, chi, w) + sp.split_wedge_mean(pair, bg, w)
+    t1 = wedge(chi_, w_) + wedge(bg_, w_)
     return 4.0 * t1 - (c / 3.0) * 4.0 * t2, i
 
 

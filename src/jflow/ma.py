@@ -33,7 +33,8 @@ import numpy as np
 import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
-from .errors import ConeConditionError, MAConvergenceError, PositivityError, check_numbers
+from .errors import (ConeConditionError, MAConvergenceError, PositivityError, check_numbers,
+                     is_integer)
 from .krylov import Operator, gmres
 from .split import SplitPotential
 from .torus import ScalarField, SpectralOps, _cowedge, _det, positivity_margin
@@ -48,7 +49,7 @@ class MASolverConfig:
         check_numbers(self)
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
-        if not isinstance(self.max_newton, int) or self.max_newton < 1:
+        if not is_integer(self.max_newton) or self.max_newton < 1:
             raise ValueError("max_newton must be an integer >= 1")
 
 

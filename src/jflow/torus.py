@@ -185,6 +185,8 @@ class SpectralOps:
         self.shape = grid.shape
         self.axes = tuple(range(len(self.shape)))
         self._block = tuple(range(-len(self.shape), 0))  # the grid axes, from the end
+        self._first = (Ellipsis,) + (slice(0, 1),) * len(self.shape)  # each block's first sample
+        self._count = grid.n ** len(self.shape)  # points per block
         self.laplace = lap = grid.laplace_symbol()
         self.d2, self._d2t = _circulant(lap[(slice(None),) + (0,) * (len(self.shape) - 1)])
         self._plans = {}  # the matmul shapes and scratch, per input shape
@@ -203,9 +205,11 @@ class SpectralOps:
 
     def _plan(self, shape):
         """Matmul shapes for an input of ``shape`` (the 1-D matrix applied
-        along each grid axis as a matmul over a reshape: (n, -1) along the
-        first, (-1, n) along the last, (n^i, n, -1) along axis i between;
-        leading batch axes are matmul batch axes), then ``shape`` itself;
+        along each grid axis as a matmul over a reshape: (n, n^(d-1)) along
+        the first, (n^(d-1), n) along the last, (n^i, n, n^(d-1-i)) along
+        axis i between, so on a factor lattice (d = 2) the first is
+        ``shape`` itself; leading batch axes are matmul batch axes), then
+        ``shape`` itself;
         and scratch for them: the shifted input as its views of those
         shapes, and a block of products (on a factor lattice one, the
         Laplacian's products after the first; on a 4-D lattice four,
@@ -217,8 +221,9 @@ class SpectralOps:
         if plan is None:
             n, d = self.grid.n, len(self.shape)
             lead = shape[:-d]
-            views = tuple(lead + ((n, -1) if i == 0 else (-1, n) if i == d - 1
-                                  else (n ** i, n, -1)) for i in range(d)) + (shape,)
+            rest = n ** (d - 1)
+            views = tuple(lead + ((n, rest) if i == 0 else (rest, n) if i == d - 1
+                                  else (n ** i, n, rest // n ** i)) for i in range(d)) + (shape,)
             u, *pq = (tuple(a.reshape(r) for r in views)
                       for a in np.empty((3 if d == 4 else 1,) + shape))
             t = np.empty((4 if d == 4 else 1,) + shape)
@@ -297,17 +302,20 @@ class SpectralOps:
         """
         views, u, _, t = self._plan(v.shape)
         h = self._into(out, v.shape, "laplacian")
-        t, last = t[0], len(self.shape) - 1
-        np.subtract(v, v[(Ellipsis,) + (slice(0, 1),) * len(self.shape)], out=u[-1])
-        for i in self.axes:
-            dst = (t if i else h).reshape(views[i])
-            if i == last:
+        t, shape = t[0], v.shape
+        np.subtract(v, v[self._first], out=u[-1])
+        # on a factor lattice every matmul shape is v's own: no reshape
+        np.matmul(self.d2, u[0], out=h if views[0] == shape else h.reshape(views[0]))
+        for i in self.axes[1:]:
+            dst = t if views[i] == shape else t.reshape(views[i])
+            if i == self.axes[-1]:
                 np.matmul(u[i], self._d2t, out=dst)
             else:
                 np.matmul(self.d2, u[i], out=dst)
-            if i:
-                h += t
-        h -= h.sum(self._block, keepdims=True) / self.grid.n ** len(self.shape)
+            h += t
+        mean = np.add.reduce(h, axis=self._block, keepdims=True)
+        mean /= self._count
+        h -= mean
         if base is not None:
             h += base
         return h

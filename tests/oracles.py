@@ -6,7 +6,9 @@ check the closed-form J and M by Romberg quadrature (along the default
 linear path the J integrand is quadratic in the path parameter, so
 ``J_path`` is exact to rounding); ``J_gradient_check`` checks J's gradient
 density by finite differences; ``j_closed_split`` and ``i_functional_split``
-evaluate J and I on split data; ``split_critical`` is the closed-form
+evaluate J and I on split data, and ``energies_split`` (on
+``split_wedge_mean``) is the per-wedge reference for the factor means
+they read; ``rkc_error`` is RKC's error ratio with one RMS per norm; ``split_critical`` is the closed-form
 critical point of the product ansatz; ``flow_rhs`` is the flow velocity
 through the public form API, with its positivity check.  ``trace_with`` (and
 its raw ``_trace``), ``_critical_density`` and ``integrate`` are the
@@ -19,6 +21,7 @@ import path).
 
 import numpy as np
 
+from jflow import flow
 from jflow.functionals import J_closed, _check_curvature_margin, _energies_split
 from jflow.torus import (
     ScalarField,
@@ -159,6 +162,41 @@ def j_closed_split(phi, chi0, omega, c):
 
 def i_functional_split(phi, chi0):
     return float(_energies_split(*_split_terms(phi, chi0), None, 0.0)[1])
+
+
+def split_wedge_mean(phi, chi, omega):
+    """mean of phi * D(chi, omega) for split phi and split forms, each a
+    stacked factor array (..., 2, n, n).
+
+    D(diag(A,B), diag(F,G)) = A*G + B*F; with phi = phi1 + phi2 the mean
+    splits into four products of factor means.
+    """
+    def mean4(u, v):
+        return np.mean(u, axis=(-2, -1)) * np.mean(v, axis=(-2, -1))
+
+    (a, b), (f, g), (p1, p2) = ((x[..., 0, :, :], x[..., 1, :, :]) for x in (chi, omega, phi))
+    return mean4(p1 * a, g) + mean4(a, p2 * g) + mean4(p1 * f, b) + mean4(f, p2 * b)
+
+
+def energies_split(v, chi, bg, w, c):
+    """(J, I) on split data, one ``split_wedge_mean`` per wedge: the
+    reference for ``functionals._energies_split``, which reads the same
+    factor means from one reduction."""
+    t2 = split_wedge_mean(v, chi, chi) + split_wedge_mean(v, chi, bg) + split_wedge_mean(v, bg, bg)
+    t1 = split_wedge_mean(v, chi, w) + split_wedge_mean(v, bg, w)
+    return 4.0 * t1 - (c / 3.0) * 4.0 * t2, (4.0 / 3.0) * t2
+
+
+def rkc_error(kernel, v, new, k1, k_new, h):
+    """RKC's error ratio per member with one ``flow._rms`` per norm, as numpy
+    arrays: the reference for ``flow._rkc_error``, which takes the three
+    sums from one reduction and finishes in Python floats."""
+    axes = kernel.member_axes
+    d = v - new
+    tol = np.maximum(np.minimum(flow._RKC_ATOL, flow._RKC_RTOL * flow._rms(d, axes)),
+                     flow._RKC_ROUNDING * flow._rms(v, axes))
+    est = flow._rms(0.8 * d + (0.4 * h) * (k1 + k_new), axes)
+    return np.divide(est, tol, out=np.where(est == 0.0, 0.0, np.inf), where=tol > 0.0)
 
 
 def split_critical(f, g, fgrid):

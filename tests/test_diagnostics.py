@@ -136,6 +136,17 @@ class TestQMonitor:
         with pytest.raises(ValueError):
             QMonitorConfig(delta=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", np.True_), ("delta", True), ("a", np.float32(np.inf)), ("a", np.float64(np.nan)),
+    ])
+    def test_refuses_numpy_bools_and_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            QMonitorConfig(**{field: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        cfg = QMonitorConfig(a=np.float32(20.0), delta=np.float64(0.1))
+        assert cfg.a * cfg.delta == pytest.approx(2.0)
+
     def test_bounded_on_family_runs(self, family12):
         pb, fam = family12
         cfg = QMonitorConfig(a=PRESET_QMONITOR["A"], delta=PRESET_QMONITOR["delta"])

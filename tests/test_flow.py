@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from jflow.flow import (
     max_principle_monitor,
     step,
 )
+from jflow.functionals import _energies_split
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
 from jflow.torus import (
@@ -31,7 +36,7 @@ from jflow.torus import (
     complex_hessian,
     positivity_margin,
 )
-from oracles import _trace, flow_rhs, split_critical, trace_with
+from oracles import _trace, energies_split, flow_rhs, rkc_error, split_critical, trace_with
 
 
 def smooth_cfg(**kw):
@@ -712,7 +717,7 @@ class TestRKC:
 
         def hopeless(*args):
             errors.append(args)
-            return math.inf
+            return [math.inf]  # one member
 
         monkeypatch.setattr(flow, "_rkc_error", hopeless)
         pb = smooth8
@@ -757,6 +762,157 @@ class TestRKC:
             assert traj.rejections >= 1  # the first step overshoots
         else:
             assert traj.rhs_evals == 1 + 4 * (traj.steps + traj.rejections)
+
+
+class TestFlowConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("eps", True), ("eps", np.True_), ("eps", math.nan), ("eps", 1j),
+        ("max_time", np.float32(np.inf)), ("stop_tolerance", np.float64(np.nan)),
+        ("dt_safety", np.bool_(False)),
+    ])
+    def test_refuses_bools_and_non_finite_numbers(self, field, value):
+        # numpy scalars are not Python ints or floats, and passed the check
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            FlowConfig(**{field: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        cfg = FlowConfig(eps=np.float32(0.1), dt_safety=np.float64(0.5),
+                         snapshot_stride=np.int64(5))
+        assert cfg.snapshot_stride == 5 and cfg.eps == np.float32(0.1)
+
+    @pytest.mark.parametrize("value", [0, 2.0, np.int64(0), np.float64(5.0)])
+    def test_snapshot_stride_is_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
+            FlowConfig(snapshot_stride=value)
+
+
+class TestLeanStep:
+    """The step's per-member verdicts and norms, Python floats, against the
+    numpy references they replace."""
+
+    @staticmethod
+    def _kernel(name, members):
+        eps = [0.2, 0.1, 0.05][:members]
+        pb = build_preset(name, n=8)
+        forms = [epsilon_form(pb.omega0, e, pb.omega_hat) for e in eps]
+        cs = [c_constant(pb.chi0.cls, w.cls) for w in forms]
+        kernel = flow._make_kernel(pb.chi0, forms, cs, FlowConfig(eps=eps[0]))
+        phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+        v = kernel.unwrap(phi0).copy()  # C-contiguous, as every stepped state
+        for p in range(1, members):
+            v[p] *= 1.0 - 0.3 * p  # members with their own states
+        return pb, kernel, v
+
+    @staticmethod
+    def _sup_reference(kernel, rhs):
+        """sup |rhs| per member over the assembled grid."""
+        if kernel.backend == "split":
+            rhs = rhs[..., 0, :, :, None, None] + rhs[..., 1, None, None, :, :]
+        return np.reshape(np.abs(rhs).max(axis=(-4, -3, -2, -1)), -1).tolist()
+
+    @pytest.mark.parametrize("name", ["degenerate_split", "nonsplit_perturbed"])
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "metric"])
+    def test_metrics_flags_only_the_bad_member(self, name, members, fault):
+        pb, kernel, v = self._kernel(name, members)
+        rhs, chi, ok, sup = kernel.metrics(v)
+        assert ok == [True] * members
+        assert sup == self._sup_reference(kernel, rhs)
+        bad = members - 1
+        lead = (bad,) if members > 1 else ()
+        if fault == "metric":
+            # a large low mode of the first factor: chi11 < 0 at some points
+            x1 = pb.grid.coords()[0] * np.ones(pb.grid.shape)
+            v[lead + ((0,) if kernel.backend == "split" else ())] += np.cos(2 * np.pi * x1)
+        elif kernel.backend == "split":  # one omega entry takes the velocity to the fault
+            w = kernel._w.copy()
+            w[lead + (0, 3, 4)] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[fault]
+            kernel._members(kernel.c, w, kernel._cs)
+        else:
+            wp = kernel._wp.copy()
+            wp[(0,) + lead + (3, 4, 5, 6)] = {"nan": math.nan, "inf": math.inf,
+                                            "-inf": -math.inf}[fault]
+            kernel._members(kernel.c, wp)
+        with np.errstate(all="ignore"):
+            rhs, chi, ok, sup = kernel.metrics(v)
+        assert ok == [p != bad for p in range(members)]
+        if fault == "metric":
+            assert np.isfinite(rhs).all()
+            assert np.reshape(kernel.margin(chi), -1)[bad] <= 0.0
+        else:
+            assert np.isfinite(chi).all()
+            assert not np.isfinite(rhs[lead]).all()
+            assert np.isfinite(rhs[:bad]).all()
+        assert sup[:bad] == self._sup_reference(kernel, rhs)[:bad]
+
+    @pytest.mark.parametrize("name", ["degenerate_split", "nonsplit_perturbed"])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_rkc_error_is_three_rms_bitwise(self, name, members):
+        _, kernel, v = self._kernel(name, members)
+        rng = np.random.default_rng(7)
+        k1 = kernel.metrics(v)[0]
+        k_new = k1 + 1e-3 * rng.normal(size=k1.shape)
+        zero = np.zeros(v.shape)
+        cases = [
+            (v, v + 1e-5 * rng.normal(size=v.shape), k1, k_new, 1e-4),
+            (v, v + 1e-3 * k1, k1, k_new, 1e-3),
+            (v, v.copy(), k1, k_new, 1e-4),  # a zero increment: the rounding floor
+            (zero, zero, zero, zero, 1e-3),  # tol 0 and a zero estimate: 0
+            (zero, zero, k1, k_new, 1e-3),  # tol 0 and a nonzero estimate: inf
+        ]
+        for case in cases:
+            got = flow._rkc_error(kernel, *case)
+            assert isinstance(got, list) and all(type(e) is float for e in got)
+            ref = np.reshape(rkc_error(kernel, *case), -1)
+            assert np.array(got).tobytes() == ref.tobytes()
+        assert flow._rkc_error(kernel, *cases[3]) == [0.0] * members
+        assert flow._rkc_error(kernel, *cases[4]) == [math.inf] * members
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_energies_split_is_the_wedge_means_bitwise(self, members):
+        pb, kernel, v = self._kernel("degenerate_split", members)
+        chi = kernel.metrics(v)[1]
+        got = _energies_split(v, chi, kernel._bg, kernel._w, kernel.c)
+        ref = energies_split(v, chi, kernel._bg, kernel._w, kernel.c)
+        for a, b in zip(got, ref):
+            assert np.shape(a) == np.shape(b) == np.shape(kernel.c)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert _energies_split(v, chi, kernel._bg, None, 0.0)[1].tobytes() == ref[1].tobytes()
+
+
+# a short nonsplit_perturbed flow at N = 12 in a fresh process; prints the
+# sha256 of its rows and final potential, and its step and RHS counts
+_FLOW_PROBE = """
+import hashlib
+import numpy as np
+from jflow.flow import FlowConfig, evolve
+from jflow.presets import build_preset, random_bandlimited_potential
+
+pb = build_preset("nonsplit_perturbed", n=12)
+phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
+cfg = FlowConfig(eps=0.1, dt_safety=0.8, max_time=0.005, snapshot_stride=10)
+traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
+digest = hashlib.sha256(np.array([list(vars(r).values()) for r in traj.rows]).tobytes())
+digest.update(traj.final.values.tobytes())
+print(digest.hexdigest(), traj.steps, traj.rhs_evals)
+"""
+
+
+def test_flow_bits_do_not_follow_the_blas_thread_count():
+    # 12^4 = 20,736 entries per field, past OpenBLAS's threading threshold:
+    # the flow's reductions and products must not split by thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                     if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", _FLOW_PROBE], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out[0] == out[1]
+    assert out[0].split()[1:] == ["126", "320"]
 
 
 class TestEpsilonFamily:
@@ -847,10 +1003,10 @@ class TestEpsilonFamily:
             metrics = kernel.metrics
 
             def failing(v):
-                rhs, chi, ok = metrics(v)
+                rhs, chi, ok, sup = metrics(v)
                 if kernel.rhs_evals >= 200:
                     ok = ok & (kernel.c != doomed)
-                return rhs, chi, ok
+                return rhs, chi, ok, sup
 
             kernel.metrics = failing
             return kernel

@@ -319,6 +319,23 @@ def _nonsplit_problem(eps=0.1):
     return build_alpha(pb.chi0, w, c), c, w
 
 
+class TestMASolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("newton_tol", np.float32(np.inf)), ("newton_tol", np.True_), ("newton_tol", math.nan),
+        ("max_newton", True), ("max_newton", np.bool_(True)),
+    ])
+    def test_refuses_bools_and_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            MASolverConfig(**{field: value})
+
+    def test_numpy_integers_count_newton_iterations(self):
+        # np.int64 was refused as "must be an integer >= 1"
+        assert MASolverConfig(max_newton=np.int64(5)).max_newton == 5
+        for value in (0, np.int64(0), 5.0, np.float64(5.0)):
+            with pytest.raises(ValueError, match="max_newton must be an integer >= 1"):
+                MASolverConfig(max_newton=value)
+
+
 class TestNewtonLoop:
     """The damped Newton loop both solvers share: iteration budget and
     failure reports."""
