@@ -48,7 +48,6 @@ from .presets import (
     FAMILY_BUDGETS,
     PRESET_DEFAULTS,
     PRESET_NAMES,
-    PRESET_QMONITOR,
     SPLIT_PRESETS,
     Problem,
     build_preset,
@@ -257,9 +256,6 @@ def _fill_defaults(cfg):
         if cfg.preset in FAMILY_BUDGETS:
             for key, val in FAMILY_BUDGETS[cfg.preset].items():
                 cfg.budget.setdefault(key, val)
-        if cfg.divisor:
-            cfg.q.setdefault("a", PRESET_QMONITOR["A"])
-            cfg.q.setdefault("delta", PRESET_QMONITOR["delta"])
     else:
         cfg.n = cfg.n or 8
         if cfg.divisor is None:

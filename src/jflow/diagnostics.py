@@ -27,12 +27,15 @@ class QMonitorConfig:
     """Constants of the divisor barrier quantity.
 
     The product A*delta must dominate twice the divisor exponent beta
-    (checked against the active divisor model).  The shift C0 is not a
-    constant of the config: ``q_monitor`` works it out at t = 0.
+    (checked against the active divisor model).  The defaults, A = 4 and
+    delta = 0.5, are the pair for the lab's divisor (beta = 1, A*delta = 2);
+    a pair with A*delta = 1, such as (10, 0.1), suits beta <= 1/2 only.  The
+    shift C0 is not a constant of the config: ``q_monitor`` works it out at
+    t = 0.
     """
 
-    a: float = 10.0
-    delta: float = 0.1
+    a: float = 4.0
+    delta: float = 0.5
 
     def __post_init__(self):
         check_numbers(self)

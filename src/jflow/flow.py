@@ -816,8 +816,8 @@ def step(state, dt):
     ``last_dt``.  There is no error test: that belongs to ``evolve``'s
     step-size control.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:  # nan compares false
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     kernel = state.kernel
     radius = replace(state.radius)  # the new state's: ``state`` keeps its own
     new, rhs, chi, _, dt, _, rejections, _ = _advance(
@@ -988,9 +988,10 @@ class FamilyReport:
 
 def check_ladder(eps_list):
     """Raise ValueError unless ``eps_list`` is an eps ladder that
-    ``epsilon_family`` runs: finite, positive, strictly descending."""
-    if not all(0.0 < e < math.inf for e in eps_list):  # nan compares false
-        raise ValueError(f"epsilon_family needs finite positive epsilons, got {eps_list}")
+    ``epsilon_family`` runs: non-empty, finite, positive, strictly descending."""
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):  # nan compares false
+        raise ValueError(f"epsilon_family needs one or more finite positive epsilons, "
+                         f"got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilon list must be strictly descending, got {eps_list}")
 

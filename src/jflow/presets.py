@@ -46,11 +46,6 @@ FAMILY_BUDGETS = {
     "nonsplit_perturbed": dict(sup_phi=0.35, sup_phidot=None),
 }
 
-# Q-monitor constants compatible with the preset divisor (A*delta >= 2*beta
-# with beta = 1).  The generic defaults (A=10, delta=0.1) suit beta <= 1/2
-# only, so the presets carry their own pair.
-PRESET_QMONITOR = {"A": 4.0, "delta": 0.5}
-
 # random initial potentials: modes drawn per factor (twice as many on the
 # 4-D lattice), the largest |k| of a mode per lattice direction, and the
 # share of chi0's positivity margin they may use up

@@ -148,14 +148,16 @@ def _circulant(line):
 
 class SpectralOps:
     """The spectral operators of one grid; ``SpectralOps.of(grid)`` caches
-    one per grid.  Serves the 4-D lattice and the factor lattice of the
-    split backend alike.
+    one per grid.  ``hessian`` serves the 4-D lattice (dd^c as its four
+    components), ``laplacian`` the factor lattice of the split backend
+    (d_z d_zbar; on the 4-D lattice tr_Id dd^c is ``hessian``'s h11 + h22),
+    and ``divide`` both.
 
     * Derivatives are matrix products along single axes, with no transform.
       ``d2`` is the n x n circulant matrix of the 1-D symbol -pi^2 k^2 (the
       grid's Laplace symbol along axis 0, so the Nyquist mode is treated as
-      the transforms treat it); the Laplacian sums it applied along every
-      axis, h11 along axes 0 and 1, h22 along axes 2 and 3.  On 4-D
+      the transforms treat it); the factor Laplacian is it applied along x
+      plus along y, h11 along axes 0 and 1, h22 along axes 2 and 3.  On 4-D
       lattices ``d1`` is the circulant of the odd symbol i*pi*k with k = 0
       on the Nyquist row, d_x / 2 in the spectral sense.  With p, q = ``d1``
       along axes 0, 1 (d_{x1} / 2, d_{y1} / 2), the mixed entries are
@@ -183,7 +185,6 @@ class SpectralOps:
     def __init__(self, grid):
         self.grid = grid
         self.shape = grid.shape
-        self.axes = tuple(range(len(self.shape)))
         self._block = tuple(range(-len(self.shape), 0))  # the grid axes, from the end
         self._first = (Ellipsis,) + (slice(0, 1),) * len(self.shape)  # each block's first sample
         self._count = grid.n ** len(self.shape)  # points per block
@@ -212,7 +213,7 @@ class SpectralOps:
         ``shape`` itself;
         and scratch for them: the shifted input as its views of those
         shapes, and a block of products (on a factor lattice one, the
-        Laplacian's products after the first; on a 4-D lattice four,
+        Laplacian's d2 along y; on a 4-D lattice four,
         ``hessian``'s second product of each entry, plus its p and q as
         views like the input's); ``divide`` alternates between the input's
         array and the first product block.  Made on the first call with that
@@ -287,32 +288,29 @@ class SpectralOps:
         return h
 
     def laplacian(self, v, base=None, out=None):
-        """tr_Id dd^c v (on a factor lattice: d_z d_zbar v) for raw values v,
-        as ``base + Lv`` when ``base`` (broadcast to v's shape) is given.
+        """d_z d_zbar v for raw values v on a factor lattice, as
+        ``base + Lv`` when ``base`` (broadcast to v's shape) is given.  A 4-D
+        lattice is refused: there tr_Id dd^c v is ``hessian``'s h11 + h22.
 
         Axes of v before the grid's are batch axes: each trailing grid block
         is shifted by its own first sample and made mean-free on its own, so
         a stack of fields gives the stack of their Laplacians.  The result
         is ``out`` when it is given (C-contiguous, v's shape, not overlapping
         v), else a fresh array; the intermediates live in the scratch kept
-        for v's shape, which no returned array shares.  ``d2`` along the
-        first axis goes into the result, along each later axis into scratch
-        and is added in place, axis by axis; the mean subtraction and
-        ``base`` are one in-place operation each.
+        for v's shape, which no returned array shares.  ``d2`` along x goes
+        into the result, along y into scratch and is added in place; the
+        mean subtraction and ``base`` are one in-place operation each.
         """
-        views, u, _, t = self._plan(v.shape)
+        if len(self.shape) != 2:
+            raise ValueError("laplacian serves the factor lattice; on a 4-D lattice "
+                             "tr dd^c is hessian's h11 + h22")
+        _, u, _, t = self._plan(v.shape)
+        u, t = u[-1], t[0]  # on a factor lattice every matmul shape is v's own
         h = self._into(out, v.shape, "laplacian")
-        t, shape = t[0], v.shape
-        np.subtract(v, v[self._first], out=u[-1])
-        # on a factor lattice every matmul shape is v's own: no reshape
-        np.matmul(self.d2, u[0], out=h if views[0] == shape else h.reshape(views[0]))
-        for i in self.axes[1:]:
-            dst = t if views[i] == shape else t.reshape(views[i])
-            if i == self.axes[-1]:
-                np.matmul(u[i], self._d2t, out=dst)
-            else:
-                np.matmul(self.d2, u[i], out=dst)
-            h += t
+        np.subtract(v, v[self._first], out=u)
+        np.matmul(self.d2, u, out=h)
+        np.matmul(u, self._d2t, out=t)
+        h += t
         mean = np.add.reduce(h, axis=self._block, keepdims=True)
         mean /= self._count
         h -= mean

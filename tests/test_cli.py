@@ -53,7 +53,8 @@ class TestParseConfig:
         assert cfg.n == 16
         assert cfg.divisor is True
         assert cfg.eps == [0.2, 0.1, 0.05]
-        assert cfg.q["a"] * cfg.q["delta"] >= 2.0
+        q = _section(cfg, "q")
+        assert (q.a, q.delta) == (4.0, 0.5)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ConfigError, match="even"):

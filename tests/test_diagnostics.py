@@ -14,7 +14,7 @@ from jflow.diagnostics import (
 )
 from jflow.errors import ConfigError, FitError
 from jflow.flow import FlowConfig, epsilon_family, evolve
-from jflow.presets import PRESET_QMONITOR, build_preset
+from jflow.presets import build_preset, make_divisor
 from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField
 
@@ -124,11 +124,18 @@ class TestSingularFit:
 class TestQMonitor:
     def test_config_invariant(self):
         pb = build_preset("degenerate_split", n=8)
-        cfg = QMonitorConfig()  # A=10, delta=0.1: A*delta = 1 < 2*beta = 2
-        with pytest.raises(ConfigError):
+        cfg = QMonitorConfig(a=10.0, delta=0.1)  # A*delta = 1 < 2*beta = 2
+        with pytest.raises(ConfigError, match="A\\*delta = 1 violates"):
             cfg.validate_against(pb.divisor)
-        QMonitorConfig(**{"a": PRESET_QMONITOR["A"], "delta": PRESET_QMONITOR["delta"]}
-                       ).validate_against(pb.divisor)
+        QMonitorConfig(a=4.0, delta=0.5).validate_against(pb.divisor)
+
+    def test_defaults_suit_the_lab_divisor(self):
+        # make_divisor builds the one divisor the presets use, beta = 1
+        div = make_divisor(Grid(8, (0.0, 0.0)))
+        assert div.beta == 1.0
+        cfg = QMonitorConfig()
+        assert (cfg.a, cfg.delta) == (4.0, 0.5)
+        cfg.validate_against(div)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -149,7 +156,7 @@ class TestQMonitor:
 
     def test_bounded_on_family_runs(self, family12):
         pb, fam = family12
-        cfg = QMonitorConfig(a=PRESET_QMONITOR["A"], delta=PRESET_QMONITOR["delta"])
+        cfg = QMonitorConfig()
         for m in fam.members:
             series, verdict = q_monitor(m.trajectory, pb.divisor, cfg)
             assert verdict.ok

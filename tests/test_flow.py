@@ -298,9 +298,17 @@ class TestStiffnessBound:
 
     @staticmethod
     def dense_laplacian(grid):
+        """tr_Id dd^c as a matrix: the factor Laplacian, or the Hessian's
+        h11 + h22 on a 4-D lattice."""
         k = math.prod(grid.shape)
         unit = np.eye(k).reshape((k,) + grid.shape)
-        lap = SpectralOps.of(grid).laplacian(unit).reshape(k, k)
+        ops = SpectralOps.of(grid)
+        if len(grid.shape) == 2:
+            lap = ops.laplacian(unit)
+        else:
+            h = ops.hessian(unit)
+            lap = h[0] + h[1]
+        lap = lap.reshape(k, k)
         return 0.5 * (lap + lap.T)  # symmetric up to rounding
 
     @classmethod
@@ -455,6 +463,20 @@ class TestStep:
         assert err.t == state.t
         assert err.dt == 1e12 * 0.5 ** 20  # the last of 21 tries
         assert not err.margin > 0.0
+
+    @pytest.mark.parametrize("integrator", ["rkc", "rk4"])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0])
+    def test_dt_must_be_finite_and_positive(self, integrator, dt):
+        # refused before the first right-hand side under either integrator:
+        # nan compares false with 0, and no stage count or halving makes
+        # an infinite step finite
+        pb = build_preset("degenerate_split", n=8)
+        state = make_state(FlowConfig(eps=0.1, integrator=integrator),
+                           pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
+        evals = state.kernel.rhs_evals
+        with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+            step(state, dt)
+        assert state.kernel.rhs_evals == evals
 
 
 class TestEvolve:
@@ -933,6 +955,15 @@ class TestEpsilonFamily:
         assert full >= off > 0.0
         d = report.to_dict()
         assert d["failures"] == {}
+
+    def test_empty_ladder_is_refused(self):
+        # a family with no member has no verdict to report
+        pb = build_preset("degenerate_split", n=8)
+        with pytest.raises(ValueError, match="one or more finite positive epsilons"):
+            flow.check_ladder([])
+        with pytest.raises(ValueError, match="one or more finite positive epsilons"):
+            epsilon_family(FlowConfig(eps=0.2), [], pb.chi0, pb.omega0, pb.omega_hat,
+                           divisor=pb.divisor)
 
     @pytest.mark.parametrize("ladder", [[0.2, math.nan], [math.inf, 0.1], [math.nan]])
     def test_non_finite_eps_is_refused(self, ladder):

@@ -248,41 +248,63 @@ class TestSpectralOps:
         with pytest.raises(ValueError, match="C-contiguous"):
             ops.hessian(stack, out=np.empty((4,) + stack.shape, order="F"))
 
+    @staticmethod
+    def trace(g, v):
+        """tr_Id dd^c v: the factor Laplacian, or the Hessian's h11 + h22 on
+        a 4-D lattice."""
+        ops = SpectralOps.of(g)
+        if len(g.shape) == 2:
+            return ops.laplacian(v)
+        h = ops.hessian(v)
+        return h[0] + h[1]
+
+    def test_laplacian_refuses_a_4d_grid(self):
+        g = Grid(4)
+        with pytest.raises(ValueError, match="hessian's h11 \\+ h22"):
+            SpectralOps.of(g).laplacian(np.zeros(g.shape))
+
     @pytest.mark.parametrize("g", [Grid(n, (0.0, 0.0)) for n in (4, 8, 12)]
                              + [Grid(n) for n in (4, 8)], ids=grid_id)
     def test_laplacian_base_and_out(self, g):
-        # the split kernel's chi = base + laplacian(v) as one call, fresh or
-        # into the caller's out; a batched family narrows from 3 members to
-        # 2 to 1, so the same operators see each batch with its own scratch
+        # each kernel's chi = base + dd^c v as one call, fresh or into the
+        # caller's out: the split kernel's factor Laplacian, the full
+        # kernel's Hessian (whose h11 + h22 is tr_Id dd^c); a batched family
+        # narrows from 3 members to 2 to 1, so the same operators see each
+        # batch with its own scratch
         ops = SpectralOps.of(g)
+        full = len(g.shape) == 4
+        chi, rows = (ops.hessian, (4,)) if full else (ops.laplacian, ())
         rng = np.random.default_rng(g.n)
-        base = rng.normal(size=(2,) + g.shape)
+        base = rng.normal(size=rows + (2,) + g.shape)
         for m in (3, 2, 1):
             v = rng.normal(size=(m, 2) + g.shape) + rng.normal(size=(m, 2) + (1,) * len(g.shape))
-            ref = base + ops.laplacian(v)
-            into = np.empty(v.shape)
-            assert ops.laplacian(v, base=base, out=into) is into
-            fresh = ops.laplacian(v, base=base)
+            ref = base[:, None] + chi(v) if full else base + chi(v)
+            into = np.empty(rows + v.shape)
+            assert chi(v, base=base, out=into) is into
+            fresh = chi(v, base=base)
             assert np.array_equal(into, ref) and np.array_equal(fresh, ref)
             for k in range(m):
-                assert np.array_equal(ops.laplacian(v[k], base=base), ref[k])
+                assert np.array_equal(chi(v[k], base=base), ref[:, k] if full else ref[k])
+            if full:  # the trace is the Laplacian: tr_Id of each batch entry
+                trace = fresh[0] + fresh[1] - (base[0] + base[1])
+                assert np.abs(trace - self.trace(g, v)).max() <= 1e-12 * np.abs(trace).max()
             # no returned array shares the scratch kept for its shape, and a
             # later call leaves an earlier result as it was
             kept = fresh.copy()
-            ops.laplacian(v + 1.0, base=base)
+            chi(v + 1.0, base=base)
             assert np.array_equal(fresh, kept)
             _, u, pq, t = ops._plan(v.shape)
             for a in (ref, into, fresh):
                 assert not any(np.shares_memory(a, s) for s in (u[-1], t, *(x[-1] for x in pq)))
         # products write through reshaped views, so out= must be contiguous
         with pytest.raises(ValueError, match="C-contiguous"):
-            ops.laplacian(v, out=np.empty(v.shape, order="F"))
+            chi(v, out=np.empty(rows + v.shape, order="F"))
 
     def test_divide_inverts_laplacian_off_the_mean(self, grid):
         ops = SpectralOps.of(grid)
         u = random_bandlimited(grid, np.random.default_rng(12)).values
         u = u - u.mean()
-        assert np.abs(ops.divide(ops.laplacian(u)) - u).max() < 1e-12
+        assert np.abs(ops.divide(self.trace(grid, u)) - u).max() < 1e-12
 
     # every kind of grid the operators serve: factor grids and 4-D grids
     GRIDS_4D = [Grid(n) for n in (4, 8, 12)]
@@ -305,7 +327,7 @@ class TestSpectralOps:
     def test_laplacian_matches_transform(self, g):
         v = self.noise(g, 21)
         (ref,) = self.transform_reference(g, v, [g.laplace_symbol()])
-        lap = SpectralOps.of(g).laplacian(v)
+        lap = self.trace(g, v)
         assert np.abs(lap - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("g", GRIDS_4D, ids=grid_id)
@@ -362,7 +384,7 @@ class TestSpectralOps:
     def test_constants_map_to_zero(self, g):
         ops = SpectralOps.of(g)
         v = np.full(g.shape, -2.3)
-        assert np.all(ops.laplacian(v) == 0.0)
+        assert np.all(self.trace(g, v) == 0.0)
         if len(g.shape) == 4:
             assert all(np.all(h == 0.0) for h in ops.hessian(v))
 
@@ -421,7 +443,7 @@ class TestSpectralOps:
     def test_second_derivatives_have_zero_mean(self, g):
         ops = SpectralOps.of(g)
         v = self.noise(g, 23)
-        outs = [ops.laplacian(v)]
+        outs = [self.trace(g, v)]
         if len(g.shape) == 4:
             outs += ops.hessian(v)[:2]
         for h in outs:
