@@ -112,7 +112,10 @@ def cone_condition(x, w):
 class ClosedForm:
     """Closed (1,1)-form: constant class plus dd^c of a potential, a
     ``ScalarField`` on the 4-D lattice or, with a diagonal class, a
-    ``SplitPotential`` on a factor lattice (the form diag(A(z1), B(z2)))."""
+    ``SplitPotential`` on a factor lattice (the form diag(A(z1), B(z2))).
+    A form owns its lattice: ``field`` builds a potential of its type there,
+    and ``check_lattice`` is the one check that a field or form is sampled
+    there too (the same N at other offsets is another lattice)."""
 
     cls: CohomologyClass
     potential: object  # ScalarField | SplitPotential
@@ -148,10 +151,18 @@ class ClosedForm:
         zeros = SplitPotential.zeros if len(grid.shape) == 2 else ScalarField.zeros
         return cls(cohomology_class, zeros(grid))
 
+    def field(self, values):
+        """``values`` as a potential of this form's type on its lattice."""
+        return type(self.potential)(self.grid, values)
+
+    def check_lattice(self, other, who):
+        """Raise ValueError unless the field or form ``other`` is on this lattice."""
+        if other.grid != self.grid:
+            raise ValueError(f"{who}: grids differ ({self.grid} vs {other.grid})")
+
     def plus_ddc(self, phi):
         """chi_phi = self + dd^c phi, realised as a fresh block."""
-        if phi.grid != self.grid:
-            raise ValueError(f"ClosedForm.plus_ddc: grids differ ({self.grid} vs {phi.grid})")
+        self.check_lattice(phi, "ClosedForm.plus_ddc")
         if self.backend == "split":
             return SpectralOps.of(self.grid).laplacian(phi.values, base=self.realized)
         return complex_hessian(phi, base=self.realized)
@@ -164,13 +175,11 @@ class ClosedForm:
         return ClosedForm(self.cls, self.potential.assemble(grid4))
 
     def scale(self, c):
-        pot = type(self.potential)(self.grid, float(c) * self.potential.values)
-        return ClosedForm(self.cls.scale(c), pot)
+        return ClosedForm(self.cls.scale(c), self.field(float(c) * self.potential.values))
 
     def add(self, other):
-        if other.grid != self.grid:
-            raise ValueError(f"ClosedForm.add: grids differ ({self.grid} vs {other.grid})")
-        pot = type(self.potential)(self.grid, self.potential.values + other.potential.values)
+        self.check_lattice(other, "ClosedForm.add")
+        pot = self.field(self.potential.values + other.potential.values)
         return ClosedForm(self.cls.add(other.cls), pot)
 
 

@@ -213,7 +213,9 @@ def _trace_field(traj, snap, grid):
 
 def compare_up_to_constant(a, b, mask=None):
     """sup over the mask of |a - b - mean_mask(a - b)|: the distance between
-    potentials modulo additive constants (a pseudometric)."""
+    potentials modulo additive constants (a pseudometric); fields must share a lattice."""
+    if isinstance(a, ScalarField) and isinstance(b, ScalarField) and a.grid != b.grid:
+        raise ValueError(f"compare_up_to_constant: grids differ ({a.grid} vs {b.grid})")
     av = a.values if isinstance(a, ScalarField) else np.asarray(a)
     bv = b.values if isinstance(b, ScalarField) else np.asarray(b)
     diff = av - bv

@@ -32,10 +32,10 @@ endpoint is not finite or loses positivity at some lattice point is retried
 at half the step; under RKC's error control an attempt that fails the error
 test is retried at the step the controller proposes.  A step may be refused
 _MAX_REJECTIONS = 20 times, for either cause; the next refusal raises
-DegenerateStiffnessError.  ``step`` wraps one such step as a FlowState and
+DegenerateStiffnessError.  ``step`` takes one such step of a FlowState and
 is how fixed-step runs advance; ``_evolve_members`` calls ``_advance`` in a
-loop under its step-size rule on the raw arrays and wraps the potential only
-where it records a snapshot.  ``evolve`` is its one-member case;
+loop under its step-size rule on the raw arrays and builds a potential
+only for a snapshot or a final state.  ``evolve`` is its one-member case;
 ``epsilon_family`` steps all members of an eps ladder as one state with a
 leading member axis, so they share every dt and every right-hand-side call.
 ``make_state`` and ``_evolve_members`` share one set-up, ``_start``, and one
@@ -53,15 +53,16 @@ quantity reduces to factor means.  Both take their transforms from
 ``functionals``.
 
 A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
-``_advance``) is written once against this contract:
+``_advance``) is written once against this contract.  A run's lattice and
+potential type come from ``chi0``: ``_start`` refuses forms and a start
+potential sampled elsewhere (``ClosedForm.check_lattice``), and every
+potential a run returns is built by ``chi0.field``.
 
 * it is built as ``(chi0, omegas, cs, cfg)`` by ``_make_kernel``;
 * ``shape``: the shape of the raw state, a plain float array that numpy
   adds and scales (the 4-D grid, or (2, n, n) for the stacked factor
   potentials), behind a leading member axis in a batch; velocities have
   the same shape; ``member_axes`` are the trailing axes of one member;
-* ``wrap(raw)`` / ``unwrap(phi)``: one member's raw array to potential
-  object, and a potential to the raw state of every member;
 * ``rhs_only(raw)``: the velocity; ``metrics(raw)``: (velocity, metric,
   ok, sup) from one evaluation of the same formula, ok and sup lists of
   Python values, one per member: ok that the velocity is finite and the
@@ -112,8 +113,7 @@ from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (ConeConditionError, DegenerateStiffnessError, JFlowError,
                      PositivityError, check_numbers, is_integer)
 from .functionals import _energies_full, _energies_split
-from .split import SplitPotential
-from .torus import ScalarField, SpectralOps, _cowedge, _det, _lam_lo
+from .torus import SpectralOps, _cowedge, _det, _lam_lo
 
 _MAX_REJECTIONS = 20
 INTEGRATORS = ("rkc", "rk4")
@@ -251,8 +251,7 @@ class _FullKernel:
     backend = "full"
 
     def __init__(self, chi0, omegas, cs, cfg):
-        grid = chi0.grid
-        self.grid = grid
+        self.grid = grid = chi0.grid
         self.cfg = cfg
         self.rhs_evals = 0
         self._ops = SpectralOps.of(grid)
@@ -281,13 +280,6 @@ class _FullKernel:
         """Narrow a batch to the members ``idx``; returns their chi."""
         self._members(self.c[idx], self._wp[:, idx])
         return chi[:, idx]
-
-    # raw representation: plain ndarray of potential values
-    def unwrap(self, phi):
-        return np.broadcast_to(phi.values, self.shape)
-
-    def wrap(self, v):
-        return ScalarField(self.grid, v)
 
     def chi(self, v):
         return self._ops.hessian(v, base=self._bg)
@@ -366,8 +358,7 @@ class _SplitKernel:
     backend = "split"
 
     def __init__(self, chi0, omegas, cs, cfg):
-        fgrid = chi0.grid
-        self.grid = fgrid
+        self.grid = fgrid = chi0.grid
         self.cfg = cfg
         self.rhs_evals = 0
         self._bg = chi0.realized
@@ -395,12 +386,6 @@ class _SplitKernel:
         """Narrow a batch to the members ``idx``; returns their chi."""
         self._members(self.c[idx], self._w[idx], self._cs[idx])
         return chi[idx]
-
-    def unwrap(self, phi):
-        return np.broadcast_to(phi.values, self.shape)
-
-    def wrap(self, v):
-        return SplitPotential(self.grid, v)
 
     def chi(self, v):
         return self._ops.laplacian(v, base=self._base)
@@ -504,12 +489,12 @@ class FamilyMember:
     def ok(self):
         return self.trajectory is not None
 
-    def record(self, row, raw, wrap, force=False):
-        """Append a history row, and a snapshot of ``raw`` every snap_mult
-        rows (kept to _MAX_FIELD_SNAPSHOTS by halving)."""
+    def record(self, row, raw, as_field, force=False):
+        """Append a history row, and a snapshot ``as_field(raw)`` every
+        snap_mult rows (kept to _MAX_FIELD_SNAPSHOTS by halving)."""
         self.rows.append(row)
         if force or (len(self.rows) - 1) % self.snap_mult == 0:
-            self.snapshots.append((row.t, wrap(raw.copy())))
+            self.snapshots.append((row.t, as_field(raw.copy())))
             if len(self.snapshots) > _MAX_FIELD_SNAPSHOTS:
                 del self.snapshots[1::2]
                 self.snap_mult *= 2
@@ -532,9 +517,11 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     = 0 only on a lattice off ``divisor``, the cone condition), one kernel
     for those that pass, and the metrics of the raw start, whose positivity
     margin covers every lattice point.  A member refused there or by a
-    non-positive start keeps the error.  Returns (live, kernel, raw, rhs,
-    chi, margin, sup), sup from ``metrics``, or None when no member passes
-    the preconditions."""
+    non-positive start keeps the error; forms or a ``phi0`` off chi0's
+    lattice raise ValueError first.  Returns (live, kernel, raw, rhs, chi,
+    margin, sup), sup from ``metrics``, or None when no member passes."""
+    for other in (omega0, omega_hat) if phi0 is None else (omega0, omega_hat, phi0):
+        chi0.check_lattice(other, "flow")
     live, omegas = [], []
     for mem in members:
         try:  # recorded, not raised: a family report stays partial
@@ -553,7 +540,7 @@ def _start(cfg, members, chi0, omega0, omega_hat, phi0=None, divisor=None):
     if not live:
         return None
     kernel = _make_kernel(chi0, omegas, [m.c_eps for m in live], cfg)
-    raw = np.zeros(kernel.shape) if phi0 is None else kernel.unwrap(phi0)
+    raw = np.zeros(kernel.shape) if phi0 is None else np.broadcast_to(phi0.values, kernel.shape)
     with np.errstate(all="ignore"):  # a non-positive start is refused below
         rhs, chi, ok, sup = kernel.metrics(raw)
         margin = kernel.margin(chi)
@@ -572,7 +559,7 @@ def make_state(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
     if member.error is not None:
         raise member.error
     _, kernel, raw, rhs, chi, margin, _ = start
-    return FlowState(kernel, kernel.wrap(raw), 0.0, rhs, chi, float(margin),
+    return FlowState(kernel, chi0.field(raw), 0.0, rhs, chi, float(margin),
                      radius=_SpectralRadius())
 
 
@@ -821,9 +808,10 @@ def step(state, dt):
     kernel = state.kernel
     radius = replace(state.radius)  # the new state's: ``state`` keeps its own
     new, rhs, chi, _, dt, _, rejections, _ = _advance(
-        kernel, radius, kernel.unwrap(state.phi), state.rhs, state.chi, dt, state.t
+        kernel, radius, state.phi.values, state.rhs, state.chi, dt, state.t
     )
-    return FlowState(kernel, kernel.wrap(new), state.t + dt, rhs, chi, float(kernel.margin(chi)),
+    return FlowState(kernel, replace(state.phi, values=new), state.t + dt, rhs, chi,
+                     float(kernel.margin(chi)),
                      last_dt=dt, last_rejections=rejections, radius=radius)
 
 
@@ -873,7 +861,7 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
                 (np.maximum(top, -bottom), j, i, kernel.margin(chi), hi, lo, j_rate)]
         for p, mem in enumerate(live):
             if which is None or which[p]:
-                mem.record(HistoryRow(t, *(x[p] for x in cols)), raw_of(p), kernel.wrap, force)
+                mem.record(HistoryRow(t, *(x[p] for x in cols)), raw_of(p), chi0.field, force)
 
     drop([m.error is not None for m in live])
     if live:
@@ -890,7 +878,7 @@ def _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0=None, divisor=N
                 mem = live[p]
                 mem.trajectory = Trajectory(
                     kernel.backend, mem.eps, mem.c_eps, mem.rows, mem.snapshots,
-                    kernel.wrap(raw_of(p).copy()),
+                    chi0.field(raw_of(p).copy()),
                     "converged" if sup[p] < stop else "max_time",
                     steps, rejections, cfg.integrator, kernel.rhs_evals,
                     chi0_form=chi0, radius_evals=radius.evals,
@@ -1009,7 +997,7 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
     failing member is recorded and the report stays partial rather than
     raising.
     """
-    if workers != 1:
+    if not is_integer(workers) or workers != 1:
         raise ValueError(f"epsilon_family steps its members as one batch; "
                          f"workers must be 1, got {workers!r}")
     eps_list = [float(e) for e in eps_list]

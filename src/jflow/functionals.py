@@ -73,6 +73,7 @@ def I_functional(phi, chi0):
 def E_aubin_yau(phi, chi0):
     """int i d(phi) ^ dbar(phi) ^ (chi0 + chi_phi), nonnegative whenever
     chi0 + chi_phi is; by parts, -int phi dd^c phi ^ (chi0 + chi_phi)."""
+    chi0.check_lattice(phi, "E_aubin_yau")
     h = SpectralOps.of(phi.grid).hessian(phi.values)
     total = 2.0 * chi0.realized + h
     return -4.0 * float(np.mean(phi.values * _wedge(h, total)))

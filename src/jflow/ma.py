@@ -36,8 +36,7 @@ from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
 from .errors import (ConeConditionError, MAConvergenceError, PositivityError, check_numbers,
                      is_integer)
 from .krylov import Operator, gmres
-from .split import SplitPotential
-from .torus import ScalarField, SpectralOps, _cowedge, _det, positivity_margin
+from .torus import SpectralOps, _cowedge, _det, positivity_margin
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,11 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
     The unknown, and the returned psi, is mean-zero.  If the realized alpha
     is not positive and no psi0 is given, the iteration starts from
     psi = -potential(alpha)/c, which makes the initial A_psi the (positive)
-    constant class representative.
+    constant class representative.  Refuses a target or psi0 off alpha's lattice.
     """
     cfg = cfg or MASolverConfig()
+    for other in (target,) if psi0 is None else (target, psi0):
+        alpha.check_lattice(other, "solve_ma")
     grid = alpha.grid
     a_real = alpha.realized
     t_dens = 2.0 * _det(target.realized)
@@ -184,8 +185,7 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
         return _newton_direction(g_res, a, c, ops, res_sup)
 
     psi, residuals, *stats = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
-    out = ScalarField(grid, psi)
-    return MASolution(out.mean_normalized(), residuals, len(residuals) - 1, *stats)
+    return MASolution(alpha.field(psi).mean_normalized(), residuals, len(residuals) - 1, *stats)
 
 
 def _newton_direction(g_res, a, c, ops, res_sup):
@@ -236,7 +236,7 @@ def solve_ma_split(alpha, c, target, cfg=None):
     means (the factor problems must each balance in cohomology).
     """
     cfg = cfg or MASolverConfig()
-    fgrid = alpha.grid
+    alpha.check_lattice(target, "solve_ma_split")
     f, g = target.realized
     floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
     if f.min() <= floor or g.min() <= floor:
@@ -251,7 +251,7 @@ def solve_ma_split(alpha, c, target, cfg=None):
     if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
         raise ValueError("solve_ma_split: class means of side and target disagree")
     log_t = np.log(goal)
-    ops = SpectralOps.of(fgrid)
+    ops = SpectralOps.of(alpha.grid)
 
     def evaluate(p):
         a = side + c * ops.laplacian(p)
@@ -266,7 +266,7 @@ def solve_ma_split(alpha, c, target, cfg=None):
     psi, residuals, *stats = _damped_newton(
         "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
     )
-    return MASolution(SplitPotential(fgrid, psi), residuals, len(residuals) - 1, *stats)
+    return MASolution(alpha.field(psi), residuals, len(residuals) - 1, *stats)
 
 
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):

@@ -203,11 +203,10 @@ def random_bandlimited_potential(problem, rng):
 
     if problem.backend == "split":
         v = np.stack([draw(_RANDOM_MODES) for _ in range(2)])
-        scale = _positive_scale(problem.to_full(), SplitPotential(grid, v).assemble())
-        return SplitPotential(grid, scale * v)
-    v = draw(2 * _RANDOM_MODES)
-    scale = _positive_scale(problem, ScalarField(grid, v))
-    return ScalarField(grid, scale * v)
+    else:
+        v = draw(2 * _RANDOM_MODES)
+    scale = _positive_scale(problem.to_full(), problem.chi0.field(v).assemble())
+    return problem.chi0.field(scale * v)
 
 
 def _positive_scale(full_problem, phi):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft as sfft
 
-from .errors import PositivityError
+from .errors import PositivityError, is_integer
 
 _TWO_PI = 2.0 * np.pi
 
@@ -65,8 +65,8 @@ class Grid:
     offsets: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 4, got {self.n}")
+        if not is_integer(self.n) or self.n < 4 or self.n % 2 != 0:
+            raise ValueError(f"grid size must be an even integer >= 4, got {self.n!r}")
         if len(self.offsets) not in (2, 4):
             raise ValueError(f"offsets must have 2 or 4 entries, got {len(self.offsets)}")
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))

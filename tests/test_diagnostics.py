@@ -212,6 +212,15 @@ class TestCompareUpToConstant:
         dcb = compare_up_to_constant(c, b)
         assert dab <= dac + dcb + 1e-12
 
+    def test_fields_on_two_lattices_are_refused(self):
+        grid, shifted = Grid(8), Grid(8, (0.01, 0.0, 0.0, 0.0))
+        values = np.random.default_rng(4).normal(size=grid.shape)
+        with pytest.raises(ValueError, match="compare_up_to_constant: grids differ"):
+            compare_up_to_constant(ScalarField(grid, values), ScalarField(shifted, values))
+        # plain arrays are taken as given, with a field or without
+        assert compare_up_to_constant(ScalarField(grid, values), values + 1.0) < 1e-12
+        assert compare_up_to_constant(values, ScalarField(shifted, values)) == 0.0
+
     def test_mask(self):
         grid = Grid(8)
         rng = np.random.default_rng(3)

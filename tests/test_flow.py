@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -218,7 +219,7 @@ class TestKernelScratch:
         phi0 = random_bandlimited_potential(pb, np.random.default_rng(2))
         state = make_state(FlowConfig(eps=0.1), pb.chi0, pb.omega0, pb.omega_hat, phi0=phi0)
         kernel = state.kernel
-        v = kernel.unwrap(phi0)
+        v = np.broadcast_to(phi0.values, kernel.shape)
         rhs, chi = kernel.metrics(v)[:2]
         kept = chi.copy()
         a = kernel.rhs_only(v)
@@ -338,7 +339,8 @@ class TestStiffnessBound:
     @staticmethod
     def check(state, radius):
         kernel = state.kernel
-        estimate = flow._SpectralRadius().estimate(kernel, kernel.unwrap(state.phi), state.rhs)
+        v = np.broadcast_to(state.phi.values, kernel.shape)
+        estimate = flow._SpectralRadius().estimate(kernel, v, state.rhs)
         bound = kernel._stiffness(state.chi) * -SpectralOps.of(kernel.grid).laplace.min()
         assert flow._RKC_RHO_SAFETY * estimate >= radius
         # the constant cases attain the bound up to the difference quotient's error
@@ -820,7 +822,7 @@ class TestLeanStep:
         cs = [c_constant(pb.chi0.cls, w.cls) for w in forms]
         kernel = flow._make_kernel(pb.chi0, forms, cs, FlowConfig(eps=eps[0]))
         phi0 = random_bandlimited_potential(pb, np.random.default_rng(1))
-        v = kernel.unwrap(phi0).copy()  # C-contiguous, as every stepped state
+        v = np.broadcast_to(phi0.values, kernel.shape).copy()  # C-contiguous, as every stepped state
         for p in range(1, members):
             v[p] *= 1.0 - 0.3 * p  # members with their own states
         return pb, kernel, v
@@ -1054,11 +1056,17 @@ class TestEpsilonFamily:
                 assert m.trajectory.stop_reason == "converged"
         assert [d[:2] for d in report.consecutive_diffs] == [(0.2, 0.05)]
 
-    def test_workers_other_than_one_are_refused(self):
+    def test_workers_other_than_one_are_refused(self, monkeypatch):
+        # True == 1 and 1.0 == 1 passed the check
         pb = build_preset("degenerate_split", n=8)
-        with pytest.raises(ValueError, match="workers must be 1"):
-            epsilon_family(FlowConfig(eps=0.2), [0.2, 0.1], pb.chi0, pb.omega0,
-                           pb.omega_hat, workers=2)
+        for workers in (2, True, np.True_, 1.0):
+            with pytest.raises(ValueError, match="workers must be 1"):
+                epsilon_family(FlowConfig(eps=0.2), [0.2, 0.1], pb.chi0, pb.omega0,
+                               pb.omega_hat, workers=workers)
+        monkeypatch.setattr(flow, "_evolve_members", lambda *args: [])
+        report = epsilon_family(FlowConfig(eps=0.2), [0.2, 0.1], pb.chi0, pb.omega0,
+                                pb.omega_hat, workers=np.int64(1))
+        assert report.members == []
 
     def test_requires_descending_positive(self):
         pb = build_preset("degenerate_split", n=8)
@@ -1084,6 +1092,66 @@ class TestEpsilonFamily:
         (failed,) = [m for m in report.members if not m.ok]
         assert isinstance(failed.error, ConeConditionError)
         assert report.failures[0.01] == f"ConeConditionError: {failed.error}"
+
+
+class TestOneLattice:
+    """A run's lattice is chi0's: forms and a start potential sampled on
+    another lattice, or of the other backend, are refused with one message
+    before any member starts (they ran, or failed inside numpy)."""
+
+    SHIFT = {"degenerate_split": (0.01, 0.01), "nonsplit_perturbed": (0.01,) * 4}
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(flow, "_make_kernel", refused)
+
+    @staticmethod
+    def _runs(cfg, pb, omega0, omega_hat, phi0):
+        args = (pb.chi0, omega0, omega_hat)
+        return {
+            "evolve": lambda: evolve(cfg, *args, phi0=phi0, divisor=pb.divisor),
+            "make_state": lambda: make_state(cfg, *args, phi0=phi0, divisor=pb.divisor),
+            "epsilon_family": lambda: epsilon_family(cfg, [0.2, 0.1], *args, phi0=phi0,
+                                                     divisor=pb.divisor),
+        }
+
+    @pytest.mark.parametrize("entry", ["evolve", "make_state", "epsilon_family"])
+    @pytest.mark.parametrize("which", ["omega0", "omega_hat"])
+    def test_omega_from_another_lattice(self, entry, which):
+        pb = build_preset("nonsplit_perturbed", n=8)
+        other = build_preset("nonsplit_perturbed", n=8, offsets=self.SHIFT[pb.name])
+        forms = {"omega0": pb.omega0, "omega_hat": pb.omega_hat, which: getattr(other, which)}
+        run = self._runs(FlowConfig(eps=0.1, max_time=1e-3), pb, forms["omega0"],
+                         forms["omega_hat"], None)[entry]
+        message = f"flow: grids differ ({pb.grid} vs {other.grid})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+
+    @pytest.mark.parametrize("entry", ["evolve", "make_state", "epsilon_family"])
+    @pytest.mark.parametrize("name", ["degenerate_split", "nonsplit_perturbed"])
+    def test_phi0_from_another_lattice_of_the_same_n(self, entry, name):
+        pb = build_preset(name, n=8, offsets=self.SHIFT[name])
+        phi0 = random_bandlimited_potential(build_preset(name, n=8), np.random.default_rng(1))
+        run = self._runs(FlowConfig(eps=0.1, max_time=1e-3), pb, pb.omega0, pb.omega_hat,
+                         phi0)[entry]
+        message = f"flow: grids differ ({pb.grid} vs {phi0.grid})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+
+    @pytest.mark.parametrize("entry", ["evolve", "make_state", "epsilon_family"])
+    @pytest.mark.parametrize("name, other", [("degenerate_split", "nonsplit_perturbed"),
+                                             ("nonsplit_perturbed", "degenerate_split")])
+    def test_phi0_of_the_other_backend(self, entry, name, other):
+        pb = build_preset(name, n=8)
+        phi0 = random_bandlimited_potential(build_preset(other, n=8), np.random.default_rng(1))
+        run = self._runs(FlowConfig(eps=0.1, max_time=1e-3), pb, pb.omega0, pb.omega_hat,
+                         phi0)[entry]
+        message = f"flow: grids differ ({pb.grid} vs {phi0.grid})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
 
 
 class TestMaxPrincipleMonitor:

@@ -199,6 +199,16 @@ class TestAubinYau:
         assert E_aubin_yau(ScalarField.zeros(grid), ident) == 0.0
         assert E_aubin_yau(ScalarField.constant(grid, 3.0), ident) == 0.0
 
+    def test_phi_on_another_lattice_is_refused(self, setup):
+        # it gave a value, where J_closed refuses the same phi
+        grid, ident = setup
+        shifted = Grid(grid.n, (0.5 / grid.n, 0.0, 0.0, 0.0))
+        phi = ScalarField(shifted, np.cos(2 * np.pi * shifted.coords()[0]) * np.ones(grid.shape))
+        with pytest.raises(ValueError, match=r"^E_aubin_yau: grids differ"):
+            E_aubin_yau(phi, ident)
+        with pytest.raises(ValueError, match="grids differ"):
+            J_closed(phi, ident, ident, 2.0)
+
     def test_single_mode_closed_form(self, setup):
         grid, ident = setup
         x1 = grid.coords()[0]

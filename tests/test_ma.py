@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,28 @@ class TestSolveMA:
         psi0 = ScalarField(alpha.grid, np.full(alpha.grid.shape, math.nan))
         with pytest.raises(PositivityError, match="initial A_psi not positive"):
             solve_ma(alpha, c, w, psi0=psi0)
+
+    def test_target_and_psi0_on_another_lattice_are_refused(self):
+        # a target at other offsets converged on alpha's lattice, and a psi0
+        # there ended the solve after 0 iterations
+        alpha, c, w = _nonsplit_problem()
+        shifted = build_preset("nonsplit_perturbed", n=8, offsets=(0.01,) * 4)
+        w_shifted = epsilon_form(shifted.omega0, 0.1, shifted.omega_hat)
+        message = f"solve_ma: grids differ ({alpha.grid} vs {shifted.grid})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_ma(alpha, c, w_shifted)
+        psi0 = ScalarField(shifted.grid, np.zeros(alpha.grid.shape))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_ma(alpha, c, w, psi0=psi0)
+
+    def test_split_target_on_another_lattice_is_refused(self):
+        pb = build_preset("degenerate_split", n=8)
+        shifted = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01))
+        w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
+        alpha = build_alpha(pb.chi0, w, c_constant(pb.chi0_class(), pb.omega_eps_class(0.1)))
+        message = f"solve_ma_split: grids differ ({pb.grid} vs {shifted.grid})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_ma_split(alpha, 2.2, epsilon_form(shifted.omega0, 0.1, shifted.omega_hat))
 
     def test_identity_trivial(self):
         pb = build_preset("identity", n=8)

@@ -52,10 +52,14 @@ def random_bandlimited(grid, rng, amp=0.1, kmax=2):
 
 class TestGrid:
     def test_rejects_odd_or_tiny(self):
-        with pytest.raises(ValueError):
-            Grid(15)
-        with pytest.raises(ValueError):
-            Grid(2)
+        # and a size that is not an integer: Grid(8.0) was accepted and
+        # failed later, in ScalarField.zeros or SpectralOps.of
+        for n in (15, 2, 8.0, np.float64(8), True, np.bool_(True)):
+            with pytest.raises(ValueError, match="an even integer >= 4"):
+                Grid(n)
+        grid = Grid(np.int64(8))
+        assert ScalarField.zeros(grid).values.shape == (8,) * 4
+        assert SpectralOps.of(grid).shape == (8,) * 4
 
     def test_offsets_validated(self):
         Grid(8, (0.01, 0.0, 0.0, 0.0))

@@ -74,7 +74,7 @@ def _layer_probes():
         state = flow.make_state(flow.FlowConfig(eps=0.1), pb.chi0, pb.omega0,
                                 pb.omega_hat, phi0=phi0)
         kernel = state.kernel
-        raw = kernel.unwrap(state.phi)
+        raw = np.broadcast_to(state.phi.values, kernel.shape)
         ops = SpectralOps.of(pb.grid)
         noise = np.random.default_rng(0).normal(size=pb.grid.shape)
         probes[f"divide[N={n}]"] = lambda ops=ops, v=noise: ops.divide(v)

@@ -28,6 +28,17 @@ output byte for byte gives the same JSON as its parent.  BLAS/OpenMP pools
 are pinned to one thread, as ``perfbench/run.py`` pins them.  Takes a few
 seconds on one core.
 
+It also fingerprints, as ``perfbench/<workload>/seed<k>``, the flow
+outputs of the two benchmark workloads of ``<checkout>/perfbench/
+workloads.py`` on seeds 1 and 3: one unit (``run_unit``) runs in a
+subprocess with ``flow.evolve``, ``flow.epsilon_family`` and
+``ma.solve_ma`` wrapped to keep what they return.  Per flow (one per
+member of a family) it records the steps, RHS evaluations, rejections and
+radius evaluations as numbers, and the sha256 of the history rows and of
+the final potential; for ``full_flow`` also the sha256 of the Newton
+oracle's psi and its iteration count; and the unit's failed gates.  The
+tool only reads ``perfbench/``.
+
 ``solve_ma_full_n12`` fingerprints Newton where GMRES's vectors (12^4
 entries) are long enough for a BLAS to split a dot product over threads.
 It was added with ``krylov._dot``, which made those bits independent of
@@ -47,6 +58,7 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 UNSTABLE_RECORD_KEYS = ("started", "finished", "config_hash")
+WORKLOAD_SEEDS = (1, 3)
 
 # name -> the (command, config) pairs run in order in one output directory
 CONFIGS = {
@@ -108,9 +120,60 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def _sha(array):
+    """sha256 of ``array``'s float64 bytes, C order."""
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=float).tobytes()).hexdigest()
+
+
+def _flow_record(traj):
+    return {
+        "steps": traj.steps, "rhs_evals": traj.rhs_evals, "rejections": traj.rejections,
+        "radius_evals": traj.radius_evals, "stop_reason": traj.stop_reason,
+        "rows_sha256": _sha([list(vars(row).values()) for row in traj.rows]),
+        "final_sha256": _sha(traj.final.values),
+    }
+
+
+def workload_worker(workload, seed):
+    """One unit of ``workload`` at ``seed``, with what the library returns
+    kept on the way; prints its fingerprint as JSON.  Runs with the
+    checkout's ``src`` and ``perfbench`` on ``sys.path``."""
+    from jflow import flow, ma
+    from workloads import WORKLOADS
+
+    kept = []
+
+    def keep(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            kept.append((fn.__name__, out))
+            return out
+        return run
+
+    for module, name in ((flow, "evolve"), (flow, "epsilon_family"), (ma, "solve_ma")):
+        setattr(module, name, keep(getattr(module, name)))
+    wl = WORKLOADS[workload]
+    result = {"fails": wl.run_unit(wl.prepare(seed)), "calls": []}
+    for name, out in kept:
+        if name == "evolve":
+            record = _flow_record(out)
+        elif name == "epsilon_family":
+            record = {str(m.eps): _flow_record(m.trajectory) if m.ok else repr(m.error)
+                      for m in out.members}
+        else:
+            record = {"newton_iterations": out.newton_iterations,
+                      "psi_sha256": _sha(out.psi.values)}
+        result["calls"].append({name: record})
+    json.dump(result, sys.stdout, sort_keys=True)
+
+
 def fingerprint(checkout, workdir):
-    """{config name: {"exit": [status per command], "artifacts": {path: sha256}}}."""
-    src = Path(checkout).resolve() / "src"
+    """{config name: {"exit": [status per command], "artifacts": {path: sha256}}},
+    then {"perfbench/<workload>/seed<k>": the workload unit's fingerprint}."""
+    root = Path(checkout).resolve()
+    src = root / "src"
     if not (src / "jflow" / "__init__.py").is_file():
         sys.exit(f"artifact_hashes: no jflow sources under {src}")
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
@@ -133,13 +196,30 @@ def fingerprint(checkout, workdir):
             "exit": codes,
             "artifacts": {str(p.relative_to(out)): _digest(p) for p in files},
         }
+    env["PYTHONPATH"] = os.pathsep.join((str(src), str(root / "perfbench")))
+    for workload in ("split_family", "full_flow"):
+        for seed in WORKLOAD_SEEDS:
+            proc = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
+                 "--seed", str(seed)],
+                env=env, cwd=workdir, capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                sys.exit(f"artifact_hashes: {workload} seed {seed} failed:\n{proc.stderr}")
+            result[f"perfbench/{workload}/seed{seed}"] = json.loads(proc.stdout)
     return result
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("checkout", help="root of the checkout whose src/ is run")
+    ap.add_argument("checkout", nargs="?", help="root of the checkout whose src/ is run")
+    ap.add_argument("--workload", help=argparse.SUPPRESS)
+    ap.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.workload:
+        return workload_worker(args.workload, args.seed)
+    if args.checkout is None:
+        ap.error("checkout is required")
     with tempfile.TemporaryDirectory(prefix="artifact-hashes-") as workdir:
         result = fingerprint(args.checkout, workdir)
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
