@@ -27,7 +27,7 @@ from .cohomology import (
     cone_condition,
 )
 from .flow import FlowConfig, epsilon_family, evolve
-from .ma import MASolverConfig, solve_ma, solve_ma_split
+from .ma import MASolverConfig, solve_ma
 from .presets import build_preset
 from .torus import Grid, ScalarField
 
@@ -43,7 +43,6 @@ __all__ = [
     "epsilon_family",
     "MASolverConfig",
     "solve_ma",
-    "solve_ma_split",
     "build_preset",
     "Grid",
     "ScalarField",

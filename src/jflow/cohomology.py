@@ -156,9 +156,14 @@ class ClosedForm:
         return type(self.potential)(self.grid, values)
 
     def check_lattice(self, other, who):
-        """Raise ValueError unless the field or form ``other`` is on this lattice."""
+        """Raise ValueError unless the field or form ``other`` is on this
+        lattice, with a potential of this form's type."""
         if other.grid != self.grid:
             raise ValueError(f"{who}: grids differ ({self.grid} vs {other.grid})")
+        kind = type(other.potential if isinstance(other, ClosedForm) else other)
+        if kind is not type(self.potential):
+            raise ValueError(f"{who}: potential types differ "
+                             f"({type(self.potential).__name__} vs {kind.__name__})")
 
     def plus_ddc(self, phi):
         """chi_phi = self + dd^c phi, realised as a fresh block."""

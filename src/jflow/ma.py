@@ -1,5 +1,5 @@
 """Elliptic side of the lab: the reduction of the critical equation to a
-complex Monge-Ampere equation and a damped Newton-Krylov solver for it.
+complex Monge-Ampere equation and a damped Newton solver for it.
 The split-ansatz closed-form critical point, ``split_critical``, is a test
 oracle and lives in the test helper ``tests/oracles.py``.
 
@@ -9,14 +9,16 @@ is algebraically equivalent to
     (alpha + c dd^c psi)^2 = omega^2,    alpha := c chi0 - omega,
 
 so a converged Newton solution is an independent check on the flow limit.
-Newton runs on the log-quotient G(psi) = log (A_psi)^2 - log (target)^2,
-whose linearization is the variable-coefficient complex Laplacian
-c tr_{A_psi} dd^c; each step is solved by GMRES, preconditioned with the
-constant-coefficient operator of the diagonal of the mean of A_psi,
-conformally scaled (``_newton_direction``).  For product
-data the equation factorises into log(a_i + c dd^c psi_i) = log t_i on each
-factor, whose linearization is a Poisson solve; the two factors are one
-stacked (2, n, n) problem.  Both backends run the same damped Newton loop,
+``solve_ma`` is the one entry point: it starts from a given psi0 (each rung
+of ``solve_ma_continuation`` from the last psi) and takes its cold start,
+evaluation and Newton direction from alpha's lattice.  On the 4-D lattice
+(``_full_newton``) Newton runs on G(psi) = log (A_psi)^2 - log (target)^2,
+whose linearization c tr_{A_psi} dd^c is solved by GMRES, preconditioned with
+the constant-coefficient operator of the diagonal of the mean of A_psi,
+conformally scaled (``_newton_direction``).  On a factor lattice
+(``_split_newton``) the equation factorises into log(a_i + c dd^c psi_i) =
+log t_i on each factor, whose linearization is a Poisson solve; the two
+factors are one stacked (2, n, n) problem.  Both run one damped Newton loop,
 ``_damped_newton``: one positivity check, one backtracking line search and
 one set of failure errors.
 
@@ -91,32 +93,33 @@ class MASolution:
         return self.residuals[-1] if self.residuals else np.inf
 
 
-def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
-    """Damped Newton on the log residual G from the mean-zero start psi.
+def _damped_newton(psi, evaluate, direction, cfg, grid_ndim):
+    """Damped Newton on the log residual G from the start psi, recentred
+    to mean zero on each grid block (the last ``grid_ndim`` axes).
 
     ``evaluate(p)`` gives (A_p, positivity margin of A_p, G(p)), with G
     None where the margin is not positive; ``direction(G, A, sup|G|)``
     gives the Newton step, the GMRES ``info`` of its linear solve and its
     preconditioner applications (0 and 0 for a direct solve).  The trial
-    psi + s delta is recentred to mean zero on each grid block (the last
-    ``grid_ndim`` axes) and accepted when its A is positive and sup|G|
-    decreases or reaches ``newton_tol``; s is halved after each refused
-    trial, 40 times at most.  Converging on the last of the ``max_newton``
-    iterations is success.  Returns (psi, residuals, preconditioner
-    applications, largest GMRES info).
+    psi + s delta is recentred too and accepted when its A is positive and
+    sup|G| decreases or reaches ``newton_tol``; s is halved after each
+    refused trial, 40 times at most.  Converging on the last of the
+    ``max_newton`` iterations is success.  Returns (psi, residuals,
+    preconditioner applications, largest GMRES info).
     """
     block = tuple(range(-grid_ndim, 0))
+    psi = psi - psi.mean(block, keepdims=True)
     a, m, g_res = evaluate(psi)
     if not m > 0.0:  # a nan margin too
         raise PositivityError(
-            f"{name}: initial A_psi not positive (margin {m:.3e})", margin=m
+            f"solve_ma: initial A_psi not positive (margin {m:.3e})", margin=m
         )
     residuals = [float(np.abs(g_res).max())]
     applies = info_max = 0
     while residuals[-1] > cfg.newton_tol:
         if len(residuals) > cfg.max_newton:
             raise MAConvergenceError(
-                f"{name}: not converged in {cfg.max_newton} iterations "
+                f"solve_ma: not converged in {cfg.max_newton} iterations "
                 f"(residual {residuals[-1]:.3e})",
                 residuals=residuals,
             )
@@ -135,7 +138,7 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
         else:
             unconverged = f" after an unconverged GMRES solve (info={info})" if info else ""
             raise MAConvergenceError(
-                f"{name}: no acceptable damped step at iteration "
+                f"solve_ma: no acceptable damped step at iteration "
                 f"{len(residuals) - 1}{unconverged}",
                 residuals=residuals,
             )
@@ -145,17 +148,31 @@ def _damped_newton(name, psi, evaluate, direction, cfg, grid_ndim):
 
 
 def solve_ma(alpha, c, target, cfg=None, psi0=None):
-    """Newton-Krylov solve of (alpha + c dd^c psi)^2 = target^2, full grid.
+    """Newton solve of (alpha + c dd^c psi)^2 = target^2 on alpha's lattice,
+    from psi0 if it is given, else from the lattice's cold start.
 
-    The unknown, and the returned psi, is mean-zero.  If the realized alpha
-    is not positive and no psi0 is given, the iteration starts from
-    psi = -potential(alpha)/c, which makes the initial A_psi the (positive)
-    constant class representative.  Refuses a target or psi0 off alpha's lattice.
+    The start, the unknown and the returned psi are mean-zero (per factor on
+    a factor lattice).  Refuses a target or psi0 off alpha's lattice.
     """
     cfg = cfg or MASolverConfig()
     for other in (target,) if psi0 is None else (target, psi0):
         alpha.check_lattice(other, "solve_ma")
-    grid = alpha.grid
+    ndim = len(alpha.grid.shape)
+    newton = _split_newton if alpha.backend == "split" else _full_newton
+    cold, evaluate, direction = newton(alpha, c, target, SpectralOps.of(alpha.grid))
+    psi, residuals, *stats = _damped_newton(cold if psi0 is None else psi0.values,
+                                            evaluate, direction, cfg, ndim)
+    psi = alpha.field(psi)
+    if alpha.backend == "full":  # recentred once more: the 4-D psi's recorded bits include it
+        psi = psi.mean_normalized()
+    return MASolution(psi, residuals, len(residuals) - 1, *stats)
+
+
+def _full_newton(alpha, c, target, ops):
+    """The 4-D lattice's (cold start, evaluate, direction): Newton-Krylov on
+    log det.  If the realized alpha is not positive, the cold start is
+    psi = -potential(alpha)/c, which makes the initial A_psi the (positive)
+    constant class representative; else it is 0."""
     a_real = alpha.realized
     t_dens = 2.0 * _det(target.realized)
     if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
@@ -165,16 +182,8 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
             margin=float(t_dens.min()),
         )
     log_t = np.log(t_dens)
-
-    if psi0 is not None:
-        psi = psi0.values - psi0.values.mean()
-    elif positivity_margin(a_real) <= 0.0:
-        psi = -alpha.potential.values / c
-        psi = psi - psi.mean()
-    else:
-        psi = np.zeros(grid.shape)
-
-    ops = SpectralOps.of(grid)
+    nonpositive = positivity_margin(a_real) <= 0.0
+    cold = -alpha.potential.values / c if nonpositive else np.zeros(alpha.grid.shape)
 
     def evaluate(p):
         a = ops.hessian(p, base=a_real, c=c)
@@ -184,8 +193,40 @@ def solve_ma(alpha, c, target, cfg=None, psi0=None):
     def direction(g_res, a, res_sup):
         return _newton_direction(g_res, a, c, ops, res_sup)
 
-    psi, residuals, *stats = _damped_newton("solve_ma", psi, evaluate, direction, cfg, 4)
-    return MASolution(alpha.field(psi).mean_normalized(), residuals, len(residuals) - 1, *stats)
+    return cold, evaluate, direction
+
+
+def _split_newton(alpha, c, target, ops):
+    """The factor lattice's (cold start 0, evaluate, direction): one stacked
+    (2, n, n) log-linear problem whose linear step is a Poisson solve per
+    factor.  The partition constant kappa between the factors is fixed by
+    the class means (the factor problems must each balance in cohomology)."""
+    f, g = target.realized
+    floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
+    if f.min() <= floor or g.min() <= floor:
+        raise PositivityError(
+            "solve_ma: target profile vanishes; use epsilon-continuation",
+            margin=float(min(f.min(), g.min())),
+        )
+    kappa = alpha.cls.m11 / float(f.mean())
+    side = alpha.realized
+    goal = np.stack((kappa * f, g / kappa))
+    side_mean, goal_mean = side.mean((1, 2)), goal.mean((1, 2))
+    if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
+        raise ValueError("solve_ma: class means of side and target disagree")
+    log_t = np.log(goal)
+
+    def evaluate(p):
+        a = side + c * ops.laplacian(p)
+        m = float(a.min())
+        return a, m, (np.log(a) - log_t if m > 0.0 else None)
+
+    def direction(g_res, a, res_sup):
+        # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G on
+        # each factor; divide drops each factor's mean mode (solvability)
+        return ops.divide(-a * g_res) / c, 0, 0
+
+    return np.zeros(side.shape), evaluate, direction
 
 
 def _newton_direction(g_res, a, c, ops, res_sup):
@@ -226,49 +267,6 @@ def _newton_direction(g_res, a, c, ops, res_sup):
     return delta - delta.mean(), info, applies
 
 
-def solve_ma_split(alpha, c, target, cfg=None):
-    """Split-mode Monge-Ampere solve: the product equation factorises into
-    one log-linear equation log(a_i + c dd^c psi_i) = log(t_i) per factor.
-    Both are solved as one stacked (2, n, n) Newton problem whose linear
-    step is a constant-coefficient Poisson solve per factor.
-
-    The partition constant kappa between the factors is fixed by the class
-    means (the factor problems must each balance in cohomology).
-    """
-    cfg = cfg or MASolverConfig()
-    alpha.check_lattice(target, "solve_ma_split")
-    f, g = target.realized
-    floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
-    if f.min() <= floor or g.min() <= floor:
-        raise PositivityError(
-            "solve_ma_split: target profile vanishes; use epsilon-continuation",
-            margin=float(min(f.min(), g.min())),
-        )
-    kappa = alpha.cls.m11 / float(f.mean())
-    side = alpha.realized
-    goal = np.stack((kappa * f, g / kappa))
-    side_mean, goal_mean = side.mean((1, 2)), goal.mean((1, 2))
-    if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
-        raise ValueError("solve_ma_split: class means of side and target disagree")
-    log_t = np.log(goal)
-    ops = SpectralOps.of(alpha.grid)
-
-    def evaluate(p):
-        a = side + c * ops.laplacian(p)
-        m = float(a.min())
-        return a, m, (np.log(a) - log_t if m > 0.0 else None)
-
-    def direction(g_res, a, res_sup):
-        # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G on
-        # each factor; divide drops each factor's mean mode (solvability)
-        return ops.divide(-a * g_res) / c, 0, 0
-
-    psi, residuals, *stats = _damped_newton(
-        "solve_ma_split", np.zeros(side.shape), evaluate, direction, cfg, 2
-    )
-    return MASolution(alpha.field(psi), residuals, len(residuals) - 1, *stats)
-
-
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):
     """Warm-started epsilon-continuation toward a degenerate target.
 
@@ -282,11 +280,7 @@ def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):
     for eps in eps_ladder:
         omega_eps = epsilon_form(omega0, eps, omega_hat)
         c_eps = c_constant(chi0.cls, omega_eps.cls)
-        alpha = build_alpha(chi0, omega_eps, c_eps)
-        if chi0.backend == "split":
-            sol = solve_ma_split(alpha, c_eps, omega_eps, cfg)
-        else:
-            sol = solve_ma(alpha, c_eps, omega_eps, cfg, psi0=psi_prev)
-            psi_prev = sol.psi
+        sol = solve_ma(build_alpha(chi0, omega_eps, c_eps), c_eps, omega_eps, cfg, psi_prev)
+        psi_prev = sol.psi
         out.append((eps, sol))
     return out

@@ -24,7 +24,7 @@ from jflow.diagnostics import (
 )
 from jflow.flow import FlowConfig, epsilon_family, evolve, max_principle_monitor
 from jflow.functionals import J_closed
-from jflow.ma import MASolverConfig, build_alpha, solve_ma, solve_ma_split
+from jflow.ma import MASolverConfig, build_alpha, solve_ma
 from jflow.presets import (
     build_preset,
     degenerate_profile,
@@ -221,8 +221,8 @@ def test_criterion_4_critical_point_oracles(smooth_run):
     pb, traj, run_seconds = smooth_run
     t0 = time.perf_counter()
     c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
-    sol = solve_ma_split(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0,
-                         MASolverConfig())
+    sol = solve_ma(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0,
+                   MASolverConfig())
     f = smooth_profile(pb.grid)
     _, _, p1, p2 = split_critical(f, np.ones(pb.grid.shape), fgrid=pb.grid)
     oracle = SplitPotential(pb.grid, np.stack((p1, p2))).assemble()

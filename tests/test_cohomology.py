@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,19 @@ class TestClosedForm:
             a.add(b)
         with pytest.raises(ValueError, match="grids differ"):
             b.add(a)
+
+    def test_refuses_the_other_potential_type(self):
+        # a ScalarField on a factor lattice was broadcast over both factors
+        grid2, grid4 = Grid(8, (0.0, 0.0)), Grid(8)
+        split = ClosedForm.from_class(ID, grid2)
+        scalar = ScalarField(grid2, np.zeros(grid2.shape))
+        message = "potential types differ (SplitPotential vs ScalarField)"
+        with pytest.raises(ValueError, match=f"^ClosedForm.plus_ddc: {re.escape(message)}$"):
+            split.plus_ddc(scalar)
+        with pytest.raises(ValueError, match=f"^ClosedForm.add: {re.escape(message)}$"):
+            split.add(ClosedForm(ID, scalar))
+        with pytest.raises(ValueError, match="potential types differ"):
+            ClosedForm.from_class(ID, grid4).plus_ddc(SplitPotential.zeros(grid4))
 
     def test_split_plus_ddc_matches_full(self):
         # chi_phi of the split form, assembled, is chi_phi of the assembled form

@@ -1153,6 +1153,18 @@ class TestOneLattice:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run()
 
+    @pytest.mark.parametrize("entry", ["evolve", "make_state", "epsilon_family"])
+    def test_scalar_phi0_on_the_factor_lattice(self, entry):
+        # its (n, n) values were broadcast over both factors: phi1 = phi2
+        pb = build_preset("degenerate_split", n=8)
+        x = pb.grid.coords()[0]
+        phi0 = ScalarField(pb.grid, np.broadcast_to(0.01 * np.cos(2 * np.pi * x), pb.grid.shape))
+        run = self._runs(FlowConfig(eps=0.1, max_time=1e-3), pb, pb.omega0, pb.omega_hat,
+                         phi0)[entry]
+        message = "flow: potential types differ (SplitPotential vs ScalarField)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+
 
 class TestMaxPrincipleMonitor:
     def test_near_stationary_passes(self):

@@ -23,7 +23,6 @@ from jflow.ma import (
     build_alpha,
     solve_ma,
     solve_ma_continuation,
-    solve_ma_split,
 )
 from jflow.presets import build_preset, degenerate_profile, smooth_profile
 from jflow.split import SplitPotential
@@ -191,27 +190,27 @@ class TestSolveMA:
         with pytest.raises(PositivityError, match="initial A_psi not positive"):
             solve_ma(alpha, c, w, psi0=psi0)
 
-    def test_target_and_psi0_on_another_lattice_are_refused(self):
+    @pytest.mark.parametrize("name", ["nonsplit_perturbed", "degenerate_split"])
+    def test_target_and_psi0_on_another_lattice_are_refused(self, name):
         # a target at other offsets converged on alpha's lattice, and a psi0
-        # there ended the solve after 0 iterations
-        alpha, c, w = _nonsplit_problem()
-        shifted = build_preset("nonsplit_perturbed", n=8, offsets=(0.01,) * 4)
+        # there ended the solve after 0 iterations; a ScalarField psi0 on a
+        # factor lattice failed inside numpy
+        pb = build_preset(name, n=8)
+        alpha, c, w = _problem(pb)
+        shifted = build_preset(name, n=8, offsets=(0.01,) * len(pb.grid.shape))
         w_shifted = epsilon_form(shifted.omega0, 0.1, shifted.omega_hat)
         message = f"solve_ma: grids differ ({alpha.grid} vs {shifted.grid})"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_ma(alpha, c, w_shifted)
-        psi0 = ScalarField(shifted.grid, np.zeros(alpha.grid.shape))
+        psi0 = shifted.chi0.field(np.zeros(alpha.potential.values.shape))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_ma(alpha, c, w, psi0=psi0)
-
-    def test_split_target_on_another_lattice_is_refused(self):
-        pb = build_preset("degenerate_split", n=8)
-        shifted = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01))
-        w = epsilon_form(pb.omega0, 0.1, pb.omega_hat)
-        alpha = build_alpha(pb.chi0, w, c_constant(pb.chi0_class(), pb.omega_eps_class(0.1)))
-        message = f"solve_ma_split: grids differ ({pb.grid} vs {shifted.grid})"
+        kind, other = ((SplitPotential, ScalarField) if alpha.backend == "split"
+                       else (ScalarField, SplitPotential))
+        psi0 = other.zeros(alpha.grid)
+        message = f"solve_ma: potential types differ ({kind.__name__} vs {other.__name__})"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            solve_ma_split(alpha, 2.2, epsilon_form(shifted.omega0, 0.1, shifted.omega_hat))
+            solve_ma(alpha, c, w, psi0=psi0)
 
     def test_identity_trivial(self):
         pb = build_preset("identity", n=8)
@@ -222,7 +221,7 @@ class TestSolveMA:
         pb = build_preset("smooth_split", n=32)
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
         alpha = build_alpha(pb.chi0, pb.omega0, c)
-        sol = solve_ma_split(alpha, c, pb.omega0)
+        sol = solve_ma(alpha, c, pb.omega0)
         assert sol.newton_iterations <= 8
         assert sol.residual() <= 1e-10
         f = smooth_profile(pb.grid)
@@ -234,7 +233,7 @@ class TestSolveMA:
     def test_newton_tail_quadratic(self):
         pb = build_preset("smooth_split", n=32)
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
-        sol = solve_ma_split(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0)
+        sol = solve_ma(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0)
         rs = [r for r in sol.residuals if r > 1e-14]
         assert len(rs) >= 3
         for prev, cur in zip(rs[-3:], rs[-2:]):
@@ -254,6 +253,20 @@ class TestSolveMA:
             expected = base / (1.0 + eps)
             assert np.abs(psi1 - expected).max() < 1e-9
             assert np.abs(psi2 - psi2.mean()).max() < 1e-9
+            # each rung starts from the last psi: no more iterations than cold
+            assert sol.newton_iterations <= solve_ma(*_problem(pb, eps)).newton_iterations
+
+    @pytest.mark.parametrize("n, offset", [(16, 0.01), (32, 0.005)])
+    def test_split_ladder_reaches_small_eps(self, n, offset):
+        # every factor-lattice rung started cold: eps = 0.01 found no
+        # acceptable damped step at N = 16 and did not converge in 50
+        # iterations at N = 32
+        pb = build_preset("degenerate_split", n=n, offsets=(offset, offset))
+        ladder = [0.2, 0.1, 0.05, 0.02, 0.01]
+        sols = solve_ma_continuation(pb.chi0, pb.omega0, pb.omega_hat, ladder)
+        assert [eps for eps, _ in sols] == ladder
+        for _, sol in sols:
+            assert sol.residual() <= MASolverConfig().newton_tol
 
     def test_full_newton_critical_residual_bound(self):
         # the solver invariant: critical residual <= 10 * newton_tol
@@ -287,7 +300,7 @@ class TestSolveMA:
     def test_degenerate_target_rejected(self):
         pb = build_preset("degenerate_split", n=8)
         with pytest.raises(PositivityError, match="continuation"):
-            solve_ma_split(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
+            solve_ma(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
 
 
 class TestNewtonOperators:
@@ -311,7 +324,7 @@ class TestNewtonOperators:
         src2 = ScalarField(pb.grid, np.broadcast_to(smooth_profile(pb.grid) - 1.0, pb.grid.shape))
 
         # first runs build the operators (their circulants come from irfft)
-        refs = [solve_ma(*full).psi, solve_ma_split(*split).psi,
+        refs = [solve_ma(*full).psi, solve_ma(*split).psi,
                 poisson_solve(src4), poisson_solve(src2)]
 
         def refuse(*args, **kwargs):
@@ -319,7 +332,7 @@ class TestNewtonOperators:
 
         for name in ("rfftn", "irfftn", "fftn", "ifftn", "rfft", "irfft", "fft", "ifft"):
             monkeypatch.setattr(np.fft, name, refuse)
-        sols = [solve_ma(*full), solve_ma_split(*split)]
+        sols = [solve_ma(*full), solve_ma(*split)]
         assert all(sol.residual() <= 1e-10 for sol in sols)
         again = [sols[0].psi, sols[1].psi, poisson_solve(src4), poisson_solve(src2)]
         for a, b in zip(refs, again):
@@ -335,11 +348,15 @@ class TestNewtonOperators:
         assert j_gradient_density(sol.psi, chi0, w, c).sup() <= 10 * MASolverConfig().newton_tol
 
 
-def _nonsplit_problem(eps=0.1):
-    pb = build_preset("nonsplit_perturbed", n=8)
+def _problem(pb, eps=0.1):
+    """(alpha, c, target) of ``pb``'s Monge-Ampere problem at ``eps``."""
     w = epsilon_form(pb.omega0, eps, pb.omega_hat)
     c = c_constant(pb.chi0_class(), pb.omega_eps_class(eps))
     return build_alpha(pb.chi0, w, c), c, w
+
+
+def _nonsplit_problem(eps=0.1):
+    return _problem(build_preset("nonsplit_perturbed", n=8), eps)
 
 
 class TestMASolverConfig:
@@ -360,18 +377,18 @@ class TestMASolverConfig:
 
 
 class TestNewtonLoop:
-    """The damped Newton loop both solvers share: iteration budget and
+    """The damped Newton loop both lattices share: iteration budget and
     failure reports."""
 
     def test_converging_on_last_iteration_is_success_split(self):
         pb = build_preset("smooth_split", n=16)
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
         alpha = build_alpha(pb.chi0, pb.omega0, c)
-        sol = solve_ma_split(alpha, c, pb.omega0, MASolverConfig(max_newton=5))
+        sol = solve_ma(alpha, c, pb.omega0, MASolverConfig(max_newton=5))
         assert sol.newton_iterations == 5
         assert sol.residual() <= 1e-10
         with pytest.raises(MAConvergenceError, match="not converged in 4 iterations"):
-            solve_ma_split(alpha, c, pb.omega0, MASolverConfig(max_newton=4))
+            solve_ma(alpha, c, pb.omega0, MASolverConfig(max_newton=4))
 
     def test_converging_on_last_iteration_is_success_full(self):
         alpha, c, w = _nonsplit_problem()
@@ -407,7 +424,7 @@ class TestThetaComparison:
         # |phi(t) - psi| never exceeds its initial sup (parabolic comparison)
         pb = build_preset("smooth_split", n=8)
         c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
-        psi = solve_ma_split(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0).psi
+        psi = solve_ma(build_alpha(pb.chi0, pb.omega0, c), c, pb.omega0).psi
         cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-8,
                          max_time=3.0, snapshot_stride=25)
         traj = evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat)
