@@ -4,7 +4,7 @@ Modules:
 
 * ``torus``        spectral calculus and the pointwise form algebra on blocks
 * ``cohomology``   classes, pairings, cone conditions, divisor model
-* ``split``        product-backend factor calculus
+* ``split``        ``SplitPotential``, the product backend's factor potentials
 * ``flow``         the RKC / RK4 method-of-lines integrator and family driver
 * ``ma``           complex Monge-Ampere Newton solver
 * ``krylov``       restarted, preconditioned GMRES on numpy arrays

@@ -26,8 +26,8 @@ from .cohomology import (
     verify_omega0_conditions,
 )
 from .diagnostics import (
-    FIT_BAND,
     QMonitorConfig,
+    fit_points,
     q_monitor,
     singular_profile_fit,
     trace_bound_check,
@@ -45,10 +45,8 @@ from .flow import (
 from .functionals import evaluate_suite
 from .ma import MASolverConfig, solve_ma_continuation
 from .presets import (
-    FAMILY_BUDGETS,
-    PRESET_DEFAULTS,
     PRESET_NAMES,
-    SPLIT_PRESETS,
+    PRESETS,
     Problem,
     build_preset,
     cosine_modes,
@@ -58,8 +56,6 @@ from .presets import (
 from .torus import ScalarField
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("check-classes", "run", "family", "solve-ma", "functionals", "report")
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +224,10 @@ def validate_config(cfg):
                             f"got {modes!r}")
     if not isinstance(cfg.phi0.get("random", False), bool):
         problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
-    if cfg.phi0.get("modes") and cfg.preset in SPLIT_PRESETS:
+    # the row is looked up only for a known preset: an unknown one, even a
+    # list, is still being collected as a problem here
+    row = PRESETS[cfg.preset] if cfg.preset in PRESET_NAMES else {}
+    if cfg.phi0.get("modes") and row.get("dim") == 2:
         problems.append(f"phi0.modes: explicit modes need the full backend, and "
                         f"{cfg.preset} runs on the split one")
     # the sections are checked by the library's own config types
@@ -246,22 +245,14 @@ def _is_reals(values, lengths):
 
 
 def _fill_defaults(cfg):
-    if cfg.preset:
-        d = PRESET_DEFAULTS[cfg.preset]
-        cfg.n = cfg.n or d["n"]
-        if cfg.divisor is None:
-            cfg.divisor = d["divisor"]
-        if not cfg.eps:
-            cfg.eps = list(d["eps"])
-        if cfg.preset in FAMILY_BUDGETS:
-            for key, val in FAMILY_BUDGETS[cfg.preset].items():
-                cfg.budget.setdefault(key, val)
-    else:
-        cfg.n = cfg.n or 8
-        if cfg.divisor is None:
-            cfg.divisor = False
-        if not cfg.eps:
-            cfg.eps = [0.0]
+    row = PRESETS[cfg.preset or ""]
+    cfg.n = cfg.n or row["n"]
+    if cfg.divisor is None:
+        cfg.divisor = row["divisor"]
+    if not cfg.eps:
+        cfg.eps = list(row["eps"])
+    for key, val in row["budget"].items():
+        cfg.budget.setdefault(key, val)
 
 
 def build_problem(cfg):
@@ -351,6 +342,13 @@ def _timestamp():
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
+def _artifact(record, out, rel):
+    """List ``rel`` among the record's artifacts; returns its path under
+    ``out``, where the caller writes it."""
+    record.artifacts.append(rel)
+    return os.path.join(out, rel)
+
+
 # --------------------------------------------------------------------------
 # command implementations
 
@@ -386,9 +384,7 @@ def _cmd_check_classes(cfg, record, out):
             "ok": cert.ok, "C0": cert.c0, "beta": cert.beta, "rho": cert.rho,
             "failure": cert.failure, "point": list(cert.point),
         }
-    report_path = os.path.join(out, "report.json")
-    jio.write_json(report_path, payload)
-    record.artifacts.append("report.json")
+    jio.write_json(_artifact(record, out, "report.json"), payload)
     record.scalars.update(
         {f"c_eps[{k}]": v["c"] for k, v in per_eps.items()}
     )
@@ -402,10 +398,9 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     eps=<eps>: for a member.  A q-monitor that cannot be evaluated on this
     grid is a failure line, not the end of the run: the verdicts before it stand."""
     suffix, tag = ("", "") if eps is None else (f"-eps{eps:g}", f"eps={eps:g}:")
-    jio.write_history_csv(os.path.join(out, f"series{suffix}.csv"), traj.rows)
-    jio.write_scalar(os.path.join(out, "fields", f"final{suffix}.jflw"),
+    jio.write_history_csv(_artifact(record, out, f"series{suffix}.csv"), traj.rows)
+    jio.write_scalar(_artifact(record, out, f"fields/final{suffix}.jflw"),
                      traj.final_potential())
-    record.artifacts += [f"series{suffix}.csv", f"fields/final{suffix}.jflw"]
     record.scalars.update({f"{tag}{k}": getattr(traj, k) for k in (
         "steps", "rejections", "rhs_evals", "radius_evals", "rkc_stages_max",
         "rkc_stages_median")})
@@ -470,8 +465,7 @@ def _cmd_family(cfg, record, out):
         if m.ok:
             _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)
     payload = {"family": report.to_dict(), "uniformity": est.to_dict()}
-    jio.write_json(os.path.join(out, "report.json"), payload)
-    record.artifacts.append("report.json")
+    jio.write_json(_artifact(record, out, "report.json"), payload)
     record.scalars["max_sup_phi"] = report.max_sup_phi()
     record.scalars["max_sup_phidot"] = report.max_sup_phidot()
     return record
@@ -489,18 +483,14 @@ def _cmd_solve_ma(cfg, record, out):
         for k, r in enumerate(sol.residuals):
             table.append((eps, k, r))
         converged &= sol.residual() <= macfg.newton_tol
-        jio.write_scalar(
-            os.path.join(out, "fields", f"psi-eps{eps:g}.jflw"), sol.psi.assemble()
-        )
-        record.artifacts.append(f"fields/psi-eps{eps:g}.jflw")
+        jio.write_scalar(_artifact(record, out, f"fields/psi-eps{eps:g}.jflw"),
+                         sol.psi.assemble())
         record.scalars[f"newton_iterations[{eps:g}]"] = sol.newton_iterations
         record.scalars[f"newton_residual[{eps:g}]"] = sol.residual()
         record.scalars[f"precond_applies[{eps:g}]"] = sol.precond_applies
         record.scalars[f"gmres_info_max[{eps:g}]"] = sol.gmres_info_max
-    jio.write_series_csv(
-        os.path.join(out, "newton.csv"), ("eps", "iteration", "residual"), table
-    )
-    record.artifacts.append("newton.csv")
+    jio.write_series_csv(_artifact(record, out, "newton.csv"),
+                         ("eps", "iteration", "residual"), table)
     record.verdicts["newton_converged"] = bool(converged)
     return record
 
@@ -534,14 +524,9 @@ def _cmd_functionals(cfg, record, out):
             payload["gamma_fit_C"] = c_fit
         except JFlowError as err:
             payload["gamma_fit_error"] = str(err)
-        sel = (s2 >= FIT_BAND[0]) & (s2 <= FIT_BAND[1]) & (u > 0)
-        scatter = np.column_stack([-np.log(s2[sel]), np.log(u[sel])])
-        jio.write_series_csv(
-            os.path.join(out, "fit_scatter.csv"), ("neg_log_s2", "log_u"), scatter
-        )
-        record.artifacts.append("fit_scatter.csv")
-    jio.write_json(os.path.join(out, "report.json"), payload)
-    record.artifacts.append("report.json")
+        jio.write_series_csv(_artifact(record, out, "fit_scatter.csv"),
+                             ("neg_log_s2", "log_u"), fit_points(u, s2))
+    jio.write_json(_artifact(record, out, "report.json"), payload)
     record.verdicts["evaluated"] = True
     record.scalars.update({k: payload[k] for k in ("J", "I", "E") if payload.get(k) is not None})
     return record
@@ -584,6 +569,7 @@ _IMPLS = {
     "functionals": _cmd_functionals,
     "report": _cmd_report,
 }
+COMMANDS = tuple(_IMPLS)
 
 
 def validate_command(cfg, command):

@@ -219,7 +219,8 @@ class DivisorModel:
     rho: float
     r_h: ClosedForm
 
-    def s2_proxy(self, grid):
+    @staticmethod
+    def s2_proxy(grid):
         """Proxy |s|^2 on the 4-D or the z1 factor lattice (a function of z1
         only): sin^2(pi x1) + sin^2(pi y1)."""
         x1, y1 = grid.coords()[:2]

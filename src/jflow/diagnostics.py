@@ -116,30 +116,35 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
 
 def trace_bound_check(traj):
     """sup tr_{chi} omega_eps <= c_eps + sup|phi_dot(0)| + flow._MONITOR_TOL
-    at every snapshot (the flow identity tr = c - phi_dot turns the lower
+    at every history row (the flow identity tr = c - phi_dot turns the lower
     metric bound into this trace form); failures are (t, trace_sup, bound)."""
     failures = tuple(_trace_bound_excess(traj))
     return MonitorVerdict(not failures, failures)
 
 
-def singular_profile_fit(u, s2, band=FIT_BAND):
-    """Least-squares exponent of u against the divisor distance proxy.
-
-    Fits log u = log C + gamma * (-log s2) over the band of s2 values and
-    returns (gamma_hat, C) with gamma_hat clamped at 0; a bounded u gives
-    gamma ~ 0, a u ~ s2^(-gamma) profile returns gamma.
-    """
+def fit_points(u, s2, band=FIT_BAND):
+    """The points (-log s2, log u) a profile fit takes, as an (m, 2) array:
+    the grid points with s2 in ``band`` and u > 0, in C order."""
     u = np.asarray(u, dtype=float).ravel()
     s2 = np.asarray(s2, dtype=float).ravel()
     sel = (s2 >= band[0]) & (s2 <= band[1]) & (u > 0.0)
-    if sel.sum() < _FIT_MIN_POINTS:
+    return np.column_stack([-np.log(s2[sel]), np.log(u[sel])])
+
+
+def singular_profile_fit(u, s2, band=FIT_BAND):
+    """Least-squares exponent of u against the divisor distance proxy.
+
+    Fits log u = log C + gamma * (-log s2) over ``fit_points`` and returns
+    (gamma_hat, C) with gamma_hat clamped at 0; a bounded u gives gamma ~ 0,
+    a u ~ s2^(-gamma) profile returns gamma.
+    """
+    points = fit_points(u, s2, band)
+    if len(points) < _FIT_MIN_POINTS:
         raise FitError(
-            f"singular_profile_fit: only {int(sel.sum())} grid points have "
+            f"singular_profile_fit: only {len(points)} grid points have "
             f"s2 in [{band[0]:g}, {band[1]:g}]; need {_FIT_MIN_POINTS}"
         )
-    x = -np.log(s2[sel])
-    y = np.log(u[sel])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(points[:, 0], points[:, 1], 1)
     return max(float(slope), 0.0), float(np.exp(intercept))
 
 
@@ -184,14 +189,12 @@ def q_monitor(traj, div, cfg):
     if div is not None:
         cfg.validate_against(div)
     series = []
-    c0 = None
+    c0 = s2 = None
     for t, snap in traj.snapshots:
         phi4 = snap.assemble()
         grid = phi4.grid
-        if div is not None:
-            s2 = div.s2_proxy(grid).values
-        else:
-            s2 = np.ones(grid.shape)
+        if s2 is None:  # every snapshot is on the run's lattice
+            s2 = np.ones(grid.shape) if div is None else div.s2_proxy(grid).values
         u = _trace_field(traj, snap, grid)
         q, c0 = q_values(phi4.values, u, s2, cfg, c0)
         series.append((t, q))

@@ -1042,7 +1042,7 @@ def max_principle_monitor(traj):
     to _MONITOR_TOL."""
     rows = traj.rows
     if len(rows) < 3:
-        raise ValueError("max_principle_monitor needs at least 3 snapshots")
+        raise ValueError("max_principle_monitor needs at least 3 history rows")
     failures = []
     for prev, cur in zip(rows, rows[1:]):
         if cur.max_phidot > prev.max_phidot + _MONITOR_TOL:

@@ -24,27 +24,21 @@ from .cohomology import ClosedForm, CohomologyClass, DivisorModel, epsilon_form
 from .split import SplitPotential
 from .torus import Grid, ScalarField, complex_hessian, poisson_solve, positivity_margin
 
-PRESET_NAMES = ("identity", "smooth_split", "degenerate_split", "nonsplit_perturbed")
-
-# presets built on the factor lattice (split backend); the others, and
-# explicit problems, are built on the 4-D lattice
-SPLIT_PRESETS = ("smooth_split", "degenerate_split")
-
-# Default grid sizes and epsilon ladders, chosen for desk-scale runtimes.
-PRESET_DEFAULTS = {
-    "identity": dict(n=8, eps=[0.0], divisor=False),
-    "smooth_split": dict(n=32, eps=[0.0], divisor=False),
-    "degenerate_split": dict(n=16, eps=[0.2, 0.1, 0.05], divisor=True),
-    "nonsplit_perturbed": dict(n=12, eps=[0.1], divisor=True),
+# One row per preset, and "" for an explicit problem: the default grid size
+# and eps ladder (chosen for desk-scale runtimes), whether the divisor
+# monitors run, the lattice dimension (2: the factor lattice, split backend;
+# 4: the 4-D one) and the family's uniform-estimate budgets (desk-scale
+# version of the uniform L-infinity bounds, independent of eps).
+PRESETS = {
+    "": dict(n=8, eps=(0.0,), divisor=False, dim=4, budget={}),
+    "identity": dict(n=8, eps=(0.0,), divisor=False, dim=4, budget={}),
+    "smooth_split": dict(n=32, eps=(0.0,), divisor=False, dim=2, budget={}),
+    "degenerate_split": dict(n=16, eps=(0.2, 0.1, 0.05), divisor=True, dim=2,
+                             budget=dict(sup_phi=1.0 / np.pi ** 2 + 0.01, sup_phidot=1.05)),
+    "nonsplit_perturbed": dict(n=12, eps=(0.1,), divisor=True, dim=4,
+                               budget=dict(sup_phi=0.35, sup_phidot=None)),
 }
-
-# Uniform-estimate budgets for the degenerate family (desk-scale version of
-# the uniform L-infinity bounds): sup|phi| <= 1/pi^2 + 0.01 and
-# sup|phi_dot| <= 1 + 0.05, independent of epsilon.
-FAMILY_BUDGETS = {
-    "degenerate_split": dict(sup_phi=1.0 / np.pi ** 2 + 0.01, sup_phidot=1.05),
-    "nonsplit_perturbed": dict(sup_phi=0.35, sup_phidot=None),
-}
+PRESET_NAMES = tuple(name for name in PRESETS if name)
 
 # random initial potentials: modes drawn per factor (twice as many on the
 # 4-D lattice), the largest |k| of a mode per lattice direction, and the
@@ -95,9 +89,8 @@ class Problem:
 
 
 def degenerate_profile(fgrid):
-    """f = sin^2(pi x1) + sin^2(pi y1): vanishes exactly on the divisor."""
-    x, y = fgrid.coords()
-    return np.sin(np.pi * x) ** 2 + np.sin(np.pi * y) ** 2
+    """f = sin^2(pi x1) + sin^2(pi y1), the s2 proxy: zero exactly on the divisor."""
+    return DivisorModel.s2_proxy(fgrid).values
 
 
 def smooth_profile(fgrid):
@@ -128,11 +121,11 @@ def _from_profile(fgrid, f):
 
 
 def preset_grid(name, n, offsets=None):
-    """The lattice preset ``name`` is built on: the factor lattice for the
-    split presets (2 offsets), the 4-D lattice otherwise (4 offsets; an
-    explicit problem, name "", too).  Zero offsets by default; raises
-    ValueError on a wrong offset count or an offset outside [0, 1/N)."""
-    dim = 2 if name in SPLIT_PRESETS else 4
+    """The lattice preset ``name`` is built on, of its row's dimension: the
+    factor lattice for the split presets, the 4-D one otherwise (an explicit
+    problem, name "", too).  Zero offsets by default; raises ValueError on a
+    wrong offset count or an offset outside [0, 1/N)."""
+    dim = PRESETS[name or ""]["dim"]
     offsets = tuple(offsets) if offsets else (0.0,) * dim
     if len(offsets) != dim:
         raise ValueError(f"{name or 'an explicit problem'} takes {dim} offsets, "
@@ -144,7 +137,7 @@ def build_preset(name, n=None, offsets=None):
     """Construct a preset Problem at grid size n (defaults per preset)."""
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    n = PRESET_DEFAULTS[name]["n"] if n is None else int(n)
+    n = PRESETS[name]["n"] if n is None else int(n)
     grid = preset_grid(name, n, offsets)
 
     if name == "identity":
@@ -205,12 +198,12 @@ def random_bandlimited_potential(problem, rng):
         v = np.stack([draw(_RANDOM_MODES) for _ in range(2)])
     else:
         v = draw(2 * _RANDOM_MODES)
-    scale = _positive_scale(problem.to_full(), problem.chi0.field(v).assemble())
+    scale = _positive_scale(problem.chi0.assemble(), problem.chi0.field(v).assemble())
     return problem.chi0.field(scale * v)
 
 
-def _positive_scale(full_problem, phi):
-    base = positivity_margin(full_problem.chi0.realized)
+def _positive_scale(chi0, phi):
+    base = positivity_margin(chi0.realized)
     hess_margin = positivity_margin(complex_hessian(phi))
     if hess_margin >= 0.0:
         return 1.0

@@ -56,6 +56,21 @@ class TestParseConfig:
         q = _section(cfg, "q")
         assert (q.a, q.delta) == (4.0, 0.5)
 
+    @pytest.mark.parametrize("text, n, eps, divisor, budget", [
+        ("preset=identity", 8, [0.0], False, {}),
+        ("preset=smooth_split", 32, [0.0], False, {}),
+        ("preset=degenerate_split", 16, [0.2, 0.1, 0.05], True,
+         {"sup_phi": 1.0 / np.pi ** 2 + 0.01, "sup_phidot": 1.05}),
+        ("preset=nonsplit_perturbed", 12, [0.1], True, {"sup_phi": 0.35, "sup_phidot": None}),
+        ("chi0.class=[1, 1, 0, 0]", 8, [0.0], False, {}),
+        # given values stand; the row fills only what is missing
+        ("preset=degenerate_split, N=8, eps=[0.1], divisor=false, budget.sup_phi=0.5",
+         8, [0.1], False, {"sup_phi": 0.5, "sup_phidot": 1.05}),
+    ])
+    def test_preset_row_defaults(self, text, n, eps, divisor, budget):
+        cfg = parse_config(text)
+        assert (cfg.n, cfg.eps, cfg.divisor, cfg.budget) == (n, eps, divisor, budget)
+
     def test_odd_n_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             parse_config("preset=smooth_split, N=15")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from jflow.diagnostics import (
+    FIT_BAND,
     QMonitorConfig,
     compare_up_to_constant,
+    fit_points,
     q_monitor,
     q_values,
     singular_profile_fit,
@@ -119,6 +121,30 @@ class TestSingularFit:
         s2 = pb.divisor.s2_proxy(pb.grid).values
         with pytest.raises(FitError):
             singular_profile_fit(np.ones_like(s2), s2, band=(1e-7, 1e-6))
+
+    def test_fit_is_the_line_through_fit_points(self):
+        pb = build_preset("degenerate_split", n=16)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
+        x = pb.grid.coords()[0]
+        u = np.where(s2 > 0, s2, 1.0) ** (-0.3) * (1.0 + 0.5 * np.cos(2 * np.pi * x))
+        u[3, 5] = -1.0  # not a fit point: log u needs u > 0
+        sel = (s2 >= FIT_BAND[0]) & (s2 <= FIT_BAND[1]) & (u > 0)
+        points = fit_points(u, s2)
+        assert np.array_equal(points, np.column_stack([-np.log(s2[sel]), np.log(u[sel])]))
+        slope, intercept = np.polyfit(points[:, 0], points[:, 1], 1)
+        assert singular_profile_fit(u, s2) == (max(slope, 0.0), np.exp(intercept))
+
+    def test_too_few_points_counts_the_fit_points(self):
+        pb = build_preset("degenerate_split", n=8)
+        s2 = pb.divisor.s2_proxy(pb.grid).values
+        u = np.ones_like(s2)
+        band = (0.1, 0.2)  # s2 = sin^2(pi/8) at the origin's four neighbours
+        assert len(fit_points(u, s2, band)) == 4
+        u[1, 0] = -1.0
+        assert len(fit_points(u, s2, band)) == 3
+        with pytest.raises(FitError, match=r"only 3 grid points have s2 in \[0.1, 0.2\]; "
+                                           "need 8"):
+            singular_profile_fit(u, s2, band)
 
 
 class TestQMonitor:

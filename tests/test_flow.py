@@ -1233,13 +1233,12 @@ class TestMaxPrincipleMonitor:
             (1.0, "trace bound exceeded", (2.0 - (-1.1)) - (2.0 + 1.0 + flow._MONITOR_TOL)),
         )
 
-    def test_needs_three_snapshots(self, smooth8):
-        pb = smooth8
-        traj = evolve(smooth_cfg(max_time=1e-4, stop_tolerance=1e-30),
-                      pb.chi0, pb.omega0, pb.omega_hat)
-        if len(traj.rows) >= 3:
-            pytest.skip("run produced enough rows")
-        with pytest.raises(ValueError):
+    def test_needs_three_snapshots(self):
+        # two hand-made history rows: too few for the monitor
+        rows = [flow.HistoryRow(t, 0.0, 0.0, 0.0, 1.0, 1.0, -1.0, 0.0) for t in (0.0, 1.0)]
+        traj = flow.Trajectory("split", 0.1, 2.0, rows, [], None, "max_time", 2, 0,
+                               "rkc", 3)
+        with pytest.raises(ValueError, match="needs at least 3 history rows"):
             max_principle_monitor(traj)
 
 

@@ -4,9 +4,11 @@ import pytest
 from jflow.cohomology import verify_omega0_conditions
 from jflow.presets import (
     PRESET_NAMES,
+    PRESETS,
     build_preset,
     cosine_modes,
     degenerate_profile,
+    preset_grid,
     random_bandlimited_potential,
 )
 from jflow.torus import Grid, complex_hessian, positivity_margin
@@ -99,6 +101,18 @@ class TestBuildPreset:
             # the class is the mean of the assembled representative
             w = full.omega_eps(eps).realized
             assert np.isclose(w[0].mean(), cls.m11) and np.isclose(w[1].mean(), cls.m22)
+
+
+class TestPresetTable:
+    def test_names_are_the_named_rows(self):
+        assert PRESET_NAMES == ("identity", "smooth_split", "degenerate_split",
+                                "nonsplit_perturbed")
+        assert set(PRESETS) == {""} | set(PRESET_NAMES)
+
+    def test_row_dim_is_the_lattice_built(self):
+        for name in PRESET_NAMES:
+            assert len(build_preset(name, n=8).grid.shape) == PRESETS[name]["dim"]
+        assert len(preset_grid("", 8).shape) == PRESETS[""]["dim"] == 4
 
 
 class TestCosineModes:
