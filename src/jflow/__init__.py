@@ -6,7 +6,7 @@ Modules:
 * ``cohomology``   classes, pairings, cone conditions, divisor model
 * ``split``        ``SplitPotential``, the product backend's factor potentials
 * ``flow``         the RKC / RK4 method-of-lines integrator and family driver
-* ``ma``           complex Monge-Ampere Newton solver
+* ``ma``           complex Monge-Ampere solver
 * ``krylov``       restarted, preconditioned GMRES on numpy arrays
 * ``functionals``  energy functionals (J, I, E, Mabuchi)
 * ``diagnostics``  estimate monitors and fits

@@ -189,7 +189,9 @@ def validate_config(cfg):
         problems.append(
             f"version: schema version {cfg.version} != supported {SCHEMA_VERSION}"
         )
-    if cfg.preset and cfg.preset not in PRESET_NAMES:
+    if not isinstance(cfg.preset, str):
+        problems.append(f"preset: must be a preset name, got {cfg.preset!r}")
+    elif cfg.preset and cfg.preset not in PRESET_NAMES:
         problems.append(f"preset: unknown preset {cfg.preset!r}")
     if not cfg.preset and "class" not in cfg.chi0:
         problems.append("either preset or explicit chi0/omega0/omegahat specs required")

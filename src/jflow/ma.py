@@ -1,5 +1,5 @@
 """Elliptic side of the lab: the reduction of the critical equation to a
-complex Monge-Ampere equation and a damped Newton solver for it.
+complex Monge-Ampere equation and its solver.
 The split-ansatz closed-form critical point, ``split_critical``, is a test
 oracle and lives in the test helper ``tests/oracles.py``.
 
@@ -8,19 +8,18 @@ is algebraically equivalent to
 
     (alpha + c dd^c psi)^2 = omega^2,    alpha := c chi0 - omega,
 
-so a converged Newton solution is an independent check on the flow limit.
-``solve_ma`` is the one entry point: it starts from a given psi0 (each rung
-of ``solve_ma_continuation`` from the last psi) and takes its cold start,
-evaluation and Newton direction from alpha's lattice.  On the 4-D lattice
-(``_full_newton``) Newton runs on G(psi) = log (A_psi)^2 - log (target)^2,
-whose linearization c tr_{A_psi} dd^c is solved by GMRES, preconditioned with
+so a converged solution is an independent check on the flow limit.
+``solve_ma`` is the one entry point; alpha's lattice picks the solve.
+On the 4-D lattice (``_full_newton``) damped Newton runs on G(psi) =
+log (A_psi)^2 - log (target)^2 from a given psi0 (each rung of
+``solve_ma_continuation`` from the last psi) or a cold start; its
+linearization c tr_{A_psi} dd^c is solved by GMRES, preconditioned with
 the constant-coefficient operator of the diagonal of the mean of A_psi,
 conformally scaled (``_newton_direction``).  On a factor lattice
-(``_split_newton``) the equation factorises into log(a_i + c dd^c psi_i) =
-log t_i on each factor, whose linearization is a Poisson solve; the two
-factors are one stacked (2, n, n) problem.  Both run one damped Newton loop,
-``_damped_newton``: one positivity check, one backtracking line search and
-one set of failure errors.
+(``_split_solve``) the equation is linear: the product ansatz
+A_1(z1) A_2(z2) = F(z1) G(z2) separates it into a_i + c Delta psi_i = t_i
+per factor, one stacked (2, n, n) Poisson solve, which needs no start
+and solves eps = 0 too on a lattice off the divisor.
 
 The GMRES is the lab's own (``krylov.gmres``, scipy's operation for
 operation), so a solve, like the rest of the package, loads numpy only.
@@ -75,7 +74,7 @@ def build_alpha(chi0, omega_eps, c_eps):
 
 
 # --------------------------------------------------------------------------
-# Newton solver
+# Solvers
 
 _DAMPING = 0.5       # line-search factor: the step halves after each refused trial
 _LINEAR_TOL = 1e-12  # floor of the GMRES relative tolerance
@@ -93,22 +92,59 @@ class MASolution:
         return self.residuals[-1] if self.residuals else np.inf
 
 
-def _damped_newton(psi, evaluate, direction, cfg, grid_ndim):
-    """Damped Newton on the log residual G from the start psi, recentred
-    to mean zero on each grid block (the last ``grid_ndim`` axes).
-
-    ``evaluate(p)`` gives (A_p, positivity margin of A_p, G(p)), with G
-    None where the margin is not positive; ``direction(G, A, sup|G|)``
-    gives the Newton step, the GMRES ``info`` of its linear solve and its
-    preconditioner applications (0 and 0 for a direct solve).  The trial
-    psi + s delta is recentred too and accepted when its A is positive and
-    sup|G| decreases or reaches ``newton_tol``; s is halved after each
-    refused trial, 40 times at most.  Converging on the last of the
-    ``max_newton`` iterations is success.  Returns (psi, residuals,
-    preconditioner applications, largest GMRES info).
+def solve_ma(alpha, c, target, cfg=None, psi0=None):
+    """Solve (alpha + c dd^c psi)^2 = target^2 on alpha's lattice to
+    ``cfg.newton_tol`` (the sup norm of the log residual): on the 4-D
+    lattice by damped Newton from psi0 if it is given, else from the cold
+    start; on a factor lattice directly (psi0 is checked but not needed),
+    with ``residuals`` the log residual after the solve and after its
+    correction.  The returned psi is mean-zero (per factor on a factor
+    lattice).  Refuses a target or psi0 off alpha's lattice.
     """
-    block = tuple(range(-grid_ndim, 0))
-    psi = psi - psi.mean(block, keepdims=True)
+    cfg = cfg or MASolverConfig()
+    for other in (target,) if psi0 is None else (target, psi0):
+        alpha.check_lattice(other, "solve_ma")
+    ops = SpectralOps.of(alpha.grid)
+    if alpha.backend == "split":
+        psi, residuals = _split_solve(alpha, c, target, ops, cfg)
+        return MASolution(alpha.field(psi), residuals, len(residuals) - 1)
+    psi, residuals, *stats = _full_newton(alpha, c, target, ops, cfg, psi0)
+    # recentred once more: the 4-D psi's recorded bits include it
+    return MASolution(alpha.field(psi).mean_normalized(), residuals, len(residuals) - 1, *stats)
+
+
+def _full_newton(alpha, c, target, ops, cfg, psi0):
+    """Damped Newton-Krylov on G = log det A_psi - log det target on the 4-D
+    lattice, from psi0 or, if it is None, from the cold start: psi =
+    -potential(alpha)/c if the realized alpha is not positive, which makes
+    the initial A_psi the (positive) constant class representative, else 0.
+
+    The start and each trial psi + s delta are recentred to mean zero; a
+    trial is accepted when its A is positive and sup|G| decreases or reaches
+    ``newton_tol``, and s is halved after each refused trial, 40 times at
+    most.  Converging on the last of the ``max_newton`` iterations is
+    success.  Returns (psi, residuals, preconditioner applications, largest
+    GMRES info).
+    """
+    a_real = alpha.realized
+    t_dens = 2.0 * _det(target.realized)
+    if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
+        raise PositivityError("solve_ma: target density vanishes; use epsilon-continuation "
+                              "for degenerate targets", margin=float(t_dens.min()))
+    log_t = np.log(t_dens)
+    if psi0 is not None:
+        psi = psi0.values
+    elif positivity_margin(a_real) <= 0.0:
+        psi = -alpha.potential.values / c
+    else:
+        psi = np.zeros(alpha.grid.shape)
+
+    def evaluate(p):
+        a = ops.hessian(p, base=a_real, c=c)
+        m = positivity_margin(a)
+        return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
+
+    psi = psi - psi.mean()
     a, m, g_res = evaluate(psi)
     if not m > 0.0:  # a nan margin too
         raise PositivityError(
@@ -123,12 +159,12 @@ def _damped_newton(psi, evaluate, direction, cfg, grid_ndim):
                 f"(residual {residuals[-1]:.3e})",
                 residuals=residuals,
             )
-        delta, info, n_pre = direction(g_res, a, residuals[-1])
+        delta, info, n_pre = _newton_direction(g_res, a, c, ops, residuals[-1])
         applies, info_max = applies + n_pre, max(info_max, info)
         s = 1.0
         for _ in range(40):
             trial = psi + s * delta
-            trial -= trial.mean(block, keepdims=True)
+            trial -= trial.mean()
             a_trial, m, g_trial = evaluate(trial)
             if m > 0.0:
                 r_trial = float(np.abs(g_trial).max())
@@ -147,67 +183,17 @@ def _damped_newton(psi, evaluate, direction, cfg, grid_ndim):
     return psi, residuals, applies, info_max
 
 
-def solve_ma(alpha, c, target, cfg=None, psi0=None):
-    """Newton solve of (alpha + c dd^c psi)^2 = target^2 on alpha's lattice,
-    from psi0 if it is given, else from the lattice's cold start.
-
-    The start, the unknown and the returned psi are mean-zero (per factor on
-    a factor lattice).  Refuses a target or psi0 off alpha's lattice.
-    """
-    cfg = cfg or MASolverConfig()
-    for other in (target,) if psi0 is None else (target, psi0):
-        alpha.check_lattice(other, "solve_ma")
-    ndim = len(alpha.grid.shape)
-    newton = _split_newton if alpha.backend == "split" else _full_newton
-    cold, evaluate, direction = newton(alpha, c, target, SpectralOps.of(alpha.grid))
-    psi, residuals, *stats = _damped_newton(cold if psi0 is None else psi0.values,
-                                            evaluate, direction, cfg, ndim)
-    psi = alpha.field(psi)
-    if alpha.backend == "full":  # recentred once more: the 4-D psi's recorded bits include it
-        psi = psi.mean_normalized()
-    return MASolution(psi, residuals, len(residuals) - 1, *stats)
-
-
-def _full_newton(alpha, c, target, ops):
-    """The 4-D lattice's (cold start, evaluate, direction): Newton-Krylov on
-    log det.  If the realized alpha is not positive, the cold start is
-    psi = -potential(alpha)/c, which makes the initial A_psi the (positive)
-    constant class representative; else it is 0."""
-    a_real = alpha.realized
-    t_dens = 2.0 * _det(target.realized)
-    if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
-        raise PositivityError(
-            "solve_ma: target density vanishes; use epsilon-continuation "
-            "for degenerate targets",
-            margin=float(t_dens.min()),
-        )
-    log_t = np.log(t_dens)
-    nonpositive = positivity_margin(a_real) <= 0.0
-    cold = -alpha.potential.values / c if nonpositive else np.zeros(alpha.grid.shape)
-
-    def evaluate(p):
-        a = ops.hessian(p, base=a_real, c=c)
-        m = positivity_margin(a)
-        return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
-
-    def direction(g_res, a, res_sup):
-        return _newton_direction(g_res, a, c, ops, res_sup)
-
-    return cold, evaluate, direction
-
-
-def _split_newton(alpha, c, target, ops):
-    """The factor lattice's (cold start 0, evaluate, direction): one stacked
-    (2, n, n) log-linear problem whose linear step is a Poisson solve per
-    factor.  The partition constant kappa between the factors is fixed by
-    the class means (the factor problems must each balance in cohomology)."""
+def _split_solve(alpha, c, target, ops, cfg):
+    """The factor lattice's linear problem side + c Delta psi = goal: one
+    stacked (2, n, n) Poisson solve, then one of its rounding residual
+    goal - A.  The partition constant kappa between the factors is fixed by
+    the class means (the factor problems must each balance in cohomology).
+    Returns (psi, the log residual after each solve)."""
     f, g = target.realized
     floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
     if f.min() <= floor or g.min() <= floor:
-        raise PositivityError(
-            "solve_ma: target profile vanishes; use epsilon-continuation",
-            margin=float(min(f.min(), g.min())),
-        )
+        raise PositivityError("solve_ma: target profile vanishes on the lattice; set "
+                              "offsets off the divisor", margin=float(min(f.min(), g.min())))
     kappa = alpha.cls.m11 / float(f.mean())
     side = alpha.realized
     goal = np.stack((kappa * f, g / kappa))
@@ -215,18 +201,22 @@ def _split_newton(alpha, c, target, ops):
     if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
         raise ValueError("solve_ma: class means of side and target disagree")
     log_t = np.log(goal)
-
-    def evaluate(p):
-        a = side + c * ops.laplacian(p)
+    # divide drops each factor's mean mode, which balances (solvability)
+    psi, a, residuals = np.zeros(side.shape), side, []
+    for _ in range(2):
+        psi = psi + ops.divide(goal - a) / c
+        a = side + c * ops.laplacian(psi)
         m = float(a.min())
-        return a, m, (np.log(a) - log_t if m > 0.0 else None)
-
-    def direction(g_res, a, res_sup):
-        # linearization (c/A) dd^c delta = -G  <=>  c dd^c delta = -A G on
-        # each factor; divide drops each factor's mean mode (solvability)
-        return ops.divide(-a * g_res) / c, 0, 0
-
-    return np.zeros(side.shape), evaluate, direction
+        if not m > 0.0:  # a nan margin too
+            raise PositivityError(f"solve_ma: A_psi not positive (margin {m:.3e})", margin=m)
+        residuals.append(float(np.abs(np.log(a) - log_t).max()))
+    if residuals[-1] > cfg.newton_tol:
+        raise MAConvergenceError(
+            f"solve_ma: residual {residuals[-1]:.3e} above newton_tol "
+            f"{cfg.newton_tol:.1e} after the direct solve and its correction",
+            residuals=residuals,
+        )
+    return psi, residuals
 
 
 def _newton_direction(g_res, a, c, ops, res_sup):
@@ -268,11 +258,13 @@ def _newton_direction(g_res, a, c, ops, res_sup):
 
 
 def solve_ma_continuation(chi0, omega0, omega_hat, eps_ladder, cfg=None):
-    """Warm-started epsilon-continuation toward a degenerate target.
+    """Epsilon-continuation toward a degenerate target.
 
     Solves the Monge-Ampere problem at each epsilon in the (descending)
-    ladder, reusing the previous solution as the Newton start.  Returns the
-    list of (eps, MASolution) pairs.
+    ladder, passing the previous solution as psi0: the start of the next
+    Newton solve on the 4-D lattice, checked but not needed on a factor
+    lattice, where every rung is a direct solve.  Returns the list of
+    (eps, MASolution) pairs.
     """
     cfg = cfg or MASolverConfig()
     out = []

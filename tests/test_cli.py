@@ -572,6 +572,17 @@ class TestMain:
         assert "config error:" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    @pytest.mark.parametrize("value", ["0", "false", "none"])
+    def test_non_string_preset_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        # a falsy preset with chi0.class ran as an explicit problem
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"preset={value}, n=8, chi0.class=[1,1,0,0], "
+                                          "omega0.class=[1,1,0,0], omegahat.class=[1,1,0,0]\n")
+        code = main(["--command", "check-classes", "--config", "run.cfg"])
+        assert code == 2
+        assert "preset: must be a preset name" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     @pytest.mark.parametrize("command, text", [
         ("run", "preset=degenerate_split, N=8, eps=[0.2], offsets=[0.2, 0.2]"),
         ("run", "preset=identity, offsets=[0.01, 0.01]"),

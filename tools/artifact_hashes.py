@@ -13,8 +13,10 @@ offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
 ``family``, and ``family`` with no positive eps (a config error);
 ``solve-ma`` on both backends, on the 4-D one at N=12 as well
-(``solve_ma_full_n12``) and on the split one down to eps = 0.01 at N=16 with
-offsets (``solve_ma_split_ladder``); ``functionals`` on a split run's final
+(``solve_ma_full_n12``) and on the split one at N=16 with offsets down to
+eps = 0.01 as a ladder (``solve_ma_split_ladder``), at eps = 0.01 alone
+(``solve_ma_split_cold``) and at eps = 0 (``solve_ma_split_eps0``);
+``functionals`` on a split run's final
 potential, on the final potential of a short 4-D ``nonsplit_perturbed`` run
 from a random start (a non-zero 4-D potential read back from its snapshot)
 and, with no prior run, on that preset's zero potential (its divisor fit on
@@ -46,11 +48,15 @@ It was added with ``krylov._dot``, which made those bits independent of
 the thread count and changed them once; the other 19 configs kept every
 byte through that change.
 
-``solve_ma_split_ladder`` checks that every rung of a split ladder starts
-from the last psi: started cold, its rung eps = 0.01 fails and the command
-exits 1.  ``solve_ma_split``'s bits moved once, when its rung eps = 0.1
-began to start warm on the factor lattice (as rungs on the 4-D lattice
-already did); its rung eps = 0.2, a cold start, kept every byte.
+``solve_ma_split_ladder`` was added when every rung of a split ladder
+began to start from the last psi, because a cold Newton start failed at
+eps = 0.01.  ``solve_ma_split``'s bits moved then, when its rung eps = 0.1
+began to start warm; its rung eps = 0.2, a cold start, kept every byte.
+The split configs' bits moved again when the factor lattice's Newton
+iteration became one direct Poisson solve plus one correction: the linear
+factor equation needs no start, and ``solve_ma_split_cold`` and
+``solve_ma_split_eps0`` check that eps = 0.01 and eps = 0 solve alone
+(under Newton both exited 1).
 """
 
 import argparse
@@ -105,6 +111,10 @@ CONFIGS = {
     "solve_ma_split_ladder": [("solve-ma", "preset=degenerate_split, N=16, "
                                            "offsets=[0.01, 0.01], "
                                            "eps=[0.2, 0.1, 0.05, 0.02, 0.01]")],
+    "solve_ma_split_cold": [("solve-ma", "preset=degenerate_split, N=16, "
+                                         "offsets=[0.01, 0.01], eps=[0.01]")],
+    "solve_ma_split_eps0": [("solve-ma", "preset=degenerate_split, N=16, "
+                                         "offsets=[0.01, 0.01], eps=[0]")],
     "functionals": [(command, "preset=degenerate_split, N=8, eps=[0.1], "
                               "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                               "flow.stop_tolerance=1e-8")
