@@ -26,6 +26,7 @@ from .cohomology import (
     verify_omega0_conditions,
 )
 from .diagnostics import (
+    PROXY_NOTE,
     QMonitorConfig,
     fit_points,
     q_monitor,
@@ -466,10 +467,26 @@ def _cmd_family(cfg, record, out):
     for m in report.members:
         if m.ok:
             _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)
-    payload = {"family": report.to_dict(), "uniformity": est.to_dict()}
-    jio.write_json(_artifact(record, out, "report.json"), payload)
-    record.scalars["max_sup_phi"] = report.max_sup_phi()
-    record.scalars["max_sup_phidot"] = report.max_sup_phidot()
+    sup_phi, sup_phidot = ({str(k): v for k, v in sups.items()}
+                           for sups in (report.sup_phi_by_eps, report.sup_phidot_by_eps))
+    family = {
+        "eps": [m.eps for m in report.members],
+        "sup_phi_by_eps": sup_phi,
+        "sup_phidot_by_eps": sup_phidot,
+        "consecutive_diffs": [
+            {"eps_hi": a, "eps_lo": b, "sup_full_grid": c, "sup_off_divisor": d}
+            for (a, b, c, d) in report.consecutive_diffs],
+        "failures": dict(report.failures),
+        "final_residuals": {str(m.eps): m.trajectory.final_residual if m.ok else None
+                            for m in report.members},
+    }
+    uniformity = {"sup_phi_by_eps": sup_phi, "sup_phidot_by_eps": sup_phidot,
+                  "notes": [PROXY_NOTE], "ok": est.ok, "failures": list(est.failures)}
+    jio.write_json(_artifact(record, out, "report.json"),
+                   {"family": family, "uniformity": uniformity})
+    if report.sup_phi_by_eps:  # no NaN in run.json when no member ran
+        record.scalars["max_sup_phi"] = report.max_sup_phi()
+        record.scalars["max_sup_phidot"] = report.max_sup_phidot()
     return record
 
 
@@ -513,9 +530,8 @@ def _cmd_functionals(cfg, record, out):
     w = problem.omega_eps(eps)
     c = c_constant(problem.chi0_class(), problem.omega_eps_class(eps))
     rep = evaluate_suite(phi, problem.chi0, w, c)
-    payload = rep.to_dict()
-    payload["source"] = source
-    payload["eps"] = eps
+    payload = {"J": rep.j, "I": rep.i, "E": rep.e, "M": rep.m, "F": rep.f,
+               "notes": rep.notes, "source": source, "eps": eps}
     if problem.divisor is not None:
         chi = problem.chi0.plus_ddc(phi)
         u = chi[0] + chi[1]

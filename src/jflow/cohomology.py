@@ -243,9 +243,6 @@ class Omega0Certificate:
     failure: str = ""
     point: tuple = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_omega0_conditions(omega0, div, omega_hat):
     """Scan the grid for the smallest C0 certifying the degeneracy condition.

@@ -1,13 +1,16 @@
 """Estimate monitors: the a priori bounds of the theory turned into
 assertions on computed runs.
 
-Everything here analyses immutable snapshots/reports; nothing mutates a
-trajectory.  All divisor-adjacent quantities use the s2 proxy for |s|^2_H
-(the exact Hermitian bundle metric is never constructed), so fitted
-constants are proxy-dependent while exponents are comparable.
+Everything here analyses immutable trajectories and family reports and
+returns values (verdicts, fits, distances); nothing mutates a trajectory or
+writes a file, and the CLI lays out what it reports.  All
+divisor-adjacent quantities use the s2 proxy for |s|^2_H (the exact
+Hermitian bundle metric is never constructed), so fitted constants are
+proxy-dependent while exponents are comparable: ``PROXY_NOTE`` says so
+beside every reported bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +23,7 @@ FIT_BAND = (1e-3, 0.5)
 _FIT_MIN_POINTS = 8  # grid points in the band a profile fit needs
 _TREND_RATIO = 1.1  # largest ratio of successive limit sups down the eps ladder
 _Q_SLACK = 1.0  # how far q_max may rise above its value at t = 0
+PROXY_NOTE = "s2 proxy in place of |s|^2_H: constants are proxy-scaled"
 
 
 @dataclass(frozen=True)
@@ -52,24 +56,6 @@ class QMonitorConfig:
             )
 
 
-@dataclass
-class EstimateReport:
-    sup_phi_by_eps: dict
-    sup_phidot_by_eps: dict
-    notes: list = field(default_factory=list)
-    ok: bool = True
-    failures: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "sup_phi_by_eps": {str(k): v for k, v in self.sup_phi_by_eps.items()},
-            "sup_phidot_by_eps": {str(k): v for k, v in self.sup_phidot_by_eps.items()},
-            "notes": list(self.notes),
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
-
 def uniformity_report(family, budget_phi=None, budget_phidot=None):
     """Uniform-in-epsilon bounds at desk scale.
 
@@ -82,13 +68,13 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
     sup|phi_dot(0)|), which the maximum principle allows.  At phi0 = 0 both
     are the budgets themselves.  The trend uses mean-normalized final
     potentials: the raw fields carry a conserved-I additive constant that
-    is an epsilon-dependent offset, not a size statement.
+    is an epsilon-dependent offset, not a size statement.  Returns a
+    MonitorVerdict of message lines, failing with "no member ran" if none did.
     """
     members = [m for m in family.members if m.ok]
     if not members:
-        raise ValueError("uniformity_report needs at least one successful member")
-    report = EstimateReport(dict(family.sup_phi_by_eps), dict(family.sup_phidot_by_eps))
-    report.notes.append("s2 proxy in place of |s|^2_H: constants are proxy-scaled")
+        return MonitorVerdict(False, ("no member ran",))
+    failures = []
     for m in members:
         start = m.trajectory.rows[0]
         checks = (
@@ -99,19 +85,18 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
         )
         for what, sup, budget in checks:
             if budget is not None and sup > budget:
-                report.failures.append(
+                failures.append(
                     f"eps={m.eps}: {what} {sup:.6g} exceeds budget {budget:.6g}"
                 )
     if len(members) >= 2:
         sups = [m.trajectory.final_potential().mean_normalized().sup() for m in members]
         for (hi, lo, s_hi, s_lo) in zip(members, members[1:], sups, sups[1:]):
             if s_lo > _TREND_RATIO * s_hi:
-                report.failures.append(
+                failures.append(
                     f"divergent trend between eps={hi.eps} and eps={lo.eps}: "
                     f"sup ratio {s_lo / s_hi:.4f} > {_TREND_RATIO}"
                 )
-    report.ok = not report.failures
-    return report
+    return MonitorVerdict(not failures, tuple(failures))
 
 
 def trace_bound_check(traj):

@@ -182,10 +182,6 @@ class HistoryRow:
 
     residual = sup_phidot
 
-    def csv_values(self):
-        return (self.t, self.sup_phi, self.sup_phidot, self.j, self.i,
-                self.margin, self.residual)
-
 
 @dataclass
 class Trajectory:
@@ -957,22 +953,6 @@ class FamilyReport:
     def max_sup_phidot(self):
         return max(self.sup_phidot_by_eps.values()) if self.sup_phidot_by_eps else math.nan
 
-    def to_dict(self):
-        return {
-            "eps": [m.eps for m in self.members],
-            "sup_phi_by_eps": {str(k): v for k, v in self.sup_phi_by_eps.items()},
-            "sup_phidot_by_eps": {str(k): v for k, v in self.sup_phidot_by_eps.items()},
-            "consecutive_diffs": [
-                {"eps_hi": a, "eps_lo": b, "sup_full_grid": c, "sup_off_divisor": d}
-                for (a, b, c, d) in self.consecutive_diffs
-            ],
-            "failures": dict(self.failures),
-            "final_residuals": {
-                str(m.eps): (m.trajectory.final_residual if m.ok else None)
-                for m in self.members
-            },
-        }
-
 
 def check_ladder(eps_list):
     """Raise ValueError unless ``eps_list`` is an eps ladder that
@@ -1031,9 +1011,6 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
 class MonitorVerdict:
     ok: bool
     failures: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 def max_principle_monitor(traj):

@@ -120,16 +120,6 @@ class FunctionalReport:
     f: float = None
     notes: str = ""
 
-    def to_dict(self):
-        return {
-            "J": self.j,
-            "I": self.i,
-            "E": self.e,
-            "M": self.m,
-            "F": self.f,
-            "notes": self.notes,
-        }
-
 
 def evaluate_suite(phi, chi0, omega0, c0):
     """FunctionalReport for one potential: J, I, E and M (``mabuchi_closed``)

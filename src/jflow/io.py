@@ -87,7 +87,9 @@ HISTORY_COLUMNS = ("t", "sup_phi", "sup_phidot", "J", "I", "margin", "residual")
 
 
 def write_history_csv(path, rows):
-    write_series_csv(path, HISTORY_COLUMNS, (row.csv_values() for row in rows))
+    """series.csv: one line of ``HISTORY_COLUMNS`` per history row."""
+    write_series_csv(path, HISTORY_COLUMNS, ((r.t, r.sup_phi, r.sup_phidot, r.j, r.i,
+                                              r.margin, r.residual) for r in rows))
 
 
 def write_series_csv(path, header, table):

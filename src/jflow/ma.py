@@ -129,8 +129,8 @@ def _full_newton(alpha, c, target, ops, cfg, psi0):
     a_real = alpha.realized
     t_dens = 2.0 * _det(target.realized)
     if t_dens.min() <= 1e-12 * max(float(t_dens.max()), 1.0):
-        raise PositivityError("solve_ma: target density vanishes; use epsilon-continuation "
-                              "for degenerate targets", margin=float(t_dens.min()))
+        raise PositivityError("solve_ma: target density vanishes on the lattice; set "
+                              "offsets off the divisor", margin=float(t_dens.min()))
     log_t = np.log(t_dens)
     if psi0 is not None:
         psi = psi0.values

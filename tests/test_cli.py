@@ -18,6 +18,7 @@ from jflow.cli import (
     validate_command,
     write_record,
 )
+from jflow.diagnostics import PROXY_NOTE
 from jflow.errors import ConfigError
 from jflow.io import read_field
 from jflow.presets import PRESET_NAMES, cosine_modes
@@ -82,11 +83,13 @@ class TestParseConfig:
 
     def test_all_errors_reported(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("preset=nope, N=15, bogus=1, flow.nonsense=2")
+            parse_config("preset=nope, N=15, bogus=1, flow.nonsense=2, M, solver.tol=1")
         msgs = " | ".join(err.value.problems)
         assert "nope" in msgs and "N must be even" in msgs
         assert "bogus" in msgs and "nonsense" in msgs
-        assert len(err.value.problems) >= 4
+        assert "not a key=value pair: 'M'" in err.value.problems
+        assert "unknown section: 'solver.tol'" in err.value.problems
+        assert len(err.value.problems) >= 6
 
     def test_version_mismatch(self):
         with pytest.raises(ConfigError, match="version"):
@@ -290,9 +293,35 @@ class TestExecute:
             "eps", "sup_phi_by_eps", "sup_phidot_by_eps", "consecutive_diffs",
             "failures", "final_residuals"}
         assert report["family"]["eps"] == [0.2, 0.1]
+        assert report["family"]["failures"] == {}
         assert set(report["uniformity"]) == {
             "sup_phi_by_eps", "sup_phidot_by_eps", "notes", "ok", "failures"}
         assert report["uniformity"]["ok"]
+        assert report["uniformity"]["notes"] == [PROXY_NOTE] and "proxy" in PROXY_NOTE
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("preset=identity, N=8, eps=[0.2, 0.1], phi0.modes=[[0.2, 1, 0, 0, 0, 0]]",
+         "PositivityError: initial potential leaves chi0 + dd^c(phi) non-positive"),
+        ("n=4, eps=[0.02, 0.01], chi0.class=[1,1,0,0], omega0.class=[1,1,1.2,0],"
+         " omegahat.class=[1,1,0,0]", "ConeConditionError: cone condition fails"),
+    ])
+    def test_family_with_every_member_refused(self, tmp_path, text, refusal):
+        # the uniformity check raised ValueError: a traceback, no run.json
+        cfg = parse_config(f"{text}, out={tmp_path}")
+        record, code = execute(cfg, "family")
+        assert code == 1
+        assert record.verdicts == {"all_members_ran": False, "uniform_bounds": False}
+        assert [f.partition(": ")[0] for f in record.failures] == (
+            [f"eps={e}" for e in cfg.eps] + ["no member ran"])
+        assert all(refusal in f for f in record.failures[:-1])
+        stored = json.loads((tmp_path / "run.json").read_text())
+        assert stored["failures"] == record.failures and stored["scalars"] == {}
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["family"]["sup_phi_by_eps"] == {}
+        assert set(report["family"]["final_residuals"].values()) == {None}
+        assert (report["uniformity"]["ok"], report["uniformity"]["failures"]) == (
+            False, ["no member ran"])
+        assert record.artifacts == ["report.json"]
 
     def test_family_records_member_telemetry(self, tmp_path):
         # each member's flow telemetry, tagged as its verdicts are
@@ -359,6 +388,7 @@ class TestExecute:
         record, code = execute(cfg, "functionals")
         assert code == 0
         payload = json.loads((tmp_path / "report.json").read_text())
+        assert set(payload) == {"J", "I", "E", "M", "F", "notes", "source", "eps"}
         assert payload["source"] == "fields/final.jflw"
         assert payload["J"] is not None
 

@@ -15,7 +15,7 @@ from jflow.diagnostics import (
     uniformity_report,
 )
 from jflow.errors import ConfigError, FitError
-from jflow.flow import FlowConfig, epsilon_family, evolve
+from jflow.flow import FlowConfig, MonitorVerdict, epsilon_family, evolve
 from jflow.presets import build_preset, make_divisor
 from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField
@@ -38,7 +38,6 @@ class TestUniformity:
             fam, budget_phi=1 / np.pi ** 2 + 0.01, budget_phidot=1.05
         )
         assert rep.ok
-        assert any("proxy" in n for n in rep.notes)
 
     def test_single_member_trivially_passes(self):
         pb = build_preset("degenerate_split", n=8)
@@ -48,6 +47,12 @@ class TestUniformity:
                              divisor=pb.divisor)
         rep = uniformity_report(fam, budget_phi=1.0, budget_phidot=2.0)
         assert rep.ok
+
+    def test_no_member_ran_is_a_failing_verdict(self, family12):
+        # it raised ValueError, which ended the family command in a traceback
+        _, fam = family12
+        assert uniformity_report(replace(fam, members=[])) == MonitorVerdict(
+            False, ("no member ran",))
 
     def test_budget_violation_reported(self, family12):
         _, fam = family12
@@ -67,8 +72,8 @@ class TestUniformity:
         s_hi, s_lo = (m.trajectory.final_potential().mean_normalized().sup()
                       for m in (hi, lo))
         assert not rep.ok
-        assert rep.failures == [f"divergent trend between eps=0.2 and eps=0.1: "
-                                f"sup ratio {s_lo / s_hi:.4f} > 1.1"]
+        assert rep.failures == (f"divergent trend between eps=0.2 and eps=0.1: "
+                                f"sup ratio {s_lo / s_hi:.4f} > 1.1",)
 
     def test_budgets_hold_to_smallest_epsilon(self):
         # the uniform bounds stay inside the same budgets down to eps=0.025
@@ -204,6 +209,17 @@ class TestQMonitor:
         with pytest.raises(ConfigError, match="mask"):
             q_values(np.zeros(grid.shape), np.full(grid.shape, 2.0), s2,
                      QMonitorConfig(a=4.0, delta=0.5))
+
+    def test_shift_too_small_is_refused(self):
+        # off the locus phi_tilde = -0.5 log s2 >= -0.5 log 2: C0 = 1 leaves
+        # phi_tilde + C0 below 1; the shift chosen here, 1.5 - min phi_tilde,
+        # keeps it at 1.5
+        pb = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01)).to_full()
+        s2 = pb.divisor.s2_proxy(pb.grid).values
+        args = (np.zeros(pb.grid.shape), np.full(pb.grid.shape, 2.0), s2, QMonitorConfig())
+        with pytest.raises(ConfigError, match=r"phi_tilde \+ C0 dips to 0\.65\d* < 1"):
+            q_values(*args, c0=1.0)
+        assert q_values(*args)[1] == pytest.approx(1.5 + 0.5 * np.log(s2.max()), rel=1e-12)
 
     def test_phi_tilde_blows_up_near_divisor(self):
         # with an offset grid populating tiny s2 values, phi_tilde in the

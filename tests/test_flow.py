@@ -804,6 +804,10 @@ class TestFlowConfig:
                          snapshot_stride=np.int64(5))
         assert cfg.snapshot_stride == 5 and cfg.eps == np.float32(0.1)
 
+    def test_negative_eps_is_refused(self):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            FlowConfig(eps=-0.1)
+
     @pytest.mark.parametrize("value", [0, 2.0, np.int64(0), np.float64(5.0)])
     def test_snapshot_stride_is_a_positive_integer(self, value):
         with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
@@ -955,8 +959,7 @@ class TestEpsilonFamily:
         (hi, lo, full, off) = report.consecutive_diffs[0]
         assert (hi, lo) == (0.2, 0.1)
         assert full >= off > 0.0
-        d = report.to_dict()
-        assert d["failures"] == {}
+        assert report.failures == {}
 
     def test_empty_ladder_is_refused(self):
         # a family with no member has no verdict to report

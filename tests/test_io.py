@@ -96,12 +96,14 @@ def test_rejects_garbage(tmp_path):
         read_field(path)
 
 
-def test_truncated_file(tmp_path):
+# cut inside the values, and inside the four offsets (12 header bytes, 16 of 32)
+@pytest.mark.parametrize("keep", [-16, 28])
+def test_truncated_file(tmp_path, keep):
     grid = Grid(4)
     path = tmp_path / "f.jflw"
     write_scalar(path, ScalarField.zeros(grid))
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="truncated"):
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated snapshot"):
         read_field(path)
 
 

@@ -323,6 +323,20 @@ class TestSolveMA:
         with pytest.raises(PositivityError, match="set offsets off the divisor"):
             solve_ma(build_alpha(pb.chi0, pb.omega0, 2.0), 2.0, pb.omega0)
 
+    def test_vanishing_4d_target_names_the_offsets(self):
+        # the remedy named epsilon-continuation, which cannot help on a
+        # lattice that samples the divisor; offsets off it can
+        with pytest.raises(PositivityError, match="vanishes on the lattice; set offsets "
+                                                  "off the divisor"):
+            solve_ma(*_nonsplit_problem(eps=0.0))
+        pb = build_preset("nonsplit_perturbed", n=8, offsets=(0.01,) * 4)
+        assert solve_ma(*_problem(pb, 0.0)).residual() <= MASolverConfig().newton_tol
+
+    def test_factor_class_means_must_balance(self):
+        alpha, c, w = _problem(build_preset("degenerate_split", n=8))
+        with pytest.raises(ValueError, match="class means of side and target disagree"):
+            solve_ma(alpha.scale(1.5), c, w)
+
 
 class TestNewtonOperators:
     """The Newton step's operators: no transform, and a preconditioner that

@@ -61,6 +61,11 @@ class TestGrid:
         assert ScalarField.zeros(grid).values.shape == (8,) * 4
         assert SpectralOps.of(grid).shape == (8,) * 4
 
+    def test_field_of_another_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"field shape \(4, 4\) != grid shape "
+                                             r"\(4, 4, 4, 4\)"):
+            ScalarField(Grid(4), np.zeros((4, 4)))
+
     def test_offsets_validated(self):
         Grid(8, (0.01, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):

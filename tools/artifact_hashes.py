@@ -11,7 +11,8 @@ nothing written), one that the maximum-principle monitor fails, two that
 the start refuses (the cone condition, a non-positive phi0), one with
 offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
-``family``, and ``family`` with no positive eps (a config error);
+``family``, ``family`` with no positive eps (a config error) and one whose
+every member the start refuses (``family_all_refused``);
 ``solve-ma`` on both backends, on the 4-D one at N=12 as well
 (``solve_ma_full_n12``) and on the split one at N=16 with offsets down to
 eps = 0.01 as a ladder (``solve_ma_split_ladder``), at eps = 0.01 alone
@@ -29,7 +30,9 @@ of every file it wrote.  From ``run.json`` the wall-clock stamps
 the output path) are dropped before hashing.  A refactor that keeps every
 output byte for byte gives the same JSON as its parent.  BLAS/OpenMP pools
 are pinned to one thread, as ``perfbench/run.py`` pins them.  Takes a few
-seconds on one core.
+seconds on one core.  A command whose stderr holds a Python traceback
+stops the tool with a non-zero exit that names the config and the
+command: a crash is not an exit status to record.
 
 It also fingerprints, as ``perfbench/<workload>/seed<k>``, the flow
 outputs of the two benchmark workloads of ``<checkout>/perfbench/
@@ -102,6 +105,8 @@ CONFIGS = {
                                  "offsets=[0.01, 0.01], seed=1, phi0.random=true, "
                                  "flow.dt_safety=0.8, flow.stop_tolerance=1e-8")],
     "family_eps0": [("family", "preset=degenerate_split, N=8, eps=[0]")],
+    "family_all_refused": [("family", "preset=identity, N=8, eps=[0.2, 0.1], "
+                                      "phi0.modes=[[0.2, 1, 0, 0, 0, 0]]")],
     "family": [("family", "preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05], "
                           "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                           "flow.stop_tolerance=1e-8")],
@@ -210,6 +215,8 @@ def fingerprint(checkout, workdir):
                  "--config", str(config), "--out", str(out)],
                 env=env, cwd=workdir, capture_output=True, text=True,
             )
+            if "Traceback (most recent call last)" in proc.stderr:
+                sys.exit(f"artifact_hashes: {name}: {command} crashed:\n{proc.stderr}")
             codes.append(proc.returncode)
         files = sorted(p for p in out.rglob("*") if p.is_file())
         result[name] = {
