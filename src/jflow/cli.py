@@ -320,12 +320,9 @@ class RunRecord:
     def ok(self):
         return all(self.verdicts.values()) and not self.failures
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def write_record(path, record):
-    jio.write_json(path, record.to_dict())
+    jio.write_json(path, asdict(record))
 
 
 def read_record(path):
@@ -448,9 +445,8 @@ def _cmd_run(cfg, record, out):
 
 def _cmd_family(cfg, record, out):
     problem = build_problem(cfg)
-    eps_list = [e for e in cfg.eps if e > 0]
     report = epsilon_family(
-        _section(cfg, "flow", eps=eps_list[0]), eps_list,
+        _section(cfg, "flow", eps=cfg.eps[0]), cfg.eps,
         problem.chi0, problem.omega0, problem.omega_hat,
         phi0=_initial_potential(cfg, problem),
         divisor=problem.divisor,
@@ -467,12 +463,10 @@ def _cmd_family(cfg, record, out):
     for m in report.members:
         if m.ok:
             _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)
-    sup_phi, sup_phidot = ({str(k): v for k, v in sups.items()}
-                           for sups in (report.sup_phi_by_eps, report.sup_phidot_by_eps))
     family = {
         "eps": [m.eps for m in report.members],
-        "sup_phi_by_eps": sup_phi,
-        "sup_phidot_by_eps": sup_phidot,
+        "sup_phi_by_eps": {str(k): v for k, v in report.sup_phi_by_eps.items()},
+        "sup_phidot_by_eps": {str(k): v for k, v in report.sup_phidot_by_eps.items()},
         "consecutive_diffs": [
             {"eps_hi": a, "eps_lo": b, "sup_full_grid": c, "sup_off_divisor": d}
             for (a, b, c, d) in report.consecutive_diffs],
@@ -480,8 +474,7 @@ def _cmd_family(cfg, record, out):
         "final_residuals": {str(m.eps): m.trajectory.final_residual if m.ok else None
                             for m in report.members},
     }
-    uniformity = {"sup_phi_by_eps": sup_phi, "sup_phidot_by_eps": sup_phidot,
-                  "notes": [PROXY_NOTE], "ok": est.ok, "failures": list(est.failures)}
+    uniformity = {"notes": [PROXY_NOTE], "ok": est.ok, "failures": list(est.failures)}
     jio.write_json(_artifact(record, out, "report.json"),
                    {"family": family, "uniformity": uniformity})
     if report.sup_phi_by_eps:  # no NaN in run.json when no member ran
@@ -492,16 +485,12 @@ def _cmd_family(cfg, record, out):
 
 def _cmd_solve_ma(cfg, record, out):
     problem = build_problem(cfg)
-    macfg = _section(cfg, "ma")
     sols = solve_ma_continuation(
-        problem.chi0, problem.omega0, problem.omega_hat, cfg.eps, macfg
+        problem.chi0, problem.omega0, problem.omega_hat, cfg.eps, _section(cfg, "ma")
     )
     table = []
-    converged = True
     for eps, sol in sols:
-        for k, r in enumerate(sol.residuals):
-            table.append((eps, k, r))
-        converged &= sol.residual() <= macfg.newton_tol
+        table.extend((eps, k, r) for k, r in enumerate(sol.residuals))
         jio.write_scalar(_artifact(record, out, f"fields/psi-eps{eps:g}.jflw"),
                          sol.psi.assemble())
         record.scalars[f"newton_iterations[{eps:g}]"] = sol.newton_iterations
@@ -510,7 +499,7 @@ def _cmd_solve_ma(cfg, record, out):
         record.scalars[f"gmres_info_max[{eps:g}]"] = sol.gmres_info_max
     jio.write_series_csv(_artifact(record, out, "newton.csv"),
                          ("eps", "iteration", "residual"), table)
-    record.verdicts["newton_converged"] = bool(converged)
+    record.verdicts["newton_converged"] = True  # solve_ma raises unless it converged
     return record
 
 
@@ -594,9 +583,9 @@ def validate_command(cfg, command):
     """Problems of a parsed config that show only with the preset defaults
     filled in (the offsets against the preset's lattice and N) or with the
     command (one eps for ``run``, and no eps = 0 on a lattice that samples
-    the preset's divisor, whether or not ``divisor`` keeps its monitors; the
-    ladder rule for ``family``'s positive entries, of which there must be
-    one)."""
+    the preset's divisor, whether or not ``divisor`` keeps its monitors;
+    ``flow.check_ladder`` for ``family``'s list as given, so a 0 in it is a
+    config error)."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
     problems = []
@@ -604,8 +593,8 @@ def validate_command(cfg, command):
         problems.append(f"eps: run integrates one eps, got {cfg.eps}; "
                         "use the family command for several")
     if command == "family":
-        try:  # with no positive entry, the whole list breaks the rule
-            check_ladder([e for e in cfg.eps if e > 0] or cfg.eps)
+        try:
+            check_ladder(cfg.eps)
         except ValueError as err:
             problems.append(f"eps: {err}")
     try:

@@ -121,7 +121,9 @@ def singular_profile_fit(u, s2, band=FIT_BAND):
 
     Fits log u = log C + gamma * (-log s2) over ``fit_points`` and returns
     (gamma_hat, C) with gamma_hat clamped at 0; a bounded u gives gamma ~ 0,
-    a u ~ s2^(-gamma) profile returns gamma.
+    a u ~ s2^(-gamma) profile returns gamma.  Raises FitError when the band
+    holds fewer than ``_FIT_MIN_POINTS`` points or a single abscissa, where
+    no line is determined.
     """
     points = fit_points(u, s2, band)
     if len(points) < _FIT_MIN_POINTS:
@@ -129,6 +131,9 @@ def singular_profile_fit(u, s2, band=FIT_BAND):
             f"singular_profile_fit: only {len(points)} grid points have "
             f"s2 in [{band[0]:g}, {band[1]:g}]; need {_FIT_MIN_POINTS}"
         )
+    if np.ptp(points[:, 0]) == 0.0:
+        raise FitError(f"singular_profile_fit: all {len(points)} points share "
+                       f"-log s2 = {points[0, 0]:.6g}; no slope to fit")
     slope, intercept = np.polyfit(points[:, 0], points[:, 1], 1)
     return max(float(slope), 0.0), float(np.exp(intercept))
 
@@ -167,19 +172,17 @@ def q_monitor(traj, div, cfg):
     """Evaluate Q on every retained snapshot of a run and check the
     boundedness assertion q_max(t) <= q_max(0) + 1.
 
-    Works on both backends; the divisor may be None for smooth runs, in
-    which case the s2 proxy is replaced by the constant 1 surrogate.
+    Works on both backends, with the s2 proxy of the divisor ``div``.
     Returns (series, verdict).
     """
-    if div is not None:
-        cfg.validate_against(div)
+    cfg.validate_against(div)
     series = []
     c0 = s2 = None
     for t, snap in traj.snapshots:
         phi4 = snap.assemble()
         grid = phi4.grid
         if s2 is None:  # every snapshot is on the run's lattice
-            s2 = np.ones(grid.shape) if div is None else div.s2_proxy(grid).values
+            s2 = div.s2_proxy(grid).values
         u = _trace_field(traj, snap, grid)
         q, c0 = q_values(phi4.values, u, s2, cfg, c0)
         series.append((t, q))

@@ -180,8 +180,6 @@ class HistoryRow:
         """sup |phi_dot|, also the row's residual of the flow equation."""
         return max(self.max_phidot, -self.min_phidot)
 
-    residual = sup_phidot
-
 
 @dataclass
 class Trajectory:
@@ -217,7 +215,7 @@ class Trajectory:
     @property
     def final_residual(self):
         """sup |phi_dot| at the end (the last row is the final state)."""
-        return self.rows[-1].residual
+        return self.rows[-1].sup_phidot
 
     def final_potential(self):
         """Final potential as a 4-D ScalarField regardless of backend."""

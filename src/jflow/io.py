@@ -4,8 +4,7 @@ Snapshot layout (version 2): magic bytes ``JFLW``, version u16, N u32,
 component count u16, the four grid offsets as little-endian float64, then
 little-endian float64 values row-major (x1, y1, x2, y2).  Snapshots hold
 scalar fields, one component; a file with another component count is
-refused.  Version 1 files have no offsets and are read onto the zero-offset
-grid.
+refused, as is a file of another version.
 """
 
 import json
@@ -39,14 +38,12 @@ def _write_atomic(path, write_fn, mode="wb"):
 
 
 def _read_header(fh, path):
-    """(grid, component count) of a version 1 or 2 snapshot."""
+    """(grid, component count) of a version 2 snapshot."""
     size = struct.calcsize(_HEAD)
     head = fh.read(4 + size)
     if len(head) < 4 + size or head[:4] != MAGIC:
         raise ValueError(f"{path}: not a JFLW snapshot")
     version, n, ncomp = struct.unpack(_HEAD, head[4:])
-    if version == 1:
-        return Grid(n), ncomp
     if version != VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     raw = fh.read(struct.calcsize(_OFFSETS))
@@ -72,7 +69,7 @@ def write_scalar(path, field):
 
 def read_field(path):
     """Read a scalar snapshot; returns a ScalarField on the grid it was
-    written from (a version 1 file: on the zero-offset grid)."""
+    written from."""
     with open(path, "rb") as fh:
         grid, ncomp = _read_header(fh, path)
         if ncomp != 1:
@@ -87,9 +84,10 @@ HISTORY_COLUMNS = ("t", "sup_phi", "sup_phidot", "J", "I", "margin", "residual")
 
 
 def write_history_csv(path, rows):
-    """series.csv: one line of ``HISTORY_COLUMNS`` per history row."""
+    """series.csv: one line of ``HISTORY_COLUMNS`` per history row; the
+    residual of the flow equation is the row's sup|phi_dot|."""
     write_series_csv(path, HISTORY_COLUMNS, ((r.t, r.sup_phi, r.sup_phidot, r.j, r.i,
-                                              r.margin, r.residual) for r in rows))
+                                              r.margin, r.sup_phidot) for r in rows))
 
 
 def write_series_csv(path, header, table):

@@ -19,7 +19,9 @@ conformally scaled (``_newton_direction``).  On a factor lattice
 (``_split_solve``) the equation is linear: the product ansatz
 A_1(z1) A_2(z2) = F(z1) G(z2) separates it into a_i + c Delta psi_i = t_i
 per factor, one stacked (2, n, n) Poisson solve, which needs no start
-and solves eps = 0 too on a lattice off the divisor.
+and solves eps = 0 too on a lattice off the divisor; its residual is
+relative, sup|A - goal| / sup goal, since a log residual there divides the
+solve's rounding by a target that is small near the divisor.
 
 The GMRES is the lab's own (``krylov.gmres``, scipy's operation for
 operation), so a solve, like the rest of the package, loads numpy only.
@@ -42,7 +44,7 @@ from .torus import SpectralOps, _cowedge, _det, positivity_margin
 
 @dataclass(frozen=True)
 class MASolverConfig:
-    newton_tol: float = 1e-10   # sup norm of the log residual
+    newton_tol: float = 1e-10   # sup|log residual|; sup|A - goal| / sup goal on a factor lattice
     max_newton: int = 50
 
     def __post_init__(self):
@@ -94,12 +96,12 @@ class MASolution:
 
 def solve_ma(alpha, c, target, cfg=None, psi0=None):
     """Solve (alpha + c dd^c psi)^2 = target^2 on alpha's lattice to
-    ``cfg.newton_tol`` (the sup norm of the log residual): on the 4-D
-    lattice by damped Newton from psi0 if it is given, else from the cold
-    start; on a factor lattice directly (psi0 is checked but not needed),
-    with ``residuals`` the log residual after the solve and after its
-    correction.  The returned psi is mean-zero (per factor on a factor
-    lattice).  Refuses a target or psi0 off alpha's lattice.
+    ``cfg.newton_tol``: on the 4-D lattice by damped Newton from psi0 if it
+    is given, else from the cold start, to a sup norm of the log residual
+    within it; on a factor lattice by one direct solve (psi0 is checked but
+    not needed, ``newton_iterations`` is 0), to a relative residual within
+    it.  The returned psi is mean-zero (per factor on a factor lattice).
+    Refuses a target or psi0 off alpha's lattice.
     """
     cfg = cfg or MASolverConfig()
     for other in (target,) if psi0 is None else (target, psi0):
@@ -185,10 +187,11 @@ def _full_newton(alpha, c, target, ops, cfg, psi0):
 
 def _split_solve(alpha, c, target, ops, cfg):
     """The factor lattice's linear problem side + c Delta psi = goal: one
-    stacked (2, n, n) Poisson solve, then one of its rounding residual
-    goal - A.  The partition constant kappa between the factors is fixed by
-    the class means (the factor problems must each balance in cohomology).
-    Returns (psi, the log residual after each solve)."""
+    stacked (2, n, n) Poisson solve.  The partition constant kappa between
+    the factors is fixed by the class means (the factor problems must each
+    balance in cohomology).  Accepted when the relative residual
+    sup|A - goal| / sup goal is at most ``newton_tol``; returns (psi, [that
+    residual])."""
     f, g = target.realized
     floor = 1e-12 * max(float(f.max()), float(g.max()), 1.0)
     if f.min() <= floor or g.min() <= floor:
@@ -200,23 +203,18 @@ def _split_solve(alpha, c, target, ops, cfg):
     side_mean, goal_mean = side.mean((1, 2)), goal.mean((1, 2))
     if np.any(np.abs(side_mean - goal_mean) > 1e-8 * np.abs(goal_mean)):
         raise ValueError("solve_ma: class means of side and target disagree")
-    log_t = np.log(goal)
     # divide drops each factor's mean mode, which balances (solvability)
-    psi, a, residuals = np.zeros(side.shape), side, []
-    for _ in range(2):
-        psi = psi + ops.divide(goal - a) / c
-        a = side + c * ops.laplacian(psi)
-        m = float(a.min())
-        if not m > 0.0:  # a nan margin too
-            raise PositivityError(f"solve_ma: A_psi not positive (margin {m:.3e})", margin=m)
-        residuals.append(float(np.abs(np.log(a) - log_t).max()))
-    if residuals[-1] > cfg.newton_tol:
+    psi = ops.divide(goal - side) / c
+    a = side + c * ops.laplacian(psi)
+    m = float(a.min())
+    if not m > 0.0:  # a nan margin too
+        raise PositivityError(f"solve_ma: A_psi not positive (margin {m:.3e})", margin=m)
+    residual = float(np.abs(a - goal).max()) / float(goal.max())
+    if residual > cfg.newton_tol:
         raise MAConvergenceError(
-            f"solve_ma: residual {residuals[-1]:.3e} above newton_tol "
-            f"{cfg.newton_tol:.1e} after the direct solve and its correction",
-            residuals=residuals,
-        )
-    return psi, residuals
+            f"solve_ma: relative residual {residual:.3e} above newton_tol "
+            f"{cfg.newton_tol:.1e} after the direct solve", residuals=[residual])
+    return psi, [residual]
 
 
 def _newton_direction(g_res, a, c, ops, res_sup):

@@ -362,10 +362,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
-
     def mean(self):
         return float(self.values.mean())
 

@@ -9,7 +9,8 @@ density by finite differences; ``j_closed_split`` and ``i_functional_split``
 evaluate J and I on split data, and ``energies_split`` (on
 ``split_wedge_mean``) is the per-wedge reference for the factor means
 they read; ``rkc_error`` is RKC's error ratio with one RMS per norm; ``split_critical`` is the closed-form
-critical point of the product ansatz; ``flow_rhs`` is the flow velocity
+critical point of the product ansatz, and ``nonsplit_limit`` the closed-form
+limit of ``nonsplit_perturbed`` built on it; ``flow_rhs`` is the flow velocity
 through the public form API, with its positivity check.  ``trace_with`` (and
 its raw ``_trace``), ``_critical_density`` and ``integrate`` are the
 pointwise trace, the J-gradient density and the integral of a top form,
@@ -23,7 +24,10 @@ import numpy as np
 
 from jflow import flow
 from jflow.functionals import J_closed, _check_curvature_margin, _energies_split
+from jflow.presets import degenerate_profile
+from jflow.split import SplitPotential
 from jflow.torus import (
+    Grid,
     ScalarField,
     _det,
     _positivity_check,
@@ -216,6 +220,21 @@ def split_critical(f, g, fgrid):
     phi1 = poisson_solve(ScalarField(fgrid, f / c1 - 1.0)).values
     phi2 = poisson_solve(ScalarField(fgrid, g / c2 - 1.0)).values
     return c1, c2, phi1, phi2
+
+
+def nonsplit_limit(problem, eps):
+    """The limit of ``nonsplit_perturbed`` at ``eps`` in closed form, up to
+    an additive constant: phi*_eps - p0.  Its chi0 is the identity form of
+    ``degenerate_split`` plus dd^c p0, and the critical metric depends only
+    on the class, so the limit is the split critical point phi*_eps of
+    omega_eps = diag(f + eps, 1 + eps), assembled, minus p0.  p0 is the
+    preset's own chi0 potential, so the oracle cannot drift from it."""
+    grid = problem.grid
+    fgrid = Grid(grid.n, grid.offsets[:2])
+    f = degenerate_profile(fgrid) + eps
+    _, _, p1, p2 = split_critical(f, np.full(fgrid.shape, 1.0 + eps), fgrid)
+    phi = SplitPotential(fgrid, np.stack((p1, p2))).assemble(grid)
+    return ScalarField(grid, phi.values - problem.chi0.potential.values)
 
 
 def flow_rhs(phi, chi0, omega_eps, c_eps):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jflow.cli import (
+    COMMANDS,
     _SECTION_KEYS,
     _TOP_KEYS,
     RunRecord,
@@ -48,6 +49,10 @@ class TestParseConfig:
         assert cfg.n == 32
         assert build_problem(cfg).backend == "split"  # the preset's backend
         assert cfg.eps == [0.0]
+
+    def test_comment_items_are_skipped(self):
+        cfg = parse_config("# a comment\npreset=identity, # N=12\neps=[0.1]")
+        assert (cfg.preset, cfg.n, cfg.eps) == ("identity", 8, [0.1])
 
     def test_degenerate_defaults(self):
         cfg = parse_config("preset=degenerate_split")
@@ -178,7 +183,7 @@ class TestRecords:
         path = tmp_path / "run.json"
         write_record(path, rec)
         back = read_record(path)
-        assert back.to_dict() == rec.to_dict()
+        assert back == rec
 
     def test_corrupt_record(self, tmp_path):
         path = tmp_path / "run.json"
@@ -294,8 +299,7 @@ class TestExecute:
             "failures", "final_residuals"}
         assert report["family"]["eps"] == [0.2, 0.1]
         assert report["family"]["failures"] == {}
-        assert set(report["uniformity"]) == {
-            "sup_phi_by_eps", "sup_phidot_by_eps", "notes", "ok", "failures"}
+        assert set(report["uniformity"]) == {"notes", "ok", "failures"}
         assert report["uniformity"]["ok"]
         assert report["uniformity"]["notes"] == [PROXY_NOTE] and "proxy" in PROXY_NOTE
 
@@ -413,6 +417,16 @@ class TestExecute:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["source"] == "fields/final.jflw"
         assert payload["gamma_fit"] == 0.0  # a bounded trace: the fit's clamp at 0
+
+    def test_functionals_flat_fit_band_reports_the_fit_error(self, tmp_path):
+        # every band point shares one s2 at N = 4: the fit read gamma 0.4995
+        cfg = parse_config(f"preset=degenerate_split, N=4, offsets=[0.0001, 0.0001],"
+                           f" out={tmp_path}")
+        record, code = execute(cfg, "functionals")
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert "gamma_fit" not in payload and "gamma_fit_C" not in payload
+        assert payload["gamma_fit_error"].startswith("singular_profile_fit: all 32 points")
 
     def test_functionals_without_snapshot_is_the_zero_potential(self, tmp_path):
         cfg = parse_config(f"preset=nonsplit_perturbed, N=8, eps=[0.1],"
@@ -536,6 +550,34 @@ class TestMain:
         stored = read_record(tmp_path / "run.json")
         assert stored.eps == [0.0, 0.1]
 
+    def test_seed_flag_overrides_config(self, tmp_path):
+        (tmp_path / "run.cfg").write_text("preset=identity\nseed=3\n")
+        out = str(tmp_path / "out")
+        code = main(["--command", "check-classes", "--config", str(tmp_path / "run.cfg"),
+                     "--out", out, "--seed", "7"])
+        assert code == 0
+        stored = read_record(tmp_path / "out" / "run.json")
+        assert stored.config_hash == parse_config("preset=identity, seed=7", out=out).config_hash()
+        assert stored.config_hash != parse_config("preset=identity, seed=3", out=out).config_hash()
+
+    def test_failure_lines_go_to_stderr(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("n=4, eps=[0.01], chi0.class=[1,1,0,0], "
+                                          "omega0.class=[1,1,1.2,0], omegahat.class=[1,1,0,0]\n")
+        code = main(["--command", "run", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "run: FAIL" in captured.out
+        assert "\n  ConeConditionError: cone condition fails" in "\n" + captured.err
+
+    def test_unknown_command_is_a_config_error(self, tmp_path):
+        cfg = parse_config(f"preset=identity, out={tmp_path / 'out'}")
+        assert validate_command(cfg, "plot") == [
+            f"unknown command 'plot'; choose from {COMMANDS}"]
+        with pytest.raises(ConfigError, match="unknown command 'plot'"):
+            execute(cfg, "plot")
+        assert not (tmp_path / "out").exists()
+
     def test_run_with_several_eps_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "degenerate_split",
                      "--out", str(tmp_path), "--eps", "0.2,0.1"])
@@ -579,9 +621,11 @@ class TestMain:
         ("run", "preset=identity, N=4, eps=[nan]"),
         ("family", "preset=degenerate_split, N=8, eps=[0.1, 0.2]"),
         ("family", "preset=degenerate_split, N=8, eps=[0.2, 0.2]"),
-        # a family with no positive eps; explicit modes on a split preset;
-        # eps = 0 on a lattice that samples the divisor (zero offsets)
+        # a family ladder with a 0 in it (the member was dropped, and the
+        # record still listed it); explicit modes on a split preset; eps = 0
+        # on a lattice that samples the divisor (zero offsets)
         ("family", "preset=degenerate_split, N=8, eps=[0]"),
+        ("family", "preset=degenerate_split, N=8, offsets=[0.01, 0.01], eps=[0.2, 0.1, 0]"),
         ("run", "preset=smooth_split, N=8, phi0.modes=[[0.01, 1, 0, 0, 0]]"),
         ("run", "preset=degenerate_split, eps=[0]"),
         ("run", "preset=nonsplit_perturbed, eps=[0]"),

@@ -15,7 +15,7 @@ from jflow.diagnostics import (
     uniformity_report,
 )
 from jflow.errors import ConfigError, FitError
-from jflow.flow import FlowConfig, MonitorVerdict, epsilon_family, evolve
+from jflow.flow import FlowConfig, MonitorVerdict, epsilon_family
 from jflow.presets import build_preset, make_divisor
 from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField
@@ -151,6 +151,16 @@ class TestSingularFit:
                                            "need 8"):
             singular_profile_fit(u, s2, band)
 
+    def test_single_abscissa_is_refused(self):
+        # at N = 4 with offsets 1e-4 every point in the band has the same
+        # s2: polyfit warned and read gamma 0.4995 for the bounded u = 2
+        pb = build_preset("degenerate_split", n=4, offsets=(1e-4, 1e-4)).to_full()
+        s2 = pb.divisor.s2_proxy(pb.grid).values
+        u = np.full(pb.grid.shape, 2.0)
+        assert len(fit_points(u, s2)) == 32
+        with pytest.raises(FitError, match="all 32 points share -log s2 = 0.693775"):
+            singular_profile_fit(u, s2)
+
 
 class TestQMonitor:
     def test_config_invariant(self):
@@ -192,14 +202,6 @@ class TestQMonitor:
             series, verdict = q_monitor(m.trajectory, pb.divisor, cfg)
             assert verdict.ok
             assert len(series) == len(m.trajectory.snapshots)
-
-    def test_smooth_run_with_unit_surrogate(self):
-        pb = build_preset("smooth_split", n=8)
-        cfg_f = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-7,
-                           max_time=2.0, snapshot_stride=50)
-        traj = evolve(cfg_f, pb.chi0, pb.omega0, pb.omega_hat)
-        series, verdict = q_monitor(traj, None, QMonitorConfig())
-        assert verdict.ok
 
     def test_locus_mask_cap(self):
         # at N = 8 the on-grid locus point is 1/64 > 1% of the factor grid

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jflow.io import (
+    _write_atomic,
     read_field,
     write_history_csv,
     write_json,
@@ -72,14 +74,12 @@ def test_scalar_roundtrip_keeps_offsets(tmp_path, field):
     assert _bits(back) == _bits(field)
 
 
-def test_reads_version_1_onto_zero_offset_grid(tmp_path):
-    values = np.arange(4 ** 4, dtype=float).reshape((4,) * 4)
+def test_refuses_version_1(tmp_path):
+    # version 1 had no offsets; it was read onto the zero-offset grid
     path = tmp_path / "v1.jflw"
-    path.write_bytes(b"JFLW" + struct.pack("<HIH", 1, 4, 1)
-                     + values.astype("<f8").tobytes())
-    back = read_field(path)
-    assert back.grid == Grid(4)
-    assert np.array_equal(back.values, values)
+    path.write_bytes(b"JFLW" + struct.pack("<HIH", 1, 4, 1) + b"\x00" * (8 * 4 ** 4))
+    with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+        read_field(path)
 
 
 def test_rejects_unknown_version(tmp_path):
@@ -134,6 +134,17 @@ def test_history_csv(tmp_path):
     # sup_phidot and residual are both sup |phi_dot| = max(max, -min)
     assert lines[1] == "0,0.10000000000000001,0.20000000000000001,-1,0,1,0.20000000000000001"
     assert lines[2].split(",")[2] == lines[2].split(",")[6] == "0.10000000000000001"
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    def body(fh):
+        fh.write(b"partial")
+        raise RuntimeError("writer failed")
+
+    path = tmp_path / "f.bin"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _write_atomic(path, body)
+    assert os.listdir(tmp_path) == []
 
 
 def test_json_roundtrip_atomic(tmp_path):

@@ -103,7 +103,7 @@ class TestPoisson:
     def test_rejects_nonzero_mean(self):
         grid = Grid(8)
         with pytest.raises(ValueError, match="mean"):
-            poisson_solve(ScalarField.constant(grid, 0.5))
+            poisson_solve(ScalarField.zeros(grid).shifted(0.5))
 
 
 class TestSplitCritical:
@@ -256,12 +256,16 @@ class TestSolveMA:
             assert sol.newton_iterations <= solve_ma(*_problem(pb, eps)).newton_iterations
 
     @pytest.mark.parametrize("eps", [0.01, 1e-7, 0.0])
-    @pytest.mark.parametrize("n, offset", [(16, 0.01), (32, 0.005)])
+    @pytest.mark.parametrize("n, offset", [(16, 0.01), (32, 0.005), (64, 0.005),
+                                           (64, 0.0025), (128, 0.002)])
     def test_split_solve_converges_cold(self, n, offset, eps):
         # the factor-lattice Newton path found no acceptable damped step or
-        # ran out of iterations on each of these cold starts
+        # ran out of iterations on each of these cold starts at N = 16 and
+        # 32; at N = 64 and 128 the log residual's rounding floor near the
+        # divisor (1.1e-10 to 7.5e-10 after a second solve) refused eps = 0
         pb = build_preset("degenerate_split", n=n, offsets=(offset, offset))
         sol = solve_ma(*_problem(pb, eps))
+        assert sol.newton_iterations == 0 and len(sol.residuals) == 1
         assert sol.residual() <= MASolverConfig().newton_tol
         x, y = pb.grid.coords()
         expected = (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) / (2 * np.pi ** 2 * (1 + eps))
@@ -275,7 +279,7 @@ class TestSolveMA:
         with pytest.raises(MAConvergenceError, match="above newton_tol 1.0e-20 after "
                                                      "the direct solve") as err:
             solve_ma(*_problem(pb), MASolverConfig(newton_tol=1e-20))
-        assert len(err.value.residuals) == 2
+        assert len(err.value.residuals) == 1
 
     @pytest.mark.parametrize("n, offset", [(16, 0.01), (32, 0.005)])
     def test_split_ladder_reaches_small_eps(self, n, offset):

@@ -11,7 +11,8 @@ nothing written), one that the maximum-principle monitor fails, two that
 the start refuses (the cone condition, a non-positive phi0), one with
 offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
-``family``, ``family`` with no positive eps (a config error) and one whose
+``family``, ``family`` with no positive eps and with a 0 at the end of its
+ladder (``family_ladder_with_zero``; both config errors) and one whose
 every member the start refuses (``family_all_refused``);
 ``solve-ma`` on both backends, on the 4-D one at N=12 as well
 (``solve_ma_full_n12``) and on the split one at N=16 with offsets down to
@@ -21,7 +22,8 @@ eps = 0.01 as a ladder (``solve_ma_split_ladder``), at eps = 0.01 alone
 potential, on the final potential of a short 4-D ``nonsplit_perturbed`` run
 from a random start (a non-zero 4-D potential read back from its snapshot)
 and, with no prior run, on that preset's zero potential (its divisor fit on
-the 4-D lattice);
+the 4-D lattice) and on ``degenerate_split``'s at N=4, whose fit band holds
+one value of s2 (``functionals_flat_band``: a ``gamma_fit_error``);
 ``check-classes``)
 with the ``jflow`` package of ``<checkout>/src``, each in a fresh output
 directory, and prints JSON with every command's exit status and the sha256
@@ -59,7 +61,10 @@ The split configs' bits moved again when the factor lattice's Newton
 iteration became one direct Poisson solve plus one correction: the linear
 factor equation needs no start, and ``solve_ma_split_cold`` and
 ``solve_ma_split_eps0`` check that eps = 0.01 and eps = 0 solve alone
-(under Newton both exited 1).
+(under Newton both exited 1).  They moved once more when the correction
+solve went and the factor lattice's residual became relative to sup goal:
+one ``newton.csv`` row per eps.  No ``solve-ma`` config runs at N=64,
+where the assembled 4-D psi it writes is 134 MB per file.
 """
 
 import argparse
@@ -105,6 +110,8 @@ CONFIGS = {
                                  "offsets=[0.01, 0.01], seed=1, phi0.random=true, "
                                  "flow.dt_safety=0.8, flow.stop_tolerance=1e-8")],
     "family_eps0": [("family", "preset=degenerate_split, N=8, eps=[0]")],
+    "family_ladder_with_zero": [("family", "preset=degenerate_split, N=8, "
+                                           "offsets=[0.01, 0.01], eps=[0.2, 0.1, 0]")],
     "family_all_refused": [("family", "preset=identity, N=8, eps=[0.2, 0.1], "
                                       "phi0.modes=[[0.2, 1, 0, 0, 0, 0]]")],
     "family": [("family", "preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05], "
@@ -130,6 +137,8 @@ CONFIGS = {
                          for command in ("run", "functionals")],
     "functionals_zero": [("functionals", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
                                          "offsets=[0.01, 0.01, 0.01, 0.01]")],
+    "functionals_flat_band": [("functionals", "preset=degenerate_split, N=4, "
+                                              "offsets=[0.0001, 0.0001]")],
     "check_classes": [("check-classes", "preset=degenerate_split, N=8, "
                                         "eps=[0.2, 0.1, 0]")],
 }
