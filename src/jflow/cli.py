@@ -125,8 +125,7 @@ def _split_items(text):
 def _parse_value(text):
     text = text.strip()
     if text.startswith("["):
-        inner = text[1:-1] if text.endswith("]") else text[1:]
-        return [_parse_value(v) for v in _split_items(inner)]
+        return [_parse_value(v) for v in _split_items(text[1:-1])]
     low = text.lower()
     if low in ("true", "yes", "on"):
         return True
@@ -148,9 +147,10 @@ def _parse_value(text):
 def parse_config(text, out=None):
     """Parse and validate; raises ConfigError listing every problem.  A
     given ``out`` (the --out flag) replaces the output directory as a path,
-    never parsed as a number."""
+    never parsed as a number.  Lines and items that start with ``#`` are comments."""
     cfg = RunConfig()
     problems = []
+    text = "\n".join(line for line in text.split("\n") if not line.lstrip().startswith("#"))
     for item in _split_items(text):
         if item.startswith("#"):
             continue
@@ -159,6 +159,9 @@ def parse_config(text, out=None):
             continue
         key, _, raw = item.partition("=")
         key = key.strip()
+        if raw.count("[") != raw.count("]"):
+            problems.append(f"{key}: unbalanced brackets in {raw.strip()!r}")
+            continue
         value = _parse_value(raw)
         lower = key.lower()
         if "." in lower:
@@ -391,6 +394,13 @@ def _cmd_check_classes(cfg, record, out):
     return record
 
 
+def _record_verdict(record, name, verdict, tag=""):
+    """Record a monitor's MonitorVerdict as verdict ``<tag><name>`` and each
+    of its failures as the line ``<tag><failure>``."""
+    record.verdicts[f"{tag}{name}"] = verdict.ok
+    record.failures.extend(f"{tag}{f}" for f in verdict.failures)
+
+
 def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     """Write a finished run's history to series.csv and its final potential
     to fields/final.jflw (both names suffixed -eps<eps> for a family
@@ -404,13 +414,9 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     record.scalars.update({f"{tag}{k}": getattr(traj, k) for k in (
         "steps", "rejections", "rhs_evals", "radius_evals", "rkc_stages_max",
         "rkc_stages_median")})
-    mp = max_principle_monitor(traj) if len(traj.rows) >= 3 else None
-    if mp is not None:
-        record.verdicts[f"{tag}max_principle"] = mp.ok
-        if not mp.ok:
-            record.failures.extend(f"{tag}{f}" for f in mp.failures)
-    tb = trace_bound_check(traj)
-    record.verdicts[f"{tag}trace_bound"] = tb.ok
+    if len(traj.rows) >= 3:
+        _record_verdict(record, "max_principle", max_principle_monitor(traj), tag)
+    _record_verdict(record, "trace_bound", trace_bound_check(traj), tag)
     js = [r.j for r in traj.rows]
     record.verdicts[f"{tag}j_nonincreasing"] = all(
         b <= a + 1e-12 for a, b in zip(js, js[1:])
@@ -421,7 +427,7 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
         except ConfigError as err:
             record.failures.append(f"{tag}q_monitor not evaluated: {err}")
         else:
-            record.verdicts[f"{tag}q_monitor"] = verdict.ok
+            _record_verdict(record, "q_monitor", verdict, tag)
             record.scalars[f"{tag}q_max_final"] = series[-1][1]
 
 
@@ -458,8 +464,7 @@ def _cmd_family(cfg, record, out):
         budget_phi=cfg.budget.get("sup_phi"),
         budget_phidot=cfg.budget.get("sup_phidot"),
     )
-    record.verdicts["uniform_bounds"] = est.ok
-    record.failures.extend(est.failures)
+    _record_verdict(record, "uniform_bounds", est)
     for m in report.members:
         if m.ok:
             _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)

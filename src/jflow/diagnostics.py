@@ -16,7 +16,7 @@ import numpy as np
 
 from .cohomology import _LOCUS_TOL
 from .errors import ConfigError, FitError, check_numbers
-from .flow import MonitorVerdict, _trace_bound_excess
+from .flow import _MONITOR_TOL, MonitorVerdict
 from .torus import ScalarField
 
 FIT_BAND = (1e-3, 0.5)
@@ -88,22 +88,24 @@ def uniformity_report(family, budget_phi=None, budget_phidot=None):
                 failures.append(
                     f"eps={m.eps}: {what} {sup:.6g} exceeds budget {budget:.6g}"
                 )
-    if len(members) >= 2:
-        sups = [m.trajectory.final_potential().mean_normalized().sup() for m in members]
-        for (hi, lo, s_hi, s_lo) in zip(members, members[1:], sups, sups[1:]):
-            if s_lo > _TREND_RATIO * s_hi:
-                failures.append(
-                    f"divergent trend between eps={hi.eps} and eps={lo.eps}: "
-                    f"sup ratio {s_lo / s_hi:.4f} > {_TREND_RATIO}"
-                )
+    sups = [m.trajectory.final_potential().mean_normalized().sup() for m in members]
+    for (hi, lo, s_hi, s_lo) in zip(members, members[1:], sups, sups[1:]):
+        if s_lo > _TREND_RATIO * s_hi:
+            failures.append(
+                f"divergent trend between eps={hi.eps} and eps={lo.eps}: "
+                f"sup ratio {s_lo / s_hi:.4f} > {_TREND_RATIO}"
+            )
     return MonitorVerdict(not failures, tuple(failures))
 
 
 def trace_bound_check(traj):
     """sup tr_{chi} omega_eps <= c_eps + sup|phi_dot(0)| + flow._MONITOR_TOL
-    at every history row (the flow identity tr = c - phi_dot turns the lower
-    metric bound into this trace form); failures are (t, trace_sup, bound)."""
-    failures = tuple(_trace_bound_excess(traj))
+    at every history row.  The flow identity tr = c_eps - phi_dot makes the
+    sup of the trace c_eps - inf phi_dot, which turns the lower metric bound
+    into this trace form; failures are (t, "trace bound exceeded", excess)."""
+    bound = traj.c_eps + traj.sup_phidot0 + _MONITOR_TOL
+    failures = tuple((row.t, "trace bound exceeded", (traj.c_eps - row.min_phidot) - bound)
+                     for row in traj.rows if traj.c_eps - row.min_phidot > bound)
     return MonitorVerdict(not failures, failures)
 
 
@@ -139,8 +141,8 @@ def singular_profile_fit(u, s2, band=FIT_BAND):
 
 
 def q_values(phi, u, s2, cfg, c0=None):
-    """The barrier quantity Q = log u - A*phi_tilde + 1/(phi_tilde + C0)
-    with phi_tilde = phi - delta log s2, masked on the divisor locus.
+    """The barrier quantity Q = log u - A*phi_tilde + 1/(phi_tilde + C0) of
+    arrays, with phi_tilde = phi - delta log s2, masked on the divisor locus.
 
     A missing shift ``c0`` is chosen here, as max(1.5 - min phi_tilde, 1.5),
     so that phi_tilde + C0 >= 1 with margin; ``q_monitor`` does so at t = 0
@@ -148,9 +150,6 @@ def q_values(phi, u, s2, cfg, c0=None):
     Raises ConfigError when the locus mask eats more than 1% of the grid or
     the shift cannot keep the reciprocal term in [0, 1].
     """
-    phi = np.asarray(phi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
     off = s2 >= _LOCUS_TOL
     if off.sum() < 0.99 * s2.size:
         raise ConfigError(
@@ -173,7 +172,7 @@ def q_monitor(traj, div, cfg):
     boundedness assertion q_max(t) <= q_max(0) + 1.
 
     Works on both backends, with the s2 proxy of the divisor ``div``.
-    Returns (series, verdict).
+    Returns (series, verdict), the verdict's failures (t, what, by) triples.
     """
     cfg.validate_against(div)
     series = []
@@ -187,9 +186,8 @@ def q_monitor(traj, div, cfg):
         q, c0 = q_values(phi4.values, u, s2, cfg, c0)
         series.append((t, q))
     q0 = series[0][1]
-    failures = tuple(
-        (t, q, q0 + _Q_SLACK) for t, q in series if q > q0 + _Q_SLACK
-    )
+    failures = tuple((t, "q_max above q_max(0) + 1", q - (q0 + _Q_SLACK))
+                     for t, q in series if q > q0 + _Q_SLACK)
     return series, MonitorVerdict(not failures, failures)
 
 
@@ -204,12 +202,12 @@ def _trace_field(traj, snap, grid):
 
 def compare_up_to_constant(a, b, mask=None):
     """sup over the mask of |a - b - mean_mask(a - b)|: the distance between
-    potentials modulo additive constants (a pseudometric); fields must share a lattice."""
-    if isinstance(a, ScalarField) and isinstance(b, ScalarField) and a.grid != b.grid:
+    potentials modulo additive constants (a pseudometric), ScalarFields on one lattice."""
+    if not (isinstance(a, ScalarField) and isinstance(b, ScalarField)):
+        raise TypeError("compare_up_to_constant: a and b must be ScalarFields")
+    if a.grid != b.grid:
         raise ValueError(f"compare_up_to_constant: grids differ ({a.grid} vs {b.grid})")
-    av = a.values if isinstance(a, ScalarField) else np.asarray(a)
-    bv = b.values if isinstance(b, ScalarField) else np.asarray(b)
-    diff = av - bv
+    diff = a.values - b.values
     if mask is not None:
         if not np.any(mask):
             raise ValueError("compare_up_to_constant: empty mask")

@@ -1012,9 +1012,9 @@ class MonitorVerdict:
 
 
 def max_principle_monitor(traj):
-    """sup phi_dot must not increase, inf phi_dot must not decrease, and the
-    trace of omega_eps in chi never exceeds c_eps + sup|phi_dot(0)|, each up
-    to _MONITOR_TOL."""
+    """sup phi_dot must not increase and inf phi_dot must not decrease from
+    one history row to the next, each up to _MONITOR_TOL; failures are
+    (t, what, by) triples."""
     rows = traj.rows
     if len(rows) < 3:
         raise ValueError("max_principle_monitor needs at least 3 history rows")
@@ -1028,24 +1028,4 @@ def max_principle_monitor(traj):
             failures.append(
                 (cur.t, "inf phi_dot decreased", prev.min_phidot - cur.min_phidot)
             )
-    failures += [
-        (t, "trace bound exceeded", trace_sup - bound)
-        for t, trace_sup, bound in _trace_bound_excess(traj)
-    ]
     return MonitorVerdict(not failures, tuple(failures))
-
-
-def _trace_bound_excess(traj):
-    """Rows where sup tr_{chi} omega_eps exceeds c_eps + sup|phi_dot(0)| +
-    _MONITOR_TOL, as (t, trace_sup, bound) triples.
-
-    The flow identity tr = c_eps - phi_dot pointwise makes the sup of the
-    trace c_eps - inf phi_dot, which turns the lower metric bound into this
-    trace form.
-    """
-    bound = traj.c_eps + traj.sup_phidot0 + _MONITOR_TOL
-    return [
-        (row.t, traj.c_eps - row.min_phidot, bound)
-        for row in traj.rows
-        if traj.c_eps - row.min_phidot > bound
-    ]

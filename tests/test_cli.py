@@ -10,6 +10,7 @@ from jflow.cli import (
     _SECTION_KEYS,
     _TOP_KEYS,
     RunRecord,
+    _record_verdict,
     _section,
     build_problem,
     execute,
@@ -21,6 +22,7 @@ from jflow.cli import (
 )
 from jflow.diagnostics import PROXY_NOTE
 from jflow.errors import ConfigError
+from jflow.flow import MonitorVerdict
 from jflow.io import read_field
 from jflow.presets import PRESET_NAMES, cosine_modes
 
@@ -53,6 +55,26 @@ class TestParseConfig:
     def test_comment_items_are_skipped(self):
         cfg = parse_config("# a comment\npreset=identity, # N=12\neps=[0.1]")
         assert (cfg.preset, cfg.n, cfg.eps) == ("identity", 8, [0.1])
+
+    def test_comment_lines_are_dropped_whole(self):
+        # a comment line's commas do not split it into items that would be read
+        cfg = parse_config("preset=identity\n# N=12, eps=[0.1]\n  # eps=[0.3], N=4")
+        default = parse_config("preset=identity")
+        assert (cfg.n, cfg.eps) == (default.n, default.eps) == (8, [0.0])
+
+    def test_hash_inside_a_value_stays(self):
+        assert parse_config("preset=identity, out=runs/#1\n").out == "runs/#1"
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("preset=degenerate_split, eps=[0.2, 0.1", "eps", "[0.2, 0.1"),
+        ("preset=degenerate_split, offsets=[0.01, 0.01", "offsets", "[0.01, 0.01"),
+        ("preset=nonsplit_perturbed, phi0.modes=[[0.002, 1, 0, 0, 0]",
+         "phi0.modes", "[[0.002, 1, 0, 0, 0]"),
+    ])
+    def test_unclosed_bracket_names_its_key(self, text, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [f"{key}: unbalanced brackets in {value!r}"]
 
     def test_degenerate_defaults(self):
         cfg = parse_config("preset=degenerate_split")
@@ -184,6 +206,17 @@ class TestRecords:
         write_record(path, rec)
         back = read_record(path)
         assert back == rec
+
+    def test_every_verdict_records_its_failure_lines(self):
+        # a family member's Q-monitor: the verdict and each (t, what, by)
+        # line carry the member's tag; a passing verdict adds no line
+        record = RunRecord("family", "hash", "now")
+        failing = MonitorVerdict(False, ((1.0, "q_max above q_max(0) + 1", 0.5),))
+        _record_verdict(record, "q_monitor", failing, "eps=0.1:")
+        _record_verdict(record, "trace_bound", MonitorVerdict(True, ()), "eps=0.1:")
+        assert record.verdicts == {"eps=0.1:q_monitor": False, "eps=0.1:trace_bound": True}
+        assert record.failures == ["eps=0.1:(1.0, 'q_max above q_max(0) + 1', 0.5)"]
+        assert not record.ok
 
     def test_corrupt_record(self, tmp_path):
         path = tmp_path / "run.json"
@@ -672,6 +705,20 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: offsets:" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("text, key", [
+        ("preset=degenerate_split, eps=[0.2, 0.1", "eps"),
+        ("preset=degenerate_split, offsets=[0.01, 0.01", "offsets"),
+    ])
+    def test_unclosed_bracket_exit_2(self, tmp_path, monkeypatch, capsys, text, key):
+        # the list once ran as if closed at the end of the config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{text}\n")
+        code = main(["--command", "run", "--config", "run.cfg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: unbalanced brackets" in err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_numeric_out_flag_is_a_path(self, tmp_path, monkeypatch):

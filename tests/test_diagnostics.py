@@ -15,7 +15,15 @@ from jflow.diagnostics import (
     uniformity_report,
 )
 from jflow.errors import ConfigError, FitError
-from jflow.flow import FlowConfig, MonitorVerdict, epsilon_family
+from jflow.flow import (
+    _MONITOR_TOL,
+    FlowConfig,
+    HistoryRow,
+    MonitorVerdict,
+    Trajectory,
+    epsilon_family,
+    max_principle_monitor,
+)
 from jflow.presets import build_preset, make_divisor
 from jflow.split import SplitPotential
 from jflow.torus import Grid, ScalarField
@@ -100,6 +108,35 @@ class TestTraceBound:
         traj = fam.members[0].trajectory
         last = traj.rows[-1]
         assert traj.c_eps - last.min_phidot <= traj.c_eps + 1e-6
+
+    @staticmethod
+    def _rows_traj(rows):
+        """A hand-made split trajectory with c_eps = 2 and the given
+        (t, max phi_dot, min phi_dot) rows."""
+        rows = [HistoryRow(t, 0.0, 0.0, 0.0, 1.0, hi, lo, 0.0) for t, hi, lo in rows]
+        return Trajectory("split", 0.1, 2.0, rows, [], None, "max_time", 2, 0, "rkc", 3)
+
+    def test_excess_reported(self):
+        # inf phi_dot falls by 0.1 at t = 1, which lifts the trace c - inf
+        # phi_dot above c + sup|phi_dot(0)| there
+        traj = self._rows_traj(((0.0, 1.0, -1.0), (1.0, 0.9, -1.1), (2.0, 0.8, -0.5)))
+        verdict = trace_bound_check(traj)
+        assert not verdict.ok
+        assert verdict.failures == (
+            (1.0, "trace bound exceeded", (2.0 - (-1.1)) - (2.0 + 1.0 + _MONITOR_TOL)),
+        )
+
+    def test_slow_fall_breaks_the_bound_not_the_max_principle(self):
+        # inf phi_dot falls by 0.6 tolerance per row: no row-to-row fall
+        # reaches the tolerance, but from t = 2 on the total one does
+        step = 0.6 * _MONITOR_TOL
+        traj = self._rows_traj([(float(k), 1.0, -1.0 - k * step) for k in range(5)])
+        assert max_principle_monitor(traj).ok
+        verdict = trace_bound_check(traj)
+        assert not verdict.ok
+        assert [t for t, what, _ in verdict.failures] == [2.0, 3.0, 4.0]
+        assert all(what == "trace bound exceeded" and 0.0 < by < 3 * step
+                   for _, what, by in verdict.failures)
 
 
 class TestSingularFit:
@@ -203,6 +240,22 @@ class TestQMonitor:
             assert verdict.ok
             assert len(series) == len(m.trajectory.snapshots)
 
+    def test_failures_are_t_what_by_triples(self):
+        # two hand-made snapshots on the 4-D lattice: phi = -0.4 at t = 1
+        # lowers phi_tilde by 0.4 everywhere, which lifts Q by more than
+        # A * 0.4 = 1.6 at every point, so q_max rises past q_max(0) + 1
+        pb = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01)).to_full()
+        snaps = [(0.0, ScalarField.zeros(pb.grid)),
+                 (1.0, ScalarField(pb.grid, np.full(pb.grid.shape, -0.4)))]
+        traj = Trajectory("full", 0.1, 2.0, [], snaps, snaps[-1][1], "max_time", 1, 0,
+                          "rkc", 3, chi0_form=pb.chi0)
+        series, verdict = q_monitor(traj, pb.divisor, QMonitorConfig())
+        assert not verdict.ok
+        assert len(verdict.failures) == 1
+        t, what, by = verdict.failures[0]
+        assert (t, what) == (1.0, "q_max above q_max(0) + 1")
+        assert by == series[1][1] - (series[0][1] + 1.0) and by > 0.6
+
     def test_locus_mask_cap(self):
         # at N = 8 the on-grid locus point is 1/64 > 1% of the factor grid
         pb = build_preset("degenerate_split", n=8).to_full()
@@ -261,9 +314,15 @@ class TestCompareUpToConstant:
         values = np.random.default_rng(4).normal(size=grid.shape)
         with pytest.raises(ValueError, match="compare_up_to_constant: grids differ"):
             compare_up_to_constant(ScalarField(grid, values), ScalarField(shifted, values))
-        # plain arrays are taken as given, with a field or without
-        assert compare_up_to_constant(ScalarField(grid, values), values + 1.0) < 1e-12
-        assert compare_up_to_constant(values, ScalarField(shifted, values)) == 0.0
+
+    def test_plain_arrays_are_refused(self):
+        # an array carries no lattice to check, so it is not compared
+        grid = Grid(8)
+        values = np.random.default_rng(4).normal(size=grid.shape)
+        with pytest.raises(TypeError, match="must be ScalarFields"):
+            compare_up_to_constant(ScalarField(grid, values), values + 1.0)
+        with pytest.raises(TypeError, match="must be ScalarFields"):
+            compare_up_to_constant(values, ScalarField(grid, values))
 
     def test_mask(self):
         grid = Grid(8)

@@ -17,7 +17,12 @@ from jflow.cohomology import (
     cone_condition,
     epsilon_form,
 )
-from jflow.diagnostics import compare_up_to_constant
+from jflow.diagnostics import (
+    QMonitorConfig,
+    compare_up_to_constant,
+    q_monitor,
+    trace_bound_check,
+)
 from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
 from jflow.flow import (
     FlowConfig,
@@ -28,6 +33,7 @@ from jflow.flow import (
     step,
 )
 from jflow.functionals import _energies_split
+from jflow.ma import MASolverConfig, build_alpha, solve_ma
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
 from jflow.torus import (
@@ -37,7 +43,8 @@ from jflow.torus import (
     complex_hessian,
     positivity_margin,
 )
-from oracles import _trace, energies_split, flow_rhs, rkc_error, split_critical, trace_with
+from oracles import (_trace, energies_split, flow_rhs, nonsplit_limit, rkc_error,
+                     split_critical, trace_with)
 
 
 def smooth_cfg(**kw):
@@ -644,6 +651,45 @@ class TestEvolve:
         assert np.abs(a - b).max() < 1e-9
 
 
+@pytest.fixture(scope="module")
+def degenerate4d_run():
+    """The degenerate flow (eps = 0) on ``nonsplit_perturbed``'s 4-D lattice
+    at N=8, moved off the divisor by 0.3 of the spacing in x1 and y1, from
+    phi = 0 at the default row stride of 50 (459 steps, about 0.3 s)."""
+    pb = build_preset("nonsplit_perturbed", n=8, offsets=(0.0375, 0.0375, 0.0, 0.0))
+    cfg = FlowConfig(eps=0.0, dt_safety=0.8, stop_tolerance=1e-7)
+    return pb, evolve(cfg, pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
+
+
+class TestDegenerateFourD:
+    def test_converges_to_the_closed_form_limit(self, degenerate4d_run):
+        # criterion 8's bounds at eps = 0: the residual, the distance to
+        # Newton's limit and to the closed form phi*_0 - p0 (8.8e-9 each),
+        # J monotone and the I drift (7.6e-6); the trace bound and the
+        # Q-monitor hold as well
+        pb, traj = degenerate4d_run
+        assert traj.stop_reason == "converged" and traj.final_residual <= 1e-7
+        w = epsilon_form(pb.omega0, 0.0, pb.omega_hat)
+        c = c_constant(pb.chi0_class(), pb.omega_eps_class(0.0))
+        sol = solve_ma(build_alpha(pb.chi0, w, c), c, w, MASolverConfig())
+        limit = traj.final_potential()
+        assert compare_up_to_constant(limit, sol.psi) <= 1e-4
+        assert compare_up_to_constant(limit, nonsplit_limit(pb, 0.0)) <= 1e-4
+        rows = traj.rows
+        js = [r.j for r in rows]
+        assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
+        assert max(abs(r.i - rows[0].i) for r in rows) / max(1.0, abs(rows[0].i)) <= 1e-5
+        assert trace_bound_check(traj).ok
+        assert q_monitor(traj, pb.divisor, QMonitorConfig())[1].ok
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the N=8 scheme's sup phi_dot "
+                       "rises between rows, by 4.6e-3 at t = 4.1e-4 here")
+    def test_max_principle(self, degenerate4d_run):
+        # the rows are the default stride's; a wider stride would hide the rise
+        verdict = max_principle_monitor(degenerate4d_run[1])
+        assert verdict.ok, verdict.failures
+
+
 class TestRKC:
     def test_second_order(self, smooth8):
         # dt and dt/2 runs at fixed t differ at O(dt^2)
@@ -1222,19 +1268,16 @@ class TestMaxPrincipleMonitor:
             peaks.append(max(sups))
         assert abs(peaks[0] - peaks[1]) < 1e-6
 
-    def test_inf_fall_and_trace_excess_reported(self):
-        # hand-made rows: inf phi_dot falls by 0.1 at t = 1, which lifts the
-        # trace c - inf phi_dot above c + sup|phi_dot(0)| there
+    def test_inf_fall_reported(self):
+        # hand-made rows: inf phi_dot falls by 0.1 at t = 1; the trace bound
+        # that this fall breaks is trace_bound_check's verdict, not this one's
         rows = [flow.HistoryRow(t, 0.0, 0.0, 0.0, 1.0, hi, lo, 0.0)
                 for t, hi, lo in ((0.0, 1.0, -1.0), (1.0, 0.9, -1.1), (2.0, 0.8, -0.5))]
         traj = flow.Trajectory("split", 0.1, 2.0, rows, [], None, "max_time", 2, 0,
                                "rkc", 3)
         verdict = max_principle_monitor(traj)
         assert not verdict.ok
-        assert verdict.failures == (
-            (1.0, "inf phi_dot decreased", -1.0 - (-1.1)),
-            (1.0, "trace bound exceeded", (2.0 - (-1.1)) - (2.0 + 1.0 + flow._MONITOR_TOL)),
-        )
+        assert verdict.failures == ((1.0, "inf phi_dot decreased", -1.0 - (-1.1)),)
 
     def test_needs_three_snapshots(self):
         # two hand-made history rows: too few for the monitor

@@ -7,7 +7,10 @@
 Runs a fixed set of small ``jflow`` command lines (``CONFIGS``: ``run`` on
 the split and 4-D backends, under RK4, at eps = 0 on a divisor preset with
 offsets, at eps = 0 on a lattice that samples the divisor (a config error,
-nothing written), one that the maximum-principle monitor fails, two that
+nothing written), one that the maximum-principle monitor fails, the
+degenerate flow at eps = 0 on the 4-D lattice moved off the divisor by 0.3
+of the spacing (``run_eps0_full``, which exits 1 on the maximum principle
+as that monitor finds the N=8 scheme's rise of sup phi_dot), two that
 the start refuses (the cone condition, a non-positive phi0), one with
 offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
@@ -15,7 +18,8 @@ offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
 ladder (``family_ladder_with_zero``; both config errors) and one whose
 every member the start refuses (``family_all_refused``);
 ``solve-ma`` on both backends, on the 4-D one at N=12 as well
-(``solve_ma_full_n12``) and on the split one at N=16 with offsets down to
+(``solve_ma_full_n12``) and down to eps = 0 on ``run_eps0_full``'s lattice
+(``solve_ma_full_eps0``), and on the split one at N=16 with offsets down to
 eps = 0.01 as a ladder (``solve_ma_split_ladder``), at eps = 0.01 alone
 (``solve_ma_split_cold``) and at eps = 0 (``solve_ma_split_eps0``);
 ``functionals`` on a split run's final
@@ -51,7 +55,9 @@ tool only reads ``perfbench/``.
 entries) are long enough for a BLAS to split a dot product over threads.
 It was added with ``krylov._dot``, which made those bits independent of
 the thread count and changed them once; the other 19 configs kept every
-byte through that change.
+byte through that change.  ``run_eps0_full`` and ``solve_ma_full_eps0``
+were added with the tier-1 test of the degenerate flow on the 4-D lattice,
+and no other fingerprint moved then.
 
 ``solve_ma_split_ladder`` was added when every rung of a split ladder
 began to start from the last psi, because a cold Newton start failed at
@@ -96,6 +102,9 @@ CONFIGS = {
     "run_eps0_on_divisor": [("run", "preset=degenerate_split, N=8, eps=[0]")],
     "run_max_principle_fails": [("run", "preset=nonsplit_perturbed, N=8, seed=3, "
                                         "phi0.random=true, eps=[0.1], flow.max_time=0.3")],
+    "run_eps0_full": [("run", "preset=nonsplit_perturbed, N=8, eps=[0], "
+                              "offsets=[0.0375, 0.0375, 0, 0], flow.dt_safety=0.8, "
+                              "flow.stop_tolerance=1e-7")],
     "run_cone_refused": [("run", "n=4, eps=[0.01], chi0.class=[1,1,0,0], "
                                  "omega0.class=[1,1,1.2,0], omegahat.class=[1,1,0,0]")],
     "run_start_refused": [("run", "preset=identity, N=8, eps=[0.1], "
@@ -119,6 +128,8 @@ CONFIGS = {
                           "flow.stop_tolerance=1e-8")],
     "solve_ma_full": [("solve-ma", "preset=nonsplit_perturbed, N=8, eps=[0.1]")],
     "solve_ma_full_n12": [("solve-ma", "preset=nonsplit_perturbed, N=12, eps=[0.1]")],
+    "solve_ma_full_eps0": [("solve-ma", "preset=nonsplit_perturbed, N=8, eps=[0.1, 0], "
+                                        "offsets=[0.0375, 0.0375, 0, 0]")],
     "solve_ma_split": [("solve-ma", "preset=degenerate_split, N=8, eps=[0.2, 0.1]")],
     "solve_ma_split_ladder": [("solve-ma", "preset=degenerate_split, N=16, "
                                            "offsets=[0.01, 0.01], "
