@@ -27,8 +27,8 @@ from .cohomology import (
 )
 from .diagnostics import (
     PROXY_NOTE,
-    QMonitorConfig,
     fit_points,
+    j_monotone_check,
     q_monitor,
     singular_profile_fit,
     trace_bound_check,
@@ -75,7 +75,6 @@ class RunConfig:
     seed: int = 0
     flow: dict = field(default_factory=dict)
     ma: dict = field(default_factory=dict)
-    q: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
     chi0: dict = field(default_factory=dict)
     omega0: dict = field(default_factory=dict)
@@ -87,9 +86,9 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-# the flow, ma and q sections are the library's config types, their keys
-# the types' fields (flow's eps is the top-level list)
-_SECTIONS = {"flow": FlowConfig, "ma": MASolverConfig, "q": QMonitorConfig}
+# the flow and ma sections are the library's config types, their keys the
+# types' fields (flow's eps is the top-level list)
+_SECTIONS = {"flow": FlowConfig, "ma": MASolverConfig}
 _SECTION_KEYS = {
     **{name: {f.name for f in dc_fields(t)} - {"eps"} for name, t in _SECTIONS.items()},
     "budget": {"sup_phi", "sup_phidot"},
@@ -401,7 +400,7 @@ def _record_verdict(record, name, verdict, tag=""):
     record.failures.extend(f"{tag}{f}" for f in verdict.failures)
 
 
-def _record_trajectory(cfg, problem, traj, record, out, eps=None):
+def _record_trajectory(problem, traj, record, out, eps=None):
     """Write a finished run's history to series.csv and its final potential
     to fields/final.jflw (both names suffixed -eps<eps> for a family
     member), then record its telemetry and the monitors' verdicts, prefixed
@@ -414,16 +413,12 @@ def _record_trajectory(cfg, problem, traj, record, out, eps=None):
     record.scalars.update({f"{tag}{k}": getattr(traj, k) for k in (
         "steps", "rejections", "rhs_evals", "radius_evals", "rkc_stages_max",
         "rkc_stages_median")})
-    if len(traj.rows) >= 3:
-        _record_verdict(record, "max_principle", max_principle_monitor(traj), tag)
+    _record_verdict(record, "max_principle", max_principle_monitor(traj), tag)
     _record_verdict(record, "trace_bound", trace_bound_check(traj), tag)
-    js = [r.j for r in traj.rows]
-    record.verdicts[f"{tag}j_nonincreasing"] = all(
-        b <= a + 1e-12 for a, b in zip(js, js[1:])
-    )
+    _record_verdict(record, "j_nonincreasing", j_monotone_check(traj), tag)
     if problem.divisor is not None:
         try:
-            series, verdict = q_monitor(traj, problem.divisor, _section(cfg, "q"))
+            series, verdict = q_monitor(traj, problem.divisor)
         except ConfigError as err:
             record.failures.append(f"{tag}q_monitor not evaluated: {err}")
         else:
@@ -445,7 +440,7 @@ def _cmd_run(cfg, record, out):
          "c_eps": traj.c_eps, "J_final": traj.rows[-1].j, "integrator": traj.integrator}
     )
     record.verdicts["completed"] = True
-    _record_trajectory(cfg, problem, traj, record, out)
+    _record_trajectory(problem, traj, record, out)
     return record
 
 
@@ -467,7 +462,7 @@ def _cmd_family(cfg, record, out):
     _record_verdict(record, "uniform_bounds", est)
     for m in report.members:
         if m.ok:
-            _record_trajectory(cfg, problem, m.trajectory, record, out, m.eps)
+            _record_trajectory(problem, m.trajectory, record, out, m.eps)
     family = {
         "eps": [m.eps for m in report.members],
         "sup_phi_by_eps": {str(k): v for k, v in report.sup_phi_by_eps.items()},
@@ -512,8 +507,11 @@ def _cmd_functionals(cfg, record, out):
     problem = build_problem(cfg).to_full()
     snap_path = os.path.join(out, "fields", "final.jflw")
     if os.path.exists(snap_path):
-        phi = jio.read_field(snap_path)
         source = "fields/final.jflw"
+        try:
+            phi = jio.read_field(snap_path)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"functionals: {source} is unreadable: {err}")
         if phi.grid != problem.grid:
             raise ConfigError(f"functionals: {source} is on {phi.grid}, "
                               f"the problem on {problem.grid}")

@@ -10,50 +10,20 @@ proxy-dependent while exponents are comparable: ``PROXY_NOTE`` says so
 beside every reported bound.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cohomology import _LOCUS_TOL
-from .errors import ConfigError, FitError, check_numbers
+from .errors import ConfigError, FitError
 from .flow import _MONITOR_TOL, MonitorVerdict
 from .torus import ScalarField
 
 FIT_BAND = (1e-3, 0.5)
 _FIT_MIN_POINTS = 8  # grid points in the band a profile fit needs
 _TREND_RATIO = 1.1  # largest ratio of successive limit sups down the eps ladder
+_J_TOL = 1e-12  # how far J may rise between history rows: rounding
+_Q_A = 4.0  # Q's weight A of phi_tilde; its delta is beta/2, so A*delta = 2*beta
 _Q_SLACK = 1.0  # how far q_max may rise above its value at t = 0
 PROXY_NOTE = "s2 proxy in place of |s|^2_H: constants are proxy-scaled"
-
-
-@dataclass(frozen=True)
-class QMonitorConfig:
-    """Constants of the divisor barrier quantity.
-
-    The product A*delta must dominate twice the divisor exponent beta
-    (checked against the active divisor model).  The defaults, A = 4 and
-    delta = 0.5, are the pair for the lab's divisor (beta = 1, A*delta = 2);
-    a pair with A*delta = 1, such as (10, 0.1), suits beta <= 1/2 only.  The
-    shift C0 is not a constant of the config: ``q_monitor`` works it out at
-    t = 0.
-    """
-
-    a: float = 4.0
-    delta: float = 0.5
-
-    def __post_init__(self):
-        check_numbers(self)
-        if not self.a > 1.0:
-            raise ValueError("QMonitorConfig: A must exceed 1")
-        if not self.delta > 0.0:
-            raise ValueError("QMonitorConfig: delta must be positive")
-
-    def validate_against(self, div):
-        if self.a * self.delta < 2.0 * div.beta - 1e-12:
-            raise ConfigError(
-                f"QMonitorConfig: A*delta = {self.a * self.delta:.3g} violates "
-                f"A*delta >= 2*beta = {2 * div.beta:.3g}"
-            )
 
 
 def uniformity_report(family, budget_phi=None, budget_phidot=None):
@@ -109,6 +79,15 @@ def trace_bound_check(traj):
     return MonitorVerdict(not failures, failures)
 
 
+def j_monotone_check(traj):
+    """J must not rise by more than _J_TOL from one history row to the next;
+    a NaN J fails.  Failures are (t, "J increased", by) triples."""
+    rows = traj.rows
+    failures = tuple((cur.t, "J increased", cur.j - prev.j)
+                     for prev, cur in zip(rows, rows[1:]) if not cur.j <= prev.j + _J_TOL)
+    return MonitorVerdict(not failures, failures)
+
+
 def fit_points(u, s2, band=FIT_BAND):
     """The points (-log s2, log u) a profile fit takes, as an (m, 2) array:
     the grid points with s2 in ``band`` and u > 0, in C order."""
@@ -140,9 +119,11 @@ def singular_profile_fit(u, s2, band=FIT_BAND):
     return max(float(slope), 0.0), float(np.exp(intercept))
 
 
-def q_values(phi, u, s2, cfg, c0=None):
+def q_values(phi, u, s2, beta, c0=None):
     """The barrier quantity Q = log u - A*phi_tilde + 1/(phi_tilde + C0) of
     arrays, with phi_tilde = phi - delta log s2, masked on the divisor locus.
+    The divisor exponent ``beta`` fixes the constants: A = 4 and delta =
+    beta/2 meet the estimate's A*delta >= 2*beta with equality.
 
     A missing shift ``c0`` is chosen here, as max(1.5 - min phi_tilde, 1.5),
     so that phi_tilde + C0 >= 1 with margin; ``q_monitor`` does so at t = 0
@@ -156,25 +137,25 @@ def q_values(phi, u, s2, cfg, c0=None):
             f"q_monitor: locus mask covers {(1 - off.sum() / s2.size) * 100:.2f}% "
             "of the grid (> 1%); shift the grid offsets"
         )
-    phit = phi[off] - cfg.delta * np.log(s2[off])
+    phit = phi[off] - 0.5 * beta * np.log(s2[off])
     if c0 is None:
         c0 = max(1.5 - float(phit.min()), 1.5)
     if float(phit.min()) + c0 < 1.0:
         raise ConfigError(
             f"q_monitor: phi_tilde + C0 dips to {float(phit.min()) + c0:.3g} < 1"
         )
-    q = np.log(u[off]) - cfg.a * phit + 1.0 / (phit + c0)
+    q = np.log(u[off]) - _Q_A * phit + 1.0 / (phit + c0)
     return float(q.max()), c0
 
 
-def q_monitor(traj, div, cfg):
+def q_monitor(traj, div):
     """Evaluate Q on every retained snapshot of a run and check the
     boundedness assertion q_max(t) <= q_max(0) + 1.
 
-    Works on both backends, with the s2 proxy of the divisor ``div``.
-    Returns (series, verdict), the verdict's failures (t, what, by) triples.
+    Works on both backends, with the s2 proxy and the exponent of the
+    divisor ``div``.  Returns (series, verdict), the verdict's failures
+    (t, what, by) triples.
     """
-    cfg.validate_against(div)
     series = []
     c0 = s2 = None
     for t, snap in traj.snapshots:
@@ -183,7 +164,7 @@ def q_monitor(traj, div, cfg):
         if s2 is None:  # every snapshot is on the run's lattice
             s2 = div.s2_proxy(grid).values
         u = _trace_field(traj, snap, grid)
-        q, c0 = q_values(phi4.values, u, s2, cfg, c0)
+        q, c0 = q_values(phi4.values, u, s2, div.beta, c0)
         series.append((t, q))
     q0 = series[0][1]
     failures = tuple((t, "q_max above q_max(0) + 1", q - (q0 + _Q_SLACK))

@@ -69,14 +69,16 @@ def write_scalar(path, field):
 
 def read_field(path):
     """Read a scalar snapshot; returns a ScalarField on the grid it was
-    written from."""
+    written from.  A file shorter than its header's N implies is refused
+    before any value is read."""
     with open(path, "rb") as fh:
         grid, ncomp = _read_header(fh, path)
         if ncomp != 1:
             raise ValueError(f"{path}: unsupported component count {ncomp}")
-        buf = fh.read(8 * grid.n ** 4)
-    if len(buf) != 8 * grid.n ** 4:
-        raise ValueError(f"{path}: truncated snapshot")
+        size = 8 * grid.n ** 4
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+            raise ValueError(f"{path}: truncated snapshot")
+        buf = fh.read(size)
     return ScalarField(grid, np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
 
 

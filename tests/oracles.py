@@ -9,8 +9,9 @@ density by finite differences; ``j_closed_split`` and ``i_functional_split``
 evaluate J and I on split data, and ``energies_split`` (on
 ``split_wedge_mean``) is the per-wedge reference for the factor means
 they read; ``rkc_error`` is RKC's error ratio with one RMS per norm; ``split_critical`` is the closed-form
-critical point of the product ansatz, and ``nonsplit_limit`` the closed-form
-limit of ``nonsplit_perturbed`` built on it; ``flow_rhs`` is the flow velocity
+critical point of the product ansatz, and ``degenerate_limit`` and
+``nonsplit_limit`` the closed-form limits of ``degenerate_split`` and
+``nonsplit_perturbed`` built on it; ``flow_rhs`` is the flow velocity
 through the public form API, with its positivity check.  ``trace_with`` (and
 its raw ``_trace``), ``_critical_density`` and ``integrate`` are the
 pointwise trace, the J-gradient density and the integral of a top form,
@@ -222,18 +223,24 @@ def split_critical(f, g, fgrid):
     return c1, c2, phi1, phi2
 
 
+def degenerate_limit(fgrid, eps):
+    """The limit of ``degenerate_split`` at ``eps`` on the factor lattice
+    ``fgrid`` in closed form, up to an additive constant: the split critical
+    point phi*_eps of omega_eps = diag(f + eps, 1 + eps), a SplitPotential."""
+    f = degenerate_profile(fgrid) + eps
+    _, _, p1, p2 = split_critical(f, np.full(fgrid.shape, 1.0 + eps), fgrid)
+    return SplitPotential(fgrid, np.stack((p1, p2)))
+
+
 def nonsplit_limit(problem, eps):
     """The limit of ``nonsplit_perturbed`` at ``eps`` in closed form, up to
     an additive constant: phi*_eps - p0.  Its chi0 is the identity form of
     ``degenerate_split`` plus dd^c p0, and the critical metric depends only
-    on the class, so the limit is the split critical point phi*_eps of
-    omega_eps = diag(f + eps, 1 + eps), assembled, minus p0.  p0 is the
-    preset's own chi0 potential, so the oracle cannot drift from it."""
+    on the class, so the limit is ``degenerate_limit``'s phi*_eps, assembled,
+    minus p0.  p0 is the preset's own chi0 potential, so the oracle cannot
+    drift from it."""
     grid = problem.grid
-    fgrid = Grid(grid.n, grid.offsets[:2])
-    f = degenerate_profile(fgrid) + eps
-    _, _, p1, p2 = split_critical(f, np.full(fgrid.shape, 1.0 + eps), fgrid)
-    phi = SplitPotential(fgrid, np.stack((p1, p2))).assemble(grid)
+    phi = degenerate_limit(Grid(grid.n, grid.offsets[:2]), eps).assemble(grid)
     return ScalarField(grid, phi.values - problem.chi0.potential.values)
 
 

@@ -15,8 +15,8 @@ import pytest
 
 from jflow.cohomology import c_constant, epsilon_form
 from jflow.diagnostics import (
-    QMonitorConfig,
     compare_up_to_constant,
+    j_monotone_check,
     q_monitor,
     singular_profile_fit,
     trace_bound_check,
@@ -310,8 +310,7 @@ def test_criterion_8_full_4d_backend(nonsplit_run):
     rs = [r for r in sol.residuals if r > 1e-14]
     quad_tail = len(rs) >= 3 and all(b <= 20.0 * a * a for a, b in zip(rs[-3:], rs[-2:]))
     rows = traj.rows
-    js = [r.j for r in rows]
-    j_monotone = all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
+    j_monotone = j_monotone_check(traj).ok
     i_drift = max(abs(r.i - rows[0].i) for r in rows) / max(1.0, abs(rows[0].i))
     report(8, "full 4-D backend", [
         (traj.final_residual <= 1e-7,
@@ -339,9 +338,8 @@ def test_criterion_9_monitors(family_run, random_init_runs):
     gamma0, _ = singular_profile_fit(u_flat, s2)
     checks.append((gamma0 <= 0.05, f"bounded-profile exponent {gamma0:.3f} ~ 0"))
 
-    qcfg = QMonitorConfig(a=4.0, delta=0.5)
     for m in fam.members:
-        series, verdict = q_monitor(m.trajectory, pb.divisor, qcfg)
+        series, verdict = q_monitor(m.trajectory, pb.divisor)
         q0, qmax = series[0][1], max(q for _, q in series)
         checks.append((verdict.ok,
                        f"eps={m.eps:g}: q_max {qmax:.3f} <= q(0)+1 = {q0 + 1:.3f}"))

@@ -1,10 +1,13 @@
 import json
 import os
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jflow import cli
 from jflow.cli import (
     COMMANDS,
     _SECTION_KEYS,
@@ -81,8 +84,6 @@ class TestParseConfig:
         assert cfg.n == 16
         assert cfg.divisor is True
         assert cfg.eps == [0.2, 0.1, 0.05]
-        q = _section(cfg, "q")
-        assert (q.a, q.delta) == (4.0, 0.5)
 
     @pytest.mark.parametrize("text, n, eps, divisor, budget", [
         ("preset=identity", 8, [0.0], False, {}),
@@ -152,12 +153,14 @@ class TestParseConfig:
                 parse_config(f"preset=identity, {key}=0.5")
 
     def test_retired_run_knobs_are_not_keys(self):
-        # fixed-step runs go through flow.step; q_monitor works C0 out at t = 0;
-        # eps = 0 needs a lattice off the divisor, not an acknowledgement
-        for key in ("flow.fixed_dt", "q.c0_shift", "flow.allow_degenerate"):
-            section = key.partition(".")[0]
-            with pytest.raises(ConfigError,
-                               match=f"unknown key '{key}' in section '{section}'"):
+        # fixed-step runs go through flow.step; eps = 0 needs a lattice off
+        # the divisor, not an acknowledgement; q_monitor works C0 out at t = 0
+        # and A and delta from the divisor, so no q section is left
+        for key in ("flow.fixed_dt", "flow.allow_degenerate"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'flow'"):
+                parse_config(f"preset=degenerate_split, {key}=0.5")
+        for key in ("q.c0_shift", "q.a", "q.delta"):
+            with pytest.raises(ConfigError, match=f"unknown section: '{key}'"):
                 parse_config(f"preset=degenerate_split, {key}=0.5")
 
     def test_backend_is_not_a_key(self):
@@ -174,9 +177,9 @@ class TestParseConfig:
         ("preset=identity, N=4, ma.newton_tol=-1", "ma"),
         ("preset=identity, flow.snapshot_stride=0", "flow"),
         ("preset=identity, flow.max_time=abc", "flow"),
-        ("preset=degenerate_split, q.a=0.5", "q"),
-        ("preset=degenerate_split, N=8, q.delta=true", "q"),
-        ("preset=degenerate_split, N=8, q.a=inf", "q"),
+        ("preset=degenerate_split, flow.dt_safety=1.5", "flow"),
+        ("preset=degenerate_split, N=8, flow.dt_safety=true", "flow"),
+        ("preset=degenerate_split, N=8, ma.newton_tol=inf", "ma"),
         ("preset=identity, ma.max_newton=2.5", "ma"),
         ("preset=identity, flow.dt_safety=[1]", "flow"),
         ("preset=identity, offsets=0.1", "offsets"),
@@ -483,6 +486,25 @@ class TestExecute:
         assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("cut", ["values", "header"])
+    def test_functionals_on_an_unreadable_snapshot(self, tmp_path, cut):
+        # a snapshot cut inside its values, or a header whose N = 65536
+        # implies 8 N^4 bytes (more than a read can ask for): both are
+        # truncated, a failure line in run.json, before any value is read
+        text = (f"preset=smooth_split, N=8, out={tmp_path}, flow.max_time=0.2,"
+                " flow.stop_tolerance=1e-6, flow.dt_safety=0.8")
+        execute(parse_config(text), "run")
+        path = tmp_path / "fields" / "final.jflw"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] if cut == "values"
+                         else raw[:6] + struct.pack("<I", 65536) + raw[10:])
+        record, code = execute(parse_config(text), "functionals")
+        assert code == 1 and not record.verdicts["completed"]
+        assert record.failures == [f"ConfigError: functionals: fields/final.jflw is "
+                                   f"unreadable: {path}: truncated snapshot"]
+        assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
+        assert not (tmp_path / "report.json").exists()
+
     def test_determinism_bitwise_csv(self, tmp_path):
         texts = []
         for sub in ("a", "b"):
@@ -523,6 +545,39 @@ class TestExecute:
         stored = read_record(tmp_path / "run.json")
         assert stored.verdicts == record.verdicts
 
+    def test_run_records_j_failure_lines(self, tmp_path, monkeypatch):
+        # the flow keeps J nonincreasing, so the last row's J is lifted
+        # after the run: the verdict fails with one (t, what, by) line
+        kept = []
+
+        def lifted(*args, **kwargs):
+            traj = cli_evolve(*args, **kwargs)
+            traj.rows[-1] = replace(traj.rows[-1], j=traj.rows[-2].j + 0.5)
+            kept.append(traj)
+            return traj
+
+        cli_evolve = cli.evolve
+        monkeypatch.setattr(cli, "evolve", lifted)
+        cfg = parse_config(f"preset=smooth_split, N=8, out={tmp_path}, flow.max_time=0.05")
+        record, code = execute(cfg, "run")
+        assert code == 1 and not record.verdicts["j_nonincreasing"]
+        last, before = kept[0].rows[-1], kept[0].rows[-2]
+        assert record.failures == [str((last.t, "J increased", last.j - before.j))]
+        assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
+
+    @pytest.mark.parametrize("text, ok", [
+        # phi = 0 is the identity preset's limit: one row
+        ("preset=identity, N=8, eps=[0]", True),
+        # the first and last rows only, between which sup phi_dot rises
+        ("preset=nonsplit_perturbed, N=8, eps=[0.1], offsets=[0.01, 0.01, 0.01, 0.01],"
+         " flow.max_time=1e-4, flow.snapshot_stride=100000", False),
+    ])
+    def test_max_principle_is_decided_on_every_run(self, tmp_path, text, ok):
+        record, code = execute(parse_config(f"{text}, out={tmp_path}"), "run")
+        assert record.verdicts["max_principle"] is ok and code == (0 if ok else 1)
+        assert all("sup phi_dot increased" in f for f in record.failures)
+        assert len(record.failures) == (0 if ok else 1)
+
     def test_eps_zero_off_the_divisor_passes(self, tmp_path):
         # the degenerate flow itself, on a lattice off the divisor: every
         # verdict passes, the q-monitor's too
@@ -538,7 +593,7 @@ class TestExecute:
         text = (f"preset=degenerate_split, N=8, divisor=false, offsets=[0.01, 0.01],"
                 f" out={tmp_path}, flow.max_time=0.05")
         cfg = parse_config(text + ", eps=[0.1]")
-        assert build_problem(cfg).divisor is None and cfg.q == {}
+        assert build_problem(cfg).divisor is None
         record, code = execute(cfg, "run")
         assert code == 0 and "q_monitor" not in record.verdicts
         # the lattice still samples the preset's divisor at zero offsets
@@ -621,15 +676,15 @@ class TestMain:
         ("solve-ma", "preset=identity, N=4, ma.newton_tol=-1"),
         ("run", "preset=identity, N=4, flow.snapshot_stride=0"),
         ("run", "preset=identity, N=4, flow.max_time=abc"),
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=0.5"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], flow.dt_safety=1.5"),
         # no end time, or a tolerance that any state meets
         ("run", "preset=smooth_split, N=8, flow.max_time=inf"),
         ("run", "preset=smooth_split, N=8, flow.stop_tolerance=inf"),
         # a bool is no number, and every section refuses values that are not finite
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=true"),
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.a=inf"),
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=inf"),
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], q.delta=1e400"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], flow.dt_safety=true"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], flow.dt_safety=inf"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], ma.newton_tol=inf"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], ma.newton_tol=1e400"),
         ("solve-ma", "preset=identity, N=4, ma.newton_tol=inf"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, text):
@@ -753,7 +808,7 @@ class TestConfigFuzz:
     @settings(derandomize=True, deadline=None, max_examples=400, database=None)
     @given(st.sampled_from(PRESET_NAMES), _config_texts)
     @example("identity", "flow.max_time=abc")
-    @example("identity", "flow.max_time=2.5, ma.max_newton=8, q.delta=0.5")
+    @example("identity", "flow.max_time=2.5, ma.max_newton=8")
     def test_parse_returns_or_raises_config_error(self, preset, text):
         try:
             cfg = parse_config(f"preset={preset}, {text}")
@@ -762,4 +817,3 @@ class TestConfigFuzz:
         # whatever parses must build the library's config types
         _section(cfg, "flow", eps=0.1)
         _section(cfg, "ma")
-        _section(cfg, "q")

@@ -5,9 +5,9 @@ import pytest
 
 from jflow.diagnostics import (
     FIT_BAND,
-    QMonitorConfig,
     compare_up_to_constant,
     fit_points,
+    j_monotone_check,
     q_monitor,
     q_values,
     singular_profile_fit,
@@ -139,6 +139,33 @@ class TestTraceBound:
                    for _, what, by in verdict.failures)
 
 
+class TestJMonotone:
+    @staticmethod
+    def _j_traj(rows):
+        """A hand-made split trajectory with the given (t, J) rows."""
+        rows = [HistoryRow(t, 0.0, j, 0.0, 1.0, 0.0, 0.0, 0.0) for t, j in rows]
+        return Trajectory("split", 0.1, 2.0, rows, [], None, "max_time", 2, 0, "rkc", 3)
+
+    def test_rise_reported(self):
+        # J rises by 0.25 at t = 1 and by rounding only at t = 3
+        traj = self._j_traj(((0.0, 1.0), (1.0, 1.25), (2.0, 0.5), (3.0, 0.5 + 1e-13)))
+        verdict = j_monotone_check(traj)
+        assert not verdict.ok
+        assert verdict.failures == ((1.0, "J increased", 0.25),)
+
+    def test_nan_fails(self):
+        # no comparison with a NaN holds: the row of the NaN and the next fail
+        verdict = j_monotone_check(self._j_traj(((0.0, 1.0), (1.0, np.nan), (2.0, 0.5))))
+        assert not verdict.ok
+        assert [t for t, what, _ in verdict.failures] == [1.0, 2.0]
+        assert all(what == "J increased" and np.isnan(by) for _, what, by in verdict.failures)
+
+    def test_one_row_and_runs_pass(self, family12):
+        assert j_monotone_check(self._j_traj(((0.0, 1.0),))).ok
+        for m in family12[1].members:
+            assert j_monotone_check(m.trajectory).ok
+
+
 class TestSingularFit:
     def test_bounded_profile_gives_zero(self):
         pb = build_preset("degenerate_split", n=16)
@@ -200,43 +227,22 @@ class TestSingularFit:
 
 
 class TestQMonitor:
-    def test_config_invariant(self):
-        pb = build_preset("degenerate_split", n=8)
-        cfg = QMonitorConfig(a=10.0, delta=0.1)  # A*delta = 1 < 2*beta = 2
-        with pytest.raises(ConfigError, match="A\\*delta = 1 violates"):
-            cfg.validate_against(pb.divisor)
-        QMonitorConfig(a=4.0, delta=0.5).validate_against(pb.divisor)
-
-    def test_defaults_suit_the_lab_divisor(self):
-        # make_divisor builds the one divisor the presets use, beta = 1
-        div = make_divisor(Grid(8, (0.0, 0.0)))
+    def test_constants_of_the_lab_divisor(self):
+        # make_divisor builds the one divisor the presets use, beta = 1: Q's
+        # constants are A = 4 and delta = beta/2 = 0.5, so A*delta = 2*beta
+        div = make_divisor(Grid(8, (0.01, 0.01)))
         assert div.beta == 1.0
-        cfg = QMonitorConfig()
-        assert (cfg.a, cfg.delta) == (4.0, 0.5)
-        cfg.validate_against(div)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            QMonitorConfig(a=0.5)
-        with pytest.raises(ValueError):
-            QMonitorConfig(delta=-1.0)
-
-    @pytest.mark.parametrize("field, value", [
-        ("delta", np.True_), ("delta", True), ("a", np.float32(np.inf)), ("a", np.float64(np.nan)),
-    ])
-    def test_refuses_numpy_bools_and_non_finite_numbers(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
-            QMonitorConfig(**{field: value})
-
-    def test_numpy_numbers_are_numbers(self):
-        cfg = QMonitorConfig(a=np.float32(20.0), delta=np.float64(0.1))
-        assert cfg.a * cfg.delta == pytest.approx(2.0)
+        s2 = div.s2_proxy(Grid(8, (0.01, 0.01, 0.01, 0.01))).values
+        u = np.full(s2.shape, 2.0)
+        phit = -0.5 * np.log(s2)
+        c0 = 1.5 - phit.min()
+        want = (np.log(2.0) - 4.0 * phit + 1.0 / (phit + c0)).max()
+        assert q_values(np.zeros(s2.shape), u, s2, div.beta) == (want, c0)
 
     def test_bounded_on_family_runs(self, family12):
         pb, fam = family12
-        cfg = QMonitorConfig()
         for m in fam.members:
-            series, verdict = q_monitor(m.trajectory, pb.divisor, cfg)
+            series, verdict = q_monitor(m.trajectory, pb.divisor)
             assert verdict.ok
             assert len(series) == len(m.trajectory.snapshots)
 
@@ -249,7 +255,7 @@ class TestQMonitor:
                  (1.0, ScalarField(pb.grid, np.full(pb.grid.shape, -0.4)))]
         traj = Trajectory("full", 0.1, 2.0, [], snaps, snaps[-1][1], "max_time", 1, 0,
                           "rkc", 3, chi0_form=pb.chi0)
-        series, verdict = q_monitor(traj, pb.divisor, QMonitorConfig())
+        series, verdict = q_monitor(traj, pb.divisor)
         assert not verdict.ok
         assert len(verdict.failures) == 1
         t, what, by = verdict.failures[0]
@@ -262,8 +268,7 @@ class TestQMonitor:
         grid = pb.grid
         s2 = pb.divisor.s2_proxy(grid).values
         with pytest.raises(ConfigError, match="mask"):
-            q_values(np.zeros(grid.shape), np.full(grid.shape, 2.0), s2,
-                     QMonitorConfig(a=4.0, delta=0.5))
+            q_values(np.zeros(grid.shape), np.full(grid.shape, 2.0), s2, pb.divisor.beta)
 
     def test_shift_too_small_is_refused(self):
         # off the locus phi_tilde = -0.5 log s2 >= -0.5 log 2: C0 = 1 leaves
@@ -271,7 +276,7 @@ class TestQMonitor:
         # keeps it at 1.5
         pb = build_preset("degenerate_split", n=8, offsets=(0.01, 0.01)).to_full()
         s2 = pb.divisor.s2_proxy(pb.grid).values
-        args = (np.zeros(pb.grid.shape), np.full(pb.grid.shape, 2.0), s2, QMonitorConfig())
+        args = (np.zeros(pb.grid.shape), np.full(pb.grid.shape, 2.0), s2, pb.divisor.beta)
         with pytest.raises(ConfigError, match=r"phi_tilde \+ C0 dips to 0\.65\d* < 1"):
             q_values(*args, c0=1.0)
         assert q_values(*args)[1] == pytest.approx(1.5 + 0.5 * np.log(s2.max()), rel=1e-12)

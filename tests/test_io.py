@@ -107,6 +107,17 @@ def test_truncated_file(tmp_path, keep):
         read_field(path)
 
 
+def test_header_n_beyond_the_file_is_truncated(tmp_path):
+    # N = 65536 implies 8 N^4 bytes, more than one read can ask for: the
+    # header's size is checked against the file's before any value is read
+    path = tmp_path / "f.jflw"
+    write_scalar(path, ScalarField.zeros(Grid(4)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:6] + struct.pack("<I", 65536) + raw[10:])
+    with pytest.raises(ValueError, match="truncated snapshot"):
+        read_field(path)
+
+
 def test_factor_lattice_write_refused(tmp_path):
     # snapshots are 4-D: a factor-lattice field is refused with a message,
     # and nothing is written

@@ -10,9 +10,12 @@ offsets, at eps = 0 on a lattice that samples the divisor (a config error,
 nothing written), one that the maximum-principle monitor fails, the
 degenerate flow at eps = 0 on the 4-D lattice moved off the divisor by 0.3
 of the spacing (``run_eps0_full``, which exits 1 on the maximum principle
-as that monitor finds the N=8 scheme's rise of sup phi_dot), two that
+as that monitor finds the N=8 scheme's rise of sup phi_dot), a short run
+of two history rows between which that rise shows (``run_two_rows``,
+exit 1 on the maximum principle) and a stationary start of one row
+(``run_stationary``, which passes it), two that
 the start refuses (the cone condition, a non-positive phi0), one with
-offsets and explicit ``flow``, ``ma`` and ``q`` keys, one from explicit
+offsets and explicit ``flow`` and ``ma`` keys, one from explicit
 ``phi0.modes`` on the 4-D backend and one from a random split start;
 ``family``, ``family`` with no positive eps and with a 0 at the end of its
 ladder (``family_ladder_with_zero``; both config errors) and one whose
@@ -57,7 +60,12 @@ It was added with ``krylov._dot``, which made those bits independent of
 the thread count and changed them once; the other 19 configs kept every
 byte through that change.  ``run_eps0_full`` and ``solve_ma_full_eps0``
 were added with the tier-1 test of the degenerate flow on the 4-D lattice,
-and no other fingerprint moved then.
+and no other fingerprint moved then.  ``run_two_rows`` and
+``run_stationary`` were added when the maximum principle began to be
+decided on runs of fewer than 3 rows: before, neither run had that
+verdict, and ``run_two_rows`` exited 0.  No other fingerprint moved then,
+nor when the ``q`` keys left ``run_sections`` (Q's constants come from
+the divisor since).
 
 ``solve_ma_split_ladder`` was added when every rung of a split ladder
 began to start from the last psi, because a cold Newton start failed at
@@ -102,6 +110,10 @@ CONFIGS = {
     "run_eps0_on_divisor": [("run", "preset=degenerate_split, N=8, eps=[0]")],
     "run_max_principle_fails": [("run", "preset=nonsplit_perturbed, N=8, seed=3, "
                                         "phi0.random=true, eps=[0.1], flow.max_time=0.3")],
+    "run_two_rows": [("run", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
+                             "offsets=[0.01, 0.01, 0.01, 0.01], flow.max_time=1e-4, "
+                             "flow.snapshot_stride=100000")],
+    "run_stationary": [("run", "preset=identity, N=8, eps=[0]")],
     "run_eps0_full": [("run", "preset=nonsplit_perturbed, N=8, eps=[0], "
                               "offsets=[0.0375, 0.0375, 0, 0], flow.dt_safety=0.8, "
                               "flow.stop_tolerance=1e-7")],
@@ -111,7 +123,7 @@ CONFIGS = {
                                   "phi0.modes=[[0.2, 1, 0, 0, 0, 0]]")],
     "run_sections": [("run", "preset=degenerate_split, N=8, eps=[0.1], offsets=[0.01, 0.01], "
                              "flow.dt_safety=0.8, flow.stop_tolerance=1e-8, "
-                             "flow.snapshot_stride=25, ma.newton_tol=1e-9, q.a=4, q.delta=0.5")],
+                             "flow.snapshot_stride=25, ma.newton_tol=1e-9")],
     "run_modes_full": [("run", "preset=nonsplit_perturbed, N=8, eps=[0.1], "
                                "offsets=[0.01, 0.01, 0.01, 0.01], flow.max_time=0.05, "
                                "phi0.modes=[[0.002, 1, 0, 0, 0, 0.25]]")],
