@@ -460,13 +460,15 @@ def _cmd_family(cfg, record, out):
         budget_phidot=cfg.budget.get("sup_phidot"),
     )
     _record_verdict(record, "uniform_bounds", est)
-    for m in report.members:
-        if m.ok:
-            _record_trajectory(problem, m.trajectory, record, out, m.eps)
+    ran = [m for m in report.members if m.ok]
+    for m in ran:
+        _record_trajectory(problem, m.trajectory, record, out, m.eps)
+    sup_phi = {str(m.eps): max(r.sup_phi for r in m.rows) for m in ran}
+    sup_phidot = {str(m.eps): max(r.sup_phidot for r in m.rows) for m in ran}
     family = {
         "eps": [m.eps for m in report.members],
-        "sup_phi_by_eps": {str(k): v for k, v in report.sup_phi_by_eps.items()},
-        "sup_phidot_by_eps": {str(k): v for k, v in report.sup_phidot_by_eps.items()},
+        "sup_phi_by_eps": sup_phi,
+        "sup_phidot_by_eps": sup_phidot,
         "consecutive_diffs": [
             {"eps_hi": a, "eps_lo": b, "sup_full_grid": c, "sup_off_divisor": d}
             for (a, b, c, d) in report.consecutive_diffs],
@@ -477,9 +479,9 @@ def _cmd_family(cfg, record, out):
     uniformity = {"notes": [PROXY_NOTE], "ok": est.ok, "failures": list(est.failures)}
     jio.write_json(_artifact(record, out, "report.json"),
                    {"family": family, "uniformity": uniformity})
-    if report.sup_phi_by_eps:  # no NaN in run.json when no member ran
-        record.scalars["max_sup_phi"] = report.max_sup_phi()
-        record.scalars["max_sup_phidot"] = report.max_sup_phidot()
+    if ran:  # no NaN in run.json when no member ran
+        record.scalars["max_sup_phi"] = max(sup_phi.values())
+        record.scalars["max_sup_phidot"] = max(sup_phidot.values())
     return record
 
 
@@ -520,7 +522,7 @@ def _cmd_functionals(cfg, record, out):
         source = "zero potential"
     eps = cfg.eps[0]
     w = problem.omega_eps(eps)
-    c = c_constant(problem.chi0_class(), problem.omega_eps_class(eps))
+    c = c_constant(problem.chi0.cls, w.cls)
     rep = evaluate_suite(phi, problem.chi0, w, c)
     payload = {"J": rep.j, "I": rep.i, "E": rep.e, "M": rep.m, "F": rep.f,
                "notes": rep.notes, "source": source, "eps": eps}

@@ -49,8 +49,8 @@ Two backends share the driver: the full backend integrates a 4-D potential
 with spectral Hessians; the split backend integrates two 2-D factor
 potentials for product data (see `split`), for which every history
 quantity reduces to factor means.  Both take their transforms from
-``torus.SpectralOps`` and their J and I from the formulas in
-``functionals``.
+``torus.SpectralOps`` and a history row's J, I and dJ/dt from the
+formulas in ``functionals``.
 
 A backend is a kernel object; the generic stepping (``_rk4``, ``_rkc``,
 ``_advance``) is written once against this contract.  A run's lattice and
@@ -86,7 +86,7 @@ potential a run returns is built by ``chi0.field``.
 * ``adaptive_dt(chi)``: dt_safety / (max g * (pi N)^2) of the stiffest
   member, RK4's step and RKC's first trial step: the only use of g;
 * ``row_functionals(raw, rhs, chi)``: per member, the (J, I, dJ/dt) of a
-  history row;
+  history row, one call of the backend's formula in ``functionals``;
 * ``_keep(idx, chi)``: narrow a batch to the members ``idx``.
 
 Per-member values come from reductions over ``member_axes`` only, so a
@@ -337,11 +337,7 @@ class _FullKernel:
         return self.cfg.dt_safety / (self._stiffness(chi) * self._kmax2)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt) per member from the cached chi arrays."""
-        j, i = _energies_full(v, chi, self._bg, self._w, self.c)
-        # -int phidot^2 chi^2 with chi^2 density D(chi, chi) = 2 det chi
-        j_rate = -8.0 * np.mean(rhs * rhs * _det(chi), axis=self.member_axes)
-        return j, i, j_rate
+        return _energies_full(v, chi, self._bg, self._w, self.c, rhs)
 
 
 class _SplitKernel:
@@ -423,16 +419,7 @@ class _SplitKernel:
         return self.cfg.dt_safety / (self._stiffness(chi) * self._kmax2)
 
     def row_functionals(self, v, rhs, chi):
-        """(J, I, dJ/dt) per member via separable factor means."""
-        def mean(x):
-            return np.mean(x, axis=(-2, -1))
-
-        (a, b), (r1, r2) = np.moveaxis(chi, -3, 0), np.moveaxis(rhs, -3, 0)  # the factors
-        j, i = _energies_split(v, chi, self._bg, self._w, self.c)
-        # -int phidot^2 chi^2 with phidot = r1 + r2 and chi^2 density 2AB
-        m = (mean(r1 * r1 * a) * mean(b) + 2.0 * mean(r1 * a) * mean(r2 * b)
-             + mean(a) * mean(r2 * r2 * b))
-        return j, i, -8.0 * m
+        return _energies_split(v, chi, self._bg, self._w, self.c, rhs)
 
 
 def _make_kernel(chi0, omegas, cs, cfg):
@@ -935,21 +922,13 @@ def evolve(cfg, chi0, omega0, omega_hat, phi0=None, divisor=None):
 class FamilyReport:
     """Aggregated record of an epsilon sweep."""
 
-    members: list
-    sup_phi_by_eps: dict
-    sup_phidot_by_eps: dict
+    members: list  # each ran member's sups are in its own rows
     consecutive_diffs: list  # (eps_hi, eps_lo, sup_full, sup_off_divisor)
     failures: dict
 
     @property
     def ok(self):
         return not self.failures
-
-    def max_sup_phi(self):
-        return max(self.sup_phi_by_eps.values()) if self.sup_phi_by_eps else math.nan
-
-    def max_sup_phidot(self):
-        return max(self.sup_phidot_by_eps.values()) if self.sup_phidot_by_eps else math.nan
 
 
 def check_ladder(eps_list):
@@ -983,8 +962,6 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
 
     members = _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
     ok = [m for m in members if m.ok]
-    sup_phi = {m.eps: max(r.sup_phi for r in m.rows) for m in ok}
-    sup_phidot = {m.eps: max(r.sup_phidot for r in m.rows) for m in ok}
     failures = {m.eps: f"{type(m.error).__name__}: {m.error}" for m in members if not m.ok}
 
     diffs = []
@@ -998,7 +975,7 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
             off = float(delta[mask].max())
         diffs.append((hi.eps, lo.eps, full, off))
 
-    return FamilyReport(members, sup_phi, sup_phidot, diffs, failures)
+    return FamilyReport(members, diffs, failures)
 
 
 # --------------------------------------------------------------------------

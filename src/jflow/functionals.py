@@ -2,9 +2,13 @@
 Aubin-Yau energy E and the Mabuchi energy M, plus the decomposition report
 M = J + F.
 
-J, I, E and M are closed forms.  Their test oracles (the path quadratures
-``J_path`` and ``mabuchi_path``, the J-gradient check, scalar curvature and
-the split-backend J and I) live in the test helper ``tests/oracles.py``.
+J, I, E and M are closed forms.  A flow history row's (J, I, dJ/dt) comes
+from one function per backend, ``_energies_full`` and ``_energies_split``,
+which the flow kernels call: the dissipation dJ/dt = -int phidot^2 chi^2
+lives beside J and I.  The test oracles (the path quadratures ``J_path``
+and ``mabuchi_path``, the J-gradient check, scalar curvature and the
+split-backend energies by separate factor means) live in the test helper
+``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -15,31 +19,38 @@ from .errors import PositivityError
 from .torus import SpectralOps, _det, _wedge, positivity_margin
 
 
-def _energies_full(v, chi, bg, w, c):
-    """(J, I) from raw potential values v and the (4,) + shape blocks of
-    chi_phi, chi0 and omega (J is None when omega is): the one full-backend
-    formula, shared by the flow's history rows and ``J_closed`` /
-    ``I_functional``.  Means are over the trailing grid axes, so axes
-    before them (a batch of runs, with c per run) give one (J, I) each."""
+def _energies_full(v, chi, bg, w, c, rhs=None):
+    """(J, I, dJ/dt) from raw potential values v, the (4,) + shape blocks of
+    chi_phi, chi0 and omega, and the velocity rhs (J is None when omega is,
+    dJ/dt when rhs is): the one full-backend formula, shared by the flow's
+    history rows and ``J_closed`` / ``I_functional``.  Means are over the
+    trailing grid axes, so axes before them (a batch of runs, with c per
+    run) give one value each.  dJ/dt = -int phidot^2 chi^2, whose density
+    D(chi, chi) = 2 det chi is I's det."""
     def mean(x):
         return np.mean(x, axis=(-4, -3, -2, -1))
 
-    t2 = 2.0 * _det(chi) + _wedge(chi, bg) + _wedge(bg, bg)
+    det = _det(chi)
+    t2 = 2.0 * det + _wedge(chi, bg) + _wedge(bg, bg)
     i = (4.0 / 3.0) * mean(v * t2)
-    if w is None:
-        return None, i
-    t1 = _wedge(chi, w) + _wedge(bg, w)
-    j = 4.0 * mean(v * t1) - (c / 3.0) * 4.0 * mean(v * t2)
-    return j, i
+    j = None if w is None else (4.0 * mean(v * (_wedge(chi, w) + _wedge(bg, w)))
+                                - (c / 3.0) * 4.0 * mean(v * t2))
+    j_rate = None if rhs is None else -8.0 * mean(rhs * rhs * det)
+    return j, i, j_rate
 
 
-def _energies_split(v, chi, bg, w, c):
+def _energies_split(v, chi, bg, w, c, rhs=None):
     """Split-backend counterpart of ``_energies_full`` on stacked factor
-    arrays (..., 2, n, n) of phi, chi_phi, chi0 and omega; batch axes as
-    there.  With phi = phi1 + phi2 and D(diag(A, B), diag(F, G)) = AG + BF,
-    each 4-D mean of phi D(X, Y) is a sum of four products of factor means,
-    so no 4-D grid is made; the 12 factor means come from one reduction."""
-    terms = (v * chi, chi, v * bg, bg) + (() if w is None else (v * w, w))
+    arrays (..., 2, n, n) of phi, chi_phi, chi0, omega and the velocity;
+    batch axes as there.  With phi = phi1 + phi2 and
+    D(diag(A, B), diag(F, G)) = AG + BF, each 4-D mean of phi D(X, Y) is a
+    sum of four products of factor means, and so is dJ/dt's mean of
+    phidot^2 D(chi, chi) = 2 (r1 + r2)^2 AB; no 4-D grid is made, and every
+    factor mean comes from one reduction."""
+    # chi's terms at 0 and 1, chi0's at 2 and 3, omega's at 4 and 5, then rhs's
+    terms = [v * chi, chi, v * bg, bg] + ([] if w is None else [v * w, w])
+    r_ = len(terms)
+    terms += [] if rhs is None else [rhs * rhs * chi, rhs * chi]
     x = np.stack(np.broadcast_arrays(*terms))
     # factor 1 and factor 2 means of each term, (len(terms),) + batch shape
     m1, m2 = np.moveaxis(np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1]), -1, 0)
@@ -47,13 +58,12 @@ def _energies_split(v, chi, bg, w, c):
     def wedge(k, q):  # mean of phi * D(X, Y), X's terms at k, k + 1 and Y's at q, q + 1
         return m1[k] * m2[q + 1] + m1[k + 1] * m2[q] + m1[q] * m2[k + 1] + m1[q + 1] * m2[k]
 
-    chi_, bg_, w_ = 0, 2, 4  # where each form's terms start
-    t2 = wedge(chi_, chi_) + wedge(chi_, bg_) + wedge(bg_, bg_)
-    i = (4.0 / 3.0) * t2
-    if w is None:
-        return None, i
-    t1 = wedge(chi_, w_) + wedge(bg_, w_)
-    return 4.0 * t1 - (c / 3.0) * 4.0 * t2, i
+    t2 = wedge(0, 0) + wedge(0, 2) + wedge(2, 2)
+    j = None if w is None else 4.0 * (wedge(0, 4) + wedge(2, 4)) - (c / 3.0) * 4.0 * t2
+    # the means of r1^2 A, r1 A and A, times their factor 2 partners
+    j_rate = None if rhs is None else -8.0 * (m1[r_] * m2[1] + 2.0 * m1[r_ + 1] * m2[r_ + 1]
+                                              + m1[1] * m2[r_])
+    return j, (4.0 / 3.0) * t2, j_rate
 
 
 def _full_terms(phi, chi0):

@@ -69,15 +69,16 @@ def write_scalar(path, field):
 
 def read_field(path):
     """Read a scalar snapshot; returns a ScalarField on the grid it was
-    written from.  A file shorter than its header's N implies is refused
-    before any value is read."""
+    written from.  A file whose values are not the size its header's N
+    implies, shorter or longer, is refused before any value is read."""
     with open(path, "rb") as fh:
         grid, ncomp = _read_header(fh, path)
         if ncomp != 1:
             raise ValueError(f"{path}: unsupported component count {ncomp}")
-        size = 8 * grid.n ** 4
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
-            raise ValueError(f"{path}: truncated snapshot")
+        size, held = 8 * grid.n ** 4, os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != size:
+            raise ValueError(f"{path}: {'truncated' if held < size else 'overlong'} snapshot: "
+                             f"{held} bytes of values, N={grid.n} implies {size}")
         buf = fh.read(size)
     return ScalarField(grid, np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
 

@@ -57,7 +57,8 @@ class MASolverConfig:
 
 def build_alpha(chi0, omega_eps, c_eps):
     """alpha = c_eps * chi0 - omega_eps, with the cone margin enforced and
-    the class identity [alpha]^2 = [omega_eps]^2 verified."""
+    the class identity [alpha]^2 = [omega_eps]^2 checked: a ValueError
+    names both pairings when ``c_eps`` is not the classes' flow constant."""
     x_cls, w_cls = chi0.cls, omega_eps.cls
     margin = cone_condition(x_cls, w_cls)
     if margin <= 0.0:
@@ -69,9 +70,8 @@ def build_alpha(chi0, omega_eps, c_eps):
     lhs = class_pairing(a_cls, a_cls)
     rhs = class_pairing(w_cls, w_cls)
     if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-        raise AssertionError(
-            f"class identity [alpha]^2 = [omega]^2 violated: {lhs} vs {rhs}"
-        )
+        raise ValueError(f"build_alpha: c_eps = {c_eps} breaks [alpha]^2 = [omega]^2: "
+                         f"[alpha]^2 = {lhs}, [omega]^2 = {rhs}")
     return alpha
 
 

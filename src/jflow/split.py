@@ -8,9 +8,9 @@ Both factor fields are sampled on one factor lattice, a ``torus.Grid``
 with two offsets, so the assembled 4-D grid is its ``product()``.  This
 module holds ``SplitPotential``, the factor potentials as one (2, n, n)
 stack (a split closed form is a ``cohomology.ClosedForm`` with it), and
-assembly to a 4-D field; the energy functionals take factor means
-(``functionals._energies_split``) without ever materialising the 4-D
-grid.
+assembly to a 4-D field; a history row's J, I and dJ/dt are factor means
+(``functionals._energies_split``), taken without ever materialising the
+4-D grid.
 
 Everything here is pure-functional over immutable arrays.
 """

@@ -7,8 +7,9 @@ linear path the J integrand is quadratic in the path parameter, so
 ``J_path`` is exact to rounding); ``J_gradient_check`` checks J's gradient
 density by finite differences; ``j_closed_split`` and ``i_functional_split``
 evaluate J and I on split data, and ``energies_split`` (on
-``split_wedge_mean``) is the per-wedge reference for the factor means
-they read; ``rkc_error`` is RKC's error ratio with one RMS per norm; ``split_critical`` is the closed-form
+``split_wedge_mean``, with dJ/dt from separate factor means) is the
+per-wedge reference for the factor means they read; ``rkc_error`` is RKC's
+error ratio with one RMS per norm; ``split_critical`` is the closed-form
 critical point of the product ansatz, and ``degenerate_limit`` and
 ``nonsplit_limit`` the closed-form limits of ``degenerate_split`` and
 ``nonsplit_perturbed`` built on it; ``flow_rhs`` is the flow velocity
@@ -183,13 +184,21 @@ def split_wedge_mean(phi, chi, omega):
     return mean4(p1 * a, g) + mean4(a, p2 * g) + mean4(p1 * f, b) + mean4(f, p2 * b)
 
 
-def energies_split(v, chi, bg, w, c):
-    """(J, I) on split data, one ``split_wedge_mean`` per wedge: the
+def energies_split(v, chi, bg, w, c, rhs):
+    """(J, I, dJ/dt) on split data, one ``split_wedge_mean`` per wedge and
+    dJ/dt = -int phidot^2 chi^2 from six separate factor means: the
     reference for ``functionals._energies_split``, which reads the same
     factor means from one reduction."""
+    def mean(x):
+        return np.mean(x, axis=(-2, -1))
+
     t2 = split_wedge_mean(v, chi, chi) + split_wedge_mean(v, chi, bg) + split_wedge_mean(v, bg, bg)
     t1 = split_wedge_mean(v, chi, w) + split_wedge_mean(v, bg, w)
-    return 4.0 * t1 - (c / 3.0) * 4.0 * t2, (4.0 / 3.0) * t2
+    (a, b), (r1, r2) = np.moveaxis(chi, -3, 0), np.moveaxis(rhs, -3, 0)  # the factors
+    # phidot = r1 + r2 and the chi^2 density D(chi, chi) = 2AB
+    m = (mean(r1 * r1 * a) * mean(b) + 2.0 * mean(r1 * a) * mean(r2 * b)
+         + mean(a) * mean(r2 * r2 * b))
+    return 4.0 * t1 - (c / 3.0) * 4.0 * t2, (4.0 / 3.0) * t2, -8.0 * m
 
 
 def rkc_error(kernel, v, new, k1, k_new, h):

@@ -486,22 +486,29 @@ class TestExecute:
         assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("cut", ["values", "header"])
+    @pytest.mark.parametrize("cut", ["values", "header", "appended"])
     def test_functionals_on_an_unreadable_snapshot(self, tmp_path, cut):
-        # a snapshot cut inside its values, or a header whose N = 65536
-        # implies 8 N^4 bytes (more than a read can ask for): both are
-        # truncated, a failure line in run.json, before any value is read
+        # a snapshot cut inside its values, a header whose N = 65536 implies
+        # 8 N^4 bytes (more than a read can ask for), and 1,000 bytes past
+        # the values: each a failure line in run.json, before any value is read
         text = (f"preset=smooth_split, N=8, out={tmp_path}, flow.max_time=0.2,"
                 " flow.stop_tolerance=1e-6, flow.dt_safety=0.8")
         execute(parse_config(text), "run")
         path = tmp_path / "fields" / "final.jflw"
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8] if cut == "values"
-                         else raw[:6] + struct.pack("<I", 65536) + raw[10:])
+        data, why = {
+            "values": (raw[:-8], "truncated snapshot: 32760 bytes of values, N=8 implies 32768"),
+            "header": (raw[:6] + struct.pack("<I", 65536) + raw[10:],
+                       f"truncated snapshot: 32768 bytes of values, N=65536 implies "
+                       f"{8 * 65536 ** 4}"),
+            "appended": (raw + bytes(1000),
+                         "overlong snapshot: 33768 bytes of values, N=8 implies 32768"),
+        }[cut]
+        path.write_bytes(data)
         record, code = execute(parse_config(text), "functionals")
         assert code == 1 and not record.verdicts["completed"]
         assert record.failures == [f"ConfigError: functionals: fields/final.jflw is "
-                                   f"unreadable: {path}: truncated snapshot"]
+                                   f"unreadable: {path}: {why}"]
         assert json.loads((tmp_path / "run.json").read_text())["failures"] == record.failures
         assert not (tmp_path / "report.json").exists()
 

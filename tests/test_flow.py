@@ -33,7 +33,7 @@ from jflow.flow import (
     max_principle_monitor,
     step,
 )
-from jflow.functionals import _energies_split
+from jflow.functionals import _energies_full, _energies_split
 from jflow.ma import MASolverConfig, build_alpha, solve_ma
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
@@ -41,6 +41,7 @@ from jflow.torus import (
     Grid,
     ScalarField,
     SpectralOps,
+    _det,
     complex_hessian,
     positivity_margin,
 )
@@ -943,14 +944,45 @@ class TestLeanStep:
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_energies_split_is_the_wedge_means_bitwise(self, members):
+        # a history row's (J, I, dJ/dt); without omega or the velocity, the
+        # same I (and J) and None in their place
         pb, kernel, v = self._kernel("degenerate_split", members)
-        chi = kernel.metrics(v)[1]
-        got = _energies_split(v, chi, kernel._bg, kernel._w, kernel.c)
-        ref = energies_split(v, chi, kernel._bg, kernel._w, kernel.c)
+        rhs, chi = kernel.metrics(v)[:2]
+        got = kernel.row_functionals(v, rhs, chi)
+        ref = energies_split(v, chi, kernel._bg, kernel._w, kernel.c, rhs)
+        assert len(got) == len(ref) == 3
         for a, b in zip(got, ref):
             assert np.shape(a) == np.shape(b) == np.shape(kernel.c)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert _energies_split(v, chi, kernel._bg, None, 0.0)[1].tobytes() == ref[1].tobytes()
+        j, i, j_rate = _energies_split(v, chi, kernel._bg, None, 0.0)
+        assert j is None and j_rate is None and i.tobytes() == ref[1].tobytes()
+        j, i, j_rate = _energies_split(v, chi, kernel._bg, kernel._w, kernel.c)
+        assert (j.tobytes(), i.tobytes(), j_rate) == (ref[0].tobytes(), ref[1].tobytes(), None)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_energies_full_dissipation_bitwise(self, members):
+        # dJ/dt = -8 mean(phidot^2 det chi), from the det that I reads
+        pb, kernel, v = self._kernel("nonsplit_perturbed", members)
+        rhs, chi = kernel.metrics(v)[:2]
+        j, i, j_rate = kernel.row_functionals(v, rhs, chi)
+        ref = -8.0 * np.mean(rhs * rhs * _det(chi), axis=kernel.member_axes)
+        assert np.shape(j_rate) == np.shape(kernel.c)
+        assert np.asarray(j_rate).tobytes() == np.asarray(ref).tobytes()
+        j0, i0, none = _energies_full(v, chi, kernel._bg, kernel._w, kernel.c)
+        assert none is None and (j0.tobytes(), i0.tobytes()) == (j.tobytes(), i.tobytes())
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_split_row_functionals_match_the_4d_ones(self, members):
+        pb, kernel, v = self._kernel("degenerate_split", members)
+        full = pb.to_full()
+        forms = [epsilon_form(full.omega0, e, full.omega_hat) for e in [0.2, 0.1, 0.05][:members]]
+        kernel4 = flow._make_kernel(full.chi0, forms, np.reshape(kernel.c, -1).tolist(),
+                                    FlowConfig(eps=0.2))
+        v4 = v[..., 0, :, :, None, None] + v[..., 1, None, None, :, :]
+        got = kernel.row_functionals(v, *kernel.metrics(v)[:2])
+        ref = kernel4.row_functionals(v4, *kernel4.metrics(v4)[:2])
+        for a, b in zip(got, ref):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 # a short nonsplit_perturbed flow at N = 12 in a fresh process; prints the
@@ -997,7 +1029,7 @@ class TestEpsilonFamily:
             cfg, [0.2, 0.1], pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor
         )
         assert report.ok
-        assert set(report.sup_phi_by_eps) == {0.2, 0.1}
+        assert [m.eps for m in report.members if m.ok] == [0.2, 0.1]
         # initial velocity: sup|1 - f| = 1 for every member
         for m in report.members:
             assert abs(m.trajectory.sup_phidot0 - 1.0) < 1e-10
@@ -1098,7 +1130,7 @@ class TestEpsilonFamily:
                                 pb.omega_hat, phi0=phi0, divisor=pb.divisor)
         assert list(report.failures) == [0.1]
         assert report.failures[0.1].startswith("DegenerateStiffnessError")
-        assert set(report.sup_phi_by_eps) == {0.2, 0.05}
+        assert [m.eps for m in report.members if m.ok] == [0.2, 0.05]
         for m in report.members:
             if m.eps != 0.1:
                 assert m.trajectory.stop_reason == "converged"
@@ -1135,7 +1167,7 @@ class TestEpsilonFamily:
         assert not report.ok
         assert 0.01 in report.failures
         assert "ConeCondition" in report.failures[0.01]
-        assert 1.0 in report.sup_phi_by_eps
+        assert [m.eps for m in report.members if m.ok] == [1.0]
         # the member keeps the exception object; failures its "<Type>: <message>"
         (failed,) = [m for m in report.members if not m.ok]
         assert isinstance(failed.error, ConeConditionError)

@@ -118,6 +118,16 @@ def test_header_n_beyond_the_file_is_truncated(tmp_path):
         read_field(path)
 
 
+def test_bytes_past_the_values_are_refused(tmp_path):
+    # a 4^4 snapshot with 1,000 bytes appended is not read as Grid(n=4)
+    path = tmp_path / "f.jflw"
+    write_scalar(path, ScalarField.zeros(Grid(4)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 1000)
+    with pytest.raises(ValueError, match="overlong snapshot: 3048 bytes of values, "
+                                         "N=4 implies 2048"):
+        read_field(path)
+
+
 def test_factor_lattice_write_refused(tmp_path):
     # snapshots are 4-D: a factor-lattice field is refused with a message,
     # and nothing is written

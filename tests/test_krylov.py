@@ -96,3 +96,33 @@ def test_bitwise_scipy(n, seed, restart, maxiter):
     assert info == ref_info
     assert np.array_equal(x, ref)
     assert [o.calls for o in ours] == [o.calls for o in theirs]
+
+
+def _scipy_gmres(a, b, **kwargs):
+    """scipy's gmres on the dense matrix a, with its product count."""
+    splinalg = pytest.importorskip("scipy.sparse.linalg")
+    op = _MatvecOnly(a)
+    x, info = splinalg.gmres(splinalg.LinearOperator(a.shape, matvec=op.matvec, dtype=float),
+                             b, **kwargs)
+    return x, info, op.calls
+
+
+def test_atol_above_the_right_hand_side_returns_zero():
+    # atol > |b|: x = 0 passes the residual test before any product
+    a, b = _system(8, 11)
+    op, atol = _MatvecOnly(a), 2.0 * np.linalg.norm(b)
+    x, info = gmres(op, b, rtol=0.0, atol=atol)
+    assert (info, op.calls) == (0, 0) and np.array_equal(x, np.zeros(8))
+    ref, ref_info, ref_calls = _scipy_gmres(a, b, rtol=0.0, atol=atol)
+    assert (x.tobytes(), info, op.calls) == (ref.tobytes(), ref_info, ref_calls)
+
+
+def test_zero_operator_is_a_singular_hessenberg_matrix():
+    # A = 0: the first Arnoldi step breaks down with h[0, 0] = 0, whose
+    # right-hand side is zeroed, so x stays 0 and the solve reports maxiter
+    a, b = np.zeros((6, 6)), _system(6, 12)[1]
+    op = _MatvecOnly(a)
+    x, info = gmres(op, b, rtol=1e-10, restart=6, maxiter=3)
+    assert info == 3 and np.array_equal(x, np.zeros(6))
+    ref, ref_info, ref_calls = _scipy_gmres(a, b, rtol=1e-10, restart=6, maxiter=3)
+    assert (x.tobytes(), info, op.calls) == (ref.tobytes(), ref_info, ref_calls)

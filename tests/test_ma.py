@@ -61,6 +61,14 @@ class TestBuildAlpha:
         a_cls = CohomologyClass.diag(alpha.cls.m11, alpha.cls.m22)
         assert abs(class_pairing(a_cls, a_cls) - 8.0 * (1 + eps) ** 2) < 1e-10
 
+    def test_refuses_a_c_that_breaks_the_class_identity(self):
+        # identity classes: c = 2 gives [alpha] = [omega], pairing 8; c = 2.5
+        # gives [alpha]^2 = 8 * 1.5^2 = 18, a caller's error, not an assertion
+        pb = build_preset("identity", n=8)
+        with pytest.raises(ValueError, match=r"c_eps = 2.5 breaks .*"
+                                             r"\[alpha\]\^2 = 18.0, \[omega\]\^2 = 8.0"):
+            build_alpha(pb.chi0, pb.omega0, 2.5)
+
     def test_refuses_bad_cone(self):
         grid = Grid(8)
         from jflow.cohomology import ClosedForm
@@ -445,6 +453,14 @@ class TestNewtonLoop:
         alpha, c, w = _nonsplit_problem()
         with pytest.raises(MAConvergenceError,
                            match=r"iteration 0 after an unconverged GMRES solve \(info=1\)"):
+            solve_ma(alpha, c, w)
+
+    def test_gmres_breakdown_is_refused(self, monkeypatch):
+        # a GMRES that returns NaN and info != 0 ends the solve with an
+        # MAConvergenceError, not a NaN step
+        monkeypatch.setattr(ma, "gmres", lambda op, b, **kwargs: (np.full(b.shape, np.nan), 40))
+        alpha, c, w = _nonsplit_problem()
+        with pytest.raises(MAConvergenceError, match=r"GMRES breakdown \(info=40\)"):
             solve_ma(alpha, c, w)
 
 

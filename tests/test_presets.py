@@ -5,13 +5,14 @@ from jflow.cohomology import verify_omega0_conditions
 from jflow.presets import (
     PRESET_NAMES,
     PRESETS,
+    _positive_scale,
     build_preset,
     cosine_modes,
     degenerate_profile,
     preset_grid,
     random_bandlimited_potential,
 )
-from jflow.torus import Grid, complex_hessian, positivity_margin
+from jflow.torus import Grid, ScalarField, complex_hessian, positivity_margin
 
 
 class TestBuildPreset:
@@ -153,3 +154,12 @@ class TestRandomPotential:
         a = random_bandlimited_potential(pb, np.random.default_rng(7))
         b = random_bandlimited_potential(pb, np.random.default_rng(7))
         assert np.array_equal(a.values, b.values)
+
+
+def test_positive_scale_keeps_a_potential_of_nonnegative_ddc():
+    # on the torus a potential with dd^c phi >= 0 is constant, whose dd^c is
+    # exactly 0: it needs no rescaling to keep chi0 + dd^c phi positive
+    pb = build_preset("nonsplit_perturbed", n=4)
+    phi = ScalarField.zeros(pb.grid)
+    assert positivity_margin(complex_hessian(phi)) == 0.0
+    assert _positive_scale(pb.chi0, phi) == 1.0

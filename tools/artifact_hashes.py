@@ -38,10 +38,13 @@ of every file it wrote.  From ``run.json`` the wall-clock stamps
 ``started`` and ``finished`` and the ``config_hash`` (whose config includes
 the output path) are dropped before hashing.  A refactor that keeps every
 output byte for byte gives the same JSON as its parent.  BLAS/OpenMP pools
-are pinned to one thread, as ``perfbench/run.py`` pins them.  Takes a few
-seconds on one core.  A command whose stderr holds a Python traceback
-stops the tool with a non-zero exit that names the config and the
-command: a crash is not an exit status to record.
+are pinned to one thread, as ``perfbench/run.py`` pins them.  Configs
+and workload units run two at a time (``JOBS``), each config's commands
+in order in its own directory, so the JSON does not depend on which ends
+first; the whole takes a few seconds on two cores.  A command whose
+stderr holds a Python traceback stops the tool with a non-zero exit that
+names the config and the command: a crash is not an exit status to
+record.
 
 It also fingerprints, as ``perfbench/<workload>/seed<k>``, the flow
 outputs of the two benchmark workloads of ``<checkout>/perfbench/
@@ -88,12 +91,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 UNSTABLE_RECORD_KEYS = ("started", "finished", "config_hash")
 WORKLOAD_SEEDS = (1, 3)
+JOBS = 2  # subprocesses run at once
 
 # name -> the (command, config) pairs run in order in one output directory
 CONFIGS = {
@@ -226,47 +231,59 @@ def workload_worker(workload, seed):
     json.dump(result, sys.stdout, sort_keys=True)
 
 
+def _run_config(name, commands, workdir, env):
+    """Run one config's commands in order in its own output directory;
+    returns {"exit": [status per command], "artifacts": {path: sha256}}."""
+    out = Path(workdir) / name
+    out.mkdir()
+    config = out.parent / f"{name}.cfg"
+    codes = []
+    for command, text in commands:
+        config.write_text(text + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "jflow.cli", "--command", command,
+             "--config", str(config), "--out", str(out)],
+            env=env, cwd=workdir, capture_output=True, text=True,
+        )
+        if "Traceback (most recent call last)" in proc.stderr:
+            sys.exit(f"artifact_hashes: {name}: {command} crashed:\n{proc.stderr}")
+        codes.append(proc.returncode)
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return {"exit": codes, "artifacts": {str(p.relative_to(out)): _digest(p) for p in files}}
+
+
+def _run_workload(workload, seed, workdir, env):
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
+         "--seed", str(seed)],
+        env=env, cwd=workdir, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"artifact_hashes: {workload} seed {seed} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def fingerprint(checkout, workdir):
     """{config name: {"exit": [status per command], "artifacts": {path: sha256}}},
-    then {"perfbench/<workload>/seed<k>": the workload unit's fingerprint}."""
+    then {"perfbench/<workload>/seed<k>": the workload unit's fingerprint}.
+    The first to fail, in this order, stops the tool once the running ones
+    end."""
     root = Path(checkout).resolve()
     src = root / "src"
     if not (src / "jflow" / "__init__.py").is_file():
         sys.exit(f"artifact_hashes: no jflow sources under {src}")
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
-    result = {}
-    for name, commands in CONFIGS.items():
-        out = Path(workdir) / name
-        out.mkdir()
-        codes = []
-        for command, text in commands:
-            config = out.parent / f"{name}.cfg"
-            config.write_text(text + "\n")
-            proc = subprocess.run(
-                [sys.executable, "-m", "jflow.cli", "--command", command,
-                 "--config", str(config), "--out", str(out)],
-                env=env, cwd=workdir, capture_output=True, text=True,
-            )
-            if "Traceback (most recent call last)" in proc.stderr:
-                sys.exit(f"artifact_hashes: {name}: {command} crashed:\n{proc.stderr}")
-            codes.append(proc.returncode)
-        files = sorted(p for p in out.rglob("*") if p.is_file())
-        result[name] = {
-            "exit": codes,
-            "artifacts": {str(p.relative_to(out)): _digest(p) for p in files},
-        }
-    env["PYTHONPATH"] = os.pathsep.join((str(src), str(root / "perfbench")))
-    for workload in ("split_family", "full_flow"):
-        for seed in WORKLOAD_SEEDS:
-            proc = subprocess.run(
-                [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
-                 "--seed", str(seed)],
-                env=env, cwd=workdir, capture_output=True, text=True,
-            )
-            if proc.returncode != 0:
-                sys.exit(f"artifact_hashes: {workload} seed {seed} failed:\n{proc.stderr}")
-            result[f"perfbench/{workload}/seed{seed}"] = json.loads(proc.stdout)
-    return result
+    bench_env = dict(env, PYTHONPATH=os.pathsep.join((str(src), str(root / "perfbench"))))
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        jobs = {name: pool.submit(_run_config, name, commands, workdir, env)
+                for name, commands in CONFIGS.items()}
+        jobs.update({f"perfbench/{workload}/seed{seed}":
+                     pool.submit(_run_workload, workload, seed, workdir, bench_env)
+                     for workload in ("split_family", "full_flow") for seed in WORKLOAD_SEEDS})
+        try:
+            return {name: job.result() for name, job in jobs.items()}
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def main(argv=None):
