@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -67,15 +67,13 @@ SCHEMA_VERSION = 1
 class RunConfig:
     version: int = SCHEMA_VERSION
     preset: str = ""
-    n: int = 0  # 0: preset default
-    offsets: list = field(default_factory=list)
-    divisor: bool = None
-    eps: list = field(default_factory=list)
+    n: int = None  # None: the preset row's
+    offsets: list = None  # None: zero offsets
+    eps: list = None  # None: the preset row's
     out: str = "out"
     seed: int = 0
     flow: dict = field(default_factory=dict)
     ma: dict = field(default_factory=dict)
-    budget: dict = field(default_factory=dict)
     chi0: dict = field(default_factory=dict)
     omega0: dict = field(default_factory=dict)
     omegahat: dict = field(default_factory=dict)
@@ -91,13 +89,12 @@ class RunConfig:
 _SECTIONS = {"flow": FlowConfig, "ma": MASolverConfig}
 _SECTION_KEYS = {
     **{name: {f.name for f in dc_fields(t)} - {"eps"} for name, t in _SECTIONS.items()},
-    "budget": {"sup_phi", "sup_phidot"},
     "chi0": {"class", "modes"},
     "omega0": {"class", "modes"},
     "omegahat": {"class", "modes"},
     "phi0": {"modes", "random"},
 }
-_TOP_KEYS = {"version", "preset", "n", "offsets", "divisor", "eps", "out", "seed"}
+_TOP_KEYS = {"version", "preset", "n", "offsets", "eps", "out", "seed"}
 
 
 def _split_items(text):
@@ -198,25 +195,22 @@ def validate_config(cfg):
         problems.append(f"preset: unknown preset {cfg.preset!r}")
     if not cfg.preset and "class" not in cfg.chi0:
         problems.append("either preset or explicit chi0/omega0/omegahat specs required")
-    if cfg.n:
-        if not isinstance(cfg.n, int) or cfg.n < 4 or cfg.n % 2:
-            problems.append(f"N must be even and >= 4, got {cfg.n}")
-    for i, e in enumerate(cfg.eps):
+    # a given N, eps or offsets stands or is refused; omitted (or none), the row's
+    if cfg.n is not None and not (isinstance(cfg.n, int) and cfg.n >= 4 and cfg.n % 2 == 0):
+        problems.append(f"N must be even and >= 4, got {cfg.n!r}")
+    if cfg.eps == []:
+        problems.append("eps: give at least one eps, got []")
+    for i, e in enumerate(cfg.eps or ()):
         if not (is_number(e) and e >= 0):
             problems.append(f"eps[{i}]: entries must be nonnegative finite reals, "
                             f"got {e!r}")
-    if cfg.offsets and not _is_reals(cfg.offsets, (2, 4)):
+    if cfg.offsets is not None and not _is_reals(cfg.offsets, (2, 4)):
         problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
                         f"got {cfg.offsets!r}")
-    if cfg.divisor is not None and not isinstance(cfg.divisor, bool):
-        problems.append(f"divisor: must be true or false, got {cfg.divisor!r}")
     if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
         problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
     if not isinstance(cfg.out, str) or not cfg.out:
         problems.append(f"out: must be a directory path, got {cfg.out!r}")
-    for key, value in cfg.budget.items():
-        if value is not None and not is_number(value):
-            problems.append(f"budget.{key}: must be a finite real, got {value!r}")
     for section in ("chi0", "omega0", "omegahat", "phi0"):
         spec = getattr(cfg, section)
         if "class" in spec and not _is_reals(spec["class"], (4,)):
@@ -229,6 +223,8 @@ def validate_config(cfg):
                             f"got {modes!r}")
     if not isinstance(cfg.phi0.get("random", False), bool):
         problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
+    if cfg.phi0.get("random") and cfg.phi0.get("modes"):
+        problems.append("phi0: give phi0.random=true or phi0.modes, not both")
     # the row is looked up only for a known preset: an unknown one, even a
     # list, is still being collected as a problem here
     row = PRESETS[cfg.preset] if cfg.preset in PRESET_NAMES else {}
@@ -251,22 +247,14 @@ def _is_reals(values, lengths):
 
 def _fill_defaults(cfg):
     row = PRESETS[cfg.preset or ""]
-    cfg.n = cfg.n or row["n"]
-    if cfg.divisor is None:
-        cfg.divisor = row["divisor"]
-    if not cfg.eps:
-        cfg.eps = list(row["eps"])
-    for key, val in row["budget"].items():
-        cfg.budget.setdefault(key, val)
+    cfg.n = row["n"] if cfg.n is None else cfg.n
+    cfg.eps = list(row["eps"]) if cfg.eps is None else cfg.eps
 
 
 def build_problem(cfg):
     """Problem instance from a validated config."""
     if cfg.preset:
-        problem = build_preset(cfg.preset, n=cfg.n, offsets=cfg.offsets or None)
-        if not cfg.divisor and problem.divisor is not None:
-            problem = replace(problem, divisor=None)
-        return problem
+        return build_preset(cfg.preset, n=cfg.n, offsets=cfg.offsets)
     grid = preset_grid("", cfg.n, cfg.offsets)
     forms = {}
     for name, spec in (("chi0", cfg.chi0), ("omega0", cfg.omega0),
@@ -454,11 +442,7 @@ def _cmd_family(cfg, record, out):
     )
     record.verdicts["all_members_ran"] = report.ok
     record.failures.extend(f"eps={k}: {v}" for k, v in report.failures.items())
-    est = uniformity_report(
-        report,
-        budget_phi=cfg.budget.get("sup_phi"),
-        budget_phidot=cfg.budget.get("sup_phidot"),
-    )
+    est = uniformity_report(report, **PRESETS[cfg.preset]["budget"])
     _record_verdict(record, "uniform_bounds", est)
     ran = [m for m in report.members if m.ok]
     for m in ran:
@@ -588,9 +572,8 @@ def validate_command(cfg, command):
     """Problems of a parsed config that show only with the preset defaults
     filled in (the offsets against the preset's lattice and N) or with the
     command (one eps for ``run``, and no eps = 0 on a lattice that samples
-    the preset's divisor, whether or not ``divisor`` keeps its monitors;
-    ``flow.check_ladder`` for ``family``'s list as given, so a 0 in it is a
-    config error)."""
+    the preset's divisor; ``flow.check_ladder`` for ``family``'s list as
+    given, so a 0 in it is a config error)."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
     problems = []

@@ -36,8 +36,7 @@ import numpy as np
 import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark tracer to proxy
 
 from .cohomology import class_pairing, cone_condition, c_constant, epsilon_form
-from .errors import (ConeConditionError, MAConvergenceError, PositivityError, check_numbers,
-                     is_integer)
+from .errors import ConeConditionError, MAConvergenceError, PositivityError, check_numbers
 from .krylov import Operator, gmres
 from .torus import SpectralOps, _cowedge, _det, positivity_margin
 
@@ -45,14 +44,11 @@ from .torus import SpectralOps, _cowedge, _det, positivity_margin
 @dataclass(frozen=True)
 class MASolverConfig:
     newton_tol: float = 1e-10   # sup|log residual|; sup|A - goal| / sup goal on a factor lattice
-    max_newton: int = 50
 
     def __post_init__(self):
         check_numbers(self)
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
-        if not is_integer(self.max_newton) or self.max_newton < 1:
-            raise ValueError("max_newton must be an integer >= 1")
 
 
 def build_alpha(chi0, omega_eps, c_eps):
@@ -78,6 +74,7 @@ def build_alpha(chi0, omega_eps, c_eps):
 # --------------------------------------------------------------------------
 # Solvers
 
+_MAX_NEWTON = 50     # Newton iterations on the 4-D lattice; converging on the last counts
 _DAMPING = 0.5       # line-search factor: the step halves after each refused trial
 _LINEAR_TOL = 1e-12  # floor of the GMRES relative tolerance
 
@@ -124,7 +121,7 @@ def _full_newton(alpha, c, target, ops, cfg, psi0):
     The start and each trial psi + s delta are recentred to mean zero; a
     trial is accepted when its A is positive and sup|G| decreases or reaches
     ``newton_tol``, and s is halved after each refused trial, 40 times at
-    most.  Converging on the last of the ``max_newton`` iterations is
+    most.  Converging on the last of the ``_MAX_NEWTON`` iterations is
     success.  Returns (psi, residuals, preconditioner applications, largest
     GMRES info).
     """
@@ -155,9 +152,9 @@ def _full_newton(alpha, c, target, ops, cfg, psi0):
     residuals = [float(np.abs(g_res).max())]
     applies = info_max = 0
     while residuals[-1] > cfg.newton_tol:
-        if len(residuals) > cfg.max_newton:
+        if len(residuals) > _MAX_NEWTON:
             raise MAConvergenceError(
-                f"solve_ma: not converged in {cfg.max_newton} iterations "
+                f"solve_ma: not converged in {_MAX_NEWTON} iterations "
                 f"(residual {residuals[-1]:.3e})",
                 residuals=residuals,
             )

@@ -25,18 +25,17 @@ from .split import SplitPotential
 from .torus import Grid, ScalarField, complex_hessian, poisson_solve, positivity_margin
 
 # One row per preset, and "" for an explicit problem: the default grid size
-# and eps ladder (chosen for desk-scale runtimes), whether the divisor
-# monitors run, the lattice dimension (2: the factor lattice, split backend;
-# 4: the 4-D one) and the family's uniform-estimate budgets (desk-scale
-# version of the uniform L-infinity bounds, independent of eps).
+# and eps ladder (chosen for desk-scale runtimes), the lattice dimension (2:
+# the factor lattice, split backend; 4: the 4-D one) and the family's
+# uniform-estimate budgets, ``diagnostics.uniformity_report``'s keywords
+# (desk-scale version of the uniform L-infinity bounds, independent of eps).
 PRESETS = {
-    "": dict(n=8, eps=(0.0,), divisor=False, dim=4, budget={}),
-    "identity": dict(n=8, eps=(0.0,), divisor=False, dim=4, budget={}),
-    "smooth_split": dict(n=32, eps=(0.0,), divisor=False, dim=2, budget={}),
-    "degenerate_split": dict(n=16, eps=(0.2, 0.1, 0.05), divisor=True, dim=2,
-                             budget=dict(sup_phi=1.0 / np.pi ** 2 + 0.01, sup_phidot=1.05)),
-    "nonsplit_perturbed": dict(n=12, eps=(0.1,), divisor=True, dim=4,
-                               budget=dict(sup_phi=0.35, sup_phidot=None)),
+    "": dict(n=8, eps=(0.0,), dim=4, budget={}),
+    "identity": dict(n=8, eps=(0.0,), dim=4, budget={}),
+    "smooth_split": dict(n=32, eps=(0.0,), dim=2, budget={}),
+    "degenerate_split": dict(n=16, eps=(0.2, 0.1, 0.05), dim=2,
+                             budget=dict(budget_phi=1 / np.pi ** 2 + 0.01, budget_phidot=1.05)),
+    "nonsplit_perturbed": dict(n=12, eps=(0.1,), dim=4, budget=dict(budget_phi=0.35)),
 }
 PRESET_NAMES = tuple(name for name in PRESETS if name)
 

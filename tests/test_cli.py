@@ -27,7 +27,7 @@ from jflow.diagnostics import PROXY_NOTE
 from jflow.errors import ConfigError
 from jflow.flow import MonitorVerdict
 from jflow.io import read_field
-from jflow.presets import PRESET_NAMES, cosine_modes
+from jflow.presets import PRESET_NAMES, PRESETS, cosine_modes
 
 KNOWN_KEYS = sorted(_TOP_KEYS) + sorted(
     f"{section}.{key}" for section, keys in _SECTION_KEYS.items() for key in keys
@@ -82,23 +82,49 @@ class TestParseConfig:
     def test_degenerate_defaults(self):
         cfg = parse_config("preset=degenerate_split")
         assert cfg.n == 16
-        assert cfg.divisor is True
         assert cfg.eps == [0.2, 0.1, 0.05]
+        assert build_problem(cfg).divisor is not None  # and with it the divisor monitors
 
-    @pytest.mark.parametrize("text, n, eps, divisor, budget", [
-        ("preset=identity", 8, [0.0], False, {}),
-        ("preset=smooth_split", 32, [0.0], False, {}),
-        ("preset=degenerate_split", 16, [0.2, 0.1, 0.05], True,
-         {"sup_phi": 1.0 / np.pi ** 2 + 0.01, "sup_phidot": 1.05}),
-        ("preset=nonsplit_perturbed", 12, [0.1], True, {"sup_phi": 0.35, "sup_phidot": None}),
-        ("chi0.class=[1, 1, 0, 0]", 8, [0.0], False, {}),
-        # given values stand; the row fills only what is missing
-        ("preset=degenerate_split, N=8, eps=[0.1], divisor=false, budget.sup_phi=0.5",
-         8, [0.1], False, {"sup_phi": 0.5, "sup_phidot": 1.05}),
+    @pytest.mark.parametrize("text, n, eps", [
+        ("preset=identity", 8, [0.0]),
+        ("preset=smooth_split", 32, [0.0]),
+        ("preset=degenerate_split", 16, [0.2, 0.1, 0.05]),
+        ("preset=nonsplit_perturbed", 12, [0.1]),
+        ("chi0.class=[1, 1, 0, 0]", 8, [0.0]),
+        # given values stand; the row fills only what is missing, or none
+        ("preset=degenerate_split, N=8, eps=[0.1]", 8, [0.1]),
+        ("preset=degenerate_split, N=none, offsets=none", 16, [0.2, 0.1, 0.05]),
     ])
-    def test_preset_row_defaults(self, text, n, eps, divisor, budget):
+    def test_preset_row_defaults(self, text, n, eps):
         cfg = parse_config(text)
-        assert (cfg.n, cfg.eps, cfg.divisor, cfg.budget) == (n, eps, divisor, budget)
+        assert (cfg.n, cfg.eps) == (n, eps)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("N=0", "N must be even and >= 4, got 0"),
+        ("N=false", "N must be even and >= 4, got False"),
+        ("N=[]", "N must be even and >= 4, got []"),
+        ("N=", "N must be even and >= 4, got ''"),
+        ("eps=[]", "eps: give at least one eps, got []"),
+        ("offsets=[]", "offsets: give 2 (split presets) or 4 (others) finite reals, got []"),
+        ("offsets=", "offsets: give 2 (split presets) or 4 (others) finite reals, got ''"),
+    ])
+    def test_given_value_is_never_the_rows(self, text, problem):
+        # N=0, N=false, N=[] and N= ran at the preset's N, eps=[] ran its
+        # ladder and offsets=[] zero offsets
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"preset=degenerate_split, {text}")
+        assert err.value.problems == [problem]
+
+    def test_random_start_takes_no_modes(self):
+        # the random draw silently replaced the modes
+        with pytest.raises(ConfigError) as err:
+            parse_config("preset=nonsplit_perturbed, seed=1, phi0.random=true,"
+                         " phi0.modes=[[0.002, 1, 0, 0, 0]]")
+        assert err.value.problems == ["phi0: give phi0.random=true or phi0.modes, not both"]
+        # with either one off, the other gives the start
+        parse_config("preset=nonsplit_perturbed, phi0.random=false,"
+                     " phi0.modes=[[0.002, 1, 0, 0, 0]]")
+        parse_config("preset=nonsplit_perturbed, phi0.random=true, phi0.modes=[]")
 
     def test_odd_n_rejected(self):
         with pytest.raises(ConfigError, match="even"):
@@ -162,6 +188,15 @@ class TestParseConfig:
         for key in ("q.c0_shift", "q.a", "q.delta"):
             with pytest.raises(ConfigError, match=f"unknown section: '{key}'"):
                 parse_config(f"preset=degenerate_split, {key}=0.5")
+        # a divisor preset always runs its divisor monitors, the family
+        # budgets are the preset row's, and Newton's cap is ma._MAX_NEWTON
+        with pytest.raises(ConfigError, match="unknown key: 'divisor'"):
+            parse_config("preset=degenerate_split, divisor=false")
+        for key in ("budget.sup_phi", "budget.sup_phidot"):
+            with pytest.raises(ConfigError, match=f"unknown section: '{key}'"):
+                parse_config(f"preset=degenerate_split, {key}=0.5")
+        with pytest.raises(ConfigError, match="unknown key 'ma.max_newton' in section 'ma'"):
+            parse_config("preset=identity, ma.max_newton=8")
 
     def test_backend_is_not_a_key(self):
         # the preset alone picks the backend
@@ -180,7 +215,7 @@ class TestParseConfig:
         ("preset=degenerate_split, flow.dt_safety=1.5", "flow"),
         ("preset=degenerate_split, N=8, flow.dt_safety=true", "flow"),
         ("preset=degenerate_split, N=8, ma.newton_tol=inf", "ma"),
-        ("preset=identity, ma.max_newton=2.5", "ma"),
+        ("preset=identity, flow.snapshot_stride=2.5", "flow"),
         ("preset=identity, flow.dt_safety=[1]", "flow"),
         ("preset=identity, offsets=0.1", "offsets"),
     ])
@@ -396,7 +431,7 @@ class TestExecute:
         stored = read_record(tmp_path / "split" / "run.json").scalars
         assert stored["precond_applies[0]"] == stored["gmres_info_max[0]"] == 0
 
-    def test_family_budgets_follow_the_start(self, tmp_path):
+    def test_family_budgets_follow_the_start(self, tmp_path, monkeypatch):
         # the preset budgets hold for phi0 = 0; a random start carries its own
         # sup|phi_dot(0)| (3.5 here), which the maximum principle keeps
         text = ("preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05],"
@@ -407,11 +442,11 @@ class TestExecute:
         assert record.verdicts["uniform_bounds"]
         assert record.scalars["max_sup_phidot"] > 3.0
         # a zero start reports what it did before: no failure at the preset
-        # budgets, and the same lines for a budget it exceeds
+        # budgets, and the same lines for a row budget it exceeds
         record, code = execute(parse_config(text.format(tmp_path / "zero")), "family")
         assert code == 0 and record.verdicts["uniform_bounds"]
-        record, code = execute(parse_config(
-            text.format(tmp_path / "tight") + "budget.sup_phi=0.05"), "family")
+        monkeypatch.setitem(PRESETS["degenerate_split"], "budget", {"budget_phi": 0.05})
+        record, code = execute(parse_config(text.format(tmp_path / "tight")), "family")
         assert code == 1 and not record.verdicts["uniform_bounds"]
         assert record.failures == [
             "eps=0.2: sup|phi| 0.0930636 exceeds budget 0.05",
@@ -596,15 +631,9 @@ class TestExecute:
                                         "j_nonincreasing", "q_monitor"}
         assert record.scalars["final_residual"] < 1e-9
 
-    def test_divisor_false_drops_the_divisor_monitors(self, tmp_path):
-        text = (f"preset=degenerate_split, N=8, divisor=false, offsets=[0.01, 0.01],"
-                f" out={tmp_path}, flow.max_time=0.05")
-        cfg = parse_config(text + ", eps=[0.1]")
-        assert build_problem(cfg).divisor is None
-        record, code = execute(cfg, "run")
-        assert code == 0 and "q_monitor" not in record.verdicts
-        # the lattice still samples the preset's divisor at zero offsets
-        cfg = parse_config(text.replace("offsets=[0.01, 0.01], ", "") + ", eps=[0]")
+    def test_eps_zero_on_the_divisor_names_the_count(self, tmp_path):
+        # the degenerate preset's lattice samples its divisor at zero offsets
+        cfg = parse_config(f"preset=degenerate_split, N=8, eps=[0], out={tmp_path}")
         problems = validate_command(cfg, "run")
         assert len(problems) == 1
         assert problems[0].startswith("eps: eps = 0 on a lattice with 1 point(s)")
@@ -708,7 +737,7 @@ class TestMain:
         ("run", "preset=degenerate_split, N=8, eps=[0.2], seed=abc, phi0.random=true"),
         ("run", "preset=identity, N=4, out=2024"),
         ("run", "n=4, chi0.class=[a,1,0,0]"),
-        ("family", "preset=degenerate_split, N=8, eps=[0.2], budget.sup_phi=abc"),
+        ("family", "preset=degenerate_split, N=8, eps=[0.2], ma.newton_tol=abc"),
         # eps entries the library refuses: not finite, a bool, or a family
         # ladder that is not strictly descending
         ("check-classes", "preset=identity, eps=[nan]"),
@@ -724,11 +753,21 @@ class TestMain:
         ("run", "preset=smooth_split, N=8, phi0.modes=[[0.01, 1, 0, 0, 0]]"),
         ("run", "preset=degenerate_split, eps=[0]"),
         ("run", "preset=nonsplit_perturbed, eps=[0]"),
-        # values of the wrong type: divisor is a bool, and a bool is no count
-        ("run", "preset=degenerate_split, N=8, eps=[0.1], divisor=maybe"),
-        ("run", "preset=degenerate_split, N=8, eps=[0.1], divisor=3"),
+        # values of the wrong type: phi0.random is a bool, and a bool is no count
+        ("run", "preset=degenerate_split, N=8, eps=[0.1], phi0.random=maybe"),
+        ("run", "preset=degenerate_split, N=8, eps=[0.1], phi0.random=3"),
         ("run", "preset=smooth_split, N=8, flow.snapshot_stride=true"),
-        ("solve-ma", "preset=identity, N=4, ma.max_newton=true"),
+        ("solve-ma", "preset=identity, N=4, ma.newton_tol=true"),
+        # a given N, eps or offsets is never swapped for the preset row's
+        ("check-classes", "preset=identity, N=0"),
+        ("check-classes", "preset=identity, N=false"),
+        ("check-classes", "preset=identity, N=[]"),
+        ("check-classes", "preset=identity, N="),
+        ("check-classes", "preset=degenerate_split, eps=[]"),
+        ("check-classes", "preset=degenerate_split, N=8, offsets=[]"),
+        # a random start with modes, which it would drop
+        ("run", "preset=nonsplit_perturbed, N=8, eps=[0.1], seed=1, phi0.random=true, "
+                "phi0.modes=[[0.002, 1, 0, 0, 0]]"),
     ])
     def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, text):
@@ -815,7 +854,7 @@ class TestConfigFuzz:
     @settings(derandomize=True, deadline=None, max_examples=400, database=None)
     @given(st.sampled_from(PRESET_NAMES), _config_texts)
     @example("identity", "flow.max_time=abc")
-    @example("identity", "flow.max_time=2.5, ma.max_newton=8")
+    @example("identity", "flow.max_time=2.5, ma.newton_tol=8")
     def test_parse_returns_or_raises_config_error(self, preset, text):
         try:
             cfg = parse_config(f"preset={preset}, {text}")

@@ -4,47 +4,41 @@
     python3 tools/artifact_hashes.py . > change.json
     cmp parent.json change.json
 
-Runs a fixed set of small ``jflow`` command lines (``CONFIGS``: ``run`` on
-the split and 4-D backends, under RK4, at eps = 0 on a divisor preset with
-offsets, at eps = 0 on a lattice that samples the divisor (a config error,
-nothing written), one that the maximum-principle monitor fails, the
-degenerate flow at eps = 0 on the 4-D lattice moved off the divisor by 0.3
-of the spacing (``run_eps0_full``, which exits 1 on the maximum principle
-as that monitor finds the N=8 scheme's rise of sup phi_dot), a short run
-of two history rows between which that rise shows (``run_two_rows``,
-exit 1 on the maximum principle) and a stationary start of one row
-(``run_stationary``, which passes it), two that
-the start refuses (the cone condition, a non-positive phi0), one with
-offsets and explicit ``flow`` and ``ma`` keys, one from explicit
-``phi0.modes`` on the 4-D backend and one from a random split start;
-``family``, ``family`` with no positive eps and with a 0 at the end of its
-ladder (``family_ladder_with_zero``; both config errors) and one whose
-every member the start refuses (``family_all_refused``);
-``solve-ma`` on both backends, on the 4-D one at N=12 as well
-(``solve_ma_full_n12``) and down to eps = 0 on ``run_eps0_full``'s lattice
-(``solve_ma_full_eps0``), and on the split one at N=16 with offsets down to
-eps = 0.01 as a ladder (``solve_ma_split_ladder``), at eps = 0.01 alone
-(``solve_ma_split_cold``) and at eps = 0 (``solve_ma_split_eps0``);
-``functionals`` on a split run's final
-potential, on the final potential of a short 4-D ``nonsplit_perturbed`` run
-from a random start (a non-zero 4-D potential read back from its snapshot)
-and, with no prior run, on that preset's zero potential (its divisor fit on
-the 4-D lattice) and on ``degenerate_split``'s at N=4, whose fit band holds
-one value of s2 (``functionals_flat_band``: a ``gamma_fit_error``);
-``check-classes``)
-with the ``jflow`` package of ``<checkout>/src``, each in a fresh output
-directory, and prints JSON with every command's exit status and the sha256
-of every file it wrote.  From ``run.json`` the wall-clock stamps
-``started`` and ``finished`` and the ``config_hash`` (whose config includes
-the output path) are dropped before hashing.  A refactor that keeps every
-output byte for byte gives the same JSON as its parent.  BLAS/OpenMP pools
-are pinned to one thread, as ``perfbench/run.py`` pins them.  Configs
-and workload units run two at a time (``JOBS``), each config's commands
-in order in its own directory, so the JSON does not depend on which ends
-first; the whole takes a few seconds on two cores.  A command whose
-stderr holds a Python traceback stops the tool with a non-zero exit that
-names the config and the command: a crash is not an exit status to
-record.
+Runs the command lines of ``CONFIGS`` with the ``jflow`` package of
+``<checkout>/src``, each config's commands in order in a fresh output
+directory, and prints JSON with every command's exit status and the
+sha256 of every file it wrote.  From ``run.json`` the wall-clock stamps
+``started`` and ``finished`` and the ``config_hash`` (whose config
+includes the output path) are dropped before hashing.  A refactor that
+keeps every output byte for byte gives the same JSON as its parent.  The
+configs check:
+
+* ``run`` on the split and 4-D backends, under RK4, with explicit
+  ``flow`` and ``ma`` keys (``run_sections``), from explicit
+  ``phi0.modes`` on the 4-D backend and from a random split start;
+* starts refused: the cone condition, a non-positive phi0, and every
+  member of a family (``family_all_refused``);
+* eps = 0: on a divisor preset off the divisor, on a lattice that
+  samples it (``run_eps0_on_divisor``, a config error, nothing written),
+  and the degenerate 4-D flow 0.3 of the spacing off it
+  (``run_eps0_full``, which exits 1 on the N=8 scheme's rise of sup
+  phi_dot);
+* the maximum principle decided on a failing random start, on a run of
+  two rows (``run_two_rows``, exit 1) and on a stationary start of one
+  row (``run_stationary``, which passes);
+* ``family``, and its ladders with no positive eps or a final 0 (config
+  errors);
+* ``solve-ma`` on the 4-D lattice at N=8, at N=12 (``solve_ma_full_n12``:
+  GMRES vectors long enough for a BLAS to split a dot product over
+  threads) and down to eps = 0 on ``run_eps0_full``'s lattice; on the
+  factor lattice at N=8, and at N=16 with offsets as a ladder down to eps
+  = 0.01, at eps = 0.01 alone and at eps = 0.  No config runs ``solve-ma``
+  at N=64, where the 4-D psi it writes is 134 MB;
+* ``functionals`` on a split run's final potential, on a random 4-D
+  run's, on ``nonsplit_perturbed``'s zero potential (its divisor fit on
+  the 4-D lattice) and on ``degenerate_split``'s at N=4, whose fit band
+  holds one value of s2 (``functionals_flat_band``: a ``gamma_fit_error``);
+* ``check-classes``.
 
 It also fingerprints, as ``perfbench/<workload>/seed<k>``, the flow
 outputs of the two benchmark workloads of ``<checkout>/perfbench/
@@ -57,31 +51,12 @@ the final potential; for ``full_flow`` also the sha256 of the Newton
 oracle's psi and its iteration count; and the unit's failed gates.  The
 tool only reads ``perfbench/``.
 
-``solve_ma_full_n12`` fingerprints Newton where GMRES's vectors (12^4
-entries) are long enough for a BLAS to split a dot product over threads.
-It was added with ``krylov._dot``, which made those bits independent of
-the thread count and changed them once; the other 19 configs kept every
-byte through that change.  ``run_eps0_full`` and ``solve_ma_full_eps0``
-were added with the tier-1 test of the degenerate flow on the 4-D lattice,
-and no other fingerprint moved then.  ``run_two_rows`` and
-``run_stationary`` were added when the maximum principle began to be
-decided on runs of fewer than 3 rows: before, neither run had that
-verdict, and ``run_two_rows`` exited 0.  No other fingerprint moved then,
-nor when the ``q`` keys left ``run_sections`` (Q's constants come from
-the divisor since).
-
-``solve_ma_split_ladder`` was added when every rung of a split ladder
-began to start from the last psi, because a cold Newton start failed at
-eps = 0.01.  ``solve_ma_split``'s bits moved then, when its rung eps = 0.1
-began to start warm; its rung eps = 0.2, a cold start, kept every byte.
-The split configs' bits moved again when the factor lattice's Newton
-iteration became one direct Poisson solve plus one correction: the linear
-factor equation needs no start, and ``solve_ma_split_cold`` and
-``solve_ma_split_eps0`` check that eps = 0.01 and eps = 0 solve alone
-(under Newton both exited 1).  They moved once more when the correction
-solve went and the factor lattice's residual became relative to sup goal:
-one ``newton.csv`` row per eps.  No ``solve-ma`` config runs at N=64,
-where the assembled 4-D psi it writes is 134 MB per file.
+BLAS/OpenMP pools are pinned to one thread, as ``perfbench/run.py`` pins
+them.  Configs and workload units run two at a time (``JOBS``), so the
+JSON does not depend on which ends first; the whole takes a few seconds
+on two cores.  A command whose stderr holds a Python traceback stops the
+tool with a non-zero exit that names the config and the command: a crash
+is not an exit status to record.
 """
 
 import argparse
