@@ -34,7 +34,7 @@ from .diagnostics import (
     trace_bound_check,
     uniformity_report,
 )
-from .errors import ConfigError, JFlowError, is_number
+from .errors import ConfigError, JFlowError, is_integer, is_number
 from .flow import (
     FlowConfig,
     check_eps_zero,
@@ -46,7 +46,6 @@ from .flow import (
 from .functionals import evaluate_suite
 from .ma import MASolverConfig, solve_ma_continuation
 from .presets import (
-    PRESET_NAMES,
     PRESETS,
     Problem,
     build_preset,
@@ -54,7 +53,7 @@ from .presets import (
     preset_grid,
     random_bandlimited_potential,
 )
-from .torus import ScalarField
+from .torus import Grid, ScalarField
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +93,7 @@ _SECTION_KEYS = {
     "omegahat": {"class", "modes"},
     "phi0": {"modes", "random"},
 }
-_TOP_KEYS = {"version", "preset", "n", "offsets", "eps", "out", "seed"}
+_TOP_KEYS = {f.name for f in dc_fields(RunConfig)} - set(_SECTION_KEYS)
 
 
 def _split_items(text):
@@ -127,8 +126,6 @@ def _parse_value(text):
         return True
     if low in ("false", "no", "off"):
         return False
-    if low in ("none", "null"):
-        return None
     try:
         return int(text)
     except ValueError:
@@ -143,7 +140,9 @@ def _parse_value(text):
 def parse_config(text, out=None):
     """Parse and validate; raises ConfigError listing every problem.  A
     given ``out`` (the --out flag) replaces the output directory as a path,
-    never parsed as a number.  Lines and items that start with ``#`` are comments."""
+    never parsed as a number.  Lines and items that start with ``#`` are
+    comments.  Every word is read by its key's own check, ``none`` too: a
+    key left out takes its default, N and eps the preset row's."""
     cfg = RunConfig()
     problems = []
     text = "\n".join(line for line in text.split("\n") if not line.lstrip().startswith("#"))
@@ -159,96 +158,101 @@ def parse_config(text, out=None):
             problems.append(f"{key}: unbalanced brackets in {raw.strip()!r}")
             continue
         value = _parse_value(raw)
-        lower = key.lower()
-        if "." in lower:
-            section, _, sub = lower.partition(".")
-            if section not in _SECTION_KEYS:
+        name, dot, sub = key.lower().partition(".")
+        if dot:
+            if name not in _SECTION_KEYS:
                 problems.append(f"unknown section: {key!r}")
-            elif sub not in _SECTION_KEYS[section]:
-                problems.append(f"unknown key {key!r} in section {section!r}")
+            elif sub not in _SECTION_KEYS[name]:
+                problems.append(f"unknown key {key!r} in section {name!r}")
             else:
-                getattr(cfg, section)[sub] = value
-        elif lower in _TOP_KEYS:
-            if lower == "eps" and not isinstance(value, list):
+                getattr(cfg, name)[sub] = value
+        elif name in _TOP_KEYS:
+            if name == "eps" and not isinstance(value, list):
                 value = [value]
-            setattr(cfg, lower, value)
+            setattr(cfg, name, value)
         else:
             problems.append(f"unknown key: {key!r}")
     if out:
         cfg.out = out
-    problems.extend(validate_config(cfg))
+    # a known preset's row, or the explicit problem's (""), fills what is left out
+    row = PRESETS.get(cfg.preset) if isinstance(cfg.preset, str) else None
+    if row:
+        cfg.n = row["n"] if cfg.n is None else cfg.n
+        cfg.eps = list(row["eps"]) if cfg.eps is None else cfg.eps
+    problems.extend(validate_config(cfg, row))
     if problems:
         raise ConfigError(problems)
-    _fill_defaults(cfg)
     return cfg
 
 
-def validate_config(cfg):
-    problems = []
+def validate_config(cfg, row):
+    """Yield each problem of a config; ``row`` is its preset's (None for an
+    unknown preset), which has filled in N and eps if they were left out."""
     if cfg.version != SCHEMA_VERSION:
-        problems.append(
-            f"version: schema version {cfg.version} != supported {SCHEMA_VERSION}"
-        )
+        yield f"version: schema version {cfg.version} != supported {SCHEMA_VERSION}"
     if not isinstance(cfg.preset, str):
-        problems.append(f"preset: must be a preset name, got {cfg.preset!r}")
-    elif cfg.preset and cfg.preset not in PRESET_NAMES:
-        problems.append(f"preset: unknown preset {cfg.preset!r}")
-    if not cfg.preset and "class" not in cfg.chi0:
-        problems.append("either preset or explicit chi0/omega0/omegahat specs required")
-    # a given N, eps or offsets stands or is refused; omitted (or none), the row's
-    if cfg.n is not None and not (isinstance(cfg.n, int) and cfg.n >= 4 and cfg.n % 2 == 0):
-        problems.append(f"N must be even and >= 4, got {cfg.n!r}")
+        yield f"preset: must be a preset name, got {cfg.preset!r}"
+    elif row is None:
+        yield f"preset: unknown preset {cfg.preset!r}"
+    forms = [name for name in ("chi0", "omega0", "omegahat") if getattr(cfg, name)]
+    if cfg.preset and forms:
+        yield f"{', '.join(forms)}: give a preset or form sections, not both"
+    elif not cfg.preset and "class" not in cfg.chi0:
+        yield "either preset or explicit chi0/omega0/omegahat specs required"
     if cfg.eps == []:
-        problems.append("eps: give at least one eps, got []")
+        yield "eps: give at least one eps, got []"
     for i, e in enumerate(cfg.eps or ()):
         if not (is_number(e) and e >= 0):
-            problems.append(f"eps[{i}]: entries must be nonnegative finite reals, "
-                            f"got {e!r}")
-    if cfg.offsets is not None and not _is_reals(cfg.offsets, (2, 4)):
-        problems.append("offsets: give 2 (split presets) or 4 (others) finite reals, "
-                        f"got {cfg.offsets!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
+            yield (f"eps[{i}]: entries must be nonnegative finite reals, "
+                   f"got {e!r}")
+    # the lattice's own rules decide: Grid's for N, and the preset's lattice
+    # for the offsets' count and range, once the row is known and N good
+    offsets_ok = cfg.offsets is None or _is_reals(cfg.offsets)
+    if not offsets_ok:
+        yield f"offsets: must be a list of finite reals, got {cfg.offsets!r}"
+    try:
+        if cfg.n is not None:  # given, or the row's
+            Grid(cfg.n)
+    except ValueError as err:
+        yield f"N: {err}"
+    else:
+        try:
+            if row and offsets_ok:
+                preset_grid(cfg.preset, cfg.n, cfg.offsets)
+        except ValueError as err:
+            yield f"offsets: {err}"
+    if not is_integer(cfg.seed) or cfg.seed < 0:
+        yield f"seed: must be an integer >= 0, got {cfg.seed!r}"
     if not isinstance(cfg.out, str) or not cfg.out:
-        problems.append(f"out: must be a directory path, got {cfg.out!r}")
+        yield f"out: must be a directory path, got {cfg.out!r}"
     for section in ("chi0", "omega0", "omegahat", "phi0"):
         spec = getattr(cfg, section)
         if "class" in spec and not _is_reals(spec["class"], (4,)):
-            problems.append(f"{section}.class: must be 4 finite reals "
-                            f"[m11, m22, Re m12, Im m12], got {spec['class']!r}")
+            yield (f"{section}.class: must be 4 finite reals "
+                   f"[m11, m22, Re m12, Im m12], got {spec['class']!r}")
         modes = spec.get("modes", [])
         if not (isinstance(modes, list) and all(_is_reals(m, (5, 6)) for m in modes)):
-            problems.append(f"{section}.modes: must be a list of [amplitude, k_x1, "
-                            f"k_y1, k_x2, k_y2, (phase)] lists of finite reals, "
-                            f"got {modes!r}")
+            yield (f"{section}.modes: must be a list of [amplitude, k_x1, "
+                   f"k_y1, k_x2, k_y2, (phase)] lists of finite reals, "
+                   f"got {modes!r}")
     if not isinstance(cfg.phi0.get("random", False), bool):
-        problems.append(f"phi0.random: must be true or false, got {cfg.phi0['random']!r}")
+        yield f"phi0.random: must be true or false, got {cfg.phi0['random']!r}"
     if cfg.phi0.get("random") and cfg.phi0.get("modes"):
-        problems.append("phi0: give phi0.random=true or phi0.modes, not both")
-    # the row is looked up only for a known preset: an unknown one, even a
-    # list, is still being collected as a problem here
-    row = PRESETS[cfg.preset] if cfg.preset in PRESET_NAMES else {}
-    if cfg.phi0.get("modes") and row.get("dim") == 2:
-        problems.append(f"phi0.modes: explicit modes need the full backend, and "
-                        f"{cfg.preset} runs on the split one")
+        yield "phi0: give phi0.random=true or phi0.modes, not both"
+    if cfg.phi0.get("modes") and row and row["dim"] == 2:
+        yield (f"phi0.modes: explicit modes need the full backend, and "
+               f"{cfg.preset} runs on the split one")
     # the sections are checked by the library's own config types
     for name in _SECTIONS:
         try:
             _section(cfg, name)
         except (TypeError, ValueError) as err:
-            problems.append(f"{name}: {err}")
-    return problems
+            yield f"{name}: {err}"
 
 
-def _is_reals(values, lengths):
-    return (isinstance(values, list) and len(values) in lengths
+def _is_reals(values, lengths=None):
+    return (isinstance(values, list) and (lengths is None or len(values) in lengths)
             and all(is_number(v) for v in values))
-
-
-def _fill_defaults(cfg):
-    row = PRESETS[cfg.preset or ""]
-    cfg.n = row["n"] if cfg.n is None else cfg.n
-    cfg.eps = list(row["eps"]) if cfg.eps is None else cfg.eps
 
 
 def build_problem(cfg):
@@ -274,10 +278,9 @@ def _modes_field(grid, modes):
 
 
 def _section(cfg, name, **fixed):
-    """The library config of section ``name`` from its keys that are set,
-    plus ``fixed`` (flow's eps)."""
-    kw = {k: v for k, v in getattr(cfg, name).items() if v is not None}
-    return _SECTIONS[name](**fixed, **kw)
+    """The library config of section ``name`` from its given keys, plus
+    ``fixed`` (flow's eps)."""
+    return _SECTIONS[name](**fixed, **getattr(cfg, name))
 
 
 def _initial_potential(cfg, problem):
@@ -569,11 +572,10 @@ COMMANDS = tuple(_IMPLS)
 
 
 def validate_command(cfg, command):
-    """Problems of a parsed config that show only with the preset defaults
-    filled in (the offsets against the preset's lattice and N) or with the
-    command (one eps for ``run``, and no eps = 0 on a lattice that samples
-    the preset's divisor; ``flow.check_ladder`` for ``family``'s list as
-    given, so a 0 in it is a config error)."""
+    """Problems of a parsed config that show only with the command: one eps
+    for ``run``, ``flow.check_ladder`` for ``family``'s list as given (so a
+    0 in it is a config error), and no eps = 0 for ``run`` on a lattice
+    that samples the preset's divisor."""
     if command not in COMMANDS:
         return [f"unknown command {command!r}; choose from {COMMANDS}"]
     problems = []
@@ -585,13 +587,10 @@ def validate_command(cfg, command):
             check_ladder(cfg.eps)
         except ValueError as err:
             problems.append(f"eps: {err}")
-    try:
-        grid = preset_grid(cfg.preset, cfg.n, cfg.offsets)
-    except ValueError as err:
-        return problems + [f"offsets: {err}"]
     if command == "run" and cfg.preset and cfg.eps == [0.0]:
+        problem = build_preset(cfg.preset, cfg.n, cfg.offsets)
         try:
-            check_eps_zero(0.0, grid, build_preset(cfg.preset, cfg.n, grid.offsets).divisor)
+            check_eps_zero(0.0, problem.grid, problem.divisor)
         except ValueError as err:
             problems.append(f"eps: {err}")
     return problems

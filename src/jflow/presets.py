@@ -122,10 +122,10 @@ def _from_profile(fgrid, f):
 def preset_grid(name, n, offsets=None):
     """The lattice preset ``name`` is built on, of its row's dimension: the
     factor lattice for the split presets, the 4-D one otherwise (an explicit
-    problem, name "", too).  Zero offsets by default; raises ValueError on a
-    wrong offset count or an offset outside [0, 1/N)."""
+    problem, name "", too).  Zero offsets for None; raises ValueError on a
+    wrong offset count, 0 included, or an offset outside [0, 1/N)."""
     dim = PRESETS[name or ""]["dim"]
-    offsets = tuple(offsets) if offsets else (0.0,) * dim
+    offsets = (0.0,) * dim if offsets is None else tuple(offsets)
     if len(offsets) != dim:
         raise ValueError(f"{name or 'an explicit problem'} takes {dim} offsets, "
                          f"got {len(offsets)}")

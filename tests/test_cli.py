@@ -91,26 +91,27 @@ class TestParseConfig:
         ("preset=degenerate_split", 16, [0.2, 0.1, 0.05]),
         ("preset=nonsplit_perturbed", 12, [0.1]),
         ("chi0.class=[1, 1, 0, 0]", 8, [0.0]),
-        # given values stand; the row fills only what is missing, or none
+        # given values stand; the row fills only what is left out
         ("preset=degenerate_split, N=8, eps=[0.1]", 8, [0.1]),
-        ("preset=degenerate_split, N=none, offsets=none", 16, [0.2, 0.1, 0.05]),
     ])
     def test_preset_row_defaults(self, text, n, eps):
         cfg = parse_config(text)
         assert (cfg.n, cfg.eps) == (n, eps)
 
     @pytest.mark.parametrize("text, problem", [
-        ("N=0", "N must be even and >= 4, got 0"),
-        ("N=false", "N must be even and >= 4, got False"),
-        ("N=[]", "N must be even and >= 4, got []"),
-        ("N=", "N must be even and >= 4, got ''"),
+        ("N=0", "N: grid size must be an even integer >= 4, got 0"),
+        ("N=false", "N: grid size must be an even integer >= 4, got False"),
+        ("N=[]", "N: grid size must be an even integer >= 4, got []"),
+        ("N=", "N: grid size must be an even integer >= 4, got ''"),
+        ("N=none", "N: grid size must be an even integer >= 4, got 'none'"),
         ("eps=[]", "eps: give at least one eps, got []"),
-        ("offsets=[]", "offsets: give 2 (split presets) or 4 (others) finite reals, got []"),
-        ("offsets=", "offsets: give 2 (split presets) or 4 (others) finite reals, got ''"),
+        ("offsets=[]", "offsets: degenerate_split takes 2 offsets, got 0"),
+        ("offsets=", "offsets: must be a list of finite reals, got ''"),
+        ("offsets=none", "offsets: must be a list of finite reals, got 'none'"),
     ])
     def test_given_value_is_never_the_rows(self, text, problem):
         # N=0, N=false, N=[] and N= ran at the preset's N, eps=[] ran its
-        # ladder and offsets=[] zero offsets
+        # ladder and offsets=[] zero offsets; N=none and offsets=none did too
         with pytest.raises(ConfigError) as err:
             parse_config(f"preset=degenerate_split, {text}")
         assert err.value.problems == [problem]
@@ -139,11 +140,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("preset=nope, N=15, bogus=1, flow.nonsense=2, M, solver.tol=1")
         msgs = " | ".join(err.value.problems)
-        assert "nope" in msgs and "N must be even" in msgs
+        assert "nope" in msgs and "N: grid size must be an even integer >= 4, got 15" in msgs
         assert "bogus" in msgs and "nonsense" in msgs
         assert "not a key=value pair: 'M'" in err.value.problems
         assert "unknown section: 'solver.tol'" in err.value.problems
         assert len(err.value.problems) >= 6
+
+    @pytest.mark.parametrize("key", KNOWN_KEYS)
+    def test_none_is_an_ordinary_word(self, key):
+        # each key reads the word through its own check; a default comes
+        # from leaving the key out
+        text = f"preset=identity, {key}=none"
+        if key == "out":
+            assert parse_config(text).out == "none"
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        named = {p.partition(":")[0].partition("[")[0].lower() for p in err.value.problems}
+        assert key in named or key.partition(".")[0] in named
+
+    @pytest.mark.parametrize("forms, named", [
+        ("chi0.class=[2,2,0,0], omega0.modes=[[0.05,1,0,0,0,0]]", "chi0, omega0"),
+        ("omegahat.class=[1,1,0,0]", "omegahat"),
+    ])
+    def test_preset_takes_no_form_sections(self, forms, named):
+        # the preset's forms were built and the given ones dropped
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"preset=identity, {forms}")
+        assert err.value.problems == [f"{named}: give a preset or form sections, not both"]
+        # phi0 is the start, not a form: it goes with a preset
+        parse_config("preset=nonsplit_perturbed, phi0.modes=[[0.002, 1, 0, 0, 0]]")
 
     def test_version_mismatch(self):
         with pytest.raises(ConfigError, match="version"):
@@ -768,6 +794,13 @@ class TestMain:
         # a random start with modes, which it would drop
         ("run", "preset=nonsplit_perturbed, N=8, eps=[0.1], seed=1, phi0.random=true, "
                 "phi0.modes=[[0.002, 1, 0, 0, 0]]"),
+        # form sections beside a preset, whose forms would replace them
+        ("check-classes", "preset=identity, chi0.class=[2,2,0,0], "
+                          "omega0.modes=[[0.05,1,0,0,0,0]]"),
+        # none is an ordinary word, which N, offsets and the sections refuse
+        ("check-classes", "preset=identity, N=none"),
+        ("check-classes", "preset=identity, offsets=none"),
+        ("run", "preset=identity, N=4, flow.max_time=none"),
     ])
     def test_bad_top_level_or_form_value_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, text):
@@ -780,15 +813,19 @@ class TestMain:
         assert "config error:" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
-    @pytest.mark.parametrize("value", ["0", "false", "none"])
-    def test_non_string_preset_exit_2(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize("value, problem", [
+        ("0", "preset: must be a preset name, got 0"),
+        ("false", "preset: must be a preset name, got False"),
+        ("none", "preset: unknown preset 'none'"),
+    ], ids=["0", "false", "none"])
+    def test_non_string_preset_exit_2(self, tmp_path, monkeypatch, capsys, value, problem):
         # a falsy preset with chi0.class ran as an explicit problem
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.cfg").write_text(f"preset={value}, n=8, chi0.class=[1,1,0,0], "
                                           "omega0.class=[1,1,0,0], omegahat.class=[1,1,0,0]\n")
         code = main(["--command", "check-classes", "--config", "run.cfg"])
         assert code == 2
-        assert "preset: must be a preset name" in capsys.readouterr().err
+        assert f"config error: {problem}\n" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
     @pytest.mark.parametrize("command, text", [
@@ -860,6 +897,10 @@ class TestConfigFuzz:
             cfg = parse_config(f"preset={preset}, {text}")
         except ConfigError:
             return
-        # whatever parses must build the library's config types
+        # whatever parses must build the library's config types and its
+        # problem, whose lattice parsing has checked; a 4-D lattice is built
+        # only up to N=16, as N=100 would take gigabytes
         _section(cfg, "flow", eps=0.1)
         _section(cfg, "ma")
+        if PRESETS[cfg.preset]["dim"] == 2 or cfg.n <= 16:
+            assert build_problem(cfg).grid.n == cfg.n

@@ -88,6 +88,15 @@ class TestBuildPreset:
         with pytest.raises(ValueError, match="offsets"):
             build_preset(name, n=8, offsets=offsets)
 
+    @pytest.mark.parametrize("offsets", [[], ()])
+    def test_empty_offsets_are_a_count_not_zero_offsets(self, offsets):
+        # an empty list was read as "none given" and built at zero offsets;
+        # only None means zero offsets
+        with pytest.raises(ValueError, match="degenerate_split takes 2 offsets, got 0"):
+            build_preset("degenerate_split", n=8, offsets=offsets)
+        with pytest.raises(ValueError, match="an explicit problem takes 4 offsets, got 0"):
+            preset_grid("", 8, offsets)
+        assert preset_grid("", 8, None).offsets == (0.0,) * 4
 
     @pytest.mark.parametrize(
         "name", [n for n in PRESET_NAMES if build_preset(n, n=8).backend == "split"]
