@@ -246,7 +246,7 @@ def validate_config(cfg, row):
     for name in _SECTIONS:
         try:
             _section(cfg, name)
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             yield f"{name}: {err}"
 
 

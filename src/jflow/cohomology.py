@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import PositivityError, is_number
 from .split import SplitPotential
 from .torus import (ScalarField, SpectralOps, _lam_lo, _wedge, complex_hessian,
                     generalized_eigenvalues)
@@ -193,7 +193,7 @@ def epsilon_form(omega0, eps, omega_hat):
 
     Class and potential add componentwise, on either lattice.
     """
-    if not 0.0 <= eps < math.inf:  # nan compares false
+    if not (is_number(eps) and eps >= 0.0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
     if eps == 0.0:
         return omega0

@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the value check that
-every config type makes."""
+"""Exception types shared across the package, and its one number rule."""
 
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,11 +21,14 @@ def is_integer(value):
 
 
 def check_numbers(cfg):
-    """Raise ValueError if a number field of the config dataclass ``cfg`` (a
-    number or a numpy bool) is a bool, not real or not finite."""
-    for name, value in vars(cfg).items():
-        if isinstance(value, (numbers.Number, np.bool_)) and not is_number(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+    """Raise ValueError unless each ``float`` field of the config dataclass
+    ``cfg`` is a number and each ``int`` field an integer, by the rules above."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float and not is_number(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value}")
+        if f.type is int and not is_integer(value):
+            raise ValueError(f"{f.name} must be an integer, got {value}")
 
 
 class JFlowError(Exception):

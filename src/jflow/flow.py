@@ -111,7 +111,7 @@ import numpy.fft as sfft  # noqa: F401 - numpy.fft, kept for the benchmark trace
 
 from .cohomology import c_constant, cone_condition, epsilon_form
 from .errors import (ConeConditionError, DegenerateStiffnessError, JFlowError,
-                     PositivityError, check_numbers, is_integer)
+                     PositivityError, check_numbers, is_integer, is_number)
 from .functionals import _energies_full, _energies_split
 from .torus import SpectralOps, _cowedge, _det, _lam_lo
 
@@ -155,7 +155,7 @@ class FlowConfig:
             raise ValueError("dt_safety must lie in (0, 1)")
         if not (self.stop_tolerance > 0.0 and self.max_time > 0.0):
             raise ValueError("stop_tolerance and max_time must be positive")
-        if not is_integer(self.snapshot_stride) or self.snapshot_stride < 1:
+        if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be an integer >= 1")
         if not self.eps >= 0.0:
             raise ValueError("eps must be nonnegative")
@@ -784,7 +784,7 @@ def step(state, dt):
     ``last_dt``.  There is no error test: that belongs to ``evolve``'s
     step-size control.
     """
-    if not 0.0 < dt < math.inf:  # nan compares false
+    if not (is_number(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     kernel = state.kernel
     radius = replace(state.radius)  # the new state's: ``state`` keeps its own
@@ -934,7 +934,7 @@ class FamilyReport:
 def check_ladder(eps_list):
     """Raise ValueError unless ``eps_list`` is an eps ladder that
     ``epsilon_family`` runs: non-empty, finite, positive, strictly descending."""
-    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):  # nan compares false
+    if len(eps_list) == 0 or not all(is_number(e) and e > 0.0 for e in eps_list):
         raise ValueError(f"epsilon_family needs one or more finite positive epsilons, "
                          f"got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -957,8 +957,8 @@ def epsilon_family(cfg, eps_list, chi0, omega0, omega_hat, phi0=None,
     if not is_integer(workers) or workers != 1:
         raise ValueError(f"epsilon_family steps its members as one batch; "
                          f"workers must be 1, got {workers!r}")
-    eps_list = [float(e) for e in eps_list]
     check_ladder(eps_list)
+    eps_list = [float(e) for e in eps_list]
 
     members = _evolve_members(cfg, eps_list, chi0, omega0, omega_hat, phi0, divisor)
     ok = [m for m in members if m.ok]

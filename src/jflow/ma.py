@@ -139,7 +139,9 @@ def _full_newton(alpha, c, target, ops, cfg, psi0):
         psi = np.zeros(alpha.grid.shape)
 
     def evaluate(p):
-        a = ops.hessian(p, base=a_real, c=c)
+        a = ops.hessian(p)
+        a *= c
+        a += a_real
         m = positivity_margin(a)
         return a, m, (np.log(2.0 * _det(a)) - log_t if m > 0.0 else None)
 

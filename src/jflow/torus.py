@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft as sfft
 
-from .errors import PositivityError, is_integer
+from .errors import PositivityError, is_integer, is_number
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,11 +69,11 @@ class Grid:
             raise ValueError(f"grid size must be an even integer >= 4, got {self.n!r}")
         if len(self.offsets) not in (2, 4):
             raise ValueError(f"offsets must have 2 or 4 entries, got {len(self.offsets)}")
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         for o in self.offsets:
-            if not (0.0 <= o < 1.0 / self.n):
+            if not (is_number(o) and 0.0 <= o < 1.0 / self.n):
                 raise ValueError(f"offsets must lie in [0, 1/N) = [0, {1.0 / self.n:g}), "
                                  f"got {o}")
+        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
 
     @property
     def shape(self):
@@ -241,12 +241,11 @@ class SpectralOps:
             return out
         raise ValueError(f"{who}: out must be a C-contiguous {shape} array")
 
-    def hessian(self, v, base=None, c=None, out=None):
+    def hessian(self, v, base=None, out=None):
         """Components (h11, h22, h12_re, h12_im) of dd^c v for raw values v
-        on a 4-D lattice, each as ``base_k + c * H_k`` when ``base`` / ``c``
-        are given (``base`` stacked to a (4,) + shape array broadcast to
-        v's shape, ``c`` a float).  Axes of v before the grid's are batch
-        axes, as in ``laplacian``.
+        on a 4-D lattice, each as ``base_k + H_k`` when ``base`` is given
+        (stacked to a (4,) + shape array broadcast to v's shape).  Axes of v
+        before the grid's are batch axes, as in ``laplacian``.
 
         Returns the four rows of one C-contiguous (4,) + v.shape block:
         ``out`` when it is given (not overlapping v), else a fresh one.  The
@@ -257,8 +256,8 @@ class SpectralOps:
         along 3 and -d1 of q along 2 (h12_im: adding the negated product is
         the same float operation as subtracting it).  Each entry's first
         product goes into the block, its second into scratch, and one
-        in-place sum adds all four; the mean subtraction, ``c`` and ``base``
-        are one in-place operation each.
+        in-place sum adds all four; the mean subtraction and ``base`` are
+        one in-place operation each.
         """
         (r0, r1, r2, r3, _), u, (p, q), t = self._plan(v.shape)
         h = self._into(out, t.shape, "hessian")
@@ -280,8 +279,6 @@ class SpectralOps:
         # the d2 entries made mean-free, as with the transform
         hd = h[:2]
         hd -= hd.sum(self._block, keepdims=True) / self.grid.n ** 4
-        if c is not None:
-            h *= c
         if base is not None:
             b = np.asarray(base)
             h += b.reshape(b.shape[:1] + (1,) * (h.ndim - b.ndim) + b.shape[1:])

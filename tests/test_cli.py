@@ -1,7 +1,7 @@
 import json
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from jflow import cli
 from jflow.cli import (
     COMMANDS,
     _SECTION_KEYS,
+    _SECTIONS,
     _TOP_KEYS,
     RunRecord,
     _record_verdict,
@@ -25,7 +26,7 @@ from jflow.cli import (
 )
 from jflow.diagnostics import PROXY_NOTE
 from jflow.errors import ConfigError
-from jflow.flow import MonitorVerdict
+from jflow.flow import INTEGRATORS, MonitorVerdict
 from jflow.io import read_field
 from jflow.presets import PRESET_NAMES, PRESETS, cosine_modes
 
@@ -234,21 +235,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key: 'workers'"):
             parse_config("preset=degenerate_split, N=8, workers=2")
 
-    @pytest.mark.parametrize("text, section", [
-        ("preset=identity, N=4, ma.newton_tol=-1", "ma"),
-        ("preset=identity, flow.snapshot_stride=0", "flow"),
-        ("preset=identity, flow.max_time=abc", "flow"),
-        ("preset=degenerate_split, flow.dt_safety=1.5", "flow"),
-        ("preset=degenerate_split, N=8, flow.dt_safety=true", "flow"),
-        ("preset=degenerate_split, N=8, ma.newton_tol=inf", "ma"),
-        ("preset=identity, flow.snapshot_stride=2.5", "flow"),
-        ("preset=identity, flow.dt_safety=[1]", "flow"),
+    @pytest.mark.parametrize("text, key", [
+        ("preset=identity, N=4, ma.newton_tol=-1", "ma.newton_tol"),
+        ("preset=identity, flow.snapshot_stride=0", "flow.snapshot_stride"),
+        ("preset=identity, flow.max_time=abc", "flow.max_time"),
+        ("preset=degenerate_split, flow.dt_safety=1.5", "flow.dt_safety"),
+        ("preset=degenerate_split, N=8, flow.dt_safety=true", "flow.dt_safety"),
+        ("preset=degenerate_split, N=8, ma.newton_tol=inf", "ma.newton_tol"),
+        ("preset=identity, flow.snapshot_stride=2.5", "flow.snapshot_stride"),
+        ("preset=identity, flow.dt_safety=[1]", "flow.dt_safety"),
         ("preset=identity, offsets=0.1", "offsets"),
     ])
-    def test_bad_value_names_its_key(self, text, section):
+    def test_bad_value_names_its_key(self, text, key):
+        # a section's problem line is "<section>: <key> ...", a top-level
+        # key's "<key>: ..."
+        section, _, sub = key.partition(".")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert any(p.startswith(f"{section}:") for p in err.value.problems)
+        prefix = f"{section}: {sub} " if sub else f"{key}: "
+        assert any(p.startswith(prefix) for p in err.value.problems)
+
+    def test_section_fields_have_a_number_rule(self):
+        # errors.check_numbers checks float and int fields by their type and
+        # leaves every other type unchecked; a str field (the integrator) is
+        # checked by its own list of names
+        for config in _SECTIONS.values():
+            for f in dc_fields(config):
+                assert f.type in (float, int, str), (config.__name__, f.name, f.type)
 
     def test_hash_is_stable_and_sensitive(self):
         c1 = parse_config("preset=identity, seed=1")
@@ -757,6 +770,26 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "none", "[1]"])
+    @pytest.mark.parametrize("key", sorted(f"{section}.{f.name}" for section, config
+                                           in _SECTIONS.items() for f in dc_fields(config)
+                                           if f.name != "eps"))
+    def test_wrong_type_section_value_names_key_and_type(self, tmp_path, capsys, key, value):
+        # each value is checked by its declared type before any comparison,
+        # so the line names the key and its type, never a comparison's
+        # TypeError
+        section, _, name = key.partition(".")
+        kind = {f.name: f.type for f in dc_fields(_SECTIONS[section])}[name]
+        rule = {float: "a finite number", int: "an integer", str: f"one of {INTEGRATORS}"}[kind]
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"preset=identity, N=4, {key}={value}\nout={out}\n")
+        assert main(["--command", "run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {section}: {name} must be {rule}, got " in err
+        assert "not supported between instances" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [

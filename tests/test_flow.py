@@ -24,7 +24,9 @@ from jflow.diagnostics import (
     q_monitor,
     trace_bound_check,
 )
-from jflow.errors import ConeConditionError, DegenerateStiffnessError, PositivityError
+from jflow.cli import parse_config
+from jflow.errors import (ConeConditionError, ConfigError, DegenerateStiffnessError,
+                          PositivityError)
 from jflow.flow import (
     FlowConfig,
     epsilon_family,
@@ -34,7 +36,7 @@ from jflow.flow import (
     step,
 )
 from jflow.functionals import _energies_full, _energies_split
-from jflow.ma import MASolverConfig, build_alpha, solve_ma
+from jflow.ma import MASolverConfig, build_alpha, solve_ma, solve_ma_continuation
 from jflow.presets import build_preset, random_bandlimited_potential, smooth_profile
 from jflow.split import SplitPotential
 from jflow.torus import (
@@ -476,11 +478,12 @@ class TestStep:
         assert not err.margin > 0.0
 
     @pytest.mark.parametrize("integrator", ["rkc", "rk4"])
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, True, np.True_],
+                             ids=["nan", "inf", "-inf", "0.0", "True", "np.True_"])
     def test_dt_must_be_finite_and_positive(self, integrator, dt):
         # refused before the first right-hand side under either integrator:
-        # nan compares false with 0, and no stage count or halving makes
-        # an infinite step finite
+        # nan compares false with 0, no stage count or halving makes an
+        # infinite step finite, and a bool is an int that would step dt = 1
         pb = build_preset("degenerate_split", n=8)
         state = make_state(FlowConfig(eps=0.1, integrator=integrator),
                            pb.chi0, pb.omega0, pb.omega_hat, divisor=pb.divisor)
@@ -854,10 +857,49 @@ class TestFlowConfig:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             FlowConfig(eps=-0.1)
 
-    @pytest.mark.parametrize("value", [0, 2.0, np.int64(0), np.float64(5.0)])
-    def test_snapshot_stride_is_a_positive_integer(self, value):
-        with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
+    @pytest.mark.parametrize("value, message", [
+        (0, "snapshot_stride must be an integer >= 1"),
+        (np.int64(0), "snapshot_stride must be an integer >= 1"),
+        # a whole float is no integer: the int field's type rule names it
+        (2.0, "snapshot_stride must be an integer, got 2.0"),
+        (np.float64(5.0), "snapshot_stride must be an integer, got 5.0"),
+    ], ids=["0", "int64-0", "2.0", "5.0"])
+    def test_snapshot_stride_is_a_positive_integer(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FlowConfig(snapshot_stride=value)
+
+
+_LADDER_RULE = "epsilon_family needs one or more finite positive epsilons"
+_FORM_RULE = "epsilon must be finite and nonnegative"
+
+
+class TestEpsRule:
+    """Every entry point that takes an eps refuses a bool (an int, which
+    would run as eps = 1) and a value that is not finite, each with its
+    own text."""
+
+    ENTRY_POINTS = {
+        "FlowConfig": (lambda pb, e: FlowConfig(eps=e), "eps must be a finite number"),
+        "cli": (lambda pb, e: parse_config(f"preset=degenerate_split, N=8, eps=[{e}]"),
+                "eps[0]: entries must be nonnegative finite reals"),
+        "epsilon_form": (lambda pb, e: epsilon_form(pb.omega0, e, pb.omega_hat), _FORM_RULE),
+        "omega_eps": (lambda pb, e: pb.omega_eps(e), _FORM_RULE),
+        "solve_ma_continuation": (
+            lambda pb, e: solve_ma_continuation(pb.chi0, pb.omega0, pb.omega_hat, [e]),
+            _FORM_RULE),
+        "check_ladder": (lambda pb, e: flow.check_ladder([e]), _LADDER_RULE),
+        "epsilon_family": (lambda pb, e: epsilon_family(FlowConfig(), [e], pb.chi0, pb.omega0,
+                                                        pb.omega_hat, divisor=pb.divisor),
+                           _LADDER_RULE),
+    }
+
+    @pytest.mark.parametrize("eps", [True, np.True_, math.nan, math.inf],
+                             ids=["True", "np.True_", "nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bool_and_non_finite_eps_are_refused(self, entry, eps):
+        call, rule = self.ENTRY_POINTS[entry]
+        with pytest.raises((ValueError, ConfigError), match=re.escape(rule)):
+            call(build_preset("degenerate_split", n=8), eps)
 
 
 class TestLeanStep:

@@ -70,6 +70,11 @@ class TestGrid:
         Grid(8, (0.01, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             Grid(8, (0.2, 0.0, 0.0, 0.0))
+        # each offset is checked before its float() conversion, which reads
+        # a bool or a numeric string as a number
+        for bad in (False, np.False_, "0", np.nan):
+            with pytest.raises(ValueError, match=r"offsets must lie in \[0, 1/N\)"):
+                Grid(8, (bad, 0.0, 0.0, 0.0))
 
     def test_factor_lattice_validated_alike(self):
         assert Grid(8, (0.01, 0.0)).shape == (8, 8)
@@ -239,12 +244,8 @@ class TestSpectralOps:
             shared = tuple(rng.normal(size=g.shape) for _ in range(4))
             own = rng.normal(size=(4, m) + g.shape)
             for kw, single_kw in (({}, lambda k: {}),
-                                  ({"c": 0.7}, lambda k: {"c": 0.7}),
                                   ({"base": shared}, lambda k: {"base": shared}),
-                                  ({"base": shared, "c": 0.7},
-                                   lambda k: {"base": shared, "c": 0.7}),
-                                  ({"base": own, "c": 0.7},
-                                   lambda k: {"base": own[:, k], "c": 0.7})):
+                                  ({"base": own}, lambda k: {"base": own[:, k]})):
                 batched = ops.hessian(stack, **kw)
                 into = np.empty((4,) + stack.shape)
                 assert all(np.shares_memory(h, into)
@@ -387,7 +388,7 @@ class TestSpectralOps:
             monkeypatch.setattr(torus.sfft, name, refuse)
         assert all(np.array_equal(a, b) for a, b in zip(ops.hessian(v), ref))
         complex_hessian(ScalarField(g, v))
-        ops.hessian(v, base=ref, c=0.5)
+        ops.hessian(v, base=ref)
 
     @pytest.mark.parametrize("g", GRIDS, ids=grid_id)
     def test_constants_map_to_zero(self, g):
