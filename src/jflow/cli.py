@@ -172,7 +172,7 @@ def parse_config(text, out=None):
             setattr(cfg, name, value)
         else:
             problems.append(f"unknown key: {key!r}")
-    if out:
+    if out is not None:
         cfg.out = out
     # a known preset's row, or the explicit problem's (""), fills what is left out
     row = PRESETS.get(cfg.preset) if isinstance(cfg.preset, str) else None
@@ -357,15 +357,19 @@ def _new_record(cfg, command):
     )
 
 
-def _cmd_check_classes(cfg, record, out):
-    problem = build_problem(cfg)
+def _eps_label(eps):
+    """An eps in names and keys: its float repr less a trailing ".0" (lossless)."""
+    return repr(float(eps)).removesuffix(".0")
+
+
+def _cmd_check_classes(cfg, problem, record, out):
     x = problem.chi0_class()
     per_eps = {}
     all_pass = True
     for eps in cfg.eps:
         w = problem.omega_eps_class(eps)
         margin = cone_condition(x, w)
-        per_eps[str(eps)] = {"c": c_constant(x, w), "cone_margin": margin}
+        per_eps[_eps_label(eps)] = {"c": c_constant(x, w), "cone_margin": margin}
         all_pass &= margin > 0
     record.verdicts["cone_condition"] = bool(all_pass)
     payload = {"per_eps": per_eps}
@@ -391,13 +395,14 @@ def _record_verdict(record, name, verdict, tag=""):
     record.failures.extend(f"{tag}{f}" for f in verdict.failures)
 
 
-def _record_trajectory(problem, traj, record, out, eps=None):
+def _record_trajectory(problem, traj, record, out, label=None):
     """Write a finished run's history to series.csv and its final potential
-    to fields/final.jflw (both names suffixed -eps<eps> for a family
-    member), then record its telemetry and the monitors' verdicts, prefixed
-    eps=<eps>: for a member.  A q-monitor that cannot be evaluated on this
-    grid is a failure line, not the end of the run: the verdicts before it stand."""
-    suffix, tag = ("", "") if eps is None else (f"-eps{eps:g}", f"eps={eps:g}:")
+    to fields/final.jflw (both names suffixed -eps<label> for a family
+    member, ``label`` its eps's ``_eps_label``), then record its telemetry
+    and the monitors' verdicts, prefixed eps=<label>: for a member.  A
+    q-monitor not evaluable on this grid is a failure line, not the end of
+    the run: the verdicts before it stand."""
+    suffix, tag = ("", "") if label is None else (f"-eps{label}", f"eps={label}:")
     jio.write_history_csv(_artifact(record, out, f"series{suffix}.csv"), traj.rows)
     jio.write_scalar(_artifact(record, out, f"fields/final{suffix}.jflw"),
                      traj.final_potential())
@@ -417,8 +422,7 @@ def _record_trajectory(problem, traj, record, out, eps=None):
             record.scalars[f"{tag}q_max_final"] = series[-1][1]
 
 
-def _cmd_run(cfg, record, out):
-    problem = build_problem(cfg)
+def _cmd_run(cfg, problem, record, out):
     eps = cfg.eps[0]
     traj = evolve(
         _section(cfg, "flow", eps=eps),
@@ -435,8 +439,7 @@ def _cmd_run(cfg, record, out):
     return record
 
 
-def _cmd_family(cfg, record, out):
-    problem = build_problem(cfg)
+def _cmd_family(cfg, problem, record, out):
     report = epsilon_family(
         _section(cfg, "flow", eps=cfg.eps[0]), cfg.eps,
         problem.chi0, problem.omega0, problem.omega_hat,
@@ -444,14 +447,14 @@ def _cmd_family(cfg, record, out):
         divisor=problem.divisor,
     )
     record.verdicts["all_members_ran"] = report.ok
-    record.failures.extend(f"eps={k}: {v}" for k, v in report.failures.items())
+    record.failures.extend(f"eps={_eps_label(k)}: {v}" for k, v in report.failures.items())
     est = uniformity_report(report, **PRESETS[cfg.preset]["budget"])
     _record_verdict(record, "uniform_bounds", est)
     ran = [m for m in report.members if m.ok]
     for m in ran:
-        _record_trajectory(problem, m.trajectory, record, out, m.eps)
-    sup_phi = {str(m.eps): max(r.sup_phi for r in m.rows) for m in ran}
-    sup_phidot = {str(m.eps): max(r.sup_phidot for r in m.rows) for m in ran}
+        _record_trajectory(problem, m.trajectory, record, out, _eps_label(m.eps))
+    sup_phi = {_eps_label(m.eps): max(r.sup_phi for r in m.rows) for m in ran}
+    sup_phidot = {_eps_label(m.eps): max(r.sup_phidot for r in m.rows) for m in ran}
     family = {
         "eps": [m.eps for m in report.members],
         "sup_phi_by_eps": sup_phi,
@@ -459,8 +462,8 @@ def _cmd_family(cfg, record, out):
         "consecutive_diffs": [
             {"eps_hi": a, "eps_lo": b, "sup_full_grid": c, "sup_off_divisor": d}
             for (a, b, c, d) in report.consecutive_diffs],
-        "failures": dict(report.failures),
-        "final_residuals": {str(m.eps): m.trajectory.final_residual if m.ok else None
+        "failures": {_eps_label(k): v for k, v in report.failures.items()},
+        "final_residuals": {_eps_label(m.eps): m.trajectory.final_residual if m.ok else None
                             for m in report.members},
     }
     uniformity = {"notes": [PROXY_NOTE], "ok": est.ok, "failures": list(est.failures)}
@@ -472,28 +475,28 @@ def _cmd_family(cfg, record, out):
     return record
 
 
-def _cmd_solve_ma(cfg, record, out):
-    problem = build_problem(cfg)
+def _cmd_solve_ma(cfg, problem, record, out):
     sols = solve_ma_continuation(
         problem.chi0, problem.omega0, problem.omega_hat, cfg.eps, _section(cfg, "ma")
     )
     table = []
     for eps, sol in sols:
+        label = _eps_label(eps)
         table.extend((eps, k, r) for k, r in enumerate(sol.residuals))
-        jio.write_scalar(_artifact(record, out, f"fields/psi-eps{eps:g}.jflw"),
+        jio.write_scalar(_artifact(record, out, f"fields/psi-eps{label}.jflw"),
                          sol.psi.assemble())
-        record.scalars[f"newton_iterations[{eps:g}]"] = sol.newton_iterations
-        record.scalars[f"newton_residual[{eps:g}]"] = sol.residual()
-        record.scalars[f"precond_applies[{eps:g}]"] = sol.precond_applies
-        record.scalars[f"gmres_info_max[{eps:g}]"] = sol.gmres_info_max
+        record.scalars[f"newton_iterations[{label}]"] = sol.newton_iterations
+        record.scalars[f"newton_residual[{label}]"] = sol.residual()
+        record.scalars[f"precond_applies[{label}]"] = sol.precond_applies
+        record.scalars[f"gmres_info_max[{label}]"] = sol.gmres_info_max
     jio.write_series_csv(_artifact(record, out, "newton.csv"),
                          ("eps", "iteration", "residual"), table)
     record.verdicts["newton_converged"] = True  # solve_ma raises unless it converged
     return record
 
 
-def _cmd_functionals(cfg, record, out):
-    problem = build_problem(cfg).to_full()
+def _cmd_functionals(cfg, problem, record, out):
+    problem = problem.to_full()
     snap_path = os.path.join(out, "fields", "final.jflw")
     if os.path.exists(snap_path):
         source = "fields/final.jflw"
@@ -531,7 +534,7 @@ def _cmd_functionals(cfg, record, out):
     return record
 
 
-def _cmd_report(cfg, record, out):
+def _cmd_report(cfg, problem, record, out):
     path = os.path.join(out, "run.json")
     stored = read_record(path)
     warnings = []
@@ -571,41 +574,42 @@ _IMPLS = {
 COMMANDS = tuple(_IMPLS)
 
 
-def validate_command(cfg, command):
-    """Problems of a parsed config that show only with the command: one eps
-    for ``run``, ``flow.check_ladder`` for ``family``'s list as given (so a
-    0 in it is a config error), and no eps = 0 for ``run`` on a lattice
-    that samples the preset's divisor."""
-    if command not in COMMANDS:
-        return [f"unknown command {command!r}; choose from {COMMANDS}"]
+def validate_command(cfg, command, problem):
+    """Problems of a parsed config that show only with the command and its
+    problem: one eps for ``run``, no eps twice for ``solve-ma``, ``family``'s
+    list as given by ``flow.check_ladder`` (so a 0 in it is a config error),
+    and ``flow.check_eps_zero`` where ``run`` or ``solve-ma`` would solve at eps = 0."""
     problems = []
     if command == "run" and len(cfg.eps) > 1:
         problems.append(f"eps: run integrates one eps, got {cfg.eps}; "
                         "use the family command for several")
-    if command == "family":
-        try:
+    repeats = [e for i, e in enumerate(cfg.eps) if e in cfg.eps[:i]]
+    if command == "solve-ma" and repeats:
+        problems.append(f"eps: solve-ma solves each eps once, got {repeats[0]} "
+                        f"more than once in {cfg.eps}")
+    try:
+        if command == "family":
             check_ladder(cfg.eps)
-        except ValueError as err:
-            problems.append(f"eps: {err}")
-    if command == "run" and cfg.preset and cfg.eps == [0.0]:
-        problem = build_preset(cfg.preset, cfg.n, cfg.offsets)
-        try:
+        if command in ("run", "solve-ma") and 0.0 in cfg.eps:
             check_eps_zero(0.0, problem.grid, problem.divisor)
-        except ValueError as err:
-            problems.append(f"eps: {err}")
+    except ValueError as err:
+        problems.append(f"eps: {err}")
     return problems
 
 
 def execute(cfg, command):
-    """Run one command; returns (RunRecord, exit_code)."""
-    problems = validate_command(cfg, command)
+    """Run one command on the problem built here; returns (RunRecord, exit_code)."""
+    if command not in COMMANDS:
+        raise ConfigError([f"unknown command {command!r}; choose from {COMMANDS}"])
+    problem = None if command == "report" else build_problem(cfg)
+    problems = validate_command(cfg, command, problem)
     if problems:
         raise ConfigError(problems)
     out = cfg.out
     os.makedirs(out, exist_ok=True)
     record = _new_record(cfg, command)
     try:
-        record = _IMPLS[command](cfg, record, out)
+        record = _IMPLS[command](cfg, problem, record, out)
     except JFlowError as err:
         record.failures.append(f"{type(err).__name__}: {err}")
         record.verdicts["completed"] = False

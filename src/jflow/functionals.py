@@ -23,10 +23,10 @@ def _energies_full(v, chi, bg, w, c, rhs=None):
     """(J, I, dJ/dt) from raw potential values v, the (4,) + shape blocks of
     chi_phi, chi0 and omega, and the velocity rhs (J is None when omega is,
     dJ/dt when rhs is): the one full-backend formula, shared by the flow's
-    history rows and ``J_closed`` / ``I_functional``.  Means are over the
-    trailing grid axes, so axes before them (a batch of runs, with c per
-    run) give one value each.  dJ/dt = -int phidot^2 chi^2, whose density
-    D(chi, chi) = 2 det chi is I's det."""
+    history rows, ``J_closed``, ``I_functional`` and ``evaluate_suite``.
+    Means are over the trailing grid axes, so axes before them (a batch of
+    runs, with c per run) give one value each.  dJ/dt = -int phidot^2
+    chi^2, whose density D(chi, chi) = 2 det chi is I's det."""
     def mean(x):
         return np.mean(x, axis=(-4, -3, -2, -1))
 
@@ -135,8 +135,7 @@ def evaluate_suite(phi, chi0, omega0, c0):
     """FunctionalReport for one potential: J, I, E and M (``mabuchi_closed``)
     in closed form; M and F are skipped, with a note, when chi0 or chi_phi
     is not positive."""
-    j = J_closed(phi, chi0, omega0, c0)
-    i = I_functional(phi, chi0)
+    j, i = map(float, _energies_full(*_full_terms(phi, chi0), omega0.realized, c0)[:2])
     e = E_aubin_yau(phi, chi0)
     m = f = None
     notes = ""

@@ -14,6 +14,7 @@ from jflow.cli import (
     _SECTIONS,
     _TOP_KEYS,
     RunRecord,
+    _eps_label,
     _record_verdict,
     _section,
     build_problem,
@@ -295,6 +296,16 @@ class TestRecords:
         assert record.failures == ["eps=0.1:(1.0, 'q_max above q_max(0) + 1', 0.5)"]
         assert not record.ok
 
+    @given(st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10**6))
+    def test_eps_label_reads_back_as_its_eps(self, eps):
+        # so distinct eps never share a file name or a key
+        assert float(_eps_label(eps)) == eps
+
+    def test_eps_label_of_the_usual_ladders_keeps_its_6_digit_spelling(self):
+        for eps in (0.2, 0.1, 0.05, 0.02, 0.01, 0, 0.0, 1):
+            assert _eps_label(eps) == f"{float(eps):g}"
+        assert _eps_label(0.1000001) == "0.1000001"
+
     def test_corrupt_record(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -311,7 +322,7 @@ class TestExecute:
         record, code = execute(cfg, "check-classes")
         assert code == 0
         assert record.verdicts["cone_condition"]
-        assert record.scalars["c_eps[0.0]"] == 2.0
+        assert record.scalars["c_eps[0]"] == 2.0  # eps 0.0 labelled as solve-ma labels it
         stored = read_record(tmp_path / "run.json")
         assert stored.ok
 
@@ -418,6 +429,9 @@ class TestExecute:
          "PositivityError: initial potential leaves chi0 + dd^c(phi) non-positive"),
         ("n=4, eps=[0.02, 0.01], chi0.class=[1,1,0,0], omega0.class=[1,1,1.2,0],"
          " omegahat.class=[1,1,0,0]", "ConeConditionError: cone condition fails"),
+        # report.json's failures were keyed "1.0", the other keys "1"
+        ("preset=identity, N=8, eps=[1, 0.5], phi0.modes=[[0.2, 1, 0, 0, 0, 0]]",
+         "PositivityError: initial potential leaves chi0 + dd^c(phi) non-positive"),
     ])
     def test_family_with_every_member_refused(self, tmp_path, text, refusal):
         # the uniformity check raised ValueError: a traceback, no run.json
@@ -426,11 +440,12 @@ class TestExecute:
         assert code == 1
         assert record.verdicts == {"all_members_ran": False, "uniform_bounds": False}
         assert [f.partition(": ")[0] for f in record.failures] == (
-            [f"eps={e}" for e in cfg.eps] + ["no member ran"])
+            [f"eps={_eps_label(e)}" for e in cfg.eps] + ["no member ran"])
         assert all(refusal in f for f in record.failures[:-1])
         stored = json.loads((tmp_path / "run.json").read_text())
         assert stored["failures"] == record.failures and stored["scalars"] == {}
         report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["family"]["failures"]) == {_eps_label(e) for e in cfg.eps}
         assert report["family"]["sup_phi_by_eps"] == {}
         assert set(report["family"]["final_residuals"].values()) == {None}
         assert (report["uniformity"]["ok"], report["uniformity"]["failures"]) == (
@@ -673,9 +688,42 @@ class TestExecute:
     def test_eps_zero_on_the_divisor_names_the_count(self, tmp_path):
         # the degenerate preset's lattice samples its divisor at zero offsets
         cfg = parse_config(f"preset=degenerate_split, N=8, eps=[0], out={tmp_path}")
-        problems = validate_command(cfg, "run")
+        problems = validate_command(cfg, "run", build_problem(cfg))
         assert len(problems) == 1
         assert problems[0].startswith("eps: eps = 0 on a lattice with 1 point(s)")
+
+    def test_solve_ma_eps_zero_off_the_divisor_passes(self, tmp_path):
+        cfg = parse_config(f"preset=degenerate_split, N=16, offsets=[0.01, 0.01], eps=[0],"
+                           f" out={tmp_path}")
+        record, code = execute(cfg, "solve-ma")
+        assert code == 0 and record.verdicts == {"newton_converged": True}
+        assert (tmp_path / "fields" / "psi-eps0.jflw").exists()
+
+    def test_solve_ma_ladder_need_not_descend(self, tmp_path):
+        # an ascending ladder solves each rung; only a repeat is refused
+        cfg = parse_config(f"preset=degenerate_split, N=8, eps=[0.1, 0.2], out={tmp_path}")
+        assert validate_command(cfg, "solve-ma", build_problem(cfg)) == []
+        cfg = replace(cfg, eps=[0.1, 0.2, 0.1])
+        assert validate_command(cfg, "solve-ma", build_problem(cfg)) == [
+            "eps: solve-ma solves each eps once, got 0.1 more than once in [0.1, 0.2, 0.1]"]
+
+    def test_family_with_eps_apart_in_the_seventh_digit(self, tmp_path):
+        # with 6-digit labels both members wrote series-eps0.1.csv and
+        # final-eps0.1.jflw, and each verdict kept only the second member's
+        cfg = parse_config(
+            f"preset=degenerate_split, N=8, out={tmp_path}, eps=[0.1000001, 0.1],"
+            " flow.max_time=0.2, flow.dt_safety=0.8, offsets=[0.01, 0.01]"
+        )
+        record, code = execute(cfg, "family")
+        assert code == 0
+        assert len(record.verdicts) == 10
+        assert len(record.artifacts) == len(set(record.artifacts)) == 5
+        series = [(tmp_path / f"series-eps{e}.csv").read_text() for e in ("0.1000001", "0.1")]
+        finals = [(tmp_path / "fields" / f"final-eps{e}.jflw").read_bytes()
+                  for e in ("0.1000001", "0.1")]
+        assert series[0] != series[1] and finals[0] != finals[1]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["family"]["sup_phi_by_eps"]) == {"0.1000001", "0.1"}
 
     def test_phi0_modes_on_the_full_backend(self, tmp_path):
         # the start is the synthesized field: a phase of 1/4 cycle turns the
@@ -735,11 +783,47 @@ class TestMain:
 
     def test_unknown_command_is_a_config_error(self, tmp_path):
         cfg = parse_config(f"preset=identity, out={tmp_path / 'out'}")
-        assert validate_command(cfg, "plot") == [
-            f"unknown command 'plot'; choose from {COMMANDS}"]
-        with pytest.raises(ConfigError, match="unknown command 'plot'"):
+        with pytest.raises(ConfigError) as err:
             execute(cfg, "plot")
+        assert err.value.problems == [f"unknown command 'plot'; choose from {COMMANDS}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, points", [
+        ("preset=degenerate_split, N=8, eps=[0]", 1),
+        ("preset=nonsplit_perturbed, N=8, eps=[0.1, 0]", 64),
+    ])
+    def test_solve_ma_eps_zero_on_the_divisor_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                     text, points):
+        # solve-ma raised PositivityError at the 0 rung (exit 1) and wrote run.json
+        # after solving the rungs before it; now it is run's config error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{text}\n")
+        assert main(["--command", "solve-ma", "--config", "run.cfg"]) == 2
+        err = capsys.readouterr().err
+        line = f"config error: eps: eps = 0 on a lattice with {points} point(s) on the divisor"
+        assert line in err
+        preset = text.partition(", eps")[0]
+        (tmp_path / "run.cfg").write_text(f"{preset}, eps=[0]\n")
+        assert main(["--command", "run", "--config", "run.cfg"]) == 2
+        eps_lines = [ln for ln in err.splitlines() if line in ln]
+        assert eps_lines == [ln for ln in capsys.readouterr().err.splitlines() if line in ln]
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_solve_ma_repeated_eps_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the second rung overwrote the first's psi-eps0.1.jflw and [0.1] scalars
+        monkeypatch.chdir(tmp_path)
+        assert main(["--command", "solve-ma", "--preset", "degenerate_split",
+                     "--eps", "0.1,0.1"]) == 2
+        assert ("config error: eps: solve-ma solves each eps once, got 0.1 more than once"
+                " in [0.1, 0.1]") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_empty_out_flag_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an empty flag was ignored and the command wrote ./out
+        monkeypatch.chdir(tmp_path)
+        assert main(["--command", "check-classes", "--preset", "identity", "--out", ""]) == 2
+        assert "config error: out: must be a directory path, got ''" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_run_with_several_eps_exit_2(self, tmp_path, capsys):
         code = main(["--command", "run", "--preset", "degenerate_split",

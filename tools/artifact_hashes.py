@@ -27,13 +27,17 @@ configs check:
   two rows (``run_two_rows``, exit 1) and on a stationary start of one
   row (``run_stationary``, which passes);
 * ``family``, and its ladders with no positive eps or a final 0 (config
-  errors);
+  errors); a family of two eps that agree to six digits
+  (``family_close_eps``), each member under its own file names and keys;
 * ``solve-ma`` on the 4-D lattice at N=8, at N=12 (``solve_ma_full_n12``:
   GMRES vectors long enough for a BLAS to split a dot product over
   threads) and down to eps = 0 on ``run_eps0_full``'s lattice; on the
   factor lattice at N=8, and at N=16 with offsets as a ladder down to eps
-  = 0.01, at eps = 0.01 alone and at eps = 0.  No config runs ``solve-ma``
-  at N=64, where the 4-D psi it writes is 134 MB;
+  = 0.01, at eps = 0.01 alone and at eps = 0; config errors at eps = 0 on
+  a lattice that samples the divisor (``solve_ma_eps0_on_divisor``) and
+  for a ladder that repeats an eps (``solve_ma_repeat_eps``), nothing
+  written.  No config runs ``solve-ma`` at N=64, where the 4-D psi it
+  writes is 134 MB;
 * ``functionals`` on a split run's final potential, on a random 4-D
   run's, on ``nonsplit_perturbed``'s zero potential (its divisor fit on
   the 4-D lattice) and on ``degenerate_split``'s at N=4, whose fit band
@@ -118,6 +122,9 @@ CONFIGS = {
     "family": [("family", "preset=degenerate_split, N=8, eps=[0.2, 0.1, 0.05], "
                           "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                           "flow.stop_tolerance=1e-8")],
+    "family_close_eps": [("family", "preset=degenerate_split, N=8, eps=[0.1000001, 0.1], "
+                                    "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
+                                    "flow.stop_tolerance=1e-8")],
     "solve_ma_full": [("solve-ma", "preset=nonsplit_perturbed, N=8, eps=[0.1]")],
     "solve_ma_full_n12": [("solve-ma", "preset=nonsplit_perturbed, N=12, eps=[0.1]")],
     "solve_ma_full_eps0": [("solve-ma", "preset=nonsplit_perturbed, N=8, eps=[0.1, 0], "
@@ -130,6 +137,8 @@ CONFIGS = {
                                          "offsets=[0.01, 0.01], eps=[0.01]")],
     "solve_ma_split_eps0": [("solve-ma", "preset=degenerate_split, N=16, "
                                          "offsets=[0.01, 0.01], eps=[0]")],
+    "solve_ma_eps0_on_divisor": [("solve-ma", "preset=degenerate_split, N=8, eps=[0]")],
+    "solve_ma_repeat_eps": [("solve-ma", "preset=degenerate_split, N=8, eps=[0.1, 0.1]")],
     "functionals": [(command, "preset=degenerate_split, N=8, eps=[0.1], "
                               "offsets=[0.01, 0.01], flow.dt_safety=0.8, "
                               "flow.stop_tolerance=1e-8")
